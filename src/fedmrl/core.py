@@ -15,10 +15,19 @@ entries feed the local header.  Both heads incur cross-entropy, and one
 SGD step moves the global model, the local model, and the projector
 simultaneously.  All gradients here are derived by hand and checked
 against finite differences in the tests.
+
+Each public function checks its inputs once, where it is called; the
+products inside run as bare ``@`` on C-order operands (see models).
+Finiteness is checked once per training step: forward_loss and its
+siblings reject a non-finite loss, backward_and_step rejects a stepped
+parameter group (global, local, projector) holding a NaN or an
+infinity, and infer rejects non-finite logits.  Each raises
+NonFiniteError naming the check that failed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -34,7 +43,15 @@ from .models import (
     StaleCacheError,
     init_model,
 )
-from .numerics import ShapeError, as_matrix, batch_cross_entropy, matmul, sgd_step
+from .numerics import (
+    NonFiniteError,
+    ShapeError,
+    _check_lr,
+    _cross_entropy,
+    _labels,
+    _matrix,
+    _sgd,
+)
 
 __all__ = [
     "GlobalSmallModel",
@@ -156,7 +173,7 @@ class Projector:
     weight: np.ndarray
 
     def __post_init__(self):
-        self.weight = as_matrix(self.weight)
+        self.weight = _matrix(self.weight)
 
     @property
     def d2(self) -> int:
@@ -281,15 +298,15 @@ def init_projector(d1: int, d2: int, rng: np.random.Generator) -> Projector:
 
 def splice(rep_global: np.ndarray, rep_local: np.ndarray) -> np.ndarray:
     """Concatenate the two representations, global part first."""
-    rep_global = as_matrix(rep_global)
-    rep_local = as_matrix(rep_local, rows=rep_global.shape[0])
+    rep_global = _matrix(rep_global)
+    rep_local = _matrix(rep_local, rows=rep_global.shape[0])
     return np.concatenate([rep_global, rep_local], axis=1)
 
 
 def project(projector: Projector, spliced: np.ndarray) -> np.ndarray:
     """Mix a spliced batch down to d2 columns."""
-    spliced = as_matrix(spliced, cols=projector.weight.shape[1])
-    return matmul(spliced, projector.weight.T)
+    spliced = _matrix(spliced, cols=projector.weight.shape[1])
+    return spliced @ projector.weight.T.copy()
 
 
 def matryoshka_prefixes(fused: np.ndarray, d1: int) -> tuple[np.ndarray, np.ndarray]:
@@ -299,7 +316,7 @@ def matryoshka_prefixes(fused: np.ndarray, d1: int) -> tuple[np.ndarray, np.ndar
     means the small head reads a strict prefix of what the large head
     reads.
     """
-    fused = as_matrix(fused)
+    fused = _matrix(fused)
     if not 0 < d1 <= fused.shape[1]:
         raise ShapeError(f"prefix width {d1} out of range for {fused.shape[1]} columns")
     return fused[:, :d1], fused
@@ -350,6 +367,38 @@ def _check_dims(global_model: GlobalSmallModel, local_model: LocalHeteroModel,
     return d1, d2
 
 
+def _batch(model, x, labels) -> tuple[np.ndarray, np.ndarray]:
+    """A batch checked once against the model's input width and classes."""
+    x = _matrix(x, cols=model.extractor.input_dim)
+    return x, _labels(labels, x.shape[0], model.classes)
+
+
+def _mean(losses: np.ndarray) -> float:
+    """losses.mean() bit for bit (sum, then divide), without its Python wrapper."""
+    return float(losses.sum() / losses.size)
+
+
+def _finite_loss(loss: float) -> float:
+    if not math.isfinite(loss):
+        raise NonFiniteError(f"non-finite loss ({loss})")
+    return loss
+
+
+def _finite_params(group: str, model) -> None:
+    """Raise NonFiniteError naming `group` unless every parameter of model is finite."""
+    if isinstance(model, Projector):
+        values = model.weight
+    else:
+        arrays = [model.header.weight]
+        for layer in model.extractor.layers:
+            arrays.append(layer.weight)
+            if layer.bias is not None:
+                arrays.append(layer.bias)
+        values = np.concatenate(arrays, axis=None)
+    if not np.isfinite(values).all():
+        raise NonFiniteError(f"non-finite {group} parameters after the step")
+
+
 def forward_loss(
     global_model: GlobalSmallModel,
     local_model: LocalHeteroModel,
@@ -365,8 +414,7 @@ def forward_loss(
     and each part is the batch mean cross-entropy of its head.
     """
     d1, _ = _check_dims(global_model, local_model, projector)
-    x = as_matrix(x)
-    y = np.asarray(labels, dtype=np.int64).reshape(-1)
+    x, y = _batch(global_model, x, labels)
 
     rep_global, cache_global = global_model.extractor.forward(x)
     rep_local, cache_local = local_model.extractor.forward(x)
@@ -374,11 +422,11 @@ def forward_loss(
     fused = project(projector, spliced)
     low, full = matryoshka_prefixes(fused, d1)
 
-    losses_g, dlogits_g = batch_cross_entropy(global_model.header.forward(low), y)
-    losses_f, dlogits_f = batch_cross_entropy(local_model.header.forward(full), y)
-    loss_global = float(losses_g.mean())
-    loss_local = float(losses_f.mean())
-    total = weights.global_head * loss_global + weights.local_head * loss_local
+    losses_g, dlogits_g = _cross_entropy(global_model.header.forward(low), y)
+    losses_f, dlogits_f = _cross_entropy(local_model.header.forward(full), y)
+    loss_global = _mean(losses_g)
+    loss_local = _mean(losses_f)
+    total = _finite_loss(weights.global_head * loss_global + weights.local_head * loss_local)
 
     cache = TrainingCache(
         global_model=global_model,
@@ -410,16 +458,15 @@ def forward_loss_ablation_no_mrl(
     global header is untouched by forward and gradient alike.  Equals
     forward_loss with weights (0, 1).
     """
-    d1, _ = _check_dims(global_model, local_model, projector)
-    x = as_matrix(x)
-    y = np.asarray(labels, dtype=np.int64).reshape(-1)
+    _check_dims(global_model, local_model, projector)
+    x, y = _batch(local_model, x, labels)
 
     rep_global, cache_global = global_model.extractor.forward(x)
     rep_local, cache_local = local_model.extractor.forward(x)
     spliced = splice(rep_global, rep_local)
     fused = project(projector, spliced)
 
-    losses, dlogits = batch_cross_entropy(local_model.header.forward(fused), y)
+    losses, dlogits = _cross_entropy(local_model.header.forward(fused), y)
     cache = TrainingCache(
         global_model=global_model,
         local_model=local_model,
@@ -434,7 +481,7 @@ def forward_loss_ablation_no_mrl(
         n_samples=x.shape[0],
         use_mrl=False,
     )
-    return float(losses.mean()), cache
+    return _finite_loss(_mean(losses)), cache
 
 
 def loss_gradients(cache: TrainingCache) -> GradientSet:
@@ -455,14 +502,13 @@ def loss_gradients(cache: TrainingCache) -> GradientSet:
         d_global_logits = (cache.weights.global_head / n) * cache.dlogits_global
         d_global_header, d_low = g.header.backward(low, d_global_logits)
         d_local_header, d_fused = f.header.backward(cache.fused, d_local_logits)
-        d_fused = d_fused.copy()
         d_fused[:, :d1] += d_low
     else:
         d_global_header = np.zeros_like(g.header.weight)
         d_local_header, d_fused = f.header.backward(cache.fused, d_local_logits)
 
-    d_projector = matmul(d_fused.T, cache.spliced)
-    d_spliced = matmul(d_fused, p.weight)
+    d_projector = d_fused.T.copy() @ cache.spliced
+    d_spliced = d_fused @ p.weight
     global_layers, _ = g.extractor.backward(cache.cache_global, d_spliced[:, :d1])
     local_layers, _ = f.extractor.backward(cache.cache_local, d_spliced[:, d1:])
     return GradientSet(
@@ -485,7 +531,9 @@ def backward_and_step(
 
     Returns fresh objects; the inputs are left untouched, and the cache
     must have been produced by exactly these objects (a cache from a
-    previous step is stale and rejected).
+    previous step is stale and rejected).  Raises NonFiniteError naming
+    the first stepped group (global, local, projector) that is not
+    finite.
     """
     if (
         cache.global_model is not global_model
@@ -502,7 +550,11 @@ def backward_and_step(
         local_model.extractor.step(grads.local_layers, lrs.local_model),
         local_model.header.step(grads.local_header, lrs.local_model),
     )
-    new_projector = Projector(sgd_step(projector.weight, grads.projector, lrs.projector))
+    _check_lr(lrs.projector)
+    new_projector = Projector(_sgd(projector.weight, grads.projector, lrs.projector))
+    _finite_params("global", new_global)
+    _finite_params("local", new_local)
+    _finite_params("projector", new_projector)
     return new_global, new_local, new_projector
 
 
@@ -510,11 +562,10 @@ def forward_loss_single(
     model: LocalHeteroModel | GlobalSmallModel, x: np.ndarray, labels: np.ndarray
 ) -> tuple[float, tuple]:
     """Plain one-model cross-entropy loss (no splice, no projector)."""
-    x = as_matrix(x)
-    y = np.asarray(labels, dtype=np.int64).reshape(-1)
+    x, y = _batch(model, x, labels)
     rep, cache_ex = model.extractor.forward(x)
-    losses, dlogits = batch_cross_entropy(model.header.forward(rep), y)
-    return float(losses.mean()), (model, rep, cache_ex, dlogits, x.shape[0])
+    losses, dlogits = _cross_entropy(model.header.forward(rep), y)
+    return _finite_loss(_mean(losses)), (model, rep, cache_ex, dlogits, x.shape[0])
 
 
 def backward_and_step_single(model, cache, lr: float):
@@ -527,6 +578,7 @@ def backward_and_step_single(model, cache, lr: float):
     stepped = type(model)(
         model.extractor.step(layer_grads, lr), model.header.step(d_header, lr)
     )
+    _finite_params("global" if isinstance(model, GlobalSmallModel) else "local", stepped)
     return stepped
 
 
@@ -619,7 +671,7 @@ def infer(
     variants never read the header they exclude; the SINGLE variants
     never touch the other model or the projector.
     """
-    x = as_matrix(x)
+    x = _matrix(x)
     if variant is InferenceVariant.SINGLE_SMALL:
         rep, _ = global_model.extractor.forward(x)
         logits = global_model.header.forward(rep)
@@ -635,4 +687,6 @@ def infer(
             logits = global_model.header.forward(fused[:, :d1])
         else:
             logits = local_model.header.forward(fused)
+    if not np.isfinite(logits).all():
+        raise NonFiniteError("non-finite logits")
     return np.argmax(logits, axis=1)

@@ -9,6 +9,19 @@ their client.  Clients update sequentially in ascending id order; they
 share no mutable state within a round, so any parallel schedule would
 produce the same result.
 
+Evaluation reuse: a client's models change only through broadcast and
+client_update, and both clear the client's accuracy memo.  run_rounds
+evaluates only clients whose memo holds no accuracy for the run's
+inference variant, so a client that sat a round out is not evaluated
+again on the same models; with partial participation that is most of
+them.  Code that changes a client's models in place, outside those two
+functions, must clear client.accuracy itself.
+
+Finite checks live in the training step (core): one on the loss and one
+on each stepped parameter group per step, and one on the logits of each
+evaluation.  client_update adds the client id to a NonFiniteError from
+its steps.
+
 The standalone baseline trains every client's private model alone each
 round and never communicates; the server's model stays at its initial
 value for the whole run.
@@ -17,7 +30,7 @@ value for the whole run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -40,7 +53,7 @@ from .core import (
 )
 from .data import LabeledDataset, PartitionPlan
 from .metrics import RoundReport, comm_cost_round, evaluate, flops_round
-from .numerics import derive_rng
+from .numerics import NonFiniteError, derive_rng
 
 # Substream tags: every source of randomness in a run is a named stream
 # of the run seed, so replays are bit-identical and mode never shifts
@@ -125,7 +138,9 @@ class ClientState:
 
     global_copy is the client's working copy of the shared model; it is
     refreshed on broadcast and trained locally in between.  Clients that
-    sit out a round keep their last copy.
+    sit out a round keep their last copy.  accuracy memoizes the test
+    accuracy of the current models per inference variant; broadcast and
+    client_update clear it.
     """
 
     client_id: int
@@ -137,6 +152,7 @@ class ClientState:
     test_x: np.ndarray
     test_y: np.ndarray
     rng: np.random.Generator
+    accuracy: dict[InferenceVariant, float] = field(default_factory=dict, repr=False)
 
     @property
     def n_samples(self) -> int:
@@ -219,6 +235,7 @@ def broadcast(server: ServerState, clients: list[ClientState]) -> None:
     """Hand every listed client a deep copy of the current shared model."""
     for client in clients:
         client.global_copy = server.global_model.clone()
+        client.accuracy.clear()
 
 
 def client_update(
@@ -235,11 +252,13 @@ def client_update(
     batches of batch_size (the final short batch included).  Returns the
     upload (None in standalone mode, which never communicates) and the
     per-epoch mean losses.  With epochs=0 nothing moves and the upload
-    carries the unchanged shared model.
+    carries the unchanged shared model.  A step whose loss or stepped
+    parameters are not finite raises NonFiniteError naming this client.
     """
     n = client.n_samples
     if n == 0:
         raise ValueError(f"client {client.client_id} has no training samples")
+    client.accuracy.clear()
     g, f, p = client.global_copy, client.local_model, client.projector
     epoch_means: list[float] = []
     all_losses: list[float] = []
@@ -249,15 +268,18 @@ def client_update(
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
             xb, yb = client.train_x[idx], client.train_y[idx]
-            if mode is Mode.STANDALONE:
-                loss, cache = forward_loss_single(f, xb, yb)
-                f = backward_and_step_single(f, cache, lrs.local_model)
-            elif mode is Mode.NO_MRL:
-                loss, cache = forward_loss_ablation_no_mrl(g, f, p, xb, yb)
-                g, f, p = backward_and_step(g, f, p, cache, lrs)
-            else:
-                loss, _, cache = forward_loss(g, f, p, xb, yb, weights)
-                g, f, p = backward_and_step(g, f, p, cache, lrs)
+            try:
+                if mode is Mode.STANDALONE:
+                    loss, cache = forward_loss_single(f, xb, yb)
+                    f = backward_and_step_single(f, cache, lrs.local_model)
+                elif mode is Mode.NO_MRL:
+                    loss, cache = forward_loss_ablation_no_mrl(g, f, p, xb, yb)
+                    g, f, p = backward_and_step(g, f, p, cache, lrs)
+                else:
+                    loss, _, cache = forward_loss(g, f, p, xb, yb, weights)
+                    g, f, p = backward_and_step(g, f, p, cache, lrs)
+            except NonFiniteError as exc:
+                raise NonFiniteError(f"client {client.client_id}: {exc}") from exc
             batch_losses.append(loss)
         epoch_means.append(float(np.mean(batch_losses)))
         all_losses.extend(batch_losses)
@@ -312,10 +334,10 @@ def run_training(
 ) -> list[RoundReport]:
     """Full simulation: T rounds of sample, broadcast, update, aggregate, evaluate.
 
-    Every client (participant or not) is evaluated each round on its own
-    test shard; rounds are numbered from 1.  Standalone runs train all
-    clients every round, skip all communication, and are evaluated with
-    the private model alone.
+    Every client (participant or not) reports its accuracy on its own
+    test shard each round; rounds are numbered from 1.  Standalone runs
+    train all clients every round, skip all communication, and are
+    evaluated with the private model alone.
     """
     server, clients = build_clients(config, dataset, plan)
     return run_rounds(server, clients, config)
@@ -324,7 +346,12 @@ def run_training(
 def run_rounds(
     server: ServerState, clients: list[ClientState], config: RunConfig
 ) -> list[RoundReport]:
-    """The round loop of run_training, on already-built states."""
+    """The round loop of run_training, on already-built states.
+
+    A client is evaluated only when its accuracy memo holds nothing for
+    the run's inference variant; otherwise the memo is reported, which
+    is the accuracy evaluate would return for its unchanged models.
+    """
     standalone = config.mode is Mode.STANDALONE
     variant = InferenceVariant.SINGLE_LARGE if standalone else config.inference
     shared_params = server.global_model.param_count()
@@ -368,7 +395,7 @@ def run_rounds(
             aggregate(server, uploads)
             uplink, downlink = comm_cost_round(shared_params, len(participants))
 
-        accuracies = tuple(evaluate(c, variant) for c in clients)
+        accuracies = tuple(_accuracy(c, variant) for c in clients)
         reports.append(
             RoundReport(
                 round=round_index,
@@ -382,3 +409,11 @@ def run_rounds(
         )
         server.round = round_index
     return reports
+
+
+def _accuracy(client: ClientState, variant: InferenceVariant) -> float:
+    """The client's test accuracy, evaluated only if its memo holds none."""
+    accuracy = client.accuracy.get(variant)
+    if accuracy is None:
+        accuracy = client.accuracy[variant] = evaluate(client, variant)
+    return accuracy

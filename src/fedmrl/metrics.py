@@ -32,6 +32,7 @@ from .core import (
     Projector,
     infer,
 )
+from .numerics import NonFiniteError
 
 if TYPE_CHECKING:  # pragma: no cover - only for annotations
     from .federation import ClientState, Mode
@@ -55,12 +56,18 @@ class RoundReport:
 
 
 def evaluate(client: "ClientState", variant: InferenceVariant) -> float:
-    """Fraction of the client's test samples predicted correctly."""
+    """Fraction of the client's test samples predicted correctly.
+
+    Raises NonFiniteError naming the client if its logits are not finite.
+    """
     if client.test_y.size == 0:
         raise ValueError(f"client {client.client_id} has an empty test set")
-    preds = infer(
-        client.global_copy, client.local_model, client.projector, client.test_x, variant
-    )
+    try:
+        preds = infer(
+            client.global_copy, client.local_model, client.projector, client.test_x, variant
+        )
+    except NonFiniteError as exc:
+        raise NonFiniteError(f"client {client.client_id}: {exc}") from exc
     return float(np.mean(preds == client.test_y))
 
 

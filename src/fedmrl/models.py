@@ -5,6 +5,14 @@ one row per layer, ReLU or identity activation).  A header is a single
 bias-free linear map from a representation to class logits.  Backward
 passes are written out explicitly and are validated against central
 finite differences in the test suite.
+
+Every public method checks its inputs once and then multiplies with a
+bare ``@``; nothing here checks for non-finite values (the training step
+does that once per step, see core).  Products always run on C-order
+operands, a transposed weight or gradient being copied first: OpenBLAS
+rounds a product with a transposed view differently from the same
+product on a C-order copy, and the copy keeps every result bit-identical
+to numerics.matmul, which multiplies C-order copies.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import ShapeError, as_matrix, matmul, sgd_step
+from .numerics import ShapeError, _check_lr, _matrix, _sgd
 
 RELU = "relu"
 IDENTITY = "identity"
@@ -64,9 +72,9 @@ class AffineLayer:
     activation: str = RELU
 
     def __post_init__(self):
-        self.weight = as_matrix(self.weight)
+        self.weight = _matrix(self.weight)
         if self.bias is not None:
-            self.bias = as_matrix(self.bias, rows=1, cols=self.out_dim)
+            self.bias = _matrix(self.bias, rows=1, cols=self.out_dim)
         if self.activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
 
@@ -80,9 +88,9 @@ class AffineLayer:
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Returns (activated output, pre-activation) for a batch."""
-        pre = matmul(as_matrix(x, cols=self.in_dim), self.weight.T)
+        pre = _matrix(x, cols=self.in_dim) @ self.weight.T.copy()
         if self.bias is not None:
-            pre = pre + self.bias
+            pre += self.bias
         out = np.maximum(pre, 0.0) if self.activation == RELU else pre
         return out, pre
 
@@ -146,7 +154,7 @@ class Extractor:
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
         """Run the stack; inputs are copied into the cache, never mutated."""
         cache = ForwardCache(owner=self)
-        out = as_matrix(x, cols=self.input_dim)
+        out = _matrix(x, cols=self.input_dim)
         for layer in self.layers:
             cache.inputs.append(out)
             out, pre = layer.forward(out)
@@ -168,26 +176,27 @@ class Extractor:
             raise StaleCacheError(
                 f"cache depth {cache.depth} != layer count {len(self.layers)}"
             )
-        delta = as_matrix(d_rep, cols=self.rep_dim)
+        delta = _matrix(d_rep, rows=cache.inputs[0].shape[0], cols=self.rep_dim)
         reversed_grads = []
         for i in reversed(range(len(self.layers))):
             layer = self.layers[i]
             if layer.activation == RELU:
                 delta = delta * (cache.pre_acts[i] > 0.0)
-            d_weight = matmul(delta.T, cache.inputs[i])
+            d_weight = delta.T.copy() @ cache.inputs[i]
             d_bias = None if layer.bias is None else delta.sum(axis=0, keepdims=True)
             reversed_grads.append(LayerGrads(d_weight, d_bias))
-            delta = matmul(delta, layer.weight)
+            delta = delta @ layer.weight
         return reversed_grads[::-1], delta
 
     def step(self, grads: list[LayerGrads], lr: float) -> "Extractor":
         """One SGD step; returns a new Extractor, leaving this one untouched."""
         if len(grads) != len(self.layers):
             raise ShapeError(f"{len(grads)} gradient entries for {len(self.layers)} layers")
+        _check_lr(lr)
         stepped = []
         for layer, g in zip(self.layers, grads):
-            w = sgd_step(layer.weight, g.weight, lr)
-            b = None if layer.bias is None else sgd_step(layer.bias, g.bias, lr)
+            w = _sgd(layer.weight, g.weight, lr)
+            b = None if layer.bias is None else _sgd(layer.bias, g.bias, lr)
             stepped.append(AffineLayer(w, b, layer.activation))
         return Extractor(stepped)
 
@@ -205,7 +214,7 @@ class Header:
     weight: np.ndarray  # (classes, rep_dim)
 
     def __post_init__(self):
-        self.weight = as_matrix(self.weight)
+        self.weight = _matrix(self.weight)
 
     @property
     def in_dim(self) -> int:
@@ -216,16 +225,17 @@ class Header:
         return self.weight.shape[0]
 
     def forward(self, rep: np.ndarray) -> np.ndarray:
-        return matmul(as_matrix(rep, cols=self.in_dim), self.weight.T)
+        return _matrix(rep, cols=self.in_dim) @ self.weight.T.copy()
 
     def backward(self, rep: np.ndarray, d_logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Returns (d_weight, d_rep) for the logits' upstream gradient."""
-        rep = as_matrix(rep, cols=self.in_dim)
-        d_logits = as_matrix(d_logits, rows=rep.shape[0], cols=self.classes)
-        return matmul(d_logits.T, rep), matmul(d_logits, self.weight)
+        rep = _matrix(rep, cols=self.in_dim)
+        d_logits = _matrix(d_logits, rows=rep.shape[0], cols=self.classes)
+        return d_logits.T.copy() @ rep, d_logits @ self.weight
 
     def step(self, d_weight: np.ndarray, lr: float) -> "Header":
-        return Header(sgd_step(self.weight, d_weight, lr))
+        _check_lr(lr)
+        return Header(_sgd(self.weight, d_weight, lr))
 
     def param_count(self) -> int:
         return self.weight.size

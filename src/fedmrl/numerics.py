@@ -9,6 +9,7 @@ numpy version.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 
 import numpy as np
@@ -47,6 +48,25 @@ def as_matrix(values, rows: int | None = None, cols: int | None = None) -> np.nd
     m = np.ascontiguousarray(values, dtype=np.float64)
     if m.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got {m.ndim}-D data of shape {m.shape}")
+    return _check_shape(m, rows, cols)
+
+
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _matrix(values, rows: int | None = None, cols: int | None = None) -> np.ndarray:
+    """as_matrix without its coercion, for arrays that already are 2-D float64.
+
+    Such an array is returned as is when C-order, copied when a strided
+    view, and shape-checked; anything else goes through as_matrix.  The
+    training step and inference check their inputs with this.
+    """
+    if type(values) is not np.ndarray or values.dtype is not _FLOAT64 or values.ndim != 2:
+        return as_matrix(values, rows, cols)
+    return _check_shape(np.ascontiguousarray(values), rows, cols)
+
+
+def _check_shape(m: np.ndarray, rows: int | None, cols: int | None) -> np.ndarray:
     if rows is not None and m.shape[0] != rows:
         raise ShapeError(f"expected {rows} rows, got {m.shape[0]}")
     if cols is not None and m.shape[1] != cols:
@@ -110,29 +130,51 @@ def batch_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndar
     reduction.
     """
     m = as_matrix(logits)
+    return _cross_entropy(m, _labels(labels, m.shape[0], m.shape[1]))
+
+
+def _labels(labels, rows: int, n_classes: int) -> np.ndarray:
+    """Labels as an int64 vector of `rows` entries, each in [0, n_classes)."""
     y = np.asarray(labels, dtype=np.int64).reshape(-1)
-    if y.shape[0] != m.shape[0]:
-        raise ShapeError(f"{m.shape[0]} logit rows but {y.shape[0]} labels")
-    n_classes = m.shape[1]
+    if y.shape[0] != rows:
+        raise ShapeError(f"{rows} logit rows but {y.shape[0]} labels")
     if y.size and (y.min() < 0 or y.max() >= n_classes):
         raise ValueError(f"labels must lie in [0, {n_classes})")
+    return y
+
+
+def _cross_entropy(m: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """batch_cross_entropy on already-checked logits and labels.
+
+    The gradient reuses the exponentials of the loss; softmax(m) would
+    recompute the very same values.
+    """
     shifted = m - m.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
+    e = np.exp(shifted)
+    z = e.sum(axis=1, keepdims=True)
     rows = np.arange(m.shape[0])
-    losses = log_z - shifted[rows, y]
-    grads = softmax(m)
+    losses = np.log(z[:, 0]) - shifted[rows, y]
+    grads = e / z
     grads[rows, y] -= 1.0
     return losses, grads
 
 
 def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float) -> np.ndarray:
     """Return params - lr * grads as a new array; inputs are never mutated."""
-    p = np.asarray(params, dtype=np.float64)
+    _check_lr(lr)
+    return _sgd(np.asarray(params, dtype=np.float64), grads, lr)
+
+
+def _check_lr(lr: float) -> None:
+    if not math.isfinite(lr) or lr < 0.0:
+        raise ValueError(f"learning rate must be finite and non-negative, got {lr}")
+
+
+def _sgd(p: np.ndarray, grads, lr: float) -> np.ndarray:
+    """sgd_step on float64 params, the learning rate already checked."""
     g = np.asarray(grads, dtype=np.float64)
     if p.shape != g.shape:
         raise ShapeError(f"params shape {p.shape} != grads shape {g.shape}")
-    if not np.isfinite(lr) or lr < 0.0:
-        raise ValueError(f"learning rate must be finite and non-negative, got {lr}")
     return p - lr * g
 
 

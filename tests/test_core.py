@@ -30,6 +30,7 @@ from fedmrl.core import (
 )
 from fedmrl.models import Header, StaleCacheError
 from fedmrl.numerics import (
+    NonFiniteError,
     ShapeError,
     finite_diff_gradient,
     make_rng,
@@ -228,6 +229,30 @@ def test_stale_cache_is_rejected():
     g1, f1, p1 = backward_and_step(g, f, p, cache, LearningRates.uniform(0.01))
     with pytest.raises(StaleCacheError):
         backward_and_step(g1, f1, p1, cache, LearningRates.uniform(0.01))
+
+
+@pytest.mark.parametrize("group", ["global", "local", "projector"])
+def test_step_names_the_group_that_is_not_finite(group):
+    g, f, p = tiny_models(seed=3)
+    x, y = tiny_batch(seed=3, n=8)
+    _, _, cache = forward_loss(g, f, p, 1e3 * x, y)  # large gradients, finite loss
+    groups = ("global", "local", "projector")
+    lrs = LearningRates(*(1e308 if name == group else 0.0 for name in groups))
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match=f"non-finite {group} "):
+        backward_and_step(g, f, p, cache, lrs)
+
+
+def test_single_model_step_and_infer_reject_non_finite_values():
+    g, f, p = tiny_models(seed=5)
+    x, y = tiny_batch(seed=5, n=8)
+    _, cache = forward_loss_single(f, 1e3 * x, y)
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="non-finite local "):
+        backward_and_step_single(f, cache, 1e308)
+    f.header.weight[0, 0] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError, match="non-finite loss"):
+        forward_loss_single(f, x, y)
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError, match="non-finite logits"):
+        infer(g, f, p, x, InferenceVariant.SINGLE_LARGE)
 
 
 def test_parameter_vector_round_trip():

@@ -1,8 +1,14 @@
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fedmrl import federation
+from fedmrl.config import load_config, override
 from fedmrl.core import InferenceVariant, LearningRates, LossWeights, parameter_vector
 from fedmrl.data import (
     ClassCountSpec,
@@ -26,7 +32,11 @@ from fedmrl.federation import (
     run_training,
     sample_clients,
 )
-from fedmrl.numerics import make_rng
+from fedmrl.experiment import execute
+from fedmrl.metrics import evaluate
+from fedmrl.numerics import NonFiniteError, make_rng
+
+QUICKSTART = Path(__file__).parents[1] / "demos" / "quickstart.cfg"
 
 
 def small_setup(mode=Mode.FEDMRL, seed=0, n_clients=4, rounds=3, **overrides):
@@ -377,3 +387,126 @@ def _layer_arrays(extractor):
         yield layer.weight
         if layer.bias is not None:
             yield layer.bias
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_clients=st.integers(1, 6),
+    rounds=st.integers(1, 4),
+    participation=st.floats(0.05, 1.0),
+    mode=st.sampled_from(list(Mode)),
+    seed=st.integers(0, 3),
+    variants=st.lists(st.sampled_from(list(InferenceVariant)), min_size=4, max_size=4),
+)
+def test_evaluation_reuse_matches_evaluating_every_client(
+    n_clients, rounds, participation, mode, seed, variants
+):
+    cfg, dataset, plan = small_setup(
+        mode=mode, seed=seed, n_clients=n_clients, rounds=rounds, participation=participation
+    )
+    whole = run_training(cfg, dataset, plan)
+    # One round per run_rounds call, first with the run's inference variant,
+    # then switching variants between calls; the oracle evaluates every
+    # client after every round.
+    for switching in (False, True):
+        server, clients = build_clients(cfg, dataset, plan)
+        for r in range(1, rounds + 1):
+            inference = variants[r - 1] if switching else cfg.inference
+            step = dataclasses.replace(cfg, rounds=1, inference=inference)
+            (report,) = run_rounds(server, clients, step)
+            variant = InferenceVariant.SINGLE_LARGE if mode is Mode.STANDALONE else inference
+            assert report.per_client_accuracy == tuple(evaluate(c, variant) for c in clients)
+            if not switching:
+                assert dataclasses.replace(report, round=r) == whole[r - 1]
+
+
+def test_only_clients_whose_models_changed_are_evaluated_again(monkeypatch):
+    cfg, dataset, plan = small_setup(n_clients=4, participation=0.25, rounds=1)
+    server, clients = build_clients(cfg, dataset, plan)
+    evaluated = []
+
+    def counting(client, variant):
+        evaluated.append(client.client_id)
+        return evaluate(client, variant)
+
+    monkeypatch.setattr(federation, "evaluate", counting)
+    run_rounds(server, clients, cfg)
+    assert len(evaluated) == 4  # nothing memoized yet
+    evaluated.clear()
+    run_rounds(server, clients, cfg)
+    assert len(evaluated) == 1  # K = 1 participant changed
+    evaluated.clear()
+    switched = dataclasses.replace(cfg, inference=InferenceVariant.MIX_SMALL)
+    (report,) = run_rounds(server, clients, switched)
+    assert sorted(evaluated) == [0, 1, 2, 3]  # a new variant evaluates everyone
+    assert report.per_client_accuracy == tuple(
+        evaluate(c, InferenceVariant.MIX_SMALL) for c in clients
+    )
+
+
+def test_broadcast_and_client_update_clear_the_accuracy_memo():
+    # run_rounds always trains whom it broadcasts to, so only this test
+    # sees broadcast's own clearing.
+    cfg, dataset, plan = small_setup(n_clients=2, rounds=1)
+    server, clients = build_clients(cfg, dataset, plan)
+    run_rounds(server, clients, cfg)
+    assert all(InferenceVariant.MIX_LARGE in c.accuracy for c in clients)
+    broadcast(server, clients[:1])
+    assert clients[0].accuracy == {} and clients[1].accuracy != {}
+    client_update(clients[1], 1, 8, cfg.lrs, Mode.FEDMRL, LossWeights())
+    assert clients[1].accuracy == {}
+
+
+# Recorded before the training step dropped its per-matmul checks, on
+# numpy 2.4.6 with OpenBLAS 0.3.31: a speed-up that changes a single bit of
+# the training arithmetic fails here rather than only in a benchmark.
+GOLDEN_FINAL_ROUND = {
+    Mode.FEDMRL: ("0.7305555555555556", "0.9795937257029405"),
+    Mode.STANDALONE: ("0.8722222222222222", "0.5190659693445735"),
+    Mode.NO_MRL: ("0.7305555555555556", "0.4304698100927426"),
+}
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_final_round_reproduces_golden_values(mode):
+    dataset = gen_synthetic(5, 6, 40, 0.8, make_rng(11))
+    plan = split_train_test(partition_dirichlet(dataset, 6, DirichletSpec(alpha=1.0, seed=3)))
+    cfg = RunConfig(
+        n_clients=6, rounds=6, d1=3, d2=8, participation=0.5, mode=mode, seed=3,
+        global_hidden=(8,), local_hidden=((12,), (10,), (9,)),
+    )
+    final = run_training(cfg, dataset, plan)[-1]
+    assert (repr(final.avg_test_accuracy), repr(final.mean_train_loss)) == GOLDEN_FINAL_ROUND[mode]
+
+
+@pytest.mark.parametrize(
+    "lr, steps, check", [(50.0, 12, "loss"), (5.0, 60, "logits"), (2.0, 98, "loss")]
+)
+def test_diverging_quickstart_stops_at_the_same_step(monkeypatch, lr, steps, check):
+    # The steps are forward_loss calls up to the first non-finite value;
+    # moving the finite checks must not let a diverging run go further.
+    calls = []
+    real = federation.forward_loss
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(federation, "forward_loss", counting)
+    config = override(load_config(QUICKSTART), lr=lr)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError, match=rf"^client \d+: non-finite {check}"):
+            execute(config)
+    assert len(calls) == steps
+
+
+def test_client_update_names_the_client_and_group_of_a_diverging_step():
+    cfg, dataset, plan = small_setup()
+    _, clients = build_clients(cfg, dataset, plan)
+    client = clients[2]
+    client.train_x = 1e3 * client.train_x  # large gradients, finite loss
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonFiniteError, match=r"^client 2: non-finite local parameters"):
+            client_update(
+                client, 1, 8, LearningRates(0.0, 1e308, 0.0), Mode.FEDMRL, LossWeights()
+            )
