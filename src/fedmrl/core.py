@@ -23,11 +23,17 @@ siblings reject a non-finite loss, backward_and_step rejects a stepped
 parameter group (global, local, projector) holding a NaN or an
 infinity, and infer rejects non-finite logits.  Each raises
 NonFiniteError naming the check that failed.
+
+Every function here also steps a cohort of clients at once: models
+whose parameters carry a leading client axis of C (see models), the
+private extractors grouped by shape in a GroupedExtractor, with batches
+of shape (C, n, in) and labels (C, n).  Losses then come back as arrays
+of C, one per client, and a check fails if it fails for any client.
+One client's arithmetic is the same in a cohort as alone.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -37,6 +43,7 @@ from .models import (
     AffineLayer,
     Extractor,
     ForwardCache,
+    GroupedExtractor,
     Header,
     LayerGrads,
     ModelConfig,
@@ -51,6 +58,7 @@ from .numerics import (
     _labels,
     _matrix,
     _sgd,
+    _transposed,
 )
 
 __all__ = [
@@ -122,13 +130,7 @@ class GlobalSmallModel:
 
     def parameter_arrays(self) -> list[np.ndarray]:
         """All parameters in declared order: layer weight, bias, ..., header."""
-        arrays = []
-        for layer in self.extractor.layers:
-            arrays.append(layer.weight)
-            if layer.bias is not None:
-                arrays.append(layer.bias)
-        arrays.append(self.header.weight)
-        return arrays
+        return _parameter_arrays(self)
 
     def param_count(self) -> int:
         return self.extractor.param_count() + self.header.param_count()
@@ -139,9 +141,13 @@ class GlobalSmallModel:
 
 @dataclass
 class LocalHeteroModel:
-    """A client's private model; its width and depth may differ per client."""
+    """A client's private model; its width and depth may differ per client.
 
-    extractor: Extractor
+    In a cohort the extractor is a GroupedExtractor and the header, whose
+    shape all clients share, is stacked.
+    """
+
+    extractor: Extractor | GroupedExtractor
     header: Header
 
     def __post_init__(self):
@@ -177,11 +183,15 @@ class Projector:
 
     @property
     def d2(self) -> int:
-        return self.weight.shape[0]
+        return self.weight.shape[-2]
 
     @property
     def d1(self) -> int:
-        return self.weight.shape[1] - self.weight.shape[0]
+        return self.weight.shape[-1] - self.weight.shape[-2]
+
+    @property
+    def lead(self) -> tuple[int, ...]:
+        return self.weight.shape[:-2]
 
     def param_count(self) -> int:
         return self.weight.size
@@ -299,14 +309,14 @@ def init_projector(d1: int, d2: int, rng: np.random.Generator) -> Projector:
 def splice(rep_global: np.ndarray, rep_local: np.ndarray) -> np.ndarray:
     """Concatenate the two representations, global part first."""
     rep_global = _matrix(rep_global)
-    rep_local = _matrix(rep_local, rows=rep_global.shape[0])
-    return np.concatenate([rep_global, rep_local], axis=1)
+    rep_local = _matrix(rep_local, rows=rep_global.shape[-2])
+    return np.concatenate([rep_global, rep_local], axis=-1)
 
 
 def project(projector: Projector, spliced: np.ndarray) -> np.ndarray:
     """Mix a spliced batch down to d2 columns."""
-    spliced = _matrix(spliced, cols=projector.weight.shape[1])
-    return spliced @ projector.weight.T.copy()
+    spliced = _matrix(spliced, cols=projector.weight.shape[-1])
+    return spliced @ _transposed(projector.weight)
 
 
 def matryoshka_prefixes(fused: np.ndarray, d1: int) -> tuple[np.ndarray, np.ndarray]:
@@ -317,9 +327,9 @@ def matryoshka_prefixes(fused: np.ndarray, d1: int) -> tuple[np.ndarray, np.ndar
     reads.
     """
     fused = _matrix(fused)
-    if not 0 < d1 <= fused.shape[1]:
-        raise ShapeError(f"prefix width {d1} out of range for {fused.shape[1]} columns")
-    return fused[:, :d1], fused
+    if not 0 < d1 <= fused.shape[-1]:
+        raise ShapeError(f"prefix width {d1} out of range for {fused.shape[-1]} columns")
+    return fused[..., :d1], fused
 
 
 @dataclass
@@ -351,12 +361,20 @@ class GradientSet:
     projector: np.ndarray
 
 
+def _lead(model) -> tuple[int, ...]:
+    """The client axes a model is stacked over, the same for all its parts."""
+    lead = model.header.lead
+    if model.extractor.lead != lead:
+        raise ShapeError(f"extractor stacks over {model.extractor.lead}, header over {lead}")
+    return lead
+
+
 def _check_dims(global_model: GlobalSmallModel, local_model: LocalHeteroModel,
-                projector: Projector) -> tuple[int, int]:
+                projector: Projector) -> tuple[int, int, tuple[int, ...]]:
     d1, d2 = global_model.rep_dim, local_model.rep_dim
     if d1 > d2:
         raise ShapeError(f"global width d1={d1} must not exceed local width d2={d2}")
-    if projector.weight.shape != (d2, d1 + d2):
+    if projector.weight.shape[-2:] != (d2, d1 + d2):
         raise ShapeError(
             f"projector shape {projector.weight.shape} != expected ({d2}, {d1 + d2})"
         )
@@ -364,37 +382,53 @@ def _check_dims(global_model: GlobalSmallModel, local_model: LocalHeteroModel,
         raise ShapeError(
             f"headers disagree on classes: {global_model.classes} != {local_model.classes}"
         )
-    return d1, d2
+    lead = projector.lead
+    if _lead(global_model) != lead or _lead(local_model) != lead:
+        raise ShapeError("the models are not stacked over the same clients")
+    return d1, d2, lead
 
 
-def _batch(model, x, labels) -> tuple[np.ndarray, np.ndarray]:
-    """A batch checked once against the model's input width and classes."""
+def _batch(model, x, labels, lead) -> tuple[np.ndarray, np.ndarray]:
+    """A batch checked once against the model's input width, classes and client axes."""
     x = _matrix(x, cols=model.extractor.input_dim)
-    return x, _labels(labels, x.shape[0], model.classes)
+    if x.shape[:-2] != lead:
+        raise ShapeError(f"batch of shape {x.shape} for models stacked over {lead}")
+    return x, _labels(labels, x.shape[-2], model.classes, lead)
 
 
-def _mean(losses: np.ndarray) -> float:
-    """losses.mean() bit for bit (sum, then divide), without its Python wrapper."""
-    return float(losses.sum() / losses.size)
+def _mean(losses: np.ndarray) -> np.ndarray:
+    """losses.mean(axis=-1) bit for bit (sum, then divide), without its Python wrapper."""
+    return losses.sum(axis=-1) / losses.shape[-1]
 
 
-def _finite_loss(loss: float) -> float:
-    if not math.isfinite(loss):
-        raise NonFiniteError(f"non-finite loss ({loss})")
+def _value(values: np.ndarray) -> float | np.ndarray:
+    """One client's value as a float; a cohort's as its array."""
+    return float(values) if values.ndim == 0 else values
+
+
+def _finite_loss(loss: float | np.ndarray) -> float | np.ndarray:
+    bad = np.asarray(loss)[~np.isfinite(loss)]
+    if bad.size:
+        raise NonFiniteError(f"non-finite loss ({float(bad[0])})")
     return loss
+
+
+def _parameter_arrays(model) -> list[np.ndarray]:
+    """A model's parameters (layer weight, bias, ..., header), or a projector's weight."""
+    if isinstance(model, Projector):
+        return [model.weight]
+    arrays = []
+    for layer in model.extractor.layers:
+        arrays.append(layer.weight)
+        if layer.bias is not None:
+            arrays.append(layer.bias)
+    arrays.append(model.header.weight)
+    return arrays
 
 
 def _finite_params(group: str, model) -> None:
     """Raise NonFiniteError naming `group` unless every parameter of model is finite."""
-    if isinstance(model, Projector):
-        values = model.weight
-    else:
-        arrays = [model.header.weight]
-        for layer in model.extractor.layers:
-            arrays.append(layer.weight)
-            if layer.bias is not None:
-                arrays.append(layer.bias)
-        values = np.concatenate(arrays, axis=None)
+    values = np.concatenate(_parameter_arrays(model), axis=None)
     if not np.isfinite(values).all():
         raise NonFiniteError(f"non-finite {group} parameters after the step")
 
@@ -413,8 +447,8 @@ def forward_loss(
     weights.global_head * loss_global + weights.local_head * loss_local
     and each part is the batch mean cross-entropy of its head.
     """
-    d1, _ = _check_dims(global_model, local_model, projector)
-    x, y = _batch(global_model, x, labels)
+    d1, _, lead = _check_dims(global_model, local_model, projector)
+    x, y = _batch(global_model, x, labels, lead)
 
     rep_global, cache_global = global_model.extractor.forward(x)
     rep_local, cache_local = local_model.extractor.forward(x)
@@ -424,8 +458,8 @@ def forward_loss(
 
     losses_g, dlogits_g = _cross_entropy(global_model.header.forward(low), y)
     losses_f, dlogits_f = _cross_entropy(local_model.header.forward(full), y)
-    loss_global = _mean(losses_g)
-    loss_local = _mean(losses_f)
+    loss_global = _value(_mean(losses_g))
+    loss_local = _value(_mean(losses_f))
     total = _finite_loss(weights.global_head * loss_global + weights.local_head * loss_local)
 
     cache = TrainingCache(
@@ -439,7 +473,7 @@ def forward_loss(
         dlogits_global=dlogits_g,
         dlogits_local=dlogits_f,
         weights=weights,
-        n_samples=x.shape[0],
+        n_samples=x.shape[-2],
         use_mrl=True,
     )
     return total, (loss_global, loss_local), cache
@@ -458,8 +492,8 @@ def forward_loss_ablation_no_mrl(
     global header is untouched by forward and gradient alike.  Equals
     forward_loss with weights (0, 1).
     """
-    _check_dims(global_model, local_model, projector)
-    x, y = _batch(local_model, x, labels)
+    _, _, lead = _check_dims(global_model, local_model, projector)
+    x, y = _batch(local_model, x, labels, lead)
 
     rep_global, cache_global = global_model.extractor.forward(x)
     rep_local, cache_local = local_model.extractor.forward(x)
@@ -478,10 +512,10 @@ def forward_loss_ablation_no_mrl(
         dlogits_global=None,
         dlogits_local=dlogits,
         weights=LossWeights(0.0, 1.0),
-        n_samples=x.shape[0],
+        n_samples=x.shape[-2],
         use_mrl=False,
     )
-    return _finite_loss(_mean(losses)), cache
+    return _finite_loss(_value(_mean(losses))), cache
 
 
 def loss_gradients(cache: TrainingCache) -> GradientSet:
@@ -498,19 +532,19 @@ def loss_gradients(cache: TrainingCache) -> GradientSet:
 
     d_local_logits = (cache.weights.local_head / n) * cache.dlogits_local
     if cache.use_mrl:
-        low = cache.fused[:, :d1]
+        low = cache.fused[..., :d1]
         d_global_logits = (cache.weights.global_head / n) * cache.dlogits_global
         d_global_header, d_low = g.header.backward(low, d_global_logits)
         d_local_header, d_fused = f.header.backward(cache.fused, d_local_logits)
-        d_fused[:, :d1] += d_low
+        d_fused[..., :d1] += d_low
     else:
         d_global_header = np.zeros_like(g.header.weight)
         d_local_header, d_fused = f.header.backward(cache.fused, d_local_logits)
 
-    d_projector = d_fused.T.copy() @ cache.spliced
+    d_projector = _transposed(d_fused) @ cache.spliced
     d_spliced = d_fused @ p.weight
-    global_layers, _ = g.extractor.backward(cache.cache_global, d_spliced[:, :d1])
-    local_layers, _ = f.extractor.backward(cache.cache_local, d_spliced[:, d1:])
+    global_layers, _ = g.extractor._layer_grads(cache.cache_global, d_spliced[..., :d1])
+    local_layers, _ = f.extractor._layer_grads(cache.cache_local, d_spliced[..., d1:])
     return GradientSet(
         global_layers=global_layers,
         global_header=d_global_header,
@@ -562,10 +596,10 @@ def forward_loss_single(
     model: LocalHeteroModel | GlobalSmallModel, x: np.ndarray, labels: np.ndarray
 ) -> tuple[float, tuple]:
     """Plain one-model cross-entropy loss (no splice, no projector)."""
-    x, y = _batch(model, x, labels)
+    x, y = _batch(model, x, labels, _lead(model))
     rep, cache_ex = model.extractor.forward(x)
     losses, dlogits = _cross_entropy(model.header.forward(rep), y)
-    return _finite_loss(_mean(losses)), (model, rep, cache_ex, dlogits, x.shape[0])
+    return _finite_loss(_value(_mean(losses))), (model, rep, cache_ex, dlogits, x.shape[-2])
 
 
 def backward_and_step_single(model, cache, lr: float):
@@ -574,7 +608,7 @@ def backward_and_step_single(model, cache, lr: float):
     if owner is not model:
         raise StaleCacheError("cache was not produced by this model")
     d_header, d_rep = model.header.backward(rep, dlogits / n)
-    layer_grads, _ = model.extractor.backward(cache_ex, d_rep)
+    layer_grads, _ = model.extractor._layer_grads(cache_ex, d_rep)
     stepped = type(model)(
         model.extractor.step(layer_grads, lr), model.header.step(d_header, lr)
     )
@@ -679,14 +713,14 @@ def infer(
         rep, _ = local_model.extractor.forward(x)
         logits = local_model.header.forward(rep)
     else:
-        d1, _ = _check_dims(global_model, local_model, projector)
+        d1, _, _ = _check_dims(global_model, local_model, projector)
         rep_global, _ = global_model.extractor.forward(x)
         rep_local, _ = local_model.extractor.forward(x)
         fused = project(projector, splice(rep_global, rep_local))
         if variant is InferenceVariant.MIX_SMALL:
-            logits = global_model.header.forward(fused[:, :d1])
+            logits = global_model.header.forward(fused[..., :d1])
         else:
             logits = local_model.header.forward(fused)
     if not np.isfinite(logits).all():
         raise NonFiniteError("non-finite logits")
-    return np.argmax(logits, axis=1)
+    return np.argmax(logits, axis=-1)

@@ -36,7 +36,7 @@ from .data import (
 )
 from .federation import run_training
 from .metrics import export_reports, first_round_reaching
-from .numerics import derive_rng
+from .numerics import NonFiniteError, derive_rng
 
 # Substream tag for synthetic data generation (partitioning and splitting
 # derive their own streams inside the data module).
@@ -108,7 +108,7 @@ def run_experiment(
     """Load a config, apply overrides, run (sweeping if asked), write reports.
 
     Returns a process exit code: 0 on success, 1 on any config, data or
-    I/O failure (with the reason on stderr).
+    I/O failure or on a diverging run (with the reason on stderr).
     """
     try:
         config = load_config(config_path)
@@ -143,6 +143,6 @@ def run_experiment(
                 f"rounds={len(reports)} final_avg_acc={final:.4f}"
             )
         return 0
-    except (ConfigError, PartitionError, CsvFormatError, OSError) as exc:
+    except (ConfigError, PartitionError, CsvFormatError, NonFiniteError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -5,12 +5,34 @@ clients, broadcasts the shared small model, every sampled client trains
 all three of its parameter groups locally for E epochs, uploads only the
 shared model, and the server replaces its copy with the sample-count
 weighted mean of the uploads.  Private models and projectors never leave
-their client.  Clients update sequentially in ascending id order; they
-share no mutable state within a round, so any parallel schedule would
-produce the same result.
+their client.
+
+Lockstep training: the round's participants train as one cohort
+(cohort_update).  Their parameters are stacked along a leading client
+axis, and each step trains every client that takes a batch of the same
+size as one stacked step: the shared extractor, splice, projector, both
+heads, cross-entropy and SGD run once for all of them, the private
+extractor once per shape of private extractor.  Each client still draws
+its epoch permutations from its own rng, in the same order, so the
+batches are the ones it would train on alone.  The result is bit-identical
+to running client_update on each client alone, which is itself a cohort
+of one, because of three rules:
+
+* every stacked product is one BLAS call per client slice, on C-order
+  operands, and every reduction runs within a slice (see models);
+* clients are grouped by batch size at each step (ordering the cohort by
+  shard size, largest first, makes each group a contiguous run of
+  slots), so a short final batch is never zero-padded to a full one:
+  padding the rows of a product changes how OpenBLAS rounds it;
+* a step that fails a finite check for the group is retried one client
+  at a time, and the error raised is that of the lowest-id client that
+  fails at any step, the one a sequential pass in ascending id order
+  would meet first; clients with lower ids keep training until they
+  finish or fail.
 
 Evaluation reuse: a client's models change only through broadcast and
-client_update, and both clear the client's accuracy memo.  run_rounds
+cohort_update (client_update included), and both clear the client's
+accuracy memo.  run_rounds
 evaluates only clients whose memo holds no accuracy for the run's
 inference variant, so a client that sat a round out is not evaluated
 again on the same models; with partial participation that is most of
@@ -19,7 +41,7 @@ functions, must clear client.accuracy itself.
 
 Finite checks live in the training step (core): one on the loss and one
 on each stepped parameter group per step, and one on the logits of each
-evaluation.  client_update adds the client id to a NonFiniteError from
+evaluation.  cohort_update adds the client id to a NonFiniteError from
 its steps.
 
 The standalone baseline trains every client's private model alone each
@@ -42,6 +64,7 @@ from .core import (
     LocalHeteroModel,
     LossWeights,
     Projector,
+    _parameter_arrays,
     backward_and_step,
     backward_and_step_single,
     forward_loss,
@@ -53,6 +76,7 @@ from .core import (
 )
 from .data import LabeledDataset, PartitionPlan
 from .metrics import RoundReport, comm_cost_round, evaluate, flops_round
+from .models import AffineLayer, Extractor, GroupedExtractor, Header
 from .numerics import NonFiniteError, derive_rng
 
 # Substream tags: every source of randomness in a run is a named stream
@@ -140,7 +164,7 @@ class ClientState:
     refreshed on broadcast and trained locally in between.  Clients that
     sit out a round keep their last copy.  accuracy memoizes the test
     accuracy of the current models per inference variant; broadcast and
-    client_update clear it.
+    cohort_update clear it.
     """
 
     client_id: int
@@ -254,41 +278,261 @@ def client_update(
     per-epoch mean losses.  With epochs=0 nothing moves and the upload
     carries the unchanged shared model.  A step whose loss or stepped
     parameters are not finite raises NonFiniteError naming this client.
+    This is cohort_update on a cohort of one.
     """
-    n = client.n_samples
-    if n == 0:
-        raise ValueError(f"client {client.client_id} has no training samples")
-    client.accuracy.clear()
-    g, f, p = client.global_copy, client.local_model, client.projector
-    epoch_means: list[float] = []
-    all_losses: list[float] = []
-    for _ in range(epochs):
-        order = client.rng.permutation(n)
-        batch_losses = []
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            xb, yb = client.train_x[idx], client.train_y[idx]
-            try:
-                if mode is Mode.STANDALONE:
-                    loss, cache = forward_loss_single(f, xb, yb)
-                    f = backward_and_step_single(f, cache, lrs.local_model)
-                elif mode is Mode.NO_MRL:
-                    loss, cache = forward_loss_ablation_no_mrl(g, f, p, xb, yb)
-                    g, f, p = backward_and_step(g, f, p, cache, lrs)
-                else:
-                    loss, _, cache = forward_loss(g, f, p, xb, yb, weights)
-                    g, f, p = backward_and_step(g, f, p, cache, lrs)
-            except NonFiniteError as exc:
-                raise NonFiniteError(f"client {client.client_id}: {exc}") from exc
-            batch_losses.append(loss)
-        epoch_means.append(float(np.mean(batch_losses)))
-        all_losses.extend(batch_losses)
-    client.global_copy, client.local_model, client.projector = g, f, p
+    (result,) = cohort_update([client], epochs, batch_size, lrs, mode, weights)
+    return result
 
+
+def cohort_update(
+    clients: list[ClientState],
+    epochs: int,
+    batch_size: int,
+    lrs: LearningRates,
+    mode: Mode,
+    weights: LossWeights,
+) -> list[tuple[Upload | None, list[float]]]:
+    """Train the listed clients in lockstep; client_update's results for each, in order.
+
+    Each result is bit for bit what client_update gives on that client
+    alone, and each client's rng ends in the same state.  If a client
+    fails, raises what client_update on each client in ascending id order
+    would raise: the error of the lowest-id client that fails at any step
+    (ValueError for one without training samples, NonFiniteError naming
+    it for a diverging step).  Then no client's models change.
+    """
+    ids = [c.client_id for c in clients]
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"duplicate client ids in a cohort: {ids}")
+    if not clients:
+        return []
+    for client in clients:
+        client.accuracy.clear()
+    failures: dict[int, Exception] = {
+        c.client_id: ValueError(f"client {c.client_id} has no training samples")
+        for c in clients
+        if c.n_samples == 0
+    }
+    trainable = [c for c in clients if c.client_id < min(failures, default=math.inf)]
+    if trainable:
+        cohort = _Cohort(trainable, mode, lrs, weights, failures)
+        cohort.train(epochs, batch_size)
+    if failures:
+        raise failures[min(failures)]
+    cohort.unstack()
+
+    results = {}
+    for client, epoch_means, losses in zip(cohort.clients, cohort.epoch_means, cohort.all_losses):
+        upload = None
+        if mode is not Mode.STANDALONE:
+            mean_loss = float(np.mean(losses)) if losses else float("nan")
+            upload = Upload(client.client_id, client.n_samples, mean_loss, client.global_copy.clone())
+        results[client.client_id] = (upload, epoch_means)
+    return [results[ident] for ident in ids]
+
+
+def _train_step(models, x, y, lrs: LearningRates, mode: Mode, weights: LossWeights):
+    """One step of the mode's training graph: (loss of each client, stepped models)."""
+    g, f, p = models
     if mode is Mode.STANDALONE:
-        return None, epoch_means
-    mean_loss = float(np.mean(all_losses)) if all_losses else float("nan")
-    return Upload(client.client_id, n, mean_loss, g.clone()), epoch_means
+        loss, cache = forward_loss_single(f, x, y)
+        return loss, (g, backward_and_step_single(f, cache, lrs.local_model), p)
+    if mode is Mode.NO_MRL:
+        loss, cache = forward_loss_ablation_no_mrl(g, f, p, x, y)
+    else:
+        loss, _, cache = forward_loss(g, f, p, x, y, weights)
+    return loss, backward_and_step(g, f, p, cache, lrs)
+
+
+class _Cohort:
+    """The stacked models of clients that train in lockstep.
+
+    Clients sit in slots ordered by training-set size, largest first,
+    then by id, so the clients that take a batch of the same size at a
+    step fill a contiguous run of slots, and a run's slots in each part
+    of the GroupedExtractor are contiguous too.  models is (shared model,
+    private model, projector), each stacked over all slots; standalone
+    training stacks only the private model.  A run of slots trains on
+    views of the stacks and writes its stepped parameters back into them.
+    """
+
+    def __init__(
+        self,
+        clients: list[ClientState],
+        mode: Mode,
+        lrs: LearningRates,
+        weights: LossWeights,
+        failures: dict[int, Exception],
+    ):
+        self.clients = sorted(clients, key=lambda c: (-c.n_samples, c.client_id))
+        self.mode, self.lrs, self.weights = mode, lrs, weights
+        self.failures = failures
+        self.live = [True] * len(self.clients)
+        self.epoch_means: list[list[float]] = [[] for _ in self.clients]
+        self.all_losses: list[list[float]] = [[] for _ in self.clients]
+        local = [c.local_model for c in self.clients]
+        slots: dict[tuple, list[int]] = {}
+        for i, model in enumerate(local):
+            slots.setdefault(_architecture(model), []).append(i)
+        private = LocalHeteroModel(
+            GroupedExtractor(
+                [(np.array(s), _stack([local[i].extractor for i in s])) for s in slots.values()],
+                len(local),
+            ),
+            Header(np.stack([m.header.weight for m in local])),
+        )
+        shared = projector = None
+        if mode is not Mode.STANDALONE:
+            shared = GlobalSmallModel(
+                _stack([c.global_copy.extractor for c in self.clients]),
+                Header(np.stack([c.global_copy.header.weight for c in self.clients])),
+            )
+            projector = Projector(np.stack([c.projector.weight for c in self.clients]))
+        self.models = (shared, private, projector)
+
+    def train(self, epochs: int, batch_size: int) -> None:
+        sizes = [c.n_samples for c in self.clients]
+        shape = (len(sizes), max(sizes))
+        width = self.clients[0].train_x.shape[1]
+        for _ in range(epochs):
+            x, y = np.empty((*shape, width)), np.empty(shape, dtype=np.int64)
+            for i, client in enumerate(self.clients):
+                if self.live[i]:
+                    order = client.rng.permutation(sizes[i])
+                    x[i, : sizes[i]] = client.train_x[order]
+                    y[i, : sizes[i]] = client.train_y[order]
+            batch_losses = [[] for _ in sizes]
+            for start in range(0, shape[1], batch_size):
+                for a, b, rows in self._runs(sizes, start, batch_size):
+                    window = slice(start, start + rows)
+                    self._step(a, b, x[a:b, window], y[a:b, window], batch_losses)
+            for i, losses in enumerate(batch_losses):
+                if self.live[i]:
+                    self.epoch_means[i].append(float(np.mean(losses)))
+                    self.all_losses[i].extend(losses)
+
+    def _runs(self, sizes: list[int], start: int, batch_size: int) -> list[list[int]]:
+        """[first, stop, rows] of each run of live slots whose batch at this offset has `rows` rows."""
+        runs: list[list[int]] = []
+        for i, size in enumerate(sizes):
+            rows = min(size - start, batch_size) if self.live[i] else 0
+            if rows <= 0:
+                continue
+            if runs and runs[-1][1] == i and runs[-1][2] == rows:
+                runs[-1][1] = i + 1
+            else:
+                runs.append([i, i + 1, rows])
+        return runs
+
+    def _step(self, a, b, x, y, batch_losses) -> None:
+        """Train slots a to b on one batch each; on a failed check, one slot at a time."""
+        taken = self._take(a, b)
+        try:
+            loss, stepped = _train_step(taken, x, y, self.lrs, self.mode, self.weights)
+        except NonFiniteError as exc:
+            if b - a == 1:
+                self._fail(a, exc)
+                return
+            for i in range(a, b):
+                if self.live[i]:
+                    here = slice(i - a, i - a + 1)
+                    self._step(i, i + 1, x[here], y[here], batch_losses)
+            return
+        self._put(a, b, taken, stepped)
+        for losses, value in zip(batch_losses[a:b], loss.tolist()):
+            losses.append(value)
+
+    def _fail(self, slot: int, exc: NonFiniteError) -> None:
+        """Record a client's failure; it and every client of a higher id stop training."""
+        ident = self.clients[slot].client_id
+        error = NonFiniteError(f"client {ident}: {exc}")
+        error.__cause__ = exc
+        self.failures[ident] = error
+        for i, client in enumerate(self.clients):
+            if client.client_id >= ident:
+                self.live[i] = False
+
+    def _take(self, a: int, b: int):
+        """The models of slots a to b, as views of the stacks."""
+        if (a, b) == (0, len(self.clients)):
+            return self.models
+        shared, private, projector = self.models
+        run = slice(a, b)
+        parts = []
+        for slots, extractor in private.extractor.parts:
+            lo, hi = np.searchsorted(slots, (a, b))
+            if lo < hi:
+                parts.append((slots[lo:hi] - a, _select(extractor, slice(lo, hi))))
+        return (
+            None
+            if shared is None
+            else GlobalSmallModel(_select(shared.extractor, run), Header(shared.header.weight[run])),
+            LocalHeteroModel(GroupedExtractor(parts, b - a), Header(private.header.weight[run])),
+            None if projector is None else Projector(projector.weight[run]),
+        )
+
+    def _put(self, a: int, b: int, taken, stepped) -> None:
+        if (a, b) == (0, len(self.clients)):
+            self.models = stepped
+            return
+        for view, values in zip(_arrays(taken), _arrays(stepped)):
+            view[...] = values
+
+    def unstack(self) -> None:
+        """Hand each client copies of its slices of the stacks."""
+        shared, private, projector = self.models
+        for slots, extractor in private.extractor.parts:
+            for rank, i in enumerate(slots.tolist()):
+                self.clients[i].local_model = LocalHeteroModel(
+                    _select(extractor, rank, copy=True), Header(private.header.weight[i].copy())
+                )
+        if shared is not None:
+            for i, client in enumerate(self.clients):
+                client.global_copy = GlobalSmallModel(
+                    _select(shared.extractor, i, copy=True), Header(shared.header.weight[i].copy())
+                )
+                client.projector = Projector(projector.weight[i].copy())
+
+
+def _architecture(model: LocalHeteroModel) -> tuple:
+    """What private extractors must share to be stacked: layer shapes, biases, activations."""
+    return tuple(
+        (layer.weight.shape, layer.bias is None, layer.activation)
+        for layer in model.extractor.layers
+    )
+
+
+def _stack(extractors: list[Extractor]) -> Extractor:
+    """One extractor stacked over a list of extractors of one architecture."""
+    return Extractor(
+        [
+            AffineLayer(
+                np.stack([e.layers[k].weight for e in extractors]),
+                None if layer.bias is None else np.stack([e.layers[k].bias for e in extractors]),
+                layer.activation,
+            )
+            for k, layer in enumerate(extractors[0].layers)
+        ]
+    )
+
+
+def _select(extractor: Extractor, key, copy: bool = False) -> Extractor:
+    """Slot(s) `key` of a stacked extractor, as views of its stacks or as copies."""
+
+    def pick(array):
+        return array[key].copy() if copy else array[key]
+
+    return Extractor(
+        [
+            AffineLayer(pick(l.weight), None if l.bias is None else pick(l.bias), l.activation)
+            for l in extractor.layers
+        ]
+    )
+
+
+def _arrays(models) -> list[np.ndarray]:
+    """Every parameter array of a (shared, private, projector) triple, in a fixed order."""
+    return [array for model in models if model is not None for array in _parameter_arrays(model)]
 
 
 def aggregate(server: ServerState, uploads: list[Upload]) -> None:
@@ -366,16 +610,16 @@ def run_rounds(
         uploads = []
         client_losses = []
         round_flops = 0
-        for ident in participants:
+        updates = cohort_update(
+            [clients[i] for i in participants],
+            config.local_epochs,
+            config.batch_size,
+            config.lrs,
+            config.mode,
+            config.loss_weights,
+        )
+        for ident, (upload, epoch_means) in zip(participants, updates):
             client = clients[ident]
-            upload, epoch_means = client_update(
-                client,
-                config.local_epochs,
-                config.batch_size,
-                config.lrs,
-                config.mode,
-                config.loss_weights,
-            )
             if upload is not None:
                 uploads.append(upload)
             if epoch_means:

@@ -13,6 +13,14 @@ operands, a transposed weight or gradient being copied first: OpenBLAS
 rounds a product with a transposed view differently from the same
 product on a C-order copy, and the copy keeps every result bit-identical
 to numerics.matmul, which multiplies C-order copies.
+
+The same code trains a cohort of clients at once.  Parameters and
+batches may then carry a leading client axis (weights (C, out, in),
+biases (C, 1, out), batches (C, n, in)); each product becomes a stacked
+``@``, which numpy runs as one BLAS call per slice, and each reduction
+runs over its own slice, so every client's numbers are bit-identical to
+those of training it alone.  GroupedExtractor runs clients whose private
+extractors differ in shape side by side.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import ShapeError, _check_lr, _matrix, _sgd
+from .numerics import ShapeError, _check_lr, _matrix, _sgd, _transposed
 
 RELU = "relu"
 IDENTITY = "identity"
@@ -65,7 +73,10 @@ class ModelConfig:
 
 @dataclass
 class AffineLayer:
-    """y = act(x @ W.T + b) with W of shape (out, in) and b of shape (1, out)."""
+    """y = act(x @ W.T + b) with W of shape (out, in) and b of shape (1, out).
+
+    A stacked layer has weight (C, out, in) and bias (C, 1, out).
+    """
 
     weight: np.ndarray
     bias: np.ndarray | None
@@ -75,20 +86,27 @@ class AffineLayer:
         self.weight = _matrix(self.weight)
         if self.bias is not None:
             self.bias = _matrix(self.bias, rows=1, cols=self.out_dim)
+            if self.bias.shape[:-2] != self.lead:
+                raise ShapeError(f"bias stack {self.bias.shape} != weight stack {self.weight.shape}")
         if self.activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
 
     @property
     def in_dim(self) -> int:
-        return self.weight.shape[1]
+        return self.weight.shape[-1]
 
     @property
     def out_dim(self) -> int:
-        return self.weight.shape[0]
+        return self.weight.shape[-2]
+
+    @property
+    def lead(self) -> tuple[int, ...]:
+        """() for one client's layer, (C,) for a stack of C."""
+        return self.weight.shape[:-2]
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Returns (activated output, pre-activation) for a batch."""
-        pre = _matrix(x, cols=self.in_dim) @ self.weight.T.copy()
+        pre = _matrix(x, cols=self.in_dim) @ _transposed(self.weight)
         if self.bias is not None:
             pre += self.bias
         out = np.maximum(pre, 0.0) if self.activation == RELU else pre
@@ -142,6 +160,8 @@ class Extractor:
         for a, b in zip(self.layers[:-1], self.layers[1:]):
             if a.out_dim != b.in_dim:
                 raise ShapeError(f"layer widths do not chain: {a.out_dim} -> {b.in_dim}")
+            if a.lead != b.lead:
+                raise ShapeError(f"layers stack over {a.lead} and {b.lead}")
 
     @property
     def input_dim(self) -> int:
@@ -150,6 +170,10 @@ class Extractor:
     @property
     def rep_dim(self) -> int:
         return self.layers[-1].out_dim
+
+    @property
+    def lead(self) -> tuple[int, ...]:
+        return self.layers[0].lead
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
         """Run the stack; inputs are copied into the cache, never mutated."""
@@ -170,22 +194,32 @@ class Extractor:
         representation.  Returns per-layer parameter gradients (same order
         as self.layers) and the gradient w.r.t. the original input.
         """
+        grads, delta = self._layer_grads(cache, d_rep)
+        return grads, delta @ self.layers[0].weight
+
+    def _layer_grads(
+        self, cache: ForwardCache, d_rep: np.ndarray
+    ) -> tuple[list[LayerGrads], np.ndarray]:
+        """backward without its last product: the parameter gradients and
+        the gradient at the first layer's pre-activation.  Training needs
+        no input gradient, so it stops here."""
         if cache.owner is not self:
             raise StaleCacheError("forward cache does not belong to this extractor")
         if cache.depth != len(self.layers):
             raise StaleCacheError(
                 f"cache depth {cache.depth} != layer count {len(self.layers)}"
             )
-        delta = _matrix(d_rep, rows=cache.inputs[0].shape[0], cols=self.rep_dim)
+        delta = _matrix(d_rep, rows=cache.inputs[0].shape[-2], cols=self.rep_dim)
         reversed_grads = []
         for i in reversed(range(len(self.layers))):
             layer = self.layers[i]
+            if i < len(self.layers) - 1:
+                delta = delta @ self.layers[i + 1].weight
             if layer.activation == RELU:
                 delta = delta * (cache.pre_acts[i] > 0.0)
-            d_weight = delta.T.copy() @ cache.inputs[i]
-            d_bias = None if layer.bias is None else delta.sum(axis=0, keepdims=True)
+            d_weight = _transposed(delta) @ cache.inputs[i]
+            d_bias = None if layer.bias is None else delta.sum(axis=-2, keepdims=True)
             reversed_grads.append(LayerGrads(d_weight, d_bias))
-            delta = delta @ layer.weight
         return reversed_grads[::-1], delta
 
     def step(self, grads: list[LayerGrads], lr: float) -> "Extractor":
@@ -208,6 +242,76 @@ class Extractor:
 
 
 @dataclass
+class GroupedExtractor:
+    """Private extractors of differing shapes serving one stack of clients.
+
+    parts pairs client slots of the stack (ascending int arrays that
+    together cover range(size)) with an extractor stacked over those
+    clients in slot order.  forward gathers each part's slices of the
+    batch, runs the part's extractor and scatters its representations
+    back into the stack, so each client gets what its own extractor
+    gives.  It stands in for an Extractor in the training step: forward,
+    step and the gradients of backward, without the input gradient.
+    """
+
+    parts: list[tuple[np.ndarray, Extractor]]
+    size: int
+
+    def __post_init__(self):
+        dims = {(ex.input_dim, ex.rep_dim) for _, ex in self.parts}
+        if len(dims) != 1:
+            raise ShapeError(f"grouped extractors disagree on input and output widths: {dims}")
+        if any(ex.lead != (len(slots),) for slots, ex in self.parts):
+            raise ShapeError("each part must be stacked over exactly its slots")
+        if sum(len(slots) for slots, _ in self.parts) != self.size:
+            raise ShapeError(f"parts do not cover the {self.size} slots of the stack")
+
+    @property
+    def input_dim(self) -> int:
+        return self.parts[0][1].input_dim
+
+    @property
+    def rep_dim(self) -> int:
+        return self.parts[0][1].rep_dim
+
+    @property
+    def lead(self) -> tuple[int, ...]:
+        return (self.size,)
+
+    @property
+    def layers(self) -> list[AffineLayer]:
+        """The layers of every part, part by part."""
+        return [layer for _, ex in self.parts for layer in ex.layers]
+
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[ForwardCache]]:
+        x = _matrix(x, cols=self.input_dim)
+        if len(self.parts) == 1:
+            rep, cache = self.parts[0][1].forward(x)
+            return rep, [cache]
+        rep = np.empty((*x.shape[:-1], self.rep_dim))
+        caches = []
+        for slots, extractor in self.parts:
+            rep[slots], cache = extractor.forward(x[slots])
+            caches.append(cache)
+        return rep, caches
+
+    def _layer_grads(
+        self, caches: list[ForwardCache], d_rep: np.ndarray
+    ) -> tuple[list[list[LayerGrads]], None]:
+        whole = len(self.parts) == 1
+        grads = [
+            extractor._layer_grads(cache, d_rep if whole else d_rep[slots])[0]
+            for (slots, extractor), cache in zip(self.parts, caches)
+        ]
+        return grads, None
+
+    def step(self, grads: list[list[LayerGrads]], lr: float) -> "GroupedExtractor":
+        return GroupedExtractor(
+            [(slots, ex.step(g, lr)) for (slots, ex), g in zip(self.parts, grads)], self.size
+        )
+
+
+@dataclass
 class Header:
     """Bias-free linear map from a representation to class logits."""
 
@@ -218,20 +322,24 @@ class Header:
 
     @property
     def in_dim(self) -> int:
-        return self.weight.shape[1]
+        return self.weight.shape[-1]
 
     @property
     def classes(self) -> int:
-        return self.weight.shape[0]
+        return self.weight.shape[-2]
+
+    @property
+    def lead(self) -> tuple[int, ...]:
+        return self.weight.shape[:-2]
 
     def forward(self, rep: np.ndarray) -> np.ndarray:
-        return _matrix(rep, cols=self.in_dim) @ self.weight.T.copy()
+        return _matrix(rep, cols=self.in_dim) @ _transposed(self.weight)
 
     def backward(self, rep: np.ndarray, d_logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Returns (d_weight, d_rep) for the logits' upstream gradient."""
         rep = _matrix(rep, cols=self.in_dim)
-        d_logits = _matrix(d_logits, rows=rep.shape[0], cols=self.classes)
-        return d_logits.T.copy() @ rep, d_logits @ self.weight
+        d_logits = _matrix(d_logits, rows=rep.shape[-2], cols=self.classes)
+        return _transposed(d_logits) @ rep, d_logits @ self.weight
 
     def step(self, d_weight: np.ndarray, lr: float) -> "Header":
         _check_lr(lr)

@@ -1,10 +1,11 @@
 """Deterministic dense numerics shared by every other module.
 
 A "matrix" throughout the package is a plain 2-D float64 C-order ndarray
-with one row per sample.  Randomness always flows through explicitly
-seeded PCG64 generators, so a run is fully determined by its seed: the
-same seed replays bit-identical values on any machine with the same
-numpy version.
+with one row per sample; the training step also takes a stack of them, a
+3-D array whose leading axis runs over the clients of a cohort.
+Randomness always flows through explicitly seeded PCG64 generators, so a
+run is fully determined by its seed: the same seed replays bit-identical
+values on any machine with the same numpy version.
 """
 
 from __future__ import annotations
@@ -55,22 +56,28 @@ _FLOAT64 = np.dtype(np.float64)
 
 
 def _matrix(values, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    """as_matrix without its coercion, for arrays that already are 2-D float64.
+    """as_matrix without its coercion, for float64 matrices and stacks of them.
 
-    Such an array is returned as is when C-order, copied when a strided
-    view, and shape-checked; anything else goes through as_matrix.  The
-    training step and inference check their inputs with this.
+    A 2-D or 3-D float64 array is returned as is when C-order, copied
+    when a strided view, and its rows and columns (the last two axes) are
+    shape-checked; anything else goes through as_matrix.  The training
+    step and inference check their inputs with this.
     """
-    if type(values) is not np.ndarray or values.dtype is not _FLOAT64 or values.ndim != 2:
+    if type(values) is not np.ndarray or values.dtype is not _FLOAT64 or not 2 <= values.ndim <= 3:
         return as_matrix(values, rows, cols)
     return _check_shape(np.ascontiguousarray(values), rows, cols)
 
 
+def _transposed(m: np.ndarray) -> np.ndarray:
+    """A C-order copy of m with its last two axes swapped (each matrix of a stack transposed)."""
+    return m.swapaxes(-1, -2).copy()
+
+
 def _check_shape(m: np.ndarray, rows: int | None, cols: int | None) -> np.ndarray:
-    if rows is not None and m.shape[0] != rows:
-        raise ShapeError(f"expected {rows} rows, got {m.shape[0]}")
-    if cols is not None and m.shape[1] != cols:
-        raise ShapeError(f"expected {cols} columns, got {m.shape[1]}")
+    if rows is not None and m.shape[-2] != rows:
+        raise ShapeError(f"expected {rows} rows, got {m.shape[-2]}")
+    if cols is not None and m.shape[-1] != cols:
+        raise ShapeError(f"expected {cols} columns, got {m.shape[-1]}")
     return m
 
 
@@ -133,11 +140,14 @@ def batch_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndar
     return _cross_entropy(m, _labels(labels, m.shape[0], m.shape[1]))
 
 
-def _labels(labels, rows: int, n_classes: int) -> np.ndarray:
-    """Labels as an int64 vector of `rows` entries, each in [0, n_classes)."""
-    y = np.asarray(labels, dtype=np.int64).reshape(-1)
-    if y.shape[0] != rows:
-        raise ShapeError(f"{rows} logit rows but {y.shape[0]} labels")
+def _labels(labels, rows: int, n_classes: int, lead: tuple[int, ...] = ()) -> np.ndarray:
+    """Labels as int64 of shape lead + (rows,), each in [0, n_classes)."""
+    y = np.asarray(labels, dtype=np.int64)
+    if y.shape[:len(lead)] != lead:
+        raise ShapeError(f"labels of shape {y.shape} do not stack over {lead}")
+    y = y.reshape(*lead, -1)
+    if y.shape[-1] != rows:
+        raise ShapeError(f"{rows} logit rows but {y.shape[-1]} labels")
     if y.size and (y.min() < 0 or y.max() >= n_classes):
         raise ValueError(f"labels must lie in [0, {n_classes})")
     return y
@@ -146,17 +156,21 @@ def _labels(labels, rows: int, n_classes: int) -> np.ndarray:
 def _cross_entropy(m: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """batch_cross_entropy on already-checked logits and labels.
 
+    m may be a stack of logit matrices and y the matching stack of label
+    rows: every row is its own sample, so the stack is flattened to rows.
     The gradient reuses the exponentials of the loss; softmax(m) would
     recompute the very same values.
     """
-    shifted = m - m.max(axis=1, keepdims=True)
+    flat = m.reshape(-1, m.shape[-1])
+    labels = y.reshape(-1)
+    shifted = flat - flat.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     z = e.sum(axis=1, keepdims=True)
-    rows = np.arange(m.shape[0])
-    losses = np.log(z[:, 0]) - shifted[rows, y]
+    rows = np.arange(flat.shape[0])
+    losses = np.log(z[:, 0]) - shifted[rows, labels]
     grads = e / z
-    grads[rows, y] -= 1.0
-    return losses, grads
+    grads[rows, labels] -= 1.0
+    return losses.reshape(y.shape), grads.reshape(m.shape)
 
 
 def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float) -> np.ndarray:

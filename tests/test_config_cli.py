@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,6 +210,26 @@ def test_cli_failure_paths_return_nonzero(tmp_path, capsys):
     capsys.readouterr()
     config = write_config(tmp_path)
     assert main(["run", "--config", str(config), "--sweep", "nope=1"]) == 1
+
+
+def test_cli_diverging_run_exits_one_without_a_traceback(tmp_path):
+    # lr 50 makes client 1 of the quickstart diverge in round 1.
+    root = Path(__file__).parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [
+            sys.executable, "-m", "fedmrl.cli", "run",
+            "--config", str(root / "demos" / "quickstart.cfg"),
+            "--sweep", "lr=50", "--out", str(tmp_path / "out"),
+        ],
+        capture_output=True, text=True, env=env, timeout=300, check=False,
+    )
+    assert done.returncode == 1
+    assert "error: client 1: non-finite loss (nan)" in done.stderr.splitlines()
+    assert "Traceback" not in done.stderr
 
 
 def test_cli_target_accuracy_round_recorded(tmp_path):

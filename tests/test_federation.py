@@ -1,18 +1,30 @@
+import copy
 import dataclasses
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fedmrl import federation
-from fedmrl.config import load_config, override
-from fedmrl.core import InferenceVariant, LearningRates, LossWeights, parameter_vector
+from fedmrl.config import build_run_config, load_config, override
+from fedmrl.core import (
+    InferenceVariant,
+    LearningRates,
+    LossWeights,
+    backward_and_step,
+    backward_and_step_single,
+    forward_loss,
+    forward_loss_ablation_no_mrl,
+    forward_loss_single,
+    parameter_vector,
+)
 from fedmrl.data import (
     ClassCountSpec,
     DirichletSpec,
+    PartitionError,
     gen_synthetic,
     partition_class_count,
     partition_dirichlet,
@@ -28,11 +40,12 @@ from fedmrl.federation import (
     broadcast,
     build_clients,
     client_update,
+    cohort_update,
     run_rounds,
     run_training,
     sample_clients,
 )
-from fedmrl.experiment import execute
+from fedmrl.experiment import build_partition, load_dataset
 from fedmrl.metrics import evaluate
 from fedmrl.numerics import NonFiniteError, make_rng
 
@@ -380,6 +393,31 @@ def test_server_state_shares_no_memory_with_clients():
             ]
             for array in private:
                 assert not np.shares_memory(server_array, array)
+    # Lockstep training stacks the clients' models; each client must get
+    # back arrays of its own, not views of one stack.
+    owned = [_client_arrays(client) for client in clients]
+    for i, mine in enumerate(owned):
+        for theirs in owned[i + 1 :]:
+            assert not {_buffer(a) for a in mine} & {_buffer(b) for b in theirs}
+            for a in mine:
+                for b in theirs:
+                    assert not np.shares_memory(a, b)
+
+
+def _buffer(array):
+    """Identity of the array that owns the memory array views."""
+    while array.base is not None:
+        array = array.base
+    return id(array)
+
+
+def _client_arrays(client):
+    return [
+        *client.global_copy.parameter_arrays(),
+        *_layer_arrays(client.local_model.extractor),
+        client.local_model.header.weight,
+        client.projector.weight,
+    ]
 
 
 def _layer_arrays(extractor):
@@ -479,25 +517,209 @@ def test_final_round_reproduces_golden_values(mode):
     assert (repr(final.avg_test_accuracy), repr(final.mean_train_loss)) == GOLDEN_FINAL_ROUND[mode]
 
 
-@pytest.mark.parametrize(
-    "lr, steps, check", [(50.0, 12, "loss"), (5.0, 60, "logits"), (2.0, 98, "loss")]
-)
-def test_diverging_quickstart_stops_at_the_same_step(monkeypatch, lr, steps, check):
-    # The steps are forward_loss calls up to the first non-finite value;
-    # moving the finite checks must not let a diverging run go further.
-    calls = []
+# Where each diverging quickstart run failed when clients trained one after
+# another in ascending id order: (error message, round, step index of the
+# failing client in that round, from 0; None when the failure comes in the
+# evaluation after the round's training).  Recorded on numpy 2.4.6 with
+# OpenBLAS 0.3.31.
+DIVERGING_QUICKSTART = {
+    50.0: ("client 1: non-finite loss (nan)", 1, 5),
+    5.0: ("client 6: non-finite logits", 1, None),
+    2.0: ("client 6: non-finite loss (nan)", 2, 1),
+}
+
+
+def _count_steps(monkeypatch):
+    """A list that gains an entry at each training step's forward_loss call."""
+    steps = []
     real = federation.forward_loss
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        steps.append(1)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(federation, "forward_loss", counting)
+    return steps
+
+
+@pytest.mark.parametrize("lr", sorted(DIVERGING_QUICKSTART))
+def test_diverging_quickstart_stops_at_the_same_step(monkeypatch, lr):
+    # Lockstep training must fail in the same round with the same error, and
+    # replaying that round client by client must meet it at the same step.
+    message, fail_round, fail_step = DIVERGING_QUICKSTART[lr]
     config = override(load_config(QUICKSTART), lr=lr)
+    dataset = load_dataset(config)
+    cfg = build_run_config(config)
+    server, clients = build_clients(cfg, dataset, build_partition(config, dataset))
+    one_round = dataclasses.replace(cfg, rounds=1)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NonFiniteError, match=rf"^client \d+: non-finite {check}"):
-            execute(config)
-    assert len(calls) == steps
+        run_rounds(server, clients, dataclasses.replace(cfg, rounds=fail_round - 1))
+        replay_server, replay_clients = copy.deepcopy((server, clients))
+        with pytest.raises(NonFiniteError) as lockstep:
+            run_rounds(server, clients, one_round)
+        assert str(lockstep.value) == message
+
+        steps = _count_steps(monkeypatch)
+        picked = sample_clients(replay_server, cfg.n_clients, cfg.participants)
+        broadcast(replay_server, [replay_clients[i] for i in picked])
+        uploads = []
+        for ident in picked:
+            steps.clear()
+            try:
+                upload, _ = client_update(
+                    replay_clients[ident], cfg.local_epochs, cfg.batch_size, cfg.lrs,
+                    cfg.mode, cfg.loss_weights,
+                )
+            except NonFiniteError as exc:
+                assert (str(exc), len(steps) - 1) == (message, fail_step)
+                return
+            uploads.append(upload)
+        assert fail_step is None
+        aggregate(replay_server, uploads)
+        with pytest.raises(NonFiniteError) as evaluation:
+            for client in replay_clients:
+                evaluate(client, cfg.inference)
+        assert str(evaluation.value) == message
+
+
+def train_unstacked(client, epochs, batch_size, lrs, mode, weights):
+    """client_update as one 2-D step per batch, no client axis anywhere."""
+    g, f, p = client.global_copy, client.local_model, client.projector
+    epoch_means = []
+    for _ in range(epochs):
+        order = client.rng.permutation(client.n_samples)
+        losses = []
+        for start in range(0, client.n_samples, batch_size):
+            idx = order[start : start + batch_size]
+            xb, yb = client.train_x[idx], client.train_y[idx]
+            if mode is Mode.STANDALONE:
+                loss, cache = forward_loss_single(f, xb, yb)
+                f = backward_and_step_single(f, cache, lrs.local_model)
+            elif mode is Mode.NO_MRL:
+                loss, cache = forward_loss_ablation_no_mrl(g, f, p, xb, yb)
+                g, f, p = backward_and_step(g, f, p, cache, lrs)
+            else:
+                loss, _, cache = forward_loss(g, f, p, xb, yb, weights)
+                g, f, p = backward_and_step(g, f, p, cache, lrs)
+            losses.append(loss)
+        epoch_means.append(float(np.mean(losses)))
+    client.global_copy, client.local_model, client.projector = g, f, p
+    return epoch_means
+
+
+def _same_arrays(a, b):
+    return len(a) == len(b) and all(
+        x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(a, b)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_clients=st.integers(1, 6),
+    alpha=st.sampled_from([0.3, 1.0, 10.0]),
+    epochs=st.integers(0, 2),
+    batch_size=st.integers(1, 12),
+    mode=st.sampled_from(list(Mode)),
+    local_hidden=st.sampled_from(
+        [((12,), (10,), (9,)), ((8,), (8,), (8,)), ((10,),), ((9, 7), (9,), (9, 7), (6,))]
+    ),
+    widths=st.sampled_from([(3, 6), (5, 5), (1, 4)]),
+    data_seed=st.integers(0, 50),
+    participants=st.data(),
+)
+def test_lockstep_cohort_equals_each_client_alone(
+    n_clients, alpha, epochs, batch_size, mode, local_hidden, widths, data_seed, participants
+):
+    # Ragged Dirichlet shards, some smaller than a batch; repeated and
+    # distinct private stacks; d1 == d2 among the widths.
+    dataset = gen_synthetic(4, 5, 25, 0.8, make_rng(data_seed))
+    try:
+        plan = split_train_test(
+            partition_dirichlet(dataset, n_clients, DirichletSpec(alpha=alpha, seed=data_seed))
+        )
+    except PartitionError:
+        assume(False)
+    cfg = RunConfig(
+        n_clients=n_clients, rounds=1, d1=widths[0], d2=widths[1], mode=mode, seed=data_seed,
+        lr_global=0.05, lr_local=0.04, lr_projector=0.03, m_global=0.7, m_local=1.3,
+        global_hidden=(6,), local_hidden=local_hidden,
+    )
+    chosen = participants.draw(
+        st.lists(st.integers(0, n_clients - 1), min_size=1, unique=True), label="participants"
+    )
+    _, lockstep = build_clients(cfg, dataset, plan)
+    _, alone = build_clients(cfg, dataset, plan)
+    _, unstacked = build_clients(cfg, dataset, plan)
+    args = (epochs, batch_size, cfg.lrs, mode, cfg.loss_weights)
+
+    results = cohort_update([lockstep[i] for i in chosen], *args)
+    for ident, (upload, epoch_means) in sorted(zip(chosen, results), key=lambda r: r[0]):
+        expected_upload, expected_means = client_update(alone[ident], *args)
+        assert repr(epoch_means) == repr(expected_means)
+        assert repr(epoch_means) == repr(train_unstacked(unstacked[ident], *args))
+        if mode is Mode.STANDALONE:
+            assert upload is None and expected_upload is None
+        else:
+            assert (upload.client_id, upload.n_samples, repr(upload.mean_loss)) == (
+                expected_upload.client_id, expected_upload.n_samples,
+                repr(expected_upload.mean_loss),
+            )
+            assert _same_arrays(
+                upload.model.parameter_arrays(), expected_upload.model.parameter_arrays()
+            )
+    for a, b, c in zip(lockstep, alone, unstacked):
+        assert _same_arrays(_client_arrays(a), _client_arrays(b))
+        assert _same_arrays(_client_arrays(a), _client_arrays(c))
+        assert a.rng.bit_generator.state == b.rng.bit_generator.state == c.rng.bit_generator.state
+
+
+def _step_of_failure(client, epochs, lrs, steps):
+    """Index of the step at which client_update fails on a copy of client, and the error."""
+    steps.clear()
+    with pytest.raises(NonFiniteError) as failure:
+        client_update(copy.deepcopy(client), epochs, 8, lrs, Mode.FEDMRL, LossWeights())
+    return len(steps) - 1, str(failure.value)
+
+
+def test_cohort_raises_the_error_of_the_lowest_id_client_that_fails(monkeypatch):
+    cfg, dataset, plan = small_setup(n_clients=3)
+    _, clients = build_clients(cfg, dataset, plan)
+    # A NaN sample fails the step whose batch holds it: client 1's sits in
+    # the last batch of its first epoch, client 2's samples are all NaN.
+    order = copy.deepcopy(clients[1].rng).permutation(clients[1].n_samples)
+    clients[1].train_x = clients[1].train_x.copy()
+    clients[1].train_x[order[-1]] = np.nan
+    clients[2].train_x = np.full_like(clients[2].train_x, np.nan)
+    lrs, epochs = cfg.lrs, 2
+    steps = _count_steps(monkeypatch)
+    with np.errstate(all="ignore"):
+        step_1, error_1 = _step_of_failure(clients[1], epochs, lrs, steps)
+        step_2, _ = _step_of_failure(clients[2], epochs, lrs, steps)
+        assert step_2 == 0 < step_1 and error_1.startswith("client 1: ")
+        alone = copy.deepcopy(clients[0])
+        client_update(alone, epochs, 8, lrs, Mode.FEDMRL, LossWeights())
+        before = [_client_arrays(c) for c in clients]
+        with pytest.raises(NonFiniteError) as failure:
+            cohort_update(clients, epochs, 8, lrs, Mode.FEDMRL, LossWeights())
+    assert str(failure.value) == error_1
+    # Client 0 trained to the end, as it would before client 1 in sequence,
+    # and a failed cohort leaves every client's models as they were.
+    assert clients[0].rng.bit_generator.state == alone.rng.bit_generator.state
+    for client, arrays in zip(clients, before):
+        assert all(a is b for a, b in zip(_client_arrays(client), arrays))
+
+
+def test_cohort_ranks_a_client_without_training_samples_by_its_id():
+    cfg, dataset, plan = small_setup(n_clients=3)
+    _, clients = build_clients(cfg, dataset, plan)
+    clients[1].train_x, clients[1].train_y = clients[1].train_x[:0], clients[1].train_y[:0]
+    clients[2].train_x = np.full_like(clients[2].train_x, np.nan)
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match=r"^client 1 has no training samples$"):
+            cohort_update(clients, 1, 8, cfg.lrs, Mode.FEDMRL, LossWeights())
+        clients[0].train_x = np.full_like(clients[0].train_x, np.nan)
+        with pytest.raises(NonFiniteError, match=r"^client 0: non-finite loss \(nan\)$"):
+            cohort_update(clients, 1, 8, cfg.lrs, Mode.FEDMRL, LossWeights())
 
 
 def test_client_update_names_the_client_and_group_of_a_diverging_step():
