@@ -13,23 +13,22 @@ Run:  python demos/gradient_check.py
 import numpy as np
 
 from fedmrl.core import (
+    LossWeights,
     forward_loss,
-    forward_loss_ablation_no_mrl,
     gradient_vector,
-    init_global_model,
-    init_local_model,
     init_projector,
     loss_gradients,
     parameter_vector,
     with_parameter_vector,
 )
+from fedmrl.models import ModelConfig, init_model
 from fedmrl.numerics import finite_diff_gradient, make_rng, relative_error
 
 
 def miniature(seed):
     rng = make_rng(seed)
-    g = init_global_model(6, (5,), 3, 3, rng)
-    f = init_local_model(6, (7,), 4, 3, rng)
+    g = init_model(ModelConfig(6, (5,), 3, 3), rng)
+    f = init_model(ModelConfig(6, (7,), 4, 3), rng)
     p = init_projector(3, 4, rng)
     data = make_rng(seed + 1000)
     return g, f, p, data.normal(size=(5, 6)), data.integers(0, 3, size=5)
@@ -37,17 +36,13 @@ def miniature(seed):
 
 def worst_error(seed, ablated=False):
     g, f, p, x, y = miniature(seed)
-    if ablated:
-        _, cache = forward_loss_ablation_no_mrl(g, f, p, x, y)
-    else:
-        _, _, cache = forward_loss(g, f, p, x, y)
+    weights = LossWeights(0.0, 1.0) if ablated else LossWeights()
+    _, _, cache = forward_loss(g, f, p, x, y, weights)
     analytic = gradient_vector(loss_gradients(cache))
 
     def objective(vec):
         g2, f2, p2 = with_parameter_vector(g, f, p, vec)
-        if ablated:
-            return forward_loss_ablation_no_mrl(g2, f2, p2, x, y)[0]
-        return forward_loss(g2, f2, p2, x, y)[0]
+        return forward_loss(g2, f2, p2, x, y, weights)[0]
 
     numeric = finite_diff_gradient(objective, parameter_vector(g, f, p))
     return float(relative_error(analytic, numeric).max()), analytic.size

@@ -8,16 +8,14 @@ at once, while only the shared model is ever communicated.
 
 from .config import ConfigError, ExperimentConfig, load_config, parse_config_text
 from .core import (
-    GlobalSmallModel,
     InferenceVariant,
     LearningRates,
-    LocalHeteroModel,
     LossWeights,
+    Mode,
     Projector,
     TheoryConstants,
     backward_and_step,
     forward_loss,
-    forward_loss_ablation_no_mrl,
     infer,
     lr_bound,
 )
@@ -34,9 +32,9 @@ from .data import (
     split_train_test,
 )
 from .experiment import run_experiment
-from .federation import Mode, RunConfig, run_training
+from .federation import RunConfig, run_training
 from .metrics import RoundReport, export_reports, load_reports_json
-from .models import Extractor, Header, ModelConfig, init_model, load_model, save_model
+from .models import Extractor, Header, ModelConfig, Net, init_model, load_model, save_model
 from .numerics import derive_rng, make_rng
 
 __version__ = "0.1.0"
@@ -46,16 +44,14 @@ __all__ = [
     "ExperimentConfig",
     "load_config",
     "parse_config_text",
-    "GlobalSmallModel",
     "InferenceVariant",
     "LearningRates",
-    "LocalHeteroModel",
     "LossWeights",
+    "Mode",
     "Projector",
     "TheoryConstants",
     "backward_and_step",
     "forward_loss",
-    "forward_loss_ablation_no_mrl",
     "infer",
     "lr_bound",
     "ClassCountSpec",
@@ -69,7 +65,6 @@ __all__ = [
     "save_csv",
     "split_train_test",
     "run_experiment",
-    "Mode",
     "RunConfig",
     "run_training",
     "RoundReport",
@@ -78,6 +73,7 @@ __all__ = [
     "Extractor",
     "Header",
     "ModelConfig",
+    "Net",
     "init_model",
     "load_model",
     "save_model",

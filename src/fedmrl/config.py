@@ -8,11 +8,11 @@ match the version this code understands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .core import InferenceVariant
-from .federation import Mode, RunConfig
+from .core import InferenceVariant, Mode
+from .federation import RunConfig
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -244,10 +244,6 @@ def override(config: ExperimentConfig, **changes) -> ExperimentConfig:
     updated = replace(config, **changes)
     _validate(updated, "<override>")
     return updated
-
-
-def config_field_names() -> tuple[str, ...]:
-    return tuple(f.name for f in fields(ExperimentConfig))
 
 
 _UNSWEEPABLE = ("schema_version", "out_dir", "report_name")

@@ -1,28 +1,33 @@
 """Training computation for the fused dual-model protocol.
 
-Every client couples two models over the same input: a shared small
-"global" model (extractor to a d1-wide representation plus a d1 -> L
-header) and a private heterogeneous "local" model (extractor to d2 wide,
-d2 -> L header), with d1 <= d2.  A per-client projector mixes the two
-representations:
+Every client couples two Nets (see models) over the same input: a shared
+small "global" model (extractor to a d1-wide representation plus a
+d1 -> L header) and a private heterogeneous "local" model (extractor to
+d2 wide, d2 -> L header), with d1 <= d2.  A per-client projector mixes
+the two representations:
 
     spliced = [rep_global | rep_local]            (n, d1 + d2)
     fused   = spliced @ W_p.T                     (n, d2)
 
 The fused row is read at two granularities, nested like matryoshka
 dolls: its first d1 entries feed the global header and the full d2
-entries feed the local header.  Both heads incur cross-entropy, and one
-SGD step moves the global model, the local model, and the projector
-simultaneously.  All gradients here are derived by hand and checked
+entries feed the local header.  There is one such graph, forward_loss,
+and its loss weights choose the heads: each head's cross-entropy is
+scaled by its weight, and a zero weight on the global head takes that
+header out of the graph, which is the no-MRL ablation.  One SGD step
+moves the global model, the local model, and the projector
+simultaneously.  forward_loss_single trains one model alone, for the
+standalone baseline.  All gradients here are derived by hand and checked
 against finite differences in the tests.
 
 Each public function checks its inputs once, where it is called; the
 products inside run as bare ``@`` on C-order operands (see models).
-Finiteness is checked once per training step: forward_loss and its
-siblings reject a non-finite loss, backward_and_step rejects a stepped
-parameter group (global, local, projector) holding a NaN or an
-infinity, and infer rejects non-finite logits.  Each raises
-NonFiniteError naming the check that failed.
+Finiteness is checked once per training step: forward_loss and
+forward_loss_single reject a non-finite loss, backward_and_step and
+backward_and_step_single reject a stepped parameter group (global,
+local, projector) holding a NaN or an infinity, and infer rejects
+non-finite logits.  Each raises NonFiniteError naming the check that
+failed.
 
 Every function here also steps a cohort of clients at once: models
 whose parameters carry a leading client axis of C (see models), the
@@ -39,17 +44,7 @@ from enum import Enum
 
 import numpy as np
 
-from .models import (
-    AffineLayer,
-    Extractor,
-    ForwardCache,
-    GroupedExtractor,
-    Header,
-    LayerGrads,
-    ModelConfig,
-    StaleCacheError,
-    init_model,
-)
+from .models import Extractor, ForwardCache, LayerGrads, Net, StaleCacheError
 from .numerics import (
     NonFiniteError,
     ShapeError,
@@ -62,23 +57,20 @@ from .numerics import (
 )
 
 __all__ = [
-    "GlobalSmallModel",
-    "LocalHeteroModel",
+    "Mode",
     "Projector",
     "LossWeights",
     "LearningRates",
     "InferenceVariant",
     "TheoryConstants",
     "TrainingCache",
+    "SingleCache",
     "GradientSet",
-    "init_global_model",
-    "init_local_model",
     "init_projector",
     "splice",
     "project",
     "matryoshka_prefixes",
     "forward_loss",
-    "forward_loss_ablation_no_mrl",
     "forward_loss_single",
     "loss_gradients",
     "backward_and_step",
@@ -89,6 +81,19 @@ __all__ = [
     "infer",
     "lr_bound",
 ]
+
+
+class Mode(Enum):
+    """Which training graph a run steps.
+
+    FEDMRL steps forward_loss with the run's loss weights; NO_MRL steps it
+    with weights (0, 1), so the shared header is out of the graph;
+    STANDALONE steps each private model alone with forward_loss_single.
+    """
+
+    FEDMRL = "fedmrl"
+    STANDALONE = "standalone"
+    NO_MRL = "no_mrl"
 
 
 class InferenceVariant(Enum):
@@ -104,72 +109,6 @@ class InferenceVariant(Enum):
     MIX_SMALL = "mix_small"
     SINGLE_SMALL = "single_small"
     SINGLE_LARGE = "single_large"
-
-
-@dataclass
-class GlobalSmallModel:
-    """The shared model: the only parameters that ever leave a client."""
-
-    extractor: Extractor
-    header: Header
-
-    def __post_init__(self):
-        if self.extractor.rep_dim != self.header.in_dim:
-            raise ShapeError(
-                f"extractor rep width {self.extractor.rep_dim} != header input "
-                f"{self.header.in_dim}"
-            )
-
-    @property
-    def rep_dim(self) -> int:
-        return self.extractor.rep_dim
-
-    @property
-    def classes(self) -> int:
-        return self.header.classes
-
-    def parameter_arrays(self) -> list[np.ndarray]:
-        """All parameters in declared order: layer weight, bias, ..., header."""
-        return _parameter_arrays(self)
-
-    def param_count(self) -> int:
-        return self.extractor.param_count() + self.header.param_count()
-
-    def clone(self) -> "GlobalSmallModel":
-        return GlobalSmallModel(self.extractor.clone(), self.header.clone())
-
-
-@dataclass
-class LocalHeteroModel:
-    """A client's private model; its width and depth may differ per client.
-
-    In a cohort the extractor is a GroupedExtractor and the header, whose
-    shape all clients share, is stacked.
-    """
-
-    extractor: Extractor | GroupedExtractor
-    header: Header
-
-    def __post_init__(self):
-        if self.extractor.rep_dim != self.header.in_dim:
-            raise ShapeError(
-                f"extractor rep width {self.extractor.rep_dim} != header input "
-                f"{self.header.in_dim}"
-            )
-
-    @property
-    def rep_dim(self) -> int:
-        return self.extractor.rep_dim
-
-    @property
-    def classes(self) -> int:
-        return self.header.classes
-
-    def param_count(self) -> int:
-        return self.extractor.param_count() + self.header.param_count()
-
-    def clone(self) -> "LocalHeteroModel":
-        return LocalHeteroModel(self.extractor.clone(), self.header.clone())
 
 
 @dataclass
@@ -193,11 +132,12 @@ class Projector:
     def lead(self) -> tuple[int, ...]:
         return self.weight.shape[:-2]
 
-    def param_count(self) -> int:
-        return self.weight.size
+    def parameter_arrays(self) -> list[np.ndarray]:
+        return [self.weight]
 
-    def clone(self) -> "Projector":
-        return Projector(self.weight.copy())
+    def with_arrays(self, arrays) -> "Projector":
+        """A projector holding the first of `arrays` (see Net.with_arrays)."""
+        return Projector(next(iter(arrays)))
 
     @classmethod
     def selection(cls, d1: int, d2: int) -> "Projector":
@@ -282,22 +222,6 @@ def lr_bound(constants: TheoryConstants) -> float:
     return 2.0 * gap / denom
 
 
-def init_global_model(
-    input_dim: int, hidden_widths: tuple[int, ...], d1: int, classes: int,
-    rng: np.random.Generator,
-) -> GlobalSmallModel:
-    extractor, header = init_model(ModelConfig(input_dim, tuple(hidden_widths), d1, classes), rng)
-    return GlobalSmallModel(extractor, header)
-
-
-def init_local_model(
-    input_dim: int, hidden_widths: tuple[int, ...], d2: int, classes: int,
-    rng: np.random.Generator,
-) -> LocalHeteroModel:
-    extractor, header = init_model(ModelConfig(input_dim, tuple(hidden_widths), d2, classes), rng)
-    return LocalHeteroModel(extractor, header)
-
-
 def init_projector(d1: int, d2: int, rng: np.random.Generator) -> Projector:
     """Xavier-uniform weights over the (d2, d1 + d2) mixing matrix."""
     if not 0 < d1 <= d2:
@@ -334,20 +258,33 @@ def matryoshka_prefixes(fused: np.ndarray, d1: int) -> tuple[np.ndarray, np.ndar
 
 @dataclass
 class TrainingCache:
-    """Everything one backward pass needs, tied to the exact objects used forward."""
+    """Everything one backward pass needs, tied to the exact objects used forward.
 
-    global_model: GlobalSmallModel
-    local_model: LocalHeteroModel
+    dlogits_global is None when the global header is out of the graph.
+    """
+
+    global_model: Net
+    local_model: Net
     projector: Projector
     spliced: np.ndarray
     fused: np.ndarray
     cache_global: ForwardCache
-    cache_local: ForwardCache
+    cache_local: ForwardCache | list[ForwardCache]
     dlogits_global: np.ndarray | None
     dlogits_local: np.ndarray
     weights: LossWeights
     n_samples: int
-    use_mrl: bool
+
+
+@dataclass
+class SingleCache:
+    """What backward_and_step_single needs, tied to the model used forward."""
+
+    model: Net
+    rep: np.ndarray
+    extractor_cache: ForwardCache | list[ForwardCache]
+    dlogits: np.ndarray
+    n_samples: int
 
 
 @dataclass
@@ -369,7 +306,7 @@ def _lead(model) -> tuple[int, ...]:
     return lead
 
 
-def _check_dims(global_model: GlobalSmallModel, local_model: LocalHeteroModel,
+def _check_dims(global_model: Net, local_model: Net,
                 projector: Projector) -> tuple[int, int, tuple[int, ...]]:
     d1, d2 = global_model.rep_dim, local_model.rep_dim
     if d1 > d2:
@@ -378,10 +315,9 @@ def _check_dims(global_model: GlobalSmallModel, local_model: LocalHeteroModel,
         raise ShapeError(
             f"projector shape {projector.weight.shape} != expected ({d2}, {d1 + d2})"
         )
-    if global_model.classes != local_model.classes:
-        raise ShapeError(
-            f"headers disagree on classes: {global_model.classes} != {local_model.classes}"
-        )
+    classes = global_model.header.classes, local_model.header.classes
+    if classes[0] != classes[1]:
+        raise ShapeError(f"headers disagree on classes: {classes[0]} != {classes[1]}")
     lead = projector.lead
     if _lead(global_model) != lead or _lead(local_model) != lead:
         raise ShapeError("the models are not stacked over the same clients")
@@ -393,7 +329,7 @@ def _batch(model, x, labels, lead) -> tuple[np.ndarray, np.ndarray]:
     x = _matrix(x, cols=model.extractor.input_dim)
     if x.shape[:-2] != lead:
         raise ShapeError(f"batch of shape {x.shape} for models stacked over {lead}")
-    return x, _labels(labels, x.shape[-2], model.classes, lead)
+    return x, _labels(labels, x.shape[-2], model.header.classes, lead)
 
 
 def _mean(losses: np.ndarray) -> np.ndarray:
@@ -413,39 +349,30 @@ def _finite_loss(loss: float | np.ndarray) -> float | np.ndarray:
     return loss
 
 
-def _parameter_arrays(model) -> list[np.ndarray]:
-    """A model's parameters (layer weight, bias, ..., header), or a projector's weight."""
-    if isinstance(model, Projector):
-        return [model.weight]
-    arrays = []
-    for layer in model.extractor.layers:
-        arrays.append(layer.weight)
-        if layer.bias is not None:
-            arrays.append(layer.bias)
-    arrays.append(model.header.weight)
-    return arrays
-
-
-def _finite_params(group: str, model) -> None:
+def _finite_params(group: str, model: Net | Extractor | Projector) -> None:
     """Raise NonFiniteError naming `group` unless every parameter of model is finite."""
-    values = np.concatenate(_parameter_arrays(model), axis=None)
+    values = np.concatenate(model.parameter_arrays(), axis=None)
     if not np.isfinite(values).all():
         raise NonFiniteError(f"non-finite {group} parameters after the step")
 
 
 def forward_loss(
-    global_model: GlobalSmallModel,
-    local_model: LocalHeteroModel,
+    global_model: Net,
+    local_model: Net,
     projector: Projector,
     x: np.ndarray,
     labels: np.ndarray,
     weights: LossWeights = LossWeights(),
-) -> tuple[float, tuple[float, float], TrainingCache]:
+) -> tuple[float, tuple[float | None, float], TrainingCache]:
     """Dual-granularity training loss over a batch.
 
     Returns (total, (loss_global, loss_local), cache) where total is
     weights.global_head * loss_global + weights.local_head * loss_local
-    and each part is the batch mean cross-entropy of its head.
+    and each part is the batch mean cross-entropy of its head.  With
+    weights.global_head == 0 the global header is out of the graph: it is
+    neither run nor differentiated, loss_global is None and total is
+    weights.local_head * loss_local.  The global extractor still feeds
+    the local head through the splice.
     """
     d1, _, lead = _check_dims(global_model, local_model, projector)
     x, y = _batch(global_model, x, labels, lead)
@@ -454,13 +381,16 @@ def forward_loss(
     rep_local, cache_local = local_model.extractor.forward(x)
     spliced = splice(rep_global, rep_local)
     fused = project(projector, spliced)
-    low, full = matryoshka_prefixes(fused, d1)
 
-    losses_g, dlogits_g = _cross_entropy(global_model.header.forward(low), y)
-    losses_f, dlogits_f = _cross_entropy(local_model.header.forward(full), y)
-    loss_global = _value(_mean(losses_g))
+    losses_f, dlogits_f = _cross_entropy(local_model.header.forward(fused), y)
     loss_local = _value(_mean(losses_f))
-    total = _finite_loss(weights.global_head * loss_global + weights.local_head * loss_local)
+    total = weights.local_head * loss_local
+    loss_global = dlogits_g = None
+    if weights.global_head:
+        low, _ = matryoshka_prefixes(fused, d1)
+        losses_g, dlogits_g = _cross_entropy(global_model.header.forward(low), y)
+        loss_global = _value(_mean(losses_g))
+        total = weights.global_head * loss_global + total
 
     cache = TrainingCache(
         global_model=global_model,
@@ -474,48 +404,8 @@ def forward_loss(
         dlogits_local=dlogits_f,
         weights=weights,
         n_samples=x.shape[-2],
-        use_mrl=True,
     )
-    return total, (loss_global, loss_local), cache
-
-
-def forward_loss_ablation_no_mrl(
-    global_model: GlobalSmallModel,
-    local_model: LocalHeteroModel,
-    projector: Projector,
-    x: np.ndarray,
-    labels: np.ndarray,
-) -> tuple[float, TrainingCache]:
-    """Ablated loss: the local header reads the whole fused row, no other head.
-
-    The global extractor still contributes through the splice, but the
-    global header is untouched by forward and gradient alike.  Equals
-    forward_loss with weights (0, 1).
-    """
-    _, _, lead = _check_dims(global_model, local_model, projector)
-    x, y = _batch(local_model, x, labels, lead)
-
-    rep_global, cache_global = global_model.extractor.forward(x)
-    rep_local, cache_local = local_model.extractor.forward(x)
-    spliced = splice(rep_global, rep_local)
-    fused = project(projector, spliced)
-
-    losses, dlogits = _cross_entropy(local_model.header.forward(fused), y)
-    cache = TrainingCache(
-        global_model=global_model,
-        local_model=local_model,
-        projector=projector,
-        spliced=spliced,
-        fused=fused,
-        cache_global=cache_global,
-        cache_local=cache_local,
-        dlogits_global=None,
-        dlogits_local=dlogits,
-        weights=LossWeights(0.0, 1.0),
-        n_samples=x.shape[-2],
-        use_mrl=False,
-    )
-    return _finite_loss(_value(_mean(losses))), cache
+    return _finite_loss(total), (loss_global, loss_local), cache
 
 
 def loss_gradients(cache: TrainingCache) -> GradientSet:
@@ -523,6 +413,7 @@ def loss_gradients(cache: TrainingCache) -> GradientSet:
 
     The fused row has two consumers in the dual-head loss; their
     gradients meet by zero-padding the prefix gradient to full width.
+    A global header out of the graph gets a zero gradient.
     The projector then routes the fused gradient back to both extractors
     by splitting the spliced gradient at column d1.
     """
@@ -531,15 +422,13 @@ def loss_gradients(cache: TrainingCache) -> GradientSet:
     n = cache.n_samples
 
     d_local_logits = (cache.weights.local_head / n) * cache.dlogits_local
-    if cache.use_mrl:
-        low = cache.fused[..., :d1]
-        d_global_logits = (cache.weights.global_head / n) * cache.dlogits_global
-        d_global_header, d_low = g.header.backward(low, d_global_logits)
-        d_local_header, d_fused = f.header.backward(cache.fused, d_local_logits)
-        d_fused[..., :d1] += d_low
-    else:
+    d_local_header, d_fused = f.header.backward(cache.fused, d_local_logits)
+    if cache.dlogits_global is None:
         d_global_header = np.zeros_like(g.header.weight)
-        d_local_header, d_fused = f.header.backward(cache.fused, d_local_logits)
+    else:
+        d_global_logits = (cache.weights.global_head / n) * cache.dlogits_global
+        d_global_header, d_low = g.header.backward(cache.fused[..., :d1], d_global_logits)
+        d_fused[..., :d1] += d_low
 
     d_projector = _transposed(d_fused) @ cache.spliced
     d_spliced = d_fused @ p.weight
@@ -555,19 +444,20 @@ def loss_gradients(cache: TrainingCache) -> GradientSet:
 
 
 def backward_and_step(
-    global_model: GlobalSmallModel,
-    local_model: LocalHeteroModel,
+    global_model: Net,
+    local_model: Net,
     projector: Projector,
     cache: TrainingCache,
     lrs: LearningRates,
-) -> tuple[GlobalSmallModel, LocalHeteroModel, Projector]:
+) -> tuple[Net, Net, Projector]:
     """One simultaneous SGD step on all three parameter groups.
 
     Returns fresh objects; the inputs are left untouched, and the cache
     must have been produced by exactly these objects (a cache from a
-    previous step is stale and rejected).  Raises NonFiniteError naming
-    the first stepped group (global, local, projector) that is not
-    finite.
+    previous step is stale and rejected).  A global header out of the
+    graph is neither stepped nor checked: it comes back as the same
+    object.  Raises NonFiniteError naming the first stepped group
+    (global, local, projector) that is not finite.
     """
     if (
         cache.global_model is not global_model
@@ -576,104 +466,73 @@ def backward_and_step(
     ):
         raise StaleCacheError("cache was not produced by these models")
     grads = loss_gradients(cache)
-    new_global = GlobalSmallModel(
+    in_graph = cache.dlogits_global is not None
+    new_global = Net(
         global_model.extractor.step(grads.global_layers, lrs.global_model),
-        global_model.header.step(grads.global_header, lrs.global_model),
+        global_model.header.step(grads.global_header, lrs.global_model)
+        if in_graph
+        else global_model.header,
     )
-    new_local = LocalHeteroModel(
+    new_local = Net(
         local_model.extractor.step(grads.local_layers, lrs.local_model),
         local_model.header.step(grads.local_header, lrs.local_model),
     )
     _check_lr(lrs.projector)
     new_projector = Projector(_sgd(projector.weight, grads.projector, lrs.projector))
-    _finite_params("global", new_global)
+    _finite_params("global", new_global if in_graph else new_global.extractor)
     _finite_params("local", new_local)
     _finite_params("projector", new_projector)
     return new_global, new_local, new_projector
 
 
 def forward_loss_single(
-    model: LocalHeteroModel | GlobalSmallModel, x: np.ndarray, labels: np.ndarray
-) -> tuple[float, tuple]:
+    model: Net, x: np.ndarray, labels: np.ndarray
+) -> tuple[float, SingleCache]:
     """Plain one-model cross-entropy loss (no splice, no projector)."""
     x, y = _batch(model, x, labels, _lead(model))
     rep, cache_ex = model.extractor.forward(x)
     losses, dlogits = _cross_entropy(model.header.forward(rep), y)
-    return _finite_loss(_value(_mean(losses))), (model, rep, cache_ex, dlogits, x.shape[-2])
+    cache = SingleCache(model, rep, cache_ex, dlogits, x.shape[-2])
+    return _finite_loss(_value(_mean(losses))), cache
 
 
-def backward_and_step_single(model, cache, lr: float):
-    """SGD step for the plain one-model loss; same staleness rule as above."""
-    owner, rep, cache_ex, dlogits, n = cache
-    if owner is not model:
+def backward_and_step_single(model: Net, cache: SingleCache, lr: float) -> Net:
+    """SGD step for the plain one-model loss; same staleness rule as above.
+
+    The stepped model is checked as the local group: standalone training
+    steps only the private model.
+    """
+    if cache.model is not model:
         raise StaleCacheError("cache was not produced by this model")
-    d_header, d_rep = model.header.backward(rep, dlogits / n)
-    layer_grads, _ = model.extractor._layer_grads(cache_ex, d_rep)
-    stepped = type(model)(
-        model.extractor.step(layer_grads, lr), model.header.step(d_header, lr)
-    )
-    _finite_params("global" if isinstance(model, GlobalSmallModel) else "local", stepped)
+    d_header, d_rep = model.header.backward(cache.rep, cache.dlogits / cache.n_samples)
+    layer_grads, _ = model.extractor._layer_grads(cache.extractor_cache, d_rep)
+    stepped = Net(model.extractor.step(layer_grads, lr), model.header.step(d_header, lr))
+    _finite_params("local", stepped)
     return stepped
 
 
-def parameter_vector(
-    global_model: GlobalSmallModel, local_model: LocalHeteroModel, projector: Projector
-) -> np.ndarray:
+def parameter_vector(global_model: Net, local_model: Net, projector: Projector) -> np.ndarray:
     """Flatten all trainable parameters into one vector.
 
-    Order: global extractor layers (weight then bias, first to last),
-    global header, local extractor layers, local header, projector.
+    Order: the parameter_arrays of the global model, the local model and
+    the projector, in turn.
     """
-    parts = []
-    for model in (global_model, local_model):
-        for layer in model.extractor.layers:
-            parts.append(layer.weight.ravel())
-            if layer.bias is not None:
-                parts.append(layer.bias.ravel())
-        parts.append(model.header.weight.ravel())
-    parts.append(projector.weight.ravel())
-    return np.concatenate(parts)
+    models = (global_model, local_model, projector)
+    return np.concatenate([a for m in models for a in m.parameter_arrays()], axis=None)
 
 
 def with_parameter_vector(
-    global_model: GlobalSmallModel,
-    local_model: LocalHeteroModel,
-    projector: Projector,
-    vec: np.ndarray,
-) -> tuple[GlobalSmallModel, LocalHeteroModel, Projector]:
+    global_model: Net, local_model: Net, projector: Projector, vec: np.ndarray
+) -> tuple[Net, Net, Projector]:
     """Rebuild models of the same architecture from a parameter_vector."""
+    models = (global_model, local_model, projector)
+    arrays = [a for m in models for a in m.parameter_arrays()]
+    ends = np.cumsum([a.size for a in arrays])
     vec = np.asarray(vec, dtype=np.float64).reshape(-1)
-    expected = (
-        global_model.param_count() + local_model.param_count() + projector.param_count()
-    )
-    if vec.size != expected:
-        raise ShapeError(f"vector length {vec.size} does not match the models ({expected})")
-    pos = 0
-
-    def take(shape):
-        nonlocal pos
-        size = int(np.prod(shape))
-        block = vec[pos : pos + size].reshape(shape)
-        pos += size
-        return block
-
-    rebuilt = []
-    for model in (global_model, local_model):
-        layers = []
-        for layer in model.extractor.layers:
-            w = take(layer.weight.shape)
-            b = take(layer.bias.shape) if layer.bias is not None else None
-            layers.append(AffineLayer(w, b, layer.activation))
-        header = Header(take(model.header.weight.shape))
-        rebuilt.append((Extractor(layers), header))
-    new_projector = Projector(take(projector.weight.shape))
-    if pos != vec.size:
-        raise ShapeError(f"vector length {vec.size} does not match the models ({pos})")
-    return (
-        GlobalSmallModel(*rebuilt[0]),
-        LocalHeteroModel(*rebuilt[1]),
-        new_projector,
-    )
+    if vec.size != ends[-1]:
+        raise ShapeError(f"vector length {vec.size} does not match the models ({ends[-1]})")
+    blocks = iter([b.reshape(a.shape) for b, a in zip(np.split(vec, ends[:-1]), arrays)])
+    return tuple(m.with_arrays(blocks) for m in models)
 
 
 def gradient_vector(grads: GradientSet) -> np.ndarray:
@@ -693,8 +552,8 @@ def gradient_vector(grads: GradientSet) -> np.ndarray:
 
 
 def infer(
-    global_model: GlobalSmallModel,
-    local_model: LocalHeteroModel,
+    global_model: Net,
+    local_model: Net,
     projector: Projector,
     x: np.ndarray,
     variant: InferenceVariant = InferenceVariant.MIX_LARGE,

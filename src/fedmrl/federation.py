@@ -7,6 +7,13 @@ shared model, and the server replaces its copy with the sample-count
 weighted mean of the uploads.  Private models and projectors never leave
 their client.
 
+The shared model and each private model are Nets.  The mode picks the
+training graph (see core.Mode): fedmrl and no_mrl step forward_loss, the
+latter with loss weights (0, 1), and standalone steps the private model
+alone.  Broadcast, stacking a cohort, handing each client its slices
+back and aggregation all walk parameters in Net.parameter_arrays order
+and rebuild models with with_arrays.
+
 Lockstep training: the round's participants train as one cohort
 (cohort_update).  Their parameters are stacked along a leading client
 axis, and each step trains every client that takes a batch of the same
@@ -53,30 +60,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
 from .core import (
-    GlobalSmallModel,
     InferenceVariant,
     LearningRates,
-    LocalHeteroModel,
     LossWeights,
+    Mode,
     Projector,
-    _parameter_arrays,
     backward_and_step,
     backward_and_step_single,
     forward_loss,
-    forward_loss_ablation_no_mrl,
     forward_loss_single,
-    init_global_model,
-    init_local_model,
     init_projector,
 )
 from .data import LabeledDataset, PartitionPlan
 from .metrics import RoundReport, comm_cost_round, evaluate, flops_round
-from .models import AffineLayer, Extractor, GroupedExtractor, Header
+from .models import GroupedExtractor, Header, ModelConfig, Net, init_model
 from .numerics import NonFiniteError, derive_rng
 
 # Substream tags: every source of randomness in a run is a named stream
@@ -86,12 +87,6 @@ _SERVER_STREAM = 10
 _GLOBAL_INIT_STREAM = 20
 _CLIENT_INIT_STREAM = 30
 _CLIENT_TRAIN_STREAM = 40
-
-
-class Mode(Enum):
-    FEDMRL = "fedmrl"
-    STANDALONE = "standalone"
-    NO_MRL = "no_mrl"
 
 
 @dataclass(frozen=True)
@@ -168,9 +163,9 @@ class ClientState:
     """
 
     client_id: int
-    local_model: LocalHeteroModel
+    local_model: Net
     projector: Projector
-    global_copy: GlobalSmallModel
+    global_copy: Net
     train_x: np.ndarray
     train_y: np.ndarray
     test_x: np.ndarray
@@ -187,7 +182,7 @@ class ClientState:
 class ServerState:
     """The server holds the shared model and nothing of any client's."""
 
-    global_model: GlobalSmallModel
+    global_model: Net
     rng: np.random.Generator
     round: int = 0
 
@@ -199,7 +194,7 @@ class Upload:
     client_id: int
     n_samples: int
     mean_loss: float
-    model: GlobalSmallModel
+    model: Net
 
 
 def build_clients(
@@ -216,11 +211,8 @@ def build_clients(
         raise ValueError("partition plan was built for a different dataset")
 
     server = ServerState(
-        global_model=init_global_model(
-            dataset.dim,
-            config.global_hidden,
-            config.d1,
-            dataset.classes,
+        global_model=init_model(
+            ModelConfig(dataset.dim, config.global_hidden, config.d1, dataset.classes),
             derive_rng(config.seed, _GLOBAL_INIT_STREAM),
         ),
         rng=derive_rng(config.seed, _SERVER_STREAM),
@@ -232,8 +224,8 @@ def build_clients(
         clients.append(
             ClientState(
                 client_id=ident,
-                local_model=init_local_model(
-                    dataset.dim, hidden, config.d2, dataset.classes, init_rng
+                local_model=init_model(
+                    ModelConfig(dataset.dim, hidden, config.d2, dataset.classes), init_rng
                 ),
                 projector=init_projector(config.d1, config.d2, init_rng),
                 global_copy=server.global_model.clone(),
@@ -331,19 +323,6 @@ def cohort_update(
     return [results[ident] for ident in ids]
 
 
-def _train_step(models, x, y, lrs: LearningRates, mode: Mode, weights: LossWeights):
-    """One step of the mode's training graph: (loss of each client, stepped models)."""
-    g, f, p = models
-    if mode is Mode.STANDALONE:
-        loss, cache = forward_loss_single(f, x, y)
-        return loss, (g, backward_and_step_single(f, cache, lrs.local_model), p)
-    if mode is Mode.NO_MRL:
-        loss, cache = forward_loss_ablation_no_mrl(g, f, p, x, y)
-    else:
-        loss, _, cache = forward_loss(g, f, p, x, y, weights)
-    return loss, backward_and_step(g, f, p, cache, lrs)
-
-
 class _Cohort:
     """The stacked models of clients that train in lockstep.
 
@@ -354,6 +333,8 @@ class _Cohort:
     private model, projector), each stacked over all slots; standalone
     training stacks only the private model.  A run of slots trains on
     views of the stacks and writes its stepped parameters back into them.
+    The no-MRL ablation trains with loss weights (0, 1), whatever the
+    run's weights.
     """
 
     def __init__(
@@ -365,7 +346,8 @@ class _Cohort:
         failures: dict[int, Exception],
     ):
         self.clients = sorted(clients, key=lambda c: (-c.n_samples, c.client_id))
-        self.mode, self.lrs, self.weights = mode, lrs, weights
+        self.mode, self.lrs = mode, lrs
+        self.weights = LossWeights(0.0, 1.0) if mode is Mode.NO_MRL else weights
         self.failures = failures
         self.live = [True] * len(self.clients)
         self.epoch_means: list[list[float]] = [[] for _ in self.clients]
@@ -374,7 +356,7 @@ class _Cohort:
         slots: dict[tuple, list[int]] = {}
         for i, model in enumerate(local):
             slots.setdefault(_architecture(model), []).append(i)
-        private = LocalHeteroModel(
+        private = Net(
             GroupedExtractor(
                 [(np.array(s), _stack([local[i].extractor for i in s])) for s in slots.values()],
                 len(local),
@@ -383,11 +365,8 @@ class _Cohort:
         )
         shared = projector = None
         if mode is not Mode.STANDALONE:
-            shared = GlobalSmallModel(
-                _stack([c.global_copy.extractor for c in self.clients]),
-                Header(np.stack([c.global_copy.header.weight for c in self.clients])),
-            )
-            projector = Projector(np.stack([c.projector.weight for c in self.clients]))
+            shared = _stack([c.global_copy for c in self.clients])
+            projector = _stack([c.projector for c in self.clients])
         self.models = (shared, private, projector)
 
     def train(self, epochs: int, batch_size: int) -> None:
@@ -426,9 +405,14 @@ class _Cohort:
 
     def _step(self, a, b, x, y, batch_losses) -> None:
         """Train slots a to b on one batch each; on a failed check, one slot at a time."""
-        taken = self._take(a, b)
+        g, f, p = taken = self._take(a, b)
         try:
-            loss, stepped = _train_step(taken, x, y, self.lrs, self.mode, self.weights)
+            if self.mode is Mode.STANDALONE:
+                loss, cache = forward_loss_single(f, x, y)
+                stepped = (g, backward_and_step_single(f, cache, self.lrs.local_model), p)
+            else:
+                loss, _, cache = forward_loss(g, f, p, x, y, self.weights)
+                stepped = backward_and_step(g, f, p, cache, self.lrs)
         except NonFiniteError as exc:
             if b - a == 1:
                 self._fail(a, exc)
@@ -464,11 +448,9 @@ class _Cohort:
             if lo < hi:
                 parts.append((slots[lo:hi] - a, _select(extractor, slice(lo, hi))))
         return (
-            None
-            if shared is None
-            else GlobalSmallModel(_select(shared.extractor, run), Header(shared.header.weight[run])),
-            LocalHeteroModel(GroupedExtractor(parts, b - a), Header(private.header.weight[run])),
-            None if projector is None else Projector(projector.weight[run]),
+            None if shared is None else _select(shared, run),
+            Net(GroupedExtractor(parts, b - a), Header(private.header.weight[run])),
+            None if projector is None else _select(projector, run),
         )
 
     def _put(self, a: int, b: int, taken, stepped) -> None:
@@ -483,56 +465,43 @@ class _Cohort:
         shared, private, projector = self.models
         for slots, extractor in private.extractor.parts:
             for rank, i in enumerate(slots.tolist()):
-                self.clients[i].local_model = LocalHeteroModel(
+                self.clients[i].local_model = Net(
                     _select(extractor, rank, copy=True), Header(private.header.weight[i].copy())
                 )
         if shared is not None:
             for i, client in enumerate(self.clients):
-                client.global_copy = GlobalSmallModel(
-                    _select(shared.extractor, i, copy=True), Header(shared.header.weight[i].copy())
-                )
-                client.projector = Projector(projector.weight[i].copy())
+                client.global_copy = _select(shared, i, copy=True)
+                client.projector = _select(projector, i, copy=True)
 
 
-def _architecture(model: LocalHeteroModel) -> tuple:
-    """What private extractors must share to be stacked: layer shapes, biases, activations."""
-    return tuple(
-        (layer.weight.shape, layer.bias is None, layer.activation)
-        for layer in model.extractor.layers
+# The helpers below take any model that has parameter_arrays and
+# with_arrays: a Net, an Extractor or a Projector.
+
+
+def _architecture(model: Net) -> tuple:
+    """What private models must share to be stacked: parameter shapes, biases, activations."""
+    return (
+        tuple(array.shape for array in model.parameter_arrays()),
+        tuple((layer.bias is None, layer.activation) for layer in model.extractor.layers),
     )
 
 
-def _stack(extractors: list[Extractor]) -> Extractor:
-    """One extractor stacked over a list of extractors of one architecture."""
-    return Extractor(
-        [
-            AffineLayer(
-                np.stack([e.layers[k].weight for e in extractors]),
-                None if layer.bias is None else np.stack([e.layers[k].bias for e in extractors]),
-                layer.activation,
-            )
-            for k, layer in enumerate(extractors[0].layers)
-        ]
-    )
+def _stack(models: list):
+    """One model stacked over a list of models of one architecture."""
+    stacks = [np.stack(arrays) for arrays in zip(*(m.parameter_arrays() for m in models))]
+    return models[0].with_arrays(stacks)
 
 
-def _select(extractor: Extractor, key, copy: bool = False) -> Extractor:
-    """Slot(s) `key` of a stacked extractor, as views of its stacks or as copies."""
-
-    def pick(array):
-        return array[key].copy() if copy else array[key]
-
-    return Extractor(
-        [
-            AffineLayer(pick(l.weight), None if l.bias is None else pick(l.bias), l.activation)
-            for l in extractor.layers
-        ]
+def _select(model, key, copy: bool = False):
+    """Slot(s) `key` of a stacked model, as views of its stacks or as copies."""
+    return model.with_arrays(
+        [array[key].copy() if copy else array[key] for array in model.parameter_arrays()]
     )
 
 
 def _arrays(models) -> list[np.ndarray]:
     """Every parameter array of a (shared, private, projector) triple, in a fixed order."""
-    return [array for model in models if model is not None for array in _parameter_arrays(model)]
+    return [array for model in models if model is not None for array in model.parameter_arrays()]
 
 
 def aggregate(server: ServerState, uploads: list[Upload]) -> None:
@@ -561,16 +530,13 @@ def aggregate(server: ServerState, uploads: list[Upload]) -> None:
                 f"server expects {expected}"
             )
     total = sum(u.n_samples for u in ordered)
-    merged = ordered[0].model.clone()
-    merged_arrays = merged.parameter_arrays()
     base_arrays = ordered[0].model.parameter_arrays()
+    merged = [array.copy() for array in base_arrays]
     for upload in ordered[1:]:
         w = upload.n_samples / total
-        for acc, base, other in zip(
-            merged_arrays, base_arrays, upload.model.parameter_arrays()
-        ):
+        for acc, base, other in zip(merged, base_arrays, upload.model.parameter_arrays()):
             acc += w * (other - base)
-    server.global_model = merged
+    server.global_model = server.global_model.with_arrays(merged)
 
 
 def run_training(
@@ -595,63 +561,68 @@ def run_rounds(
     A client is evaluated only when its accuracy memo holds nothing for
     the run's inference variant; otherwise the memo is reported, which
     is the accuracy evaluate would return for its unchanged models.
+
+    numpy's overflow and invalid-value warnings are silenced for the
+    rounds: a diverging run ends in the NonFiniteError of a finite check,
+    which names the client, not in a warning about a line of numpy code.
     """
     standalone = config.mode is Mode.STANDALONE
     variant = InferenceVariant.SINGLE_LARGE if standalone else config.inference
     shared_params = server.global_model.param_count()
     reports = []
-    for round_index in range(1, config.rounds + 1):
-        if standalone:
-            participants = list(range(config.n_clients))
-        else:
-            participants = sample_clients(server, config.n_clients, config.participants)
-            broadcast(server, [clients[i] for i in participants])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for round_index in range(1, config.rounds + 1):
+            if standalone:
+                participants = list(range(config.n_clients))
+            else:
+                participants = sample_clients(server, config.n_clients, config.participants)
+                broadcast(server, [clients[i] for i in participants])
 
-        uploads = []
-        client_losses = []
-        round_flops = 0
-        updates = cohort_update(
-            [clients[i] for i in participants],
-            config.local_epochs,
-            config.batch_size,
-            config.lrs,
-            config.mode,
-            config.loss_weights,
-        )
-        for ident, (upload, epoch_means) in zip(participants, updates):
-            client = clients[ident]
-            if upload is not None:
-                uploads.append(upload)
-            if epoch_means:
-                client_losses.append(float(np.mean(epoch_means)))
-            round_flops += flops_round(
-                client.global_copy,
-                client.local_model,
-                client.projector,
-                client.n_samples,
+            uploads = []
+            client_losses = []
+            round_flops = 0
+            updates = cohort_update(
+                [clients[i] for i in participants],
                 config.local_epochs,
+                config.batch_size,
+                config.lrs,
                 config.mode,
+                config.loss_weights,
             )
+            for ident, (upload, epoch_means) in zip(participants, updates):
+                client = clients[ident]
+                if upload is not None:
+                    uploads.append(upload)
+                if epoch_means:
+                    client_losses.append(float(np.mean(epoch_means)))
+                round_flops += flops_round(
+                    client.global_copy,
+                    client.local_model,
+                    client.projector,
+                    client.n_samples,
+                    config.local_epochs,
+                    config.mode,
+                )
 
-        if standalone:
-            uplink = downlink = 0
-        else:
-            aggregate(server, uploads)
-            uplink, downlink = comm_cost_round(shared_params, len(participants))
+            if standalone:
+                uplink = downlink = 0
+            else:
+                aggregate(server, uploads)
+                uplink, downlink = comm_cost_round(shared_params, len(participants))
 
-        accuracies = tuple(_accuracy(c, variant) for c in clients)
-        reports.append(
-            RoundReport(
-                round=round_index,
-                avg_test_accuracy=float(np.mean(accuracies)),
-                per_client_accuracy=accuracies,
-                mean_train_loss=float(np.mean(client_losses)) if client_losses else math.nan,
-                uplink_params=uplink,
-                downlink_params=downlink,
-                flops=round_flops,
+            accuracies = tuple(_accuracy(c, variant) for c in clients)
+            reports.append(
+                RoundReport(
+                    round=round_index,
+                    avg_test_accuracy=float(np.mean(accuracies)),
+                    per_client_accuracy=accuracies,
+                    mean_train_loss=float(np.mean(client_losses)) if client_losses else math.nan,
+                    uplink_params=uplink,
+                    downlink_params=downlink,
+                    flops=round_flops,
+                )
             )
-        )
-        server.round = round_index
+            server.round = round_index
     return reports
 
 

@@ -25,17 +25,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import (
-    GlobalSmallModel,
-    InferenceVariant,
-    LocalHeteroModel,
-    Projector,
-    infer,
-)
+from .core import InferenceVariant, Mode, Projector, infer
+from .models import Net
 from .numerics import NonFiniteError
 
 if TYPE_CHECKING:  # pragma: no cover - only for annotations
-    from .federation import ClientState, Mode
+    from .federation import ClientState
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -71,16 +66,14 @@ def evaluate(client: "ClientState", variant: InferenceVariant) -> float:
     return float(np.mean(preds == client.test_y))
 
 
-def comm_cost_round(shared_params: int, participants: int, standalone: bool = False) -> tuple[int, int]:
+def comm_cost_round(shared_params: int, participants: int) -> tuple[int, int]:
     """(uplink, downlink) parameter totals for one round.
 
     Only the shared small model ever crosses the wire; private models and
-    projectors stay on their clients.  Standalone never communicates.
+    projectors stay on their clients.
     """
     if shared_params < 0 or participants < 0:
         raise ValueError("parameter and participant counts must be non-negative")
-    if standalone:
-        return 0, 0
     return participants * shared_params, participants * shared_params
 
 
@@ -96,14 +89,12 @@ def _extractor_forward_flops(extractor) -> int:
 
 
 def forward_flops_per_sample(
-    global_model: GlobalSmallModel,
-    local_model: LocalHeteroModel,
+    global_model: Net,
+    local_model: Net,
     projector: Projector,
-    mode: "Mode",
+    mode: Mode,
 ) -> int:
     """Affine forward cost of one sample through the mode's training graph."""
-    from .federation import Mode
-
     local = _extractor_forward_flops(local_model.extractor) + affine_forward_flops(
         local_model.header.in_dim, local_model.header.classes
     )
@@ -120,12 +111,12 @@ def forward_flops_per_sample(
 
 
 def flops_round(
-    global_model: GlobalSmallModel,
-    local_model: LocalHeteroModel,
+    global_model: Net,
+    local_model: Net,
     projector: Projector,
     n_samples: int,
     epochs: int,
-    mode: "Mode",
+    mode: Mode,
 ) -> int:
     """Training FLOPs one client spends in one round: 3x forward per sample seen."""
     if n_samples < 0 or epochs < 0:

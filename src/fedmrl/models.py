@@ -2,9 +2,17 @@
 
 An extractor is a stack of affine layers (weights stored out x in, bias
 one row per layer, ReLU or identity activation).  A header is a single
-bias-free linear map from a representation to class logits.  Backward
-passes are written out explicitly and are validated against central
-finite differences in the test suite.
+bias-free linear map from a representation to class logits.  A Net is an
+extractor plus the header that reads it: the shared model and every
+private model are Nets.  Backward passes are written out explicitly and
+are validated against central finite differences in the test suite.
+
+Net.parameter_arrays fixes the one order in which parameters are walked:
+each layer's weight, then its bias, first layer to last (the extractor's
+walk), then the header weight.  with_arrays rebuilds a model of the same
+architecture from arrays in that order.  Cloning, stacking clients,
+aggregation, flattening and the finite checks are all built on this
+pair.
 
 Every public method checks its inputs once and then multiplies with a
 bare ``@``; nothing here checks for non-finite values (the training step
@@ -111,16 +119,6 @@ class AffineLayer:
             pre += self.bias
         out = np.maximum(pre, 0.0) if self.activation == RELU else pre
         return out, pre
-
-    def param_count(self) -> int:
-        n = self.weight.size
-        if self.bias is not None:
-            n += self.bias.size
-        return n
-
-    def clone(self) -> "AffineLayer":
-        bias = None if self.bias is None else self.bias.copy()
-        return AffineLayer(self.weight.copy(), bias, self.activation)
 
 
 @dataclass
@@ -235,10 +233,29 @@ class Extractor:
         return Extractor(stepped)
 
     def param_count(self) -> int:
-        return sum(layer.param_count() for layer in self.layers)
+        return sum(array.size for array in self.parameter_arrays())
 
-    def clone(self) -> "Extractor":
-        return Extractor([layer.clone() for layer in self.layers])
+    def parameter_arrays(self) -> list[np.ndarray]:
+        """Each layer's weight, then its bias if it has one, first layer to last."""
+        arrays = []
+        for layer in self.layers:
+            arrays.append(layer.weight)
+            if layer.bias is not None:
+                arrays.append(layer.bias)
+        return arrays
+
+    def with_arrays(self, arrays) -> "Extractor":
+        """An extractor of this architecture holding `arrays`, in parameter_arrays order.
+
+        Takes only the arrays it needs when given an iterator.
+        """
+        arrays = iter(arrays)
+        return Extractor(
+            [
+                AffineLayer(next(arrays), None if l.bias is None else next(arrays), l.activation)
+                for l in self.layers
+            ]
+        )
 
 
 @dataclass
@@ -251,7 +268,8 @@ class GroupedExtractor:
     batch, runs the part's extractor and scatters its representations
     back into the stack, so each client gets what its own extractor
     gives.  It stands in for an Extractor in the training step: forward,
-    step and the gradients of backward, without the input gradient.
+    step, the gradients of backward without the input gradient, and
+    parameter_arrays.
     """
 
     parts: list[tuple[np.ndarray, Extractor]]
@@ -282,6 +300,8 @@ class GroupedExtractor:
     def layers(self) -> list[AffineLayer]:
         """The layers of every part, part by part."""
         return [layer for _, ex in self.parts for layer in ex.layers]
+
+    parameter_arrays = Extractor.parameter_arrays  # the same walk over all parts' layers
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[ForwardCache]]:
         x = _matrix(x, cols=self.input_dim)
@@ -348,12 +368,56 @@ class Header:
     def param_count(self) -> int:
         return self.weight.size
 
-    def clone(self) -> "Header":
-        return Header(self.weight.copy())
+
+@dataclass
+class Net:
+    """An extractor and the header that reads its representation.
+
+    In a cohort every part is stacked over the clients, and a private
+    model's extractor is a GroupedExtractor.
+    """
+
+    extractor: Extractor | GroupedExtractor
+    header: Header
+
+    def __post_init__(self):
+        if self.extractor.rep_dim != self.header.in_dim:
+            raise ShapeError(
+                f"extractor rep width {self.extractor.rep_dim} != header input "
+                f"{self.header.in_dim}"
+            )
+
+    @property
+    def rep_dim(self) -> int:
+        return self.extractor.rep_dim
+
+    @property
+    def classes(self) -> int:
+        return self.header.classes
+
+    def parameter_arrays(self) -> list[np.ndarray]:
+        """All parameters in the order of every walk: layer weight, bias, ..., header."""
+        arrays = self.extractor.parameter_arrays()
+        arrays.append(self.header.weight)
+        return arrays
+
+    def with_arrays(self, arrays) -> "Net":
+        """A Net of this architecture holding `arrays`, in parameter_arrays order.
+
+        Takes only the arrays it needs when given an iterator.
+        """
+        arrays = iter(arrays)
+        return Net(self.extractor.with_arrays(arrays), Header(next(arrays)))
+
+    def param_count(self) -> int:
+        return sum(array.size for array in self.parameter_arrays())
+
+    def clone(self) -> "Net":
+        return self.with_arrays([array.copy() for array in self.parameter_arrays()])
 
 
-def init_model(config: ModelConfig, rng: np.random.Generator) -> tuple[Extractor, Header]:
-    """Deterministically initialize an extractor and its header.
+def init_model(config: ModelConfig, rng: np.random.Generator) -> Net:
+    """Deterministically initialize a Net: an extractor and its header.
 
     Extractor layers use ReLU with He-uniform weights (bound sqrt(6/fan_in))
     and biases at a small positive constant (0.01) so no unit starts dead;
@@ -368,10 +432,10 @@ def init_model(config: ModelConfig, rng: np.random.Generator) -> tuple[Extractor
         layers.append(AffineLayer(weight, np.full((1, fan_out), 0.01), RELU))
     bound = np.sqrt(6.0 / (config.rep_dim + config.classes))
     head_weight = rng.uniform(-bound, bound, size=(config.classes, config.rep_dim))
-    return Extractor(layers), Header(head_weight)
+    return Net(Extractor(layers), Header(head_weight))
 
 
-def save_model(path: str | Path, extractor: Extractor, header: Header) -> None:
+def save_model(path: str | Path, model: Net) -> None:
     """Write a versioned JSON checkpoint.
 
     Layout: {"format_version", "extractor": [{"activation", "weight",
@@ -386,14 +450,14 @@ def save_model(path: str | Path, extractor: Extractor, header: Header) -> None:
                 "weight": layer.weight.tolist(),
                 "bias": None if layer.bias is None else layer.bias.tolist(),
             }
-            for layer in extractor.layers
+            for layer in model.extractor.layers
         ],
-        "header": {"weight": header.weight.tolist()},
+        "header": {"weight": model.header.weight.tolist()},
     }
     Path(path).write_text(json.dumps(doc), encoding="utf-8")
 
 
-def load_model(path: str | Path) -> tuple[Extractor, Header]:
+def load_model(path: str | Path) -> Net:
     """Read a checkpoint written by save_model; rejects unknown versions."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     version = doc.get("format_version")
@@ -408,4 +472,4 @@ def load_model(path: str | Path) -> tuple[Extractor, Header]:
         for entry in doc["extractor"]
     ]
     header = Header(np.array(doc["header"]["weight"], dtype=np.float64))
-    return Extractor(layers), header
+    return Net(Extractor(layers), header)

@@ -16,8 +16,6 @@ from fedmrl.core import (
     TheoryConstants,
     forward_loss,
     gradient_vector,
-    init_global_model,
-    init_local_model,
     init_projector,
     loss_gradients,
     lr_bound,
@@ -45,6 +43,7 @@ from fedmrl.federation import (
     client_update,
     run_training,
 )
+from fedmrl.models import ModelConfig, init_model
 from fedmrl.numerics import derive_rng, finite_diff_gradient, make_rng, relative_error
 
 SEEDS = range(5)
@@ -111,8 +110,8 @@ def test_gradient_check_matches_finite_differences(capsys):
     worst = 0.0
     for seed in SEEDS:
         rng = make_rng(seed)
-        g = init_global_model(6, (5,), 3, 3, rng)
-        f = init_local_model(6, (7,), 4, 3, rng)
+        g = init_model(ModelConfig(6, (5,), 3, 3), rng)
+        f = init_model(ModelConfig(6, (7,), 4, 3), rng)
         p = init_projector(3, 4, rng)
         data_rng = make_rng(seed + 1000)
         x = data_rng.normal(size=(5, 6))
@@ -139,7 +138,7 @@ def test_gradient_check_matches_finite_differences(capsys):
 def test_aggregation_weighted_mean_is_exact(capsys):
     start = time.perf_counter()
     rng = make_rng(0)
-    template = init_global_model(4, (3,), 2, 3, rng)
+    template = init_model(ModelConfig(4, (3,), 2, 3), rng)
     server = ServerState(global_model=template.clone(), rng=make_rng(1))
 
     def constant_copy(value):
@@ -160,7 +159,7 @@ def test_aggregation_weighted_mean_is_exact(capsys):
     )
     weighted_ok = all((a == 3.0).all() for a in server.global_model.parameter_arrays())
 
-    lone = init_global_model(4, (3,), 2, 3, make_rng(9))
+    lone = init_model(ModelConfig(4, (3,), 2, 3), make_rng(9))
     aggregate(server, [Upload(4, 7, 0.0, lone.clone())])
     single_ok = all(
         got.tobytes() == want.tobytes()

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedmrl.core import (
-    GlobalSmallModel,
     InferenceVariant,
     LearningRates,
     LossWeights,
@@ -13,12 +14,9 @@ from fedmrl.core import (
     backward_and_step,
     backward_and_step_single,
     forward_loss,
-    forward_loss_ablation_no_mrl,
     forward_loss_single,
     gradient_vector,
     infer,
-    init_global_model,
-    init_local_model,
     init_projector,
     loss_gradients,
     lr_bound,
@@ -28,7 +26,7 @@ from fedmrl.core import (
     splice,
     with_parameter_vector,
 )
-from fedmrl.models import Header, StaleCacheError
+from fedmrl.models import Header, ModelConfig, Net, StaleCacheError, init_model
 from fedmrl.numerics import (
     NonFiniteError,
     ShapeError,
@@ -43,8 +41,8 @@ D1, D2, CLASSES, INPUT = 3, 4, 3, 6
 def tiny_models(seed=0, d1=D1, d2=D2, classes=CLASSES, input_dim=INPUT):
     """One hidden layer on each side; small enough for finite differences."""
     rng = make_rng(seed)
-    g = init_global_model(input_dim, (5,), d1, classes, rng)
-    f = init_local_model(input_dim, (7,), d2, classes, rng)
+    g = init_model(ModelConfig(input_dim, (5,), d1, classes), rng)
+    f = init_model(ModelConfig(input_dim, (7,), d2, classes), rng)
     p = init_projector(d1, d2, rng)
     return g, f, p
 
@@ -84,7 +82,7 @@ def test_dimension_chain_is_validated():
     x, y = tiny_batch()
     with pytest.raises(ShapeError, match="d1"):
         # swap roles so d1 > d2
-        wide_g = init_global_model(INPUT, (5,), D2 + 1, CLASSES, make_rng(1))
+        wide_g = init_model(ModelConfig(INPUT, (5,), D2 + 1, CLASSES), make_rng(1))
         forward_loss(wide_g, f, p, x, y)
     with pytest.raises(ShapeError, match="projector"):
         forward_loss(g, f, init_projector(D1, D2 + 1, make_rng(2)), x, y)
@@ -148,39 +146,51 @@ def test_gradcheck_weighted_loss():
     assert relative_error(analytic, numeric).max() <= 1e-4
 
 
+NO_MRL = LossWeights(0.0, 1.0)
+
+
 def test_gradcheck_no_mrl_ablation():
     g, f, p = tiny_models(seed=5)
     x, y = tiny_batch(seed=5)
-    _, cache = forward_loss_ablation_no_mrl(g, f, p, x, y)
+    _, _, cache = forward_loss(g, f, p, x, y, NO_MRL)
     analytic = gradient_vector(loss_gradients(cache))
 
     def objective(vec):
         g2, f2, p2 = with_parameter_vector(g, f, p, vec)
-        return forward_loss_ablation_no_mrl(g2, f2, p2, x, y)[0]
+        return forward_loss(g2, f2, p2, x, y, NO_MRL)[0]
 
     numeric = finite_diff_gradient(objective, parameter_vector(g, f, p))
     assert relative_error(analytic, numeric).max() <= 1e-4
 
 
-def test_ablation_equals_weighted_loss_zero_one():
-    g, f, p = tiny_models(seed=3)
-    x, y = tiny_batch(seed=3)
-    abl_loss, abl_cache = forward_loss_ablation_no_mrl(g, f, p, x, y)
-    ref_loss, (_, ref_local), ref_cache = forward_loss(g, f, p, x, y, LossWeights(0.0, 1.0))
-    assert math.isclose(abl_loss, ref_loss, rel_tol=1e-12)
-    assert math.isclose(abl_loss, ref_local, rel_tol=1e-12)
-    abl = gradient_vector(loss_gradients(abl_cache))
-    ref = gradient_vector(loss_gradients(ref_cache))
-    assert np.allclose(abl, ref, atol=1e-12)
-    # the global header receives no gradient either way
-    assert np.array_equal(loss_gradients(abl_cache).global_header, 0.0 * g.header.weight)
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    lr=st.floats(1e-4, 1.0),
+    bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+    local_head=st.sampled_from([1.0, 0.5, 2.0]),
+)
+def test_zero_global_weight_never_reads_the_global_header(seed, lr, bad, local_head):
+    # A global header full of NaN or infinities cannot reach a loss, a
+    # gradient or a step that leaves it out of the graph.
+    g, f, p = tiny_models(seed=seed)
+    x, y = tiny_batch(seed=seed, n=8)
+    weights = LossWeights(0.0, local_head)
+    poisoned = Net(g.extractor, Header(np.full_like(g.header.weight, bad)))
+    total, (loss_g, loss_f), cache = forward_loss(poisoned, f, p, x, y, weights)
+    _, (_, clean_f), _ = forward_loss(g, f, p, x, y, weights)
+    assert loss_g is None
+    assert loss_f == clean_f
+    assert total == local_head * loss_f
+    g1, _, _ = backward_and_step(poisoned, f, p, cache, LearningRates.uniform(lr))
+    assert g1.header.weight.tobytes() == poisoned.header.weight.tobytes()
 
 
 def test_ablation_with_selection_projector_is_plain_local_loss():
     g, f, _ = tiny_models(seed=9)
     x, y = tiny_batch(seed=9)
     selection = Projector.selection(D1, D2)
-    abl_loss, _ = forward_loss_ablation_no_mrl(g, f, selection, x, y)
+    abl_loss, _, _ = forward_loss(g, f, selection, x, y, NO_MRL)
     single_loss, _ = forward_loss_single(f, x, y)
     assert math.isclose(abl_loss, single_loss, rel_tol=1e-12)
 
@@ -276,7 +286,7 @@ def test_mix_large_never_reads_global_header():
     g, f, p = tiny_models(seed=13)
     x, _ = tiny_batch(seed=13, n=32)
     base = infer(g, f, p, x, InferenceVariant.MIX_LARGE)
-    zeroed = GlobalSmallModel(g.extractor, Header(np.zeros_like(g.header.weight)))
+    zeroed = Net(g.extractor, Header(np.zeros_like(g.header.weight)))
     assert np.array_equal(infer(zeroed, f, p, x, InferenceVariant.MIX_LARGE), base)
 
 
@@ -284,7 +294,7 @@ def test_mix_small_reads_global_header_on_prefix():
     g, f, p = tiny_models(seed=14)
     x, _ = tiny_batch(seed=14, n=64)
     base = infer(g, f, p, x, InferenceVariant.MIX_SMALL)
-    zeroed = GlobalSmallModel(g.extractor, Header(np.zeros_like(g.header.weight)))
+    zeroed = Net(g.extractor, Header(np.zeros_like(g.header.weight)))
     changed = infer(zeroed, f, p, x, InferenceVariant.MIX_SMALL)
     assert not np.array_equal(changed, base)  # all-zero header predicts class 0
 

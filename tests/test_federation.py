@@ -17,7 +17,6 @@ from fedmrl.core import (
     backward_and_step,
     backward_and_step_single,
     forward_loss,
-    forward_loss_ablation_no_mrl,
     forward_loss_single,
     parameter_vector,
 )
@@ -596,7 +595,7 @@ def train_unstacked(client, epochs, batch_size, lrs, mode, weights):
                 loss, cache = forward_loss_single(f, xb, yb)
                 f = backward_and_step_single(f, cache, lrs.local_model)
             elif mode is Mode.NO_MRL:
-                loss, cache = forward_loss_ablation_no_mrl(g, f, p, xb, yb)
+                loss, _, cache = forward_loss(g, f, p, xb, yb, LossWeights(0.0, 1.0))
                 g, f, p = backward_and_step(g, f, p, cache, lrs)
             else:
                 loss, _, cache = forward_loss(g, f, p, xb, yb, weights)

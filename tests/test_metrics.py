@@ -69,7 +69,6 @@ def test_comm_cost_round_totals():
     per_client = comm_cost_round(1000, 1)
     assert per_client == (1000, 1000)
     assert sum(per_client) * 10 == 20000
-    assert comm_cost_round(1000, 10, standalone=True) == (0, 0)
     with pytest.raises(ValueError):
         comm_cost_round(-1, 10)
 

@@ -9,6 +9,7 @@ from fedmrl.models import (
     ForwardCache,
     Header,
     ModelConfig,
+    Net,
     StaleCacheError,
     init_model,
     load_model,
@@ -96,13 +97,13 @@ def test_relu_layer_clamps_negative_preactivations():
 
 
 def test_forward_rejects_wrong_input_width():
-    extractor, _ = init_model(ModelConfig(4, (), 3, 2), make_rng(1))
+    extractor = init_model(ModelConfig(4, (), 3, 2), make_rng(1)).extractor
     with pytest.raises(ShapeError):
         extractor.forward(np.ones((2, 5)))
 
 
 def test_forward_is_pure():
-    extractor, _ = init_model(ModelConfig(4, (6,), 3, 2), make_rng(2))
+    extractor = init_model(ModelConfig(4, (6,), 3, 2), make_rng(2)).extractor
     x = make_rng(3).normal(size=(8, 4))
     before = x.copy()
     rep1, _ = extractor.forward(x)
@@ -114,22 +115,26 @@ def test_forward_is_pure():
 def test_param_count_closed_form_wide_config():
     # 3072 -> 2000 -> 500 extractor with biases, plus a 500 -> 10 header.
     cfg = ModelConfig(3072, (2000,), 500, 10)
-    extractor, header = init_model(cfg, make_rng(0))
+    model = init_model(cfg, make_rng(0))
+    extractor, header = model.extractor, model.header
     assert extractor.param_count() == 3072 * 2000 + 2000 + 2000 * 500 + 500
     assert header.param_count() == 500 * 10
 
 
 def test_param_count_small_exact():
     cfg = ModelConfig(6, (5,), 4, 3)
-    extractor, header = init_model(cfg, make_rng(0))
+    model = init_model(cfg, make_rng(0))
+    extractor, header = model.extractor, model.header
     assert extractor.param_count() == 6 * 5 + 5 + 5 * 4 + 4
     assert header.param_count() == 4 * 3
 
 
 def test_init_is_deterministic_and_bounded():
     cfg = ModelConfig(7, (6,), 5, 4)
-    ex1, hd1 = init_model(cfg, make_rng(42))
-    ex2, hd2 = init_model(cfg, make_rng(42))
+    model = init_model(cfg, make_rng(42))
+    ex1, hd1 = model.extractor, model.header
+    model = init_model(cfg, make_rng(42))
+    ex2, hd2 = model.extractor, model.header
     assert all(
         np.array_equal(a.weight, b.weight) for a, b in zip(ex1.layers, ex2.layers)
     )
@@ -150,7 +155,8 @@ def test_init_is_deterministic_and_bounded():
 )
 def test_gradcheck_against_finite_differences(config):
     rng = make_rng(101)
-    extractor, header = init_model(config, rng)
+    model = init_model(config, rng)
+    extractor, header = model.extractor, model.header
     x = rng.normal(size=(7, config.input_dim))
     y = rng.integers(0, config.classes, size=7)
     analytic = analytic_param_gradient(extractor, header, x, y)
@@ -167,7 +173,8 @@ def test_gradcheck_against_finite_differences(config):
 def test_input_gradient_matches_finite_differences():
     rng = make_rng(55)
     config = ModelConfig(5, (6,), 4, 3)
-    extractor, header = init_model(config, rng)
+    model = init_model(config, rng)
+    extractor, header = model.extractor, model.header
     x = rng.normal(size=(3, 5))
     y = rng.integers(0, 3, size=3)
 
@@ -185,7 +192,7 @@ def test_input_gradient_matches_finite_differences():
 def test_backward_is_linear_in_upstream_gradient():
     # Two consumers of the representation may sum their gradients first.
     rng = make_rng(9)
-    extractor, _ = init_model(ModelConfig(4, (5,), 3, 2), rng)
+    extractor = init_model(ModelConfig(4, (5,), 3, 2), rng).extractor
     x = rng.normal(size=(6, 4))
     _, cache = extractor.forward(x)
     da = rng.normal(size=(6, 3))
@@ -201,8 +208,8 @@ def test_backward_is_linear_in_upstream_gradient():
 
 def test_backward_rejects_foreign_and_shallow_caches():
     rng = make_rng(12)
-    ex1, _ = init_model(ModelConfig(4, (5,), 3, 2), rng)
-    ex2, _ = init_model(ModelConfig(4, (5,), 3, 2), rng)
+    ex1 = init_model(ModelConfig(4, (5,), 3, 2), rng).extractor
+    ex2 = init_model(ModelConfig(4, (5,), 3, 2), rng).extractor
     x = rng.normal(size=(2, 4))
     _, cache = ex1.forward(x)
     with pytest.raises(StaleCacheError):
@@ -214,7 +221,8 @@ def test_backward_rejects_foreign_and_shallow_caches():
 
 def test_step_returns_new_model_and_preserves_original():
     rng = make_rng(20)
-    extractor, header = init_model(ModelConfig(4, (5,), 3, 2), rng)
+    model = init_model(ModelConfig(4, (5,), 3, 2), rng)
+    extractor, header = model.extractor, model.header
     x = rng.normal(size=(6, 4))
     y = rng.integers(0, 2, size=6)
     rep, cache = extractor.forward(x)
@@ -236,21 +244,32 @@ def test_step_returns_new_model_and_preserves_original():
 
 
 def test_clone_is_deep():
-    extractor, header = init_model(ModelConfig(3, (), 2, 2), make_rng(1))
-    copy_ex = extractor.clone()
-    copy_hd = header.clone()
+    model = init_model(ModelConfig(3, (), 2, 2), make_rng(1))
+    extractor, header = model.extractor, model.header
+    copy = model.clone()
+    copy_ex, copy_hd = copy.extractor, copy.header
     copy_ex.layers[0].weight[0, 0] += 1.0
     copy_hd.weight[0, 0] += 1.0
     assert extractor.layers[0].weight[0, 0] != copy_ex.layers[0].weight[0, 0]
     assert header.weight[0, 0] != copy_hd.weight[0, 0]
 
 
+def test_net_rejects_an_extractor_whose_width_is_not_the_header_input():
+    extractor = init_model(ModelConfig(4, (5,), 3, 2), make_rng(1)).extractor
+    assert Net(extractor, Header(np.zeros((2, 3)))).rep_dim == 3
+    for width in (2, 4):
+        with pytest.raises(ShapeError, match="rep width 3 != header input"):
+            Net(extractor, Header(np.zeros((2, width))))
+
+
 def test_checkpoint_round_trip_is_exact(tmp_path):
     rng = make_rng(77)
-    extractor, header = init_model(ModelConfig(5, (4,), 3, 4), rng)
+    model = init_model(ModelConfig(5, (4,), 3, 4), rng)
+    extractor, header = model.extractor, model.header
     path = tmp_path / "model.json"
-    save_model(path, extractor, header)
-    loaded_ex, loaded_hd = load_model(path)
+    save_model(path, model)
+    loaded = load_model(path)
+    loaded_ex, loaded_hd = loaded.extractor, loaded.header
     for a, b in zip(extractor.layers, loaded_ex.layers):
         assert np.array_equal(a.weight, b.weight)
         assert np.array_equal(a.bias, b.bias)
