@@ -11,30 +11,34 @@ the two representations:
 
 The fused row is read at two granularities, nested like matryoshka
 dolls: its first d1 entries feed the global header and the full d2
-entries feed the local header.  There is one such graph, forward_loss,
-and its loss weights choose the heads: each head's cross-entropy is
-scaled by its weight, and a zero weight on the global head takes that
-header out of the graph, which is the no-MRL ablation.  One SGD step
-moves the global model, the local model, and the projector
-simultaneously.  forward_loss_single trains one model alone, for the
-standalone baseline.  All gradients here are derived by hand and checked
-against finite differences in the tests.
+entries feed the local header.  forward_loss scales each head's
+cross-entropy by its loss weight; a zero weight on the global head takes
+that header out of the graph, which is the no-MRL ablation.  One SGD
+step moves the global model, the local model and the projector at once.
+forward_loss_single trains one model alone, for the standalone baseline.
+All gradients are derived by hand and checked against finite
+differences in the tests.
 
-Each public function checks its inputs once, where it is called; the
-products inside run as bare ``@`` on C-order operands (see models).
-Finiteness is checked once per training step: forward_loss and
-forward_loss_single reject a non-finite loss, backward_and_step and
-backward_and_step_single reject a stepped parameter group (global,
-local, projector) holding a NaN or an infinity, and infer rejects
-non-finite logits.  Each raises NonFiniteError naming the check that
-failed.
+Each public function checks its inputs once; the products inside run as
+bare ``@`` on C-order operands (see models).  Finiteness is checked once
+per step: forward_loss and forward_loss_single reject a non-finite loss,
+the step functions a stepped group (global, local, projector) holding a
+NaN or an infinity, infer non-finite logits, each with a NonFiniteError
+naming the check.
+
+Gradients are written (np.matmul and sum with out=) into vectors laid
+out like the parameters (see models).  A step is theta - lr * grad and
+one isfinite per vector, and only then is a model built over the new
+vectors; the steps are pure, and a caller commits a result by copying it
+into its own buffers.  The stale-cache guard checks the objects a cache
+was made with and the write counter of the buffers they view: views are
+reused from step to step, so identity alone cannot tell a stale cache.
 
 Every function here also steps a cohort of clients at once: models
-whose parameters carry a leading client axis of C (see models), the
-private extractors grouped by shape in a GroupedExtractor, with batches
-of shape (C, n, in) and labels (C, n).  Losses then come back as arrays
-of C, one per client, and a check fails if it fails for any client.
-One client's arithmetic is the same in a cohort as alone.
+stacked over a leading client axis of C, the private extractors grouped
+by shape in a GroupedExtractor, batches (C, n, in) and labels (C, n).
+Losses then come back as arrays of C, and a check fails if it fails for
+any client.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from enum import Enum
 
 import numpy as np
 
-from .models import Extractor, ForwardCache, LayerGrads, Net, StaleCacheError
+from .models import ForwardCache, Net, StaleCacheError, _Matrix
 from .numerics import (
     NonFiniteError,
     ShapeError,
@@ -52,7 +56,6 @@ from .numerics import (
     _cross_entropy,
     _labels,
     _matrix,
-    _sgd,
     _transposed,
 )
 
@@ -112,13 +115,8 @@ class InferenceVariant(Enum):
 
 
 @dataclass
-class Projector:
-    """Bias-free linear mix, weight shape (d2, d1 + d2)."""
-
-    weight: np.ndarray
-
-    def __post_init__(self):
-        self.weight = _matrix(self.weight)
+class Projector(_Matrix):
+    """Bias-free linear mix, weight shape (d2, d1 + d2), held in its own vector."""
 
     @property
     def d2(self) -> int:
@@ -128,16 +126,8 @@ class Projector:
     def d1(self) -> int:
         return self.weight.shape[-1] - self.weight.shape[-2]
 
-    @property
-    def lead(self) -> tuple[int, ...]:
-        return self.weight.shape[:-2]
-
     def parameter_arrays(self) -> list[np.ndarray]:
         return [self.weight]
-
-    def with_arrays(self, arrays) -> "Projector":
-        """A projector holding the first of `arrays` (see Net.with_arrays)."""
-        return Projector(next(iter(arrays)))
 
     @classmethod
     def selection(cls, d1: int, d2: int) -> "Projector":
@@ -274,6 +264,7 @@ class TrainingCache:
     dlogits_local: np.ndarray
     weights: LossWeights
     n_samples: int
+    versions: tuple
 
 
 @dataclass
@@ -285,17 +276,16 @@ class SingleCache:
     extractor_cache: ForwardCache | list[ForwardCache]
     dlogits: np.ndarray
     n_samples: int
+    versions: tuple
 
 
 @dataclass
 class GradientSet:
-    """Loss gradients for all three parameter groups of one update."""
+    """Loss gradients for all three parameter groups: models of the groups' layouts."""
 
-    global_layers: list[LayerGrads]
-    global_header: np.ndarray
-    local_layers: list[LayerGrads]
-    local_header: np.ndarray
-    projector: np.ndarray
+    global_model: Net
+    local_model: Net
+    projector: Projector
 
 
 def _lead(model) -> tuple[int, ...]:
@@ -349,11 +339,21 @@ def _finite_loss(loss: float | np.ndarray) -> float | np.ndarray:
     return loss
 
 
-def _finite_params(group: str, model: Net | Extractor | Projector) -> None:
-    """Raise NonFiniteError naming `group` unless every parameter of model is finite."""
-    values = np.concatenate(model.parameter_arrays(), axis=None)
-    if not np.isfinite(values).all():
-        raise NonFiniteError(f"non-finite {group} parameters after the step")
+def _versions(*models) -> tuple:
+    """The write count of the buffers each model views (None for a model that owns its vectors)."""
+    return tuple(None if m._writes is None else m._writes.count for m in models)
+
+
+def _stepped(group: str, model, grads, lr: float, frozen: bool = False):
+    """model after one SGD step, checked (a NonFiniteError names `group`) before a
+    model is built on the new vectors.  A frozen header (the last vector), out of
+    the graph, is not checked: its gradient is zero, and x - lr * 0 is x."""
+    _check_lr(lr)
+    new = [theta - lr * grad for theta, grad in zip(model._segments(), grads._segments())]
+    for values in new[:-1] if frozen else new:
+        if not np.isfinite(values).all():
+            raise NonFiniteError(f"non-finite {group} parameters after the step")
+    return model._over(tuple(new))
 
 
 def forward_loss(
@@ -404,6 +404,7 @@ def forward_loss(
         dlogits_local=dlogits_f,
         weights=weights,
         n_samples=x.shape[-2],
+        versions=_versions(global_model, local_model, projector),
     )
     return _finite_loss(total), (loss_global, loss_local), cache
 
@@ -418,29 +419,30 @@ def loss_gradients(cache: TrainingCache) -> GradientSet:
     by splitting the spliced gradient at column d1.
     """
     g, f, p = cache.global_model, cache.local_model, cache.projector
+    return _gradients(cache, GradientSet(g._empty(), f._empty(), p._empty()))
+
+
+def _gradients(cache: TrainingCache, grads: GradientSet) -> GradientSet:
+    """loss_gradients written into grads, which has the models' layout."""
+    g, f, p = cache.global_model, cache.local_model, cache.projector
     d1 = g.rep_dim
     n = cache.n_samples
 
     d_local_logits = (cache.weights.local_head / n) * cache.dlogits_local
-    d_local_header, d_fused = f.header.backward(cache.fused, d_local_logits)
+    d_fused = f.header._backward(cache.fused, d_local_logits, grads.local_model.header.weight)
     if cache.dlogits_global is None:
-        d_global_header = np.zeros_like(g.header.weight)
+        grads.global_model.header.weight[...] = 0.0
     else:
         d_global_logits = (cache.weights.global_head / n) * cache.dlogits_global
-        d_global_header, d_low = g.header.backward(cache.fused[..., :d1], d_global_logits)
-        d_fused[..., :d1] += d_low
+        d_fused[..., :d1] += g.header._backward(
+            cache.fused[..., :d1], d_global_logits, grads.global_model.header.weight
+        )
 
-    d_projector = _transposed(d_fused) @ cache.spliced
+    np.matmul(_transposed(d_fused), cache.spliced, out=grads.projector.weight)
     d_spliced = d_fused @ p.weight
-    global_layers, _ = g.extractor._layer_grads(cache.cache_global, d_spliced[..., :d1])
-    local_layers, _ = f.extractor._layer_grads(cache.cache_local, d_spliced[..., d1:])
-    return GradientSet(
-        global_layers=global_layers,
-        global_header=d_global_header,
-        local_layers=local_layers,
-        local_header=d_local_header,
-        projector=d_projector,
-    )
+    g.extractor._layer_grads(cache.cache_global, d_spliced[..., :d1], grads.global_model.extractor)
+    f.extractor._layer_grads(cache.cache_local, d_spliced[..., d1:], grads.local_model.extractor)
+    return grads
 
 
 def backward_and_step(
@@ -452,37 +454,27 @@ def backward_and_step(
 ) -> tuple[Net, Net, Projector]:
     """One simultaneous SGD step on all three parameter groups.
 
-    Returns fresh objects; the inputs are left untouched, and the cache
-    must have been produced by exactly these objects (a cache from a
-    previous step is stale and rejected).  A global header out of the
-    graph is neither stepped nor checked: it comes back as the same
-    object.  Raises NonFiniteError naming the first stepped group
-    (global, local, projector) that is not finite.
+    Returns fresh models over fresh vectors; the inputs are left
+    untouched, and the cache must come from exactly these objects, their
+    buffers unwritten since (a stale cache is rejected).  A global header
+    out of the graph comes back unchanged and unchecked.  Raises
+    NonFiniteError naming the first stepped group that is not finite.
     """
     if (
         cache.global_model is not global_model
         or cache.local_model is not local_model
         or cache.projector is not projector
+        or cache.versions != _versions(global_model, local_model, projector)
     ):
         raise StaleCacheError("cache was not produced by these models")
-    grads = loss_gradients(cache)
-    in_graph = cache.dlogits_global is not None
-    new_global = Net(
-        global_model.extractor.step(grads.global_layers, lrs.global_model),
-        global_model.header.step(grads.global_header, lrs.global_model)
-        if in_graph
-        else global_model.header,
+    models = (global_model, local_model, projector)
+    grads = _gradients(cache, GradientSet(*(m._grads for m in models)))
+    frozen = cache.dlogits_global is None
+    return (
+        _stepped("global", global_model, grads.global_model, lrs.global_model, frozen),
+        _stepped("local", local_model, grads.local_model, lrs.local_model),
+        _stepped("projector", projector, grads.projector, lrs.projector),
     )
-    new_local = Net(
-        local_model.extractor.step(grads.local_layers, lrs.local_model),
-        local_model.header.step(grads.local_header, lrs.local_model),
-    )
-    _check_lr(lrs.projector)
-    new_projector = Projector(_sgd(projector.weight, grads.projector, lrs.projector))
-    _finite_params("global", new_global if in_graph else new_global.extractor)
-    _finite_params("local", new_local)
-    _finite_params("projector", new_projector)
-    return new_global, new_local, new_projector
 
 
 def forward_loss_single(
@@ -492,7 +484,7 @@ def forward_loss_single(
     x, y = _batch(model, x, labels, _lead(model))
     rep, cache_ex = model.extractor.forward(x)
     losses, dlogits = _cross_entropy(model.header.forward(rep), y)
-    cache = SingleCache(model, rep, cache_ex, dlogits, x.shape[-2])
+    cache = SingleCache(model, rep, cache_ex, dlogits, x.shape[-2], _versions(model))
     return _finite_loss(_value(_mean(losses))), cache
 
 
@@ -502,53 +494,39 @@ def backward_and_step_single(model: Net, cache: SingleCache, lr: float) -> Net:
     The stepped model is checked as the local group: standalone training
     steps only the private model.
     """
-    if cache.model is not model:
+    if cache.model is not model or cache.versions != _versions(model):
         raise StaleCacheError("cache was not produced by this model")
-    d_header, d_rep = model.header.backward(cache.rep, cache.dlogits / cache.n_samples)
-    layer_grads, _ = model.extractor._layer_grads(cache.extractor_cache, d_rep)
-    stepped = Net(model.extractor.step(layer_grads, lr), model.header.step(d_header, lr))
-    _finite_params("local", stepped)
-    return stepped
+    grads = model._grads
+    d_rep = model.header._backward(cache.rep, cache.dlogits / cache.n_samples, grads.header.weight)
+    model.extractor._layer_grads(cache.extractor_cache, d_rep, grads.extractor)
+    return _stepped("local", model, grads, lr)
 
 
 def parameter_vector(global_model: Net, local_model: Net, projector: Projector) -> np.ndarray:
-    """Flatten all trainable parameters into one vector.
+    """All trainable parameters in one vector: the models' vectors, concatenated.
 
     Order: the parameter_arrays of the global model, the local model and
     the projector, in turn.
     """
     models = (global_model, local_model, projector)
-    return np.concatenate([a for m in models for a in m.parameter_arrays()], axis=None)
+    return np.concatenate([s for m in models for s in m._segments()], axis=-1)
 
 
 def with_parameter_vector(
     global_model: Net, local_model: Net, projector: Projector, vec: np.ndarray
 ) -> tuple[Net, Net, Projector]:
-    """Rebuild models of the same architecture from a parameter_vector."""
+    """Models of the same architecture that view the pieces of a parameter_vector."""
     models = (global_model, local_model, projector)
-    arrays = [a for m in models for a in m.parameter_arrays()]
-    ends = np.cumsum([a.size for a in arrays])
+    cuts = np.cumsum([0, *(m.param_count() for m in models)])
     vec = np.asarray(vec, dtype=np.float64).reshape(-1)
-    if vec.size != ends[-1]:
-        raise ShapeError(f"vector length {vec.size} does not match the models ({ends[-1]})")
-    blocks = iter([b.reshape(a.shape) for b, a in zip(np.split(vec, ends[:-1]), arrays)])
-    return tuple(m.with_arrays(blocks) for m in models)
+    if vec.size != cuts[-1]:
+        raise ShapeError(f"vector length {vec.size} does not match the models ({cuts[-1]})")
+    return tuple(m._split(vec[a:b]) for m, a, b in zip(models, cuts, cuts[1:]))
 
 
 def gradient_vector(grads: GradientSet) -> np.ndarray:
-    """Flatten a GradientSet in the parameter_vector order."""
-    parts = []
-    for layer_grads, header in (
-        (grads.global_layers, grads.global_header),
-        (grads.local_layers, grads.local_header),
-    ):
-        for g in layer_grads:
-            parts.append(g.weight.ravel())
-            if g.bias is not None:
-                parts.append(g.bias.ravel())
-        parts.append(header.ravel())
-    parts.append(grads.projector.ravel())
-    return np.concatenate(parts)
+    """A GradientSet in one vector, in the parameter_vector order."""
+    return parameter_vector(grads.global_model, grads.local_model, grads.projector)
 
 
 def infer(

@@ -5,55 +5,40 @@ clients, broadcasts the shared small model, every sampled client trains
 all three of its parameter groups locally for E epochs, uploads only the
 shared model, and the server replaces its copy with the sample-count
 weighted mean of the uploads.  Private models and projectors never leave
-their client.
+their client.  The mode picks the training graph (see core.Mode); the
+standalone baseline never communicates.
 
-The shared model and each private model are Nets.  The mode picks the
-training graph (see core.Mode): fedmrl and no_mrl step forward_loss, the
-latter with loss weights (0, 1), and standalone steps the private model
-alone.  Broadcast, stacking a cohort, handing each client its slices
-back and aggregation all walk parameters in Net.parameter_arrays order
-and rebuild models with with_arrays.
+Every client's parameters are rows of flat buffers that span the
+population (Population), and its models are views of its rows.
+Broadcast is one row assignment; aggregation walks the upload rows.
 
 Lockstep training: the round's participants train as one cohort
-(cohort_update).  Their parameters are stacked along a leading client
-axis, and each step trains every client that takes a batch of the same
-size as one stacked step: the shared extractor, splice, projector, both
-heads, cross-entropy and SGD run once for all of them, the private
-extractor once per shape of private extractor.  Each client still draws
-its epoch permutations from its own rng, in the same order, so the
-batches are the ones it would train on alone.  The result is bit-identical
-to running client_update on each client alone, which is itself a cohort
-of one, because of three rules:
+(cohort_update).  The cohort gathers their rows, one gather per buffer,
+and each step trains every client that takes a batch of the same size as
+one stacked step on views of those rows, the private extractor once per
+architecture.  The step is pure: the cohort copies its checked result
+into the gathered rows and scatters them back once every client has
+trained.  Each client draws its epoch permutations from its own rng, and
+the result is bit-identical to client_update on each client alone (a
+cohort of one), because of three rules:
 
 * every stacked product is one BLAS call per client slice, on C-order
-  operands, and every reduction runs within a slice (see models);
+  matrices, and every reduction runs within a slice (see models);
 * clients are grouped by batch size at each step (ordering the cohort by
   shard size, largest first, makes each group a contiguous run of
-  slots), so a short final batch is never zero-padded to a full one:
-  padding the rows of a product changes how OpenBLAS rounds it;
+  slots), so a short final batch is never zero-padded: padding the rows
+  of a product changes how OpenBLAS rounds it;
 * a step that fails a finite check for the group is retried one client
   at a time, and the error raised is that of the lowest-id client that
   fails at any step, the one a sequential pass in ascending id order
-  would meet first; clients with lower ids keep training until they
-  finish or fail.
+  would meet first; clients with lower ids train on until they finish.
 
-Evaluation reuse: a client's models change only through broadcast and
-cohort_update (client_update included), and both clear the client's
-accuracy memo.  run_rounds
-evaluates only clients whose memo holds no accuracy for the run's
-inference variant, so a client that sat a round out is not evaluated
-again on the same models; with partial participation that is most of
-them.  Code that changes a client's models in place, outside those two
-functions, must clear client.accuracy itself.
-
-Finite checks live in the training step (core): one on the loss and one
-on each stepped parameter group per step, and one on the logits of each
-evaluation.  cohort_update adds the client id to a NonFiniteError from
-its steps.
-
-The standalone baseline trains every client's private model alone each
-round and never communicates; the server's model stays at its initial
-value for the whole run.
+Evaluation reuse: broadcast, cohort_update and assignment to a client's
+model fields clear its accuracy memo, and run_rounds evaluates only the
+clients whose memo holds nothing for the run's inference variant.  Code
+that writes into a client's models in place must clear client.accuracy.
+Finite checks live in the training step (core); cohort_update adds the
+client id to a NonFiniteError from its steps, and run_rounds the round.
 """
 
 from __future__ import annotations
@@ -77,8 +62,8 @@ from .core import (
 )
 from .data import LabeledDataset, PartitionPlan
 from .metrics import RoundReport, comm_cost_round, evaluate, flops_round
-from .models import GroupedExtractor, Header, ModelConfig, Net, init_model
-from .numerics import NonFiniteError, derive_rng
+from .models import GroupedExtractor, ModelConfig, Net, _Writes, init_model
+from .numerics import NonFiniteError, ShapeError, derive_rng
 
 # Substream tags: every source of randomness in a run is a named stream
 # of the run seed, so replays are bit-identical and mode never shifts
@@ -151,27 +136,91 @@ class RunConfig:
         return LossWeights(self.m_global, self.m_local)
 
 
+class Population:
+    """Every client's parameters, in flat buffers that span the population.
+
+    Row i of shared (N, P_g), projectors (N, P_p) and headers (N, L * d2),
+    and row rank of blocks[kind] (N_a, P_a), one block per private
+    architecture, with (kind, rank) = place[i], hold client i's parameters
+    in the flat layout of models.  Rows are written in place, so views
+    stay valid; writes counts the writes into them.  A deep copy views its
+    own buffers.
+    """
+
+    def __init__(self, shared: Net, private: list[Net], projectors: list[Projector]):
+        kinds: dict[tuple, list[int]] = {}
+        for ident, model in enumerate(private):
+            kinds.setdefault(_architecture(model), []).append(ident)
+        groups = list(kinds.values())
+        self.place = {i: (kind, rank) for kind, ids in enumerate(groups) for rank, i in enumerate(ids)}
+        self.shared = np.repeat(_vector(shared)[None], len(private), axis=0)
+        self.projectors = np.stack([_vector(p) for p in projectors])
+        self.headers = np.stack([_vector(m.header) for m in private])
+        self.blocks = [np.stack([private[i].extractor._flat for i in ids]) for ids in groups]
+        # Models of each layout, to build views of the rows with.
+        self.shared_layout, self.projector_layout = shared, projectors[0]
+        self.private_layouts = [private[ids[0]] for ids in groups]
+        self.writes = _Writes()
+        self._views: dict[int, tuple[Net, Net, Projector]] = {}
+
+    def _models(self, ident: int) -> tuple[Net, Net, Projector]:
+        """Client ident's (shared copy, private model, projector): views of its rows."""
+        views = self._views.get(ident)
+        if views is None:
+            kind, rank = self.place[ident]
+            views = self._views[ident] = (
+                self.shared_layout._split(self.shared[ident]),
+                self.private_layouts[kind]._over((self.blocks[kind][rank], self.headers[ident])),
+                self.projector_layout._split(self.projectors[ident]),
+            )
+            for model in views:
+                model._writes = self.writes
+        return views
+
+    def __getstate__(self):
+        return {**self.__dict__, "_views": {}}
+
+
+class _Rows:
+    """A ClientState model field: a view of the client's rows; assigning copies into them."""
+
+    def __init__(self, index: int):
+        self.index = index
+
+    def __get__(self, client, owner=None):
+        return self if client is None else client.population._models(client.client_id)[self.index]
+
+    def __set__(self, client, model) -> None:
+        view = self.__get__(client)
+        if _architecture(model) != _architecture(view):
+            raise ShapeError(f"shapes {_shapes(model)} cannot replace {_shapes(view)}")
+        for target, values in zip(view._segments(), model._segments()):
+            target[...] = values
+        client.population.writes.count += 1
+        client.accuracy.clear()
+
+
 @dataclass
 class ClientState:
     """One client's private world: its data shards and all three models.
 
-    global_copy is the client's working copy of the shared model; it is
-    refreshed on broadcast and trained locally in between.  Clients that
-    sit out a round keep their last copy.  accuracy memoizes the test
-    accuracy of the current models per inference variant; broadcast and
-    cohort_update clear it.
+    global_copy is the client's working copy of the shared model, refreshed
+    on broadcast and trained locally in between.  The models are views of
+    the client's rows; assigning one copies its values into the rows.
+    accuracy memoizes the test accuracy per inference variant.
     """
 
     client_id: int
-    local_model: Net
-    projector: Projector
-    global_copy: Net
     train_x: np.ndarray
     train_y: np.ndarray
     test_x: np.ndarray
     test_y: np.ndarray
     rng: np.random.Generator
+    population: Population = field(repr=False)
     accuracy: dict[InferenceVariant, float] = field(default_factory=dict, repr=False)
+    global_copy = _Rows(0)
+    local_model = _Rows(1)
+    projector = _Rows(2)
 
     @property
     def n_samples(self) -> int:
@@ -180,7 +229,7 @@ class ClientState:
 
 @dataclass
 class ServerState:
-    """The server holds the shared model and nothing of any client's."""
+    """The shared model, nothing of any client's, and the rounds run_rounds completed on it."""
 
     global_model: Net
     rng: np.random.Generator
@@ -200,7 +249,7 @@ class Upload:
 def build_clients(
     config: RunConfig, dataset: LabeledDataset, plan: PartitionPlan
 ) -> tuple[ServerState, list[ClientState]]:
-    """Materialize the server and all clients from a split partition plan."""
+    """Materialize the server and all clients (one Population) from a split partition plan."""
     if len(plan.clients) != config.n_clients:
         raise ValueError(
             f"plan covers {len(plan.clients)} clients, config wants {config.n_clients}"
@@ -217,26 +266,26 @@ def build_clients(
         ),
         rng=derive_rng(config.seed, _SERVER_STREAM),
     )
-    clients = []
-    for ident, shard in enumerate(plan.clients):
+    private, projectors = [], []
+    for ident in range(config.n_clients):
         init_rng = derive_rng(config.seed, _CLIENT_INIT_STREAM, ident)
         hidden = config.local_hidden[ident % len(config.local_hidden)]
-        clients.append(
-            ClientState(
-                client_id=ident,
-                local_model=init_model(
-                    ModelConfig(dataset.dim, hidden, config.d2, dataset.classes), init_rng
-                ),
-                projector=init_projector(config.d1, config.d2, init_rng),
-                global_copy=server.global_model.clone(),
-                train_x=dataset.features[shard.train],
-                train_y=dataset.labels[shard.train],
-                test_x=dataset.features[shard.test],
-                test_y=dataset.labels[shard.test],
-                rng=derive_rng(config.seed, _CLIENT_TRAIN_STREAM, ident),
-            )
+        shape = ModelConfig(dataset.dim, hidden, config.d2, dataset.classes)
+        private.append(init_model(shape, init_rng))
+        projectors.append(init_projector(config.d1, config.d2, init_rng))
+    population = Population(server.global_model, private, projectors)
+    return server, [
+        ClientState(
+            client_id=ident,
+            train_x=dataset.features[shard.train],
+            train_y=dataset.labels[shard.train],
+            test_x=dataset.features[shard.test],
+            test_y=dataset.labels[shard.test],
+            rng=derive_rng(config.seed, _CLIENT_TRAIN_STREAM, ident),
+            population=population,
         )
-    return server, clients
+        for ident, shard in enumerate(plan.clients)
+    ]
 
 
 def sample_clients(server: ServerState, n_clients: int, k: int) -> list[int]:
@@ -248,9 +297,15 @@ def sample_clients(server: ServerState, n_clients: int, k: int) -> list[int]:
 
 
 def broadcast(server: ServerState, clients: list[ClientState]) -> None:
-    """Hand every listed client a deep copy of the current shared model."""
+    """Copy the current shared model into every listed client's row: one row assignment."""
+    if not clients:
+        return
+    population = _population(clients)
+    if _architecture(server.global_model) != _architecture(population.shared_layout):
+        raise ShapeError(f"the server's model does not fit: {_shapes(server.global_model)}")
+    population.shared[[c.client_id for c in clients]] = _vector(server.global_model)
+    population.writes.count += 1
     for client in clients:
-        client.global_copy = server.global_model.clone()
         client.accuracy.clear()
 
 
@@ -262,15 +317,13 @@ def client_update(
     mode: Mode,
     weights: LossWeights,
 ) -> tuple[Upload | None, list[float]]:
-    """Run E local epochs on one client and package its upload.
+    """Run E local epochs on one client and package its upload: cohort_update of one.
 
     An epoch is one seeded shuffle of the client's training set walked in
     batches of batch_size (the final short batch included).  Returns the
     upload (None in standalone mode, which never communicates) and the
-    per-epoch mean losses.  With epochs=0 nothing moves and the upload
-    carries the unchanged shared model.  A step whose loss or stepped
-    parameters are not finite raises NonFiniteError naming this client.
-    This is cohort_update on a cohort of one.
+    per-epoch mean losses.  With epochs=0 nothing moves.  A non-finite
+    step raises NonFiniteError naming this client.
     """
     (result,) = cohort_update([client], epochs, batch_size, lrs, mode, weights)
     return result
@@ -284,7 +337,7 @@ def cohort_update(
     mode: Mode,
     weights: LossWeights,
 ) -> list[tuple[Upload | None, list[float]]]:
-    """Train the listed clients in lockstep; client_update's results for each, in order.
+    """Train the listed clients, of one population, in lockstep; client_update's results for each.
 
     Each result is bit for bit what client_update gives on that client
     alone, and each client's rng ends in the same state.  If a client
@@ -311,63 +364,54 @@ def cohort_update(
         cohort.train(epochs, batch_size)
     if failures:
         raise failures[min(failures)]
-    cohort.unstack()
+    cohort.commit()
 
     results = {}
-    for client, epoch_means, losses in zip(cohort.clients, cohort.epoch_means, cohort.all_losses):
+    for slot, client in enumerate(cohort.clients):
         upload = None
-        if mode is not Mode.STANDALONE:
+        if cohort.shared is not None:  # the cohort's own gathered rows: no client's
+            losses = cohort.all_losses[slot]
             mean_loss = float(np.mean(losses)) if losses else float("nan")
-            upload = Upload(client.client_id, client.n_samples, mean_loss, client.global_copy.clone())
-        results[client.client_id] = (upload, epoch_means)
+            model = cohort.population.shared_layout._split(cohort.shared[slot])
+            upload = Upload(client.client_id, client.n_samples, mean_loss, model)
+        results[client.client_id] = (upload, cohort.epoch_means[slot])
     return [results[ident] for ident in ids]
 
 
 class _Cohort:
-    """The stacked models of clients that train in lockstep.
+    """The clients that train in lockstep, and a gathered copy of their rows.
 
     Clients sit in slots ordered by training-set size, largest first,
     then by id, so the clients that take a batch of the same size at a
-    step fill a contiguous run of slots, and a run's slots in each part
-    of the GroupedExtractor are contiguous too.  models is (shared model,
-    private model, projector), each stacked over all slots; standalone
-    training stacks only the private model.  A run of slots trains on
-    views of the stacks and writes its stepped parameters back into them.
-    The no-MRL ablation trains with loss weights (0, 1), whatever the
-    run's weights.
+    step fill a contiguous run of slots, and so do a run's slots of each
+    architecture.  Rows are gathered in slot order (parts: kind, slots,
+    ranks, block), the private ones only for standalone training.  A run
+    trains on views built once; commit scatters the rows back.
     """
 
-    def __init__(
-        self,
-        clients: list[ClientState],
-        mode: Mode,
-        lrs: LearningRates,
-        weights: LossWeights,
-        failures: dict[int, Exception],
-    ):
+    def __init__(self, clients: list[ClientState], mode: Mode, lrs: LearningRates,
+                 weights: LossWeights, failures: dict[int, Exception]):
         self.clients = sorted(clients, key=lambda c: (-c.n_samples, c.client_id))
         self.mode, self.lrs = mode, lrs
-        self.weights = LossWeights(0.0, 1.0) if mode is Mode.NO_MRL else weights
+        self.weights = LossWeights(0.0, 1.0) if mode is Mode.NO_MRL else weights  # the ablation
         self.failures = failures
         self.live = [True] * len(self.clients)
         self.epoch_means: list[list[float]] = [[] for _ in self.clients]
         self.all_losses: list[list[float]] = [[] for _ in self.clients]
-        local = [c.local_model for c in self.clients]
-        slots: dict[tuple, list[int]] = {}
-        for i, model in enumerate(local):
-            slots.setdefault(_architecture(model), []).append(i)
-        private = Net(
-            GroupedExtractor(
-                [(np.array(s), _stack([local[i].extractor for i in s])) for s in slots.values()],
-                len(local),
-            ),
-            Header(np.stack([m.header.weight for m in local])),
-        )
-        shared = projector = None
+        self.population = population = _population(self.clients)
+        self.rows = rows = [c.client_id for c in self.clients]
+        kinds: dict[int, list[int]] = {}
+        for slot, ident in enumerate(rows):
+            kinds.setdefault(population.place[ident][0], []).append(slot)
+        self.parts = []
+        for kind, slots in kinds.items():
+            ranks = [population.place[rows[s]][1] for s in slots]
+            self.parts.append((kind, np.array(slots), ranks, population.blocks[kind][ranks]))
+        self.headers = population.headers[rows]
+        self.shared = self.projectors = None
         if mode is not Mode.STANDALONE:
-            shared = _stack([c.global_copy for c in self.clients])
-            projector = _stack([c.projector for c in self.clients])
-        self.models = (shared, private, projector)
+            self.shared, self.projectors = population.shared[rows], population.projectors[rows]
+        self.writes, self._views = _Writes(), {}
 
     def train(self, epochs: int, batch_size: int) -> None:
         sizes = [c.n_samples for c in self.clients]
@@ -403,13 +447,33 @@ class _Cohort:
                 runs.append([i, i + 1, rows])
         return runs
 
+    def _models(self, a: int, b: int) -> tuple:
+        """(shared, private, projector, their vectors in step order), viewing slots a to b."""
+        if (a, b) not in self._views:
+            layouts, parts = self.population, []
+            for kind, slots, _, block in self.parts:
+                lo, hi = np.searchsorted(slots, (a, b))
+                if lo < hi:
+                    extractor = layouts.private_layouts[kind].extractor._over((block[lo:hi],))
+                    parts.append((slots[lo:hi] - a, extractor))
+            header = layouts.private_layouts[0].header._over((self.headers[a:b],))
+            models = [None, Net(GroupedExtractor(parts, b - a), header), None]
+            if self.shared is not None:
+                models[0] = layouts.shared_layout._split(self.shared[a:b])
+                models[2] = layouts.projector_layout._split(self.projectors[a:b])
+            trained = [model for model in models if model is not None]
+            for model in trained:
+                model._writes = self.writes
+            self._views[a, b] = (*models, [v for model in trained for v in model._segments()])
+        return self._views[a, b]
+
     def _step(self, a, b, x, y, batch_losses) -> None:
         """Train slots a to b on one batch each; on a failed check, one slot at a time."""
-        g, f, p = taken = self._take(a, b)
+        g, f, p, vectors = self._models(a, b)
         try:
             if self.mode is Mode.STANDALONE:
                 loss, cache = forward_loss_single(f, x, y)
-                stepped = (g, backward_and_step_single(f, cache, self.lrs.local_model), p)
+                stepped = (backward_and_step_single(f, cache, self.lrs.local_model),)
             else:
                 loss, _, cache = forward_loss(g, f, p, x, y, self.weights)
                 stepped = backward_and_step(g, f, p, cache, self.lrs)
@@ -422,7 +486,9 @@ class _Cohort:
                     here = slice(i - a, i - a + 1)
                     self._step(i, i + 1, x[here], y[here], batch_losses)
             return
-        self._put(a, b, taken, stepped)
+        for target, values in zip(vectors, (v for model in stepped for v in model._segments())):
+            target[...] = values
+        self.writes.count += 1
         for losses, value in zip(batch_losses[a:b], loss.tolist()):
             losses.append(value)
 
@@ -436,72 +502,39 @@ class _Cohort:
             if client.client_id >= ident:
                 self.live[i] = False
 
-    def _take(self, a: int, b: int):
-        """The models of slots a to b, as views of the stacks."""
-        if (a, b) == (0, len(self.clients)):
-            return self.models
-        shared, private, projector = self.models
-        run = slice(a, b)
-        parts = []
-        for slots, extractor in private.extractor.parts:
-            lo, hi = np.searchsorted(slots, (a, b))
-            if lo < hi:
-                parts.append((slots[lo:hi] - a, _select(extractor, slice(lo, hi))))
-        return (
-            None if shared is None else _select(shared, run),
-            Net(GroupedExtractor(parts, b - a), Header(private.header.weight[run])),
-            None if projector is None else _select(projector, run),
-        )
-
-    def _put(self, a: int, b: int, taken, stepped) -> None:
-        if (a, b) == (0, len(self.clients)):
-            self.models = stepped
-            return
-        for view, values in zip(_arrays(taken), _arrays(stepped)):
-            view[...] = values
-
-    def unstack(self) -> None:
-        """Hand each client copies of its slices of the stacks."""
-        shared, private, projector = self.models
-        for slots, extractor in private.extractor.parts:
-            for rank, i in enumerate(slots.tolist()):
-                self.clients[i].local_model = Net(
-                    _select(extractor, rank, copy=True), Header(private.header.weight[i].copy())
-                )
-        if shared is not None:
-            for i, client in enumerate(self.clients):
-                client.global_copy = _select(shared, i, copy=True)
-                client.projector = _select(projector, i, copy=True)
+    def commit(self) -> None:
+        """Write the trained rows back into the population: one scatter per buffer."""
+        population = self.population
+        for kind, _, ranks, block in self.parts:
+            population.blocks[kind][ranks] = block
+        population.headers[self.rows] = self.headers
+        if self.shared is not None:
+            population.shared[self.rows] = self.shared
+            population.projectors[self.rows] = self.projectors
+        population.writes.count += 1
 
 
-# The helpers below take any model that has parameter_arrays and
-# with_arrays: a Net, an Extractor or a Projector.
+def _population(clients: list[ClientState]) -> Population:
+    population = clients[0].population
+    if any(c.population is not population for c in clients):
+        raise ValueError("the clients belong to different populations")
+    return population
 
 
-def _architecture(model: Net) -> tuple:
-    """What private models must share to be stacked: parameter shapes, biases, activations."""
-    return (
-        tuple(array.shape for array in model.parameter_arrays()),
-        tuple((layer.bias is None, layer.activation) for layer in model.extractor.layers),
-    )
+def _architecture(model) -> tuple:
+    """What a model must share with another to take its place: its layout and client axes."""
+    if isinstance(model, Net):
+        return model.extractor._spans, model.extractor._flat.shape, model.header.weight.shape
+    return model.weight.shape
 
 
-def _stack(models: list):
-    """One model stacked over a list of models of one architecture."""
-    stacks = [np.stack(arrays) for arrays in zip(*(m.parameter_arrays() for m in models))]
-    return models[0].with_arrays(stacks)
+def _shapes(model) -> list[tuple[int, ...]]:
+    return [array.shape for array in model.parameter_arrays()]
 
 
-def _select(model, key, copy: bool = False):
-    """Slot(s) `key` of a stacked model, as views of its stacks or as copies."""
-    return model.with_arrays(
-        [array[key].copy() if copy else array[key] for array in model.parameter_arrays()]
-    )
-
-
-def _arrays(models) -> list[np.ndarray]:
-    """Every parameter array of a (shared, private, projector) triple, in a fixed order."""
-    return [array for model in models if model is not None for array in model.parameter_arrays()]
+def _vector(model) -> np.ndarray:
+    """A model's parameters, concatenated into one fresh vector."""
+    return np.concatenate(model._segments(), axis=-1)
 
 
 def aggregate(server: ServerState, uploads: list[Upload]) -> None:
@@ -511,7 +544,7 @@ def aggregate(server: ServerState, uploads: list[Upload]) -> None:
     anchored at the lowest-id upload: result = base + sum of w_k * (up_k
     - base), which is algebraically the weighted mean but exact when all
     uploads agree and bitwise for a single upload.  Upload order is fixed
-    ascending by client id.
+    ascending by client id; each upload is one row.
     """
     if not uploads:
         raise ValueError("cannot aggregate an empty upload list")
@@ -519,24 +552,21 @@ def aggregate(server: ServerState, uploads: list[Upload]) -> None:
     ids = [u.client_id for u in ordered]
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate client ids in uploads: {ids}")
-    expected = [a.shape for a in server.global_model.parameter_arrays()]
+    expected = _architecture(server.global_model)
     for upload in ordered:
         if upload.n_samples < 1:
             raise ValueError(f"upload from client {upload.client_id} covers no samples")
-        got = [a.shape for a in upload.model.parameter_arrays()]
-        if got != expected:
+        if _architecture(upload.model) != expected:
             raise ValueError(
-                f"upload from client {upload.client_id} has shapes {got}, "
-                f"server expects {expected}"
+                f"upload from client {upload.client_id} has shapes {_shapes(upload.model)}, "
+                f"server expects {_shapes(server.global_model)}"
             )
     total = sum(u.n_samples for u in ordered)
-    base_arrays = ordered[0].model.parameter_arrays()
-    merged = [array.copy() for array in base_arrays]
+    base = _vector(ordered[0].model)
+    merged = base.copy()
     for upload in ordered[1:]:
-        w = upload.n_samples / total
-        for acc, base, other in zip(merged, base_arrays, upload.model.parameter_arrays()):
-            acc += w * (other - base)
-    server.global_model = server.global_model.with_arrays(merged)
+        merged += (upload.n_samples / total) * (_vector(upload.model) - base)
+    server.global_model = server.global_model._split(merged)
 
 
 def run_training(
@@ -558,13 +588,10 @@ def run_rounds(
 ) -> list[RoundReport]:
     """The round loop of run_training, on already-built states.
 
-    A client is evaluated only when its accuracy memo holds nothing for
-    the run's inference variant; otherwise the memo is reported, which
-    is the accuracy evaluate would return for its unchanged models.
-
     numpy's overflow and invalid-value warnings are silenced for the
     rounds: a diverging run ends in the NonFiniteError of a finite check,
-    which names the client, not in a warning about a line of numpy code.
+    raised again as "round R: <message>", chained from it, where R counts
+    the server's rounds, those of earlier calls included.
     """
     standalone = config.mode is Mode.STANDALONE
     variant = InferenceVariant.SINGLE_LARGE if standalone else config.inference
@@ -572,45 +599,48 @@ def run_rounds(
     reports = []
     with np.errstate(over="ignore", invalid="ignore"):
         for round_index in range(1, config.rounds + 1):
-            if standalone:
-                participants = list(range(config.n_clients))
-            else:
-                participants = sample_clients(server, config.n_clients, config.participants)
-                broadcast(server, [clients[i] for i in participants])
+            try:
+                if standalone:
+                    participants = list(range(config.n_clients))
+                else:
+                    participants = sample_clients(server, config.n_clients, config.participants)
+                    broadcast(server, [clients[i] for i in participants])
 
-            uploads = []
-            client_losses = []
-            round_flops = 0
-            updates = cohort_update(
-                [clients[i] for i in participants],
-                config.local_epochs,
-                config.batch_size,
-                config.lrs,
-                config.mode,
-                config.loss_weights,
-            )
-            for ident, (upload, epoch_means) in zip(participants, updates):
-                client = clients[ident]
-                if upload is not None:
-                    uploads.append(upload)
-                if epoch_means:
-                    client_losses.append(float(np.mean(epoch_means)))
-                round_flops += flops_round(
-                    client.global_copy,
-                    client.local_model,
-                    client.projector,
-                    client.n_samples,
+                uploads = []
+                client_losses = []
+                round_flops = 0
+                updates = cohort_update(
+                    [clients[i] for i in participants],
                     config.local_epochs,
+                    config.batch_size,
+                    config.lrs,
                     config.mode,
+                    config.loss_weights,
                 )
+                for ident, (upload, epoch_means) in zip(participants, updates):
+                    client = clients[ident]
+                    if upload is not None:
+                        uploads.append(upload)
+                    if epoch_means:
+                        client_losses.append(float(np.mean(epoch_means)))
+                    round_flops += flops_round(
+                        client.global_copy,
+                        client.local_model,
+                        client.projector,
+                        client.n_samples,
+                        config.local_epochs,
+                        config.mode,
+                    )
 
-            if standalone:
-                uplink = downlink = 0
-            else:
-                aggregate(server, uploads)
-                uplink, downlink = comm_cost_round(shared_params, len(participants))
+                if standalone:
+                    uplink = downlink = 0
+                else:
+                    aggregate(server, uploads)
+                    uplink, downlink = comm_cost_round(shared_params, len(participants))
 
-            accuracies = tuple(_accuracy(c, variant) for c in clients)
+                accuracies = tuple(_accuracy(c, variant) for c in clients)
+            except NonFiniteError as exc:
+                raise NonFiniteError(f"round {server.round + 1}: {exc}") from exc
             reports.append(
                 RoundReport(
                     round=round_index,
@@ -622,7 +652,7 @@ def run_rounds(
                     flops=round_flops,
                 )
             )
-            server.round = round_index
+            server.round += 1
     return reports
 
 

@@ -7,39 +7,38 @@ extractor plus the header that reads it: the shared model and every
 private model are Nets.  Backward passes are written out explicitly and
 are validated against central finite differences in the test suite.
 
-Net.parameter_arrays fixes the one order in which parameters are walked:
-each layer's weight, then its bias, first layer to last (the extractor's
-walk), then the header weight.  with_arrays rebuilds a model of the same
-architecture from arrays in that order.  Cloning, stacking clients,
-aggregation, flattening and the finite checks are all built on this
-pair.
+Parameters are walked in one order (Net.parameter_arrays): each layer's
+weight, then its bias, first layer to last, then the header weight.
+Each is a view of a flat vector in that order, one vector for an
+extractor's layers and one for a header (a weight is an (out, in)
+reshape of a column range).  _segments() lists a model's vectors and
+_over(segments) builds a model of the same layout over others, without
+checks.  Copies (clone, copy.deepcopy) view copied vectors.
 
 Every public method checks its inputs once and then multiplies with a
-bare ``@``; nothing here checks for non-finite values (the training step
-does that once per step, see core).  Products always run on C-order
-operands, a transposed weight or gradient being copied first: OpenBLAS
-rounds a product with a transposed view differently from the same
-product on a C-order copy, and the copy keeps every result bit-identical
-to numerics.matmul, which multiplies C-order copies.
+bare ``@`` on C-order operands, a transposed weight or gradient being
+copied first: OpenBLAS rounds a product with a transposed view
+differently, and the copy keeps every result bit-identical to
+numerics.matmul.  Nothing here checks for non-finite values (see core).
 
-The same code trains a cohort of clients at once.  Parameters and
-batches may then carry a leading client axis (weights (C, out, in),
-biases (C, 1, out), batches (C, n, in)); each product becomes a stacked
-``@``, which numpy runs as one BLAS call per slice, and each reduction
-runs over its own slice, so every client's numbers are bit-identical to
-those of training it alone.  GroupedExtractor runs clients whose private
-extractors differ in shape side by side.
+Parameters and batches may carry a leading client axis to train a cohort
+at once (weights (C, out, in), views of (C, P) vectors strided along
+that axis only, and batches (C, n, in)): each product is then one BLAS
+call per slice and each reduction runs within its slice, so every
+client's numbers are those of training it alone.  GroupedExtractor runs
+private extractors of differing shapes side by side.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .numerics import ShapeError, _check_lr, _matrix, _sgd, _transposed
+from .numerics import ShapeError, _matrix, _transposed
 
 RELU = "relu"
 IDENTITY = "identity"
@@ -50,6 +49,73 @@ CHECKPOINT_VERSION = 1
 
 class StaleCacheError(ValueError):
     """A forward cache was replayed against a model it does not belong to."""
+
+
+def _view(cls, **attrs):
+    """An instance of cls holding attrs, built without its constructor's checks."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(attrs)
+    return obj
+
+
+class _Writes:
+    """Count of the writes into one set of buffers, shared by the models that view them."""
+
+    count = 0
+
+
+class _Segmented:
+    """What the model classes share.  _writes is the _Writes of the buffers a
+    model views, None when it owns its vectors."""
+
+    _writes = None
+
+    def _empty(self):
+        """A model of this layout over fresh, unset vectors: room for its gradient."""
+        return self._over(tuple(np.empty(s.shape) for s in self._segments()))
+
+    @cached_property
+    def _grads(self):
+        """_empty, made once per model and reused by every training step on it."""
+        return self._empty()
+
+    def _split(self, flat: np.ndarray):
+        """A model of this layout over consecutive column ranges of flat."""
+        pieces, start = [], 0
+        for segment in self._segments():
+            pieces.append(flat[..., start : start + segment.shape[-1]])
+            start += segment.shape[-1]
+        return self._over(tuple(pieces))
+
+    def param_count(self) -> int:
+        return sum(segment.shape[-1] for segment in self._segments())
+
+    def clone(self):
+        return self._over(tuple(segment.copy() for segment in self._segments()))
+
+    def __deepcopy__(self, memo):
+        return self.clone()
+
+
+@dataclass
+class _Matrix(_Segmented):
+    """A model that is one weight matrix, or a stack of them, held in its own vector."""
+
+    weight: np.ndarray
+
+    def __post_init__(self):
+        self.weight = _matrix(self.weight)
+
+    @property
+    def lead(self) -> tuple[int, ...]:
+        return self.weight.shape[:-2]
+
+    def _segments(self) -> tuple[np.ndarray]:
+        return (self.weight.reshape(*self.weight.shape[:-2], -1),)
+
+    def _over(self, segments):
+        (flat,) = segments
+        return _view(type(self), weight=flat.reshape(*flat.shape[:-1], *self.weight.shape[-2:]))
 
 
 @dataclass(frozen=True)
@@ -122,14 +188,6 @@ class AffineLayer:
 
 
 @dataclass
-class LayerGrads:
-    """Loss gradients for one affine layer, shapes matching the parameters."""
-
-    weight: np.ndarray
-    bias: np.ndarray | None
-
-
-@dataclass
 class ForwardCache:
     """Per-layer inputs and pre-activations retained for one backward pass.
 
@@ -141,14 +199,17 @@ class ForwardCache:
     inputs: list[np.ndarray] = field(default_factory=list)
     pre_acts: list[np.ndarray] = field(default_factory=list)
 
-    @property
-    def depth(self) -> int:
-        return len(self.pre_acts)
-
 
 @dataclass
-class Extractor:
-    """Feed-forward stack mapping raw features to a representation."""
+class Extractor(_Segmented):
+    """Feed-forward stack mapping raw features to a representation.
+
+    Its layers are views of one vector, _flat, laid out by _spans: (weight
+    start, weight stop, bias stop or None, out, in, activation) per layer.
+    The constructor copies its layers into a fresh vector.  An extractor
+    built by _over makes its layers when first asked, so a training step's
+    result costs no views unless it is used.
+    """
 
     layers: list[AffineLayer]
 
@@ -160,6 +221,39 @@ class Extractor:
                 raise ShapeError(f"layer widths do not chain: {a.out_dim} -> {b.in_dim}")
             if a.lead != b.lead:
                 raise ShapeError(f"layers stack over {a.lead} and {b.lead}")
+        spans, start = [], 0
+        for layer in self.layers:
+            stop = start + layer.out_dim * layer.in_dim
+            end = None if layer.bias is None else stop + layer.out_dim
+            spans.append((start, stop, end, layer.out_dim, layer.in_dim, layer.activation))
+            start = end or stop
+        self._spans = tuple(spans)
+        arrays = [array.reshape(*self.lead, -1) for array in self.parameter_arrays()]
+        self._flat = np.concatenate(arrays, axis=-1)
+        del self.layers  # from now on views of _flat
+
+    def _segments(self) -> tuple[np.ndarray]:
+        return (self._flat,)
+
+    def _over(self, segments) -> "Extractor":
+        (flat,) = segments
+        return _view(Extractor, _flat=flat, _spans=self._spans)
+
+    def __getattr__(self, name):
+        """Makes the layers, views of _flat, when first asked for them."""
+        if name != "layers" or "_spans" not in self.__dict__:
+            raise AttributeError(name)
+        flat, lead = self._flat, self._flat.shape[:-1]
+        self.layers = [
+            _view(
+                AffineLayer,
+                weight=flat[..., start:stop].reshape(*lead, out, inp),
+                bias=None if end is None else flat[..., stop:end].reshape(*lead, 1, out),
+                activation=activation,
+            )
+            for start, stop, end, out, inp, activation in self._spans
+        ]
+        return self.layers
 
     @property
     def input_dim(self) -> int:
@@ -185,81 +279,44 @@ class Extractor:
 
     def backward(
         self, cache: ForwardCache, d_rep: np.ndarray
-    ) -> tuple[list[LayerGrads], np.ndarray]:
+    ) -> tuple[list[AffineLayer], np.ndarray]:
         """Backpropagate an upstream gradient through the stack.
 
         d_rep may be the sum of gradients from several consumers of the
-        representation.  Returns per-layer parameter gradients (same order
-        as self.layers) and the gradient w.r.t. the original input.
+        representation.  Returns per-layer parameter gradients (as layers,
+        in the order of self.layers) and the gradient w.r.t. the input.
         """
-        grads, delta = self._layer_grads(cache, d_rep)
-        return grads, delta @ self.layers[0].weight
+        grads = self._empty()
+        delta = self._layer_grads(cache, d_rep, grads)
+        return grads.layers, delta @ self.layers[0].weight
 
-    def _layer_grads(
-        self, cache: ForwardCache, d_rep: np.ndarray
-    ) -> tuple[list[LayerGrads], np.ndarray]:
-        """backward without its last product: the parameter gradients and
-        the gradient at the first layer's pre-activation.  Training needs
-        no input gradient, so it stops here."""
+    def _layer_grads(self, cache: ForwardCache, d_rep: np.ndarray, out: "Extractor") -> np.ndarray:
+        """backward writing the parameter gradients into out, an extractor of
+        this layout, and stopping before the input gradient, which training
+        never needs: returns the gradient at the first pre-activation."""
         if cache.owner is not self:
             raise StaleCacheError("forward cache does not belong to this extractor")
-        if cache.depth != len(self.layers):
-            raise StaleCacheError(
-                f"cache depth {cache.depth} != layer count {len(self.layers)}"
-            )
+        if len(cache.pre_acts) != len(self.layers):
+            raise StaleCacheError(f"cache depth {len(cache.pre_acts)} != layer count {len(self.layers)}")
         delta = _matrix(d_rep, rows=cache.inputs[0].shape[-2], cols=self.rep_dim)
-        reversed_grads = []
         for i in reversed(range(len(self.layers))):
-            layer = self.layers[i]
+            layer, grad = self.layers[i], out.layers[i]
             if i < len(self.layers) - 1:
                 delta = delta @ self.layers[i + 1].weight
             if layer.activation == RELU:
                 delta = delta * (cache.pre_acts[i] > 0.0)
-            d_weight = _transposed(delta) @ cache.inputs[i]
-            d_bias = None if layer.bias is None else delta.sum(axis=-2, keepdims=True)
-            reversed_grads.append(LayerGrads(d_weight, d_bias))
-        return reversed_grads[::-1], delta
-
-    def step(self, grads: list[LayerGrads], lr: float) -> "Extractor":
-        """One SGD step; returns a new Extractor, leaving this one untouched."""
-        if len(grads) != len(self.layers):
-            raise ShapeError(f"{len(grads)} gradient entries for {len(self.layers)} layers")
-        _check_lr(lr)
-        stepped = []
-        for layer, g in zip(self.layers, grads):
-            w = _sgd(layer.weight, g.weight, lr)
-            b = None if layer.bias is None else _sgd(layer.bias, g.bias, lr)
-            stepped.append(AffineLayer(w, b, layer.activation))
-        return Extractor(stepped)
-
-    def param_count(self) -> int:
-        return sum(array.size for array in self.parameter_arrays())
+            np.matmul(_transposed(delta), cache.inputs[i], out=grad.weight)
+            if grad.bias is not None:
+                delta.sum(axis=-2, keepdims=True, out=grad.bias)
+        return delta
 
     def parameter_arrays(self) -> list[np.ndarray]:
         """Each layer's weight, then its bias if it has one, first layer to last."""
-        arrays = []
-        for layer in self.layers:
-            arrays.append(layer.weight)
-            if layer.bias is not None:
-                arrays.append(layer.bias)
-        return arrays
-
-    def with_arrays(self, arrays) -> "Extractor":
-        """An extractor of this architecture holding `arrays`, in parameter_arrays order.
-
-        Takes only the arrays it needs when given an iterator.
-        """
-        arrays = iter(arrays)
-        return Extractor(
-            [
-                AffineLayer(next(arrays), None if l.bias is None else next(arrays), l.activation)
-                for l in self.layers
-            ]
-        )
+        return [a for layer in self.layers for a in (layer.weight, layer.bias) if a is not None]
 
 
 @dataclass
-class GroupedExtractor:
+class GroupedExtractor(_Segmented):
     """Private extractors of differing shapes serving one stack of clients.
 
     parts pairs client slots of the stack (ascending int arrays that
@@ -267,22 +324,12 @@ class GroupedExtractor:
     clients in slot order.  forward gathers each part's slices of the
     batch, runs the part's extractor and scatters its representations
     back into the stack, so each client gets what its own extractor
-    gives.  It stands in for an Extractor in the training step: forward,
-    step, the gradients of backward without the input gradient, and
-    parameter_arrays.
+    gives.  All parts share one input and one output width.  It stands in
+    for an Extractor in the training step; its vectors are its parts'.
     """
 
     parts: list[tuple[np.ndarray, Extractor]]
     size: int
-
-    def __post_init__(self):
-        dims = {(ex.input_dim, ex.rep_dim) for _, ex in self.parts}
-        if len(dims) != 1:
-            raise ShapeError(f"grouped extractors disagree on input and output widths: {dims}")
-        if any(ex.lead != (len(slots),) for slots, ex in self.parts):
-            raise ShapeError("each part must be stacked over exactly its slots")
-        if sum(len(slots) for slots, _ in self.parts) != self.size:
-            raise ShapeError(f"parts do not cover the {self.size} slots of the stack")
 
     @property
     def input_dim(self) -> int:
@@ -296,12 +343,12 @@ class GroupedExtractor:
     def lead(self) -> tuple[int, ...]:
         return (self.size,)
 
-    @property
-    def layers(self) -> list[AffineLayer]:
-        """The layers of every part, part by part."""
-        return [layer for _, ex in self.parts for layer in ex.layers]
+    def _segments(self) -> tuple[np.ndarray, ...]:
+        return tuple(ex._flat for _, ex in self.parts)
 
-    parameter_arrays = Extractor.parameter_arrays  # the same walk over all parts' layers
+    def _over(self, segments) -> "GroupedExtractor":
+        parts = [(slots, ex._over((flat,))) for (slots, ex), flat in zip(self.parts, segments)]
+        return _view(GroupedExtractor, parts=parts, size=self.size)
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[ForwardCache]]:
         x = _matrix(x, cols=self.input_dim)
@@ -315,30 +362,15 @@ class GroupedExtractor:
             caches.append(cache)
         return rep, caches
 
-    def _layer_grads(
-        self, caches: list[ForwardCache], d_rep: np.ndarray
-    ) -> tuple[list[list[LayerGrads]], None]:
+    def _layer_grads(self, caches: list[ForwardCache], d_rep: np.ndarray, out) -> None:
         whole = len(self.parts) == 1
-        grads = [
-            extractor._layer_grads(cache, d_rep if whole else d_rep[slots])[0]
-            for (slots, extractor), cache in zip(self.parts, caches)
-        ]
-        return grads, None
-
-    def step(self, grads: list[list[LayerGrads]], lr: float) -> "GroupedExtractor":
-        return GroupedExtractor(
-            [(slots, ex.step(g, lr)) for (slots, ex), g in zip(self.parts, grads)], self.size
-        )
+        for (slots, extractor), cache, (_, grads) in zip(self.parts, caches, out.parts):
+            extractor._layer_grads(cache, d_rep if whole else d_rep[slots], grads)
 
 
 @dataclass
-class Header:
-    """Bias-free linear map from a representation to class logits."""
-
-    weight: np.ndarray  # (classes, rep_dim)
-
-    def __post_init__(self):
-        self.weight = _matrix(self.weight)
+class Header(_Matrix):
+    """Bias-free linear map from a representation to class logits: weight (classes, rep_dim)."""
 
     @property
     def in_dim(self) -> int:
@@ -348,10 +380,6 @@ class Header:
     def classes(self) -> int:
         return self.weight.shape[-2]
 
-    @property
-    def lead(self) -> tuple[int, ...]:
-        return self.weight.shape[:-2]
-
     def forward(self, rep: np.ndarray) -> np.ndarray:
         return _matrix(rep, cols=self.in_dim) @ _transposed(self.weight)
 
@@ -359,22 +387,22 @@ class Header:
         """Returns (d_weight, d_rep) for the logits' upstream gradient."""
         rep = _matrix(rep, cols=self.in_dim)
         d_logits = _matrix(d_logits, rows=rep.shape[-2], cols=self.classes)
-        return _transposed(d_logits) @ rep, d_logits @ self.weight
+        d_weight = np.empty(self.weight.shape)
+        return d_weight, self._backward(rep, d_logits, d_weight)
 
-    def step(self, d_weight: np.ndarray, lr: float) -> "Header":
-        _check_lr(lr)
-        return Header(_sgd(self.weight, d_weight, lr))
-
-    def param_count(self) -> int:
-        return self.weight.size
+    def _backward(self, rep: np.ndarray, d_logits: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """backward writing d_weight into out; returns d_rep."""
+        np.matmul(_transposed(d_logits), _matrix(rep), out=out)
+        return d_logits @ self.weight
 
 
 @dataclass
-class Net:
+class Net(_Segmented):
     """An extractor and the header that reads its representation.
 
-    In a cohort every part is stacked over the clients, and a private
-    model's extractor is a GroupedExtractor.
+    Its vectors are the extractor's, then the header's.  In a cohort every
+    part is stacked over the clients, and a private model's extractor is
+    a GroupedExtractor.
     """
 
     extractor: Extractor | GroupedExtractor
@@ -395,25 +423,16 @@ class Net:
     def classes(self) -> int:
         return self.header.classes
 
+    def _segments(self) -> tuple[np.ndarray, ...]:
+        return (*self.extractor._segments(), *self.header._segments())
+
+    def _over(self, segments) -> "Net":
+        extractor, header = self.extractor._over(segments[:-1]), self.header._over(segments[-1:])
+        return _view(Net, extractor=extractor, header=header)
+
     def parameter_arrays(self) -> list[np.ndarray]:
         """All parameters in the order of every walk: layer weight, bias, ..., header."""
-        arrays = self.extractor.parameter_arrays()
-        arrays.append(self.header.weight)
-        return arrays
-
-    def with_arrays(self, arrays) -> "Net":
-        """A Net of this architecture holding `arrays`, in parameter_arrays order.
-
-        Takes only the arrays it needs when given an iterator.
-        """
-        arrays = iter(arrays)
-        return Net(self.extractor.with_arrays(arrays), Header(next(arrays)))
-
-    def param_count(self) -> int:
-        return sum(array.size for array in self.parameter_arrays())
-
-    def clone(self) -> "Net":
-        return self.with_arrays([array.copy() for array in self.parameter_arrays()])
+        return [*self.extractor.parameter_arrays(), self.header.weight]
 
 
 def init_model(config: ModelConfig, rng: np.random.Generator) -> Net:

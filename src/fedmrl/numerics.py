@@ -58,14 +58,17 @@ _FLOAT64 = np.dtype(np.float64)
 def _matrix(values, rows: int | None = None, cols: int | None = None) -> np.ndarray:
     """as_matrix without its coercion, for float64 matrices and stacks of them.
 
-    A 2-D or 3-D float64 array is returned as is when C-order, copied
-    when a strided view, and its rows and columns (the last two axes) are
-    shape-checked; anything else goes through as_matrix.  The training
+    A 2-D or 3-D float64 array is returned as is when its matrices (the
+    last two axes) are C-order, so a stack of rows of a population buffer
+    passes uncopied, and copied otherwise; its rows and columns are
+    shape-checked.  Anything else goes through as_matrix.  The training
     step and inference check their inputs with this.
     """
     if type(values) is not np.ndarray or values.dtype is not _FLOAT64 or not 2 <= values.ndim <= 3:
         return as_matrix(values, rows, cols)
-    return _check_shape(np.ascontiguousarray(values), rows, cols)
+    if values.size and not values[(0,) * (values.ndim - 2)].flags.c_contiguous:
+        values = np.ascontiguousarray(values)
+    return _check_shape(values, rows, cols)
 
 
 def _transposed(m: np.ndarray) -> np.ndarray:
@@ -176,20 +179,16 @@ def _cross_entropy(m: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float) -> np.ndarray:
     """Return params - lr * grads as a new array; inputs are never mutated."""
     _check_lr(lr)
-    return _sgd(np.asarray(params, dtype=np.float64), grads, lr)
+    p = np.asarray(params, dtype=np.float64)
+    g = np.asarray(grads, dtype=np.float64)
+    if p.shape != g.shape:
+        raise ShapeError(f"params shape {p.shape} != grads shape {g.shape}")
+    return p - lr * g
 
 
 def _check_lr(lr: float) -> None:
     if not math.isfinite(lr) or lr < 0.0:
         raise ValueError(f"learning rate must be finite and non-negative, got {lr}")
-
-
-def _sgd(p: np.ndarray, grads, lr: float) -> np.ndarray:
-    """sgd_step on float64 params, the learning rate already checked."""
-    g = np.asarray(grads, dtype=np.float64)
-    if p.shape != g.shape:
-        raise ShapeError(f"params shape {p.shape} != grads shape {g.shape}")
-    return p - lr * g
 
 
 def finite_diff_gradient(

@@ -228,7 +228,7 @@ def test_cli_diverging_run_exits_one_without_a_traceback(tmp_path):
         capture_output=True, text=True, env=env, timeout=300, check=False,
     )
     assert done.returncode == 1
-    assert done.stderr == "error: client 1: non-finite loss (nan)\n"
+    assert done.stderr == "error: round 1: client 1: non-finite loss (nan)\n"
 
 
 def test_cli_target_accuracy_round_recorded(tmp_path):

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import gc
 import math
 from pathlib import Path
 
@@ -46,7 +47,8 @@ from fedmrl.federation import (
 )
 from fedmrl.experiment import build_partition, load_dataset
 from fedmrl.metrics import evaluate
-from fedmrl.numerics import NonFiniteError, make_rng
+from fedmrl.models import ModelConfig, StaleCacheError, init_model
+from fedmrl.numerics import NonFiniteError, ShapeError, make_rng
 
 QUICKSTART = Path(__file__).parents[1] / "demos" / "quickstart.cfg"
 
@@ -392,22 +394,156 @@ def test_server_state_shares_no_memory_with_clients():
             ]
             for array in private:
                 assert not np.shares_memory(server_array, array)
-    # Lockstep training stacks the clients' models; each client must get
-    # back arrays of its own, not views of one stack.
+    # Clients are rows of the same population buffers, but no two of them
+    # share a single parameter.
     owned = [_client_arrays(client) for client in clients]
     for i, mine in enumerate(owned):
         for theirs in owned[i + 1 :]:
-            assert not {_buffer(a) for a in mine} & {_buffer(b) for b in theirs}
             for a in mine:
                 for b in theirs:
                     assert not np.shares_memory(a, b)
 
 
-def _buffer(array):
-    """Identity of the array that owns the memory array views."""
-    while array.base is not None:
-        array = array.base
-    return id(array)
+def test_writing_one_client_leaves_every_other_client_and_the_server_alone():
+    cfg, dataset, plan = small_setup(rounds=1, n_clients=5)
+    server, clients = build_clients(cfg, dataset, plan)
+    run_rounds(server, clients, cfg)
+    before = [[a.copy() for a in _client_arrays(c)] for c in clients]
+    server_before = [a.copy() for a in server.global_model.parameter_arrays()]
+    for array in _client_arrays(clients[2]):
+        array[...] = np.nan
+    for ident, client in enumerate(clients):
+        if ident != 2:
+            assert _same_arrays(_client_arrays(client), before[ident])
+    assert _same_arrays(server.global_model.parameter_arrays(), server_before)
+    assert all(np.isnan(a).all() for a in _client_arrays(clients[2]))
+
+
+def test_a_deep_copy_trains_like_the_original_and_shares_no_memory():
+    cfg, dataset, plan = small_setup(rounds=1, n_clients=4, participation=0.5)
+    server, clients = build_clients(cfg, dataset, plan)
+    run_rounds(server, clients, cfg)
+    twin_server, twin_clients = copy.deepcopy((server, clients))
+    assert run_rounds(twin_server, twin_clients, cfg) == run_rounds(server, clients, cfg)
+    mine = [*server.global_model.parameter_arrays(), *(a for c in clients for a in _client_arrays(c))]
+    twins = [
+        *twin_server.global_model.parameter_arrays(),
+        *(a for c in twin_clients for a in _client_arrays(c)),
+    ]
+    assert _same_arrays(mine, twins)
+    assert not any(np.shares_memory(a, b) for a in mine for b in twins)
+    lone = copy.deepcopy(clients[1])
+    assert not any(np.shares_memory(a, b) for a in _client_arrays(lone) for b in mine)
+    args = (2, 8, cfg.lrs, Mode.FEDMRL, LossWeights())
+    assert repr(client_update(lone, *args)[1]) == repr(client_update(clients[1], *args)[1])
+    assert _same_arrays(_client_arrays(lone), _client_arrays(clients[1]))
+
+
+def test_a_run_leaves_no_reference_cycles():
+    # Client and cohort views must not point back at the object that owns
+    # their buffers: every round's arrays would then wait for a full
+    # collection, and peak memory would grow with the run.
+    cfg, dataset, plan = small_setup(rounds=2, n_clients=4, participation=0.5)
+    gc.collect()
+    gc.disable()
+    try:
+        run_training(cfg, dataset, plan)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_assigning_a_model_copies_it_into_the_clients_rows():
+    cfg, dataset, plan = small_setup(n_clients=2)
+    server, clients = build_clients(cfg, dataset, plan)
+    client = clients[1]
+    client.accuracy[InferenceVariant.MIX_LARGE] = 1.0
+    view = client.global_copy
+    replacement = server.global_model.clone()
+    replacement.header.weight[...] = 3.0
+    client.global_copy = replacement
+    assert client.global_copy is view and (view.header.weight == 3.0).all()
+    assert not np.shares_memory(view.header.weight, replacement.header.weight)
+    assert client.accuracy == {}
+    assert not (clients[0].global_copy.header.weight == 3.0).any()
+    with pytest.raises(ShapeError):
+        client.local_model = clients[0].local_model  # another private architecture
+    wide = init_model(ModelConfig(dataset.dim, (12,), cfg.d2, dataset.classes), make_rng(1))
+    clients[0].local_model = wide
+    assert clients[0].local_model.header.weight.tobytes() == wide.header.weight.tobytes()
+    flat = np.concatenate(replacement._segments())
+    stacked = replacement._split(np.stack([flat, flat]))  # the same layout over two clients
+    with pytest.raises(ShapeError):
+        client.global_copy = stacked
+    assert (view.header.weight == 3.0).all()
+
+
+def test_a_cache_made_before_a_write_is_stale_for_the_same_views():
+    cfg, dataset, plan = small_setup(n_clients=2)
+    server, clients = build_clients(cfg, dataset, plan)
+    client = clients[0]
+    g, f, p = client.global_copy, client.local_model, client.projector
+    x, y = client.train_x[:4], client.train_y[:4]
+    _, _, cache = forward_loss(g, f, p, x, y)
+    broadcast(server, [clients[1]])  # a write into the population's buffers
+    assert all(a is b for a, b in zip((client.global_copy, client.local_model, client.projector), (g, f, p)))
+    with pytest.raises(StaleCacheError):
+        backward_and_step(g, f, p, cache, cfg.lrs)
+    _, _, cache = forward_loss(g, f, p, x, y)
+    backward_and_step(g, f, p, cache, cfg.lrs)
+
+
+def _anchored_mean(uploads):
+    """aggregate's anchored weighted mean, one parameter array at a time."""
+    ordered = sorted(uploads, key=lambda u: u.client_id)
+    total = sum(u.n_samples for u in ordered)
+    base = ordered[0].model.parameter_arrays()
+    merged = [array.copy() for array in base]
+    for upload in ordered[1:]:
+        w = upload.n_samples / total
+        for acc, anchor, other in zip(merged, base, upload.model.parameter_arrays()):
+            acc += w * (other - anchor)
+    return merged
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(1, 12),
+    input_dim=st.integers(1, 5),
+    hidden=st.lists(st.integers(1, 5), max_size=2),
+    rep_dim=st.integers(1, 4),
+    classes=st.integers(2, 4),
+    data=st.data(),
+)
+def test_aggregation_is_the_anchored_weighted_mean_of_the_upload_rows(
+    k, input_dim, hidden, rep_dim, classes, data
+):
+    config = ModelConfig(input_dim, tuple(hidden), rep_dim, classes)
+    seeds = data.draw(st.lists(st.integers(0, 2**16), min_size=k, max_size=k), label="seeds")
+    counts = data.draw(st.lists(st.integers(1, 500), min_size=k, max_size=k), label="counts")
+    scales = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=k, max_size=k), label="scales")
+    uploads = []
+    for ident, (seed, count, scale) in enumerate(zip(seeds, counts, scales)):
+        model = init_model(config, make_rng(seed))
+        for array in model.parameter_arrays():
+            array *= scale
+        uploads.append(Upload(ident, count, 0.0, model))
+
+    def merged(order):
+        server = ServerState(global_model=init_model(config, make_rng(0)), rng=make_rng(0))
+        aggregate(server, order)
+        return server.global_model.parameter_arrays()
+
+    result = merged(uploads)
+    assert _same_arrays(result, _anchored_mean(uploads))
+    shuffled = data.draw(st.permutations(uploads), label="order")
+    assert _same_arrays(merged(list(shuffled)), result)
+    assert _same_arrays(merged(uploads[:1]), uploads[0].model.parameter_arrays())
+    stacks = [np.stack(arrays) for arrays in zip(*(u.model.parameter_arrays() for u in uploads))]
+    for array, stack in zip(result, stacks):
+        slack = 4 * np.finfo(np.float64).eps * np.abs(stack).max(axis=0)
+        assert (array >= stack.min(axis=0) - slack).all()
+        assert (array <= stack.max(axis=0) + slack).all()
 
 
 def _client_arrays(client):
@@ -556,7 +692,7 @@ def test_diverging_quickstart_stops_at_the_same_step(monkeypatch, lr):
         replay_server, replay_clients = copy.deepcopy((server, clients))
         with pytest.raises(NonFiniteError) as lockstep:
             run_rounds(server, clients, one_round)
-        assert str(lockstep.value) == message
+        assert str(lockstep.value) == f"round {fail_round}: {message}"
 
         steps = _count_steps(monkeypatch)
         picked = sample_clients(replay_server, cfg.n_clients, cfg.participants)
@@ -697,7 +833,7 @@ def test_cohort_raises_the_error_of_the_lowest_id_client_that_fails(monkeypatch)
         assert step_2 == 0 < step_1 and error_1.startswith("client 1: ")
         alone = copy.deepcopy(clients[0])
         client_update(alone, epochs, 8, lrs, Mode.FEDMRL, LossWeights())
-        before = [_client_arrays(c) for c in clients]
+        before = [[a.copy() for a in _client_arrays(c)] for c in clients]
         with pytest.raises(NonFiniteError) as failure:
             cohort_update(clients, epochs, 8, lrs, Mode.FEDMRL, LossWeights())
     assert str(failure.value) == error_1
@@ -705,7 +841,41 @@ def test_cohort_raises_the_error_of_the_lowest_id_client_that_fails(monkeypatch)
     # and a failed cohort leaves every client's models as they were.
     assert clients[0].rng.bit_generator.state == alone.rng.bit_generator.state
     for client, arrays in zip(clients, before):
-        assert all(a is b for a, b in zip(_client_arrays(client), arrays))
+        assert _same_arrays(_client_arrays(client), arrays)
+
+
+def _equal_shards():
+    config = load_config(QUICKSTART)
+    dataset = load_dataset(config)
+    cfg = build_run_config(config)
+    _, clients = build_clients(cfg, dataset, build_partition(config, dataset))
+    assert len({c.n_samples for c in clients}) == 1
+    return cfg, clients
+
+
+@pytest.mark.parametrize("cohort", ["whole population", "first five"])
+def test_uploads_alias_no_client(cohort):
+    cfg, clients = _equal_shards()
+    members = clients if cohort == "whole population" else clients[:5]
+    results = cohort_update(members, 1, 8, cfg.lrs, Mode.FEDMRL, LossWeights())
+    for (upload, _), client in zip(results, members):
+        assert _same_arrays(upload.model.parameter_arrays(), client.global_copy.parameter_arrays())
+        for array in upload.model.parameter_arrays():
+            assert not any(np.shares_memory(array, b) for c in clients for b in _client_arrays(c))
+
+
+@pytest.mark.parametrize("cohort", ["whole population", "first five"])
+def test_a_failed_cohort_of_equal_shards_changes_no_client(cohort):
+    # Equal shards keep the population's order, so the whole population's
+    # cohort gathers every row of every buffer in order.
+    cfg, clients = _equal_shards()
+    clients[3].train_x = np.full_like(clients[3].train_x, np.nan)
+    members = clients if cohort == "whole population" else clients[:5]
+    before = [[a.copy() for a in _client_arrays(c)] for c in clients]
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match="^client 3: "):
+        cohort_update(members, 2, 8, cfg.lrs, Mode.FEDMRL, LossWeights())
+    for client, arrays in zip(clients, before):
+        assert _same_arrays(_client_arrays(client), arrays)
 
 
 def test_cohort_ranks_a_client_without_training_samples_by_its_id():

@@ -1,7 +1,13 @@
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fedmrl.core import backward_and_step_single, forward_loss_single
 from fedmrl.models import (
+    CHECKPOINT_VERSION,
     IDENTITY,
     RELU,
     AffineLayer,
@@ -225,22 +231,32 @@ def test_step_returns_new_model_and_preserves_original():
     extractor, header = model.extractor, model.header
     x = rng.normal(size=(6, 4))
     y = rng.integers(0, 2, size=6)
-    rep, cache = extractor.forward(x)
-    _, dlogits = batch_cross_entropy(header.forward(rep), y)
-    d_head, d_rep = header.backward(rep, dlogits / 6.0)
-    layer_grads, _ = extractor.backward(cache, d_rep)
 
     before = flatten_params(extractor, header)
-    stepped_ex = extractor.step(layer_grads, 0.1)
-    stepped_hd = header.step(d_head, 0.1)
+    _, cache = forward_loss_single(model, x, y)
+    stepped = backward_and_step_single(model, cache, 0.1)
     assert np.array_equal(flatten_params(extractor, header), before)
-    assert not np.array_equal(flatten_params(stepped_ex, stepped_hd), before)
+    assert not np.array_equal(flatten_params(stepped.extractor, stepped.header), before)
     # lr 0 reproduces the parameters exactly.
-    zero_ex = extractor.step(layer_grads, 0.0)
-    assert all(
-        np.array_equal(a.weight, b.weight)
-        for a, b in zip(zero_ex.layers, extractor.layers)
-    )
+    _, cache = forward_loss_single(model, x, y)
+    zero = backward_and_step_single(model, cache, 0.0)
+    assert np.array_equal(flatten_params(zero.extractor, zero.header), before)
+
+
+def test_parameters_are_views_of_flat_vectors_that_copies_keep():
+    model = init_model(ModelConfig(4, (5,), 3, 2), make_rng(3))
+    flat, head = model._segments()
+    for array in model.extractor.parameter_arrays():
+        assert np.shares_memory(array, flat)
+    model.extractor.layers[0].bias[0, 0] = 7.0
+    assert 7.0 in flat
+    for twin in (model.clone(), copy.deepcopy(model)):
+        assert not any(np.shares_memory(a, b) for a in twin._segments() for b in (flat, head))
+        twin.header.weight[...] = 0.0  # writes through to the copy's own vectors
+        assert not twin._segments()[-1].any() and head.all()
+        assert twin._segments()[0].tobytes() == flat.tobytes()
+        twin.extractor.layers[0].weight[...] = 5.0
+        assert 5.0 in twin._segments()[0] and 5.0 not in flat
 
 
 def test_clone_is_deep():
@@ -275,6 +291,31 @@ def test_checkpoint_round_trip_is_exact(tmp_path):
         assert np.array_equal(a.bias, b.bias)
         assert a.activation == b.activation
     assert np.array_equal(header.weight, loaded_hd.weight)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    input_dim=st.integers(1, 6),
+    hidden=st.lists(st.integers(1, 6), max_size=3),
+    rep_dim=st.integers(1, 6),
+    classes=st.integers(2, 5),
+    seed=st.integers(0, 2**16),
+)
+def test_checkpoint_round_trip_property(tmp_path_factory, input_dim, hidden, rep_dim, classes, seed):
+    # save then load reproduces every parameter bit; a model that is a row
+    # view of a population-wide buffer saves the bytes of its standalone copy.
+    config = ModelConfig(input_dim, tuple(hidden), rep_dim, classes)
+    model = init_model(config, make_rng(seed))
+    flat = np.concatenate(model._segments())
+    rows = np.stack([make_rng(seed + 1).normal(size=flat.size), flat])
+    view = model._split(rows[1])
+    path = tmp_path_factory.mktemp("checkpoint") / "model.json"
+    save_model(path, view)
+    assert f'"format_version": {CHECKPOINT_VERSION}' in path.read_text() and CHECKPOINT_VERSION == 1
+    assert np.concatenate(load_model(path)._segments()).tobytes() == flat.tobytes()
+    standalone = path.with_name("standalone.json")
+    save_model(standalone, view.clone())
+    assert path.read_bytes() == standalone.read_bytes()
 
 
 def test_checkpoint_rejects_unknown_version(tmp_path):

@@ -16,6 +16,7 @@ from fedmrl.numerics import (
     relative_error,
     sgd_step,
     softmax,
+    _matrix,
 )
 
 
@@ -51,6 +52,18 @@ def test_as_matrix_shape_checks():
         as_matrix([[1.0, 2.0]], rows=2)
     with pytest.raises(ShapeError):
         as_matrix([[1.0, 2.0]], cols=3)
+
+
+def test_matrix_passes_a_stack_of_row_views_without_copying():
+    # Rows of a population buffer, each an (out, in) matrix: strided along
+    # the client axis only, so products and writes go to the buffer itself.
+    buffer = np.arange(4 * 20, dtype=np.float64).reshape(4, 20)
+    stack = buffer[1:3, 4:16].reshape(2, 3, 4)
+    assert _matrix(stack, rows=3, cols=4) is stack
+    column_slice = buffer[:, :3]  # rows strided within the matrix
+    assert _matrix(column_slice) is not column_slice
+    assert np.array_equal(_matrix(column_slice), column_slice)
+    assert _matrix(column_slice).flags.c_contiguous
 
 
 def test_matmul_matches_triple_loop_oracle():
