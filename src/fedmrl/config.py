@@ -1,17 +1,20 @@
 """Flat key=value experiment configs with a versioned, closed schema.
 
 A config file is plain text: one `key = value` per line, `#` starts a
-comment line, blank lines are ignored.  Unknown keys are rejected (with
-their line number) rather than silently ignored, and schema_version must
-match the version this code understands.
+comment line, blank lines are ignored.  The keys are the fields of
+ExperimentConfig, RunConfig's plus the experiment's own: a field without
+a default is a required key, and a value parses by its field's type.
+Unknown keys are rejected (with their line number) rather than silently
+ignored, and schema_version must match the version this code understands.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
-from .core import InferenceVariant, Mode
+from .core import InferenceVariant, LearningRates, Mode
 from .federation import RunConfig
 
 CONFIG_SCHEMA_VERSION = 1
@@ -19,6 +22,54 @@ CONFIG_SCHEMA_VERSION = 1
 
 class ConfigError(ValueError):
     """A config file cannot be parsed or fails validation."""
+
+
+@dataclass(frozen=True, kw_only=True)
+class ExperimentConfig(RunConfig):
+    """Typed view of one parsed config file.
+
+    It is a RunConfig whose learning rates left at None take lr.
+    """
+
+    schema_version: int
+    dataset: str = "synthetic"
+    csv_path: str = ""
+    classes: int = 10
+    input_dim: int = 16
+    per_class: int = 60
+    spread: float = 1.0
+    standardize: bool = False
+    partition: str
+    classes_per_client: int = 2
+    alpha: float = 0.5
+    lr: float = 0.05
+    lr_global: float | None = None
+    lr_local: float | None = None
+    lr_projector: float | None = None
+    target_accuracy: float | None = None
+    report_name: str = "report"
+    out_dir: str = "reports"
+
+    def __post_init__(self):
+        if self.schema_version != CONFIG_SCHEMA_VERSION:
+            raise ValueError(
+                f"schema_version {self.schema_version} is not supported "
+                f"(this build reads version {CONFIG_SCHEMA_VERSION})"
+            )
+        if self.dataset not in ("synthetic", "csv"):
+            raise ValueError("dataset must be 'synthetic' or 'csv'")
+        if self.dataset == "csv" and not self.csv_path:
+            raise ValueError("dataset=csv requires csv_path")
+        if self.partition not in ("class_count", "dirichlet"):
+            raise ValueError("partition must be 'class_count' or 'dirichlet'")
+        if self.target_accuracy is not None and not 0.0 < self.target_accuracy <= 1.0:
+            raise ValueError("target_accuracy must lie in (0, 1]")
+        super().__post_init__()
+
+    @property
+    def lrs(self) -> LearningRates:
+        rates = (self.lr_global, self.lr_local, self.lr_projector)
+        return LearningRates(*(self.lr if lr is None else lr for lr in rates))
 
 
 def _parse_bool(text: str) -> bool:
@@ -45,107 +96,54 @@ def _parse_width_stacks(text: str) -> tuple[tuple[int, ...], ...]:
     return stacks
 
 
+def _parse_enum(cls, text: str, message: str):
+    """Enum member from a config or CLI token; message formats the token's repr."""
+    try:
+        return cls(text.strip().lower().replace("-", "_"))
+    except ValueError:
+        raise ValueError(message.format(text)) from None
+
+
 def parse_mode(text: str) -> Mode:
     """Mode from a config or CLI token; hyphen and underscore both accepted."""
-    normalized = text.strip().lower().replace("-", "_")
-    try:
-        return Mode(normalized)
-    except ValueError:
-        raise ValueError(
-            f"unknown mode {text!r} (use fedmrl, standalone or no_mrl)"
-        ) from None
-
-
-def _parse_inference(text: str) -> InferenceVariant:
-    normalized = text.strip().lower().replace("-", "_")
-    try:
-        return InferenceVariant(normalized)
-    except ValueError:
-        raise ValueError(f"unknown inference variant {text!r}") from None
+    return _parse_enum(Mode, text, "unknown mode {!r} (use fedmrl, standalone or no_mrl)")
 
 
 def _parse_optional_float(text: str) -> float | None:
     return None if text.lower() == "none" else float(text)
 
 
-# key -> (parser, default); _REQUIRED marks keys every config must set.
-_REQUIRED = object()
+# field type -> parser of a config value of that type
+_PARSERS = {
+    int: int,
+    float: float,
+    str: str,
+    bool: _parse_bool,
+    float | None: _parse_optional_float,
+    Mode: parse_mode,
+    InferenceVariant: lambda text: _parse_enum(
+        InferenceVariant, text, "unknown inference variant {!r}"
+    ),
+    tuple[int, ...]: _parse_widths,
+    tuple[tuple[int, ...], ...]: _parse_width_stacks,
+}
+
+# key -> (parser, default), MISSING for a required key.  The experiment's
+# keys come first, so a missing schema_version is named before the rest.
+_TYPES = get_type_hints(ExperimentConfig)
+_RUN_KEYS = {f.name for f in fields(RunConfig)}
 _SCHEMA: dict[str, tuple] = {
-    "schema_version": (int, _REQUIRED),
-    # dataset
-    "dataset": (str, "synthetic"),
-    "csv_path": (str, ""),
-    "classes": (int, 10),
-    "input_dim": (int, 16),
-    "per_class": (int, 60),
-    "spread": (float, 1.0),
-    "standardize": (_parse_bool, False),
-    # partition
-    "partition": (str, _REQUIRED),
-    "classes_per_client": (int, 2),
-    "alpha": (float, 0.5),
-    # federation
-    "n_clients": (int, _REQUIRED),
-    "participation": (float, 1.0),
-    "rounds": (int, _REQUIRED),
-    "local_epochs": (int, 1),
-    "batch_size": (int, 8),
-    "lr": (float, 0.05),
-    "lr_global": (_parse_optional_float, None),
-    "lr_local": (_parse_optional_float, None),
-    "lr_projector": (_parse_optional_float, None),
-    "d1": (int, _REQUIRED),
-    "d2": (int, _REQUIRED),
-    "m_global": (float, 1.0),
-    "m_local": (float, 1.0),
-    "mode": (parse_mode, Mode.FEDMRL),
-    "seed": (int, 0),
-    "global_hidden": (_parse_widths, (16,)),
-    "local_hidden": (_parse_width_stacks, ((32,), (28,), (24,), (20,), (16,))),
-    # evaluation and reporting
-    "inference": (_parse_inference, InferenceVariant.MIX_LARGE),
-    "target_accuracy": (_parse_optional_float, None),
-    "report_name": (str, "report"),
-    "out_dir": (str, "reports"),
+    f.name: (_PARSERS[_TYPES[f.name]], f.default)
+    for f in sorted(fields(ExperimentConfig), key=lambda f: f.name in _RUN_KEYS)
 }
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Typed view of one parsed config file."""
-
-    schema_version: int
-    dataset: str
-    csv_path: str
-    classes: int
-    input_dim: int
-    per_class: int
-    spread: float
-    standardize: bool
-    partition: str
-    classes_per_client: int
-    alpha: float
-    n_clients: int
-    participation: float
-    rounds: int
-    local_epochs: int
-    batch_size: int
-    lr: float
-    lr_global: float | None
-    lr_local: float | None
-    lr_projector: float | None
-    d1: int
-    d2: int
-    m_global: float
-    m_local: float
-    mode: Mode
-    seed: int
-    global_hidden: tuple[int, ...]
-    local_hidden: tuple[tuple[int, ...], ...]
-    inference: InferenceVariant
-    target_accuracy: float | None
-    report_name: str
-    out_dir: str
+def _build(source: str, make, *args, **kwargs):
+    """make(*args, **kwargs), its ValueError raised as a ConfigError from source."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
 
 
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
@@ -176,35 +174,9 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
             raise ConfigError(f"{source}: line {lineno}: {key}: {exc}") from None
 
     for key, (_, default) in _SCHEMA.items():
-        if key in values:
-            continue
-        if default is _REQUIRED:
+        if default is MISSING and key not in values:
             raise ConfigError(f"{source}: missing required key {key!r}")
-        values[key] = default
-
-    config = ExperimentConfig(**values)
-    _validate(config, source)
-    return config
-
-
-def _validate(config: ExperimentConfig, source: str) -> None:
-    if config.schema_version != CONFIG_SCHEMA_VERSION:
-        raise ConfigError(
-            f"{source}: schema_version {config.schema_version} is not supported "
-            f"(this build reads version {CONFIG_SCHEMA_VERSION})"
-        )
-    if config.dataset not in ("synthetic", "csv"):
-        raise ConfigError(f"{source}: dataset must be 'synthetic' or 'csv'")
-    if config.dataset == "csv" and not config.csv_path:
-        raise ConfigError(f"{source}: dataset=csv requires csv_path")
-    if config.partition not in ("class_count", "dirichlet"):
-        raise ConfigError(f"{source}: partition must be 'class_count' or 'dirichlet'")
-    if config.target_accuracy is not None and not 0.0 < config.target_accuracy <= 1.0:
-        raise ConfigError(f"{source}: target_accuracy must lie in (0, 1]")
-    try:
-        build_run_config(config)
-    except ValueError as exc:
-        raise ConfigError(f"{source}: {exc}") from None
+    return _build(source, ExperimentConfig, **values)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -217,33 +189,16 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def build_run_config(config: ExperimentConfig) -> RunConfig:
-    """Map an experiment config onto the simulator's RunConfig."""
-    return RunConfig(
-        n_clients=config.n_clients,
-        rounds=config.rounds,
-        d1=config.d1,
-        d2=config.d2,
-        participation=config.participation,
-        local_epochs=config.local_epochs,
-        batch_size=config.batch_size,
-        lr_global=config.lr_global if config.lr_global is not None else config.lr,
-        lr_local=config.lr_local if config.lr_local is not None else config.lr,
-        lr_projector=config.lr_projector if config.lr_projector is not None else config.lr,
-        m_global=config.m_global,
-        m_local=config.m_local,
-        mode=config.mode,
-        seed=config.seed,
-        global_hidden=config.global_hidden,
-        local_hidden=config.local_hidden,
-        inference=config.inference,
-    )
+    """The simulator's RunConfig of an experiment config, its rates resolved."""
+    lrs = config.lrs
+    values = {key: getattr(config, key) for key in _RUN_KEYS}
+    values.update(lr_global=lrs.global_model, lr_local=lrs.local_model, lr_projector=lrs.projector)
+    return RunConfig(**values)
 
 
 def override(config: ExperimentConfig, **changes) -> ExperimentConfig:
     """Return a copy with fields replaced, re-running validation."""
-    updated = replace(config, **changes)
-    _validate(updated, "<override>")
-    return updated
+    return _build("<override>", replace, config, **changes)
 
 
 _UNSWEEPABLE = ("schema_version", "out_dir", "report_name")

@@ -14,7 +14,6 @@ from pathlib import Path
 from .config import (
     ConfigError,
     ExperimentConfig,
-    build_run_config,
     load_config,
     override,
     parse_mode,
@@ -77,7 +76,7 @@ def execute(config: ExperimentConfig):
     """Run one experiment; returns (reports, meta) without touching disk."""
     dataset = load_dataset(config)
     plan = build_partition(config, dataset)
-    reports = run_training(build_run_config(config), dataset, plan)
+    reports = run_training(config, dataset, plan)
     reached = (
         first_round_reaching(reports, config.target_accuracy)
         if config.target_accuracy is not None

@@ -44,7 +44,8 @@ client id to a NonFiniteError from its steps, and run_rounds the round.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -114,7 +115,7 @@ class RunConfig:
             raise ValueError(f"local_epochs must be non-negative, got {self.local_epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
-        for lr in (self.lr_global, self.lr_local, self.lr_projector):
+        for lr in astuple(self.lrs):
             if lr < 0:
                 raise ValueError(f"learning rates must be non-negative, got {lr}")
         if self.m_global < 0 or self.m_local < 0:
@@ -588,8 +589,8 @@ def run_rounds(
 ) -> list[RoundReport]:
     """The round loop of run_training, on already-built states.
 
-    numpy's overflow and invalid-value warnings are silenced for the
-    rounds: a diverging run ends in the NonFiniteError of a finite check,
+    numpy's RuntimeWarnings are silenced for the rounds (by a filter: an
+    np.errstate slows every ufunc call): a diverging run ends in the NonFiniteError of a finite check,
     raised again as "round R: <message>", chained from it, where R counts
     the server's rounds, those of earlier calls included.
     """
@@ -597,7 +598,8 @@ def run_rounds(
     variant = InferenceVariant.SINGLE_LARGE if standalone else config.inference
     shared_params = server.global_model.param_count()
     reports = []
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
         for round_index in range(1, config.rounds + 1):
             try:
                 if standalone:
