@@ -18,9 +18,14 @@ and each step trains every client that takes a batch of the same size as
 one stacked step on views of those rows, the private extractor once per
 architecture.  The step is pure: the cohort copies its checked result
 into the gathered rows and scatters them back once every client has
-trained.  Each client draws its epoch permutations from its own rng, and
-the result is bit-identical to client_update on each client alone (a
-cohort of one), because of three rules:
+trained.  The population keeps the last cohort's gathered rows, views
+and gradient scratch as its workspace (_Workspace): a cohort of the same
+clients in the same slots, with the same standalone-ness, gathers into
+them with np.take(out=), or not at all if nothing was written since
+their scatter, and steps on the same views.  Uploads view a copy of the
+trained shared rows.  Each client draws its epoch permutations from its
+own rng, and the result is bit-identical to client_update on each client
+alone (a cohort of one), because of three rules:
 
 * every stacked product is one BLAS call per client slice, on C-order
   matrices, and every reduction runs within a slice (see models);
@@ -35,15 +40,24 @@ cohort of one), because of three rules:
 
 Evaluation reuse: broadcast, cohort_update and assignment to a client's
 model fields clear its accuracy memo, and run_rounds evaluates only the
-clients whose memo holds nothing for the run's inference variant.  Code
-that writes into a client's models in place must clear client.accuracy.
-Finite checks live in the training step (core); cohort_update adds the
-client id to a NonFiniteError from its steps, and run_rounds the round.
+clients whose memo holds nothing for the run's inference variant.  While
+the workspace holds the population's current rows, the stale clients in
+a run of two or more of its slots that share a test-set size and a
+training view are evaluated with one stacked infer on that view (the
+stacked test set is kept in the workspace); the others, and every client
+of a run whose logits are not finite, one by one in ascending id order,
+so the error raised is that of the lowest-id client that fails.  Code
+that writes into a client's models in place must clear client.accuracy
+and count the write (population.writes.count += 1), or the workspace and
+the stale-cache guard will not see it.  Finite checks live in the
+training step (core); cohort_update adds the client id to a
+NonFiniteError from its steps, and run_rounds the round.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import astuple, dataclass, field
 
@@ -59,6 +73,7 @@ from .core import (
     backward_and_step_single,
     forward_loss,
     forward_loss_single,
+    infer,
     init_projector,
 )
 from .data import LabeledDataset, PartitionPlan
@@ -144,8 +159,9 @@ class Population:
     and row rank of blocks[kind] (N_a, P_a), one block per private
     architecture, with (kind, rank) = place[i], hold client i's parameters
     in the flat layout of models.  Rows are written in place, so views
-    stay valid; writes counts the writes into them.  A deep copy views its
-    own buffers.
+    stay valid; writes counts the writes into them.  _workspace is the
+    last cohort's _Workspace.  A deep or pickled copy views its own buffers
+    and starts without a workspace.
     """
 
     def __init__(self, shared: Net, private: list[Net], projectors: list[Projector]):
@@ -163,6 +179,7 @@ class Population:
         self.private_layouts = [private[ids[0]] for ids in groups]
         self.writes = _Writes()
         self._views: dict[int, tuple[Net, Net, Projector]] = {}
+        self._workspace: _Workspace | None = None
 
     def _models(self, ident: int) -> tuple[Net, Net, Projector]:
         """Client ident's (shared copy, private model, projector): views of its rows."""
@@ -179,7 +196,7 @@ class Population:
         return views
 
     def __getstate__(self):
-        return {**self.__dict__, "_views": {}}
+        return {**self.__dict__, "_views": {}, "_workspace": None}
 
 
 class _Rows:
@@ -365,29 +382,150 @@ def cohort_update(
         cohort.train(epochs, batch_size)
     if failures:
         raise failures[min(failures)]
-    cohort.commit()
+    cohort.workspace.scatter(cohort.population)
 
+    # Uploads view one copy of the trained shared rows: no client's rows,
+    # and not the workspace's, which the next cohort gathers into.
+    shared = cohort.workspace.shared
+    shared = None if shared is None else shared.copy()
     results = {}
     for slot, client in enumerate(cohort.clients):
         upload = None
-        if cohort.shared is not None:  # the cohort's own gathered rows: no client's
+        if shared is not None:
             losses = cohort.all_losses[slot]
             mean_loss = float(np.mean(losses)) if losses else float("nan")
-            model = cohort.population.shared_layout._split(cohort.shared[slot])
+            model = cohort.population.shared_layout._split(shared[slot])
             upload = Upload(client.client_id, client.n_samples, mean_loss, model)
         results[client.client_id] = (upload, cohort.epoch_means[slot])
     return [results[ident] for ident in ids]
 
 
+class _Workspace:
+    """A cohort's rows, gathered in slot order, and the views built on them.
+
+    The population keeps the last cohort's workspace, and a cohort of the
+    same slots and the same standalone-ness (the key) reuses it: its
+    buffers, its views and, through them, their gradient scratch.  parts
+    holds (kind, slots, ranks, block) per private architecture, ids the
+    client id of each slot; shared and projectors are None for standalone
+    training.  views maps a run of slots (a, b) to its models, tests such
+    a run to its stacked test set.  synced is the population's write count
+    at which the rows last equalled the population's, None once training
+    writes them.  It holds arrays, ids and views only: a client or the
+    population here would make a reference cycle.
+    """
+
+    def __init__(self, population: Population, ids: tuple[int, ...], standalone: bool):
+        self.key = (ids, standalone)
+        self.ids, self.rows = ids, np.array(ids)
+        kinds: dict[int, list[int]] = {}
+        for slot, ident in enumerate(ids):
+            kinds.setdefault(population.place[ident][0], []).append(slot)
+        self.parts = []
+        for kind, slots in kinds.items():
+            ranks = np.array([population.place[ids[s]][1] for s in slots])
+            self.parts.append((kind, np.array(slots), ranks, population.blocks[kind][ranks]))
+        self.headers = population.headers[self.rows]
+        self.shared = self.projectors = None
+        if not standalone:
+            self.shared = population.shared[self.rows]
+            self.projectors = population.projectors[self.rows]
+        self.synced = population.writes.count
+        self.writes, self.views, self.tests = _Writes(), {}, {}
+
+    def gather(self, population: Population) -> None:
+        """Copy the population's rows in, one take per buffer, unless they are there already."""
+        if self.synced == population.writes.count:
+            return
+        for kind, _, ranks, block in self.parts:
+            np.take(population.blocks[kind], ranks, axis=0, out=block)
+        np.take(population.headers, self.rows, axis=0, out=self.headers)
+        if self.shared is not None:
+            np.take(population.shared, self.rows, axis=0, out=self.shared)
+            np.take(population.projectors, self.rows, axis=0, out=self.projectors)
+        self.writes.count += 1
+        self.synced = population.writes.count
+
+    def scatter(self, population: Population) -> None:
+        """Write the rows back into the population: one scatter per buffer."""
+        for kind, _, ranks, block in self.parts:
+            population.blocks[kind][ranks] = block
+        population.headers[self.rows] = self.headers
+        if self.shared is not None:
+            population.shared[self.rows] = self.shared
+            population.projectors[self.rows] = self.projectors
+        population.writes.count += 1
+        self.synced = population.writes.count
+
+    def models(self, a: int, b: int, layouts: Population) -> tuple:
+        """(shared, private, projector, their vectors in step order), viewing slots a to b."""
+        views = self.views.get((a, b))
+        if views is None:
+            parts = []
+            for kind, slots, _, block in self.parts:
+                lo, hi = np.searchsorted(slots, (a, b))
+                if lo < hi:
+                    extractor = layouts.private_layouts[kind].extractor._over((block[lo:hi],))
+                    parts.append((slots[lo:hi] - a, extractor))
+            header = layouts.private_layouts[0].header._over((self.headers[a:b],))
+            models = [None, Net(GroupedExtractor(parts, b - a), header), None]
+            if self.shared is not None:
+                models[0] = layouts.shared_layout._split(self.shared[a:b])
+                models[2] = layouts.projector_layout._split(self.projectors[a:b])
+            trained = [model for model in models if model is not None]
+            for model in trained:
+                model._writes = self.writes
+            vectors = [v for model in trained for v in model._segments()]
+            views = self.views[a, b] = (*models, vectors)
+        return views
+
+    def evaluate(self, clients: list[ClientState], variant: InferenceVariant) -> None:
+        """Memoize the accuracy of the stale clients in its slots, one infer per run.
+
+        A run is two or more slots that share a test-set size and that
+        training built a view for (a stack of one saves no call); a client
+        in no run, and every client of a run whose logits are not finite,
+        is left to evaluate alone.
+        """
+        sizes = [0 if variant in clients[i].accuracy else clients[i].test_y.size for i in self.ids]
+        a = 0
+        while a < len(sizes):
+            b = a + 1
+            while b < len(sizes) and sizes[b] == sizes[a]:
+                b += 1
+            while b > a + 1 and (a, b) not in self.views:
+                b -= 1
+            if b > a + 1 and sizes[a]:
+                self._infer(a, b, [clients[i] for i in self.ids[a:b]], variant)
+            a = b
+
+    def _infer(self, a: int, b: int, members: list[ClientState], variant: InferenceVariant) -> None:
+        sources = [array for c in members for array in (c.test_x, c.test_y)]
+        test = self.tests.get((a, b))
+        if test is None or any(map(operator.is_not, sources, test[0])):
+            # dtype= gives numpy's own float64 dtype, which _matrix passes as
+            # is; arrays restored by pickle carry an equal but distinct one.
+            x = np.stack(sources[::2], dtype=np.float64)
+            test = self.tests[a, b] = (sources, x, np.stack(sources[1::2]))
+        g, f, p, _ = self.views[a, b]
+        try:
+            preds = infer(g, f, p, test[1], variant)
+        except NonFiniteError:
+            return
+        # Each row's mean is evaluate's float(np.mean(...)) bit for bit: a
+        # sum of 0s and 1s is exact in any order, then one division.
+        for client, accuracy in zip(members, (preds == test[2]).mean(axis=-1).tolist()):
+            client.accuracy[variant] = accuracy
+
+
 class _Cohort:
-    """The clients that train in lockstep, and a gathered copy of their rows.
+    """The clients that train in lockstep, on the population's workspace.
 
     Clients sit in slots ordered by training-set size, largest first,
     then by id, so the clients that take a batch of the same size at a
     step fill a contiguous run of slots, and so do a run's slots of each
-    architecture.  Rows are gathered in slot order (parts: kind, slots,
-    ranks, block), the private ones only for standalone training.  A run
-    trains on views built once; commit scatters the rows back.
+    architecture.  A run trains on the workspace's views of it, and
+    cohort_update scatters the rows back once every client has trained.
     """
 
     def __init__(self, clients: list[ClientState], mode: Mode, lrs: LearningRates,
@@ -400,21 +538,16 @@ class _Cohort:
         self.epoch_means: list[list[float]] = [[] for _ in self.clients]
         self.all_losses: list[list[float]] = [[] for _ in self.clients]
         self.population = population = _population(self.clients)
-        self.rows = rows = [c.client_id for c in self.clients]
-        kinds: dict[int, list[int]] = {}
-        for slot, ident in enumerate(rows):
-            kinds.setdefault(population.place[ident][0], []).append(slot)
-        self.parts = []
-        for kind, slots in kinds.items():
-            ranks = [population.place[rows[s]][1] for s in slots]
-            self.parts.append((kind, np.array(slots), ranks, population.blocks[kind][ranks]))
-        self.headers = population.headers[rows]
-        self.shared = self.projectors = None
-        if mode is not Mode.STANDALONE:
-            self.shared, self.projectors = population.shared[rows], population.projectors[rows]
-        self.writes, self._views = _Writes(), {}
+        key = (tuple(c.client_id for c in self.clients), mode is Mode.STANDALONE)
+        workspace = population._workspace
+        if workspace is not None and workspace.key == key:
+            workspace.gather(population)
+        else:
+            workspace = population._workspace = _Workspace(population, *key)
+        self.workspace = workspace
 
     def train(self, epochs: int, batch_size: int) -> None:
+        self.workspace.synced = None  # until the scatter: a failed cohort leaves the rows stale
         sizes = [c.n_samples for c in self.clients]
         shape = (len(sizes), max(sizes))
         width = self.clients[0].train_x.shape[1]
@@ -448,29 +581,9 @@ class _Cohort:
                 runs.append([i, i + 1, rows])
         return runs
 
-    def _models(self, a: int, b: int) -> tuple:
-        """(shared, private, projector, their vectors in step order), viewing slots a to b."""
-        if (a, b) not in self._views:
-            layouts, parts = self.population, []
-            for kind, slots, _, block in self.parts:
-                lo, hi = np.searchsorted(slots, (a, b))
-                if lo < hi:
-                    extractor = layouts.private_layouts[kind].extractor._over((block[lo:hi],))
-                    parts.append((slots[lo:hi] - a, extractor))
-            header = layouts.private_layouts[0].header._over((self.headers[a:b],))
-            models = [None, Net(GroupedExtractor(parts, b - a), header), None]
-            if self.shared is not None:
-                models[0] = layouts.shared_layout._split(self.shared[a:b])
-                models[2] = layouts.projector_layout._split(self.projectors[a:b])
-            trained = [model for model in models if model is not None]
-            for model in trained:
-                model._writes = self.writes
-            self._views[a, b] = (*models, [v for model in trained for v in model._segments()])
-        return self._views[a, b]
-
     def _step(self, a, b, x, y, batch_losses) -> None:
         """Train slots a to b on one batch each; on a failed check, one slot at a time."""
-        g, f, p, vectors = self._models(a, b)
+        g, f, p, vectors = self.workspace.models(a, b, self.population)
         try:
             if self.mode is Mode.STANDALONE:
                 loss, cache = forward_loss_single(f, x, y)
@@ -489,7 +602,7 @@ class _Cohort:
             return
         for target, values in zip(vectors, (v for model in stepped for v in model._segments())):
             target[...] = values
-        self.writes.count += 1
+        self.workspace.writes.count += 1
         for losses, value in zip(batch_losses[a:b], loss.tolist()):
             losses.append(value)
 
@@ -502,17 +615,6 @@ class _Cohort:
         for i, client in enumerate(self.clients):
             if client.client_id >= ident:
                 self.live[i] = False
-
-    def commit(self) -> None:
-        """Write the trained rows back into the population: one scatter per buffer."""
-        population = self.population
-        for kind, _, ranks, block in self.parts:
-            population.blocks[kind][ranks] = block
-        population.headers[self.rows] = self.headers
-        if self.shared is not None:
-            population.shared[self.rows] = self.shared
-            population.projectors[self.rows] = self.projectors
-        population.writes.count += 1
 
 
 def _population(clients: list[ClientState]) -> Population:
@@ -640,7 +742,7 @@ def run_rounds(
                     aggregate(server, uploads)
                     uplink, downlink = comm_cost_round(shared_params, len(participants))
 
-                accuracies = tuple(_accuracy(c, variant) for c in clients)
+                accuracies = _accuracies(clients, variant)
             except NonFiniteError as exc:
                 raise NonFiniteError(f"round {server.round + 1}: {exc}") from exc
             reports.append(
@@ -656,6 +758,17 @@ def run_rounds(
             )
             server.round += 1
     return reports
+
+
+def _accuracies(clients: list[ClientState], variant: InferenceVariant) -> tuple[float, ...]:
+    """Every client's test accuracy: the stale ones of the last cohort in stacks on its
+    workspace while it holds their current rows, the rest one by one in ascending id
+    order, so a failure raises the error of the lowest-id client that fails."""
+    population = _population(clients)
+    workspace = population._workspace
+    if workspace is not None and workspace.synced == population.writes.count:
+        workspace.evaluate(clients, variant)
+    return tuple(_accuracy(c, variant) for c in clients)
 
 
 def _accuracy(client: ClientState, variant: InferenceVariant) -> float:

@@ -13,12 +13,16 @@ Ledger conventions, applied uniformly:
   with samples seen, so an epoch over n samples costs n times one sample.
 
 Exports are byte-stable: floats are written with repr (which round-trips
-float64 exactly), so identical runs produce identical files.
+float64 exactly), so identical runs produce identical files.  They are
+atomic: the text goes to a temporary file beside the target, which then
+replaces it, so a failed write leaves the old file as it was.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import uuid
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -166,7 +170,7 @@ def export_reports(
             ]
             cells += [_float_repr(a) for a in r.per_client_accuracy]
             lines.append(",".join(cells))
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        text = "\n".join(lines) + "\n"
     elif format == "json":
         doc = {"schema_version": REPORT_SCHEMA_VERSION}
         doc.update(meta or {})
@@ -182,9 +186,16 @@ def export_reports(
             }
             for r in reports
         ]
-        path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        text = json.dumps(doc, indent=2) + "\n"
     else:
         raise ValueError(f"unknown export format {format!r} (use 'csv' or 'json')")
+    temporary = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        temporary.write_text(text, encoding="utf-8")
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
 def load_reports_json(path: str | Path) -> tuple[dict, list[RoundReport]]:

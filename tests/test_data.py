@@ -2,6 +2,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fedmrl.data import (
     ClassCountSpec,
@@ -321,3 +323,56 @@ def test_fixture_tiny_csv_partitions_and_round_trips(tmp_path):
     assert np.array_equal(again.features, ds.features)
     assert np.array_equal(again.labels, ds.labels)
     assert (tmp_path / "copy.csv").read_bytes() == FIXTURE.read_bytes()
+
+
+def _assert_disjoint(plan, n_samples):
+    seen = np.concatenate([c.pool for c in plan.clients])
+    assert seen.size == np.unique(seen).size
+    assert ((0 <= seen) & (seen < n_samples)).all()
+    assert all(c.pool.size for c in plan.clients)
+    return np.sort(seen)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    classes=st.integers(2, 7),
+    per_class=st.integers(8, 15),
+    n_clients=st.integers(1, 8),
+    per_client=st.integers(1, 7),
+    seed=st.integers(0, 10_000),
+)
+def test_class_count_plans_are_disjoint_and_cover_the_dataset_when_they_can(
+    classes, per_class, n_clients, per_client, seed
+):
+    # Every class has at least as many samples as it can have holders, so
+    # every request with per_client <= classes gives a plan.
+    assume(per_client <= classes)
+    ds = make_dataset(classes=classes, per_class=per_class, seed=seed)
+    plan = partition_class_count(ds, n_clients, ClassCountSpec(per_client, seed))
+    seen = _assert_disjoint(plan, len(ds))
+    for client in plan.clients:
+        assert np.unique(ds.labels[client.pool]).size == per_client
+    covered = np.unique(ds.labels[seen])
+    if n_clients * per_client >= classes:
+        assert np.array_equal(seen, np.arange(len(ds)))
+    else:  # a class is dealt whole or not at all
+        assert covered.size == n_clients * per_client
+        assert np.array_equal(seen, np.flatnonzero(np.isin(ds.labels, covered)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    classes=st.integers(2, 6),
+    per_class=st.integers(1, 20),
+    n_clients=st.integers(1, 10),
+    alpha=st.sampled_from([0.3, 1.0, 10.0]),
+    seed=st.integers(0, 10_000),
+)
+def test_dirichlet_plans_are_disjoint_and_cover_the_dataset(classes, per_class, n_clients, alpha, seed):
+    ds = make_dataset(classes=classes, per_class=per_class, seed=seed)
+    assume(len(ds) >= n_clients)
+    try:
+        plan = partition_dirichlet(ds, n_clients, DirichletSpec(alpha=alpha, seed=seed))
+    except PartitionError:  # no draw left every client a sample
+        assume(False)
+    assert np.array_equal(_assert_disjoint(plan, len(ds)), np.arange(len(ds)))

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import gc
 import math
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fedmrl import federation
+from fedmrl import federation, metrics
 from fedmrl.config import build_run_config, load_config, override
 from fedmrl.core import (
     InferenceVariant,
@@ -19,6 +20,7 @@ from fedmrl.core import (
     backward_and_step_single,
     forward_loss,
     forward_loss_single,
+    infer,
     parameter_vector,
 )
 from fedmrl.data import (
@@ -593,6 +595,21 @@ def test_evaluation_reuse_matches_evaluating_every_client(
                 assert dataclasses.replace(report, round=r) == whole[r - 1]
 
 
+def _count_inference(monkeypatch, clients):
+    """A list that gains, at each infer call, alone (metrics.evaluate) or stacked
+    (run_rounds on the cohort's views), the ids of the clients whose test sets it reads."""
+    calls = []
+
+    def counting(global_model, local_model, projector, x, variant):
+        tests = x if x.ndim == 3 else [x]
+        calls.append([c.client_id for t in tests for c in clients if np.array_equal(c.test_x, t)])
+        return infer(global_model, local_model, projector, x, variant)
+
+    monkeypatch.setattr(federation, "infer", counting)
+    monkeypatch.setattr(metrics, "infer", counting)
+    return calls
+
+
 def test_only_clients_whose_models_changed_are_evaluated_again(monkeypatch):
     cfg, dataset, plan = small_setup(n_clients=4, participation=0.25, rounds=1)
     server, clients = build_clients(cfg, dataset, plan)
@@ -844,13 +861,13 @@ def test_cohort_raises_the_error_of_the_lowest_id_client_that_fails(monkeypatch)
         assert _same_arrays(_client_arrays(client), arrays)
 
 
-def _equal_shards():
+def _equal_shards(with_server=False):
     config = load_config(QUICKSTART)
     dataset = load_dataset(config)
     cfg = build_run_config(config)
-    _, clients = build_clients(cfg, dataset, build_partition(config, dataset))
+    server, clients = build_clients(cfg, dataset, build_partition(config, dataset))
     assert len({c.n_samples for c in clients}) == 1
-    return cfg, clients
+    return (cfg, server, clients) if with_server else (cfg, clients)
 
 
 @pytest.mark.parametrize("cohort", ["whole population", "first five"])
@@ -901,3 +918,123 @@ def test_client_update_names_the_client_and_group_of_a_diverging_step():
             client_update(
                 client, 1, 8, LearningRates(0.0, 1e308, 0.0), Mode.FEDMRL, LossWeights()
             )
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_a_clean_cohort_after_a_failed_one_trains_like_a_fresh_population(mode):
+    # The failed cohort leaves half-trained rows in the population's
+    # workspace; the next cohort of the same slots must gather them afresh.
+    cfg, clients = _equal_shards()
+    _, fresh = _equal_shards()
+    args = (2, 8, cfg.lrs, mode, LossWeights())
+    rngs = [copy.deepcopy(c.rng) for c in clients]
+    clean = clients[6].train_x
+    clients[6].train_x = np.full_like(clean, np.nan)
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match="^client 6: "):
+        cohort_update(clients, *args)
+    clients[6].train_x = clean
+    for client, rng in zip(clients, rngs):
+        client.rng = rng
+    results, expected = cohort_update(clients, *args), cohort_update(fresh, *args)
+    for (upload, means), (expected_upload, expected_means) in zip(results, expected):
+        assert repr(means) == repr(expected_means)
+        if mode is not Mode.STANDALONE:
+            assert _same_arrays(
+                upload.model.parameter_arrays(), expected_upload.model.parameter_arrays()
+            )
+    for a, b in zip(clients, fresh):
+        assert _same_arrays(_client_arrays(a), _client_arrays(b))
+
+
+def test_uploads_keep_their_values_after_the_next_cohort_of_the_same_clients():
+    cfg, clients = _equal_shards()
+    args = (1, 8, cfg.lrs, Mode.FEDMRL, LossWeights())
+    first = cohort_update(clients, *args)
+    kept = [[a.copy() for a in upload.model.parameter_arrays()] for upload, _ in first]
+    second = cohort_update(clients, *args)
+    for (upload, _), arrays in zip(first, kept):
+        assert _same_arrays(upload.model.parameter_arrays(), arrays)
+    assert not _same_arrays(first[0][0].model.parameter_arrays(), second[0][0].model.parameter_arrays())
+
+
+def _workspace_arrays(population):
+    workspace = population._workspace
+    blocks = [block for *_, block in workspace.parts]
+    return [*blocks, workspace.headers, workspace.shared, workspace.projectors]
+
+
+def _population_arrays(population):
+    return [population.shared, population.projectors, population.headers, *population.blocks]
+
+
+@pytest.mark.parametrize("copier", ["deepcopy", "pickle"])
+def test_copies_drop_the_workspace_and_share_no_memory(copier):
+    cfg, dataset, plan = small_setup(rounds=1, n_clients=4)
+    server, clients = build_clients(cfg, dataset, plan)
+    run_rounds(server, clients, cfg)
+    population = clients[0].population
+    assert population._workspace is not None
+    if copier == "deepcopy":
+        twin_server, twin_clients = copy.deepcopy((server, clients))
+    else:
+        twin_server, twin_clients = pickle.loads(pickle.dumps((server, clients)))
+    twin = twin_clients[0].population
+    assert twin._workspace is None and twin._views == {}
+    assert run_rounds(twin_server, twin_clients, cfg) == run_rounds(server, clients, cfg)
+    mine = [*_population_arrays(population), *_workspace_arrays(population)]
+    theirs = [*_population_arrays(twin), *_workspace_arrays(twin)]
+    assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_a_cohort_of_equal_shards_is_evaluated_in_one_stacked_infer(monkeypatch, mode):
+    cfg, server, clients = _equal_shards(with_server=True)
+    cfg = dataclasses.replace(cfg, mode=mode, rounds=1)
+    calls = _count_inference(monkeypatch, clients)
+    variant = InferenceVariant.SINGLE_LARGE if mode is Mode.STANDALONE else cfg.inference
+    for _ in range(2):  # the second round reuses the first round's workspace
+        calls.clear()
+        (report,) = run_rounds(server, clients, cfg)
+        assert calls == [list(range(cfg.n_clients))]
+        assert report.per_client_accuracy == tuple(evaluate(c, variant) for c in clients)
+
+
+@pytest.mark.parametrize(
+    "nan_at,error,message",
+    [
+        (1, NonFiniteError, "round 2: client 1: non-finite logits"),
+        (5, ValueError, "client 2 has an empty test set"),
+    ],
+)
+def test_a_failed_stacked_evaluation_raises_what_the_ascending_loop_raises(
+    monkeypatch, nan_at, error, message
+):
+    cfg, server, clients = _equal_shards(with_server=True)
+    cfg = dataclasses.replace(cfg, rounds=1)
+    # Client 2 trains on fewer samples, so it takes the last slot, and
+    # training builds views of slots 0-9 and of slots 0-8.
+    clients[2].train_x, clients[2].train_y = clients[2].train_x[:40], clients[2].train_y[:40]
+    run_rounds(server, clients, cfg)
+    broken = clients[nan_at].local_model.clone()
+    broken.header.weight[0, 0] = np.nan
+    clients[nan_at].local_model = broken
+    clients[2].test_x, clients[2].test_y = clients[2].test_x[:0], clients[2].test_y[:0]
+    calls = _count_inference(monkeypatch, clients)
+    # Without training, the round only evaluates: client 2's empty test
+    # set leaves slots 0-8 as the stacked run, and it holds the NaN.
+    with pytest.raises(error) as stacked:
+        run_rounds(server, clients, dataclasses.replace(cfg, local_epochs=0))
+    assert calls[0] == [i for i in range(cfg.n_clients) if i != 2]
+    assert str(stacked.value) == message
+    with pytest.raises(error) as alone:
+        for client in clients:
+            evaluate(client, cfg.inference)
+    assert message.endswith(str(alone.value))
+
+
+def test_empty_test_sets_are_never_evaluated_in_a_stack():
+    cfg, server, clients = _equal_shards(with_server=True)
+    for client in clients:
+        client.test_x, client.test_y = client.test_x[:0], client.test_y[:0]
+    with pytest.raises(ValueError, match=r"^client 0 has an empty test set$"):
+        run_rounds(server, clients, dataclasses.replace(cfg, rounds=1))

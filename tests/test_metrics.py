@@ -1,10 +1,14 @@
 import json
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fedmrl.core import InferenceVariant, infer
+from fedmrl.core import InferenceVariant, infer, init_projector
 from fedmrl.data import DirichletSpec, gen_synthetic, partition_dirichlet, split_train_test
 from fedmrl.federation import Mode, RunConfig, build_clients, run_training
 from fedmrl.metrics import (
@@ -18,6 +22,7 @@ from fedmrl.metrics import (
     forward_flops_per_sample,
     load_reports_json,
 )
+from fedmrl.models import ModelConfig, init_model
 from fedmrl.numerics import make_rng
 
 
@@ -175,6 +180,36 @@ def test_export_rejects_unknown_format(tmp_path):
         export_reports([], tmp_path / "x.bin", "binary")
 
 
+@pytest.mark.parametrize("failing", ["write", "replace"])
+@pytest.mark.parametrize("format", ["csv", "json"])
+def test_a_failed_export_leaves_the_old_report_and_no_temporary_file(
+    tmp_path, monkeypatch, failing, format
+):
+    path = tmp_path / f"reports.{format}"
+    export_reports(sample_reports()[:1], path, format)
+    old = path.read_bytes()
+    write_text = Path.write_text
+
+    def half_then_fail(self, text, *args, **kwargs):
+        write_text(self, text[: len(text) // 2], *args, **kwargs)
+        raise OSError("no space left on device")
+
+    def fail(*args, **kwargs):
+        raise OSError("cannot replace")
+
+    if failing == "write":
+        monkeypatch.setattr(Path, "write_text", half_then_fail)
+    else:
+        monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError):
+        export_reports(sample_reports(), path, format)
+    monkeypatch.undo()
+    assert path.read_bytes() == old
+    assert list(tmp_path.iterdir()) == [path]
+    export_reports(sample_reports(), path, format)
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_load_rejects_unknown_schema(tmp_path):
     path = tmp_path / "r.json"
     path.write_text('{"schema_version": 9, "reports": []}')
@@ -211,3 +246,42 @@ def test_run_training_report_ledgers_match_formulas():
         assert report.uplink_params == 3 * shared
         assert report.downlink_params == 3 * shared
         assert report.flops == expected_flops
+
+
+def _chain_flops(widths):
+    """Hand count: 2 * in * out per affine layer of a width chain."""
+    return sum(2 * a * b for a, b in zip(widths, widths[1:]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    input_dim=st.integers(1, 9),
+    global_hidden=st.lists(st.integers(1, 9), max_size=3),
+    local_hidden=st.lists(st.integers(1, 9), max_size=3),
+    widths=st.tuples(st.integers(1, 6), st.integers(0, 6)),
+    classes=st.integers(2, 6),
+    mode=st.sampled_from(list(Mode)),
+    n_samples=st.integers(0, 60),
+    epochs=st.integers(0, 4),
+    participants=st.integers(0, 30),
+)
+def test_ledgers_equal_their_formulas_for_random_architectures(
+    input_dim, global_hidden, local_hidden, widths, classes, mode, n_samples, epochs, participants
+):
+    d1, d2 = widths[0], widths[0] + widths[1]
+    rng = make_rng(0)
+    g = init_model(ModelConfig(input_dim, tuple(global_hidden), d1, classes), rng)
+    f = init_model(ModelConfig(input_dim, tuple(local_hidden), d2, classes), rng)
+    p = init_projector(d1, d2, rng)
+    local = _chain_flops([input_dim, *local_hidden, d2]) + 2 * d2 * classes
+    shared = _chain_flops([input_dim, *global_hidden, d1])
+    mix = 2 * (d1 + d2) * d2
+    per_sample = {
+        Mode.STANDALONE: local,
+        Mode.NO_MRL: local + shared + mix,
+        Mode.FEDMRL: local + shared + mix + 2 * d1 * classes,
+    }[mode]
+    assert flops_round(g, f, p, n_samples, epochs, mode) == 3 * per_sample * n_samples * epochs
+    chain = [input_dim, *global_hidden, d1]
+    size = sum(a * b + b for a, b in zip(chain, chain[1:])) + d1 * classes  # weights, biases, header
+    assert comm_cost_round(g.param_count(), participants) == (participants * size,) * 2

@@ -7,8 +7,12 @@ CSV export), and the sha256 of each CSV must equal the digest recorded
 before flat parameter buffers replaced stacked per-client models.  The
 digests were recorded on numpy 2.4.6 with OpenBLAS 0.3.31: a change that
 moves a single bit of any report fails here, not only in a benchmark run.
+The benchmark's timed runs call run_rounds once per round on states from
+build_clients, which keeps state between calls (the population's cohort
+workspace, the accuracy memo), so that path must give the same digests.
 """
 
+import dataclasses
 import hashlib
 from pathlib import Path
 
@@ -16,7 +20,7 @@ import pytest
 
 from fedmrl.config import build_run_config, override, parse_config_text, parse_mode
 from fedmrl.experiment import build_partition, load_dataset
-from fedmrl.federation import run_training
+from fedmrl.federation import build_clients, run_rounds, run_training
 from fedmrl.metrics import export_reports
 
 WORKLOADS = Path(__file__).parents[1] / "bench" / "workloads"
@@ -38,8 +42,8 @@ def test_every_workload_is_pinned():
     assert {path.stem for path in WORKLOADS.glob("*.cfg")} == {key[0] for key in DIGESTS}
 
 
-@pytest.mark.parametrize("workload,seed", sorted({key[:2] for key in DIGESTS}))
-def test_workload_reports_are_byte_identical(tmp_path, workload, seed):
+def _check_digests(tmp_path, workload, seed, train):
+    """train(run_config, dataset, plan) -> reports, checked against the pinned digests."""
     path = WORKLOADS / f"{workload}.cfg"
     config = override(parse_config_text(path.read_text(encoding="utf-8"), path.name), seed=seed)
     dataset = load_dataset(config)
@@ -48,6 +52,27 @@ def test_workload_reports_are_byte_identical(tmp_path, workload, seed):
     for mode in modes:
         run_config = build_run_config(override(config, mode=parse_mode(mode)))
         report = tmp_path / f"{mode}.csv"
-        export_reports(run_training(run_config, dataset, plan), report, "csv")
+        export_reports(train(run_config, dataset, plan), report, "csv")
         digest = hashlib.sha256(report.read_bytes()).hexdigest()
         assert digest == DIGESTS[(workload, seed, mode)], mode
+
+
+@pytest.mark.parametrize("workload,seed", sorted({key[:2] for key in DIGESTS}))
+def test_workload_reports_are_byte_identical(tmp_path, workload, seed):
+    _check_digests(tmp_path, workload, seed, run_training)
+
+
+def _one_round_per_call(run_config, dataset, plan):
+    """The benchmark's timed run: build_clients, then run_rounds one round at a time."""
+    server, clients = build_clients(run_config, dataset, plan)
+    one_round = dataclasses.replace(run_config, rounds=1)
+    reports = []
+    for r in range(1, run_config.rounds + 1):
+        (report,) = run_rounds(server, clients, one_round)
+        reports.append(dataclasses.replace(report, round=r))
+    return reports
+
+
+@pytest.mark.parametrize("workload,seed", sorted({key[:2] for key in DIGESTS}))
+def test_workload_reports_one_round_per_call_are_byte_identical(tmp_path, workload, seed):
+    _check_digests(tmp_path, workload, seed, _one_round_per_call)
