@@ -429,19 +429,19 @@ def _gradients(cache: TrainingCache, grads: GradientSet) -> GradientSet:
     n = cache.n_samples
 
     d_local_logits = (cache.weights.local_head / n) * cache.dlogits_local
-    d_fused = f.header._backward(cache.fused, d_local_logits, grads.local_model.header.weight)
+    d_fused = f.header.backward(cache.fused, d_local_logits, grads.local_model.header.weight)
     if cache.dlogits_global is None:
         grads.global_model.header.weight[...] = 0.0
     else:
         d_global_logits = (cache.weights.global_head / n) * cache.dlogits_global
-        d_fused[..., :d1] += g.header._backward(
+        d_fused[..., :d1] += g.header.backward(
             cache.fused[..., :d1], d_global_logits, grads.global_model.header.weight
         )
 
     np.matmul(_transposed(d_fused), cache.spliced, out=grads.projector.weight)
     d_spliced = d_fused @ p.weight
-    g.extractor._layer_grads(cache.cache_global, d_spliced[..., :d1], grads.global_model.extractor)
-    f.extractor._layer_grads(cache.cache_local, d_spliced[..., d1:], grads.local_model.extractor)
+    g.extractor.backward(cache.cache_global, d_spliced[..., :d1], grads.global_model.extractor)
+    f.extractor.backward(cache.cache_local, d_spliced[..., d1:], grads.local_model.extractor)
     return grads
 
 
@@ -497,8 +497,8 @@ def backward_and_step_single(model: Net, cache: SingleCache, lr: float) -> Net:
     if cache.model is not model or cache.versions != _versions(model):
         raise StaleCacheError("cache was not produced by this model")
     grads = model._grads
-    d_rep = model.header._backward(cache.rep, cache.dlogits / cache.n_samples, grads.header.weight)
-    model.extractor._layer_grads(cache.extractor_cache, d_rep, grads.extractor)
+    d_rep = model.header.backward(cache.rep, cache.dlogits / cache.n_samples, grads.header.weight)
+    model.extractor.backward(cache.extractor_cache, d_rep, grads.extractor)
     return _stepped("local", model, grads, lr)
 
 

@@ -256,11 +256,11 @@ class ServerState:
 
 @dataclass
 class Upload:
-    """What one client sends back: the trained shared model plus scalars."""
+    """What one client sends back: its id, its training-set size (the
+    aggregation weight) and its trained shared model."""
 
     client_id: int
     n_samples: int
-    mean_loss: float
     model: Net
 
 
@@ -392,10 +392,8 @@ def cohort_update(
     for slot, client in enumerate(cohort.clients):
         upload = None
         if shared is not None:
-            losses = cohort.all_losses[slot]
-            mean_loss = float(np.mean(losses)) if losses else float("nan")
             model = cohort.population.shared_layout._split(shared[slot])
-            upload = Upload(client.client_id, client.n_samples, mean_loss, model)
+            upload = Upload(client.client_id, client.n_samples, model)
         results[client.client_id] = (upload, cohort.epoch_means[slot])
     return [results[ident] for ident in ids]
 
@@ -503,10 +501,7 @@ class _Workspace:
         sources = [array for c in members for array in (c.test_x, c.test_y)]
         test = self.tests.get((a, b))
         if test is None or any(map(operator.is_not, sources, test[0])):
-            # dtype= gives numpy's own float64 dtype, which _matrix passes as
-            # is; arrays restored by pickle carry an equal but distinct one.
-            x = np.stack(sources[::2], dtype=np.float64)
-            test = self.tests[a, b] = (sources, x, np.stack(sources[1::2]))
+            test = self.tests[a, b] = (sources, np.stack(sources[::2]), np.stack(sources[1::2]))
         g, f, p, _ = self.views[a, b]
         try:
             preds = infer(g, f, p, test[1], variant)
@@ -536,7 +531,6 @@ class _Cohort:
         self.failures = failures
         self.live = [True] * len(self.clients)
         self.epoch_means: list[list[float]] = [[] for _ in self.clients]
-        self.all_losses: list[list[float]] = [[] for _ in self.clients]
         self.population = population = _population(self.clients)
         key = (tuple(c.client_id for c in self.clients), mode is Mode.STANDALONE)
         workspace = population._workspace
@@ -566,7 +560,6 @@ class _Cohort:
             for i, losses in enumerate(batch_losses):
                 if self.live[i]:
                     self.epoch_means[i].append(float(np.mean(losses)))
-                    self.all_losses[i].extend(losses)
 
     def _runs(self, sizes: list[int], start: int, batch_size: int) -> list[list[int]]:
         """[first, stop, rows] of each run of live slots whose batch at this offset has `rows` rows."""

@@ -15,11 +15,13 @@ reshape of a column range).  _segments() lists a model's vectors and
 _over(segments) builds a model of the same layout over others, without
 checks.  Copies (clone, copy.deepcopy) view copied vectors.
 
-Every public method checks its inputs once and then multiplies with a
-bare ``@`` on C-order operands, a transposed weight or gradient being
-copied first: OpenBLAS rounds a product with a transposed view
-differently, and the copy keeps every result bit-identical to
-numerics.matmul.  Nothing here checks for non-finite values (see core).
+Each forward checks its input once and then multiplies with a bare
+``@`` on C-order operands, a transposed weight or gradient being copied
+first: OpenBLAS rounds a product with a transposed view differently, and
+the copy keeps every result bit-identical to the product of C-order
+matrices.  Each backward, the one training runs (see core), writes its
+parameter gradients into ``out``, a model of the same layout.  Nothing
+here checks for non-finite values.
 
 Parameters and batches may carry a leading client axis to train a cohort
 at once (weights (C, out, in), views of (C, P) vectors strided along
@@ -277,23 +279,13 @@ class Extractor(_Segmented):
             cache.pre_acts.append(pre)
         return out, cache
 
-    def backward(
-        self, cache: ForwardCache, d_rep: np.ndarray
-    ) -> tuple[list[AffineLayer], np.ndarray]:
-        """Backpropagate an upstream gradient through the stack.
+    def backward(self, cache: ForwardCache, d_rep: np.ndarray, out: "Extractor") -> None:
+        """Backpropagate an upstream gradient through the stack, writing the
+        parameter gradients into out, an extractor of this layout.
 
         d_rep may be the sum of gradients from several consumers of the
-        representation.  Returns per-layer parameter gradients (as layers,
-        in the order of self.layers) and the gradient w.r.t. the input.
+        representation.  Training never needs the input's gradient.
         """
-        grads = self._empty()
-        delta = self._layer_grads(cache, d_rep, grads)
-        return grads.layers, delta @ self.layers[0].weight
-
-    def _layer_grads(self, cache: ForwardCache, d_rep: np.ndarray, out: "Extractor") -> np.ndarray:
-        """backward writing the parameter gradients into out, an extractor of
-        this layout, and stopping before the input gradient, which training
-        never needs: returns the gradient at the first pre-activation."""
         if cache.owner is not self:
             raise StaleCacheError("forward cache does not belong to this extractor")
         if len(cache.pre_acts) != len(self.layers):
@@ -308,7 +300,6 @@ class Extractor(_Segmented):
             np.matmul(_transposed(delta), cache.inputs[i], out=grad.weight)
             if grad.bias is not None:
                 delta.sum(axis=-2, keepdims=True, out=grad.bias)
-        return delta
 
     def parameter_arrays(self) -> list[np.ndarray]:
         """Each layer's weight, then its bias if it has one, first layer to last."""
@@ -362,10 +353,11 @@ class GroupedExtractor(_Segmented):
             caches.append(cache)
         return rep, caches
 
-    def _layer_grads(self, caches: list[ForwardCache], d_rep: np.ndarray, out) -> None:
+    def backward(self, caches: list[ForwardCache], d_rep: np.ndarray, out) -> None:
+        """Each part's Extractor.backward on its slots, into the matching part of out."""
         whole = len(self.parts) == 1
         for (slots, extractor), cache, (_, grads) in zip(self.parts, caches, out.parts):
-            extractor._layer_grads(cache, d_rep if whole else d_rep[slots], grads)
+            extractor.backward(cache, d_rep if whole else d_rep[slots], grads)
 
 
 @dataclass
@@ -383,15 +375,9 @@ class Header(_Matrix):
     def forward(self, rep: np.ndarray) -> np.ndarray:
         return _matrix(rep, cols=self.in_dim) @ _transposed(self.weight)
 
-    def backward(self, rep: np.ndarray, d_logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Returns (d_weight, d_rep) for the logits' upstream gradient."""
-        rep = _matrix(rep, cols=self.in_dim)
-        d_logits = _matrix(d_logits, rows=rep.shape[-2], cols=self.classes)
-        d_weight = np.empty(self.weight.shape)
-        return d_weight, self._backward(rep, d_logits, d_weight)
-
-    def _backward(self, rep: np.ndarray, d_logits: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """backward writing d_weight into out; returns d_rep."""
+    def backward(self, rep: np.ndarray, d_logits: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Writes d_weight into out and returns d_rep.  _matrix copies rep, a
+        column prefix of the fused row for the global head, to C order."""
         np.matmul(_transposed(d_logits), _matrix(rep), out=out)
         return d_logits @ self.weight
 

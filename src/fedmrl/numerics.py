@@ -19,11 +19,7 @@ __all__ = [
     "ShapeError",
     "NonFiniteError",
     "as_matrix",
-    "matmul",
-    "softmax",
-    "cross_entropy",
     "batch_cross_entropy",
-    "sgd_step",
     "finite_diff_gradient",
     "relative_error",
     "make_rng",
@@ -62,9 +58,10 @@ def _matrix(values, rows: int | None = None, cols: int | None = None) -> np.ndar
     last two axes) are C-order, so a stack of rows of a population buffer
     passes uncopied, and copied otherwise; its rows and columns are
     shape-checked.  Anything else goes through as_matrix.  The training
-    step and inference check their inputs with this.
+    step and inference check their inputs with this.  The dtype compares
+    by value: pickle restores an equal float64 dtype, not numpy's own.
     """
-    if type(values) is not np.ndarray or values.dtype is not _FLOAT64 or not 2 <= values.ndim <= 3:
+    if type(values) is not np.ndarray or values.dtype != _FLOAT64 or not 2 <= values.ndim <= 3:
         return as_matrix(values, rows, cols)
     if values.size and not values[(0,) * (values.ndim - 2)].flags.c_contiguous:
         values = np.ascontiguousarray(values)
@@ -84,60 +81,14 @@ def _check_shape(m: np.ndarray, rows: int | None, cols: int | None) -> np.ndarra
     return m
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with explicit contract checks.
-
-    Raises ShapeError naming both shapes on an inner-dimension mismatch
-    and NonFiniteError if the product overflows to inf or produces NaN.
-    """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"matmul inner dimensions differ: {a.shape} @ {b.shape} "
-            f"({a.shape[1]} != {b.shape[0]})"
-        )
-    out = a @ b
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteError("matmul produced non-finite entries")
-    return out
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max subtraction so large logits cannot overflow."""
-    m = as_matrix(logits)
-    shifted = m - m.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def cross_entropy(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:
-    """Cross-entropy of a single sample and its gradient w.r.t. the logits.
-
-    Args:
-        logits: 1 x L matrix of unnormalized scores.
-        label: true class index in [0, L).
-
-    Returns:
-        (loss, grad) where grad is 1 x L and equals softmax(logits) minus
-        the one-hot label row.  The loss is computed from shifted logits
-        (log-sum-exp with max subtraction), so saturated inputs such as
-        [10, -10] yield a tiny but exact positive loss instead of log(1).
-    """
-    m = as_matrix(logits, rows=1)
-    n_classes = m.shape[1]
-    if not 0 <= label < n_classes:
-        raise ValueError(f"label {label} out of range for {n_classes} classes")
-    losses, grads = batch_cross_entropy(m, np.array([label]))
-    return float(losses[0]), grads
-
-
 def batch_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row cross-entropy losses and gradients for a batch.
+    """Per-row cross-entropy losses and gradients for a batch: the checked
+    entry to the kernel that training runs.
 
     Returns (losses, grads) with losses of shape (n,) and grads of shape
     (n, L); grads are per-sample, not averaged, so callers own the batch
-    reduction.
+    reduction.  Losses come from max-shifted logits, so a saturated row
+    gives a tiny positive loss, not log(1) = 0.
     """
     m = as_matrix(logits)
     return _cross_entropy(m, _labels(labels, m.shape[0], m.shape[1]))
@@ -161,8 +112,7 @@ def _cross_entropy(m: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
     m may be a stack of logit matrices and y the matching stack of label
     rows: every row is its own sample, so the stack is flattened to rows.
-    The gradient reuses the exponentials of the loss; softmax(m) would
-    recompute the very same values.
+    The gradient reuses the exponentials of the loss.
     """
     flat = m.reshape(-1, m.shape[-1])
     labels = y.reshape(-1)
@@ -174,16 +124,6 @@ def _cross_entropy(m: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray
     grads = e / z
     grads[rows, labels] -= 1.0
     return losses.reshape(y.shape), grads.reshape(m.shape)
-
-
-def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float) -> np.ndarray:
-    """Return params - lr * grads as a new array; inputs are never mutated."""
-    _check_lr(lr)
-    p = np.asarray(params, dtype=np.float64)
-    g = np.asarray(grads, dtype=np.float64)
-    if p.shape != g.shape:
-        raise ShapeError(f"params shape {p.shape} != grads shape {g.shape}")
-    return p - lr * g
 
 
 def _check_lr(lr: float) -> None:

@@ -149,18 +149,18 @@ def test_aggregation_weighted_mean_is_exact(capsys):
 
     aggregate(
         server,
-        [Upload(0, 5, 0.0, constant_copy(0.0)), Upload(1, 5, 0.0, constant_copy(2.0))],
+        [Upload(0, 5, constant_copy(0.0)), Upload(1, 5, constant_copy(2.0))],
     )
     equal_ok = all((a == 1.0).all() for a in server.global_model.parameter_arrays())
 
     aggregate(
         server,
-        [Upload(0, 1, 0.0, constant_copy(0.0)), Upload(1, 3, 0.0, constant_copy(4.0))],
+        [Upload(0, 1, constant_copy(0.0)), Upload(1, 3, constant_copy(4.0))],
     )
     weighted_ok = all((a == 3.0).all() for a in server.global_model.parameter_arrays())
 
     lone = init_model(ModelConfig(4, (3,), 2, 3), make_rng(9))
-    aggregate(server, [Upload(4, 7, 0.0, lone.clone())])
+    aggregate(server, [Upload(4, 7, lone.clone())])
     single_ok = all(
         got.tobytes() == want.tobytes()
         for got, want in zip(server.global_model.parameter_arrays(), lone.parameter_arrays())
@@ -429,7 +429,7 @@ def test_server_never_sees_private_parameters(capsys):
     )
     server, clients = build_clients(cfg, ds, plan)
     fields_ok = {f.name for f in fields(Upload)} == {
-        "client_id", "n_samples", "mean_loss", "model",
+        "client_id", "n_samples", "model",
     }
 
     template_shapes = [a.shape for a in server.global_model.parameter_arrays()]

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -101,6 +102,22 @@ def test_forward_loss_at_random_init_is_near_ln_classes():
             for part in (loss_g, loss_f):
                 assert abs(part - math.log(classes)) <= 0.2 * math.log(classes)
             assert abs(total - 2 * math.log(classes)) <= 0.4 * math.log(classes)
+
+
+def test_forward_loss_runs_on_unpickled_stacked_inputs():
+    # A cohort of two clients, models and batches restored by pickle, trains
+    # as a stack and gives each client its own loss bit for bit.
+    alone = [tiny_models(seed=seed) for seed in (0, 1)]
+    batches = [tiny_batch(seed=seed) for seed in (0, 1)]
+    stacked = [
+        model._over(tuple(np.stack(s) for s in zip(*(m[k]._segments() for m in alone))))
+        for k, model in enumerate(alone[0])
+    ]
+    x, y = (np.stack(arrays) for arrays in zip(*batches))
+    stacked, x, y = pickle.loads(pickle.dumps((stacked, x, y)))
+    total, _, _ = forward_loss(*stacked, x, y)
+    for i in range(2):
+        assert total[i] == forward_loss(*alone[i], *batches[i])[0]
 
 
 def test_forward_loss_total_is_weighted_sum():
@@ -230,6 +247,18 @@ def test_zero_learning_rates_keep_parameters():
     _, _, cache = forward_loss(g, f, p, x, y)
     g1, f1, p1 = backward_and_step(g, f, p, cache, LearningRates.uniform(0.0))
     assert np.array_equal(parameter_vector(g, f, p), parameter_vector(g1, f1, p1))
+
+
+@pytest.mark.parametrize("lr", [-0.1, math.nan, math.inf])
+def test_step_rejects_a_negative_or_non_finite_learning_rate(lr):
+    g, f, p = tiny_models(seed=4)
+    x, y = tiny_batch(seed=4)
+    _, _, cache = forward_loss(g, f, p, x, y)
+    with pytest.raises(ValueError, match="learning rate"):
+        backward_and_step(g, f, p, cache, LearningRates(0.1, 0.1, lr))
+    _, single = forward_loss_single(f, x, y)
+    with pytest.raises(ValueError, match="learning rate"):
+        backward_and_step_single(f, single, lr)
 
 
 def test_stale_cache_is_rejected():

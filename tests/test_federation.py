@@ -1,7 +1,6 @@
 import copy
 import dataclasses
 import gc
-import math
 import pickle
 from pathlib import Path
 
@@ -84,7 +83,7 @@ def constant_upload(template, client_id, n_samples, value):
     model = template.clone()
     for array in model.parameter_arrays():
         array[:] = value
-    return Upload(client_id=client_id, n_samples=n_samples, mean_loss=0.0, model=model)
+    return Upload(client_id=client_id, n_samples=n_samples, model=model)
 
 
 def test_run_config_validation():
@@ -179,7 +178,7 @@ def test_client_update_zero_epochs_is_identity():
     after = parameter_vector(client.global_copy, client.local_model, client.projector)
     assert np.array_equal(before, after)
     assert trace == []
-    assert upload is not None and math.isnan(upload.mean_loss)
+    assert upload is not None
     assert np.array_equal(
         upload.model.header.weight, client.global_copy.header.weight
     )
@@ -289,7 +288,7 @@ def test_aggregate_identical_uploads_reproduce_the_model_exactly():
     server, clients = build_clients(cfg, dataset, plan)
     upload, _ = client_update(clients[0], 1, 8, cfg.lrs, Mode.FEDMRL, LossWeights())
     copies = [
-        Upload(ident, 7, 0.0, upload.model.clone()) for ident in range(5)
+        Upload(ident, 7, upload.model.clone()) for ident in range(5)
     ]
     aggregate(server, copies)
     for got, want in zip(
@@ -304,7 +303,7 @@ def test_aggregate_equal_counts_matches_unweighted_mean():
     uploads = []
     for ident, client in enumerate(clients):
         upload, _ = client_update(client, 1, 8, cfg.lrs, Mode.FEDMRL, LossWeights())
-        uploads.append(Upload(ident, 13, 0.0, upload.model))
+        uploads.append(Upload(ident, 13, upload.model))
     stacks = [
         [u.model.parameter_arrays()[i] for u in uploads]
         for i in range(len(uploads[0].model.parameter_arrays()))
@@ -354,6 +353,56 @@ def test_run_training_round_numbers_and_aggregates():
 def test_run_training_zero_rounds_is_empty():
     cfg, dataset, plan = small_setup(rounds=0)
     assert run_training(cfg, dataset, plan) == []
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    mode=st.sampled_from(list(Mode)),
+    classes=st.integers(2, 4),
+    n_clients=st.integers(1, 3),
+    sampled=st.integers(1, 3),
+    classes_per_client=st.integers(1, 4),
+    local_epochs=st.integers(0, 2),
+    batch_size=st.sampled_from([1, 3, 10_000]),
+    d1=st.integers(1, 3),
+    extra_width=st.integers(0, 2),
+    global_hidden=st.sampled_from([(), (4,)]),
+    seed=st.integers(0, 5),
+)
+def test_run_training_edge_cases(
+    mode, classes, n_clients, sampled, classes_per_client, local_epochs, batch_size, d1,
+    extra_width, global_hidden, seed,
+):
+    # K = 1, no local epochs, one batch holding a whole shard, d1 == d2 and
+    # one class per client are all drawn here.
+    k = min(sampled, n_clients)
+    dataset = gen_synthetic(classes, 3, 12, 0.5, make_rng(seed))
+    try:
+        plan = split_train_test(partition_class_count(
+            dataset, n_clients, ClassCountSpec(min(classes_per_client, classes), seed)
+        ))
+    except PartitionError:
+        assume(False)
+    cfg = RunConfig(
+        n_clients=n_clients, rounds=2, d1=d1, d2=d1 + extra_width, participation=k / n_clients,
+        local_epochs=local_epochs, batch_size=batch_size, mode=mode, seed=seed,
+        global_hidden=global_hidden, local_hidden=((5,), ()),
+    )
+    assert cfg.participants == k
+    reports = run_training(cfg, dataset, plan)
+    assert repr(reports) == repr(run_training(cfg, dataset, plan))
+
+    widths = (3, *global_hidden, d1)
+    shared = sum(a * b + b for a, b in zip(widths, widths[1:])) + d1 * classes
+    for report in reports:
+        assert all(0.0 <= acc <= 1.0 for acc in report.per_client_accuracy)
+        assert 0.0 <= report.avg_test_accuracy <= 1.0
+        if local_epochs == 0:
+            assert np.isnan(report.mean_train_loss)
+        else:
+            assert np.isfinite(report.mean_train_loss)
+        expected = 0 if mode is Mode.STANDALONE else k * shared
+        assert report.uplink_params == report.downlink_params == expected
 
 
 def test_standalone_never_touches_the_server_model():
@@ -529,7 +578,7 @@ def test_aggregation_is_the_anchored_weighted_mean_of_the_upload_rows(
         model = init_model(config, make_rng(seed))
         for array in model.parameter_arrays():
             array *= scale
-        uploads.append(Upload(ident, count, 0.0, model))
+        uploads.append(Upload(ident, count, model))
 
     def merged(order):
         server = ServerState(global_model=init_model(config, make_rng(0)), rng=make_rng(0))
@@ -812,9 +861,8 @@ def test_lockstep_cohort_equals_each_client_alone(
         if mode is Mode.STANDALONE:
             assert upload is None and expected_upload is None
         else:
-            assert (upload.client_id, upload.n_samples, repr(upload.mean_loss)) == (
-                expected_upload.client_id, expected_upload.n_samples,
-                repr(expected_upload.mean_loss),
+            assert (upload.client_id, upload.n_samples) == (
+                expected_upload.client_id, expected_upload.n_samples
             )
             assert _same_arrays(
                 upload.model.parameter_arrays(), expected_upload.model.parameter_arrays()
