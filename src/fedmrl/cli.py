@@ -33,7 +33,8 @@ def main(argv: list[str] | None = None) -> int:
     run.add_argument(
         "--sweep",
         metavar="KEY=V1,V2,...",
-        help="run once per value of a config key; file names carry key and value",
+        help="run once per value of a config key; file names carry key and value. A value is "
+        "one comma-free token: global_hidden=16,8 runs (16,) and (8,), not (16, 8)",
     )
     run.add_argument("--out", metavar="DIR", help="override the output directory")
 

@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import get_type_hints
 
 from .core import InferenceVariant, LearningRates, Mode
+from .data import DirichletSpec, _check_synthetic
 from .federation import RunConfig
 
 CONFIG_SCHEMA_VERSION = 1
@@ -62,6 +63,10 @@ class ExperimentConfig(RunConfig):
             raise ValueError("dataset=csv requires csv_path")
         if self.partition not in ("class_count", "dirichlet"):
             raise ValueError("partition must be 'class_count' or 'dirichlet'")
+        if self.dataset == "synthetic":
+            _check_synthetic(self.classes, self.input_dim, self.per_class, self.spread)
+        if self.partition == "dirichlet":
+            DirichletSpec(self.alpha, self.seed)  # for its check of alpha
         if self.target_accuracy is not None and not 0.0 < self.target_accuracy <= 1.0:
             raise ValueError("target_accuracy must lie in (0, 1]")
         super().__post_init__()
@@ -208,7 +213,9 @@ def parse_sweep(text: str) -> tuple[str, list[tuple[str, object]]]:
     """Parse 'key=v1,v2,...' into the key and (token, parsed value) pairs.
 
     The token is kept verbatim for report file names; values parse with
-    the same parser the config schema uses for that key.
+    the same parser the config schema uses for that key.  Values split on
+    every comma, so a value is one comma-free token: global_hidden=16,8
+    sweeps (16,) and (8,), and a multi-layer width cannot be swept.
     """
     if "=" not in text:
         raise ConfigError(f"sweep must look like key=v1,v2,..., got {text!r}")

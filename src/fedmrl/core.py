@@ -149,8 +149,9 @@ class LossWeights:
     local_head: float = 1.0
 
     def __post_init__(self):
-        if self.global_head < 0 or self.local_head < 0:
-            raise ValueError("loss weights must be non-negative")
+        weights = (self.global_head, self.local_head)
+        if not all(0.0 <= w < np.inf for w in weights):
+            raise ValueError(f"loss weights must be finite and non-negative, got {weights}")
 
 
 @dataclass(frozen=True)

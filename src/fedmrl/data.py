@@ -22,6 +22,8 @@ _PARTITION_STREAM = 1
 _SPLIT_STREAM = 2
 
 _DIRICHLET_MAX_RETRIES = 100
+# The fewest samples a client's pool may hold to be split into train and test.
+_MIN_SPLIT_SAMPLES = 5
 
 
 class PartitionError(ValueError):
@@ -132,10 +134,7 @@ def gen_synthetic(
     Class means are standard-normal scaled by 3 so clusters are separable
     at spread 1 and increasingly confusable as spread grows.
     """
-    if classes < 2 or dim < 1 or per_class < 1:
-        raise ValueError("classes >= 2, dim >= 1 and per_class >= 1 required")
-    if not spread > 0:
-        raise ValueError(f"spread must be positive, got {spread}")
+    _check_synthetic(classes, dim, per_class, spread)
     means = 3.0 * rng.normal(size=(classes, dim))
     features = np.empty((classes * per_class, dim))
     labels = np.empty(classes * per_class, dtype=np.int64)
@@ -144,6 +143,16 @@ def gen_synthetic(
         features[block] = means[c] + spread * rng.normal(size=(per_class, dim))
         labels[block] = c
     return LabeledDataset(features, labels, classes)
+
+
+def _check_synthetic(classes: int, dim: int, per_class: int, spread: float) -> None:
+    """gen_synthetic's checks of its arguments."""
+    if classes < 2 or dim < 1 or per_class < 1:
+        raise ValueError(
+            f"need classes >= 2, input_dim >= 1 and per_class >= 1, got {classes}, {dim} and {per_class}"
+        )
+    if not spread > 0:
+        raise ValueError(f"spread must be positive, got {spread}")
 
 
 def standardize_features(dataset: LabeledDataset) -> LabeledDataset:
@@ -240,7 +249,8 @@ def partition_dirichlet(
 
     For each class a proportion vector over clients is drawn and converted
     to integer counts by largest-remainder rounding, so the counts sum to
-    the class total exactly.  A draw leaving any client empty is retried
+    the class total exactly.  A draw leaving any client fewer than
+    _MIN_SPLIT_SAMPLES samples, too few for split_train_test, is retried
     with fresh randomness, up to 100 attempts.
     """
     if n_clients < 1:
@@ -263,7 +273,7 @@ def partition_dirichlet(
                 if count:
                     pools[client].append(shuffled[start : start + count])
                     start += count
-        if all(pool for pool in pools):
+        if all(sum(map(len, pool)) >= _MIN_SPLIT_SAMPLES for pool in pools):
             clients = [
                 ClientIndices(
                     train=np.sort(np.concatenate(pool)), test=np.empty(0, dtype=np.int64)
@@ -272,7 +282,8 @@ def partition_dirichlet(
             ]
             return PartitionPlan(clients=clients, n_samples=len(dataset), seed=spec.seed)
     raise PartitionError(
-        f"no draw within {_DIRICHLET_MAX_RETRIES} attempts left every client non-empty "
+        f"no draw within {_DIRICHLET_MAX_RETRIES} attempts left every client at least "
+        f"{_MIN_SPLIT_SAMPLES} samples "
         f"(alpha={spec.alpha}, clients={n_clients})"
     )
 
@@ -293,7 +304,7 @@ def split_train_test(plan: PartitionPlan, test_fraction: float = 0.2) -> Partiti
 
     Test size is max(1, floor(test_fraction * pool)), so 10 samples split
     8/2 and 5 samples split 4/1.  Requires every client to hold at least
-    5 samples and refuses to split twice.
+    _MIN_SPLIT_SAMPLES samples and refuses to split twice.
     """
     if plan.split:
         raise PartitionError("plan is already split into train and test")
@@ -303,9 +314,9 @@ def split_train_test(plan: PartitionPlan, test_fraction: float = 0.2) -> Partiti
     clients = []
     for ident, client in enumerate(plan.clients):
         pool = client.train
-        if pool.size < 5:
+        if pool.size < _MIN_SPLIT_SAMPLES:
             raise PartitionError(
-                f"client {ident} holds {pool.size} samples; need at least 5 to split"
+                f"client {ident} holds {pool.size} samples; need at least {_MIN_SPLIT_SAMPLES} to split"
             )
         shuffled = pool[rng.permutation(pool.size)]
         n_test = max(1, int(np.floor(test_fraction * pool.size)))

@@ -38,26 +38,28 @@ alone (a cohort of one), because of three rules:
   fails at any step, the one a sequential pass in ascending id order
   would meet first; clients with lower ids train on until they finish.
 
-Evaluation reuse: broadcast, cohort_update and assignment to a client's
-model fields clear its accuracy memo, and run_rounds evaluates only the
-clients whose memo holds nothing for the run's inference variant.  While
-the workspace holds the population's current rows, the stale clients in
-a run of two or more of its slots that share a test-set size and a
-training view are evaluated with one stacked infer on that view (the
-stacked test set is kept in the workspace); the others, and every client
-of a run whose logits are not finite, one by one in ascending id order,
-so the error raised is that of the lowest-id client that fails.  Code
-that writes into a client's models in place must clear client.accuracy
-and count the write (population.writes.count += 1), or the workspace and
-the stale-cache guard will not see it.  Finite checks live in the
-training step (core); cohort_update adds the client id to a
-NonFiniteError from its steps, and run_rounds the round.
+Evaluation reuse: the population memoizes every client's test accuracy
+per inference variant (Population.accuracy, NaN where not known), and
+run_rounds evaluates only the clients whose entry is NaN.
+Population.wrote(ids) is the one place that counts a write into the rows
+and forgets those clients' accuracies; broadcast, the cohort's scatter and
+assignment to a client's model fields call it, and a failed cohort, which
+writes no row, forgets nothing.  Code that writes into a client's rows in
+place calls population.wrote(ids), or the memo, the workspace and the
+stale-cache guard will not see it.  While the workspace holds the
+population's current rows and every client of the last cohort is stale,
+the cohort is evaluated with one stacked infer on the view training built
+of all its slots, if they are two or more and share one non-zero
+test-set size; every other stale client, and every client of a stack
+whose logits are not finite, is evaluated alone in ascending id order, so
+the error raised is that of the lowest-id client that fails.  Finite
+checks live in the training step (core); cohort_update adds the client id
+to a NonFiniteError from its steps, and run_rounds the round.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from dataclasses import astuple, dataclass, field
 
@@ -79,7 +81,7 @@ from .core import (
 from .data import LabeledDataset, PartitionPlan
 from .metrics import RoundReport, comm_cost_round, evaluate, flops_round
 from .models import GroupedExtractor, ModelConfig, Net, _Writes, init_model
-from .numerics import NonFiniteError, ShapeError, derive_rng
+from .numerics import NonFiniteError, ShapeError, _check_lr, derive_rng
 
 # Substream tags: every source of randomness in a run is a named stream
 # of the run seed, so replays are bit-identical and mode never shifts
@@ -131,10 +133,8 @@ class RunConfig:
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
         for lr in astuple(self.lrs):
-            if lr < 0:
-                raise ValueError(f"learning rates must be non-negative, got {lr}")
-        if self.m_global < 0 or self.m_local < 0:
-            raise ValueError("loss weights must be non-negative")
+            _check_lr(lr)
+        LossWeights(self.m_global, self.m_local)  # for its checks
         if not self.local_hidden:
             raise ValueError("local_hidden needs at least one width stack")
 
@@ -159,9 +159,11 @@ class Population:
     and row rank of blocks[kind] (N_a, P_a), one block per private
     architecture, with (kind, rank) = place[i], hold client i's parameters
     in the flat layout of models.  Rows are written in place, so views
-    stay valid; writes counts the writes into them.  _workspace is the
-    last cohort's _Workspace.  A deep or pickled copy views its own buffers
-    and starts without a workspace.
+    stay valid; writes counts the writes into them, and accuracy maps an
+    inference variant to every client's memoized test accuracy (N,), NaN
+    where it is not known.  wrote is the one way to record a write.
+    _workspace is the last cohort's _Workspace.  A deep or pickled copy
+    views its own buffers and memo and starts without a workspace.
     """
 
     def __init__(self, shared: Net, private: list[Net], projectors: list[Projector]):
@@ -178,8 +180,15 @@ class Population:
         self.shared_layout, self.projector_layout = shared, projectors[0]
         self.private_layouts = [private[ids[0]] for ids in groups]
         self.writes = _Writes()
+        self.accuracy: dict[InferenceVariant, np.ndarray] = {}
         self._views: dict[int, tuple[Net, Net, Projector]] = {}
         self._workspace: _Workspace | None = None
+
+    def wrote(self, ids) -> None:
+        """Count a write into the rows of clients ids, and forget their accuracies."""
+        self.writes.count += 1
+        for memo in self.accuracy.values():
+            memo[ids] = np.nan
 
     def _models(self, ident: int) -> tuple[Net, Net, Projector]:
         """Client ident's (shared copy, private model, projector): views of its rows."""
@@ -214,8 +223,7 @@ class _Rows:
             raise ShapeError(f"shapes {_shapes(model)} cannot replace {_shapes(view)}")
         for target, values in zip(view._segments(), model._segments()):
             target[...] = values
-        client.population.writes.count += 1
-        client.accuracy.clear()
+        client.population.wrote(client.client_id)
 
 
 @dataclass
@@ -224,8 +232,8 @@ class ClientState:
 
     global_copy is the client's working copy of the shared model, refreshed
     on broadcast and trained locally in between.  The models are views of
-    the client's rows; assigning one copies its values into the rows.
-    accuracy memoizes the test accuracy per inference variant.
+    the client's rows; assigning one copies its values into the rows, and
+    code that writes into them in place calls population.wrote(ids).
     """
 
     client_id: int
@@ -235,7 +243,6 @@ class ClientState:
     test_y: np.ndarray
     rng: np.random.Generator
     population: Population = field(repr=False)
-    accuracy: dict[InferenceVariant, float] = field(default_factory=dict, repr=False)
     global_copy = _Rows(0)
     local_model = _Rows(1)
     projector = _Rows(2)
@@ -321,10 +328,9 @@ def broadcast(server: ServerState, clients: list[ClientState]) -> None:
     population = _population(clients)
     if _architecture(server.global_model) != _architecture(population.shared_layout):
         raise ShapeError(f"the server's model does not fit: {_shapes(server.global_model)}")
-    population.shared[[c.client_id for c in clients]] = _vector(server.global_model)
-    population.writes.count += 1
-    for client in clients:
-        client.accuracy.clear()
+    ids = [c.client_id for c in clients]
+    population.shared[ids] = _vector(server.global_model)
+    population.wrote(ids)
 
 
 def client_update(
@@ -369,8 +375,6 @@ def cohort_update(
         raise ValueError(f"duplicate client ids in a cohort: {ids}")
     if not clients:
         return []
-    for client in clients:
-        client.accuracy.clear()
     failures: dict[int, Exception] = {
         c.client_id: ValueError(f"client {c.client_id} has no training samples")
         for c in clients
@@ -406,11 +410,11 @@ class _Workspace:
     buffers, its views and, through them, their gradient scratch.  parts
     holds (kind, slots, ranks, block) per private architecture, ids the
     client id of each slot; shared and projectors are None for standalone
-    training.  views maps a run of slots (a, b) to its models, tests such
-    a run to its stacked test set.  synced is the population's write count
-    at which the rows last equalled the population's, None once training
-    writes them.  It holds arrays, ids and views only: a client or the
-    population here would make a reference cycle.
+    training.  views maps a run of slots (a, b) to its models.  synced is
+    the population's write count at which the rows last equalled the
+    population's, None once training writes them.  It holds arrays, ids
+    and views only: a client or the population here would make a
+    reference cycle.
     """
 
     def __init__(self, population: Population, ids: tuple[int, ...], standalone: bool):
@@ -429,7 +433,7 @@ class _Workspace:
             self.shared = population.shared[self.rows]
             self.projectors = population.projectors[self.rows]
         self.synced = population.writes.count
-        self.writes, self.views, self.tests = _Writes(), {}, {}
+        self.writes, self.views = _Writes(), {}
 
     def gather(self, population: Population) -> None:
         """Copy the population's rows in, one take per buffer, unless they are there already."""
@@ -452,7 +456,7 @@ class _Workspace:
         if self.shared is not None:
             population.shared[self.rows] = self.shared
             population.projectors[self.rows] = self.projectors
-        population.writes.count += 1
+        population.wrote(self.rows)
         self.synced = population.writes.count
 
     def models(self, a: int, b: int, layouts: Population) -> tuple:
@@ -477,40 +481,29 @@ class _Workspace:
             views = self.views[a, b] = (*models, vectors)
         return views
 
-    def evaluate(self, clients: list[ClientState], variant: InferenceVariant) -> None:
-        """Memoize the accuracy of the stale clients in its slots, one infer per run.
+    def evaluate(self, clients: list[ClientState], memo: np.ndarray, variant: InferenceVariant) -> None:
+        """Memoize the accuracies of all its clients with one infer on the view of all its slots.
 
-        A run is two or more slots that share a test-set size and that
-        training built a view for (a stack of one saves no call); a client
-        in no run, and every client of a run whose logits are not finite,
-        is left to evaluate alone.
+        Only if training built that view, it has two or more slots (a stack
+        of one saves no call), every client is stale and all share one
+        non-zero test-set size; a stack whose logits are not finite is left
+        to evaluate alone.
         """
-        sizes = [0 if variant in clients[i].accuracy else clients[i].test_y.size for i in self.ids]
-        a = 0
-        while a < len(sizes):
-            b = a + 1
-            while b < len(sizes) and sizes[b] == sizes[a]:
-                b += 1
-            while b > a + 1 and (a, b) not in self.views:
-                b -= 1
-            if b > a + 1 and sizes[a]:
-                self._infer(a, b, [clients[i] for i in self.ids[a:b]], variant)
-            a = b
-
-    def _infer(self, a: int, b: int, members: list[ClientState], variant: InferenceVariant) -> None:
-        sources = [array for c in members for array in (c.test_x, c.test_y)]
-        test = self.tests.get((a, b))
-        if test is None or any(map(operator.is_not, sources, test[0])):
-            test = self.tests[a, b] = (sources, np.stack(sources[::2]), np.stack(sources[1::2]))
-        g, f, p, _ = self.views[a, b]
+        members = [clients[i] for i in self.ids]
+        views = self.views.get((0, len(members)))
+        sizes = {c.test_y.size for c in members}
+        if views is None or len(members) < 2 or len(sizes) > 1 or 0 in sizes:
+            return
+        if not np.isnan(memo[self.rows]).all():
+            return
+        # np.array of equal shapes is np.stack's result at a third of its cost.
         try:
-            preds = infer(g, f, p, test[1], variant)
+            preds = infer(*views[:3], np.array([c.test_x for c in members]), variant)
         except NonFiniteError:
             return
         # Each row's mean is evaluate's float(np.mean(...)) bit for bit: a
         # sum of 0s and 1s is exact in any order, then one division.
-        for client, accuracy in zip(members, (preds == test[2]).mean(axis=-1).tolist()):
-            client.accuracy[variant] = accuracy
+        memo[self.rows] = (preds == np.array([c.test_y for c in members])).mean(axis=-1)
 
 
 class _Cohort:
@@ -754,19 +747,15 @@ def run_rounds(
 
 
 def _accuracies(clients: list[ClientState], variant: InferenceVariant) -> tuple[float, ...]:
-    """Every client's test accuracy: the stale ones of the last cohort in stacks on its
-    workspace while it holds their current rows, the rest one by one in ascending id
-    order, so a failure raises the error of the lowest-id client that fails."""
+    """Every client's test accuracy, from the population's memo.  The stale ones are
+    evaluated in one stack on the last cohort's workspace while it holds their current
+    rows (_Workspace.evaluate), the rest one by one in ascending id order, so a failure
+    raises the error of the lowest-id client that fails."""
     population = _population(clients)
+    memo = population.accuracy.setdefault(variant, np.full(len(population.headers), np.nan))
     workspace = population._workspace
     if workspace is not None and workspace.synced == population.writes.count:
-        workspace.evaluate(clients, variant)
-    return tuple(_accuracy(c, variant) for c in clients)
-
-
-def _accuracy(client: ClientState, variant: InferenceVariant) -> float:
-    """The client's test accuracy, evaluated only if its memo holds none."""
-    accuracy = client.accuracy.get(variant)
-    if accuracy is None:
-        accuracy = client.accuracy[variant] = evaluate(client, variant)
-    return accuracy
+        workspace.evaluate(clients, memo, variant)
+    for ident in np.flatnonzero(np.isnan(memo)).tolist():
+        memo[ident] = evaluate(clients[ident], variant)
+    return tuple(memo.tolist())

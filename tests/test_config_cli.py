@@ -122,6 +122,8 @@ def test_parse_sweep():
         parse_sweep("d1")
     with pytest.raises(ConfigError):
         parse_sweep("d1=two")
+    # A sweep value is one comma-free token, so a multi-layer width cannot be swept.
+    assert parse_sweep("global_hidden=16,8") == ("global_hidden", [("16", (16,)), ("8", (8,))])
 
 
 def test_override_revalidates():
@@ -229,6 +231,28 @@ def test_cli_diverging_run_exits_one_without_a_traceback(tmp_path):
     )
     assert done.returncode == 1
     assert done.stderr == "error: round 1: client 1: non-finite loss (nan)\n"
+
+
+@pytest.mark.parametrize(
+    "config,sweep,named",
+    [
+        ("demos/quickstart.cfg", "lr=nan", "got nan"),
+        ("demos/quickstart.cfg", "lr_global=inf", "got inf"),
+        ("demos/quickstart.cfg", "m_global=nan", "got (nan, 1.0)"),
+        ("bench/workloads/many-dirichlet.cfg", "alpha=0", "got 0.0"),
+        ("bench/workloads/many-dirichlet.cfg", "spread=0", "got 0.0"),
+        ("bench/workloads/many-dirichlet.cfg", "per_class=0", "got 10, 16 and 0"),
+        ("bench/workloads/many-dirichlet.cfg", "classes=1", "got 1, 16 and 400"),
+        ("bench/workloads/many-dirichlet.cfg", "input_dim=0", "got 10, 0 and 400"),
+    ],
+)
+def test_cli_rejects_bad_values_with_one_error_line(tmp_path, capsys, config, sweep, named):
+    path = Path(__file__).parents[1] / config
+    assert main(["run", "--config", str(path), "--sweep", sweep, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: <override>: ") and err.count("\n") == 1
+    assert err.endswith(f"{named}\n") and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_target_accuracy_round_recorded(tmp_path):

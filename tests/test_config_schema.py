@@ -85,6 +85,11 @@ CONSTRAINED = {
     "batch_size": st.integers(1, 10**6),
     "participation": st.floats(0.0, 1.0, exclude_min=True),
     "target_accuracy": st.none() | st.floats(0.0, 1.0, exclude_min=True),
+    "classes": st.integers(2, 10**6),
+    "input_dim": st.integers(1, 10**6),
+    "per_class": st.integers(1, 10**6),
+    "spread": st.floats(0.0, 1e6, exclude_min=True),
+    "alpha": st.floats(0.0, 1e6, exclude_min=True),
 }
 
 
@@ -121,7 +126,13 @@ def test_a_sweep_value_parses_as_the_same_key_in_a_file(config):
         if f.name in UNSWEEPABLE:
             with pytest.raises(ConfigError, match="cannot sweep"):
                 parse_sweep(f"{f.name}={token}")
-        elif token and "," not in token:  # a sweep splits its values on commas
+        elif "," in token:  # a sweep value is one comma-free token: each part is a value
+            parts = token.split(",")
+            line = re.compile(rf"(?m)^{f.name} = .*$")
+            texts = [line.sub(f"{f.name} = {part}", config_text(config)) for part in parts]
+            values = [getattr(parse_config_text(text), f.name) for text in texts]
+            assert parse_sweep(f"{f.name}={token}") == (f.name, list(zip(parts, values)))
+        elif token:
             value = getattr(parsed, f.name)
             assert parse_sweep(f"{f.name}={token}") == (f.name, [(token, value)])
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fedmrl.config import load_config, override
 from fedmrl.data import (
     ClassCountSpec,
     CsvFormatError,
@@ -20,8 +21,12 @@ from fedmrl.data import (
     split_train_test,
     standardize_features,
 )
+from fedmrl.experiment import build_partition, load_dataset
 from fedmrl.models import Header
 from fedmrl.numerics import batch_cross_entropy, make_rng
+
+
+WORKLOADS = Path(__file__).parents[1] / "bench" / "workloads"
 
 
 def make_dataset(classes=4, dim=3, per_class=25, spread=1.0, seed=0):
@@ -238,6 +243,17 @@ def test_split_guards():
     thin_plan = partition_class_count(thin, 2, ClassCountSpec(classes_per_client=1, seed=0))
     with pytest.raises(PartitionError, match="at least 5"):
         split_train_test(thin_plan)
+
+
+@pytest.mark.parametrize("seed", [8, 30])
+def test_dirichlet_redraws_until_every_client_can_be_split(seed):
+    # On these seeds the many-dirichlet workload's first draw leaves a
+    # client fewer than 5 samples, which split_train_test refuses.
+    config = override(load_config(WORKLOADS / "many-dirichlet.cfg"), seed=seed)
+    dataset = load_dataset(config)
+    plan = partition_dirichlet(dataset, config.n_clients, DirichletSpec(config.alpha, seed))
+    assert min(client.train.size for client in plan.clients) >= 5
+    assert build_partition(config, dataset).split
 
 
 def test_split_is_deterministic():

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fedmrl import federation, metrics
@@ -508,14 +508,14 @@ def test_assigning_a_model_copies_it_into_the_clients_rows():
     cfg, dataset, plan = small_setup(n_clients=2)
     server, clients = build_clients(cfg, dataset, plan)
     client = clients[1]
-    client.accuracy[InferenceVariant.MIX_LARGE] = 1.0
+    memo = client.population.accuracy[InferenceVariant.MIX_LARGE] = np.array([0.5, 1.0])
     view = client.global_copy
     replacement = server.global_model.clone()
     replacement.header.weight[...] = 3.0
     client.global_copy = replacement
     assert client.global_copy is view and (view.header.weight == 3.0).all()
     assert not np.shares_memory(view.header.weight, replacement.header.weight)
-    assert client.accuracy == {}
+    assert memo[0] == 0.5 and np.isnan(memo[1])
     assert not (clients[0].global_copy.header.weight == 3.0).any()
     with pytest.raises(ShapeError):
         client.local_model = clients[0].local_model  # another private architecture
@@ -683,17 +683,93 @@ def test_only_clients_whose_models_changed_are_evaluated_again(monkeypatch):
     )
 
 
+MIX_LARGE = InferenceVariant.MIX_LARGE
+
+
+def _write_then_round(writer):
+    """Evaluate everyone, write client 2 (not sampled in round 2 of the equal shards
+    at participation 0.5), evaluate again: each writer's own forgetting shows."""
+    return [("round", [0], MIX_LARGE, "projector"), (writer, [2], MIX_LARGE, "projector"),
+            ("round", [0], MIX_LARGE, "projector")]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shards=st.sampled_from(["ragged", "equal"]),
+    participation=st.sampled_from([0.5, 1.0]),
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from(["broadcast", "cohort", "assign", "round"]),
+            st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True),
+            st.sampled_from(list(InferenceVariant)),
+            st.sampled_from(["global_copy", "local_model", "projector"]),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+@example(shards="equal", participation=0.5, steps=_write_then_round("broadcast"))
+@example(shards="equal", participation=0.5, steps=_write_then_round("cohort"))
+@example(shards="equal", participation=0.5, steps=_write_then_round("assign"))
+def test_the_memo_reevaluates_exactly_the_clients_written_since(shards, participation, steps):
+    # Writers in any order, each on some of clients 0-3: broadcast,
+    # cohort_update, assigning a clone to a model field (of the first
+    # listed client) and a one-round run_rounds with some inference
+    # variant.  After each round the accuracies are evaluate's, and the
+    # clients evaluated (alone or in a stack) are exactly those written
+    # since the last evaluation with the round's variant.
+    if shards == "ragged":
+        cfg, dataset, plan = small_setup(n_clients=4)
+        server, clients = build_clients(cfg, dataset, plan)
+    else:
+        cfg, server, clients = _equal_shards(with_server=True)
+    cfg = dataclasses.replace(cfg, rounds=1, participation=participation)
+    stale = {variant: set(range(cfg.n_clients)) for variant in InferenceVariant}
+    for writer, ids, variant, field in steps:
+        written = set(ids)
+        if writer == "round":
+            written = set(sample_clients(copy.deepcopy(server), cfg.n_clients, cfg.participants))
+            with pytest.MonkeyPatch.context() as patch:
+                calls = _count_inference(patch, clients)
+                (report,) = run_rounds(server, clients, dataclasses.replace(cfg, inference=variant))
+            assert sorted(i for call in calls for i in call) == sorted(stale[variant] | written)
+            assert report.per_client_accuracy == tuple(evaluate(c, variant) for c in clients)
+            stale = {v: set() if v is variant else done | written for v, done in stale.items()}
+            continue
+        if writer == "broadcast":
+            broadcast(server, [clients[i] for i in ids])
+        elif writer == "cohort":
+            cohort_update([clients[i] for i in ids], 1, 8, cfg.lrs, Mode.FEDMRL, LossWeights())
+        else:
+            written = {ids[0]}
+            setattr(clients[ids[0]], field, getattr(clients[ids[0]], field).clone())
+        for done in stale.values():
+            done |= written
+
+
 def test_broadcast_and_client_update_clear_the_accuracy_memo():
     # run_rounds always trains whom it broadcasts to, so only this test
     # sees broadcast's own clearing.
     cfg, dataset, plan = small_setup(n_clients=2, rounds=1)
     server, clients = build_clients(cfg, dataset, plan)
     run_rounds(server, clients, cfg)
-    assert all(InferenceVariant.MIX_LARGE in c.accuracy for c in clients)
+    memo = clients[0].population.accuracy[InferenceVariant.MIX_LARGE]
+    assert not np.isnan(memo).any()
     broadcast(server, clients[:1])
-    assert clients[0].accuracy == {} and clients[1].accuracy != {}
+    assert np.isnan(memo).tolist() == [True, False]
     client_update(clients[1], 1, 8, cfg.lrs, Mode.FEDMRL, LossWeights())
-    assert clients[1].accuracy == {}
+    assert np.isnan(memo).all()
+
+
+def test_a_failed_cohort_leaves_its_clients_accuracies_memoized():
+    cfg, server, clients = _equal_shards(with_server=True)
+    run_rounds(server, clients, dataclasses.replace(cfg, rounds=1))
+    memo = clients[0].population.accuracy[cfg.inference]
+    before = memo.copy()
+    clients[3].train_x = np.full_like(clients[3].train_x, np.nan)
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match="^client 3: "):
+        cohort_update(clients[:5], 1, 8, cfg.lrs, Mode.FEDMRL, LossWeights())
+    assert memo.tobytes() == before.tobytes() and not np.isnan(memo).any()
 
 
 # Recorded before the training step dropped its per-matmul checks, on
@@ -1057,22 +1133,23 @@ def test_a_cohort_of_equal_shards_is_evaluated_in_one_stacked_infer(monkeypatch,
 def test_a_failed_stacked_evaluation_raises_what_the_ascending_loop_raises(
     monkeypatch, nan_at, error, message
 ):
+    empty = error is ValueError  # the error of client 2's empty test set
     cfg, server, clients = _equal_shards(with_server=True)
     cfg = dataclasses.replace(cfg, rounds=1)
-    # Client 2 trains on fewer samples, so it takes the last slot, and
-    # training builds views of slots 0-9 and of slots 0-8.
-    clients[2].train_x, clients[2].train_y = clients[2].train_x[:40], clients[2].train_y[:40]
-    run_rounds(server, clients, cfg)
+    run_rounds(server, clients, cfg)  # training builds the view of all ten slots
     broken = clients[nan_at].local_model.clone()
     broken.header.weight[0, 0] = np.nan
     clients[nan_at].local_model = broken
-    clients[2].test_x, clients[2].test_y = clients[2].test_x[:0], clients[2].test_y[:0]
+    if empty:
+        clients[2].test_x, clients[2].test_y = clients[2].test_x[:0], clients[2].test_y[:0]
     calls = _count_inference(monkeypatch, clients)
-    # Without training, the round only evaluates: client 2's empty test
-    # set leaves slots 0-8 as the stacked run, and it holds the NaN.
+    # Without training, the round only evaluates: the whole cohort in one
+    # stack, which holds the NaN, unless client 2's empty test set makes
+    # the sizes differ; then no stack is tried.
     with pytest.raises(error) as stacked:
         run_rounds(server, clients, dataclasses.replace(cfg, local_epochs=0))
-    assert calls[0] == [i for i in range(cfg.n_clients) if i != 2]
+    stack = [] if empty else [list(range(cfg.n_clients))]
+    assert calls == [*stack, [0], [1]]
     assert str(stacked.value) == message
     with pytest.raises(error) as alone:
         for client in clients:

@@ -10,6 +10,7 @@ moves a single bit of any report fails here, not only in a benchmark run.
 The benchmark's timed runs call run_rounds once per round on states from
 build_clients, which keeps state between calls (the population's cohort
 workspace, the accuracy memo), so that path must give the same digests.
+The CLI's CSV and JSON reports of demos/quickstart.cfg are pinned too.
 """
 
 import dataclasses
@@ -18,12 +19,14 @@ from pathlib import Path
 
 import pytest
 
+from fedmrl.cli import main
 from fedmrl.config import build_run_config, override, parse_config_text, parse_mode
 from fedmrl.experiment import build_partition, load_dataset
 from fedmrl.federation import build_clients, run_rounds, run_training
 from fedmrl.metrics import export_reports
 
-WORKLOADS = Path(__file__).parents[1] / "bench" / "workloads"
+ROOT = Path(__file__).parents[1]
+WORKLOADS = ROOT / "bench" / "workloads"
 
 # (workload, seed, mode) -> sha256 of the CSV report.
 DIGESTS = {
@@ -76,3 +79,31 @@ def _one_round_per_call(run_config, dataset, plan):
 @pytest.mark.parametrize("workload,seed", sorted({key[:2] for key in DIGESTS}))
 def test_workload_reports_one_round_per_call_are_byte_identical(tmp_path, workload, seed):
     _check_digests(tmp_path, workload, seed, _one_round_per_call)
+
+
+# mode -> sha256 of the CLI's (CSV, JSON) reports of demos/quickstart.cfg.
+CLI_DIGESTS = {
+    "fedmrl": (
+        "a2fdfad5241048c41c5b783b08f5c44534f09a3b25be445d8a67e79c309a6c45",
+        "493a6223e9189b8ff83465ddfb8ba3a09cd9076afb820b55b905015e7b270687",
+    ),
+    "no_mrl": (
+        "13cb19ed6175f43ee57e9d790090bf8a7bb191b3a8ea1fedde80658417e02b78",
+        "ea1c66cd5b06a0a5dd5fa1a2d230f4499975046b6c9f5871c0b69cbcc2009d9e",
+    ),
+    "standalone": (
+        "a4b9322adce81cf8c7f175f0685b238990884f2b2fdb505bdab25aab7a4e96b8",
+        "6b597cf72378fc8d5fd40a039c2415c8584cf05040259c8868a33e90a2efdfe5",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(CLI_DIGESTS))
+def test_quickstart_cli_reports_are_byte_identical(tmp_path, capsys, mode):
+    config = ROOT / "demos" / "quickstart.cfg"
+    assert main(["run", "--config", str(config), "--mode", mode, "--out", str(tmp_path)]) == 0
+    digests = tuple(
+        hashlib.sha256((tmp_path / f"report.{ext}").read_bytes()).hexdigest()
+        for ext in ("csv", "json")
+    )
+    assert digests == CLI_DIGESTS[mode]
