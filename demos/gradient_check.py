@@ -37,8 +37,7 @@ def miniature(seed):
 def worst_error(seed, ablated=False):
     g, f, p, x, y = miniature(seed)
     weights = LossWeights(0.0, 1.0) if ablated else LossWeights()
-    _, _, cache = forward_loss(g, f, p, x, y, weights)
-    analytic = gradient_vector(loss_gradients(cache))
+    analytic = gradient_vector(loss_gradients(g, f, p, x, y, weights))
 
     def objective(vec):
         g2, f2, p2 = with_parameter_vector(g, f, p, vec)

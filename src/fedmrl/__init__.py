@@ -14,10 +14,10 @@ from .core import (
     Mode,
     Projector,
     TheoryConstants,
-    backward_and_step,
     forward_loss,
     infer,
     lr_bound,
+    train_step,
 )
 from .data import (
     ClassCountSpec,
@@ -50,10 +50,10 @@ __all__ = [
     "Mode",
     "Projector",
     "TheoryConstants",
-    "backward_and_step",
     "forward_loss",
     "infer",
     "lr_bound",
+    "train_step",
     "ClassCountSpec",
     "DirichletSpec",
     "LabeledDataset",

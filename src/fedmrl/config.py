@@ -201,9 +201,9 @@ def build_run_config(config: ExperimentConfig) -> RunConfig:
     return RunConfig(**values)
 
 
-def override(config: ExperimentConfig, **changes) -> ExperimentConfig:
-    """Return a copy with fields replaced, re-running validation."""
-    return _build("<override>", replace, config, **changes)
+def override(config: ExperimentConfig, source: str = "<override>", /, **changes):
+    """Return a copy with fields replaced, re-running validation; errors name source."""
+    return _build(source, replace, config, **changes)
 
 
 _UNSWEEPABLE = ("schema_version", "out_dir", "report_name")

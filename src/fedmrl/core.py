@@ -11,28 +11,28 @@ the two representations:
 
 The fused row is read at two granularities, nested like matryoshka
 dolls: its first d1 entries feed the global header and the full d2
-entries feed the local header.  forward_loss scales each head's
+entries feed the local header.  The loss scales each head's
 cross-entropy by its loss weight; a zero weight on the global head takes
 that header out of the graph, which is the no-MRL ablation.  One SGD
-step moves the global model, the local model and the projector at once.
-forward_loss_single trains one model alone, for the standalone baseline.
-All gradients are derived by hand and checked against finite
-differences in the tests.
+step (train_step) moves the global model, the local model and the
+projector at once; train_step_single trains one model alone, for the
+standalone baseline.  forward_loss and loss_gradients run the same
+forward and backward without a step: all gradients are derived by hand
+and checked against finite differences.
 
 Each public function checks its inputs once; the products inside run as
 bare ``@`` on C-order operands (see models).  Finiteness is checked once
-per step: forward_loss and forward_loss_single reject a non-finite loss,
-the step functions a stepped group (global, local, projector) holding a
-NaN or an infinity, infer non-finite logits, each with a NonFiniteError
-naming the check.
+per step: the loss functions reject a non-finite loss, the step
+functions a stepped group (global, local, projector) holding a NaN or an
+infinity, infer non-finite logits, each with a NonFiniteError naming the
+check.
 
 Gradients are written (np.matmul and sum with out=) into vectors laid
 out like the parameters (see models).  A step is theta - lr * grad and
 one isfinite per vector, and only then is a model built over the new
 vectors; the steps are pure, and a caller commits a result by copying it
-into its own buffers.  The stale-cache guard checks the objects a cache
-was made with and the write counter of the buffers they view: views are
-reused from step to step, so identity alone cannot tell a stale cache.
+into its own buffers.  What the backward pass needs from the forward (the
+tape) never leaves the function that made it, so it cannot go stale.
 
 Every function here also steps a cohort of clients at once: models
 stacked over a leading client axis of C, the private extractors grouped
@@ -48,7 +48,7 @@ from enum import Enum
 
 import numpy as np
 
-from .models import ForwardCache, Net, StaleCacheError, _Matrix
+from .models import Net, _Matrix
 from .numerics import (
     NonFiniteError,
     ShapeError,
@@ -66,8 +66,6 @@ __all__ = [
     "LearningRates",
     "InferenceVariant",
     "TheoryConstants",
-    "TrainingCache",
-    "SingleCache",
     "GradientSet",
     "init_projector",
     "splice",
@@ -76,8 +74,8 @@ __all__ = [
     "forward_loss",
     "forward_loss_single",
     "loss_gradients",
-    "backward_and_step",
-    "backward_and_step_single",
+    "train_step",
+    "train_step_single",
     "parameter_vector",
     "with_parameter_vector",
     "gradient_vector",
@@ -89,9 +87,9 @@ __all__ = [
 class Mode(Enum):
     """Which training graph a run steps.
 
-    FEDMRL steps forward_loss with the run's loss weights; NO_MRL steps it
+    FEDMRL steps train_step with the run's loss weights; NO_MRL steps it
     with weights (0, 1), so the shared header is out of the graph;
-    STANDALONE steps each private model alone with forward_loss_single.
+    STANDALONE steps each private model alone with train_step_single.
     """
 
     FEDMRL = "fedmrl"
@@ -128,17 +126,6 @@ class Projector(_Matrix):
 
     def parameter_arrays(self) -> list[np.ndarray]:
         return [self.weight]
-
-    @classmethod
-    def selection(cls, d1: int, d2: int) -> "Projector":
-        """Projector that copies rep_local through and ignores rep_global.
-
-        fused == rep_local exactly, which reduces the ablated loss to a
-        plain local-model loss.
-        """
-        weight = np.zeros((d2, d1 + d2))
-        weight[:, d1:] = np.eye(d2)
-        return cls(weight)
 
 
 @dataclass(frozen=True)
@@ -248,39 +235,6 @@ def matryoshka_prefixes(fused: np.ndarray, d1: int) -> tuple[np.ndarray, np.ndar
 
 
 @dataclass
-class TrainingCache:
-    """Everything one backward pass needs, tied to the exact objects used forward.
-
-    dlogits_global is None when the global header is out of the graph.
-    """
-
-    global_model: Net
-    local_model: Net
-    projector: Projector
-    spliced: np.ndarray
-    fused: np.ndarray
-    cache_global: ForwardCache
-    cache_local: ForwardCache | list[ForwardCache]
-    dlogits_global: np.ndarray | None
-    dlogits_local: np.ndarray
-    weights: LossWeights
-    n_samples: int
-    versions: tuple
-
-
-@dataclass
-class SingleCache:
-    """What backward_and_step_single needs, tied to the model used forward."""
-
-    model: Net
-    rep: np.ndarray
-    extractor_cache: ForwardCache | list[ForwardCache]
-    dlogits: np.ndarray
-    n_samples: int
-    versions: tuple
-
-
-@dataclass
 class GradientSet:
     """Loss gradients for all three parameter groups: models of the groups' layouts."""
 
@@ -340,11 +294,6 @@ def _finite_loss(loss: float | np.ndarray) -> float | np.ndarray:
     return loss
 
 
-def _versions(*models) -> tuple:
-    """The write count of the buffers each model views (None for a model that owns its vectors)."""
-    return tuple(None if m._writes is None else m._writes.count for m in models)
-
-
 def _stepped(group: str, model, grads, lr: float, frozen: bool = False):
     """model after one SGD step, checked (a NonFiniteError names `group`) before a
     model is built on the new vectors.  A frozen header (the last vector), out of
@@ -357,6 +306,60 @@ def _stepped(group: str, model, grads, lr: float, frozen: bool = False):
     return model._over(tuple(new))
 
 
+def _forward(g: Net, f: Net, p: Projector, x, labels, weights: LossWeights):
+    """(total, (loss_global, loss_local), tape) of forward_loss; the tape is what
+    _gradients reads: (spliced, fused, both extractor caches, both dlogits, n)."""
+    d1, _, lead = _check_dims(g, f, p)
+    x, y = _batch(g, x, labels, lead)
+
+    rep_global, cache_global = g.extractor.forward(x)
+    rep_local, cache_local = f.extractor.forward(x)
+    spliced = splice(rep_global, rep_local)
+    fused = project(p, spliced)
+
+    losses_f, dlogits_f = _cross_entropy(f.header.forward(fused), y)
+    loss_local = _value(_mean(losses_f))
+    total = weights.local_head * loss_local
+    loss_global = dlogits_g = None
+    if weights.global_head:
+        low, _ = matryoshka_prefixes(fused, d1)
+        losses_g, dlogits_g = _cross_entropy(g.header.forward(low), y)
+        loss_global = _value(_mean(losses_g))
+        total = weights.global_head * loss_global + total
+
+    tape = (spliced, fused, cache_global, cache_local, dlogits_g, dlogits_f, x.shape[-2])
+    return _finite_loss(total), (loss_global, loss_local), tape
+
+
+def _gradients(g: Net, f: Net, p: Projector, weights: LossWeights, tape, grads: GradientSet):
+    """The loss gradients of a tape written into grads, which has the models' layout.
+
+    The fused row has two consumers in the dual-head loss; their
+    gradients meet by adding the prefix gradient into the first d1
+    columns.  A global header out of the graph gets a zero gradient.
+    The projector then routes the fused gradient back to both extractors
+    by splitting the spliced gradient at column d1.
+    """
+    spliced, fused, cache_global, cache_local, dlogits_g, dlogits_f, n = tape
+    d1 = g.rep_dim
+
+    d_local_logits = (weights.local_head / n) * dlogits_f
+    d_fused = f.header.backward(fused, d_local_logits, grads.local_model.header.weight)
+    if dlogits_g is None:
+        grads.global_model.header.weight[...] = 0.0
+    else:
+        d_global_logits = (weights.global_head / n) * dlogits_g
+        d_fused[..., :d1] += g.header.backward(
+            fused[..., :d1], d_global_logits, grads.global_model.header.weight
+        )
+
+    np.matmul(_transposed(d_fused), spliced, out=grads.projector.weight)
+    d_spliced = d_fused @ p.weight
+    g.extractor.backward(cache_global, d_spliced[..., :d1], grads.global_model.extractor)
+    f.extractor.backward(cache_local, d_spliced[..., d1:], grads.local_model.extractor)
+    return grads
+
+
 def forward_loss(
     global_model: Net,
     local_model: Net,
@@ -364,10 +367,10 @@ def forward_loss(
     x: np.ndarray,
     labels: np.ndarray,
     weights: LossWeights = LossWeights(),
-) -> tuple[float, tuple[float | None, float], TrainingCache]:
+) -> tuple[float, tuple[float | None, float]]:
     """Dual-granularity training loss over a batch.
 
-    Returns (total, (loss_global, loss_local), cache) where total is
+    Returns (total, (loss_global, loss_local)) where total is
     weights.global_head * loss_global + weights.local_head * loss_local
     and each part is the batch mean cross-entropy of its head.  With
     weights.global_head == 0 the global header is out of the graph: it is
@@ -375,132 +378,77 @@ def forward_loss(
     weights.local_head * loss_local.  The global extractor still feeds
     the local head through the splice.
     """
-    d1, _, lead = _check_dims(global_model, local_model, projector)
-    x, y = _batch(global_model, x, labels, lead)
-
-    rep_global, cache_global = global_model.extractor.forward(x)
-    rep_local, cache_local = local_model.extractor.forward(x)
-    spliced = splice(rep_global, rep_local)
-    fused = project(projector, spliced)
-
-    losses_f, dlogits_f = _cross_entropy(local_model.header.forward(fused), y)
-    loss_local = _value(_mean(losses_f))
-    total = weights.local_head * loss_local
-    loss_global = dlogits_g = None
-    if weights.global_head:
-        low, _ = matryoshka_prefixes(fused, d1)
-        losses_g, dlogits_g = _cross_entropy(global_model.header.forward(low), y)
-        loss_global = _value(_mean(losses_g))
-        total = weights.global_head * loss_global + total
-
-    cache = TrainingCache(
-        global_model=global_model,
-        local_model=local_model,
-        projector=projector,
-        spliced=spliced,
-        fused=fused,
-        cache_global=cache_global,
-        cache_local=cache_local,
-        dlogits_global=dlogits_g,
-        dlogits_local=dlogits_f,
-        weights=weights,
-        n_samples=x.shape[-2],
-        versions=_versions(global_model, local_model, projector),
-    )
-    return _finite_loss(total), (loss_global, loss_local), cache
+    total, parts, _ = _forward(global_model, local_model, projector, x, labels, weights)
+    return total, parts
 
 
-def loss_gradients(cache: TrainingCache) -> GradientSet:
-    """Hand-derived gradients of the cached loss for all parameter groups.
-
-    The fused row has two consumers in the dual-head loss; their
-    gradients meet by zero-padding the prefix gradient to full width.
-    A global header out of the graph gets a zero gradient.
-    The projector then routes the fused gradient back to both extractors
-    by splitting the spliced gradient at column d1.
-    """
-    g, f, p = cache.global_model, cache.local_model, cache.projector
-    return _gradients(cache, GradientSet(g._empty(), f._empty(), p._empty()))
-
-
-def _gradients(cache: TrainingCache, grads: GradientSet) -> GradientSet:
-    """loss_gradients written into grads, which has the models' layout."""
-    g, f, p = cache.global_model, cache.local_model, cache.projector
-    d1 = g.rep_dim
-    n = cache.n_samples
-
-    d_local_logits = (cache.weights.local_head / n) * cache.dlogits_local
-    d_fused = f.header.backward(cache.fused, d_local_logits, grads.local_model.header.weight)
-    if cache.dlogits_global is None:
-        grads.global_model.header.weight[...] = 0.0
-    else:
-        d_global_logits = (cache.weights.global_head / n) * cache.dlogits_global
-        d_fused[..., :d1] += g.header.backward(
-            cache.fused[..., :d1], d_global_logits, grads.global_model.header.weight
-        )
-
-    np.matmul(_transposed(d_fused), cache.spliced, out=grads.projector.weight)
-    d_spliced = d_fused @ p.weight
-    g.extractor.backward(cache.cache_global, d_spliced[..., :d1], grads.global_model.extractor)
-    f.extractor.backward(cache.cache_local, d_spliced[..., d1:], grads.local_model.extractor)
-    return grads
-
-
-def backward_and_step(
+def loss_gradients(
     global_model: Net,
     local_model: Net,
     projector: Projector,
-    cache: TrainingCache,
-    lrs: LearningRates,
-) -> tuple[Net, Net, Projector]:
-    """One simultaneous SGD step on all three parameter groups.
-
-    Returns fresh models over fresh vectors; the inputs are left
-    untouched, and the cache must come from exactly these objects, their
-    buffers unwritten since (a stale cache is rejected).  A global header
-    out of the graph comes back unchanged and unchecked.  Raises
-    NonFiniteError naming the first stepped group that is not finite.
-    """
-    if (
-        cache.global_model is not global_model
-        or cache.local_model is not local_model
-        or cache.projector is not projector
-        or cache.versions != _versions(global_model, local_model, projector)
-    ):
-        raise StaleCacheError("cache was not produced by these models")
+    x: np.ndarray,
+    labels: np.ndarray,
+    weights: LossWeights = LossWeights(),
+) -> GradientSet:
+    """Hand-derived gradients of forward_loss for all parameter groups, in fresh models."""
     models = (global_model, local_model, projector)
-    grads = _gradients(cache, GradientSet(*(m._grads for m in models)))
-    frozen = cache.dlogits_global is None
-    return (
+    _, _, tape = _forward(*models, x, labels, weights)
+    return _gradients(*models, weights, tape, GradientSet(*(m._empty() for m in models)))
+
+
+def train_step(
+    global_model: Net,
+    local_model: Net,
+    projector: Projector,
+    x: np.ndarray,
+    labels: np.ndarray,
+    weights: LossWeights,
+    lrs: LearningRates,
+) -> tuple[float, tuple[float | None, float], tuple[Net, Net, Projector]]:
+    """One simultaneous SGD step on all three parameter groups over a batch.
+
+    Returns forward_loss's (total, parts) before the step and fresh models
+    over fresh vectors after it; the inputs are left untouched.  A global
+    header out of the graph comes back unchanged and unchecked.  Raises
+    NonFiniteError for a non-finite loss, or naming the first stepped
+    group that is not finite.
+    """
+    models = (global_model, local_model, projector)
+    total, parts, tape = _forward(*models, x, labels, weights)
+    grads = _gradients(*models, weights, tape, GradientSet(*(m._grads for m in models)))
+    frozen = parts[0] is None
+    stepped = (
         _stepped("global", global_model, grads.global_model, lrs.global_model, frozen),
         _stepped("local", local_model, grads.local_model, lrs.local_model),
         _stepped("projector", projector, grads.projector, lrs.projector),
     )
+    return total, parts, stepped
 
 
-def forward_loss_single(
-    model: Net, x: np.ndarray, labels: np.ndarray
-) -> tuple[float, SingleCache]:
-    """Plain one-model cross-entropy loss (no splice, no projector)."""
+def _forward_single(model: Net, x, labels):
+    """(total, tape) of forward_loss_single; the tape is (rep, extractor cache, dlogits, n)."""
     x, y = _batch(model, x, labels, _lead(model))
-    rep, cache_ex = model.extractor.forward(x)
+    rep, cache = model.extractor.forward(x)
     losses, dlogits = _cross_entropy(model.header.forward(rep), y)
-    cache = SingleCache(model, rep, cache_ex, dlogits, x.shape[-2], _versions(model))
-    return _finite_loss(_value(_mean(losses))), cache
+    return _finite_loss(_value(_mean(losses))), (rep, cache, dlogits, x.shape[-2])
 
 
-def backward_and_step_single(model: Net, cache: SingleCache, lr: float) -> Net:
-    """SGD step for the plain one-model loss; same staleness rule as above.
+def forward_loss_single(model: Net, x: np.ndarray, labels: np.ndarray) -> float:
+    """Plain one-model cross-entropy loss (no splice, no projector)."""
+    return _forward_single(model, x, labels)[0]
+
+
+def train_step_single(model: Net, x: np.ndarray, labels: np.ndarray, lr: float):
+    """One SGD step on the plain one-model loss: (loss before the step, stepped model).
 
     The stepped model is checked as the local group: standalone training
     steps only the private model.
     """
-    if cache.model is not model or cache.versions != _versions(model):
-        raise StaleCacheError("cache was not produced by this model")
+    total, (rep, cache, dlogits, n) = _forward_single(model, x, labels)
     grads = model._grads
-    d_rep = model.header.backward(cache.rep, cache.dlogits / cache.n_samples, grads.header.weight)
-    model.extractor.backward(cache.extractor_cache, d_rep, grads.extractor)
-    return _stepped("local", model, grads, lr)
+    d_rep = model.header.backward(rep, dlogits / n, grads.header.weight)
+    model.extractor.backward(cache, d_rep, grads.extractor)
+    return total, _stepped("local", model, grads, lr)
 
 
 def parameter_vector(global_model: Net, local_model: Net, projector: Projector) -> np.ndarray:

@@ -251,12 +251,16 @@ def partition_dirichlet(
     to integer counts by largest-remainder rounding, so the counts sum to
     the class total exactly.  A draw leaving any client fewer than
     _MIN_SPLIT_SAMPLES samples, too few for split_train_test, is retried
-    with fresh randomness, up to 100 attempts.
+    with fresh randomness, up to 100 attempts.  A dataset too small for
+    any draw to succeed is rejected before the first.
     """
     if n_clients < 1:
         raise PartitionError(f"need at least one client, got {n_clients}")
-    if len(dataset) < n_clients:
-        raise PartitionError(f"{len(dataset)} samples cannot cover {n_clients} clients")
+    if len(dataset) < _MIN_SPLIT_SAMPLES * n_clients:
+        raise PartitionError(
+            f"{len(dataset)} samples cannot give {n_clients} clients "
+            f"{_MIN_SPLIT_SAMPLES} each"
+        )
     by_class = _indices_by_class(dataset)
     rng = derive_rng(spec.seed, _PARTITION_STREAM)
 

@@ -111,20 +111,26 @@ def run_experiment(
     """
     try:
         config = load_config(config_path)
-        changes = {}
+        changes, flags = {}, []
         if mode is not None:
             changes["mode"] = parse_mode(mode)
+            flags.append(f"--mode {mode}")
         if seed is not None:
             changes["seed"] = seed
+            flags.append(f"--seed {seed}")
         if out_dir is not None:
             changes["out_dir"] = out_dir
+            flags.append(f"--out {out_dir}")
         if changes:
-            config = override(config, **changes)
+            config = override(config, " ".join(flags), **changes)
 
         if sweep is not None:
             key, pairs = parse_sweep(sweep)
             runs = [
-                (override(config, **{key: value}), f"{config.report_name}_{key}_{_safe_token(token)}")
+                (
+                    override(config, f"--sweep {key}={token}", **{key: value}),
+                    f"{config.report_name}_{key}_{_safe_token(token)}",
+                )
                 for token, value in pairs
             ]
         else:

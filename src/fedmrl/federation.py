@@ -24,8 +24,8 @@ clients in the same slots, with the same standalone-ness, gathers into
 them with np.take(out=), or not at all if nothing was written since
 their scatter, and steps on the same views.  Uploads view a copy of the
 trained shared rows.  Each client draws its epoch permutations from its
-own rng, and the result is bit-identical to client_update on each client
-alone (a cohort of one), because of three rules:
+own rng, and the result is bit-identical to a cohort of one for each
+client, because of three rules:
 
 * every stacked product is one BLAS call per client slice, on C-order
   matrices, and every reduction runs within a slice (see models);
@@ -45,16 +45,16 @@ Population.wrote(ids) is the one place that counts a write into the rows
 and forgets those clients' accuracies; broadcast, the cohort's scatter and
 assignment to a client's model fields call it, and a failed cohort, which
 writes no row, forgets nothing.  Code that writes into a client's rows in
-place calls population.wrote(ids), or the memo, the workspace and the
-stale-cache guard will not see it.  While the workspace holds the
-population's current rows and every client of the last cohort is stale,
-the cohort is evaluated with one stacked infer on the view training built
-of all its slots, if they are two or more and share one non-zero
-test-set size; every other stale client, and every client of a stack
-whose logits are not finite, is evaluated alone in ascending id order, so
-the error raised is that of the lowest-id client that fails.  Finite
-checks live in the training step (core); cohort_update adds the client id
-to a NonFiniteError from its steps, and run_rounds the round.
+place calls population.wrote(ids), or neither the memo nor the workspace
+will see it.  While the workspace holds the population's current rows and
+every client of the last cohort is stale, the cohort is evaluated with one
+stacked infer on the view training built of all its slots, if they are two
+or more and share one non-zero test-set size; every other stale client,
+and every client of a stack whose logits are not finite, is evaluated
+alone in ascending id order, so the error raised is that of the lowest-id
+client that fails.  Finite checks live in the training step (core);
+cohort_update adds the client id to a NonFiniteError from its steps, and
+run_rounds the round.
 """
 
 from __future__ import annotations
@@ -71,16 +71,14 @@ from .core import (
     LossWeights,
     Mode,
     Projector,
-    backward_and_step,
-    backward_and_step_single,
-    forward_loss,
-    forward_loss_single,
     infer,
     init_projector,
+    train_step,
+    train_step_single,
 )
 from .data import LabeledDataset, PartitionPlan
 from .metrics import RoundReport, comm_cost_round, evaluate, flops_round
-from .models import GroupedExtractor, ModelConfig, Net, _Writes, init_model
+from .models import GroupedExtractor, ModelConfig, Net, init_model
 from .numerics import NonFiniteError, ShapeError, _check_lr, derive_rng
 
 # Substream tags: every source of randomness in a run is a named stream
@@ -122,6 +120,8 @@ class RunConfig:
     def __post_init__(self):
         if self.n_clients < 1:
             raise ValueError(f"need at least one client, got {self.n_clients}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.rounds < 0:
             raise ValueError(f"rounds must be non-negative, got {self.rounds}")
         if not 0.0 < self.participation <= 1.0:
@@ -179,14 +179,14 @@ class Population:
         # Models of each layout, to build views of the rows with.
         self.shared_layout, self.projector_layout = shared, projectors[0]
         self.private_layouts = [private[ids[0]] for ids in groups]
-        self.writes = _Writes()
+        self.writes = 0
         self.accuracy: dict[InferenceVariant, np.ndarray] = {}
         self._views: dict[int, tuple[Net, Net, Projector]] = {}
         self._workspace: _Workspace | None = None
 
     def wrote(self, ids) -> None:
         """Count a write into the rows of clients ids, and forget their accuracies."""
-        self.writes.count += 1
+        self.writes += 1
         for memo in self.accuracy.values():
             memo[ids] = np.nan
 
@@ -200,8 +200,6 @@ class Population:
                 self.private_layouts[kind]._over((self.blocks[kind][rank], self.headers[ident])),
                 self.projector_layout._split(self.projectors[ident]),
             )
-            for model in views:
-                model._writes = self.writes
         return views
 
     def __getstate__(self):
@@ -333,26 +331,6 @@ def broadcast(server: ServerState, clients: list[ClientState]) -> None:
     population.wrote(ids)
 
 
-def client_update(
-    client: ClientState,
-    epochs: int,
-    batch_size: int,
-    lrs: LearningRates,
-    mode: Mode,
-    weights: LossWeights,
-) -> tuple[Upload | None, list[float]]:
-    """Run E local epochs on one client and package its upload: cohort_update of one.
-
-    An epoch is one seeded shuffle of the client's training set walked in
-    batches of batch_size (the final short batch included).  Returns the
-    upload (None in standalone mode, which never communicates) and the
-    per-epoch mean losses.  With epochs=0 nothing moves.  A non-finite
-    step raises NonFiniteError naming this client.
-    """
-    (result,) = cohort_update([client], epochs, batch_size, lrs, mode, weights)
-    return result
-
-
 def cohort_update(
     clients: list[ClientState],
     epochs: int,
@@ -361,12 +339,16 @@ def cohort_update(
     mode: Mode,
     weights: LossWeights,
 ) -> list[tuple[Upload | None, list[float]]]:
-    """Train the listed clients, of one population, in lockstep; client_update's results for each.
+    """Run E local epochs on each listed client, of one population, in lockstep.
 
-    Each result is bit for bit what client_update gives on that client
-    alone, and each client's rng ends in the same state.  If a client
-    fails, raises what client_update on each client in ascending id order
-    would raise: the error of the lowest-id client that fails at any step
+    An epoch is one seeded shuffle of a client's training set walked in
+    batches of batch_size (the final short batch included).  Returns, per
+    client in the order listed, its upload (None in standalone mode, which
+    never communicates) and its per-epoch mean losses; with epochs=0
+    nothing moves.  Each result is bit for bit what a cohort of one gives
+    on that client, and each client's rng ends in the same state.  If a
+    client fails, raises what cohorts of one in ascending id order would
+    raise: the error of the lowest-id client that fails at any step
     (ValueError for one without training samples, NonFiniteError naming
     it for a diverging step).  Then no client's models change.
     """
@@ -432,12 +414,12 @@ class _Workspace:
         if not standalone:
             self.shared = population.shared[self.rows]
             self.projectors = population.projectors[self.rows]
-        self.synced = population.writes.count
-        self.writes, self.views = _Writes(), {}
+        self.synced = population.writes
+        self.views = {}
 
     def gather(self, population: Population) -> None:
         """Copy the population's rows in, one take per buffer, unless they are there already."""
-        if self.synced == population.writes.count:
+        if self.synced == population.writes:
             return
         for kind, _, ranks, block in self.parts:
             np.take(population.blocks[kind], ranks, axis=0, out=block)
@@ -445,8 +427,7 @@ class _Workspace:
         if self.shared is not None:
             np.take(population.shared, self.rows, axis=0, out=self.shared)
             np.take(population.projectors, self.rows, axis=0, out=self.projectors)
-        self.writes.count += 1
-        self.synced = population.writes.count
+        self.synced = population.writes
 
     def scatter(self, population: Population) -> None:
         """Write the rows back into the population: one scatter per buffer."""
@@ -457,7 +438,7 @@ class _Workspace:
             population.shared[self.rows] = self.shared
             population.projectors[self.rows] = self.projectors
         population.wrote(self.rows)
-        self.synced = population.writes.count
+        self.synced = population.writes
 
     def models(self, a: int, b: int, layouts: Population) -> tuple:
         """(shared, private, projector, their vectors in step order), viewing slots a to b."""
@@ -474,10 +455,7 @@ class _Workspace:
             if self.shared is not None:
                 models[0] = layouts.shared_layout._split(self.shared[a:b])
                 models[2] = layouts.projector_layout._split(self.projectors[a:b])
-            trained = [model for model in models if model is not None]
-            for model in trained:
-                model._writes = self.writes
-            vectors = [v for model in trained for v in model._segments()]
+            vectors = [v for model in models if model is not None for v in model._segments()]
             views = self.views[a, b] = (*models, vectors)
         return views
 
@@ -572,11 +550,9 @@ class _Cohort:
         g, f, p, vectors = self.workspace.models(a, b, self.population)
         try:
             if self.mode is Mode.STANDALONE:
-                loss, cache = forward_loss_single(f, x, y)
-                stepped = (backward_and_step_single(f, cache, self.lrs.local_model),)
+                loss, *stepped = train_step_single(f, x, y, self.lrs.local_model)
             else:
-                loss, _, cache = forward_loss(g, f, p, x, y, self.weights)
-                stepped = backward_and_step(g, f, p, cache, self.lrs)
+                loss, _, stepped = train_step(g, f, p, x, y, self.weights, self.lrs)
         except NonFiniteError as exc:
             if b - a == 1:
                 self._fail(a, exc)
@@ -588,7 +564,6 @@ class _Cohort:
             return
         for target, values in zip(vectors, (v for model in stepped for v in model._segments())):
             target[...] = values
-        self.workspace.writes.count += 1
         for losses, value in zip(batch_losses[a:b], loss.tolist()):
             losses.append(value)
 
@@ -754,7 +729,7 @@ def _accuracies(clients: list[ClientState], variant: InferenceVariant) -> tuple[
     population = _population(clients)
     memo = population.accuracy.setdefault(variant, np.full(len(population.headers), np.nan))
     workspace = population._workspace
-    if workspace is not None and workspace.synced == population.writes.count:
+    if workspace is not None and workspace.synced == population.writes:
         workspace.evaluate(clients, memo, variant)
     for ident in np.flatnonzero(np.isnan(memo)).tolist():
         memo[ident] = evaluate(clients[ident], variant)

@@ -20,8 +20,10 @@ Each forward checks its input once and then multiplies with a bare
 first: OpenBLAS rounds a product with a transposed view differently, and
 the copy keeps every result bit-identical to the product of C-order
 matrices.  Each backward, the one training runs (see core), writes its
-parameter gradients into ``out``, a model of the same layout.  Nothing
-here checks for non-finite values.
+parameter gradients into ``out``, a model of the same layout.  An
+extractor's forward returns a ForwardCache tied to that extractor, and
+its backward rejects a cache of any other.  Nothing here checks for
+non-finite values.
 
 Parameters and batches may carry a leading client axis to train a cohort
 at once (weights (C, out, in), views of (C, P) vectors strided along
@@ -60,17 +62,8 @@ def _view(cls, **attrs):
     return obj
 
 
-class _Writes:
-    """Count of the writes into one set of buffers, shared by the models that view them."""
-
-    count = 0
-
-
 class _Segmented:
-    """What the model classes share.  _writes is the _Writes of the buffers a
-    model views, None when it owns its vectors."""
-
-    _writes = None
+    """What the model classes share."""
 
     def _empty(self):
         """A model of this layout over fresh, unset vectors: room for its gradient."""

@@ -40,7 +40,7 @@ from fedmrl.federation import (
     aggregate,
     broadcast,
     build_clients,
-    client_update,
+    cohort_update,
     run_training,
 )
 from fedmrl.models import ModelConfig, init_model
@@ -117,8 +117,7 @@ def test_gradient_check_matches_finite_differences(capsys):
         x = data_rng.normal(size=(5, 6))
         y = data_rng.integers(0, 3, size=5)
 
-        _, _, cache = forward_loss(g, f, p, x, y)
-        analytic = gradient_vector(loss_gradients(cache))
+        analytic = gradient_vector(loss_gradients(g, f, p, x, y))
 
         def objective(vec, g=g, f=f, p=p, x=x, y=y):
             return forward_loss(*with_parameter_vector(g, f, p, vec), x, y)[0]
@@ -436,9 +435,9 @@ def test_server_never_sees_private_parameters(capsys):
     broadcast(server, clients)
     uploads = []
     for client in clients:
-        upload, _ = client_update(
-            client, cfg.local_epochs, cfg.batch_size, cfg.lrs, cfg.mode, cfg.loss_weights
-        )
+        upload, _ = cohort_update(
+            [client], cfg.local_epochs, cfg.batch_size, cfg.lrs, cfg.mode, cfg.loss_weights
+        )[0]
         uploads.append(upload)
     shapes_ok = all(
         [a.shape for a in u.model.parameter_arrays()] == template_shapes for u in uploads

@@ -234,25 +234,35 @@ def test_cli_diverging_run_exits_one_without_a_traceback(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "config,sweep,named",
+    "config,edit,flags,source,named",
     [
-        ("demos/quickstart.cfg", "lr=nan", "got nan"),
-        ("demos/quickstart.cfg", "lr_global=inf", "got inf"),
-        ("demos/quickstart.cfg", "m_global=nan", "got (nan, 1.0)"),
-        ("bench/workloads/many-dirichlet.cfg", "alpha=0", "got 0.0"),
-        ("bench/workloads/many-dirichlet.cfg", "spread=0", "got 0.0"),
-        ("bench/workloads/many-dirichlet.cfg", "per_class=0", "got 10, 16 and 0"),
-        ("bench/workloads/many-dirichlet.cfg", "classes=1", "got 1, 16 and 400"),
-        ("bench/workloads/many-dirichlet.cfg", "input_dim=0", "got 10, 0 and 400"),
+        ("demos/quickstart.cfg", None, ["--sweep", "lr=nan"], "--sweep lr=nan", "got nan"),
+        ("demos/quickstart.cfg", None, ["--sweep", "lr_global=inf"], "--sweep lr_global=inf", "got inf"),
+        ("demos/quickstart.cfg", None, ["--sweep", "m_global=nan"], "--sweep m_global=nan", "got (nan, 1.0)"),
+        ("bench/workloads/many-dirichlet.cfg", None, ["--sweep", "alpha=0"], "--sweep alpha=0", "got 0.0"),
+        ("bench/workloads/many-dirichlet.cfg", None, ["--sweep", "spread=0"], "--sweep spread=0", "got 0.0"),
+        ("bench/workloads/many-dirichlet.cfg", None, ["--sweep", "per_class=0"], "--sweep per_class=0",
+         "got 10, 16 and 0"),
+        ("bench/workloads/many-dirichlet.cfg", None, ["--sweep", "classes=1"], "--sweep classes=1",
+         "got 1, 16 and 400"),
+        ("bench/workloads/many-dirichlet.cfg", None, ["--sweep", "input_dim=0"], "--sweep input_dim=0",
+         "got 10, 0 and 400"),
+        ("demos/quickstart.cfg", None, ["--seed", "-1"], "--seed -1 --out {out}", "got -1"),
+        ("demos/quickstart.cfg", ("seed = 0", "seed = -3"), [], "{config}", "got -3"),
     ],
 )
-def test_cli_rejects_bad_values_with_one_error_line(tmp_path, capsys, config, sweep, named):
+def test_cli_rejects_bad_values_with_one_error_line(tmp_path, capsys, config, edit, flags, source, named):
+    # The error line names where the bad value came from: the sweep value,
+    # the flags that were applied, or the config file.
     path = Path(__file__).parents[1] / config
-    assert main(["run", "--config", str(path), "--sweep", sweep, "--out", str(tmp_path)]) == 1
+    if edit is not None:
+        path = write_config(tmp_path, path.read_text(encoding="utf-8").replace(*edit), name="bad.cfg")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), *flags, "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: <override>: ") and err.count("\n") == 1
+    assert err.startswith(f"error: {source.format(out=out, config=path)}: ") and err.count("\n") == 1
     assert err.endswith(f"{named}\n") and "Traceback" not in err
-    assert not list(tmp_path.iterdir())
+    assert not out.exists()
 
 
 def test_cli_target_accuracy_round_recorded(tmp_path):

@@ -12,8 +12,6 @@ from fedmrl.core import (
     LossWeights,
     Projector,
     TheoryConstants,
-    backward_and_step,
-    backward_and_step_single,
     forward_loss,
     forward_loss_single,
     gradient_vector,
@@ -25,9 +23,11 @@ from fedmrl.core import (
     parameter_vector,
     project,
     splice,
+    train_step,
+    train_step_single,
     with_parameter_vector,
 )
-from fedmrl.models import Header, ModelConfig, Net, StaleCacheError, init_model
+from fedmrl.models import Header, ModelConfig, Net, init_model
 from fedmrl.numerics import (
     NonFiniteError,
     ShapeError,
@@ -46,6 +46,17 @@ def tiny_models(seed=0, d1=D1, d2=D2, classes=CLASSES, input_dim=INPUT):
     f = init_model(ModelConfig(input_dim, (7,), d2, classes), rng)
     p = init_projector(d1, d2, rng)
     return g, f, p
+
+
+def selection(d1, d2):
+    """Projector that copies rep_local through and ignores rep_global.
+
+    fused == rep_local exactly, which reduces the ablated loss to a plain
+    local-model loss.
+    """
+    weight = np.zeros((d2, d1 + d2))
+    weight[:, d1:] = np.eye(d2)
+    return Projector(weight)
 
 
 def tiny_batch(seed=0, n=5, input_dim=INPUT, classes=CLASSES):
@@ -98,7 +109,7 @@ def test_forward_loss_at_random_init_is_near_ln_classes():
             rng = make_rng(seed + 500)
             x = 0.3 * rng.normal(size=(64, INPUT))
             y = rng.integers(0, classes, size=64)
-            total, (loss_g, loss_f), _ = forward_loss(g, f, p, x, y)
+            total, (loss_g, loss_f) = forward_loss(g, f, p, x, y)
             for part in (loss_g, loss_f):
                 assert abs(part - math.log(classes)) <= 0.2 * math.log(classes)
             assert abs(total - 2 * math.log(classes)) <= 0.4 * math.log(classes)
@@ -115,7 +126,7 @@ def test_forward_loss_runs_on_unpickled_stacked_inputs():
     ]
     x, y = (np.stack(arrays) for arrays in zip(*batches))
     stacked, x, y = pickle.loads(pickle.dumps((stacked, x, y)))
-    total, _, _ = forward_loss(*stacked, x, y)
+    total, _ = forward_loss(*stacked, x, y)
     for i in range(2):
         assert total[i] == forward_loss(*alone[i], *batches[i])[0]
 
@@ -124,7 +135,7 @@ def test_forward_loss_total_is_weighted_sum():
     g, f, p = tiny_models()
     x, y = tiny_batch()
     weights = LossWeights(0.3, 1.7)
-    total, (loss_g, loss_f), _ = forward_loss(g, f, p, x, y, weights)
+    total, (loss_g, loss_f) = forward_loss(g, f, p, x, y, weights)
     assert math.isclose(total, 0.3 * loss_g + 1.7 * loss_f, rel_tol=1e-12)
 
 
@@ -137,8 +148,7 @@ def test_loss_weights_reject_negative():
 def test_gradcheck_full_graph_miniature(seed):
     g, f, p = tiny_models(seed=seed)
     x, y = tiny_batch(seed=seed)
-    _, _, cache = forward_loss(g, f, p, x, y)
-    analytic = gradient_vector(loss_gradients(cache))
+    analytic = gradient_vector(loss_gradients(g, f, p, x, y))
 
     def objective(vec):
         g2, f2, p2 = with_parameter_vector(g, f, p, vec)
@@ -152,8 +162,7 @@ def test_gradcheck_weighted_loss():
     g, f, p = tiny_models(seed=7)
     x, y = tiny_batch(seed=7)
     weights = LossWeights(0.25, 2.0)
-    _, _, cache = forward_loss(g, f, p, x, y, weights)
-    analytic = gradient_vector(loss_gradients(cache))
+    analytic = gradient_vector(loss_gradients(g, f, p, x, y, weights))
 
     def objective(vec):
         g2, f2, p2 = with_parameter_vector(g, f, p, vec)
@@ -169,8 +178,7 @@ NO_MRL = LossWeights(0.0, 1.0)
 def test_gradcheck_no_mrl_ablation():
     g, f, p = tiny_models(seed=5)
     x, y = tiny_batch(seed=5)
-    _, _, cache = forward_loss(g, f, p, x, y, NO_MRL)
-    analytic = gradient_vector(loss_gradients(cache))
+    analytic = gradient_vector(loss_gradients(g, f, p, x, y, NO_MRL))
 
     def objective(vec):
         g2, f2, p2 = with_parameter_vector(g, f, p, vec)
@@ -194,42 +202,37 @@ def test_zero_global_weight_never_reads_the_global_header(seed, lr, bad, local_h
     x, y = tiny_batch(seed=seed, n=8)
     weights = LossWeights(0.0, local_head)
     poisoned = Net(g.extractor, Header(np.full_like(g.header.weight, bad)))
-    total, (loss_g, loss_f), cache = forward_loss(poisoned, f, p, x, y, weights)
-    _, (_, clean_f), _ = forward_loss(g, f, p, x, y, weights)
+    lrs = LearningRates.uniform(lr)
+    total, (loss_g, loss_f), (g1, _, _) = train_step(poisoned, f, p, x, y, weights, lrs)
+    _, (_, clean_f) = forward_loss(g, f, p, x, y, weights)
     assert loss_g is None
     assert loss_f == clean_f
     assert total == local_head * loss_f
-    g1, _, _ = backward_and_step(poisoned, f, p, cache, LearningRates.uniform(lr))
     assert g1.header.weight.tobytes() == poisoned.header.weight.tobytes()
 
 
 def test_ablation_with_selection_projector_is_plain_local_loss():
     g, f, _ = tiny_models(seed=9)
     x, y = tiny_batch(seed=9)
-    selection = Projector.selection(D1, D2)
-    abl_loss, _, _ = forward_loss(g, f, selection, x, y, NO_MRL)
-    single_loss, _ = forward_loss_single(f, x, y)
+    abl_loss, _ = forward_loss(g, f, selection(D1, D2), x, y, NO_MRL)
+    single_loss = forward_loss_single(f, x, y)
     assert math.isclose(abl_loss, single_loss, rel_tol=1e-12)
 
 
 def test_gradcheck_single_model_path():
     g, f, _ = tiny_models(seed=11)
     x, y = tiny_batch(seed=11)
-    loss0, cache = forward_loss_single(f, x, y)
-    stepped = backward_and_step_single(f, cache, 0.05)
-    loss1, _ = forward_loss_single(stepped, x, y)
-    assert loss1 < loss0
-    with pytest.raises(StaleCacheError):
-        backward_and_step_single(stepped, cache, 0.05)
+    loss0, stepped = train_step_single(f, x, y, 0.05)
+    assert loss0 == forward_loss_single(f, x, y)
+    assert forward_loss_single(stepped, x, y) < loss0
 
 
 def test_one_step_decreases_loss_and_moves_all_groups():
     g, f, p = tiny_models(seed=2)
     x, y = tiny_batch(seed=2, n=8)
     before = parameter_vector(g, f, p)
-    loss0, _, cache = forward_loss(g, f, p, x, y)
-    g1, f1, p1 = backward_and_step(g, f, p, cache, LearningRates.uniform(0.02))
-    loss1, _, _ = forward_loss(g1, f1, p1, x, y)
+    loss0, _, (g1, f1, p1) = train_step(g, f, p, x, y, LossWeights(), LearningRates.uniform(0.02))
+    loss1, _ = forward_loss(g1, f1, p1, x, y)
     assert loss1 < loss0
 
     assert not np.array_equal(
@@ -241,11 +244,26 @@ def test_one_step_decreases_loss_and_moves_all_groups():
     assert np.array_equal(parameter_vector(g, f, p), before)
 
 
+def test_train_step_moves_each_group_by_its_checked_gradient():
+    # The step that training runs is theta - lr * loss_gradients, bit for
+    # bit, and it reports forward_loss's losses from before the step.
+    g, f, p = tiny_models(seed=10)
+    x, y = tiny_batch(seed=10)
+    lrs = LearningRates(0.1, 0.2, 0.3)
+    total, parts, stepped = train_step(g, f, p, x, y, LossWeights(), lrs)
+    assert (total, parts) == forward_loss(g, f, p, x, y)
+    grads = loss_gradients(g, f, p, x, y)
+    rates = (lrs.global_model, lrs.local_model, lrs.projector)
+    grad_models = (grads.global_model, grads.local_model, grads.projector)
+    for model, grad, new, lr in zip((g, f, p), grad_models, stepped, rates):
+        for theta, d, moved in zip(model._segments(), grad._segments(), new._segments()):
+            assert np.array_equal(moved, theta - lr * d)
+
+
 def test_zero_learning_rates_keep_parameters():
     g, f, p = tiny_models(seed=4)
     x, y = tiny_batch(seed=4)
-    _, _, cache = forward_loss(g, f, p, x, y)
-    g1, f1, p1 = backward_and_step(g, f, p, cache, LearningRates.uniform(0.0))
+    _, _, (g1, f1, p1) = train_step(g, f, p, x, y, LossWeights(), LearningRates.uniform(0.0))
     assert np.array_equal(parameter_vector(g, f, p), parameter_vector(g1, f1, p1))
 
 
@@ -253,40 +271,27 @@ def test_zero_learning_rates_keep_parameters():
 def test_step_rejects_a_negative_or_non_finite_learning_rate(lr):
     g, f, p = tiny_models(seed=4)
     x, y = tiny_batch(seed=4)
-    _, _, cache = forward_loss(g, f, p, x, y)
     with pytest.raises(ValueError, match="learning rate"):
-        backward_and_step(g, f, p, cache, LearningRates(0.1, 0.1, lr))
-    _, single = forward_loss_single(f, x, y)
+        train_step(g, f, p, x, y, LossWeights(), LearningRates(0.1, 0.1, lr))
     with pytest.raises(ValueError, match="learning rate"):
-        backward_and_step_single(f, single, lr)
-
-
-def test_stale_cache_is_rejected():
-    g, f, p = tiny_models(seed=6)
-    x, y = tiny_batch(seed=6)
-    _, _, cache = forward_loss(g, f, p, x, y)
-    g1, f1, p1 = backward_and_step(g, f, p, cache, LearningRates.uniform(0.01))
-    with pytest.raises(StaleCacheError):
-        backward_and_step(g1, f1, p1, cache, LearningRates.uniform(0.01))
+        train_step_single(f, x, y, lr)
 
 
 @pytest.mark.parametrize("group", ["global", "local", "projector"])
 def test_step_names_the_group_that_is_not_finite(group):
     g, f, p = tiny_models(seed=3)
     x, y = tiny_batch(seed=3, n=8)
-    _, _, cache = forward_loss(g, f, p, 1e3 * x, y)  # large gradients, finite loss
     groups = ("global", "local", "projector")
     lrs = LearningRates(*(1e308 if name == group else 0.0 for name in groups))
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match=f"non-finite {group} "):
-        backward_and_step(g, f, p, cache, lrs)
+        train_step(g, f, p, 1e3 * x, y, LossWeights(), lrs)  # large gradients, finite loss
 
 
 def test_single_model_step_and_infer_reject_non_finite_values():
     g, f, p = tiny_models(seed=5)
     x, y = tiny_batch(seed=5, n=8)
-    _, cache = forward_loss_single(f, 1e3 * x, y)
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="non-finite local "):
-        backward_and_step_single(f, cache, 1e308)
+        train_step_single(f, 1e3 * x, y, 1e308)
     f.header.weight[0, 0] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError, match="non-finite loss"):
         forward_loss_single(f, x, y)
@@ -371,7 +376,7 @@ def test_lr_bound_requires_epsilon_above_variation():
 
 
 def test_projector_selection_shape():
-    sel = Projector.selection(2, 3)
+    sel = selection(2, 3)
     assert sel.weight.shape == (3, 5)
     spliced = np.array([[9.0, 9.0, 1.0, 2.0, 3.0]])
     assert np.array_equal(project(sel, spliced), [[1.0, 2.0, 3.0]])

@@ -190,11 +190,21 @@ def test_dirichlet_low_alpha_concentrates_labels():
 
 
 def test_dirichlet_gives_up_after_bounded_retries():
-    # 6 samples over 6 clients under a tiny alpha: some client is left
-    # empty in essentially every draw, so the retry budget runs out.
-    ds = LabeledDataset(np.zeros((6, 2)), np.array([0, 0, 0, 1, 1, 1]), 2)
+    # 6 classes of 5 samples over 6 clients could split (one class each),
+    # but alpha=0.01 piles each class onto one client, so few draws leave
+    # every client 5 samples: seed 0 spends all 100 draws, seed 1 splits.
+    ds = LabeledDataset(np.zeros((30, 2)), np.repeat(np.arange(6), 5), 6)
     with pytest.raises(PartitionError, match="100 attempts"):
-        partition_dirichlet(ds, 6, DirichletSpec(alpha=0.05, seed=0))
+        partition_dirichlet(ds, 6, DirichletSpec(alpha=0.01, seed=0))
+    plan = partition_dirichlet(ds, 6, DirichletSpec(alpha=0.01, seed=1))
+    assert [c.train.size for c in plan.clients] == [5] * 6
+
+
+def test_dirichlet_rejects_too_few_samples_before_any_draw():
+    # 29 samples cannot give 6 clients 5 each, whatever the draw.
+    ds = LabeledDataset(np.zeros((29, 2)), np.arange(29) % 6, 6)
+    with pytest.raises(PartitionError, match="29 samples cannot give 6 clients 5 each"):
+        partition_dirichlet(ds, 6, DirichletSpec(alpha=1.0, seed=0))
 
 
 def test_dirichlet_rejects_more_clients_than_samples():

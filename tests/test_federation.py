@@ -15,12 +15,10 @@ from fedmrl.core import (
     InferenceVariant,
     LearningRates,
     LossWeights,
-    backward_and_step,
-    backward_and_step_single,
-    forward_loss,
-    forward_loss_single,
     infer,
     parameter_vector,
+    train_step,
+    train_step_single,
 )
 from fedmrl.data import (
     ClassCountSpec,
@@ -40,7 +38,6 @@ from fedmrl.federation import (
     aggregate,
     broadcast,
     build_clients,
-    client_update,
     cohort_update,
     run_rounds,
     run_training,
@@ -48,7 +45,7 @@ from fedmrl.federation import (
 )
 from fedmrl.experiment import build_partition, load_dataset
 from fedmrl.metrics import evaluate
-from fedmrl.models import ModelConfig, StaleCacheError, init_model
+from fedmrl.models import ModelConfig, init_model
 from fedmrl.numerics import NonFiniteError, ShapeError, make_rng
 
 QUICKSTART = Path(__file__).parents[1] / "demos" / "quickstart.cfg"
@@ -172,9 +169,9 @@ def test_client_update_zero_epochs_is_identity():
     _, clients = build_clients(cfg, dataset, plan)
     client = clients[0]
     before = parameter_vector(client.global_copy, client.local_model, client.projector)
-    upload, trace = client_update(
-        client, 0, cfg.batch_size, cfg.lrs, Mode.FEDMRL, LossWeights()
-    )
+    upload, trace = cohort_update(
+        [client], 0, cfg.batch_size, cfg.lrs, Mode.FEDMRL, LossWeights()
+    )[0]
     after = parameter_vector(client.global_copy, client.local_model, client.projector)
     assert np.array_equal(before, after)
     assert trace == []
@@ -189,9 +186,9 @@ def test_client_update_zero_lr_is_identity_with_loss_trace():
     _, clients = build_clients(cfg, dataset, plan)
     client = clients[1]
     before = parameter_vector(client.global_copy, client.local_model, client.projector)
-    upload, trace = client_update(
-        client, 2, cfg.batch_size, LearningRates.uniform(0.0), Mode.FEDMRL, LossWeights()
-    )
+    upload, trace = cohort_update(
+        [client], 2, cfg.batch_size, LearningRates.uniform(0.0), Mode.FEDMRL, LossWeights()
+    )[0]
     after = parameter_vector(client.global_copy, client.local_model, client.projector)
     assert np.array_equal(before, after)
     assert len(trace) == 2 and all(np.isfinite(v) for v in trace)
@@ -203,9 +200,9 @@ def test_client_update_standalone_uploads_nothing_and_keeps_shared_model():
     client = clients[0]
     shared_before = client.global_copy.header.weight.copy()
     local_before = client.local_model.header.weight.copy()
-    upload, trace = client_update(
-        client, 1, cfg.batch_size, cfg.lrs, Mode.STANDALONE, LossWeights()
-    )
+    upload, trace = cohort_update(
+        [client], 1, cfg.batch_size, cfg.lrs, Mode.STANDALONE, LossWeights()
+    )[0]
     assert upload is None
     assert len(trace) == 1
     assert np.array_equal(client.global_copy.header.weight, shared_before)
@@ -219,7 +216,7 @@ def test_client_update_moves_all_three_groups_in_fedmrl():
     g0 = client.global_copy.header.weight.copy()
     f0 = client.local_model.header.weight.copy()
     p0 = client.projector.weight.copy()
-    client_update(client, 1, cfg.batch_size, cfg.lrs, Mode.FEDMRL, LossWeights())
+    cohort_update([client], 1, cfg.batch_size, cfg.lrs, Mode.FEDMRL, LossWeights())
     assert not np.array_equal(client.global_copy.header.weight, g0)
     assert not np.array_equal(client.local_model.header.weight, f0)
     assert not np.array_equal(client.projector.weight, p0)
@@ -241,7 +238,7 @@ def test_client_update_loss_decreases_on_separable_data():
             global_hidden=(8,), local_hidden=((10,),),
         )
         _, clients = build_clients(cfg, dataset, plan)
-        _, trace = client_update(clients[0], 3, 8, cfg.lrs, Mode.FEDMRL, LossWeights())
+        _, trace = cohort_update([clients[0]], 3, 8, cfg.lrs, Mode.FEDMRL, LossWeights())[0]
         if all(b <= a + 1e-6 for a, b in zip(trace, trace[1:])):
             good += 1
     assert good >= 0.9 * trials
@@ -275,7 +272,7 @@ def test_aggregate_single_upload_is_bitwise_identical():
     cfg, dataset, plan = small_setup()
     server, clients = build_clients(cfg, dataset, plan)
     client = clients[0]
-    upload, _ = client_update(client, 1, 8, cfg.lrs, Mode.FEDMRL, LossWeights())
+    upload, _ = cohort_update([client], 1, 8, cfg.lrs, Mode.FEDMRL, LossWeights())[0]
     aggregate(server, [upload])
     for got, want in zip(
         server.global_model.parameter_arrays(), upload.model.parameter_arrays()
@@ -286,7 +283,7 @@ def test_aggregate_single_upload_is_bitwise_identical():
 def test_aggregate_identical_uploads_reproduce_the_model_exactly():
     cfg, dataset, plan = small_setup()
     server, clients = build_clients(cfg, dataset, plan)
-    upload, _ = client_update(clients[0], 1, 8, cfg.lrs, Mode.FEDMRL, LossWeights())
+    upload, _ = cohort_update([clients[0]], 1, 8, cfg.lrs, Mode.FEDMRL, LossWeights())[0]
     copies = [
         Upload(ident, 7, upload.model.clone()) for ident in range(5)
     ]
@@ -302,7 +299,7 @@ def test_aggregate_equal_counts_matches_unweighted_mean():
     server, clients = build_clients(cfg, dataset, plan)
     uploads = []
     for ident, client in enumerate(clients):
-        upload, _ = client_update(client, 1, 8, cfg.lrs, Mode.FEDMRL, LossWeights())
+        upload, _ = cohort_update([client], 1, 8, cfg.lrs, Mode.FEDMRL, LossWeights())[0]
         uploads.append(Upload(ident, 13, upload.model))
     stacks = [
         [u.model.parameter_arrays()[i] for u in uploads]
@@ -486,7 +483,8 @@ def test_a_deep_copy_trains_like_the_original_and_shares_no_memory():
     lone = copy.deepcopy(clients[1])
     assert not any(np.shares_memory(a, b) for a in _client_arrays(lone) for b in mine)
     args = (2, 8, cfg.lrs, Mode.FEDMRL, LossWeights())
-    assert repr(client_update(lone, *args)[1]) == repr(client_update(clients[1], *args)[1])
+    (_, alone), (_, within) = cohort_update([lone], *args)[0], cohort_update([clients[1]], *args)[0]
+    assert repr(alone) == repr(within)
     assert _same_arrays(_client_arrays(lone), _client_arrays(clients[1]))
 
 
@@ -527,21 +525,6 @@ def test_assigning_a_model_copies_it_into_the_clients_rows():
     with pytest.raises(ShapeError):
         client.global_copy = stacked
     assert (view.header.weight == 3.0).all()
-
-
-def test_a_cache_made_before_a_write_is_stale_for_the_same_views():
-    cfg, dataset, plan = small_setup(n_clients=2)
-    server, clients = build_clients(cfg, dataset, plan)
-    client = clients[0]
-    g, f, p = client.global_copy, client.local_model, client.projector
-    x, y = client.train_x[:4], client.train_y[:4]
-    _, _, cache = forward_loss(g, f, p, x, y)
-    broadcast(server, [clients[1]])  # a write into the population's buffers
-    assert all(a is b for a, b in zip((client.global_copy, client.local_model, client.projector), (g, f, p)))
-    with pytest.raises(StaleCacheError):
-        backward_and_step(g, f, p, cache, cfg.lrs)
-    _, _, cache = forward_loss(g, f, p, x, y)
-    backward_and_step(g, f, p, cache, cfg.lrs)
 
 
 def _anchored_mean(uploads):
@@ -757,7 +740,7 @@ def test_broadcast_and_client_update_clear_the_accuracy_memo():
     assert not np.isnan(memo).any()
     broadcast(server, clients[:1])
     assert np.isnan(memo).tolist() == [True, False]
-    client_update(clients[1], 1, 8, cfg.lrs, Mode.FEDMRL, LossWeights())
+    cohort_update([clients[1]], 1, 8, cfg.lrs, Mode.FEDMRL, LossWeights())
     assert np.isnan(memo).all()
 
 
@@ -807,15 +790,15 @@ DIVERGING_QUICKSTART = {
 
 
 def _count_steps(monkeypatch):
-    """A list that gains an entry at each training step's forward_loss call."""
+    """A list that gains an entry at each training step's train_step call."""
     steps = []
-    real = federation.forward_loss
+    real = federation.train_step
 
     def counting(*args, **kwargs):
         steps.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(federation, "forward_loss", counting)
+    monkeypatch.setattr(federation, "train_step", counting)
     return steps
 
 
@@ -843,10 +826,10 @@ def test_diverging_quickstart_stops_at_the_same_step(monkeypatch, lr):
         for ident in picked:
             steps.clear()
             try:
-                upload, _ = client_update(
-                    replay_clients[ident], cfg.local_epochs, cfg.batch_size, cfg.lrs,
+                upload, _ = cohort_update(
+                    [replay_clients[ident]], cfg.local_epochs, cfg.batch_size, cfg.lrs,
                     cfg.mode, cfg.loss_weights,
-                )
+                )[0]
             except NonFiniteError as exc:
                 assert (str(exc), len(steps) - 1) == (message, fail_step)
                 return
@@ -860,7 +843,7 @@ def test_diverging_quickstart_stops_at_the_same_step(monkeypatch, lr):
 
 
 def train_unstacked(client, epochs, batch_size, lrs, mode, weights):
-    """client_update as one 2-D step per batch, no client axis anywhere."""
+    """A cohort of one as one 2-D step per batch, no client axis anywhere."""
     g, f, p = client.global_copy, client.local_model, client.projector
     epoch_means = []
     for _ in range(epochs):
@@ -870,14 +853,11 @@ def train_unstacked(client, epochs, batch_size, lrs, mode, weights):
             idx = order[start : start + batch_size]
             xb, yb = client.train_x[idx], client.train_y[idx]
             if mode is Mode.STANDALONE:
-                loss, cache = forward_loss_single(f, xb, yb)
-                f = backward_and_step_single(f, cache, lrs.local_model)
+                loss, f = train_step_single(f, xb, yb, lrs.local_model)
             elif mode is Mode.NO_MRL:
-                loss, _, cache = forward_loss(g, f, p, xb, yb, LossWeights(0.0, 1.0))
-                g, f, p = backward_and_step(g, f, p, cache, lrs)
+                loss, _, (g, f, p) = train_step(g, f, p, xb, yb, LossWeights(0.0, 1.0), lrs)
             else:
-                loss, _, cache = forward_loss(g, f, p, xb, yb, weights)
-                g, f, p = backward_and_step(g, f, p, cache, lrs)
+                loss, _, (g, f, p) = train_step(g, f, p, xb, yb, weights, lrs)
             losses.append(loss)
         epoch_means.append(float(np.mean(losses)))
     client.global_copy, client.local_model, client.projector = g, f, p
@@ -931,7 +911,7 @@ def test_lockstep_cohort_equals_each_client_alone(
 
     results = cohort_update([lockstep[i] for i in chosen], *args)
     for ident, (upload, epoch_means) in sorted(zip(chosen, results), key=lambda r: r[0]):
-        expected_upload, expected_means = client_update(alone[ident], *args)
+        expected_upload, expected_means = cohort_update([alone[ident]], *args)[0]
         assert repr(epoch_means) == repr(expected_means)
         assert repr(epoch_means) == repr(train_unstacked(unstacked[ident], *args))
         if mode is Mode.STANDALONE:
@@ -950,10 +930,10 @@ def test_lockstep_cohort_equals_each_client_alone(
 
 
 def _step_of_failure(client, epochs, lrs, steps):
-    """Index of the step at which client_update fails on a copy of client, and the error."""
+    """Index of the step at which a cohort of one fails on a copy of client, and the error."""
     steps.clear()
     with pytest.raises(NonFiniteError) as failure:
-        client_update(copy.deepcopy(client), epochs, 8, lrs, Mode.FEDMRL, LossWeights())
+        cohort_update([copy.deepcopy(client)], epochs, 8, lrs, Mode.FEDMRL, LossWeights())
     return len(steps) - 1, str(failure.value)
 
 
@@ -973,7 +953,7 @@ def test_cohort_raises_the_error_of_the_lowest_id_client_that_fails(monkeypatch)
         step_2, _ = _step_of_failure(clients[2], epochs, lrs, steps)
         assert step_2 == 0 < step_1 and error_1.startswith("client 1: ")
         alone = copy.deepcopy(clients[0])
-        client_update(alone, epochs, 8, lrs, Mode.FEDMRL, LossWeights())
+        cohort_update([alone], epochs, 8, lrs, Mode.FEDMRL, LossWeights())
         before = [[a.copy() for a in _client_arrays(c)] for c in clients]
         with pytest.raises(NonFiniteError) as failure:
             cohort_update(clients, epochs, 8, lrs, Mode.FEDMRL, LossWeights())
@@ -1039,8 +1019,8 @@ def test_client_update_names_the_client_and_group_of_a_diverging_step():
     client.train_x = 1e3 * client.train_x  # large gradients, finite loss
     with np.errstate(over="ignore"):
         with pytest.raises(NonFiniteError, match=r"^client 2: non-finite local parameters"):
-            client_update(
-                client, 1, 8, LearningRates(0.0, 1e308, 0.0), Mode.FEDMRL, LossWeights()
+            cohort_update(
+                [client], 1, 8, LearningRates(0.0, 1e308, 0.0), Mode.FEDMRL, LossWeights()
             )
 
 

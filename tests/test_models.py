@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedmrl.core import backward_and_step_single, forward_loss_single
+from fedmrl.core import train_step_single
 from fedmrl.models import (
     CHECKPOINT_VERSION,
     IDENTITY,
@@ -228,13 +228,11 @@ def test_step_returns_new_model_and_preserves_original():
     y = rng.integers(0, 2, size=6)
 
     before = flatten_params(extractor, header)
-    _, cache = forward_loss_single(model, x, y)
-    stepped = backward_and_step_single(model, cache, 0.1)
+    _, stepped = train_step_single(model, x, y, 0.1)
     assert np.array_equal(flatten_params(extractor, header), before)
     assert not np.array_equal(flatten_params(stepped.extractor, stepped.header), before)
     # lr 0 reproduces the parameters exactly.
-    _, cache = forward_loss_single(model, x, y)
-    zero = backward_and_step_single(model, cache, 0.0)
+    _, zero = train_step_single(model, x, y, 0.0)
     assert np.array_equal(flatten_params(zero.extractor, zero.header), before)
 
 
