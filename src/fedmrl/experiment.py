@@ -14,6 +14,7 @@ from pathlib import Path
 from .config import (
     ConfigError,
     ExperimentConfig,
+    _build,
     load_config,
     override,
     parse_mode,
@@ -113,8 +114,8 @@ def run_experiment(
         config = load_config(config_path)
         changes, flags = {}, []
         if mode is not None:
-            changes["mode"] = parse_mode(mode)
             flags.append(f"--mode {mode}")
+            changes["mode"] = _build(flags[-1], parse_mode, mode)
         if seed is not None:
             changes["seed"] = seed
             flags.append(f"--seed {seed}")

@@ -21,11 +21,10 @@ into the gathered rows and scatters them back once every client has
 trained.  The population keeps the last cohort's gathered rows, views
 and gradient scratch as its workspace (_Workspace): a cohort of the same
 clients in the same slots, with the same standalone-ness, gathers into
-them with np.take(out=), or not at all if nothing was written since
-their scatter, and steps on the same views.  Uploads view a copy of the
-trained shared rows.  Each client draws its epoch permutations from its
-own rng, and the result is bit-identical to a cohort of one for each
-client, because of three rules:
+them with np.take(out=) and steps on the same views.  Uploads view a copy
+of the trained shared rows.  Each client draws its epoch permutations
+from its own rng, and the result is bit-identical to a cohort of one for
+each client, because of three rules:
 
 * every stacked product is one BLAS call per client slice, on C-order
   matrices, and every reduction runs within a slice (see models);
@@ -33,23 +32,23 @@ client, because of three rules:
   shard size, largest first, makes each group a contiguous run of
   slots), so a short final batch is never zero-padded: padding the rows
   of a product changes how OpenBLAS rounds it;
-* a step that fails a finite check for the group is retried one client
-  at a time, and the error raised is that of the lowest-id client that
-  fails at any step, the one a sequential pass in ascending id order
-  would meet first; clients with lower ids train on until they finish.
+* a cohort that fails is replayed as cohorts of one in ascending id
+  order, from the rng states it started with and on copies of the
+  clients, so the error raised, and every client's rng, are those of a
+  sequential pass.
 
 Evaluation reuse: the population memoizes every client's test accuracy
 per inference variant (Population.accuracy, NaN where not known), and
 run_rounds evaluates only the clients whose entry is NaN.
-Population.wrote(ids) is the one place that counts a write into the rows
-and forgets those clients' accuracies; broadcast, the cohort's scatter and
+Population.wrote(ids) is the one place that forgets the accuracies of
+clients whose rows were written; broadcast, the cohort's scatter and
 assignment to a client's model fields call it, and a failed cohort, which
 writes no row, forgets nothing.  Code that writes into a client's rows in
-place calls population.wrote(ids), or neither the memo nor the workspace
-will see it.  While the workspace holds the population's current rows and
-every client of the last cohort is stale, the cohort is evaluated with one
-stacked infer on the view training built of all its slots, if they are two
-or more and share one non-zero test-set size; every other stale client,
+place calls population.wrote(ids), or the memo will not see it.  When
+every client of the round's cohort, which has just scattered its
+workspace, is stale, the cohort is evaluated with one stacked infer on
+the view training built of all its slots, if they are two or more and
+share one non-zero test-set size; every other stale client,
 and every client of a stack whose logits are not finite, is evaluated
 alone in ascending id order, so the error raised is that of the lowest-id
 client that fails.  Finite checks live in the training step (core);
@@ -59,6 +58,7 @@ run_rounds the round.
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
 from dataclasses import astuple, dataclass, field
@@ -159,9 +159,9 @@ class Population:
     and row rank of blocks[kind] (N_a, P_a), one block per private
     architecture, with (kind, rank) = place[i], hold client i's parameters
     in the flat layout of models.  Rows are written in place, so views
-    stay valid; writes counts the writes into them, and accuracy maps an
-    inference variant to every client's memoized test accuracy (N,), NaN
-    where it is not known.  wrote is the one way to record a write.
+    stay valid.  accuracy maps an inference variant to every client's
+    memoized test accuracy (N,), NaN where it is not known; wrote is the
+    one way to record a write into the rows.
     _workspace is the last cohort's _Workspace.  A deep or pickled copy
     views its own buffers and memo and starts without a workspace.
     """
@@ -179,14 +179,12 @@ class Population:
         # Models of each layout, to build views of the rows with.
         self.shared_layout, self.projector_layout = shared, projectors[0]
         self.private_layouts = [private[ids[0]] for ids in groups]
-        self.writes = 0
         self.accuracy: dict[InferenceVariant, np.ndarray] = {}
         self._views: dict[int, tuple[Net, Net, Projector]] = {}
         self._workspace: _Workspace | None = None
 
     def wrote(self, ids) -> None:
-        """Count a write into the rows of clients ids, and forget their accuracies."""
-        self.writes += 1
+        """Forget the accuracies of clients ids: their rows were written."""
         for memo in self.accuracy.values():
             memo[ids] = np.nan
 
@@ -346,29 +344,40 @@ def cohort_update(
     client in the order listed, its upload (None in standalone mode, which
     never communicates) and its per-epoch mean losses; with epochs=0
     nothing moves.  Each result is bit for bit what a cohort of one gives
-    on that client, and each client's rng ends in the same state.  If a
-    client fails, raises what cohorts of one in ascending id order would
-    raise: the error of the lowest-id client that fails at any step
-    (ValueError for one without training samples, NonFiniteError naming
-    it for a diverging step).  Then no client's models change.
+    on that client, and each client's rng ends in the same state.
+
+    If a client fails, raises what cohorts of one in ascending id order
+    would raise: the error of the lowest-id client that fails (ValueError
+    for one without training samples, NonFiniteError naming it for a
+    diverging step).  Then no client's models change, and every rng ends
+    where that sequence leaves it: a client of a lower id has trained to
+    the end, the failing client stops at its failure and the clients of
+    higher ids have drawn nothing.  A failed cohort of two or more
+    restores every rng and replays its clients so, on copies that share
+    their rngs.
     """
     ids = [c.client_id for c in clients]
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate client ids in a cohort: {ids}")
     if not clients:
         return []
-    failures: dict[int, Exception] = {
-        c.client_id: ValueError(f"client {c.client_id} has no training samples")
-        for c in clients
-        if c.n_samples == 0
-    }
-    trainable = [c for c in clients if c.client_id < min(failures, default=math.inf)]
-    if trainable:
-        cohort = _Cohort(trainable, mode, lrs, weights, failures)
+    population = _population(clients)
+    states = [c.rng.bit_generator.state for c in clients]
+    try:
+        cohort = _Cohort(population, clients, mode, lrs, weights)
         cohort.train(epochs, batch_size)
-    if failures:
-        raise failures[min(failures)]
-    cohort.workspace.scatter(cohort.population)
+    except (NonFiniteError, ValueError) as exc:
+        if len(clients) == 1:
+            if isinstance(exc, NonFiniteError):
+                raise NonFiniteError(f"client {ids[0]}: {exc}") from exc
+            raise
+        for client, state in zip(clients, states):
+            client.rng.bit_generator.state = state
+        for client in sorted(clients, key=lambda c: c.client_id):
+            twin = copy.deepcopy(client, {id(client.rng): client.rng})
+            cohort_update([twin], epochs, batch_size, lrs, mode, weights)
+        raise
+    cohort.workspace.scatter(population)
 
     # Uploads view one copy of the trained shared rows: no client's rows,
     # and not the workspace's, which the next cohort gathers into.
@@ -378,7 +387,7 @@ def cohort_update(
     for slot, client in enumerate(cohort.clients):
         upload = None
         if shared is not None:
-            model = cohort.population.shared_layout._split(shared[slot])
+            model = population.shared_layout._split(shared[slot])
             upload = Upload(client.client_id, client.n_samples, model)
         results[client.client_id] = (upload, cohort.epoch_means[slot])
     return [results[ident] for ident in ids]
@@ -392,11 +401,10 @@ class _Workspace:
     buffers, its views and, through them, their gradient scratch.  parts
     holds (kind, slots, ranks, block) per private architecture, ids the
     client id of each slot; shared and projectors are None for standalone
-    training.  views maps a run of slots (a, b) to its models.  synced is
-    the population's write count at which the rows last equalled the
-    population's, None once training writes them.  It holds arrays, ids
-    and views only: a client or the population here would make a
-    reference cycle.
+    training.  views maps a run of slots (a, b) to its models.  Its rows
+    equal the population's from a gather to the first step, and again
+    from a scatter to the next write.  It holds arrays, ids and views
+    only: a client or the population here would make a reference cycle.
     """
 
     def __init__(self, population: Population, ids: tuple[int, ...], standalone: bool):
@@ -414,20 +422,16 @@ class _Workspace:
         if not standalone:
             self.shared = population.shared[self.rows]
             self.projectors = population.projectors[self.rows]
-        self.synced = population.writes
         self.views = {}
 
     def gather(self, population: Population) -> None:
-        """Copy the population's rows in, one take per buffer, unless they are there already."""
-        if self.synced == population.writes:
-            return
+        """Copy the population's rows in, one take per buffer."""
         for kind, _, ranks, block in self.parts:
             np.take(population.blocks[kind], ranks, axis=0, out=block)
         np.take(population.headers, self.rows, axis=0, out=self.headers)
         if self.shared is not None:
             np.take(population.shared, self.rows, axis=0, out=self.shared)
             np.take(population.projectors, self.rows, axis=0, out=self.projectors)
-        self.synced = population.writes
 
     def scatter(self, population: Population) -> None:
         """Write the rows back into the population: one scatter per buffer."""
@@ -438,7 +442,6 @@ class _Workspace:
             population.shared[self.rows] = self.shared
             population.projectors[self.rows] = self.projectors
         population.wrote(self.rows)
-        self.synced = population.writes
 
     def models(self, a: int, b: int, layouts: Population) -> tuple:
         """(shared, private, projector, their vectors in step order), viewing slots a to b."""
@@ -492,17 +495,19 @@ class _Cohort:
     step fill a contiguous run of slots, and so do a run's slots of each
     architecture.  A run trains on the workspace's views of it, and
     cohort_update scatters the rows back once every client has trained.
+    A failed check raises at once and leaves the workspace half-trained;
+    the next cohort gathers over it.
     """
 
-    def __init__(self, clients: list[ClientState], mode: Mode, lrs: LearningRates,
-                 weights: LossWeights, failures: dict[int, Exception]):
+    def __init__(self, population: Population, clients: list[ClientState], mode: Mode,
+                 lrs: LearningRates, weights: LossWeights):
         self.clients = sorted(clients, key=lambda c: (-c.n_samples, c.client_id))
+        if self.clients[-1].n_samples == 0:
+            raise ValueError(f"client {self.clients[-1].client_id} has no training samples")
         self.mode, self.lrs = mode, lrs
         self.weights = LossWeights(0.0, 1.0) if mode is Mode.NO_MRL else weights  # the ablation
-        self.failures = failures
-        self.live = [True] * len(self.clients)
         self.epoch_means: list[list[float]] = [[] for _ in self.clients]
-        self.population = population = _population(self.clients)
+        self.population = population
         key = (tuple(c.client_id for c in self.clients), mode is Mode.STANDALONE)
         workspace = population._workspace
         if workspace is not None and workspace.key == key:
@@ -512,31 +517,28 @@ class _Cohort:
         self.workspace = workspace
 
     def train(self, epochs: int, batch_size: int) -> None:
-        self.workspace.synced = None  # until the scatter: a failed cohort leaves the rows stale
         sizes = [c.n_samples for c in self.clients]
         shape = (len(sizes), max(sizes))
         width = self.clients[0].train_x.shape[1]
         for _ in range(epochs):
             x, y = np.empty((*shape, width)), np.empty(shape, dtype=np.int64)
             for i, client in enumerate(self.clients):
-                if self.live[i]:
-                    order = client.rng.permutation(sizes[i])
-                    x[i, : sizes[i]] = client.train_x[order]
-                    y[i, : sizes[i]] = client.train_y[order]
+                order = client.rng.permutation(sizes[i])
+                x[i, : sizes[i]] = client.train_x[order]
+                y[i, : sizes[i]] = client.train_y[order]
             batch_losses = [[] for _ in sizes]
             for start in range(0, shape[1], batch_size):
                 for a, b, rows in self._runs(sizes, start, batch_size):
                     window = slice(start, start + rows)
                     self._step(a, b, x[a:b, window], y[a:b, window], batch_losses)
-            for i, losses in enumerate(batch_losses):
-                if self.live[i]:
-                    self.epoch_means[i].append(float(np.mean(losses)))
+            for means, losses in zip(self.epoch_means, batch_losses):
+                means.append(float(np.mean(losses)))
 
     def _runs(self, sizes: list[int], start: int, batch_size: int) -> list[list[int]]:
-        """[first, stop, rows] of each run of live slots whose batch at this offset has `rows` rows."""
+        """[first, stop, rows] of each run of slots whose batch at this offset has `rows` rows."""
         runs: list[list[int]] = []
         for i, size in enumerate(sizes):
-            rows = min(size - start, batch_size) if self.live[i] else 0
+            rows = min(size - start, batch_size)
             if rows <= 0:
                 continue
             if runs and runs[-1][1] == i and runs[-1][2] == rows:
@@ -546,36 +548,16 @@ class _Cohort:
         return runs
 
     def _step(self, a, b, x, y, batch_losses) -> None:
-        """Train slots a to b on one batch each; on a failed check, one slot at a time."""
+        """Train slots a to b on one batch each."""
         g, f, p, vectors = self.workspace.models(a, b, self.population)
-        try:
-            if self.mode is Mode.STANDALONE:
-                loss, *stepped = train_step_single(f, x, y, self.lrs.local_model)
-            else:
-                loss, _, stepped = train_step(g, f, p, x, y, self.weights, self.lrs)
-        except NonFiniteError as exc:
-            if b - a == 1:
-                self._fail(a, exc)
-                return
-            for i in range(a, b):
-                if self.live[i]:
-                    here = slice(i - a, i - a + 1)
-                    self._step(i, i + 1, x[here], y[here], batch_losses)
-            return
+        if self.mode is Mode.STANDALONE:
+            loss, *stepped = train_step_single(f, x, y, self.lrs.local_model)
+        else:
+            loss, _, stepped = train_step(g, f, p, x, y, self.weights, self.lrs)
         for target, values in zip(vectors, (v for model in stepped for v in model._segments())):
             target[...] = values
         for losses, value in zip(batch_losses[a:b], loss.tolist()):
             losses.append(value)
-
-    def _fail(self, slot: int, exc: NonFiniteError) -> None:
-        """Record a client's failure; it and every client of a higher id stop training."""
-        ident = self.clients[slot].client_id
-        error = NonFiniteError(f"client {ident}: {exc}")
-        error.__cause__ = exc
-        self.failures[ident] = error
-        for i, client in enumerate(self.clients):
-            if client.client_id >= ident:
-                self.live[i] = False
 
 
 def _population(clients: list[ClientState]) -> Population:
@@ -722,14 +704,18 @@ def run_rounds(
 
 
 def _accuracies(clients: list[ClientState], variant: InferenceVariant) -> tuple[float, ...]:
-    """Every client's test accuracy, from the population's memo.  The stale ones are
-    evaluated in one stack on the last cohort's workspace while it holds their current
-    rows (_Workspace.evaluate), the rest one by one in ascending id order, so a failure
-    raises the error of the lowest-id client that fails."""
+    """Every client's test accuracy, from the population's memo.
+
+    Call it only right after the round's cohort has scattered its workspace,
+    which then holds its clients' current rows: the stale ones among them
+    are evaluated in one stack on it (_Workspace.evaluate), the rest one by
+    one in ascending id order, so a failure raises the error of the lowest-id
+    client that fails.
+    """
     population = _population(clients)
     memo = population.accuracy.setdefault(variant, np.full(len(population.headers), np.nan))
     workspace = population._workspace
-    if workspace is not None and workspace.synced == population.writes:
+    if workspace is not None:
         workspace.evaluate(clients, memo, variant)
     for ident in np.flatnonzero(np.isnan(memo)).tolist():
         memo[ident] = evaluate(clients[ident], variant)

@@ -18,6 +18,7 @@ from fedmrl.config import (
     parse_sweep,
 )
 from fedmrl.core import InferenceVariant
+from fedmrl.experiment import run_experiment
 from fedmrl.federation import Mode
 
 GOOD_CONFIG = """\
@@ -262,6 +263,16 @@ def test_cli_rejects_bad_values_with_one_error_line(tmp_path, capsys, config, ed
     err = capsys.readouterr().err
     assert err.startswith(f"error: {source.format(out=out, config=path)}: ") and err.count("\n") == 1
     assert err.endswith(f"{named}\n") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_run_experiment_rejects_an_unknown_mode_with_one_error_line(tmp_path, capsys):
+    # The CLI limits --mode to its choices; the Python entry point does not.
+    out = tmp_path / "out"
+    config = Path(__file__).parents[1] / "demos" / "quickstart.cfg"
+    assert run_experiment(config, mode="bogus", out_dir=str(out)) == 1
+    err = capsys.readouterr().err
+    assert err == "error: --mode bogus: unknown mode 'bogus' (use fedmrl, standalone or no_mrl)\n"
     assert not out.exists()
 
 

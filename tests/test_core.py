@@ -227,6 +227,30 @@ def test_gradcheck_single_model_path():
     assert forward_loss_single(stepped, x, y) < loss0
 
 
+@pytest.mark.parametrize("cohort", [1, 2])
+def test_gradcheck_single_model_step(cohort):
+    # At lr 1 the standalone step moves each parameter by its gradient, so
+    # theta - theta' must match central differences of the loss it reports.
+    # A stacked cohort's loss is one per client; their sum has each client's
+    # gradient in that client's row.
+    models = [tiny_models(seed=seed)[1] for seed in range(20, 20 + cohort)]
+    batches = [tiny_batch(seed=seed) for seed in range(20, 20 + cohort)]
+    if cohort == 1:
+        (f,), ((x, y),) = models, batches
+    else:
+        f = models[0]._over(tuple(np.stack(s) for s in zip(*(m._segments() for m in models))))
+        x, y = (np.stack(arrays) for arrays in zip(*batches))
+    theta = np.concatenate(f._segments(), axis=-1)
+    _, stepped = train_step_single(f, x, y, 1.0)
+    analytic = theta - np.concatenate(stepped._segments(), axis=-1)
+
+    def objective(vec):
+        return float(np.sum(forward_loss_single(f._split(vec.reshape(theta.shape)), x, y)))
+
+    numeric = finite_diff_gradient(objective, theta)
+    assert relative_error(analytic.reshape(-1), numeric).max() <= 1e-4
+
+
 def test_one_step_decreases_loss_and_moves_all_groups():
     g, f, p = tiny_models(seed=2)
     x, y = tiny_batch(seed=2, n=8)

@@ -965,6 +965,29 @@ def test_cohort_raises_the_error_of_the_lowest_id_client_that_fails(monkeypatch)
         assert _same_arrays(_client_arrays(client), arrays)
 
 
+@pytest.mark.parametrize("mode", list(Mode))
+def test_a_failed_cohort_leaves_every_rng_where_cohorts_of_one_stop(mode):
+    # Client 1's samples are all NaN.  In sequence, client 0 trains to the
+    # end, client 1 draws its first shuffle and fails, and clients 2 and 3
+    # never start.
+    cfg, dataset, plan = small_setup(n_clients=4)
+    _, clients = build_clients(cfg, dataset, plan)
+    clients[1].train_x = np.full_like(clients[1].train_x, np.nan)
+    sequence = copy.deepcopy(clients)
+    start = [c.rng.bit_generator.state for c in clients]
+    args = (2, 8, cfg.lrs, mode, cfg.loss_weights)
+    with np.errstate(all="ignore"):
+        with pytest.raises(NonFiniteError) as expected:
+            for client in sequence:
+                cohort_update([client], *args)
+        with pytest.raises(NonFiniteError) as failure:
+            cohort_update(clients, *args)
+    assert str(failure.value) == str(expected.value) == "client 1: non-finite loss (nan)"
+    states = [c.rng.bit_generator.state for c in clients]
+    assert states == [c.rng.bit_generator.state for c in sequence]
+    assert [s == s0 for s, s0 in zip(states, start)] == [False, False, True, True]
+
+
 def _equal_shards(with_server=False):
     config = load_config(QUICKSTART)
     dataset = load_dataset(config)
