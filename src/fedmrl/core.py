@@ -20,25 +20,39 @@ standalone baseline.  forward_loss and loss_gradients run the same
 forward and backward without a step: all gradients are derived by hand
 and checked against finite differences.
 
-Each public function checks its inputs once; the products inside run as
-bare ``@`` on C-order operands (see models).  Finiteness is checked once
-per step: the loss functions reject a non-finite loss, the step
-functions a stepped group (global, local, projector) holding a NaN or an
-infinity, infer non-finite logits, each with a NonFiniteError naming the
-check.
+Every step runs on a plan (_Plan): plain lists over one stack of
+clients, read from flat parameter vectors with their layouts' spans (see
+models).  A plan holds each extractor part's slots and each layer's
+weight, bias, their gradients and ReLU flag, both headers, the projector,
+and each parameter group's (theta, gradient) vector pairs.  _train walks
+it: the forward, the hand-derived backward, which writes every gradient
+with np.matmul and sum (out=), and SGD in place, theta -= lr * grad, with
+one isfinite per stepped vector.  It builds no model object and checks
+nothing but the learning rates and finiteness.  The public functions
+build a plan over the models they are given and run that same code;
+train_step and train_step_single step clones, so they are pure.  A
+cohort's workspace (see federation) builds its plans from its gathered
+rows.  The tape, what the backward reads from the forward, never leaves
+the step that made it.
 
-Gradients are written (np.matmul and sum with out=) into vectors laid
-out like the parameters (see models).  A step is theta - lr * grad and
-one isfinite per vector, and only then is a model built over the new
-vectors; the steps are pure, and a caller commits a result by copying it
-into its own buffers.  What the backward pass needs from the forward (the
-tape) never leaves the function that made it, so it cannot go stale.
+Each public function checks its inputs once.  The products inside run as
+bare ``@`` on C-order operands, a transposed weight or a column slice of
+the fused row being copied first: OpenBLAS rounds a product with a
+transposed view differently, and the copy keeps every result
+bit-identical to the product of C-order matrices.  A weight gradient,
+d.T @ x, reads the transposed view of d, which gives the same bits.
+Finiteness is checked once per step: a non-finite loss, a stepped group
+(global, local, projector) holding a NaN or an infinity, or in infer
+non-finite logits, each raise a TrainingDiverged naming the check and,
+for a group, the group.
 
 Every function here also steps a cohort of clients at once: models
 stacked over a leading client axis of C, the private extractors grouped
 by shape in a GroupedExtractor, batches (C, n, in) and labels (C, n).
-Losses then come back as arrays of C, and a check fails if it fails for
-any client.
+Each product is then one BLAS call per client slice and each reduction
+runs within its slice, so every client's numbers are those of training
+it alone.  Losses come back as arrays of C, and a check fails if it
+fails for any client.
 """
 
 from __future__ import annotations
@@ -48,16 +62,9 @@ from enum import Enum
 
 import numpy as np
 
-from .models import Net, _Matrix
-from .numerics import (
-    NonFiniteError,
-    ShapeError,
-    _check_lr,
-    _cross_entropy,
-    _labels,
-    _matrix,
-    _transposed,
-)
+from .models import RELU, GroupedExtractor, Net, _Matrix
+from .numerics import NonFiniteError, ShapeError, _check_lr, _cross_entropy, _labels, _matrix
+from .numerics import _transposed
 
 __all__ = [
     "Mode",
@@ -66,6 +73,7 @@ __all__ = [
     "LearningRates",
     "InferenceVariant",
     "TheoryConstants",
+    "TrainingDiverged",
     "GradientSet",
     "init_projector",
     "splice",
@@ -251,30 +259,23 @@ def _lead(model) -> tuple[int, ...]:
     return lead
 
 
-def _check_dims(global_model: Net, local_model: Net,
-                projector: Projector) -> tuple[int, int, tuple[int, ...]]:
+def _check_dims(global_model: Net, local_model: Net, projector: Projector) -> tuple[int, ...]:
+    """The client axes of three models checked to fit together."""
+    widths = global_model.extractor.input_dim, local_model.extractor.input_dim
+    if widths[0] != widths[1]:
+        raise ShapeError(f"the extractors read {widths[0]} and {widths[1]} input columns")
     d1, d2 = global_model.rep_dim, local_model.rep_dim
     if d1 > d2:
         raise ShapeError(f"global width d1={d1} must not exceed local width d2={d2}")
     if projector.weight.shape[-2:] != (d2, d1 + d2):
-        raise ShapeError(
-            f"projector shape {projector.weight.shape} != expected ({d2}, {d1 + d2})"
-        )
+        raise ShapeError(f"projector shape {projector.weight.shape} != expected ({d2}, {d1 + d2})")
     classes = global_model.header.classes, local_model.header.classes
     if classes[0] != classes[1]:
         raise ShapeError(f"headers disagree on classes: {classes[0]} != {classes[1]}")
     lead = projector.lead
     if _lead(global_model) != lead or _lead(local_model) != lead:
         raise ShapeError("the models are not stacked over the same clients")
-    return d1, d2, lead
-
-
-def _batch(model, x, labels, lead) -> tuple[np.ndarray, np.ndarray]:
-    """A batch checked once against the model's input width, classes and client axes."""
-    x = _matrix(x, cols=model.extractor.input_dim)
-    if x.shape[:-2] != lead:
-        raise ShapeError(f"batch of shape {x.shape} for models stacked over {lead}")
-    return x, _labels(labels, x.shape[-2], model.header.classes, lead)
+    return lead
 
 
 def _mean(losses: np.ndarray) -> np.ndarray:
@@ -287,77 +288,236 @@ def _value(values: np.ndarray) -> float | np.ndarray:
     return float(values) if values.ndim == 0 else values
 
 
+class TrainingDiverged(NonFiniteError):
+    """A finite check of training or inference failed.
+
+    group names the parameter group a step left non-finite ("global",
+    "local" or "projector"); it is None for a loss or logits check.
+    client and round are None until cohort_update (or evaluate) and
+    run_rounds raise the error again with their prefix on its message.
+    """
+
+    def __init__(self, message: str, group=None, client=None, round=None):
+        super().__init__(message)
+        self.group, self.client, self.round = group, client, round
+
+
 def _finite_loss(loss: float | np.ndarray) -> float | np.ndarray:
     bad = np.asarray(loss)[~np.isfinite(loss)]
     if bad.size:
-        raise NonFiniteError(f"non-finite loss ({float(bad[0])})")
+        raise TrainingDiverged(f"non-finite loss ({float(bad[0])})")
     return loss
 
 
-def _stepped(group: str, model, grads, lr: float, frozen: bool = False):
-    """model after one SGD step, checked (a NonFiniteError names `group`) before a
-    model is built on the new vectors.  A frozen header (the last vector), out of
-    the graph, is not checked: its gradient is zero, and x - lr * 0 is x."""
-    _check_lr(lr)
-    new = [theta - lr * grad for theta, grad in zip(model._segments(), grads._segments())]
-    for values in new[:-1] if frozen else new:
-        if not np.isfinite(values).all():
-            raise NonFiniteError(f"non-finite {group} parameters after the step")
-    return model._over(tuple(new))
+@dataclass
+class _Plan:
+    """Plain lists over one stack of clients, which a training step walks.
+
+    private and shared are the two models, each (parts, head).  parts has
+    (slots, layers) per extractor part: slots are the part's clients in
+    the stack, read when there are two or more parts, and layers hold
+    each layer's (weight, bias, weight gradient, bias gradient, relu).
+    head and projector are (weight, gradient).  shared and projector are
+    None to train the private model alone.  groups holds the (theta,
+    gradient) vector pairs of the global, local and projector groups,
+    None for a group that is not trained; the global group's last pair is
+    its header.  Every array is a view of the vectors the plan was built
+    on, and every gradient is None in a plan that only infers.
+    """
+
+    private: tuple
+    shared: tuple | None
+    projector: tuple | None
+    groups: tuple
 
 
-def _forward(g: Net, f: Net, p: Projector, x, labels, weights: LossWeights):
-    """(total, (loss_global, loss_local), tape) of forward_loss; the tape is what
-    _gradients reads: (spliced, fused, both extractor caches, both dlogits, n)."""
-    d1, _, lead = _check_dims(g, f, p)
-    x, y = _batch(g, x, labels, lead)
+def _layers(flat, grad, spans) -> list:
+    """The layers of a plan part: views of an extractor's vector flat, laid out by
+    spans (see models), and of its gradient grad (None to infer only)."""
+    lead, layers = flat.shape[:-1], []
+    for start, stop, end, out, inp, activation in spans:
+        cuts = ((start, stop, (out, inp)), (stop, end, (1, out)))  # weight, then bias
+        views = [None if v is None or b is None else v[..., a:b].reshape(*lead, *shape)
+                 for v in (flat, grad) for a, b, shape in cuts]
+        layers.append((*views, activation == RELU))
+    return layers
 
-    rep_global, cache_global = g.extractor.forward(x)
-    rep_local, cache_local = f.extractor.forward(x)
-    spliced = splice(rep_global, rep_local)
-    fused = project(p, spliced)
 
-    losses_f, dlogits_f = _cross_entropy(f.header.forward(fused), y)
-    loss_local = _value(_mean(losses_f))
-    total = weights.local_head * loss_local
-    loss_global = dlogits_g = None
-    if weights.global_head:
-        low, _ = matryoshka_prefixes(fused, d1)
-        losses_g, dlogits_g = _cross_entropy(g.header.forward(low), y)
-        loss_global = _value(_mean(losses_g))
-        total = weights.global_head * loss_global + total
+def _parts(extractor) -> list:
+    """A GroupedExtractor's (slots, Extractor) parts, or an Extractor as the one part."""
+    return extractor.parts if isinstance(extractor, GroupedExtractor) else [(None, extractor)]
 
-    tape = (spliced, fused, cache_global, cache_local, dlogits_g, dlogits_f, x.shape[-2])
+
+def _model(model: Net, grads: Net | None) -> tuple:
+    """A Net's (parts, head) for a plan, with gradient views of grads (None to infer only)."""
+    parts = _parts(model.extractor)
+    grad_parts = [(None, None)] * len(parts) if grads is None else _parts(grads.extractor)
+    layers = [(slots, _layers(ex._flat, g and g._flat, ex._spans))
+              for (slots, ex), (_, g) in zip(parts, grad_parts)]
+    return layers, (model.header.weight, grads and grads.header.weight)
+
+
+def _plan(models: tuple, grads: tuple = (None, None, None)) -> _Plan:
+    """The plan of (shared, private, projector) models, the first and last None
+    to train the private model alone, with gradient views of grads, models of
+    the same layouts (None to infer only)."""
+    (g, f, p), (dg, df, dp) = models, grads
+    groups = tuple(d and list(zip(m._segments(), d._segments())) for m, d in zip(models, grads))
+    return _Plan(_model(f, df), g and _model(g, dg), p and (p.weight, dp and dp.weight), groups)
+
+
+def _slots(plan: _Plan, a: int, b: int) -> _Plan:
+    """The plan of slots a to b of a plan over a stack whose private model is a
+    GroupedExtractor: views of its views, each part's on its slots in the run."""
+
+    def cut(views, lo=a, hi=b):
+        return views and tuple([v[lo:hi] if type(v) is np.ndarray else v for v in views])
+
+    parts, local = [], []
+    for (slots, layers), pair in zip(plan.private[0], plan.groups[1]):
+        lo, hi = slots.searchsorted(a), slots.searchsorted(b)
+        if lo < hi:
+            parts.append((slots[lo:hi] - a, [cut(layer, lo, hi) for layer in layers]))
+            local.append(cut(pair, lo, hi))
+    shared = plan.shared and (
+        [(None, [cut(layer) for layer in plan.shared[0][0][1]])], cut(plan.shared[1]))
+    global_, projector = (pairs and [cut(pair) for pair in pairs] for pairs in plan.groups[::2])
+    groups = (global_, [*local, cut(plan.groups[1][-1])], projector)
+    return _Plan((parts, cut(plan.private[1])), shared, cut(plan.projector), groups)
+
+
+def _extract(parts, x, tapes: list) -> np.ndarray:
+    """The representation of batch x through an extractor's plan parts, the parts
+    of a mixed stack each on its slots' rows.  tapes gains a tape per part: each
+    layer's input and pre-activation."""
+    whole = len(parts) == 1
+    # A mixed stack's representation is as wide as a last layer's weight is tall.
+    rep = None if whole else np.empty((*x.shape[:-1], parts[0][1][-1][0].shape[-2]))
+    for slots, layers in parts:
+        tapes.append([])
+        out = x if whole else x[slots]
+        for weight, bias, _, _, relu in layers:
+            pre = out @ _transposed(weight)
+            if bias is not None:
+                pre += bias
+            tapes[-1] += (out, pre)
+            out = np.maximum(pre, 0.0) if relu else pre
+        if whole:
+            return out
+        rep[slots] = out
+    return rep
+
+
+def _backward(parts, tapes, d_rep) -> None:
+    """Write the parameter gradients of an extractor's plan parts for an upstream
+    gradient d_rep, which may sum several consumers' gradients.  A column slice
+    of d_rep is copied to C order first."""
+    whole = len(parts) == 1
+    for (slots, layers), tape in zip(parts, tapes):
+        delta = np.ascontiguousarray(d_rep if whole else d_rep[slots])
+        for i, (_, _, d_weight, d_bias, relu) in reversed(list(enumerate(layers))):
+            if i < len(layers) - 1:
+                delta = delta @ layers[i + 1][0]
+            if relu:
+                delta = delta * (tape[2 * i + 1] > 0.0)
+            np.matmul(delta.swapaxes(-1, -2), tape[2 * i], out=d_weight)
+            if d_bias is not None:
+                delta.sum(axis=-2, keepdims=True, out=d_bias)
+
+
+def _read(plan: _Plan, x, tapes_g: list, tapes_f: list) -> tuple:
+    """(spliced, read) of a batch: read is what the private header reads, the fused
+    row (the spliced row projected), or without a projector the private
+    representation alone, spliced then None."""
+    read = _extract(plan.private[0], x, tapes_f)
+    if plan.projector is None:
+        return None, read
+    spliced = np.concatenate([_extract(plan.shared[0], x, tapes_g), read], axis=-1)
+    return spliced, spliced @ _transposed(plan.projector[0])
+
+
+def _loss(plan: _Plan, x, y, weights: LossWeights | None):
+    """A plan's forward on a batch: forward_loss's (total, (loss_global, loss_local)),
+    total checked, and the tape that _backprop reads.  Without a projector it is
+    forward_loss_single's, loss_global None and weights unread."""
+    tapes_g, tapes_f, low, dlogits_g, loss_global = [], [], None, None, None
+    spliced, read = _read(plan, x, tapes_g, tapes_f)
+    losses, dlogits_f = _cross_entropy(read @ _transposed(plan.private[1][0]), y)
+    total = loss_local = _value(_mean(losses))
+    if spliced is not None:
+        total = weights.local_head * loss_local
+        if weights.global_head:
+            head = plan.shared[1][0]
+            low = np.ascontiguousarray(read[..., : head.shape[-1]])  # the d1 prefix, C order
+            losses, dlogits_g = _cross_entropy(low @ _transposed(head), y)
+            loss_global = _value(_mean(losses))
+            total = weights.global_head * loss_global + total
+    tape = (spliced, read, low, tapes_g, tapes_f, dlogits_g, dlogits_f)
     return _finite_loss(total), (loss_global, loss_local), tape
 
 
-def _gradients(g: Net, f: Net, p: Projector, weights: LossWeights, tape, grads: GradientSet):
-    """The loss gradients of a tape written into grads, which has the models' layout.
+def _backprop(plan: _Plan, weights: LossWeights | None, tape) -> None:
+    """Write the loss gradients of a plan's forward, its tape, into the plan's gradients.
 
     The fused row has two consumers in the dual-head loss; their
     gradients meet by adding the prefix gradient into the first d1
-    columns.  A global header out of the graph gets a zero gradient.
-    The projector then routes the fused gradient back to both extractors
-    by splitting the spliced gradient at column d1.
+    columns.  A global header out of the graph gets no gradient.  The
+    projector then routes the fused gradient back to both extractors by
+    splitting the spliced gradient at column d1.
     """
-    spliced, fused, cache_global, cache_local, dlogits_g, dlogits_f, n = tape
-    d1 = g.rep_dim
+    spliced, read, low, tapes_g, tapes_f, dlogits_g, dlogits_f = tape
+    n, (head, d_head) = read.shape[-2], plan.private[1]
+    d_logits = dlogits_f / n if spliced is None else (weights.local_head / n) * dlogits_f
+    np.matmul(d_logits.swapaxes(-1, -2), read, out=d_head)
+    d_read = d_logits @ head
+    if spliced is None:
+        return _backward(plan.private[0], tapes_f, d_read)
+    (head, d_head), d1 = plan.shared[1], plan.shared[1][0].shape[-1]
+    if dlogits_g is not None:
+        d_logits = (weights.global_head / n) * dlogits_g
+        np.matmul(d_logits.swapaxes(-1, -2), low, out=d_head)
+        d_read[..., :d1] += d_logits @ head
+    weight, d_weight = plan.projector
+    np.matmul(d_read.swapaxes(-1, -2), spliced, out=d_weight)
+    d_spliced = d_read @ weight
+    _backward(plan.shared[0], tapes_g, d_spliced[..., :d1])
+    _backward(plan.private[0], tapes_f, d_spliced[..., d1:])
 
-    d_local_logits = (weights.local_head / n) * dlogits_f
-    d_fused = f.header.backward(fused, d_local_logits, grads.local_model.header.weight)
-    if dlogits_g is None:
-        grads.global_model.header.weight[...] = 0.0
-    else:
-        d_global_logits = (weights.global_head / n) * dlogits_g
-        d_fused[..., :d1] += g.header.backward(
-            fused[..., :d1], d_global_logits, grads.global_model.header.weight
-        )
 
-    np.matmul(_transposed(d_fused), spliced, out=grads.projector.weight)
-    d_spliced = d_fused @ p.weight
-    g.extractor.backward(cache_global, d_spliced[..., :d1], grads.global_model.extractor)
-    f.extractor.backward(cache_local, d_spliced[..., d1:], grads.local_model.extractor)
-    return grads
+def _descend(plan: _Plan, lrs: LearningRates, frozen: bool) -> None:
+    """One SGD step in place on every trained group, theta -= lr * gradient, each
+    vector then checked (a TrainingDiverged names the group).  A frozen global
+    header, out of the graph, is neither stepped nor checked: x - lr * 0 is x."""
+    rates = (lrs.global_model, lrs.local_model, lrs.projector)
+    for group, lr, pairs in zip(("global", "local", "projector"), rates, plan.groups):
+        if pairs is None:
+            continue
+        _check_lr(lr)
+        for theta, grad in pairs[:-1] if frozen and group == "global" else pairs:
+            np.multiply(grad, lr, out=grad)
+            np.subtract(theta, grad, out=theta)
+            if not np.isfinite(theta).all():
+                raise TrainingDiverged(f"non-finite {group} parameters after the step", group)
+
+
+def _train(plan: _Plan, x, y, weights: LossWeights | None, lrs: LearningRates):
+    """One checked training step of a plan on a batch, in place on the plan's vectors:
+    forward, backward and SGD.  Returns the (total, parts) of the loss before it."""
+    total, parts, tape = _loss(plan, x, y, weights)
+    _backprop(plan, weights, tape)
+    _descend(plan, lrs, parts[0] is None)
+    return total, parts
+
+
+def _inputs(models: tuple, x, labels) -> tuple[np.ndarray, np.ndarray]:
+    """A batch checked once against (shared, private, projector) models (the first
+    and last None for the private model alone): input width, classes and client axes."""
+    g, f, p = models
+    lead = _lead(f) if g is None else _check_dims(g, f, p)
+    x = _matrix(x, cols=f.extractor.input_dim)
+    if x.shape[:-2] != lead:
+        raise ShapeError(f"batch of shape {x.shape} for models stacked over {lead}")
+    return x, _labels(labels, x.shape[-2], f.header.classes, lead)
 
 
 def forward_loss(
@@ -378,7 +538,8 @@ def forward_loss(
     weights.local_head * loss_local.  The global extractor still feeds
     the local head through the splice.
     """
-    total, parts, _ = _forward(global_model, local_model, projector, x, labels, weights)
+    models = (global_model, local_model, projector)
+    total, parts, _ = _loss(_plan(models), *_inputs(models, x, labels), weights)
     return total, parts
 
 
@@ -392,8 +553,10 @@ def loss_gradients(
 ) -> GradientSet:
     """Hand-derived gradients of forward_loss for all parameter groups, in fresh models."""
     models = (global_model, local_model, projector)
-    _, _, tape = _forward(*models, x, labels, weights)
-    return _gradients(*models, weights, tape, GradientSet(*(m._empty() for m in models)))
+    grads = tuple(m._zeros() for m in models)
+    plan = _plan(models, grads)
+    _backprop(plan, weights, _loss(plan, *_inputs(models, x, labels), weights)[2])
+    return GradientSet(*grads)
 
 
 def train_step(
@@ -407,35 +570,24 @@ def train_step(
 ) -> tuple[float, tuple[float | None, float], tuple[Net, Net, Projector]]:
     """One simultaneous SGD step on all three parameter groups over a batch.
 
-    Returns forward_loss's (total, parts) before the step and fresh models
-    over fresh vectors after it; the inputs are left untouched.  A global
-    header out of the graph comes back unchanged and unchecked.  Raises
-    NonFiniteError for a non-finite loss, or naming the first stepped
-    group that is not finite.
+    Returns forward_loss's (total, parts) before the step and the models
+    after it, fresh models over fresh vectors; the inputs are left
+    untouched.  The step is the one a cohort takes (_train on a plan of
+    the models' clones), so a mixed stack's private model is a Net over a
+    GroupedExtractor.  A global header out of the graph comes back
+    unchanged and unchecked.  Raises TrainingDiverged for a non-finite
+    loss, or naming the first stepped group that is not finite.
     """
     models = (global_model, local_model, projector)
-    total, parts, tape = _forward(*models, x, labels, weights)
-    grads = _gradients(*models, weights, tape, GradientSet(*(m._grads for m in models)))
-    frozen = parts[0] is None
-    stepped = (
-        _stepped("global", global_model, grads.global_model, lrs.global_model, frozen),
-        _stepped("local", local_model, grads.local_model, lrs.local_model),
-        _stepped("projector", projector, grads.projector, lrs.projector),
-    )
+    x, y = _inputs(models, x, labels)
+    stepped = tuple(m.clone() for m in models)
+    total, parts = _train(_plan(stepped, tuple(m._zeros() for m in models)), x, y, weights, lrs)
     return total, parts, stepped
-
-
-def _forward_single(model: Net, x, labels):
-    """(total, tape) of forward_loss_single; the tape is (rep, extractor cache, dlogits, n)."""
-    x, y = _batch(model, x, labels, _lead(model))
-    rep, cache = model.extractor.forward(x)
-    losses, dlogits = _cross_entropy(model.header.forward(rep), y)
-    return _finite_loss(_value(_mean(losses))), (rep, cache, dlogits, x.shape[-2])
 
 
 def forward_loss_single(model: Net, x: np.ndarray, labels: np.ndarray) -> float:
     """Plain one-model cross-entropy loss (no splice, no projector)."""
-    return _forward_single(model, x, labels)[0]
+    return _loss(_plan((None, model, None)), *_inputs((None, model, None), x, labels), None)[0]
 
 
 def train_step_single(model: Net, x: np.ndarray, labels: np.ndarray, lr: float):
@@ -444,11 +596,11 @@ def train_step_single(model: Net, x: np.ndarray, labels: np.ndarray, lr: float):
     The stepped model is checked as the local group: standalone training
     steps only the private model.
     """
-    total, (rep, cache, dlogits, n) = _forward_single(model, x, labels)
-    grads = model._grads
-    d_rep = model.header.backward(rep, dlogits / n, grads.header.weight)
-    model.extractor.backward(cache, d_rep, grads.extractor)
-    return total, _stepped("local", model, grads, lr)
+    x, y = _inputs((None, model, None), x, labels)
+    stepped = model.clone()
+    plan = _plan((None, stepped, None), (None, model._zeros(), None))
+    total, _ = _train(plan, x, y, None, LearningRates.uniform(lr))
+    return total, stepped
 
 
 def parameter_vector(global_model: Net, local_model: Net, projector: Projector) -> np.ndarray:
@@ -489,24 +641,21 @@ def infer(
 
     Ties in the logits resolve to the lowest class index.  The MIX
     variants never read the header they exclude; the SINGLE variants
-    never touch the other model or the projector.
+    never touch the other model or the projector.  The forward is the
+    training step's, run on a plan of the models.
     """
-    x = _matrix(x)
-    if variant is InferenceVariant.SINGLE_SMALL:
-        rep, _ = global_model.extractor.forward(x)
-        logits = global_model.header.forward(rep)
-    elif variant is InferenceVariant.SINGLE_LARGE:
-        rep, _ = local_model.extractor.forward(x)
-        logits = local_model.header.forward(rep)
+    if variant is InferenceVariant.SINGLE_SMALL or variant is InferenceVariant.SINGLE_LARGE:
+        model = global_model if variant is InferenceVariant.SINGLE_SMALL else local_model
+        models, head = (None, model, None), model.header.weight
     else:
-        d1, _, _ = _check_dims(global_model, local_model, projector)
-        rep_global, _ = global_model.extractor.forward(x)
-        rep_local, _ = local_model.extractor.forward(x)
-        fused = project(projector, splice(rep_global, rep_local))
-        if variant is InferenceVariant.MIX_SMALL:
-            logits = global_model.header.forward(fused[..., :d1])
-        else:
-            logits = local_model.header.forward(fused)
+        _check_dims(global_model, local_model, projector)
+        models, head = (global_model, local_model, projector), local_model.header.weight
+    x = _matrix(x, cols=models[1].extractor.input_dim)
+    _, read = _read(_plan(models), x, [], [])
+    if variant is InferenceVariant.MIX_SMALL:
+        head = global_model.header.weight
+        read = np.ascontiguousarray(read[..., : head.shape[-1]])
+    logits = read @ _transposed(head)
     if not np.isfinite(logits).all():
-        raise NonFiniteError("non-finite logits")
+        raise TrainingDiverged("non-finite logits")
     return np.argmax(logits, axis=-1)

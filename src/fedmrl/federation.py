@@ -15,19 +15,20 @@ Broadcast is one row assignment; aggregation walks the upload rows.
 Lockstep training: the round's participants train as one cohort
 (cohort_update).  The cohort gathers their rows, one gather per buffer,
 and each step trains every client that takes a batch of the same size as
-one stacked step on views of those rows, the private extractor once per
-architecture.  The step is pure: the cohort copies its checked result
-into the gathered rows and scatters them back once every client has
-trained.  The population keeps the last cohort's gathered rows, views
-and gradient scratch as its workspace (_Workspace): a cohort of the same
-clients in the same slots, with the same standalone-ness, gathers into
-them with np.take(out=) and steps on the same views.  Uploads view a copy
-of the trained shared rows.  Each client draws its epoch permutations
+one stacked step of a plan over those rows (core._Plan: plain lists of
+views of the rows and of their gradient scratch), the private extractor
+once per architecture.  A step writes the gathered rows in place, and
+the cohort scatters them back once every client has trained.  The
+population keeps the last cohort's gathered rows, gradient scratch and
+plans as its workspace (_Workspace): a cohort of the same clients in the
+same slots, with the same standalone-ness, gathers into them with
+np.take(out=) and steps on the same plans.  Uploads view a copy of the
+trained shared rows.  Each client draws its epoch permutations
 from its own rng, and the result is bit-identical to a cohort of one for
 each client, because of three rules:
 
 * every stacked product is one BLAS call per client slice, on C-order
-  matrices, and every reduction runs within a slice (see models);
+  matrices, and every reduction runs within a slice (see core);
 * clients are grouped by batch size at each step (ordering the cohort by
   shard size, largest first, makes each group a contiguous run of
   slots), so a short final batch is never zero-padded: padding the rows
@@ -47,13 +48,13 @@ writes no row, forgets nothing.  Code that writes into a client's rows in
 place calls population.wrote(ids), or the memo will not see it.  When
 every client of the round's cohort, which has just scattered its
 workspace, is stale, the cohort is evaluated with one stacked infer on
-the view training built of all its slots, if they are two or more and
-share one non-zero test-set size; every other stale client,
+views of all its slots, if they are two or more and share one non-zero
+test-set size; every other stale client,
 and every client of a stack whose logits are not finite, is evaluated
 alone in ascending id order, so the error raised is that of the lowest-id
-client that fails.  Finite checks live in the training step (core);
-cohort_update adds the client id to a NonFiniteError from its steps, and
-run_rounds the round.
+client that fails.  Finite checks live in the training step and infer
+(core), which raise a TrainingDiverged; cohort_update (and evaluate)
+raise it again naming the client, and run_rounds naming the round.
 """
 
 from __future__ import annotations
@@ -65,21 +66,12 @@ from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .core import (
-    InferenceVariant,
-    LearningRates,
-    LossWeights,
-    Mode,
-    Projector,
-    infer,
-    init_projector,
-    train_step,
-    train_step_single,
-)
+from .core import InferenceVariant, LearningRates, LossWeights, Mode, Projector, TrainingDiverged
+from .core import _plan, _slots, _train, infer, init_projector
 from .data import LabeledDataset, PartitionPlan
 from .metrics import RoundReport, comm_cost_round, evaluate, flops_round
 from .models import GroupedExtractor, ModelConfig, Net, init_model
-from .numerics import NonFiniteError, ShapeError, _check_lr, derive_rng
+from .numerics import ShapeError, _check_lr, _labels, derive_rng
 
 # Substream tags: every source of randomness in a run is a named stream
 # of the run seed, so replays are bit-identical and mode never shifts
@@ -348,11 +340,12 @@ def cohort_update(
 
     If a client fails, raises what cohorts of one in ascending id order
     would raise: the error of the lowest-id client that fails (ValueError
-    for one without training samples, NonFiniteError naming it for a
-    diverging step).  Then no client's models change, and every rng ends
-    where that sequence leaves it: a client of a lower id has trained to
-    the end, the failing client stops at its failure and the clients of
-    higher ids have drawn nothing.  A failed cohort of two or more
+    for one without training samples or with labels out of range,
+    TrainingDiverged naming it, its client set, for a diverging step).
+    Then no client's models change, and every rng ends where that
+    sequence leaves it: a client of a lower id has trained to the end, the
+    failing client stops at its failure and the clients of higher ids have
+    drawn nothing.  A failed cohort of two or more
     restores every rng and replays its clients so, on copies that share
     their rngs.
     """
@@ -366,10 +359,10 @@ def cohort_update(
     try:
         cohort = _Cohort(population, clients, mode, lrs, weights)
         cohort.train(epochs, batch_size)
-    except (NonFiniteError, ValueError) as exc:
+    except (TrainingDiverged, ValueError) as exc:
         if len(clients) == 1:
-            if isinstance(exc, NonFiniteError):
-                raise NonFiniteError(f"client {ids[0]}: {exc}") from exc
+            if isinstance(exc, TrainingDiverged):
+                raise TrainingDiverged(f"client {ids[0]}: {exc}", exc.group, ids[0]) from exc
             raise
         for client, state in zip(clients, states):
             client.rng.bit_generator.state = state
@@ -394,17 +387,19 @@ def cohort_update(
 
 
 class _Workspace:
-    """A cohort's rows, gathered in slot order, and the views built on them.
+    """A cohort's rows, gathered in slot order, their gradient scratch and the plans on them.
 
     The population keeps the last cohort's workspace, and a cohort of the
     same slots and the same standalone-ness (the key) reuses it: its
-    buffers, its views and, through them, their gradient scratch.  parts
-    holds (kind, slots, ranks, block) per private architecture, ids the
-    client id of each slot; shared and projectors are None for standalone
-    training.  views maps a run of slots (a, b) to its models.  Its rows
-    equal the population's from a gather to the first step, and again
-    from a scatter to the next write.  It holds arrays, ids and views
-    only: a client or the population here would make a reference cycle.
+    buffers, its scratch and its step plans.  parts holds (kind, slots,
+    ranks, block) per private architecture, ids the client id of each
+    slot; shared and projectors are None for standalone training.  grads
+    holds one gradient scratch array per gathered buffer (the blocks in
+    part order, then headers, shared and projectors).  plans maps a run
+    of slots (a, b) to its step plan (core._Plan).  Its rows equal the
+    population's from a gather to the first step, and again from a
+    scatter to the next write.  It holds arrays, ids and views only: a
+    client or the population here would make a reference cycle.
     """
 
     def __init__(self, population: Population, ids: tuple[int, ...], standalone: bool):
@@ -422,7 +417,10 @@ class _Workspace:
         if not standalone:
             self.shared = population.shared[self.rows]
             self.projectors = population.projectors[self.rows]
-        self.views = {}
+        self.buffers = [*(p[3] for p in self.parts), self.headers, self.shared, self.projectors]
+        self.grads = [None if buffer is None else np.empty_like(buffer) for buffer in self.buffers]
+        self.plans = {}
+        self.whole = _plan(self.models(population), self.models(population, self.grads))
 
     def gather(self, population: Population) -> None:
         """Copy the population's rows in, one take per buffer."""
@@ -443,44 +441,44 @@ class _Workspace:
             population.projectors[self.rows] = self.projectors
         population.wrote(self.rows)
 
-    def models(self, a: int, b: int, layouts: Population) -> tuple:
-        """(shared, private, projector, their vectors in step order), viewing slots a to b."""
-        views = self.views.get((a, b))
-        if views is None:
-            parts = []
-            for kind, slots, _, block in self.parts:
-                lo, hi = np.searchsorted(slots, (a, b))
-                if lo < hi:
-                    extractor = layouts.private_layouts[kind].extractor._over((block[lo:hi],))
-                    parts.append((slots[lo:hi] - a, extractor))
-            header = layouts.private_layouts[0].header._over((self.headers[a:b],))
-            models = [None, Net(GroupedExtractor(parts, b - a), header), None]
-            if self.shared is not None:
-                models[0] = layouts.shared_layout._split(self.shared[a:b])
-                models[2] = layouts.projector_layout._split(self.projectors[a:b])
-            vectors = [v for model in models if model is not None for v in model._segments()]
-            views = self.views[a, b] = (*models, vectors)
-        return views
+    def plan(self, a: int, b: int):
+        """The step plan of slots a to b, made the first time it is asked for: a slice
+        of the plan of all its slots (whole), which reads its rows and scratch."""
+        if (a, b) not in self.plans:
+            self.plans[a, b] = _slots(self.whole, a, b)
+        return self.plans[a, b]
+
+    def models(self, layouts: Population, buffers: list | None = None) -> tuple:
+        """(shared, private, projector) over all its slots: views of its rows, or of
+        buffers laid out like them (its gradient scratch)."""
+        *blocks, headers, shared, projectors = buffers or self.buffers
+        parts = [(slots, layouts.private_layouts[kind].extractor._over((block,)))
+                 for (kind, slots, *_), block in zip(self.parts, blocks)]
+        header = layouts.private_layouts[0].header._over((headers,))
+        private = Net(GroupedExtractor(parts, len(self.ids)), header)
+        if shared is None:
+            return None, private, None
+        return (layouts.shared_layout._split(shared), private,
+                layouts.projector_layout._split(projectors))
 
     def evaluate(self, clients: list[ClientState], memo: np.ndarray, variant: InferenceVariant) -> None:
-        """Memoize the accuracies of all its clients with one infer on the view of all its slots.
+        """Memoize the accuracies of all its clients with one infer on the views of all its slots.
 
-        Only if training built that view, it has two or more slots (a stack
-        of one saves no call), every client is stale and all share one
-        non-zero test-set size; a stack whose logits are not finite is left
-        to evaluate alone.
+        Only if it has two or more slots (a stack of one saves no call),
+        every client is stale and all share one non-zero test-set size; a
+        stack whose logits are not finite is left to evaluate alone.
         """
         members = [clients[i] for i in self.ids]
-        views = self.views.get((0, len(members)))
         sizes = {c.test_y.size for c in members}
-        if views is None or len(members) < 2 or len(sizes) > 1 or 0 in sizes:
+        if len(members) < 2 or len(sizes) > 1 or 0 in sizes:
             return
         if not np.isnan(memo[self.rows]).all():
             return
         # np.array of equal shapes is np.stack's result at a third of its cost.
+        tests = np.array([c.test_x for c in members])
         try:
-            preds = infer(*views[:3], np.array([c.test_x for c in members]), variant)
-        except NonFiniteError:
+            preds = infer(*self.models(members[0].population), tests, variant)
+        except TrainingDiverged:
             return
         # Each row's mean is evaluate's float(np.mean(...)) bit for bit: a
         # sum of 0s and 1s is exact in any order, then one division.
@@ -493,7 +491,7 @@ class _Cohort:
     Clients sit in slots ordered by training-set size, largest first,
     then by id, so the clients that take a batch of the same size at a
     step fill a contiguous run of slots, and so do a run's slots of each
-    architecture.  A run trains on the workspace's views of it, and
+    architecture.  A run trains on the workspace's plan of it, and
     cohort_update scatters the rows back once every client has trained.
     A failed check raises at once and leaves the workspace half-trained;
     the next cohort gathers over it.
@@ -504,10 +502,11 @@ class _Cohort:
         self.clients = sorted(clients, key=lambda c: (-c.n_samples, c.client_id))
         if self.clients[-1].n_samples == 0:
             raise ValueError(f"client {self.clients[-1].client_id} has no training samples")
+        for client in self.clients:  # once here, as the steps read labels unchecked
+            _labels(client.train_y, client.n_samples, population.private_layouts[0].classes)
         self.mode, self.lrs = mode, lrs
         self.weights = LossWeights(0.0, 1.0) if mode is Mode.NO_MRL else weights  # the ablation
         self.epoch_means: list[list[float]] = [[] for _ in self.clients]
-        self.population = population
         key = (tuple(c.client_id for c in self.clients), mode is Mode.STANDALONE)
         workspace = population._workspace
         if workspace is not None and workspace.key == key:
@@ -548,14 +547,8 @@ class _Cohort:
         return runs
 
     def _step(self, a, b, x, y, batch_losses) -> None:
-        """Train slots a to b on one batch each."""
-        g, f, p, vectors = self.workspace.models(a, b, self.population)
-        if self.mode is Mode.STANDALONE:
-            loss, *stepped = train_step_single(f, x, y, self.lrs.local_model)
-        else:
-            loss, _, stepped = train_step(g, f, p, x, y, self.weights, self.lrs)
-        for target, values in zip(vectors, (v for model in stepped for v in model._segments())):
-            target[...] = values
+        """Train slots a to b on one batch each: one step of their plan, in place on the rows."""
+        loss, _ = _train(self.workspace.plan(a, b), x, y, self.weights, self.lrs)
         for losses, value in zip(batch_losses[a:b], loss.tolist()):
             losses.append(value)
 
@@ -635,8 +628,9 @@ def run_rounds(
     """The round loop of run_training, on already-built states.
 
     numpy's RuntimeWarnings are silenced for the rounds (by a filter: an
-    np.errstate slows every ufunc call): a diverging run ends in the NonFiniteError of a finite check,
-    raised again as "round R: <message>", chained from it, where R counts
+    np.errstate slows every ufunc call): a diverging run ends in the
+    TrainingDiverged of a finite check, raised again as "round R:
+    <message>" with its round set to R, chained from it, where R counts
     the server's rounds, those of earlier calls included.
     """
     standalone = config.mode is Mode.STANDALONE
@@ -686,8 +680,9 @@ def run_rounds(
                     uplink, downlink = comm_cost_round(shared_params, len(participants))
 
                 accuracies = _accuracies(clients, variant)
-            except NonFiniteError as exc:
-                raise NonFiniteError(f"round {server.round + 1}: {exc}") from exc
+            except TrainingDiverged as exc:
+                where = f"round {server.round + 1}: {exc}"
+                raise TrainingDiverged(where, exc.group, exc.client, server.round + 1) from exc
             reports.append(
                 RoundReport(
                     round=round_index,

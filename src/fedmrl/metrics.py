@@ -29,9 +29,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import InferenceVariant, Mode, Projector, infer
+from .core import InferenceVariant, Mode, Projector, TrainingDiverged, infer
 from .models import Net
-from .numerics import NonFiniteError
 
 if TYPE_CHECKING:  # pragma: no cover - only for annotations
     from .federation import ClientState
@@ -57,7 +56,7 @@ class RoundReport:
 def evaluate(client: "ClientState", variant: InferenceVariant) -> float:
     """Fraction of the client's test samples predicted correctly.
 
-    Raises NonFiniteError naming the client if its logits are not finite.
+    Raises TrainingDiverged naming the client if its logits are not finite.
     """
     if client.test_y.size == 0:
         raise ValueError(f"client {client.client_id} has an empty test set")
@@ -65,8 +64,9 @@ def evaluate(client: "ClientState", variant: InferenceVariant) -> float:
         preds = infer(
             client.global_copy, client.local_model, client.projector, client.test_x, variant
         )
-    except NonFiniteError as exc:
-        raise NonFiniteError(f"client {client.client_id}: {exc}") from exc
+    except TrainingDiverged as exc:
+        where = f"client {client.client_id}: {exc}"
+        raise TrainingDiverged(where, exc.group, client.client_id) from exc
     return float(np.mean(preds == client.test_y))
 
 

@@ -1,58 +1,44 @@
-"""Dense feature extractors and linear heads with hand-derived backprop.
+"""Dense feature extractors and linear heads: their layout and parameters.
 
 An extractor is a stack of affine layers (weights stored out x in, bias
 one row per layer, ReLU or identity activation).  A header is a single
 bias-free linear map from a representation to class logits.  A Net is an
 extractor plus the header that reads it: the shared model and every
-private model are Nets.  Backward passes are written out explicitly and
-are validated against central finite differences in the test suite.
+private model are Nets.  The models hold layout and parameters only;
+the forward and the hand-derived backward that run on them are core's
+step plan.
 
 Parameters are walked in one order (Net.parameter_arrays): each layer's
 weight, then its bias, first layer to last, then the header weight.
 Each is a view of a flat vector in that order, one vector for an
 extractor's layers and one for a header (a weight is an (out, in)
-reshape of a column range).  _segments() lists a model's vectors and
-_over(segments) builds a model of the same layout over others, without
-checks.  Copies (clone, copy.deepcopy) view copied vectors.
+reshape of a column range).  An extractor's _spans lay its vector out,
+and a plan reads its layers from a vector with them.  _segments() lists
+a model's vectors and _over(segments) builds a model of the same layout
+over others, without checks.  Copies (clone, copy.deepcopy) view copied
+vectors.
 
-Each forward checks its input once and then multiplies with a bare
-``@`` on C-order operands, a transposed weight or gradient being copied
-first: OpenBLAS rounds a product with a transposed view differently, and
-the copy keeps every result bit-identical to the product of C-order
-matrices.  Each backward, the one training runs (see core), writes its
-parameter gradients into ``out``, a model of the same layout.  An
-extractor's forward returns a ForwardCache tied to that extractor, and
-its backward rejects a cache of any other.  Nothing here checks for
-non-finite values.
-
-Parameters and batches may carry a leading client axis to train a cohort
-at once (weights (C, out, in), views of (C, P) vectors strided along
-that axis only, and batches (C, n, in)): each product is then one BLAS
-call per slice and each reduction runs within its slice, so every
-client's numbers are those of training it alone.  GroupedExtractor runs
-private extractors of differing shapes side by side.
+Parameters may carry a leading client axis to serve a cohort at once
+(weights (C, out, in), views of (C, P) vectors strided along that axis
+only).  GroupedExtractor lays out private extractors of differing shapes
+side by side over one stack of clients.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .numerics import ShapeError, _matrix, _transposed
+from .numerics import ShapeError, _matrix
 
 RELU = "relu"
 IDENTITY = "identity"
 _ACTIVATIONS = (RELU, IDENTITY)
 
 CHECKPOINT_VERSION = 1
-
-
-class StaleCacheError(ValueError):
-    """A forward cache was replayed against a model it does not belong to."""
 
 
 def _view(cls, **attrs):
@@ -65,14 +51,9 @@ def _view(cls, **attrs):
 class _Segmented:
     """What the model classes share."""
 
-    def _empty(self):
-        """A model of this layout over fresh, unset vectors: room for its gradient."""
-        return self._over(tuple(np.empty(s.shape) for s in self._segments()))
-
-    @cached_property
-    def _grads(self):
-        """_empty, made once per model and reused by every training step on it."""
-        return self._empty()
+    def _zeros(self):
+        """A model of this layout over fresh zero vectors: room for its gradient."""
+        return self._over(tuple(np.zeros(s.shape) for s in self._segments()))
 
     def _split(self, flat: np.ndarray):
         """A model of this layout over consecutive column ranges of flat."""
@@ -173,27 +154,6 @@ class AffineLayer:
         """() for one client's layer, (C,) for a stack of C."""
         return self.weight.shape[:-2]
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Returns (activated output, pre-activation) for a batch."""
-        pre = _matrix(x, cols=self.in_dim) @ _transposed(self.weight)
-        if self.bias is not None:
-            pre += self.bias
-        out = np.maximum(pre, 0.0) if self.activation == RELU else pre
-        return out, pre
-
-
-@dataclass
-class ForwardCache:
-    """Per-layer inputs and pre-activations retained for one backward pass.
-
-    owner ties the cache to the exact Extractor object that produced it;
-    replaying it against any other (including a stepped copy) is an error.
-    """
-
-    owner: "Extractor"
-    inputs: list[np.ndarray] = field(default_factory=list)
-    pre_acts: list[np.ndarray] = field(default_factory=list)
-
 
 @dataclass
 class Extractor(_Segmented):
@@ -202,8 +162,8 @@ class Extractor(_Segmented):
     Its layers are views of one vector, _flat, laid out by _spans: (weight
     start, weight stop, bias stop or None, out, in, activation) per layer.
     The constructor copies its layers into a fresh vector.  An extractor
-    built by _over makes its layers when first asked, so a training step's
-    result costs no views unless it is used.
+    built by _over makes its layers when first asked; training reads its
+    vector through _spans and never asks.
     """
 
     layers: list[AffineLayer]
@@ -223,7 +183,8 @@ class Extractor(_Segmented):
             spans.append((start, stop, end, layer.out_dim, layer.in_dim, layer.activation))
             start = end or stop
         self._spans = tuple(spans)
-        arrays = [array.reshape(*self.lead, -1) for array in self.parameter_arrays()]
+        lead = self.layers[0].lead
+        arrays = [array.reshape(*lead, -1) for array in self.parameter_arrays()]
         self._flat = np.concatenate(arrays, axis=-1)
         del self.layers  # from now on views of _flat
 
@@ -252,47 +213,15 @@ class Extractor(_Segmented):
 
     @property
     def input_dim(self) -> int:
-        return self.layers[0].in_dim
+        return self._spans[0][4]
 
     @property
     def rep_dim(self) -> int:
-        return self.layers[-1].out_dim
+        return self._spans[-1][3]
 
     @property
     def lead(self) -> tuple[int, ...]:
-        return self.layers[0].lead
-
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-        """Run the stack; inputs are copied into the cache, never mutated."""
-        cache = ForwardCache(owner=self)
-        out = _matrix(x, cols=self.input_dim)
-        for layer in self.layers:
-            cache.inputs.append(out)
-            out, pre = layer.forward(out)
-            cache.pre_acts.append(pre)
-        return out, cache
-
-    def backward(self, cache: ForwardCache, d_rep: np.ndarray, out: "Extractor") -> None:
-        """Backpropagate an upstream gradient through the stack, writing the
-        parameter gradients into out, an extractor of this layout.
-
-        d_rep may be the sum of gradients from several consumers of the
-        representation.  Training never needs the input's gradient.
-        """
-        if cache.owner is not self:
-            raise StaleCacheError("forward cache does not belong to this extractor")
-        if len(cache.pre_acts) != len(self.layers):
-            raise StaleCacheError(f"cache depth {len(cache.pre_acts)} != layer count {len(self.layers)}")
-        delta = _matrix(d_rep, rows=cache.inputs[0].shape[-2], cols=self.rep_dim)
-        for i in reversed(range(len(self.layers))):
-            layer, grad = self.layers[i], out.layers[i]
-            if i < len(self.layers) - 1:
-                delta = delta @ self.layers[i + 1].weight
-            if layer.activation == RELU:
-                delta = delta * (cache.pre_acts[i] > 0.0)
-            np.matmul(_transposed(delta), cache.inputs[i], out=grad.weight)
-            if grad.bias is not None:
-                delta.sum(axis=-2, keepdims=True, out=grad.bias)
+        return self._flat.shape[:-1]
 
     def parameter_arrays(self) -> list[np.ndarray]:
         """Each layer's weight, then its bias if it has one, first layer to last."""
@@ -305,11 +234,11 @@ class GroupedExtractor(_Segmented):
 
     parts pairs client slots of the stack (ascending int arrays that
     together cover range(size)) with an extractor stacked over those
-    clients in slot order.  forward gathers each part's slices of the
-    batch, runs the part's extractor and scatters its representations
-    back into the stack, so each client gets what its own extractor
-    gives.  All parts share one input and one output width.  It stands in
-    for an Extractor in the training step; its vectors are its parts'.
+    clients in slot order.  A plan runs each part on its slots of the
+    batch and scatters the representations back into the stack, so each
+    client gets what its own extractor gives.  All parts share one input
+    and one output width.  It stands in for an Extractor in a Net; its
+    vectors are its parts'.
     """
 
     parts: list[tuple[np.ndarray, Extractor]]
@@ -334,25 +263,6 @@ class GroupedExtractor(_Segmented):
         parts = [(slots, ex._over((flat,))) for (slots, ex), flat in zip(self.parts, segments)]
         return _view(GroupedExtractor, parts=parts, size=self.size)
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[ForwardCache]]:
-        x = _matrix(x, cols=self.input_dim)
-        if len(self.parts) == 1:
-            rep, cache = self.parts[0][1].forward(x)
-            return rep, [cache]
-        rep = np.empty((*x.shape[:-1], self.rep_dim))
-        caches = []
-        for slots, extractor in self.parts:
-            rep[slots], cache = extractor.forward(x[slots])
-            caches.append(cache)
-        return rep, caches
-
-    def backward(self, caches: list[ForwardCache], d_rep: np.ndarray, out) -> None:
-        """Each part's Extractor.backward on its slots, into the matching part of out."""
-        whole = len(self.parts) == 1
-        for (slots, extractor), cache, (_, grads) in zip(self.parts, caches, out.parts):
-            extractor.backward(cache, d_rep if whole else d_rep[slots], grads)
-
-
 @dataclass
 class Header(_Matrix):
     """Bias-free linear map from a representation to class logits: weight (classes, rep_dim)."""
@@ -364,16 +274,6 @@ class Header(_Matrix):
     @property
     def classes(self) -> int:
         return self.weight.shape[-2]
-
-    def forward(self, rep: np.ndarray) -> np.ndarray:
-        return _matrix(rep, cols=self.in_dim) @ _transposed(self.weight)
-
-    def backward(self, rep: np.ndarray, d_logits: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Writes d_weight into out and returns d_rep.  _matrix copies rep, a
-        column prefix of the fused row for the global head, to C order."""
-        np.matmul(_transposed(d_logits), _matrix(rep), out=out)
-        return d_logits @ self.weight
-
 
 @dataclass
 class Net(_Segmented):

@@ -27,7 +27,7 @@ from fedmrl.core import (
     train_step_single,
     with_parameter_vector,
 )
-from fedmrl.models import Header, ModelConfig, Net, init_model
+from fedmrl.models import GroupedExtractor, Header, ModelConfig, Net, init_model
 from fedmrl.numerics import (
     NonFiniteError,
     ShapeError,
@@ -98,6 +98,11 @@ def test_dimension_chain_is_validated():
         forward_loss(wide_g, f, p, x, y)
     with pytest.raises(ShapeError, match="projector"):
         forward_loss(g, f, init_projector(D1, D2 + 1, make_rng(2)), x, y)
+    with pytest.raises(ShapeError, match="input columns"):
+        forward_loss(init_model(ModelConfig(INPUT + 1, (5,), D1, CLASSES), make_rng(3)), f, p, x, y)
+    for variant in InferenceVariant:  # a batch one column too wide
+        with pytest.raises(ShapeError, match="columns"):
+            infer(g, f, p, np.ones((2, INPUT + 1)), variant)
 
 
 def test_forward_loss_at_random_init_is_near_ln_classes():
@@ -249,6 +254,70 @@ def test_gradcheck_single_model_step(cohort):
 
     numeric = finite_diff_gradient(objective, theta)
     assert relative_error(analytic.reshape(-1), numeric).max() <= 1e-4
+
+
+def mixed_cohort(seed=30):
+    """Three clients stacked as a cohort whose private models have two
+    architectures, one (7,) hidden layer on slots 0 and 2 and (6, 4) on slot
+    1: the private extractors grouped, everything else stacked.  Returns the
+    stacked models, a batch, its labels and each client's models alone."""
+    rng = make_rng(seed)
+    hidden = ((7,), (6, 4), (7,))
+    g = [init_model(ModelConfig(INPUT, (5,), D1, CLASSES), rng) for _ in hidden]
+    f = [init_model(ModelConfig(INPUT, widths, D2, CLASSES), rng) for widths in hidden]
+    p = [init_projector(D1, D2, rng) for _ in hidden]
+
+    def stacked(models):
+        return models[0]._over(tuple(np.stack(s) for s in zip(*(m._segments() for m in models))))
+
+    parts = [
+        (np.array(slots), stacked([f[i].extractor for i in slots]))
+        for slots in ([0, 2], [1])
+    ]
+    private = Net(GroupedExtractor(parts, 3), stacked([m.header for m in f]))
+    x = rng.normal(size=(3, 5, INPUT))
+    alone = list(zip(g, f, p))
+    return (stacked(g), private, stacked(p)), x, rng.integers(0, CLASSES, size=(3, 5)), alone
+
+
+def flat_params(models):
+    """Every vector of every model, a mixed stack's too, in one flat vector."""
+    return np.concatenate([s.ravel() for m in models for s in m._segments()])
+
+
+def with_flat_params(models, vec):
+    """Models of the same layouts over the pieces of a flat_params vector."""
+    rebuilt, start = [], 0
+    for model in models:
+        pieces = []
+        for segment in model._segments():
+            pieces.append(vec[start : start + segment.size].reshape(segment.shape))
+            start += segment.size
+        rebuilt.append(model._over(tuple(pieces)))
+    return rebuilt
+
+
+def test_gradcheck_mixed_architecture_cohort():
+    # The plan routes each part of a grouped private extractor through its
+    # own slots.  A cohort's loss is one per client, so the gradient of
+    # their sum holds each client's gradient in that client's parameters.
+    models, x, y, alone = mixed_cohort()
+    weights = LossWeights(0.6, 1.4)
+    totals, _ = forward_loss(*models, x, y, weights)
+    for i, client in enumerate(alone):  # each client's loss is its own, bit for bit
+        assert totals[i] == forward_loss(*client, x[i], y[i], weights)[0]
+    grads = loss_gradients(*models, x, y, weights)
+    analytic = flat_params((grads.global_model, grads.local_model, grads.projector))
+
+    def objective(vec):
+        return float(np.sum(forward_loss(*with_flat_params(models, vec), x, y, weights)[0]))
+
+    numeric = finite_diff_gradient(objective, flat_params(models))
+    assert relative_error(analytic, numeric).max() <= 1e-4
+    # At lr 1 the step that training takes moves every parameter by that gradient.
+    _, _, stepped = train_step(*models, x, y, weights, LearningRates.uniform(1.0))
+    moved = flat_params(models) - flat_params(stepped)
+    assert relative_error(moved, numeric).max() <= 1e-4
 
 
 def test_one_step_decreases_loss_and_moves_all_groups():

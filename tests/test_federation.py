@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import gc
 import pickle
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,12 +10,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fedmrl import federation, metrics
+from fedmrl import federation, metrics, models, numerics
 from fedmrl.config import build_run_config, load_config, override
 from fedmrl.core import (
     InferenceVariant,
     LearningRates,
     LossWeights,
+    TrainingDiverged,
     infer,
     parameter_vector,
     train_step,
@@ -45,7 +47,7 @@ from fedmrl.federation import (
 )
 from fedmrl.experiment import build_partition, load_dataset
 from fedmrl.metrics import evaluate
-from fedmrl.models import ModelConfig, init_model
+from fedmrl.models import GroupedExtractor, ModelConfig, Net, init_model
 from fedmrl.numerics import NonFiniteError, ShapeError, make_rng
 
 QUICKSTART = Path(__file__).parents[1] / "demos" / "quickstart.cfg"
@@ -790,15 +792,15 @@ DIVERGING_QUICKSTART = {
 
 
 def _count_steps(monkeypatch):
-    """A list that gains an entry at each training step's train_step call."""
+    """A list that gains an entry at each training step's call of its plan (_train)."""
     steps = []
-    real = federation.train_step
+    real = federation._train
 
     def counting(*args, **kwargs):
         steps.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(federation, "train_step", counting)
+    monkeypatch.setattr(federation, "_train", counting)
     return steps
 
 
@@ -1166,3 +1168,119 @@ def test_empty_test_sets_are_never_evaluated_in_a_stack():
         client.test_x, client.test_y = client.test_x[:0], client.test_y[:0]
     with pytest.raises(ValueError, match=r"^client 0 has an empty test set$"):
         run_rounds(server, clients, dataclasses.replace(cfg, rounds=1))
+
+
+@pytest.mark.parametrize(
+    "lrs,expected",
+    [
+        (dict(lr=50.0), ("round 1: client 1: non-finite loss (nan)", None, 1, 1)),
+        (dict(lr=5.0), ("round 1: client 6: non-finite logits", None, 6, 1)),
+        (dict(lr=2.0), ("round 2: client 6: non-finite loss (nan)", None, 6, 2)),
+        (
+            dict(lr_local=1e308),
+            ("round 1: client 0: non-finite local parameters after the step", "local", 0, 1),
+        ),
+    ],
+)
+def test_a_diverging_quickstart_round_names_its_group_client_and_round(lrs, expected):
+    config = override(load_config(QUICKSTART), **lrs)
+    dataset = load_dataset(config)
+    cfg = build_run_config(config)
+    server, clients = build_clients(cfg, dataset, build_partition(config, dataset))
+    with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as failure:
+        run_rounds(server, clients, cfg)
+    error = failure.value
+    assert isinstance(error, NonFiniteError)
+    assert (str(error), error.group, error.client, error.round) == expected
+
+
+def _stack(models):
+    """Models of one layout, stacked over a leading client axis."""
+    return models[0]._over(tuple(np.stack(s) for s in zip(*(m._segments() for m in models))))
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_the_public_step_is_the_step_a_cohort_takes(mode):
+    # One epoch with the whole shard as the batch is one step of the cohort,
+    # whose private models have five architectures: the public step on the
+    # same stacked models and batches gives the bits the cohort writes.
+    cfg, clients = _equal_shards()
+    shard = clients[0].n_samples
+    lrs, weights = LearningRates(0.05, 0.04, 0.03), LossWeights(0.7, 1.3)
+    place = clients[0].population.place
+    orders = [copy.deepcopy(c.rng).permutation(shard) for c in clients]
+    x = np.stack([c.train_x[order] for c, order in zip(clients, orders)])
+    y = np.stack([c.train_y[order] for c, order in zip(clients, orders)])
+    kinds = sorted({place[c.client_id][0] for c in clients})
+    parts = [np.array([i for i, c in enumerate(clients) if place[c.client_id][0] == k]) for k in kinds]
+    assert len(parts) == 5
+    g, p = (_stack([getattr(c, name) for c in clients]) for name in ("global_copy", "projector"))
+    grouped = GroupedExtractor(
+        [(slots, _stack([clients[i].local_model.extractor for i in slots])) for slots in parts],
+        len(clients),
+    )
+    f = Net(grouped, _stack([c.local_model.header for c in clients]))
+    if mode is Mode.STANDALONE:
+        _, f = train_step_single(f, x, y, lrs.local_model)
+    else:
+        step_weights = LossWeights(0.0, 1.0) if mode is Mode.NO_MRL else weights
+        _, _, (g, f, p) = train_step(g, f, p, x, y, step_weights, lrs)
+    cohort_update(clients, 1, shard, lrs, mode, weights)
+    for slots, extractor in f.extractor.parts:
+        for rank, slot in enumerate(slots):
+            assert clients[slot].local_model.extractor._flat.tobytes() == extractor._flat[rank].tobytes()
+    for slot, client in enumerate(clients):
+        for mine, stepped in ((client.global_copy, g), (client.local_model.header, f.header),
+                              (client.projector, p)):
+            for row, stack in zip(mine._segments(), stepped._segments()):
+                assert row.tobytes() == stack[slot].tobytes()
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_a_planned_step_builds_no_model_object(mode):
+    # Once a run's plan exists, a step walks plain lists: a second identical
+    # cohort calls nothing defined in models.py, and never numerics._matrix,
+    # from inside _Cohort._step.
+    cfg, dataset, plan = small_setup(n_clients=6, local_hidden=((12,), (10,), (9,)))
+    _, clients = build_clients(cfg, dataset, plan)
+    args = (2, 8, cfg.lrs, mode, cfg.loss_weights)
+    rngs = [copy.deepcopy(c.rng) for c in clients]
+    cohort_update(clients, *args)
+    for client, rng in zip(clients, rngs):
+        client.rng = rng
+    step, inside, steps, called = federation._Cohort._step.__code__, [0], [], []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is step:
+            inside[0] += 1
+            steps.append(1)
+        elif event == "call" and inside[0]:
+            called.append(frame.f_code)
+        elif event == "return" and frame.f_code is step:
+            inside[0] -= 1
+
+    sys.setprofile(profile)
+    try:
+        cohort_update(clients, *args)
+    finally:
+        sys.setprofile(None)
+    banned = [
+        code.co_qualname for code in called
+        if code.co_filename == models.__file__ or code is numerics._matrix.__code__
+    ]
+    assert steps and called and banned == []
+
+
+@pytest.mark.parametrize("label", [-1, 4])
+def test_a_cohort_rejects_labels_out_of_range_before_its_steps(label):
+    # The steps read labels unchecked (a -1 would silently pick the last
+    # class), so the cohort checks every client's labels once, up front.
+    cfg, dataset, plan = small_setup(n_clients=3)
+    _, clients = build_clients(cfg, dataset, plan)
+    before = [[a.copy() for a in _client_arrays(c)] for c in clients]
+    clients[1].train_y = clients[1].train_y.copy()
+    clients[1].train_y[0] = label
+    with pytest.raises(ValueError, match=r"^labels must lie in \[0, 4\)$"):
+        cohort_update(clients, 1, 8, cfg.lrs, Mode.FEDMRL, LossWeights())
+    for client, arrays in zip(clients, before):
+        assert _same_arrays(_client_arrays(client), arrays)

@@ -5,18 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedmrl.core import train_step_single
+from fedmrl.core import (
+    LossWeights,
+    forward_loss_single,
+    gradient_vector,
+    init_projector,
+    loss_gradients,
+    train_step_single,
+)
 from fedmrl.models import (
     CHECKPOINT_VERSION,
     IDENTITY,
     RELU,
     AffineLayer,
     Extractor,
-    ForwardCache,
     Header,
     ModelConfig,
     Net,
-    StaleCacheError,
     init_model,
     load_model,
     save_model,
@@ -57,22 +62,14 @@ def rebuild_params(extractor, header, vec):
 
 
 def mean_ce_loss(extractor, header, x, y):
-    rep, _ = extractor.forward(x)
-    losses, _ = batch_cross_entropy(header.forward(rep), y)
-    return float(losses.mean())
+    return forward_loss_single(Net(extractor, header), x, y)
 
 
 def analytic_param_gradient(extractor, header, x, y):
-    """Backprop gradient in flatten_params order, mean-reduced over the batch."""
-    rep, cache = extractor.forward(x)
-    logits = header.forward(rep)
-    _, dlogits = batch_cross_entropy(logits, y)
-    dlogits = dlogits / x.shape[0]
-    d_head = np.empty(header.weight.shape)
-    d_rep = header.backward(rep, dlogits, d_head)
-    grads = extractor._empty()
-    extractor.backward(cache, d_rep, grads)
-    return flatten_params(grads, Header(d_head))
+    """Backprop gradient in flatten_params order, mean-reduced over the batch: the
+    standalone step at lr 1 moves every parameter by it."""
+    _, stepped = train_step_single(Net(extractor, header), x, y, 1.0)
+    return flatten_params(extractor, header) - flatten_params(stepped.extractor, stepped.header)
 
 
 def test_model_config_validation():
@@ -85,33 +82,37 @@ def test_model_config_validation():
 
 
 def test_identity_layer_with_identity_weight_is_passthrough():
+    # The header reads the batch itself, so the loss is the batch's own.
     layer = AffineLayer(np.eye(3), np.zeros((1, 3)), IDENTITY)
     x = make_rng(0).normal(size=(5, 3))
-    rep, _ = Extractor([layer]).forward(x)
-    assert np.array_equal(rep, x)
+    y = np.array([0, 1, 2, 0, 1])
+    losses, _ = batch_cross_entropy(x, y)
+    assert forward_loss_single(Net(Extractor([layer]), Header(np.eye(3))), x, y) == losses.mean()
 
 
 def test_relu_layer_clamps_negative_preactivations():
-    layer = AffineLayer(np.eye(2), None, RELU)
-    out, pre = layer.forward(np.array([[-1.0, 2.0]]))
-    assert np.array_equal(out, [[0.0, 2.0]])
-    assert np.array_equal(pre, [[-1.0, 2.0]])
+    # Pre-activations (-3, -1) clamp to logits (0, 0), whose loss is ln 2;
+    # (-1, 2) keeps its positive entry, giving the loss of logits (0, 2).
+    model = Net(Extractor([AffineLayer(np.eye(2), None, RELU)]), Header(np.eye(2)))
+    assert forward_loss_single(model, np.array([[-3.0, -1.0]]), [1]) == np.log(2.0)
+    expected, _ = batch_cross_entropy(np.array([[0.0, 2.0]]), [0])
+    assert forward_loss_single(model, np.array([[-1.0, 2.0]]), [0]) == expected[0]
 
 
 def test_forward_rejects_wrong_input_width():
-    extractor = init_model(ModelConfig(4, (), 3, 2), make_rng(1)).extractor
+    model = init_model(ModelConfig(4, (), 3, 2), make_rng(1))
     with pytest.raises(ShapeError):
-        extractor.forward(np.ones((2, 5)))
+        forward_loss_single(model, np.ones((2, 5)), [0, 1])
 
 
 def test_forward_is_pure():
-    extractor = init_model(ModelConfig(4, (6,), 3, 2), make_rng(2)).extractor
+    model = init_model(ModelConfig(4, (6,), 3, 2), make_rng(2))
     x = make_rng(3).normal(size=(8, 4))
-    before = x.copy()
-    rep1, _ = extractor.forward(x)
-    rep2, _ = extractor.forward(x)
+    y = np.arange(8) % 2
+    before, params = x.copy(), np.concatenate(model._segments())
+    assert forward_loss_single(model, x, y) == forward_loss_single(model, x, y)
     assert np.array_equal(x, before)
-    assert np.array_equal(rep1, rep2)
+    assert np.concatenate(model._segments()).tobytes() == params.tobytes()
 
 
 def test_param_count_closed_form_wide_config():
@@ -173,51 +174,40 @@ def test_gradcheck_against_finite_differences(config):
 
 
 def test_input_gradient_matches_finite_differences():
-    # The header's input gradient is what training routes into the extractors.
+    # The header's input gradient is what training routes into the
+    # extractors.  An identity layer in front of it, stacked over three
+    # clients of one row each, gets that gradient as its bias gradient.
     rng = make_rng(55)
     header = init_model(ModelConfig(5, (6,), 4, 3), rng).header
-    rep = rng.normal(size=(3, 4))
-    y = rng.integers(0, 3, size=3)
-
-    _, dlogits = batch_cross_entropy(header.forward(rep), y)
-    d_rep = header.backward(rep, dlogits / 3.0, np.empty(header.weight.shape))
+    rep = rng.normal(size=(3, 1, 4))
+    y = rng.integers(0, 3, size=(3, 1))
+    layer = AffineLayer(np.stack([np.eye(4)] * 3), np.zeros((3, 1, 4)), IDENTITY)
+    model = Net(Extractor([layer]), Header(np.stack([header.weight] * 3)))
+    bias = model.extractor.layers[0].bias.copy()
+    _, stepped = train_step_single(model, rep, y, 1.0)
+    d_rep = bias - stepped.extractor.layers[0].bias
 
     def objective(v):
-        losses, _ = batch_cross_entropy(header.forward(v.reshape(3, 4)), y)
-        return float(losses.mean())
+        return float(np.sum(forward_loss_single(model, v.reshape(3, 1, 4), y)))
 
     numeric = finite_diff_gradient(objective, rep.ravel())
     assert relative_error(d_rep.ravel(), numeric).max() <= 1e-4
 
 
 def test_backward_is_linear_in_upstream_gradient():
-    # Two consumers of the representation may sum their gradients first.
+    # Two consumers of the representation may sum their gradients first:
+    # the gradient of the weighted dual-head loss is the sum of each head's.
     rng = make_rng(9)
-    extractor = init_model(ModelConfig(4, (5,), 3, 2), rng).extractor
-    x = rng.normal(size=(6, 4))
-    _, cache = extractor.forward(x)
-    da = rng.normal(size=(6, 3))
-    db = rng.normal(size=(6, 3))
-    joint, ga, gb = extractor._empty(), extractor._empty(), extractor._empty()
-    extractor.backward(cache, da + db, joint)
-    extractor.backward(cache, da, ga)
-    extractor.backward(cache, db, gb)
-    for j, a, b in zip(joint.layers, ga.layers, gb.layers):
-        assert np.allclose(j.weight, a.weight + b.weight, atol=1e-12)
-        assert np.allclose(j.bias, a.bias + b.bias, atol=1e-12)
-
-
-def test_backward_rejects_foreign_and_shallow_caches():
-    rng = make_rng(12)
-    ex1 = init_model(ModelConfig(4, (5,), 3, 2), rng).extractor
-    ex2 = init_model(ModelConfig(4, (5,), 3, 2), rng).extractor
-    x = rng.normal(size=(2, 4))
-    _, cache = ex1.forward(x)
-    with pytest.raises(StaleCacheError):
-        ex2.backward(cache, np.zeros((2, 3)), ex2._empty())
-    bad = ForwardCache(owner=ex1)
-    with pytest.raises(StaleCacheError):
-        ex1.backward(bad, np.zeros((2, 3)), ex1._empty())
+    g = init_model(ModelConfig(4, (5,), 3, 2), rng)
+    f = init_model(ModelConfig(4, (6,), 5, 2), rng)
+    p = init_projector(3, 5, rng)
+    x, y = rng.normal(size=(6, 4)), rng.integers(0, 2, size=6)
+    joint, ga, gb = (
+        gradient_vector(loss_gradients(g, f, p, x, y, LossWeights(*w)))
+        for w in ((0.7, 1.3), (0.7, 0.0), (0.0, 1.3))
+    )
+    assert np.allclose(joint, ga + gb, atol=1e-12)
+    assert not np.allclose(ga, 0.0) and not np.allclose(gb, 0.0)
 
 
 def test_step_returns_new_model_and_preserves_original():
