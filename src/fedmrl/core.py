@@ -28,11 +28,16 @@ and each parameter group's (theta, gradient) vector pairs.  _train walks
 it: the forward, the hand-derived backward, which writes every gradient
 with np.matmul and sum (out=), and SGD in place, theta -= lr * grad, with
 one isfinite per stepped vector.  It builds no model object and checks
-nothing but the learning rates and finiteness.  The public functions
-build a plan over the models they are given and run that same code;
-train_step and train_step_single step clones, so they are pure.  A
-cohort's workspace (see federation) builds its plans from its gathered
-rows.  The tape, what the backward reads from the forward, never leaves
+nothing but the learning rates and finiteness.  _predict runs the same
+forward on a plan and reads the logits of an inference variant.  The
+public functions check their inputs, build a plan over the models they
+are given (_plan) and run that same code; train_step and
+train_step_single step clones, so they are pure.  A plan is plain data,
+so it can also be put together from pieces: the cohort workspace (see
+federation) caches views of row ranges of its buffers, one piece per
+extractor part and one per run of slots, and puts each run's plan
+together from them, and the population caches each client's inference
+plan.  The tape, what the backward reads from the forward, never leaves
 the step that made it.
 
 Each public function checks its inputs once.  The products inside run as
@@ -42,7 +47,7 @@ transposed view differently, and the copy keeps every result
 bit-identical to the product of C-order matrices.  A weight gradient,
 d.T @ x, reads the transposed view of d, which gives the same bits.
 Finiteness is checked once per step: a non-finite loss, a stepped group
-(global, local, projector) holding a NaN or an infinity, or in infer
+(global, local, projector) holding a NaN or an infinity, or in _predict
 non-finite logits, each raise a TrainingDiverged naming the check and,
 for a group, the group.
 
@@ -76,9 +81,6 @@ __all__ = [
     "TrainingDiverged",
     "GradientSet",
     "init_projector",
-    "splice",
-    "project",
-    "matryoshka_prefixes",
     "forward_loss",
     "forward_loss_single",
     "loss_gradients",
@@ -216,32 +218,6 @@ def init_projector(d1: int, d2: int, rng: np.random.Generator) -> Projector:
     return Projector(rng.uniform(-bound, bound, size=(d2, d1 + d2)))
 
 
-def splice(rep_global: np.ndarray, rep_local: np.ndarray) -> np.ndarray:
-    """Concatenate the two representations, global part first."""
-    rep_global = _matrix(rep_global)
-    rep_local = _matrix(rep_local, rows=rep_global.shape[-2])
-    return np.concatenate([rep_global, rep_local], axis=-1)
-
-
-def project(projector: Projector, spliced: np.ndarray) -> np.ndarray:
-    """Mix a spliced batch down to d2 columns."""
-    spliced = _matrix(spliced, cols=projector.weight.shape[-1])
-    return spliced @ _transposed(projector.weight)
-
-
-def matryoshka_prefixes(fused: np.ndarray, d1: int) -> tuple[np.ndarray, np.ndarray]:
-    """Low-capacity prefix (first d1 columns) and the full-width row.
-
-    The full-width view is the whole fused matrix itself; the nesting
-    means the small head reads a strict prefix of what the large head
-    reads.
-    """
-    fused = _matrix(fused)
-    if not 0 < d1 <= fused.shape[-1]:
-        raise ShapeError(f"prefix width {d1} out of range for {fused.shape[-1]} columns")
-    return fused[..., :d1], fused
-
-
 @dataclass
 class GradientSet:
     """Loss gradients for all three parameter groups: models of the groups' layouts."""
@@ -319,10 +295,11 @@ class _Plan:
     each layer's (weight, bias, weight gradient, bias gradient, relu).
     head and projector are (weight, gradient).  shared and projector are
     None to train the private model alone.  groups holds the (theta,
-    gradient) vector pairs of the global, local and projector groups,
-    None for a group that is not trained; the global group's last pair is
-    its header.  Every array is a view of the vectors the plan was built
-    on, and every gradient is None in a plan that only infers.
+    gradient) pairs of the global, local and projector groups, views of
+    their vectors or of their weights (SGD is elementwise), None for a
+    group that is not trained; the global group's last pair is its
+    header.  Every array is a view of the vectors the plan was built on,
+    and every gradient is None in a plan that only infers.
     """
 
     private: tuple
@@ -364,26 +341,6 @@ def _plan(models: tuple, grads: tuple = (None, None, None)) -> _Plan:
     (g, f, p), (dg, df, dp) = models, grads
     groups = tuple(d and list(zip(m._segments(), d._segments())) for m, d in zip(models, grads))
     return _Plan(_model(f, df), g and _model(g, dg), p and (p.weight, dp and dp.weight), groups)
-
-
-def _slots(plan: _Plan, a: int, b: int) -> _Plan:
-    """The plan of slots a to b of a plan over a stack whose private model is a
-    GroupedExtractor: views of its views, each part's on its slots in the run."""
-
-    def cut(views, lo=a, hi=b):
-        return views and tuple([v[lo:hi] if type(v) is np.ndarray else v for v in views])
-
-    parts, local = [], []
-    for (slots, layers), pair in zip(plan.private[0], plan.groups[1]):
-        lo, hi = slots.searchsorted(a), slots.searchsorted(b)
-        if lo < hi:
-            parts.append((slots[lo:hi] - a, [cut(layer, lo, hi) for layer in layers]))
-            local.append(cut(pair, lo, hi))
-    shared = plan.shared and (
-        [(None, [cut(layer) for layer in plan.shared[0][0][1]])], cut(plan.shared[1]))
-    global_, projector = (pairs and [cut(pair) for pair in pairs] for pairs in plan.groups[::2])
-    groups = (global_, [*local, cut(plan.groups[1][-1])], projector)
-    return _Plan((parts, cut(plan.private[1])), shared, cut(plan.projector), groups)
 
 
 def _extract(parts, x, tapes: list) -> np.ndarray:
@@ -630,6 +587,23 @@ def gradient_vector(grads: GradientSet) -> np.ndarray:
     return parameter_vector(grads.global_model, grads.local_model, grads.projector)
 
 
+def _predict(plan: _Plan, x, variant: InferenceVariant) -> np.ndarray:
+    """Predicted class indices of a batch on a plan, unchecked but for the logits'
+    finiteness: the training step's forward, read by the variant's header."""
+    if variant is InferenceVariant.SINGLE_SMALL or variant is InferenceVariant.SINGLE_LARGE:
+        parts, (head, _) = plan.shared if variant is InferenceVariant.SINGLE_SMALL else plan.private
+        read = _extract(parts, x, [])
+    else:
+        read, head = _read(plan, x, [], [])[1], plan.private[1][0]
+        if variant is InferenceVariant.MIX_SMALL:
+            head = plan.shared[1][0]
+            read = np.ascontiguousarray(read[..., : head.shape[-1]])
+    logits = read @ _transposed(head)
+    if not np.isfinite(logits).all():
+        raise TrainingDiverged("non-finite logits")
+    return np.argmax(logits, axis=-1)
+
+
 def infer(
     global_model: Net,
     local_model: Net,
@@ -642,20 +616,10 @@ def infer(
     Ties in the logits resolve to the lowest class index.  The MIX
     variants never read the header they exclude; the SINGLE variants
     never touch the other model or the projector.  The forward is the
-    training step's, run on a plan of the models.
+    training step's, run on a plan of the models (_predict).
     """
-    if variant is InferenceVariant.SINGLE_SMALL or variant is InferenceVariant.SINGLE_LARGE:
-        model = global_model if variant is InferenceVariant.SINGLE_SMALL else local_model
-        models, head = (None, model, None), model.header.weight
-    else:
+    reader = global_model if variant is InferenceVariant.SINGLE_SMALL else local_model
+    if variant is InferenceVariant.MIX_SMALL or variant is InferenceVariant.MIX_LARGE:
         _check_dims(global_model, local_model, projector)
-        models, head = (global_model, local_model, projector), local_model.header.weight
-    x = _matrix(x, cols=models[1].extractor.input_dim)
-    _, read = _read(_plan(models), x, [], [])
-    if variant is InferenceVariant.MIX_SMALL:
-        head = global_model.header.weight
-        read = np.ascontiguousarray(read[..., : head.shape[-1]])
-    logits = read @ _transposed(head)
-    if not np.isfinite(logits).all():
-        raise TrainingDiverged("non-finite logits")
-    return np.argmax(logits, axis=-1)
+    x = _matrix(x, cols=reader.extractor.input_dim)
+    return _predict(_plan((global_model, local_model, projector)), x, variant)

@@ -19,13 +19,13 @@ one stacked step of a plan over those rows (core._Plan: plain lists of
 views of the rows and of their gradient scratch), the private extractor
 once per architecture.  A step writes the gathered rows in place, and
 the cohort scatters them back once every client has trained.  The
-population keeps the last cohort's gathered rows, gradient scratch and
-plans as its workspace (_Workspace): a cohort of the same clients in the
-same slots, with the same standalone-ness, gathers into them with
-np.take(out=) and steps on the same plans.  Uploads view a copy of the
-trained shared rows.  Each client draws its epoch permutations
-from its own rng, and the result is bit-identical to a cohort of one for
-each client, because of three rules:
+population keeps one workspace (_Workspace) for all its cohorts: buffers
+with room for the largest cohort so far, which every cohort gathers into
+with np.take(out=), plan pieces cached by rows, and each run's plan, put
+together from pieces and kept while the cohort's composition stays the
+same.  Uploads view a copy of the trained shared rows.  Each client draws
+its epoch permutations from its own rng, and the result is bit-identical
+to a cohort of one for each client, because of three rules:
 
 * every stacked product is one BLAS call per client slice, on C-order
   matrices, and every reduction runs within a slice (see core);
@@ -45,20 +45,22 @@ Population.wrote(ids) is the one place that forgets the accuracies of
 clients whose rows were written; broadcast, the cohort's scatter and
 assignment to a client's model fields call it, and a failed cohort, which
 writes no row, forgets nothing.  Code that writes into a client's rows in
-place calls population.wrote(ids), or the memo will not see it.  When
-every client of the round's cohort, which has just scattered its
-workspace, is stale, the cohort is evaluated with one stacked infer on
-views of all its slots, if they are two or more and share one non-zero
-test-set size; every other stale client,
-and every client of a stack whose logits are not finite, is evaluated
-alone in ascending id order, so the error raised is that of the lowest-id
-client that fails.  Finite checks live in the training step and infer
-(core), which raise a TrainingDiverged; cohort_update (and evaluate)
-raise it again naming the client, and run_rounds naming the round.
+place calls population.wrote(ids), or the memo will not see it.  Every
+evaluation predicts with core._predict on a plan built once: a client
+alone on the plan over its rows that the population caches, and the
+round's cohort, when every client of it is stale, in one stack on the
+workspace's plan of all its slots, if they are two or more and share one
+non-zero test-set size.  Every other stale client, and every client of a
+stack whose logits are not finite, is evaluated alone in ascending id
+order, so the error raised is that of the lowest-id client that fails.
+Finite checks live in the training step and _predict (core), which raise
+a TrainingDiverged; cohort_update (and evaluate) raise it again naming
+the client, and run_rounds naming the round.
 """
 
 from __future__ import annotations
 
+import bisect
 import copy
 import math
 import warnings
@@ -67,10 +69,10 @@ from dataclasses import astuple, dataclass, field
 import numpy as np
 
 from .core import InferenceVariant, LearningRates, LossWeights, Mode, Projector, TrainingDiverged
-from .core import _plan, _slots, _train, infer, init_projector
+from .core import _Plan, _layers, _plan, _predict, _train, init_projector
 from .data import LabeledDataset, PartitionPlan
 from .metrics import RoundReport, comm_cost_round, evaluate, flops_round
-from .models import GroupedExtractor, ModelConfig, Net, init_model
+from .models import ModelConfig, Net, init_model
 from .numerics import ShapeError, _check_lr, _labels, derive_rng
 
 # Substream tags: every source of randomness in a run is a named stream
@@ -153,9 +155,11 @@ class Population:
     in the flat layout of models.  Rows are written in place, so views
     stay valid.  accuracy maps an inference variant to every client's
     memoized test accuracy (N,), NaN where it is not known; wrote is the
-    one way to record a write into the rows.
-    _workspace is the last cohort's _Workspace.  A deep or pickled copy
-    views its own buffers and memo and starts without a workspace.
+    one way to record a write into the rows.  _views and _plans cache each
+    client's models and inference plan, views of its rows, and
+    _workspace is the room every cohort trains in (_Workspace).  A deep
+    or pickled copy views its own buffers and memo and starts without
+    cached views, plans or workspace.
     """
 
     def __init__(self, shared: Net, private: list[Net], projectors: list[Projector]):
@@ -173,6 +177,7 @@ class Population:
         self.private_layouts = [private[ids[0]] for ids in groups]
         self.accuracy: dict[InferenceVariant, np.ndarray] = {}
         self._views: dict[int, tuple[Net, Net, Projector]] = {}
+        self._plans: dict[int, _Plan] = {}
         self._workspace: _Workspace | None = None
 
     def wrote(self, ids) -> None:
@@ -192,8 +197,14 @@ class Population:
             )
         return views
 
+    def _inference_plan(self, ident: int) -> _Plan:
+        """Client ident's inference plan (core._Plan) over its rows, made when first asked for."""
+        if ident not in self._plans:
+            self._plans[ident] = _plan(self._models(ident))
+        return self._plans[ident]
+
     def __getstate__(self):
-        return {**self.__dict__, "_views": {}, "_workspace": None}
+        return {**self.__dict__, "_views": {}, "_plans": {}, "_workspace": None}
 
 
 class _Rows:
@@ -387,82 +398,115 @@ def cohort_update(
 
 
 class _Workspace:
-    """A cohort's rows, gathered in slot order, their gradient scratch and the plans on them.
+    """The population's room for a cohort: its rows, gathered in slot order, their
+    gradient scratch, and the step plans on them.
 
-    The population keeps the last cohort's workspace, and a cohort of the
-    same slots and the same standalone-ness (the key) reuses it: its
-    buffers, its scratch and its step plans.  parts holds (kind, slots,
-    ranks, block) per private architecture, ids the client id of each
-    slot; shared and projectors are None for standalone training.  grads
-    holds one gradient scratch array per gathered buffer (the blocks in
-    part order, then headers, shared and projectors).  plans maps a run
-    of slots (a, b) to its step plan (core._Plan).  Its rows equal the
-    population's from a gather to the first step, and again from a
-    scatter to the next write.  It holds arrays, ids and views only: a
-    client or the population here would make a reference cycle.
+    buffers maps each private architecture (kind) to a block, and
+    "headers", "shared" and "projectors" to slot-indexed buffers: each a
+    (2, rows, width) array of rows and their gradient scratch, with room
+    for the largest cohort so far (a block for as many of its clients as
+    such a cohort can hold).  A cohort gathers into the first rows; a
+    larger one regrows every buffer and drops every piece.  pieces
+    caches plan pieces by rows: (kind, lo, hi) for rows lo to hi of a
+    block, (a, b) for slots a to b of the slot-indexed buffers.  plans
+    maps a run of slots (a, b) to its step plan (core._Plan), put
+    together from pieces, while the cohort's composition (the kind of
+    each slot, and the standalone-ness) stays the same; kinds holds each
+    kind's slots in the composition, as a list and as an array.  After a
+    gather, ids is the client id of each slot, copies pairs each gathered
+    population buffer and the cohort's rows of it with the workspace's
+    rows, and shared views the shared rows (None for standalone
+    training).  Its rows equal the population's from a gather to the
+    first step, and again from a scatter to the next write.  It holds
+    arrays, ids and views only: a client or the population here would
+    make a reference cycle.
     """
 
-    def __init__(self, population: Population, ids: tuple[int, ...], standalone: bool):
-        self.key = (ids, standalone)
-        self.ids, self.rows = ids, np.array(ids)
-        kinds: dict[int, list[int]] = {}
-        for slot, ident in enumerate(ids):
-            kinds.setdefault(population.place[ident][0], []).append(slot)
-        self.parts = []
-        for kind, slots in kinds.items():
-            ranks = np.array([population.place[ids[s]][1] for s in slots])
-            self.parts.append((kind, np.array(slots), ranks, population.blocks[kind][ranks]))
-        self.headers = population.headers[self.rows]
-        self.shared = self.projectors = None
-        if not standalone:
-            self.shared = population.shared[self.rows]
-            self.projectors = population.projectors[self.rows]
-        self.buffers = [*(p[3] for p in self.parts), self.headers, self.shared, self.projectors]
-        self.grads = [None if buffer is None else np.empty_like(buffer) for buffer in self.buffers]
-        self.plans = {}
-        self.whole = _plan(self.models(population), self.models(population, self.grads))
+    def __init__(self, population: Population):
+        self.spans = [m.extractor._spans for m in population.private_layouts]
+        shared = population.shared_layout
+        self.shared_spans, self.cut = shared.extractor._spans, shared.extractor._flat.shape[-1]
+        self.shapes = (population.private_layouts[0].header.weight.shape,
+                       shared.header.weight.shape, population.projector_layout.weight.shape)
+        self.size, self.composition = 0, None
 
-    def gather(self, population: Population) -> None:
-        """Copy the population's rows in, one take per buffer."""
-        for kind, _, ranks, block in self.parts:
-            np.take(population.blocks[kind], ranks, axis=0, out=block)
-        np.take(population.headers, self.rows, axis=0, out=self.headers)
-        if self.shared is not None:
-            np.take(population.shared, self.rows, axis=0, out=self.shared)
-            np.take(population.projectors, self.rows, axis=0, out=self.projectors)
+    def gather(self, population: Population, ids: tuple[int, ...], standalone: bool) -> None:
+        """Copy the rows of clients ids, in slot order, into the first rows: one take per buffer."""
+        n = len(ids)
+        if n > self.size:
+            sources = dict(enumerate(population.blocks), headers=population.headers,
+                           shared=population.shared, projectors=population.projectors)
+            self.buffers = {key: np.zeros((2, min(n, len(s)), s.shape[1]))
+                            for key, s in sources.items()}
+            self.size, self.pieces, self.composition = n, {}, None
+        composition = (tuple(population.place[i][0] for i in ids), standalone)
+        if composition != self.composition:
+            slots: dict[int, list[int]] = {}
+            for slot, kind in enumerate(composition[0]):
+                slots.setdefault(kind, []).append(slot)
+            self.kinds = [(kind, own, np.array(own)) for kind, own in slots.items()]
+            self.plans, self.composition = {}, composition
+        self.ids, self.rows = ids, np.array(ids)
+        self.copies = [  # (population buffer, the cohort's rows of it, the workspace's rows)
+            (population.blocks[kind], np.array([population.place[ids[s]][1] for s in slots]),
+             self.buffers[kind][0][: len(slots)]) for kind, slots, _ in self.kinds]
+        names = ("headers",) if standalone else ("headers", "shared", "projectors")
+        self.copies += [(getattr(population, key), self.rows, self.buffers[key][0][:n])
+                        for key in names]
+        for source, index, rows in self.copies:
+            source.take(index, axis=0, out=rows)
+        self.shared = None if standalone else self.buffers["shared"][0][:n]
 
     def scatter(self, population: Population) -> None:
         """Write the rows back into the population: one scatter per buffer."""
-        for kind, _, ranks, block in self.parts:
-            population.blocks[kind][ranks] = block
-        population.headers[self.rows] = self.headers
-        if self.shared is not None:
-            population.shared[self.rows] = self.shared
-            population.projectors[self.rows] = self.projectors
+        for source, index, rows in self.copies:
+            source[index] = rows
         population.wrote(self.rows)
 
-    def plan(self, a: int, b: int):
-        """The step plan of slots a to b, made the first time it is asked for: a slice
-        of the plan of all its slots (whole), which reads its rows and scratch."""
-        if (a, b) not in self.plans:
-            self.plans[a, b] = _slots(self.whole, a, b)
-        return self.plans[a, b]
+    def plan(self, a: int, b: int) -> _Plan:
+        """The step plan of slots a to b, put together from pieces the first time it is
+        asked for under the cohort's composition."""
+        plan = self.plans.get((a, b))
+        if plan is None:
+            parts, local = [], []
+            for kind, slots, array in self.kinds:
+                lo, hi = bisect.bisect_left(slots, a), bisect.bisect_left(slots, b)
+                if lo < hi:
+                    layers, pair = self._piece((kind, lo, hi))
+                    parts.append((array[lo:hi] - a, layers))
+                    local.append(pair)
+            head, shared, shared_pairs, projector = self._piece((a, b))
+            groups = (shared_pairs, [*local, head], [projector])
+            if self.composition[1]:  # standalone: the private model alone
+                shared, projector, groups = None, None, (None, groups[1], None)
+            plan = self.plans[a, b] = _Plan((parts, head), shared, projector, groups)
+        return plan
 
-    def models(self, layouts: Population, buffers: list | None = None) -> tuple:
-        """(shared, private, projector) over all its slots: views of its rows, or of
-        buffers laid out like them (its gradient scratch)."""
-        *blocks, headers, shared, projectors = buffers or self.buffers
-        parts = [(slots, layouts.private_layouts[kind].extractor._over((block,)))
-                 for (kind, slots, *_), block in zip(self.parts, blocks)]
-        header = layouts.private_layouts[0].header._over((headers,))
-        private = Net(GroupedExtractor(parts, len(self.ids)), header)
-        if shared is None:
-            return None, private, None
-        return (layouts.shared_layout._split(shared), private,
-                layouts.projector_layout._split(projectors))
+    def _piece(self, key: tuple) -> tuple:
+        """The plan piece of key, cut the first time it is asked for (_cut)."""
+        if key not in self.pieces:
+            self.pieces[key] = self._cut(key)
+        return self.pieces[key]
+
+    def _cut(self, key: tuple) -> tuple:
+        """Views of rows lo to hi of block kind, key (kind, lo, hi): its layers and its
+        (theta, gradient) pair.  Of slots a to b, key (a, b): the private header, the
+        shared model, the shared model's pairs and the projector, a header's or the
+        projector's (weight, gradient) being its pair too."""
+        if len(key) == 3:
+            kind, lo, hi = key
+            rows, scratch = self.buffers[kind][:, lo:hi]
+            return _layers(rows, scratch, self.spans[kind]), (rows, scratch)
+        a, b = key
+        h, s, p = (self.buffers[name][:, a:b] for name in ("headers", "shared", "projectors"))
+        extractor, top = tuple(s[..., : self.cut]), s[..., self.cut :]
+        head, shared_head, projector = (
+            tuple(v.reshape(2, b - a, *shape)) for v, shape in zip((h, top, p), self.shapes))
+        shared = [(None, _layers(*extractor, self.shared_spans))], shared_head
+        return head, shared, [extractor, shared_head], projector
 
     def evaluate(self, clients: list[ClientState], memo: np.ndarray, variant: InferenceVariant) -> None:
-        """Memoize the accuracies of all its clients with one infer on the views of all its slots.
+        """Memoize the accuracies of all its clients with one _predict on the plan of all its slots.
 
         Only if it has two or more slots (a stack of one saves no call),
         every client is stale and all share one non-zero test-set size; a
@@ -477,12 +521,12 @@ class _Workspace:
         # np.array of equal shapes is np.stack's result at a third of its cost.
         tests = np.array([c.test_x for c in members])
         try:
-            preds = infer(*self.models(members[0].population), tests, variant)
+            preds = _predict(self.plan(0, len(members)), tests, variant)
         except TrainingDiverged:
             return
-        # Each row's mean is evaluate's float(np.mean(...)) bit for bit: a
-        # sum of 0s and 1s is exact in any order, then one division.
-        memo[self.rows] = (preds == np.array([c.test_y for c in members])).mean(axis=-1)
+        # Each row is evaluate's count over its size: a count of hits, then one division.
+        hits = np.count_nonzero(preds == np.array([c.test_y for c in members]), axis=-1)
+        memo[self.rows] = hits / sizes.pop()
 
 
 class _Cohort:
@@ -491,10 +535,11 @@ class _Cohort:
     Clients sit in slots ordered by training-set size, largest first,
     then by id, so the clients that take a batch of the same size at a
     step fill a contiguous run of slots, and so do a run's slots of each
-    architecture.  A run trains on the workspace's plan of it, and
-    cohort_update scatters the rows back once every client has trained.
-    A failed check raises at once and leaves the workspace half-trained;
-    the next cohort gathers over it.
+    architecture.  The cohort gathers into the population's workspace, a
+    run trains on the workspace's plan of it, and cohort_update scatters
+    the rows back once every client has trained.  A failed check raises
+    at once and leaves the workspace half-trained; the next cohort
+    gathers over it.
     """
 
     def __init__(self, population: Population, clients: list[ClientState], mode: Mode,
@@ -507,13 +552,11 @@ class _Cohort:
         self.mode, self.lrs = mode, lrs
         self.weights = LossWeights(0.0, 1.0) if mode is Mode.NO_MRL else weights  # the ablation
         self.epoch_means: list[list[float]] = [[] for _ in self.clients]
-        key = (tuple(c.client_id for c in self.clients), mode is Mode.STANDALONE)
-        workspace = population._workspace
-        if workspace is not None and workspace.key == key:
-            workspace.gather(population)
-        else:
-            workspace = population._workspace = _Workspace(population, *key)
-        self.workspace = workspace
+        if population._workspace is None:
+            population._workspace = _Workspace(population)
+        self.workspace = population._workspace
+        ids = tuple(c.client_id for c in self.clients)
+        self.workspace.gather(population, ids, mode is Mode.STANDALONE)
 
     def train(self, epochs: int, batch_size: int) -> None:
         sizes = [c.n_samples for c in self.clients]
@@ -704,8 +747,8 @@ def _accuracies(clients: list[ClientState], variant: InferenceVariant) -> tuple[
     Call it only right after the round's cohort has scattered its workspace,
     which then holds its clients' current rows: the stale ones among them
     are evaluated in one stack on it (_Workspace.evaluate), the rest one by
-    one in ascending id order, so a failure raises the error of the lowest-id
-    client that fails.
+    one on their cached plans (metrics.evaluate) in ascending id order, so a
+    failure raises the error of the lowest-id client that fails.
     """
     population = _population(clients)
     memo = population.accuracy.setdefault(variant, np.full(len(population.headers), np.nan))

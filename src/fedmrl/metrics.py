@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import InferenceVariant, Mode, Projector, TrainingDiverged, infer
+from .core import InferenceVariant, Mode, Projector, TrainingDiverged, _predict
 from .models import Net
 
 if TYPE_CHECKING:  # pragma: no cover - only for annotations
@@ -56,18 +56,21 @@ class RoundReport:
 def evaluate(client: "ClientState", variant: InferenceVariant) -> float:
     """Fraction of the client's test samples predicted correctly.
 
-    Raises TrainingDiverged naming the client if its logits are not finite.
+    Predicts on the client's inference plan, which its population caches
+    (Population._inference_plan).  The count of hits over the size is
+    float(np.mean(hits)) bit for bit: a sum of 0s and 1s is exact, then
+    one division.  Raises TrainingDiverged naming the client if its
+    logits are not finite.
     """
     if client.test_y.size == 0:
         raise ValueError(f"client {client.client_id} has an empty test set")
     try:
-        preds = infer(
-            client.global_copy, client.local_model, client.projector, client.test_x, variant
-        )
+        plan = client.population._inference_plan(client.client_id)
+        preds = _predict(plan, client.test_x, variant)
     except TrainingDiverged as exc:
         where = f"client {client.client_id}: {exc}"
         raise TrainingDiverged(where, exc.group, client.client_id) from exc
-    return float(np.mean(preds == client.test_y))
+    return np.count_nonzero(preds == client.test_y) / client.test_y.size
 
 
 def comm_cost_round(shared_params: int, participants: int) -> tuple[int, int]:
@@ -89,7 +92,8 @@ def affine_forward_flops(in_dim: int, out_dim: int, samples: int = 1) -> int:
 
 
 def _extractor_forward_flops(extractor) -> int:
-    return sum(affine_forward_flops(l.in_dim, l.out_dim) for l in extractor.layers)
+    """Read from the extractor's layout (see models): (.., out, in, ..) per layer."""
+    return sum(affine_forward_flops(inp, out) for _, _, _, out, inp, _ in extractor._spans)
 
 
 def forward_flops_per_sample(

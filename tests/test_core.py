@@ -19,15 +19,21 @@ from fedmrl.core import (
     init_projector,
     loss_gradients,
     lr_bound,
-    matryoshka_prefixes,
     parameter_vector,
-    project,
-    splice,
     train_step,
     train_step_single,
     with_parameter_vector,
 )
-from fedmrl.models import GroupedExtractor, Header, ModelConfig, Net, init_model
+from fedmrl.models import (
+    IDENTITY,
+    AffineLayer,
+    Extractor,
+    GroupedExtractor,
+    Header,
+    ModelConfig,
+    Net,
+    init_model,
+)
 from fedmrl.numerics import (
     NonFiniteError,
     ShapeError,
@@ -64,29 +70,61 @@ def tiny_batch(seed=0, n=5, input_dim=INPUT, classes=CLASSES):
     return rng.normal(size=(n, input_dim)), rng.integers(0, classes, size=n)
 
 
-def test_splice_puts_global_part_first():
-    rep_g = np.array([[1.0, 2.0]])
-    rep_f = np.array([[10.0, 20.0, 30.0]])
-    assert np.array_equal(splice(rep_g, rep_f), [[1.0, 2.0, 10.0, 20.0, 30.0]])
-    with pytest.raises(ShapeError):
-        splice(rep_g, np.zeros((2, 3)))
+def hand_models(rep_global, rep_local, mix, head_global, head_local):
+    """Models whose extractors map the one input column 1.0 to the given
+    representations (one identity layer each, no bias), with the given
+    projector and header weights."""
+
+    def net(rep, head):
+        layer = AffineLayer(np.array(rep, dtype=np.float64)[:, None], None, IDENTITY)
+        return Net(Extractor([layer]), Header(np.array(head, dtype=np.float64)))
+
+    projector = Projector(np.array(mix, dtype=np.float64))
+    return net(rep_global, head_global), net(rep_local, head_local), projector
 
 
-def test_project_tiny_hand_case():
-    # W row i dotted with the spliced row: [1,0,1] and [0,2,0].
-    p = Projector(np.array([[1.0, 0.0, 1.0], [0.0, 2.0, 0.0]]))
-    spliced = np.array([[3.0, 4.0, 5.0]])
-    assert np.array_equal(project(p, spliced), [[8.0, 8.0]])
+def cross_entropy(logits, label):
+    return math.log(sum(math.exp(v) for v in logits)) - logits[label]
+
+
+ONE = np.ones((1, 1))
+LOCAL_ONLY, GLOBAL_ONLY = LossWeights(0.0, 1.0), LossWeights(1.0, 0.0)
+
+
+def test_the_splice_puts_the_global_part_first():
+    # spliced = [2 | 5, 1]; the projector keeps columns 0 and 2, and the
+    # identity local header reads fused = [2, 1].  Local part first, the
+    # spliced row would be [5, 1, 2] and fused [5, 2].
+    g, f, p = hand_models([2.0], [5.0, 1.0], [[1, 0, 0], [0, 0, 1]], [[1.0], [0.0]], np.eye(2))
+    total, (loss_g, loss_f) = forward_loss(g, f, p, ONE, np.array([1]), LOCAL_ONLY)
+    assert loss_g is None and total == loss_f
+    assert math.isclose(loss_f, cross_entropy([2.0, 1.0], 1), rel_tol=1e-12)
+    assert infer(g, f, p, ONE).tolist() == [0]
+
+
+def test_the_projector_mixes_a_tiny_hand_case():
+    # W row i dotted with the spliced row [3 | 4, 5]: [1,0,1] and [0,2,0]
+    # give fused [8, 8], which the local header reads as logits [8, 8, 0].
+    mix = [[1.0, 0.0, 1.0], [0.0, 2.0, 0.0]]
+    g, f, p = hand_models([3.0], [4.0, 5.0], mix, [[0.0], [0.0], [1.0]], [[1, 0], [0, 1], [0, 0]])
     assert p.d2 == 2 and p.d1 == 1
+    total, _ = forward_loss(g, f, p, ONE, np.array([2]), LOCAL_ONLY)
+    assert math.isclose(total, cross_entropy([8.0, 8.0, 0.0], 2), rel_tol=1e-12)
 
 
-def test_matryoshka_prefixes_share_storage_with_fused():
-    fused = np.arange(12, dtype=np.float64).reshape(3, 4)
-    low, full = matryoshka_prefixes(fused, 2)
-    assert np.array_equal(low, fused[:, :2])
-    assert full is fused  # the full view is the fused row itself
-    with pytest.raises(ShapeError):
-        matryoshka_prefixes(fused, 5)
+def test_the_global_head_reads_the_d1_prefix_of_the_fused_row():
+    # fused = [9, 8]: the global header reads [9] only, the local header
+    # both columns, so MIX_SMALL and MIX_LARGE pick different classes.
+    mix = [[1.0, 0.0, 1.0], [0.0, 2.0, 0.0]]
+    g, f, p = hand_models([3.0], [4.0, 6.0], mix, [[1.0], [0.0], [-1.0]], [[0, 1], [1, 0], [0, 0]])
+    total, (loss_g, _) = forward_loss(g, f, p, ONE, np.array([1]), GLOBAL_ONLY)
+    assert math.isclose(loss_g, cross_entropy([9.0, 0.0, -9.0], 1), rel_tol=1e-12)
+    assert total == loss_g
+    assert infer(g, f, p, ONE, InferenceVariant.MIX_SMALL).tolist() == [0]
+    assert infer(g, f, p, ONE, InferenceVariant.MIX_LARGE).tolist() == [1]
+    # The second fused column is out of the global head's sight.
+    g, f, p = hand_models([3.0], [-50.0, 6.0], mix, g.header.weight, f.header.weight)
+    assert forward_loss(g, f, p, ONE, np.array([1]), GLOBAL_ONLY)[1][0] == loss_g
 
 
 def test_dimension_chain_is_validated():
@@ -471,5 +509,9 @@ def test_lr_bound_requires_epsilon_above_variation():
 def test_projector_selection_shape():
     sel = selection(2, 3)
     assert sel.weight.shape == (3, 5)
-    spliced = np.array([[9.0, 9.0, 1.0, 2.0, 3.0]])
-    assert np.array_equal(project(sel, spliced), [[1.0, 2.0, 3.0]])
+    # The selection passes the local representation through unchanged, so
+    # the mixed prediction is the private model's alone.
+    g, f, _ = tiny_models(seed=12, d1=2, d2=3)
+    x, _ = tiny_batch(seed=12, n=32)
+    mixed = infer(g, f, sel, x, InferenceVariant.MIX_LARGE)
+    assert np.array_equal(mixed, infer(g, f, sel, x, InferenceVariant.SINGLE_LARGE))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fedmrl import federation, metrics, models, numerics
+from fedmrl import core, federation, metrics, models, numerics
 from fedmrl.config import build_run_config, load_config, override
 from fedmrl.core import (
     InferenceVariant,
@@ -630,17 +630,18 @@ def test_evaluation_reuse_matches_evaluating_every_client(
 
 
 def _count_inference(monkeypatch, clients):
-    """A list that gains, at each infer call, alone (metrics.evaluate) or stacked
-    (run_rounds on the cohort's views), the ids of the clients whose test sets it reads."""
+    """A list that gains, at each core._predict call, alone (metrics.evaluate) or
+    stacked (run_rounds on the cohort's plan), the ids of the clients whose test sets
+    it reads."""
     calls = []
 
-    def counting(global_model, local_model, projector, x, variant):
+    def counting(plan, x, variant):
         tests = x if x.ndim == 3 else [x]
         calls.append([c.client_id for t in tests for c in clients if np.array_equal(c.test_x, t)])
-        return infer(global_model, local_model, projector, x, variant)
+        return core._predict(plan, x, variant)
 
-    monkeypatch.setattr(federation, "infer", counting)
-    monkeypatch.setattr(metrics, "infer", counting)
+    monkeypatch.setattr(federation, "_predict", counting)
+    monkeypatch.setattr(metrics, "_predict", counting)
     return calls
 
 
@@ -1087,9 +1088,7 @@ def test_uploads_keep_their_values_after_the_next_cohort_of_the_same_clients():
 
 
 def _workspace_arrays(population):
-    workspace = population._workspace
-    blocks = [block for *_, block in workspace.parts]
-    return [*blocks, workspace.headers, workspace.shared, workspace.projectors]
+    return [array for pair in population._workspace.buffers.values() for array in pair]
 
 
 def _population_arrays(population):
@@ -1284,3 +1283,126 @@ def test_a_cohort_rejects_labels_out_of_range_before_its_steps(label):
         cohort_update(clients, 1, 8, cfg.lrs, Mode.FEDMRL, LossWeights())
     for client, arrays in zip(clients, before):
         assert _same_arrays(_client_arrays(client), arrays)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    first=st.lists(st.integers(0, 7), min_size=1, max_size=3, unique=True),
+    middle=st.lists(
+        st.tuples(
+            st.lists(st.integers(0, 7), min_size=1, max_size=7, unique=True),
+            st.sampled_from(list(Mode)),
+        ),
+        max_size=3,
+    ),
+    modes=st.tuples(st.sampled_from(list(Mode)), st.sampled_from(list(Mode))),
+    epochs=st.integers(1, 2),
+    batch_size=st.sampled_from([3, 8]),
+)
+def test_a_reused_workspace_trains_like_fresh_populations(first, middle, modes, epochs, batch_size):
+    # One population runs every cohort on its one workspace; each cohort
+    # also runs on a fresh deep copy of the clients taken just before it.
+    # The last cohort, all eight clients, is larger than any before it, so
+    # it regrows every buffer: a piece cached on an old buffer would step
+    # rows that the cohort never scatters.
+    cohorts = [(first, modes[0]), *middle, (list(range(8)), modes[1])]
+    cfg, dataset, plan = small_setup(n_clients=8, local_hidden=((12,), (10,), (9,)))
+    _, clients = build_clients(cfg, dataset, plan)
+    for ids, mode in cohorts:
+        fresh = copy.deepcopy(clients)
+        args = (epochs, batch_size, cfg.lrs, mode, cfg.loss_weights)
+        results = cohort_update([clients[i] for i in ids], *args)
+        expected = cohort_update([fresh[i] for i in ids], *args)
+        for (upload, means), (fresh_upload, fresh_means) in zip(results, expected):
+            assert repr(means) == repr(fresh_means)
+            assert (upload is None) == (fresh_upload is None)
+            if upload is not None:
+                assert (upload.client_id, upload.n_samples) == (
+                    fresh_upload.client_id, fresh_upload.n_samples)
+                assert _same_arrays(upload.model._segments(), fresh_upload.model._segments())
+        mine, theirs = clients[0].population, fresh[0].population
+        assert _same_arrays(_population_arrays(mine), _population_arrays(theirs))
+        assert [c.rng.bit_generator.state for c in clients] == [
+            c.rng.bit_generator.state for c in fresh]
+
+
+def test_evaluation_predicts_on_each_clients_cached_plan():
+    # The plan a population caches for a client views its rows, so after
+    # each writer (broadcast, a cohort's scatter, assignment to a model
+    # field) it predicts what infer predicts on the client's views.
+    cfg, dataset, plan = small_setup(n_clients=4)
+    server, clients = build_clients(cfg, dataset, plan)
+    population = clients[0].population
+    plans = [population._inference_plan(c.client_id) for c in clients]
+
+    def predictions():
+        found = []
+        for client, plan in zip(clients, plans):
+            assert population._inference_plan(client.client_id) is plan
+            views = (client.global_copy, client.local_model, client.projector)
+            for variant in InferenceVariant:
+                mine = core._predict(plan, client.test_x, variant)
+                assert np.array_equal(mine, infer(*views, client.test_x, variant))
+                found.append(mine)
+        return found
+
+    before = predictions()
+    flipped = server.global_model.clone()
+    flipped.header.weight[...] *= -1
+    server.global_model = flipped
+    broadcast(server, clients[:2])
+    after = predictions()
+    small = list(InferenceVariant).index(InferenceVariant.SINGLE_SMALL)
+    assert not np.array_equal(before[small], after[small])  # the plan saw the write
+    cohort_update(clients[1:3], 1, 8, cfg.lrs, Mode.FEDMRL, cfg.loss_weights)
+    predictions()
+    local = clients[3].local_model.clone()
+    local.header.weight[...] *= -1
+    clients[3].local_model = local
+    predictions()
+    for twin in (copy.deepcopy(clients), pickle.loads(pickle.dumps(clients))):
+        assert twin[0].population._plans == {}
+        assert evaluate(twin[3], MIX_LARGE) == evaluate(clients[3], MIX_LARGE)
+
+
+MANY_DIRICHLET = Path(__file__).parents[1] / "bench" / "workloads" / "many-dirichlet.cfg"
+
+
+def test_a_many_dirichlet_run_builds_each_plan_and_piece_once():
+    # Counts, no timing: every evaluation plan is a client's cached plan,
+    # made at most once per client, and every plan piece is cut at most once
+    # per key.  A second run of the same cohorts on the same population (the
+    # server and the clients' rngs back at their start) builds neither.
+    config = override(load_config(MANY_DIRICHLET), seed=0)
+    dataset = load_dataset(config)
+    cfg = build_run_config(config)
+    server, clients = build_clients(cfg, dataset, build_partition(config, dataset))
+    start = copy.deepcopy((server, [c.rng for c in clients]))
+    plan, cut = core._plan.__code__, federation._Workspace._cut.__code__
+
+    def run(server):
+        plans, pieces = [], []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is plan:
+                caller = frame.f_back
+                plans.append((caller.f_code.co_qualname, caller.f_locals.get("ident")))
+            elif event == "call" and frame.f_code is cut:
+                pieces.append(frame.f_locals["key"])
+
+        sys.setprofile(profile)
+        try:
+            run_rounds(server, clients, cfg)
+        finally:
+            sys.setprofile(None)
+        return plans, pieces
+
+    plans, pieces = run(server)
+    assert plans and pieces
+    assert {caller for caller, _ in plans} == {"Population._inference_plan"}
+    assert len({ident for _, ident in plans}) == len(plans) <= cfg.n_clients
+    assert len(set(pieces)) == len(pieces)
+    server, rngs = start
+    for client, rng in zip(clients, rngs):
+        client.rng = rng
+    assert run(server) == ([], [])

@@ -132,6 +132,22 @@ def test_flops_closed_form_tiny_network():
     assert per_sample == expected
 
 
+def test_forward_flops_of_a_mixed_population_are_pinned_in_every_mode():
+    # Private extractors of one, two and three layers, and a two-hidden-layer
+    # shared extractor: (FEDMRL, NO_MRL, STANDALONE) per client, as the
+    # formula over each layer's (in, out) gave them before the ledger read
+    # the extractors' layouts.
+    _, _, _, clients = setup_states(
+        n_clients=3, global_hidden=(6, 3), local_hidden=((8,), (7, 5), ())
+    )
+    modes = (Mode.FEDMRL, Mode.NO_MRL, Mode.STANDALONE)
+    flops = [
+        [forward_flops_per_sample(c.global_copy, c.local_model, c.projector, m) for m in modes]
+        for c in clients
+    ]
+    assert flops == [[308, 296, 152], [346, 334, 190], [212, 200, 56]]
+
+
 def test_export_csv_layout_and_stability(tmp_path):
     reports = sample_reports()
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
