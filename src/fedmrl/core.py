@@ -293,6 +293,10 @@ class _Plan:
     (slots, layers) per extractor part: slots are the part's clients in
     the stack, read when there are two or more parts, and layers hold
     each layer's (weight, bias, weight gradient, bias gradient, relu).
+    slots index the batch, the representation and its gradient: an index
+    array, or a slice for consecutive clients, whose batch and gradient
+    rows are then views and whose representation is written by basic
+    assignment.
     head and projector are (weight, gradient).  shared and projector are
     None to train the private model alone.  groups holds the (theta,
     gradient) pairs of the global, local and projector groups, views of

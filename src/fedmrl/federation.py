@@ -23,16 +23,20 @@ population keeps one workspace (_Workspace) for all its cohorts: buffers
 with room for the largest cohort so far, which every cohort gathers into
 with np.take(out=), plan pieces cached by rows, and each run's plan, put
 together from pieces and kept while the cohort's composition stays the
-same.  Uploads view a copy of the trained shared rows.  Each client draws
+same.  Uploads view a copy of the trained shared rows.  A step writes its
+losses into the epoch's loss ledger, one (clients, batches) array, and
+each client's epoch mean is one reduction of its row.  Each client draws
 its epoch permutations from its own rng, and the result is bit-identical
 to a cohort of one for each client, because of three rules:
 
 * every stacked product is one BLAS call per client slice, on C-order
   matrices, and every reduction runs within a slice (see core);
 * clients are grouped by batch size at each step (ordering the cohort by
-  shard size, largest first, makes each group a contiguous run of
-  slots), so a short final batch is never zero-padded: padding the rows
-  of a product changes how OpenBLAS rounds it;
+  shard size, largest first, then by architecture, makes each group a
+  contiguous run of slots, and the clients of one size and architecture
+  a range of it, which a step reads and writes through views), so a
+  short final batch is never zero-padded: padding the rows of a product
+  changes how OpenBLAS rounds it;
 * a cohort that fails is replayed as cohorts of one in ascending id
   order, from the rng states it started with and on copies of the
   clients, so the error raised, and every client's rng, are those of a
@@ -69,9 +73,9 @@ from dataclasses import astuple, dataclass, field
 import numpy as np
 
 from .core import InferenceVariant, LearningRates, LossWeights, Mode, Projector, TrainingDiverged
-from .core import _Plan, _layers, _plan, _predict, _train, init_projector
+from .core import _Plan, _layers, _mean, _plan, _predict, _train, init_projector
 from .data import LabeledDataset, PartitionPlan
-from .metrics import RoundReport, comm_cost_round, evaluate, flops_round
+from .metrics import RoundReport, comm_cost_round, evaluate, forward_flops_per_sample
 from .models import ModelConfig, Net, init_model
 from .numerics import ShapeError, _check_lr, _labels, derive_rng
 
@@ -156,10 +160,11 @@ class Population:
     stay valid.  accuracy maps an inference variant to every client's
     memoized test accuracy (N,), NaN where it is not known; wrote is the
     one way to record a write into the rows.  _views and _plans cache each
-    client's models and inference plan, views of its rows, and
-    _workspace is the room every cohort trains in (_Workspace).  A deep
-    or pickled copy views its own buffers and memo and starts without
-    cached views, plans or workspace.
+    client's models and inference plan, views of its rows, _flops the
+    per-sample training FLOPs of each (kind, mode), and _workspace is the
+    room every cohort trains in (_Workspace).  A deep or pickled copy
+    views its own buffers and memo and starts without cached views, plans
+    or workspace.
     """
 
     def __init__(self, shared: Net, private: list[Net], projectors: list[Projector]):
@@ -178,6 +183,7 @@ class Population:
         self.accuracy: dict[InferenceVariant, np.ndarray] = {}
         self._views: dict[int, tuple[Net, Net, Projector]] = {}
         self._plans: dict[int, _Plan] = {}
+        self._flops: dict[tuple[int, Mode], int] = {}
         self._workspace: _Workspace | None = None
 
     def wrote(self, ids) -> None:
@@ -202,6 +208,14 @@ class Population:
         if ident not in self._plans:
             self._plans[ident] = _plan(self._models(ident))
         return self._plans[ident]
+
+    def _flops_per_sample(self, ident: int, mode: Mode) -> int:
+        """Client ident's forward FLOPs per sample under mode, counted once per (kind, mode)."""
+        key = self.place[ident][0], mode
+        if key not in self._flops:
+            self._flops[key] = forward_flops_per_sample(
+                self.shared_layout, self.private_layouts[key[0]], self.projector_layout, mode)
+        return self._flops[key]
 
     def __getstate__(self):
         return {**self.__dict__, "_views": {}, "_plans": {}, "_workspace": None}
@@ -387,13 +401,13 @@ def cohort_update(
     # and not the workspace's, which the next cohort gathers into.
     shared = cohort.workspace.shared
     shared = None if shared is None else shared.copy()
-    results = {}
+    means, results = cohort.epoch_means.tolist(), {}
     for slot, client in enumerate(cohort.clients):
         upload = None
         if shared is not None:
             model = population.shared_layout._split(shared[slot])
             upload = Upload(client.client_id, client.n_samples, model)
-        results[client.client_id] = (upload, cohort.epoch_means[slot])
+        results[client.client_id] = (upload, means[slot])
     return [results[ident] for ident in ids]
 
 
@@ -465,7 +479,9 @@ class _Workspace:
 
     def plan(self, a: int, b: int) -> _Plan:
         """The step plan of slots a to b, put together from pieces the first time it is
-        asked for under the cohort's composition."""
+        asked for under the cohort's composition.  A part's slots are a slice where
+        they are consecutive, so a step reads and writes them through views, and an
+        index array where they are not."""
         plan = self.plans.get((a, b))
         if plan is None:
             parts, local = [], []
@@ -473,7 +489,10 @@ class _Workspace:
                 lo, hi = bisect.bisect_left(slots, a), bisect.bisect_left(slots, b)
                 if lo < hi:
                     layers, pair = self._piece((kind, lo, hi))
-                    parts.append((array[lo:hi] - a, layers))
+                    first = slots[lo] - a
+                    consecutive = slots[hi - 1] - slots[lo] == hi - lo - 1
+                    parts.append((slice(first, first + hi - lo) if consecutive
+                                  else array[lo:hi] - a, layers))
                     local.append(pair)
             head, shared, shared_pairs, projector = self._piece((a, b))
             groups = (shared_pairs, [*local, head], [projector])
@@ -533,25 +552,28 @@ class _Cohort:
     """The clients that train in lockstep, on the population's workspace.
 
     Clients sit in slots ordered by training-set size, largest first,
-    then by id, so the clients that take a batch of the same size at a
-    step fill a contiguous run of slots, and so do a run's slots of each
-    architecture.  The cohort gathers into the population's workspace, a
-    run trains on the workspace's plan of it, and cohort_update scatters
-    the rows back once every client has trained.  A failed check raises
-    at once and leaves the workspace half-trained; the next cohort
-    gathers over it.
+    then by architecture (kind), then by id, so the clients that take a
+    batch of the same size at a step fill a contiguous run of slots, and
+    the clients of one size and kind a slice of it.  The cohort gathers
+    into the population's workspace, a run trains on the workspace's plan
+    of it, and cohort_update scatters the rows back once every client has
+    trained.  epoch_means is then a (clients, epochs) array in slot order.
+    A failed check raises at once and leaves the workspace half-trained;
+    the next cohort gathers over it.
     """
 
     def __init__(self, population: Population, clients: list[ClientState], mode: Mode,
                  lrs: LearningRates, weights: LossWeights):
-        self.clients = sorted(clients, key=lambda c: (-c.n_samples, c.client_id))
+        place = population.place
+        self.clients = sorted(
+            clients, key=lambda c: (-c.n_samples, place[c.client_id][0], c.client_id))
         if self.clients[-1].n_samples == 0:
             raise ValueError(f"client {self.clients[-1].client_id} has no training samples")
-        for client in self.clients:  # once here, as the steps read labels unchecked
-            _labels(client.train_y, client.n_samples, population.private_layouts[0].classes)
+        # Once here, over all the cohort's labels, as the steps read labels unchecked.
+        labels = np.concatenate([c.train_y for c in self.clients], axis=None)
+        _labels(labels, labels.size, population.private_layouts[0].classes)
         self.mode, self.lrs = mode, lrs
         self.weights = LossWeights(0.0, 1.0) if mode is Mode.NO_MRL else weights  # the ablation
-        self.epoch_means: list[list[float]] = [[] for _ in self.clients]
         if population._workspace is None:
             population._workspace = _Workspace(population)
         self.workspace = population._workspace
@@ -559,22 +581,31 @@ class _Cohort:
         self.workspace.gather(population, ids, mode is Mode.STANDALONE)
 
     def train(self, epochs: int, batch_size: int) -> None:
+        """Train every client for epochs, and write each client's epoch mean losses
+        into epoch_means.  An epoch's ledger holds the loss of each slot's batches,
+        so a client's losses are the first `count` entries of its row, and their
+        mean (core._mean: a sum of the row, then one division) is np.mean of the
+        list of them bit for bit."""
         sizes = [c.n_samples for c in self.clients]
-        shape = (len(sizes), max(sizes))
+        shape = (len(sizes), sizes[0])
         width = self.clients[0].train_x.shape[1]
-        for _ in range(epochs):
+        counts = [-(-size // batch_size) for size in sizes]
+        groups = self._runs(counts, 0, counts[0])  # the runs of slots with equal batch counts
+        self.epoch_means = np.empty((len(sizes), epochs))
+        for epoch in range(epochs):
             x, y = np.empty((*shape, width)), np.empty(shape, dtype=np.int64)
             for i, client in enumerate(self.clients):
                 order = client.rng.permutation(sizes[i])
                 x[i, : sizes[i]] = client.train_x[order]
                 y[i, : sizes[i]] = client.train_y[order]
-            batch_losses = [[] for _ in sizes]
+            ledger = np.empty((len(sizes), counts[0]))
             for start in range(0, shape[1], batch_size):
+                losses = ledger[:, start // batch_size]
                 for a, b, rows in self._runs(sizes, start, batch_size):
                     window = slice(start, start + rows)
-                    self._step(a, b, x[a:b, window], y[a:b, window], batch_losses)
-            for means, losses in zip(self.epoch_means, batch_losses):
-                means.append(float(np.mean(losses)))
+                    self._step(a, b, x[a:b, window], y[a:b, window], losses)
+            for a, b, count in groups:
+                self.epoch_means[a:b, epoch] = _mean(ledger[a:b, :count])
 
     def _runs(self, sizes: list[int], start: int, batch_size: int) -> list[list[int]]:
         """[first, stop, rows] of each run of slots whose batch at this offset has `rows` rows."""
@@ -589,11 +620,10 @@ class _Cohort:
                 runs.append([i, i + 1, rows])
         return runs
 
-    def _step(self, a, b, x, y, batch_losses) -> None:
-        """Train slots a to b on one batch each: one step of their plan, in place on the rows."""
-        loss, _ = _train(self.workspace.plan(a, b), x, y, self.weights, self.lrs)
-        for losses, value in zip(batch_losses[a:b], loss.tolist()):
-            losses.append(value)
+    def _step(self, a, b, x, y, losses) -> None:
+        """Train slots a to b on one batch each: one step of their plan, in place on the
+        rows.  Writes their losses into losses[a:b], the ledger's column of the batch."""
+        losses[a:b], _ = _train(self.workspace.plan(a, b), x, y, self.weights, self.lrs)
 
 
 def _population(clients: list[ClientState]) -> Population:
@@ -690,9 +720,6 @@ def run_rounds(
                     participants = sample_clients(server, config.n_clients, config.participants)
                     broadcast(server, [clients[i] for i in participants])
 
-                uploads = []
-                client_losses = []
-                round_flops = 0
                 updates = cohort_update(
                     [clients[i] for i in participants],
                     config.local_epochs,
@@ -701,20 +728,12 @@ def run_rounds(
                     config.mode,
                     config.loss_weights,
                 )
-                for ident, (upload, epoch_means) in zip(participants, updates):
-                    client = clients[ident]
-                    if upload is not None:
-                        uploads.append(upload)
-                    if epoch_means:
-                        client_losses.append(float(np.mean(epoch_means)))
-                    round_flops += flops_round(
-                        client.global_copy,
-                        client.local_model,
-                        client.projector,
-                        client.n_samples,
-                        config.local_epochs,
-                        config.mode,
-                    )
+                uploads = [upload for upload, _ in updates if upload is not None]
+                losses = np.array([epoch_means for _, epoch_means in updates])  # (K, epochs)
+                # metrics.flops_round of each participant: 3x forward per sample seen.
+                round_flops = 3 * config.local_epochs * sum(
+                    clients[i].population._flops_per_sample(i, config.mode) * clients[i].n_samples
+                    for i in participants)
 
                 if standalone:
                     uplink = downlink = 0
@@ -731,7 +750,8 @@ def run_rounds(
                     round=round_index,
                     avg_test_accuracy=float(np.mean(accuracies)),
                     per_client_accuracy=accuracies,
-                    mean_train_loss=float(np.mean(client_losses)) if client_losses else math.nan,
+                    # _mean of a row is np.mean of the client's epoch means, bit for bit.
+                    mean_train_loss=float(np.mean(_mean(losses))) if losses.size else math.nan,
                     uplink_params=uplink,
                     downlink_params=downlink,
                     flops=round_flops,

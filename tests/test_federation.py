@@ -991,6 +991,11 @@ def test_a_failed_cohort_leaves_every_rng_where_cohorts_of_one_stop(mode):
     assert [s == s0 for s, s0 in zip(states, start)] == [False, False, True, True]
 
 
+# The slot order of a quickstart cohort: equal shards, sorted by architecture
+# (client i has architecture i mod 5), then by id.
+QUICKSTART_SLOTS = [0, 5, 1, 6, 2, 7, 3, 8, 4, 9]
+
+
 def _equal_shards(with_server=False):
     config = load_config(QUICKSTART)
     dataset = load_dataset(config)
@@ -1013,8 +1018,7 @@ def test_uploads_alias_no_client(cohort):
 
 @pytest.mark.parametrize("cohort", ["whole population", "first five"])
 def test_a_failed_cohort_of_equal_shards_changes_no_client(cohort):
-    # Equal shards keep the population's order, so the whole population's
-    # cohort gathers every row of every buffer in order.
+    # The whole population's cohort gathers every row of every buffer.
     cfg, clients = _equal_shards()
     clients[3].train_x = np.full_like(clients[3].train_x, np.nan)
     members = clients if cohort == "whole population" else clients[:5]
@@ -1123,7 +1127,7 @@ def test_a_cohort_of_equal_shards_is_evaluated_in_one_stacked_infer(monkeypatch,
     for _ in range(2):  # the second round reuses the first round's workspace
         calls.clear()
         (report,) = run_rounds(server, clients, cfg)
-        assert calls == [list(range(cfg.n_clients))]
+        assert calls == [QUICKSTART_SLOTS]
         assert report.per_client_accuracy == tuple(evaluate(c, variant) for c in clients)
 
 
@@ -1152,7 +1156,7 @@ def test_a_failed_stacked_evaluation_raises_what_the_ascending_loop_raises(
     # the sizes differ; then no stack is tried.
     with pytest.raises(error) as stacked:
         run_rounds(server, clients, dataclasses.replace(cfg, local_epochs=0))
-    stack = [] if empty else [list(range(cfg.n_clients))]
+    stack = [] if empty else [QUICKSTART_SLOTS]
     assert calls == [*stack, [0], [1]]
     assert str(stacked.value) == message
     with pytest.raises(error) as alone:
@@ -1406,3 +1410,86 @@ def test_a_many_dirichlet_run_builds_each_plan_and_piece_once():
     for client, rng in zip(clients, rngs):
         client.rng = rng
     assert run(server) == ([], [])
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_a_quickstart_cohort_steps_each_architecture_as_a_slice(mode):
+    # Equal shards sort by architecture, then id, so every private part of
+    # every run plan is a range of slots, held as a slice; and a step writes
+    # its losses into the loss ledger without ndarray.tolist.
+    cfg, clients = _equal_shards()
+    step, inside, steps, tolist = federation._Cohort._step.__code__, [0], [], []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is step:
+            inside[0] += 1
+            steps.append(1)
+        elif event == "return" and frame.f_code is step:
+            inside[0] -= 1
+        elif event == "c_call" and inside[0] and arg.__name__ == "tolist":
+            tolist.append(arg)
+
+    sys.setprofile(profile)
+    try:
+        cohort_update(clients, 2, 8, cfg.lrs, mode, cfg.loss_weights)
+    finally:
+        sys.setprofile(None)
+    assert steps and tolist == []
+    plans = clients[0].population._workspace.plans
+    assert plans
+    for plan in plans.values():
+        parts = plan.private[0]
+        assert len(parts) == 5 and all(isinstance(slots, slice) for slots, _ in parts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 30), min_size=1, max_size=6),
+    batch_size=st.integers(1, 9),
+    epochs=st.integers(1, 3),
+    mode=st.sampled_from(list(Mode)),
+)
+def test_the_loss_ledger_means_each_clients_losses_bit_for_bit(sizes, batch_size, epochs, mode):
+    # Ragged shards give rows of different lengths in one ledger.  Each
+    # client's epoch means are float(np.mean(losses)) of the losses the
+    # public step returns when the client steps alone through the same
+    # permutations, drawn from a copy of its rng.
+    cfg, dataset, plan = small_setup(n_clients=len(sizes))
+    _, clients = build_clients(cfg, dataset, plan)
+    for i, (client, size) in enumerate(zip(clients, sizes)):
+        rows = slice(13 * i, 13 * i + size)
+        client.train_x, client.train_y = dataset.features[rows], dataset.labels[rows]
+    alone = copy.deepcopy(clients)
+    results = cohort_update(clients, epochs, batch_size, cfg.lrs, mode, cfg.loss_weights)
+    for (_, means), twin in zip(results, alone):
+        expected = train_unstacked(twin, epochs, batch_size, cfg.lrs, mode, cfg.loss_weights)
+        assert len(means) == epochs
+        assert repr(means) == repr(expected)
+
+
+def test_a_population_counts_the_flops_of_each_architecture_once_per_mode():
+    # A client's per-sample FLOPs depend only on its architecture and the
+    # mode: forward_flops_per_sample runs once per (kind, mode) on one
+    # population, and each report's flops are still the sum of flops_round
+    # over the round's participants (here every client).
+    cfg, server, clients = _equal_shards(with_server=True)
+    code, counted = metrics.forward_flops_per_sample.__code__, []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            counted.append((frame.f_locals["local_model"].extractor._spans, frame.f_locals["mode"]))
+
+    for _ in range(2):  # the second pass counts nothing
+        for mode in Mode:
+            config = dataclasses.replace(cfg, mode=mode, rounds=2)
+            sys.setprofile(profile)
+            try:
+                reports = run_rounds(server, clients, config)
+            finally:
+                sys.setprofile(None)
+            expected = sum(
+                metrics.flops_round(c.global_copy, c.local_model, c.projector, c.n_samples,
+                                    config.local_epochs, mode) for c in clients)
+            assert [r.flops for r in reports] == [expected, expected]
+    kinds = {clients[0].population.place[c.client_id][0] for c in clients}
+    assert len(counted) == len(set(counted)) == len(kinds) * len(Mode) == 15
