@@ -30,15 +30,16 @@ with np.matmul and sum (out=), and SGD in place, theta -= lr * grad, with
 one isfinite per stepped vector.  It builds no model object and checks
 nothing but the learning rates and finiteness.  _predict runs the same
 forward on a plan and reads the logits of an inference variant.  The
-public functions check their inputs, build a plan over the models they
-are given (_plan) and run that same code; train_step and
-train_step_single step clones, so they are pure.  A plan is plain data,
-so it can also be put together from pieces: the cohort workspace (see
-federation) caches views of row ranges of its buffers, one piece per
-extractor part and one per run of slots, and puts each run's plan
-together from them, and the population caches each client's inference
-plan.  The tape, what the backward reads from the forward, never leaves
-the step that made it.
+public functions take one client's models and 2-D batches: they check
+their inputs, build a plan over the models they are given (_plan) and
+run that same code; train_step and train_step_single step clones, so
+they are pure.  Plans, not the public functions, run stacks of clients.
+A plan is plain data, so it can also be put together from pieces: the
+cohort workspace (see federation) caches views of row ranges of its
+buffers, one piece per extractor part and one per run of slots, and
+puts each run's plan together from them, and the population caches each
+client's inference plan.  The tape, what the backward reads from the
+forward, never leaves the step that made it.
 
 Each public function checks its inputs once.  The products inside run as
 bare ``@`` on C-order operands, a transposed weight or a column slice of
@@ -51,13 +52,12 @@ Finiteness is checked once per step: a non-finite loss, a stepped group
 non-finite logits, each raise a TrainingDiverged naming the check and,
 for a group, the group.
 
-Every function here also steps a cohort of clients at once: models
-stacked over a leading client axis of C, the private extractors grouped
-by shape in a GroupedExtractor, batches (C, n, in) and labels (C, n).
-Each product is then one BLAS call per client slice and each reduction
-runs within its slice, so every client's numbers are those of training
-it alone.  Losses come back as arrays of C, and a check fails if it
-fails for any client.
+A cohort's plan runs its clients as one stack: rows (C, ...) of every
+vector, the private extractor in one part per architecture, batches
+(C, n, in) and labels (C, n).  Each product is then one BLAS call per
+client slice and each reduction runs within its slice, so every client's
+numbers are those of training it alone.  Losses come back as arrays of
+C, and a check fails if it fails for any client.
 """
 
 from __future__ import annotations
@@ -67,9 +67,9 @@ from enum import Enum
 
 import numpy as np
 
-from .models import RELU, GroupedExtractor, Net, _Matrix
-from .numerics import NonFiniteError, ShapeError, _check_lr, _cross_entropy, _labels, _matrix
-from .numerics import _transposed
+from .models import RELU, Net, _Matrix
+from .numerics import NonFiniteError, ShapeError, _check_lr, _cross_entropy, _labels, _transposed
+from .numerics import as_matrix
 
 __all__ = [
     "Mode",
@@ -227,31 +227,19 @@ class GradientSet:
     projector: Projector
 
 
-def _lead(model) -> tuple[int, ...]:
-    """The client axes a model is stacked over, the same for all its parts."""
-    lead = model.header.lead
-    if model.extractor.lead != lead:
-        raise ShapeError(f"extractor stacks over {model.extractor.lead}, header over {lead}")
-    return lead
-
-
-def _check_dims(global_model: Net, local_model: Net, projector: Projector) -> tuple[int, ...]:
-    """The client axes of three models checked to fit together."""
+def _check_dims(global_model: Net, local_model: Net, projector: Projector) -> None:
+    """Check that three models fit together."""
     widths = global_model.extractor.input_dim, local_model.extractor.input_dim
     if widths[0] != widths[1]:
         raise ShapeError(f"the extractors read {widths[0]} and {widths[1]} input columns")
     d1, d2 = global_model.rep_dim, local_model.rep_dim
     if d1 > d2:
         raise ShapeError(f"global width d1={d1} must not exceed local width d2={d2}")
-    if projector.weight.shape[-2:] != (d2, d1 + d2):
+    if projector.weight.shape != (d2, d1 + d2):
         raise ShapeError(f"projector shape {projector.weight.shape} != expected ({d2}, {d1 + d2})")
     classes = global_model.header.classes, local_model.header.classes
     if classes[0] != classes[1]:
         raise ShapeError(f"headers disagree on classes: {classes[0]} != {classes[1]}")
-    lead = projector.lead
-    if _lead(global_model) != lead or _lead(local_model) != lead:
-        raise ShapeError("the models are not stacked over the same clients")
-    return lead
 
 
 def _mean(losses: np.ndarray) -> np.ndarray:
@@ -315,27 +303,21 @@ class _Plan:
 def _layers(flat, grad, spans) -> list:
     """The layers of a plan part: views of an extractor's vector flat, laid out by
     spans (see models), and of its gradient grad (None to infer only)."""
-    lead, layers = flat.shape[:-1], []
+    stack, layers = flat.shape[:-1], []
     for start, stop, end, out, inp, activation in spans:
         cuts = ((start, stop, (out, inp)), (stop, end, (1, out)))  # weight, then bias
-        views = [None if v is None or b is None else v[..., a:b].reshape(*lead, *shape)
+        views = [None if v is None or b is None else v[..., a:b].reshape(*stack, *shape)
                  for v in (flat, grad) for a, b, shape in cuts]
         layers.append((*views, activation == RELU))
     return layers
 
 
-def _parts(extractor) -> list:
-    """A GroupedExtractor's (slots, Extractor) parts, or an Extractor as the one part."""
-    return extractor.parts if isinstance(extractor, GroupedExtractor) else [(None, extractor)]
-
-
 def _model(model: Net, grads: Net | None) -> tuple:
-    """A Net's (parts, head) for a plan, with gradient views of grads (None to infer only)."""
-    parts = _parts(model.extractor)
-    grad_parts = [(None, None)] * len(parts) if grads is None else _parts(grads.extractor)
-    layers = [(slots, _layers(ex._flat, g and g._flat, ex._spans))
-              for (slots, ex), (_, g) in zip(parts, grad_parts)]
-    return layers, (model.header.weight, grads and grads.header.weight)
+    """A Net's (parts, head) for a plan, its extractor the one part, with gradient
+    views of grads (None to infer only)."""
+    extractor = model.extractor
+    layers = _layers(extractor._flat, grads and grads.extractor._flat, extractor._spans)
+    return [(None, layers)], (model.header.weight, grads and grads.header.weight)
 
 
 def _plan(models: tuple, grads: tuple = (None, None, None)) -> _Plan:
@@ -472,13 +454,12 @@ def _train(plan: _Plan, x, y, weights: LossWeights | None, lrs: LearningRates):
 
 def _inputs(models: tuple, x, labels) -> tuple[np.ndarray, np.ndarray]:
     """A batch checked once against (shared, private, projector) models (the first
-    and last None for the private model alone): input width, classes and client axes."""
+    and last None for the private model alone): input width and classes."""
     g, f, p = models
-    lead = _lead(f) if g is None else _check_dims(g, f, p)
-    x = _matrix(x, cols=f.extractor.input_dim)
-    if x.shape[:-2] != lead:
-        raise ShapeError(f"batch of shape {x.shape} for models stacked over {lead}")
-    return x, _labels(labels, x.shape[-2], f.header.classes, lead)
+    if g is not None:
+        _check_dims(g, f, p)
+    x = as_matrix(x, cols=f.extractor.input_dim)
+    return x, _labels(labels, x.shape[0], f.header.classes)
 
 
 def forward_loss(
@@ -533,9 +514,8 @@ def train_step(
 
     Returns forward_loss's (total, parts) before the step and the models
     after it, fresh models over fresh vectors; the inputs are left
-    untouched.  The step is the one a cohort takes (_train on a plan of
-    the models' clones), so a mixed stack's private model is a Net over a
-    GroupedExtractor.  A global header out of the graph comes back
+    untouched.  The step is the one a cohort takes: _train on a plan of
+    the models' clones.  A global header out of the graph comes back
     unchanged and unchecked.  Raises TrainingDiverged for a non-finite
     loss, or naming the first stepped group that is not finite.
     """
@@ -625,5 +605,5 @@ def infer(
     reader = global_model if variant is InferenceVariant.SINGLE_SMALL else local_model
     if variant is InferenceVariant.MIX_SMALL or variant is InferenceVariant.MIX_LARGE:
         _check_dims(global_model, local_model, projector)
-    x = _matrix(x, cols=reader.extractor.input_dim)
+    x = as_matrix(x, cols=reader.extractor.input_dim)
     return _predict(_plan((global_model, local_model, projector)), x, variant)

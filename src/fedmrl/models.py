@@ -17,11 +17,6 @@ and a plan reads its layers from a vector with them.  _segments() lists
 a model's vectors and _over(segments) builds a model of the same layout
 over others, without checks.  Copies (clone, copy.deepcopy) view copied
 vectors.
-
-Parameters may carry a leading client axis to serve a cohort at once
-(weights (C, out, in), views of (C, P) vectors strided along that axis
-only).  GroupedExtractor lays out private extractors of differing shapes
-side by side over one stack of clients.
 """
 
 from __future__ import annotations
@@ -32,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import ShapeError, _matrix
+from .numerics import ShapeError, as_matrix
 
 RELU = "relu"
 IDENTITY = "identity"
@@ -75,16 +70,12 @@ class _Segmented:
 
 @dataclass
 class _Matrix(_Segmented):
-    """A model that is one weight matrix, or a stack of them, held in its own vector."""
+    """A model that is one weight matrix, held in its own vector."""
 
     weight: np.ndarray
 
     def __post_init__(self):
-        self.weight = _matrix(self.weight)
-
-    @property
-    def lead(self) -> tuple[int, ...]:
-        return self.weight.shape[:-2]
+        self.weight = as_matrix(self.weight)
 
     def _segments(self) -> tuple[np.ndarray]:
         return (self.weight.reshape(*self.weight.shape[:-2], -1),)
@@ -123,21 +114,16 @@ class ModelConfig:
 
 @dataclass
 class AffineLayer:
-    """y = act(x @ W.T + b) with W of shape (out, in) and b of shape (1, out).
-
-    A stacked layer has weight (C, out, in) and bias (C, 1, out).
-    """
+    """y = act(x @ W.T + b) with W of shape (out, in) and b of shape (1, out)."""
 
     weight: np.ndarray
     bias: np.ndarray | None
     activation: str = RELU
 
     def __post_init__(self):
-        self.weight = _matrix(self.weight)
+        self.weight = as_matrix(self.weight)
         if self.bias is not None:
-            self.bias = _matrix(self.bias, rows=1, cols=self.out_dim)
-            if self.bias.shape[:-2] != self.lead:
-                raise ShapeError(f"bias stack {self.bias.shape} != weight stack {self.weight.shape}")
+            self.bias = as_matrix(self.bias, rows=1, cols=self.out_dim)
         if self.activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
 
@@ -148,11 +134,6 @@ class AffineLayer:
     @property
     def out_dim(self) -> int:
         return self.weight.shape[-2]
-
-    @property
-    def lead(self) -> tuple[int, ...]:
-        """() for one client's layer, (C,) for a stack of C."""
-        return self.weight.shape[:-2]
 
 
 @dataclass
@@ -174,8 +155,6 @@ class Extractor(_Segmented):
         for a, b in zip(self.layers[:-1], self.layers[1:]):
             if a.out_dim != b.in_dim:
                 raise ShapeError(f"layer widths do not chain: {a.out_dim} -> {b.in_dim}")
-            if a.lead != b.lead:
-                raise ShapeError(f"layers stack over {a.lead} and {b.lead}")
         spans, start = [], 0
         for layer in self.layers:
             stop = start + layer.out_dim * layer.in_dim
@@ -183,9 +162,7 @@ class Extractor(_Segmented):
             spans.append((start, stop, end, layer.out_dim, layer.in_dim, layer.activation))
             start = end or stop
         self._spans = tuple(spans)
-        lead = self.layers[0].lead
-        arrays = [array.reshape(*lead, -1) for array in self.parameter_arrays()]
-        self._flat = np.concatenate(arrays, axis=-1)
+        self._flat = np.concatenate([array.reshape(-1) for array in self.parameter_arrays()])
         del self.layers  # from now on views of _flat
 
     def _segments(self) -> tuple[np.ndarray]:
@@ -199,12 +176,12 @@ class Extractor(_Segmented):
         """Makes the layers, views of _flat, when first asked for them."""
         if name != "layers" or "_spans" not in self.__dict__:
             raise AttributeError(name)
-        flat, lead = self._flat, self._flat.shape[:-1]
+        flat, stack = self._flat, self._flat.shape[:-1]
         self.layers = [
             _view(
                 AffineLayer,
-                weight=flat[..., start:stop].reshape(*lead, out, inp),
-                bias=None if end is None else flat[..., stop:end].reshape(*lead, 1, out),
+                weight=flat[..., start:stop].reshape(*stack, out, inp),
+                bias=None if end is None else flat[..., stop:end].reshape(*stack, 1, out),
                 activation=activation,
             )
             for start, stop, end, out, inp, activation in self._spans
@@ -219,49 +196,10 @@ class Extractor(_Segmented):
     def rep_dim(self) -> int:
         return self._spans[-1][3]
 
-    @property
-    def lead(self) -> tuple[int, ...]:
-        return self._flat.shape[:-1]
-
     def parameter_arrays(self) -> list[np.ndarray]:
         """Each layer's weight, then its bias if it has one, first layer to last."""
         return [a for layer in self.layers for a in (layer.weight, layer.bias) if a is not None]
 
-
-@dataclass
-class GroupedExtractor(_Segmented):
-    """Private extractors of differing shapes serving one stack of clients.
-
-    parts pairs client slots of the stack (ascending int arrays that
-    together cover range(size)) with an extractor stacked over those
-    clients in slot order.  A plan runs each part on its slots of the
-    batch and scatters the representations back into the stack, so each
-    client gets what its own extractor gives.  All parts share one input
-    and one output width.  It stands in for an Extractor in a Net; its
-    vectors are its parts'.
-    """
-
-    parts: list[tuple[np.ndarray, Extractor]]
-    size: int
-
-    @property
-    def input_dim(self) -> int:
-        return self.parts[0][1].input_dim
-
-    @property
-    def rep_dim(self) -> int:
-        return self.parts[0][1].rep_dim
-
-    @property
-    def lead(self) -> tuple[int, ...]:
-        return (self.size,)
-
-    def _segments(self) -> tuple[np.ndarray, ...]:
-        return tuple(ex._flat for _, ex in self.parts)
-
-    def _over(self, segments) -> "GroupedExtractor":
-        parts = [(slots, ex._over((flat,))) for (slots, ex), flat in zip(self.parts, segments)]
-        return _view(GroupedExtractor, parts=parts, size=self.size)
 
 @dataclass
 class Header(_Matrix):
@@ -279,12 +217,10 @@ class Header(_Matrix):
 class Net(_Segmented):
     """An extractor and the header that reads its representation.
 
-    Its vectors are the extractor's, then the header's.  In a cohort every
-    part is stacked over the clients, and a private model's extractor is
-    a GroupedExtractor.
+    Its vectors are the extractor's, then the header's.
     """
 
-    extractor: Extractor | GroupedExtractor
+    extractor: Extractor
     header: Header
 
     def __post_init__(self):

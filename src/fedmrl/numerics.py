@@ -1,8 +1,9 @@
 """Deterministic dense numerics shared by every other module.
 
 A "matrix" throughout the package is a plain 2-D float64 C-order ndarray
-with one row per sample; the training step also takes a stack of them, a
-3-D array whose leading axis runs over the clients of a cohort.
+with one row per sample.  Only the private kernels that a cohort's plan
+runs (_cross_entropy, _transposed) also take a stack of them, a 3-D
+array whose leading axis runs over the clients of the cohort.
 Randomness always flows through explicitly seeded PCG64 generators, so a
 run is fully determined by its seed: the same seed replays bit-identical
 values on any machine with the same numpy version.
@@ -35,50 +36,34 @@ class NonFiniteError(FloatingPointError):
     """A value that must be finite came out NaN or infinite."""
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 def as_matrix(values, rows: int | None = None, cols: int | None = None) -> np.ndarray:
     """Coerce ``values`` to a 2-D float64 C-order array, optionally checking its shape.
 
     Accepts nested sequences or ndarrays.  1-D input is rejected rather
     than silently promoted; callers must be explicit about row/column
-    orientation.
+    orientation.  A C-order float64 ndarray comes back as is, so a row
+    view of a buffer passes uncopied; its dtype compares by value, as
+    pickle restores an equal float64 dtype, not numpy's own.  Anything
+    else is copied.
     """
-    m = np.ascontiguousarray(values, dtype=np.float64)
+    m = values
+    if type(m) is not np.ndarray or m.dtype != _FLOAT64 or not m.flags.c_contiguous:
+        m = np.ascontiguousarray(values, dtype=np.float64)
     if m.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got {m.ndim}-D data of shape {m.shape}")
-    return _check_shape(m, rows, cols)
-
-
-_FLOAT64 = np.dtype(np.float64)
-
-
-def _matrix(values, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    """as_matrix without its coercion, for float64 matrices and stacks of them.
-
-    A 2-D or 3-D float64 array is returned as is when its matrices (the
-    last two axes) are C-order, so a stack of rows of a population buffer
-    passes uncopied, and copied otherwise; its rows and columns are
-    shape-checked.  Anything else goes through as_matrix.  The training
-    step and inference check their inputs with this.  The dtype compares
-    by value: pickle restores an equal float64 dtype, not numpy's own.
-    """
-    if type(values) is not np.ndarray or values.dtype != _FLOAT64 or not 2 <= values.ndim <= 3:
-        return as_matrix(values, rows, cols)
-    if values.size and not values[(0,) * (values.ndim - 2)].flags.c_contiguous:
-        values = np.ascontiguousarray(values)
-    return _check_shape(values, rows, cols)
+    if rows is not None and m.shape[0] != rows:
+        raise ShapeError(f"expected {rows} rows, got {m.shape[0]}")
+    if cols is not None and m.shape[1] != cols:
+        raise ShapeError(f"expected {cols} columns, got {m.shape[1]}")
+    return m
 
 
 def _transposed(m: np.ndarray) -> np.ndarray:
     """A C-order copy of m with its last two axes swapped (each matrix of a stack transposed)."""
     return m.swapaxes(-1, -2).copy()
-
-
-def _check_shape(m: np.ndarray, rows: int | None, cols: int | None) -> np.ndarray:
-    if rows is not None and m.shape[-2] != rows:
-        raise ShapeError(f"expected {rows} rows, got {m.shape[-2]}")
-    if cols is not None and m.shape[-1] != cols:
-        raise ShapeError(f"expected {cols} columns, got {m.shape[-1]}")
-    return m
 
 
 def batch_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -94,14 +79,11 @@ def batch_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndar
     return _cross_entropy(m, _labels(labels, m.shape[0], m.shape[1]))
 
 
-def _labels(labels, rows: int, n_classes: int, lead: tuple[int, ...] = ()) -> np.ndarray:
-    """Labels as int64 of shape lead + (rows,), each in [0, n_classes)."""
-    y = np.asarray(labels, dtype=np.int64)
-    if y.shape[:len(lead)] != lead:
-        raise ShapeError(f"labels of shape {y.shape} do not stack over {lead}")
-    y = y.reshape(*lead, -1)
-    if y.shape[-1] != rows:
-        raise ShapeError(f"{rows} logit rows but {y.shape[-1]} labels")
+def _labels(labels, rows: int, n_classes: int) -> np.ndarray:
+    """Labels as int64 of shape (rows,), each in [0, n_classes)."""
+    y = np.asarray(labels, dtype=np.int64).reshape(-1)
+    if y.size != rows:
+        raise ShapeError(f"{rows} logit rows but {y.size} labels")
     if y.size and (y.min() < 0 or y.max() >= n_classes):
         raise ValueError(f"labels must lie in [0, {n_classes})")
     return y

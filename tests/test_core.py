@@ -1,11 +1,11 @@
 import math
-import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedmrl import core, federation
 from fedmrl.core import (
     InferenceVariant,
     LearningRates,
@@ -28,7 +28,6 @@ from fedmrl.models import (
     IDENTITY,
     AffineLayer,
     Extractor,
-    GroupedExtractor,
     Header,
     ModelConfig,
     Net,
@@ -143,6 +142,26 @@ def test_dimension_chain_is_validated():
             infer(g, f, p, np.ones((2, INPUT + 1)), variant)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, f, p, x, y: AffineLayer(np.zeros((2, 4, 3)), None),
+        lambda g, f, p, x, y: Header(np.zeros((2, CLASSES, D2))),
+        lambda g, f, p, x, y: Projector(np.zeros((2, D2, D1 + D2))),
+        lambda g, f, p, x, y: forward_loss(g, f, p, x, y),
+        lambda g, f, p, x, y: train_step_single(f, x, y, 0.1),
+        lambda g, f, p, x, y: infer(g, f, p, x),
+    ],
+    ids=["layer", "header", "projector", "forward_loss", "train_step_single", "infer"],
+)
+def test_a_stack_over_a_client_axis_is_a_shape_error(call):
+    # The public functions serve one client: a weight or a batch with a
+    # leading client axis is rejected where it enters.
+    x, y = (np.stack([a, a]) for a in tiny_batch())
+    with pytest.raises(ShapeError, match="2-D matrix"):
+        call(*tiny_models(), x, y)
+
+
 def test_forward_loss_at_random_init_is_near_ln_classes():
     # Inputs are scaled down so the init softmax is near uniform; the
     # expected cross-entropy of a near-uniform softmax is ln(classes).
@@ -156,22 +175,6 @@ def test_forward_loss_at_random_init_is_near_ln_classes():
             for part in (loss_g, loss_f):
                 assert abs(part - math.log(classes)) <= 0.2 * math.log(classes)
             assert abs(total - 2 * math.log(classes)) <= 0.4 * math.log(classes)
-
-
-def test_forward_loss_runs_on_unpickled_stacked_inputs():
-    # A cohort of two clients, models and batches restored by pickle, trains
-    # as a stack and gives each client its own loss bit for bit.
-    alone = [tiny_models(seed=seed) for seed in (0, 1)]
-    batches = [tiny_batch(seed=seed) for seed in (0, 1)]
-    stacked = [
-        model._over(tuple(np.stack(s) for s in zip(*(m[k]._segments() for m in alone))))
-        for k, model in enumerate(alone[0])
-    ]
-    x, y = (np.stack(arrays) for arrays in zip(*batches))
-    stacked, x, y = pickle.loads(pickle.dumps((stacked, x, y)))
-    total, _ = forward_loss(*stacked, x, y)
-    for i in range(2):
-        assert total[i] == forward_loss(*alone[i], *batches[i])[0]
 
 
 def test_forward_loss_total_is_weighted_sum():
@@ -270,91 +273,74 @@ def test_gradcheck_single_model_path():
     assert forward_loss_single(stepped, x, y) < loss0
 
 
-@pytest.mark.parametrize("cohort", [1, 2])
-def test_gradcheck_single_model_step(cohort):
+def test_gradcheck_single_model_step():
     # At lr 1 the standalone step moves each parameter by its gradient, so
     # theta - theta' must match central differences of the loss it reports.
-    # A stacked cohort's loss is one per client; their sum has each client's
-    # gradient in that client's row.
-    models = [tiny_models(seed=seed)[1] for seed in range(20, 20 + cohort)]
-    batches = [tiny_batch(seed=seed) for seed in range(20, 20 + cohort)]
-    if cohort == 1:
-        (f,), ((x, y),) = models, batches
-    else:
-        f = models[0]._over(tuple(np.stack(s) for s in zip(*(m._segments() for m in models))))
-        x, y = (np.stack(arrays) for arrays in zip(*batches))
-    theta = np.concatenate(f._segments(), axis=-1)
+    f = tiny_models(seed=20)[1]
+    x, y = tiny_batch(seed=20)
+    theta = np.concatenate(f._segments())
     _, stepped = train_step_single(f, x, y, 1.0)
-    analytic = theta - np.concatenate(stepped._segments(), axis=-1)
+    analytic = theta - np.concatenate(stepped._segments())
 
     def objective(vec):
-        return float(np.sum(forward_loss_single(f._split(vec.reshape(theta.shape)), x, y)))
+        return forward_loss_single(f._split(vec), x, y)
 
     numeric = finite_diff_gradient(objective, theta)
-    assert relative_error(analytic.reshape(-1), numeric).max() <= 1e-4
+    assert relative_error(analytic, numeric).max() <= 1e-4
 
 
-def mixed_cohort(seed=30):
-    """Three clients stacked as a cohort whose private models have two
-    architectures, one (7,) hidden layer on slots 0 and 2 and (6, 4) on slot
-    1: the private extractors grouped, everything else stacked.  Returns the
-    stacked models, a batch, its labels and each client's models alone."""
+def mixed_workspace(seed=30):
+    """A cohort workspace gathered over three clients whose private
+    architectures interleave, one (7,) hidden layer on slots 0 and 2 and
+    (6, 4) on slot 1.  Returns it and each client's models alone."""
     rng = make_rng(seed)
     hidden = ((7,), (6, 4), (7,))
-    g = [init_model(ModelConfig(INPUT, (5,), D1, CLASSES), rng) for _ in hidden]
+    g = init_model(ModelConfig(INPUT, (5,), D1, CLASSES), rng)
     f = [init_model(ModelConfig(INPUT, widths, D2, CLASSES), rng) for widths in hidden]
     p = [init_projector(D1, D2, rng) for _ in hidden]
-
-    def stacked(models):
-        return models[0]._over(tuple(np.stack(s) for s in zip(*(m._segments() for m in models))))
-
-    parts = [
-        (np.array(slots), stacked([f[i].extractor for i in slots]))
-        for slots in ([0, 2], [1])
-    ]
-    private = Net(GroupedExtractor(parts, 3), stacked([m.header for m in f]))
-    x = rng.normal(size=(3, 5, INPUT))
-    alone = list(zip(g, f, p))
-    return (stacked(g), private, stacked(p)), x, rng.integers(0, CLASSES, size=(3, 5)), alone
+    population = federation.Population(g, f, p)
+    workspace = federation._Workspace(population)
+    workspace.gather(population, (0, 1, 2), standalone=False)
+    return workspace, [(g, f[i], p[i]) for i in range(3)]
 
 
-def flat_params(models):
-    """Every vector of every model, a mixed stack's too, in one flat vector."""
-    return np.concatenate([s.ravel() for m in models for s in m._segments()])
-
-
-def with_flat_params(models, vec):
-    """Models of the same layouts over the pieces of a flat_params vector."""
-    rebuilt, start = [], 0
-    for model in models:
-        pieces = []
-        for segment in model._segments():
-            pieces.append(vec[start : start + segment.size].reshape(segment.shape))
-            start += segment.size
-        rebuilt.append(model._over(tuple(pieces)))
-    return rebuilt
+def write_flat(arrays, vec):
+    """Copy consecutive pieces of vec into arrays, in place."""
+    start = 0
+    for array in arrays:
+        array[...] = vec[start : start + array.size].reshape(array.shape)
+        start += array.size
 
 
 def test_gradcheck_mixed_architecture_cohort():
-    # The plan routes each part of a grouped private extractor through its
-    # own slots.  A cohort's loss is one per client, so the gradient of
-    # their sum holds each client's gradient in that client's parameters.
-    models, x, y, alone = mixed_cohort()
+    # The plan that training runs routes each private part through its own
+    # slots: an index array for slots 0 and 2, a slice for slot 1.  A
+    # cohort's loss is one per client, so the gradient of their sum holds
+    # each client's gradient in that client's workspace rows.
+    workspace, alone = mixed_workspace()
+    plan = workspace.plan(0, 3)
+    (array, _), (piece, _) = plan.private[0]
+    assert array.tolist() == [0, 2] and piece == slice(1, 2)
+    rng = make_rng(31)
+    x, y = rng.normal(size=(3, 5, INPUT)), rng.integers(0, CLASSES, size=(3, 5))
     weights = LossWeights(0.6, 1.4)
-    totals, _ = forward_loss(*models, x, y, weights)
-    for i, client in enumerate(alone):  # each client's loss is its own, bit for bit
-        assert totals[i] == forward_loss(*client, x[i], y[i], weights)[0]
-    grads = loss_gradients(*models, x, y, weights)
-    analytic = flat_params((grads.global_model, grads.local_model, grads.projector))
+    totals, _, tape = core._loss(plan, x, y, weights)
+    for i, models in enumerate(alone):  # each client's loss is its own, bit for bit
+        assert totals[i] == forward_loss(*models, x[i], y[i], weights)[0]
+    core._backprop(plan, weights, tape)
+    rows, scratch = ([buffer[k] for buffer in workspace.buffers.values()] for k in (0, 1))
+    theta, analytic = (np.concatenate([a.ravel() for a in arrays]) for arrays in (rows, scratch))
 
     def objective(vec):
-        return float(np.sum(forward_loss(*with_flat_params(models, vec), x, y, weights)[0]))
+        write_flat(rows, vec)
+        return float(np.sum(core._loss(plan, x, y, weights)[0]))
 
-    numeric = finite_diff_gradient(objective, flat_params(models))
+    numeric = finite_diff_gradient(objective, theta)
+    write_flat(rows, theta)
     assert relative_error(analytic, numeric).max() <= 1e-4
-    # At lr 1 the step that training takes moves every parameter by that gradient.
-    _, _, stepped = train_step(*models, x, y, weights, LearningRates.uniform(1.0))
-    moved = flat_params(models) - flat_params(stepped)
+    # At lr 1 the step that training takes moves every row by that gradient.
+    core._train(plan, x, y, weights, LearningRates.uniform(1.0))
+    moved = theta - np.concatenate([a.ravel() for a in rows])
     assert relative_error(moved, numeric).max() <= 1e-4
 
 

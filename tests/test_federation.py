@@ -47,7 +47,7 @@ from fedmrl.federation import (
 )
 from fedmrl.experiment import build_partition, load_dataset
 from fedmrl.metrics import evaluate
-from fedmrl.models import GroupedExtractor, ModelConfig, Net, init_model
+from fedmrl.models import ModelConfig, init_model
 from fedmrl.numerics import NonFiniteError, ShapeError, make_rng
 
 QUICKSTART = Path(__file__).parents[1] / "demos" / "quickstart.cfg"
@@ -1197,52 +1197,10 @@ def test_a_diverging_quickstart_round_names_its_group_client_and_round(lrs, expe
     assert (str(error), error.group, error.client, error.round) == expected
 
 
-def _stack(models):
-    """Models of one layout, stacked over a leading client axis."""
-    return models[0]._over(tuple(np.stack(s) for s in zip(*(m._segments() for m in models))))
-
-
-@pytest.mark.parametrize("mode", list(Mode))
-def test_the_public_step_is_the_step_a_cohort_takes(mode):
-    # One epoch with the whole shard as the batch is one step of the cohort,
-    # whose private models have five architectures: the public step on the
-    # same stacked models and batches gives the bits the cohort writes.
-    cfg, clients = _equal_shards()
-    shard = clients[0].n_samples
-    lrs, weights = LearningRates(0.05, 0.04, 0.03), LossWeights(0.7, 1.3)
-    place = clients[0].population.place
-    orders = [copy.deepcopy(c.rng).permutation(shard) for c in clients]
-    x = np.stack([c.train_x[order] for c, order in zip(clients, orders)])
-    y = np.stack([c.train_y[order] for c, order in zip(clients, orders)])
-    kinds = sorted({place[c.client_id][0] for c in clients})
-    parts = [np.array([i for i, c in enumerate(clients) if place[c.client_id][0] == k]) for k in kinds]
-    assert len(parts) == 5
-    g, p = (_stack([getattr(c, name) for c in clients]) for name in ("global_copy", "projector"))
-    grouped = GroupedExtractor(
-        [(slots, _stack([clients[i].local_model.extractor for i in slots])) for slots in parts],
-        len(clients),
-    )
-    f = Net(grouped, _stack([c.local_model.header for c in clients]))
-    if mode is Mode.STANDALONE:
-        _, f = train_step_single(f, x, y, lrs.local_model)
-    else:
-        step_weights = LossWeights(0.0, 1.0) if mode is Mode.NO_MRL else weights
-        _, _, (g, f, p) = train_step(g, f, p, x, y, step_weights, lrs)
-    cohort_update(clients, 1, shard, lrs, mode, weights)
-    for slots, extractor in f.extractor.parts:
-        for rank, slot in enumerate(slots):
-            assert clients[slot].local_model.extractor._flat.tobytes() == extractor._flat[rank].tobytes()
-    for slot, client in enumerate(clients):
-        for mine, stepped in ((client.global_copy, g), (client.local_model.header, f.header),
-                              (client.projector, p)):
-            for row, stack in zip(mine._segments(), stepped._segments()):
-                assert row.tobytes() == stack[slot].tobytes()
-
-
 @pytest.mark.parametrize("mode", list(Mode))
 def test_a_planned_step_builds_no_model_object(mode):
     # Once a run's plan exists, a step walks plain lists: a second identical
-    # cohort calls nothing defined in models.py, and never numerics._matrix,
+    # cohort calls nothing defined in models.py, and never numerics.as_matrix,
     # from inside _Cohort._step.
     cfg, dataset, plan = small_setup(n_clients=6, local_hidden=((12,), (10,), (9,)))
     _, clients = build_clients(cfg, dataset, plan)
@@ -1269,7 +1227,7 @@ def test_a_planned_step_builds_no_model_object(mode):
         sys.setprofile(None)
     banned = [
         code.co_qualname for code in called
-        if code.co_filename == models.__file__ or code is numerics._matrix.__code__
+        if code.co_filename == models.__file__ or code is numerics.as_matrix.__code__
     ]
     assert steps and called and banned == []
 

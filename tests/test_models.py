@@ -175,23 +175,23 @@ def test_gradcheck_against_finite_differences(config):
 
 def test_input_gradient_matches_finite_differences():
     # The header's input gradient is what training routes into the
-    # extractors.  An identity layer in front of it, stacked over three
-    # clients of one row each, gets that gradient as its bias gradient.
+    # extractors.  An identity layer in front of it gets that gradient as
+    # its bias gradient, here for three batches of one row each.
     rng = make_rng(55)
     header = init_model(ModelConfig(5, (6,), 4, 3), rng).header
-    rep = rng.normal(size=(3, 1, 4))
-    y = rng.integers(0, 3, size=(3, 1))
-    layer = AffineLayer(np.stack([np.eye(4)] * 3), np.zeros((3, 1, 4)), IDENTITY)
-    model = Net(Extractor([layer]), Header(np.stack([header.weight] * 3)))
-    bias = model.extractor.layers[0].bias.copy()
-    _, stepped = train_step_single(model, rep, y, 1.0)
-    d_rep = bias - stepped.extractor.layers[0].bias
+    reps = rng.normal(size=(3, 1, 4))
+    labels = rng.integers(0, 3, size=(3, 1))
+    model = Net(Extractor([AffineLayer(np.eye(4), np.zeros((1, 4)), IDENTITY)]), header)
+    bias = model.extractor.layers[0].bias
+    for rep, y in zip(reps, labels):
+        _, stepped = train_step_single(model, rep, y, 1.0)
+        d_rep = bias - stepped.extractor.layers[0].bias
 
-    def objective(v):
-        return float(np.sum(forward_loss_single(model, v.reshape(3, 1, 4), y)))
+        def objective(v):
+            return forward_loss_single(model, v.reshape(1, 4), y)
 
-    numeric = finite_diff_gradient(objective, rep.ravel())
-    assert relative_error(d_rep.ravel(), numeric).max() <= 1e-4
+        numeric = finite_diff_gradient(objective, rep)
+        assert relative_error(d_rep.ravel(), numeric).max() <= 1e-4
 
 
 def test_backward_is_linear_in_upstream_gradient():

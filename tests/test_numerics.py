@@ -13,7 +13,6 @@ from fedmrl.numerics import (
     finite_diff_gradient,
     make_rng,
     relative_error,
-    _matrix,
 )
 
 
@@ -36,19 +35,19 @@ def test_as_matrix_shape_checks():
         as_matrix([[1.0, 2.0]], cols=3)
 
 
-def test_matrix_passes_a_stack_of_row_views_without_copying():
-    # Rows of a population buffer, each an (out, in) matrix: strided along
-    # the client axis only, so products and writes go to the buffer itself.
+def test_as_matrix_passes_a_row_view_without_copying():
+    # A weight in a row of a population buffer, an (out, in) view of it: C
+    # order, so products and writes go to the buffer itself.
     buffer = np.arange(4 * 20, dtype=np.float64).reshape(4, 20)
-    stack = buffer[1:3, 4:16].reshape(2, 3, 4)
-    assert _matrix(stack, rows=3, cols=4) is stack
+    view = buffer[1, 4:16].reshape(3, 4)
+    assert as_matrix(view, rows=3, cols=4) is view
     # Pickle restores a float64 dtype equal to numpy's own, not the same object.
-    restored = pickle.loads(pickle.dumps(stack))
-    assert _matrix(restored, rows=3, cols=4) is restored
+    restored = pickle.loads(pickle.dumps(view))
+    assert as_matrix(restored, rows=3, cols=4) is restored
     column_slice = buffer[:, :3]  # rows strided within the matrix
-    assert _matrix(column_slice) is not column_slice
-    assert np.array_equal(_matrix(column_slice), column_slice)
-    assert _matrix(column_slice).flags.c_contiguous
+    copied = as_matrix(column_slice)
+    assert copied is not column_slice and copied.flags.c_contiguous
+    assert np.array_equal(copied, column_slice)
 
 
 def one_row_cross_entropy(logits, label):
