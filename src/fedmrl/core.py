@@ -37,9 +37,9 @@ they are pure.  Plans, not the public functions, run stacks of clients.
 A plan is plain data, so it can also be put together from pieces: the
 cohort workspace (see federation) caches views of row ranges of its
 buffers, one piece per extractor part and one per run of slots, and
-puts each run's plan together from them, and the population caches each
-client's inference plan.  The tape, what the backward reads from the
-forward, never leaves the step that made it.
+puts each run's plan together from them, for training and evaluation.
+The tape, what the backward reads from the forward, never leaves the
+step that made it.
 
 Each public function checks its inputs once.  The products inside run as
 bare ``@`` on C-order operands, a transposed weight or a column slice of
@@ -53,8 +53,9 @@ non-finite logits, each raise a TrainingDiverged naming the check and,
 for a group, the group.
 
 A cohort's plan runs its clients as one stack: rows (C, ...) of every
-vector, the private extractor in one part per architecture, batches
-(C, n, in) and labels (C, n).  Each product is then one BLAS call per
+vector, the private extractor in one part per layout (the workspace pads
+the architectures of one depth to one layout), batches (C, n, in) and
+labels (C, n).  Each product is then one BLAS call per
 client slice and each reduction runs within its slice, so every client's
 numbers are those of training it alone.  Losses come back as arrays of
 C, and a check fails if it fails for any client.

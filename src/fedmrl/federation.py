@@ -13,30 +13,42 @@ population (Population), and its models are views of its rows.
 Broadcast is one row assignment; aggregation walks the upload rows.
 
 Lockstep training: the round's participants train as one cohort
-(cohort_update).  The cohort gathers their rows, one gather per buffer,
-and each step trains every client that takes a batch of the same size as
-one stacked step of a plan over those rows (core._Plan: plain lists of
-views of the rows and of their gradient scratch), the private extractor
-once per architecture.  A step writes the gathered rows in place, and
-the cohort scatters them back once every client has trained.  The
-population keeps one workspace (_Workspace) for all its cohorts: buffers
-with room for the largest cohort so far, which every cohort gathers into
-with np.take(out=), plan pieces cached by rows, and each run's plan, put
-together from pieces and kept while the cohort's composition stays the
-same.  Uploads view a copy of the trained shared rows.  A step writes its
-losses into the epoch's loss ledger, one (clients, batches) array, and
-each client's epoch mean is one reduction of its row.  Each client draws
-its epoch permutations from its own rng, and the result is bit-identical
-to a cohort of one for each client, because of three rules:
+(cohort_update).  The cohort gathers their rows into the population's
+workspace (_Workspace), and each step trains every client that takes a
+batch of the same size as one stacked step of a plan over those rows
+(core._Plan: plain lists of views of the rows and of their gradient
+scratch), the private extractor once per depth.  The workspace holds the
+private extractors in one block per depth (number of hidden layers), in
+which every architecture of that depth is zero-padded to the widest
+width of the population's architectures of the depth at each hidden
+position: the gather zeroes the block and copies each architecture's
+rows into it through an index map built once per population, and the
+scatter copies them back, so the population stores every client's rows
+as configured.  A padded unit has zero weights and bias, so its
+pre-activation is 0, its ReLU is closed and its gradients are ±0: its
+weights stay 0.0, and a padded step is the configured model's step in
+exact arithmetic, only OpenBLAS summing the longer products in another
+order.  A depth with one architecture pads nothing.  A step writes the
+gathered rows in place, and the cohort scatters them back once every
+client has trained.  The workspace serves all the population's cohorts:
+buffers with room for the largest cohort so far, plan pieces cached by
+rows, and each run's plan, put together from pieces and kept while the
+composition stays the same.  Uploads view a copy of the trained shared
+rows.  A step writes its losses into the epoch's loss ledger, one
+(clients, batches) array, and each client's epoch mean is one reduction
+of its row.  Each client draws its epoch permutations from its own rng,
+and the padding depends on the population alone, so the result is
+bit-identical to a cohort of one for each client, and to the public step
+on its padded model, because of three rules:
 
 * every stacked product is one BLAS call per client slice, on C-order
   matrices, and every reduction runs within a slice (see core);
 * clients are grouped by batch size at each step (ordering the cohort by
-  shard size, largest first, then by architecture, makes each group a
-  contiguous run of slots, and the clients of one size and architecture
-  a range of it, which a step reads and writes through views), so a
-  short final batch is never zero-padded: padding the rows of a product
-  changes how OpenBLAS rounds it;
+  shard size, largest first, then by depth, makes each group a
+  contiguous run of slots, and the clients of one size and depth a range
+  of it, which a step reads and writes through views), so a short final
+  batch is never zero-padded: padding the rows of a product changes how
+  OpenBLAS rounds it;
 * a cohort that fails is replayed as cohorts of one in ascending id
   order, from the rng states it started with and on copies of the
   clients, so the error raised, and every client's rng, are those of a
@@ -47,19 +59,17 @@ per inference variant (Population.accuracy, NaN where not known), and
 run_rounds evaluates only the clients whose entry is NaN.
 Population.wrote(ids) is the one place that forgets the accuracies of
 clients whose rows were written; broadcast, the cohort's scatter and
-assignment to a client's model fields call it, and a failed cohort, which
-writes no row, forgets nothing.  Code that writes into a client's rows in
-place calls population.wrote(ids), or the memo will not see it.  Every
-evaluation predicts with core._predict on a plan built once: a client
-alone on the plan over its rows that the population caches, and the
-round's cohort, when every client of it is stale, in one stack on the
-workspace's plan of all its slots, if they are two or more and share one
-non-zero test-set size.  Every other stale client, and every client of a
-stack whose logits are not finite, is evaluated alone in ascending id
-order, so the error raised is that of the lowest-id client that fails.
-Finite checks live in the training step and _predict (core), which raise
-a TrainingDiverged; cohort_update (and evaluate) raise it again naming
-the client, and run_rounds naming the round.
+assignment to a model field call it, and a failed cohort, which writes
+no row, forgets nothing.  Code that writes into a client's rows in place
+calls population.wrote(ids), or the memo will not see it.  Every
+evaluation, metrics.evaluate of one client included, takes one path
+(_Workspace.evaluate): the clients are gathered into the workspace in
+chunks no larger than its room, and each run of equal test-set size is
+predicted in one stack with core._predict; the error raised is that of
+the lowest-id client that fails.  Finite checks live in the training
+step and _predict (core), which raise a TrainingDiverged; cohort_update
+and evaluation raise it again naming the client, and run_rounds naming
+the round.
 """
 
 from __future__ import annotations
@@ -73,9 +83,9 @@ from dataclasses import astuple, dataclass, field
 import numpy as np
 
 from .core import InferenceVariant, LearningRates, LossWeights, Mode, Projector, TrainingDiverged
-from .core import _Plan, _layers, _mean, _plan, _predict, _train, init_projector
+from .core import _Plan, _layers, _mean, _predict, _train, init_projector
 from .data import LabeledDataset, PartitionPlan
-from .metrics import RoundReport, comm_cost_round, evaluate, forward_flops_per_sample
+from .metrics import RoundReport, comm_cost_round, forward_flops_per_sample
 from .models import ModelConfig, Net, init_model
 from .numerics import ShapeError, _check_lr, _labels, derive_rng
 
@@ -159,12 +169,12 @@ class Population:
     in the flat layout of models.  Rows are written in place, so views
     stay valid.  accuracy maps an inference variant to every client's
     memoized test accuracy (N,), NaN where it is not known; wrote is the
-    one way to record a write into the rows.  _views and _plans cache each
-    client's models and inference plan, views of its rows, _flops the
-    per-sample training FLOPs of each (kind, mode), and _workspace is the
-    room every cohort trains in (_Workspace).  A deep or pickled copy
-    views its own buffers and memo and starts without cached views, plans
-    or workspace.
+    one way to record a write into the rows.  _views caches each client's
+    models, views of its rows, _flops the per-sample training FLOPs of
+    each (kind, mode), and _workspace is the room every cohort trains and
+    every evaluation predicts in (_Workspace, made by _room).  A deep or
+    pickled copy views its own buffers and memo and starts without cached
+    views or workspace.
     """
 
     def __init__(self, shared: Net, private: list[Net], projectors: list[Projector]):
@@ -182,7 +192,6 @@ class Population:
         self.private_layouts = [private[ids[0]] for ids in groups]
         self.accuracy: dict[InferenceVariant, np.ndarray] = {}
         self._views: dict[int, tuple[Net, Net, Projector]] = {}
-        self._plans: dict[int, _Plan] = {}
         self._flops: dict[tuple[int, Mode], int] = {}
         self._workspace: _Workspace | None = None
 
@@ -203,11 +212,11 @@ class Population:
             )
         return views
 
-    def _inference_plan(self, ident: int) -> _Plan:
-        """Client ident's inference plan (core._Plan) over its rows, made when first asked for."""
-        if ident not in self._plans:
-            self._plans[ident] = _plan(self._models(ident))
-        return self._plans[ident]
+    def _room(self) -> _Workspace:
+        """The population's workspace, made when first asked for."""
+        if self._workspace is None:
+            self._workspace = _Workspace(self)
+        return self._workspace
 
     def _flops_per_sample(self, ident: int, mode: Mode) -> int:
         """Client ident's forward FLOPs per sample under mode, counted once per (kind, mode)."""
@@ -218,7 +227,7 @@ class Population:
         return self._flops[key]
 
     def __getstate__(self):
-        return {**self.__dict__, "_views": {}, "_plans": {}, "_workspace": None}
+        return {**self.__dict__, "_views": {}, "_workspace": None}
 
 
 class _Rows:
@@ -413,31 +422,52 @@ def cohort_update(
 
 class _Workspace:
     """The population's room for a cohort: its rows, gathered in slot order, their
-    gradient scratch, and the step plans on them.
+    gradient scratch, and the plans on them, for training and for evaluation.
 
-    buffers maps each private architecture (kind) to a block, and
-    "headers", "shared" and "projectors" to slot-indexed buffers: each a
-    (2, rows, width) array of rows and their gradient scratch, with room
-    for the largest cohort so far (a block for as many of its clients as
-    such a cohort can hold).  A cohort gathers into the first rows; a
-    larger one regrows every buffer and drops every piece.  pieces
-    caches plan pieces by rows: (kind, lo, hi) for rows lo to hi of a
-    block, (a, b) for slots a to b of the slot-indexed buffers.  plans
-    maps a run of slots (a, b) to its step plan (core._Plan), put
-    together from pieces, while the cohort's composition (the kind of
-    each slot, and the standalone-ness) stays the same; kinds holds each
-    kind's slots in the composition, as a list and as an array.  After a
-    gather, ids is the client id of each slot, copies pairs each gathered
-    population buffer and the cohort's rows of it with the workspace's
-    rows, and shared views the shared rows (None for standalone
-    training).  Its rows equal the population's from a gather to the
-    first step, and again from a scatter to the next write.  It holds
-    arrays, ids and views only: a client or the population here would
-    make a reference cycle.
+    The private extractors sit in one zero-padded block per depth (see
+    the module docstring).  The architectures of a depth share its number
+    of layers, each layer's bias and activation (as all of init_model's
+    do) and the input width; at each hidden position the depth's width is
+    the widest of theirs.  spans[depth] lays the padded vector out (see
+    models), depth[kind] is an architecture's depth, maps[kind] the
+    position of each entry of its vector in the padded one, and
+    counts[depth] the population's clients of that depth.
+
+    buffers maps each depth to its block, and "headers", "shared" and
+    "projectors" to slot-indexed buffers: each a (2, rows, width) array
+    of rows and their gradient scratch, with room for the largest cohort
+    so far (a block for as many of its clients as such a cohort can
+    hold).  A cohort gathers into the first rows; a larger one regrows
+    every buffer and drops every piece.  pieces caches plan pieces by
+    rows: (depth, lo, hi) for rows lo to hi of a block, (a, b) for slots
+    a to b of the slot-indexed buffers.  plans maps a run of slots (a, b)
+    to its plan (core._Plan), put together from pieces, while the
+    composition (the depth of each slot, and the standalone-ness) stays
+    the same; depths holds each depth's slots in the composition, as a
+    list and as an array.  After a gather, rows is the client id of each
+    slot, copies lists (population buffer, its rows of the gathered
+    clients, the workspace's rows, where in them they sit) per gathered
+    buffer and architecture, and shared views the shared rows (None for
+    standalone training).  Its rows equal the population's
+    from a gather to the first step, and again from a scatter to the next
+    write.  It holds arrays, ids and views only: a client or the
+    population here would make a reference cycle.
     """
 
     def __init__(self, population: Population):
-        self.spans = [m.extractor._spans for m in population.private_layouts]
+        layouts: dict[tuple, list[int]] = {}
+        for kind, model in enumerate(population.private_layouts):
+            spans = model.extractor._spans
+            key = spans[0][4], tuple((span[2] is None, span[5]) for span in spans)
+            layouts.setdefault(key, []).append(kind)
+        self.depth, self.maps, self.spans, self.counts = {}, {}, [], []
+        for kinds in layouts.values():
+            own = [population.private_layouts[kind].extractor._spans for kind in kinds]
+            spans = _padded(own[0], [max(span[3] for span in layer) for layer in zip(*own)])
+            for kind, layout in zip(kinds, own):
+                self.depth[kind], self.maps[kind] = len(self.spans), _positions(layout, spans)
+            self.spans.append(spans)
+            self.counts.append(sum(len(population.blocks[kind]) for kind in kinds))
         shared = population.shared_layout
         self.shared_spans, self.cut = shared.extractor._spans, shared.extractor._flat.shape[-1]
         self.shapes = (population.private_layouts[0].header.weight.shape,
@@ -445,50 +475,60 @@ class _Workspace:
         self.size, self.composition = 0, None
 
     def gather(self, population: Population, ids: tuple[int, ...], standalone: bool) -> None:
-        """Copy the rows of clients ids, in slot order, into the first rows: one take per buffer."""
-        n = len(ids)
+        """Copy the rows of clients ids, in slot order, into the first rows: one copy per
+        slot-indexed buffer, and one per architecture into its depth's block, which is
+        zeroed first."""
+        n, place = len(ids), population.place
         if n > self.size:
-            sources = dict(enumerate(population.blocks), headers=population.headers,
-                           shared=population.shared, projectors=population.projectors)
-            self.buffers = {key: np.zeros((2, min(n, len(s)), s.shape[1]))
-                            for key, s in sources.items()}
+            self.buffers = {depth: np.zeros((2, min(n, count), spans[-1][2] or spans[-1][1]))
+                            for depth, (count, spans) in enumerate(zip(self.counts, self.spans))}
+            self.buffers.update((key, np.zeros((2, n, getattr(population, key).shape[1])))
+                                for key in ("headers", "shared", "projectors"))
             self.size, self.pieces, self.composition = n, {}, None
-        composition = (tuple(population.place[i][0] for i in ids), standalone)
+        composition = (tuple(self.depth[place[i][0]] for i in ids), standalone)
         if composition != self.composition:
             slots: dict[int, list[int]] = {}
-            for slot, kind in enumerate(composition[0]):
-                slots.setdefault(kind, []).append(slot)
-            self.kinds = [(kind, own, np.array(own)) for kind, own in slots.items()]
+            for slot, depth in enumerate(composition[0]):
+                slots.setdefault(depth, []).append(slot)
+            self.depths = [(depth, own, np.array(own)) for depth, own in slots.items()]
             self.plans, self.composition = {}, composition
-        self.ids, self.rows = ids, np.array(ids)
-        self.copies = [  # (population buffer, the cohort's rows of it, the workspace's rows)
-            (population.blocks[kind], np.array([population.place[ids[s]][1] for s in slots]),
-             self.buffers[kind][0][: len(slots)]) for kind, slots, _ in self.kinds]
+        self.rows, self.copies = np.array(ids), []
+        for depth, slots, _ in self.depths:
+            block = self.buffers[depth][0][: len(slots)]
+            block[...] = 0.0
+            kinds: dict[int, tuple[list[int], list[int]]] = {}
+            for row, slot in enumerate(slots):
+                kind, rank = place[ids[slot]]
+                kinds.setdefault(kind, ([], []))[0].append(row * block.shape[1])
+                kinds[kind][1].append(rank)
+            self.copies += [  # an architecture's rows sit at flat positions of the block
+                (population.blocks[kind], np.array(ranks), block.reshape(-1),
+                 np.add.outer(starts, self.maps[kind])) for kind, (starts, ranks) in kinds.items()]
         names = ("headers",) if standalone else ("headers", "shared", "projectors")
-        self.copies += [(getattr(population, key), self.rows, self.buffers[key][0][:n])
+        self.copies += [(getattr(population, key), self.rows, self.buffers[key][0][:n], ...)
                         for key in names]
-        for source, index, rows in self.copies:
-            source.take(index, axis=0, out=rows)
+        for source, index, rows, at in self.copies:
+            rows[at] = source[index]
         self.shared = None if standalone else self.buffers["shared"][0][:n]
 
     def scatter(self, population: Population) -> None:
-        """Write the rows back into the population: one scatter per buffer."""
-        for source, index, rows in self.copies:
-            source[index] = rows
+        """Write the rows back into the population: the gather's copies, reversed."""
+        for source, index, rows, at in self.copies:
+            source[index] = rows[at]
         population.wrote(self.rows)
 
     def plan(self, a: int, b: int) -> _Plan:
-        """The step plan of slots a to b, put together from pieces the first time it is
-        asked for under the cohort's composition.  A part's slots are a slice where
-        they are consecutive, so a step reads and writes them through views, and an
-        index array where they are not."""
+        """The plan of slots a to b, put together from pieces the first time it is asked
+        for under the composition: one private part per depth.  A part's slots are a
+        slice where they are consecutive, so a step reads and writes them through
+        views, and an index array where they are not."""
         plan = self.plans.get((a, b))
         if plan is None:
             parts, local = [], []
-            for kind, slots, array in self.kinds:
+            for depth, slots, array in self.depths:
                 lo, hi = bisect.bisect_left(slots, a), bisect.bisect_left(slots, b)
                 if lo < hi:
-                    layers, pair = self._piece((kind, lo, hi))
+                    layers, pair = self._piece((depth, lo, hi))
                     first = slots[lo] - a
                     consecutive = slots[hi - 1] - slots[lo] == hi - lo - 1
                     parts.append((slice(first, first + hi - lo) if consecutive
@@ -508,14 +548,14 @@ class _Workspace:
         return self.pieces[key]
 
     def _cut(self, key: tuple) -> tuple:
-        """Views of rows lo to hi of block kind, key (kind, lo, hi): its layers and its
-        (theta, gradient) pair.  Of slots a to b, key (a, b): the private header, the
+        """Views of rows lo to hi of a depth's block, key (depth, lo, hi): its layers and
+        its (theta, gradient) pair.  Of slots a to b, key (a, b): the private header, the
         shared model, the shared model's pairs and the projector, a header's or the
         projector's (weight, gradient) being its pair too."""
         if len(key) == 3:
-            kind, lo, hi = key
-            rows, scratch = self.buffers[kind][:, lo:hi]
-            return _layers(rows, scratch, self.spans[kind]), (rows, scratch)
+            depth, lo, hi = key
+            rows, scratch = self.buffers[depth][:, lo:hi]
+            return _layers(rows, scratch, self.spans[depth]), (rows, scratch)
         a, b = key
         h, s, p = (self.buffers[name][:, a:b] for name in ("headers", "shared", "projectors"))
         extractor, top = tuple(s[..., : self.cut]), s[..., self.cut :]
@@ -524,49 +564,80 @@ class _Workspace:
         shared = [(None, _layers(*extractor, self.shared_spans))], shared_head
         return head, shared, [extractor, shared_head], projector
 
-    def evaluate(self, clients: list[ClientState], memo: np.ndarray, variant: InferenceVariant) -> None:
-        """Memoize the accuracies of all its clients with one _predict on the plan of all its slots.
+    def evaluate(self, clients: list[ClientState], variant: InferenceVariant) -> list[float]:
+        """The test accuracies of clients, listed in ascending id order, each a count of
+        hits over its test-set size (float(np.mean(hits)) bit for bit).
 
-        Only if it has two or more slots (a stack of one saves no call),
-        every client is stale and all share one non-zero test-set size; a
-        stack whose logits are not finite is left to evaluate alone.
+        The clients are gathered in chunks no larger than the room the
+        workspace has (one client if it has none yet), a chunk's slots
+        ordered by test-set size, largest first, then by
+        depth, then by id, and each run of slots of one test-set size is
+        predicted in one stack (core._predict on its plan).  Raises the
+        error of the lowest-id client that fails: a ValueError for an
+        empty test set, or a TrainingDiverged naming it for non-finite
+        logits, found by predicting a failed stack's clients alone in
+        ascending id order.
         """
-        members = [clients[i] for i in self.ids]
-        sizes = {c.test_y.size for c in members}
-        if len(members) < 2 or len(sizes) > 1 or 0 in sizes:
-            return
-        if not np.isnan(memo[self.rows]).all():
-            return
-        # np.array of equal shapes is np.stack's result at a third of its cost.
-        tests = np.array([c.test_x for c in members])
-        try:
-            preds = _predict(self.plan(0, len(members)), tests, variant)
-        except TrainingDiverged:
-            return
-        # Each row is evaluate's count over its size: a count of hits, then one division.
-        hits = np.count_nonzero(preds == np.array([c.test_y for c in members]), axis=-1)
-        memo[self.rows] = hits / sizes.pop()
+        population = _population(clients)
+        depth, place = self.depth, population.place
+        standalone = variant is InferenceVariant.SINGLE_LARGE  # the private model alone
+        room, accuracies = max(self.size, 1), {}
+        for start in range(0, len(clients), room):
+            chunk = sorted(clients[start : start + room], key=lambda c: (
+                -c.test_y.size, depth[place[c.client_id][0]], c.client_id))
+            self.gather(population, tuple(c.client_id for c in chunk), standalone)
+            failures = {c.client_id: ValueError(f"client {c.client_id} has an empty test set")
+                        for c in chunk if c.test_y.size == 0}
+            sizes = [c.test_y.size for c in chunk]
+            for a, b, size in _runs(sizes, 0, sizes[0]):
+                members = chunk[a:b]
+                # np.array of equal shapes is np.stack's result at a third of its cost.
+                tests = np.array([c.test_x for c in members])
+                try:
+                    preds = _predict(self.plan(a, b), tests, variant)
+                except TrainingDiverged:
+                    failures.update(self._blame(chunk, a, b, variant))
+                    continue
+                hits = np.count_nonzero(preds == np.array([c.test_y for c in members]), axis=-1)
+                accuracies.update(zip((c.client_id for c in members), (hits / size).tolist()))
+            if failures:
+                raise failures[min(failures)]
+        return [accuracies[c.client_id] for c in clients]
+
+    def _blame(self, chunk, a: int, b: int, variant: InferenceVariant) -> dict:
+        """{id: error} of the first client of slots a to b, in ascending id order, whose
+        prediction alone fails."""
+        for slot in sorted(range(a, b), key=lambda s: chunk[s].client_id):
+            ident = chunk[slot].client_id
+            try:
+                _predict(self.plan(slot, slot + 1), chunk[slot].test_x[None], variant)
+            except TrainingDiverged as exc:
+                error = TrainingDiverged(f"client {ident}: {exc}", exc.group, ident)
+                error.__cause__ = exc
+                return {ident: error}
+        return {}
 
 
 class _Cohort:
     """The clients that train in lockstep, on the population's workspace.
 
     Clients sit in slots ordered by training-set size, largest first,
-    then by architecture (kind), then by id, so the clients that take a
-    batch of the same size at a step fill a contiguous run of slots, and
-    the clients of one size and kind a slice of it.  The cohort gathers
-    into the population's workspace, a run trains on the workspace's plan
-    of it, and cohort_update scatters the rows back once every client has
-    trained.  epoch_means is then a (clients, epochs) array in slot order.
-    A failed check raises at once and leaves the workspace half-trained;
-    the next cohort gathers over it.
+    then by depth (see _Workspace), then by id, so the clients that take
+    a batch of the same size at a step fill a contiguous run of slots,
+    and the clients of one size and depth a slice of it.  The cohort
+    gathers into the population's workspace, a run trains on the
+    workspace's plan of it, and cohort_update scatters the rows back once
+    every client has trained.  epoch_means is then a (clients, epochs)
+    array in slot order.  A failed check raises at once and leaves the
+    workspace half-trained; the next gather writes over it.
     """
 
     def __init__(self, population: Population, clients: list[ClientState], mode: Mode,
                  lrs: LearningRates, weights: LossWeights):
-        place = population.place
+        self.workspace = population._room()
+        depth, place = self.workspace.depth, population.place
         self.clients = sorted(
-            clients, key=lambda c: (-c.n_samples, place[c.client_id][0], c.client_id))
+            clients, key=lambda c: (-c.n_samples, depth[place[c.client_id][0]], c.client_id))
         if self.clients[-1].n_samples == 0:
             raise ValueError(f"client {self.clients[-1].client_id} has no training samples")
         # Once here, over all the cohort's labels, as the steps read labels unchecked.
@@ -574,9 +645,6 @@ class _Cohort:
         _labels(labels, labels.size, population.private_layouts[0].classes)
         self.mode, self.lrs = mode, lrs
         self.weights = LossWeights(0.0, 1.0) if mode is Mode.NO_MRL else weights  # the ablation
-        if population._workspace is None:
-            population._workspace = _Workspace(population)
-        self.workspace = population._workspace
         ids = tuple(c.client_id for c in self.clients)
         self.workspace.gather(population, ids, mode is Mode.STANDALONE)
 
@@ -590,7 +658,7 @@ class _Cohort:
         shape = (len(sizes), sizes[0])
         width = self.clients[0].train_x.shape[1]
         counts = [-(-size // batch_size) for size in sizes]
-        groups = self._runs(counts, 0, counts[0])  # the runs of slots with equal batch counts
+        groups = _runs(counts, 0, counts[0])  # the runs of slots with equal batch counts
         self.epoch_means = np.empty((len(sizes), epochs))
         for epoch in range(epochs):
             x, y = np.empty((*shape, width)), np.empty(shape, dtype=np.int64)
@@ -601,29 +669,53 @@ class _Cohort:
             ledger = np.empty((len(sizes), counts[0]))
             for start in range(0, shape[1], batch_size):
                 losses = ledger[:, start // batch_size]
-                for a, b, rows in self._runs(sizes, start, batch_size):
+                for a, b, rows in _runs(sizes, start, batch_size):
                     window = slice(start, start + rows)
                     self._step(a, b, x[a:b, window], y[a:b, window], losses)
             for a, b, count in groups:
                 self.epoch_means[a:b, epoch] = _mean(ledger[a:b, :count])
 
-    def _runs(self, sizes: list[int], start: int, batch_size: int) -> list[list[int]]:
-        """[first, stop, rows] of each run of slots whose batch at this offset has `rows` rows."""
-        runs: list[list[int]] = []
-        for i, size in enumerate(sizes):
-            rows = min(size - start, batch_size)
-            if rows <= 0:
-                continue
-            if runs and runs[-1][1] == i and runs[-1][2] == rows:
-                runs[-1][1] = i + 1
-            else:
-                runs.append([i, i + 1, rows])
-        return runs
-
     def _step(self, a, b, x, y, losses) -> None:
         """Train slots a to b on one batch each: one step of their plan, in place on the
         rows.  Writes their losses into losses[a:b], the ledger's column of the batch."""
         losses[a:b], _ = _train(self.workspace.plan(a, b), x, y, self.weights, self.lrs)
+
+
+def _runs(sizes: list[int], start: int, batch_size: int) -> list[list[int]]:
+    """[first, stop, rows] of each run of slots whose batch at this offset has `rows` rows."""
+    runs: list[list[int]] = []
+    for i, size in enumerate(sizes):
+        rows = min(size - start, batch_size)
+        if rows <= 0:
+            continue
+        if runs and runs[-1][1] == i and runs[-1][2] == rows:
+            runs[-1][1] = i + 1
+        else:
+            runs.append([i, i + 1, rows])
+    return runs
+
+
+def _padded(spans: tuple, widths: list[int]) -> tuple:
+    """An extractor layout (see models) with each layer's output width widths[i], and
+    its input width the previous layer's output, laid out afresh."""
+    padded, start, inp = [], 0, spans[0][4]
+    for (_, _, end, _, _, activation), out in zip(spans, widths):
+        stop = start + out * inp
+        bias = None if end is None else stop + out
+        padded.append((start, stop, bias, out, inp, activation))
+        start, inp = bias or stop, out
+    return tuple(padded)
+
+
+def _positions(spans: tuple, padded: tuple) -> np.ndarray:
+    """Where each entry of a vector laid out by spans sits in one laid out by padded:
+    a weight's row r and column c at r times its padded input width plus c."""
+    index = []
+    for (_, _, end, out, inp, _), (start, stop, _, _, width, _) in zip(spans, padded):
+        index.append((start + width * np.arange(out)[:, None] + np.arange(inp)).ravel())
+        if end is not None:
+            index.append(stop + np.arange(out))
+    return np.concatenate(index)
 
 
 def _population(clients: list[ClientState]) -> Population:
@@ -641,7 +733,9 @@ def _architecture(model) -> tuple:
 
 
 def _shapes(model) -> list[tuple[int, ...]]:
-    return [array.shape for array in model.parameter_arrays()]
+    """The shapes of a model's vectors: read without making its layers, which a model
+    over other client axes cannot make."""
+    return [segment.shape for segment in model._segments()]
 
 
 def _vector(model) -> np.ndarray:
@@ -762,19 +856,12 @@ def run_rounds(
 
 
 def _accuracies(clients: list[ClientState], variant: InferenceVariant) -> tuple[float, ...]:
-    """Every client's test accuracy, from the population's memo.
-
-    Call it only right after the round's cohort has scattered its workspace,
-    which then holds its clients' current rows: the stale ones among them
-    are evaluated in one stack on it (_Workspace.evaluate), the rest one by
-    one on their cached plans (metrics.evaluate) in ascending id order, so a
-    failure raises the error of the lowest-id client that fails.
-    """
+    """Every client's test accuracy, from the population's memo: the stale ones are
+    evaluated on the population's workspace (_Workspace.evaluate), which raises the
+    error of the lowest-id client that fails."""
     population = _population(clients)
     memo = population.accuracy.setdefault(variant, np.full(len(population.headers), np.nan))
-    workspace = population._workspace
-    if workspace is not None:
-        workspace.evaluate(clients, memo, variant)
-    for ident in np.flatnonzero(np.isnan(memo)).tolist():
-        memo[ident] = evaluate(clients[ident], variant)
+    stale = np.flatnonzero(np.isnan(memo)).tolist()
+    if stale:
+        memo[stale] = population._room().evaluate([clients[i] for i in stale], variant)
     return tuple(memo.tolist())

@@ -27,9 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .core import InferenceVariant, Mode, Projector, TrainingDiverged, _predict
+from .core import InferenceVariant, Mode, Projector
 from .models import Net
 
 if TYPE_CHECKING:  # pragma: no cover - only for annotations
@@ -56,21 +54,15 @@ class RoundReport:
 def evaluate(client: "ClientState", variant: InferenceVariant) -> float:
     """Fraction of the client's test samples predicted correctly.
 
-    Predicts on the client's inference plan, which its population caches
-    (Population._inference_plan).  The count of hits over the size is
-    float(np.mean(hits)) bit for bit: a sum of 0s and 1s is exact, then
-    one division.  Raises TrainingDiverged naming the client if its
-    logits are not finite.
+    Predicts on the client's population's workspace, the one path every
+    evaluation takes (federation._Workspace.evaluate).  The count of hits
+    over the size is float(np.mean(hits)) bit for bit: a sum of 0s and 1s
+    is exact, then one division.  Raises ValueError for an empty test
+    set, and TrainingDiverged naming the client if its logits are not
+    finite.
     """
-    if client.test_y.size == 0:
-        raise ValueError(f"client {client.client_id} has an empty test set")
-    try:
-        plan = client.population._inference_plan(client.client_id)
-        preds = _predict(plan, client.test_x, variant)
-    except TrainingDiverged as exc:
-        where = f"client {client.client_id}: {exc}"
-        raise TrainingDiverged(where, exc.group, client.client_id) from exc
-    return np.count_nonzero(preds == client.test_y) / client.test_y.size
+    (accuracy,) = client.population._room().evaluate([client], variant)
+    return accuracy
 
 
 def comm_cost_round(shared_params: int, participants: int) -> tuple[int, int]:

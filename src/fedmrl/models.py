@@ -54,12 +54,12 @@ class _Segmented:
         """A model of this layout over consecutive column ranges of flat."""
         pieces, start = [], 0
         for segment in self._segments():
-            pieces.append(flat[..., start : start + segment.shape[-1]])
-            start += segment.shape[-1]
+            pieces.append(flat[start : start + segment.size])
+            start += segment.size
         return self._over(tuple(pieces))
 
     def param_count(self) -> int:
-        return sum(segment.shape[-1] for segment in self._segments())
+        return sum(segment.size for segment in self._segments())
 
     def clone(self):
         return self._over(tuple(segment.copy() for segment in self._segments()))
@@ -78,11 +78,11 @@ class _Matrix(_Segmented):
         self.weight = as_matrix(self.weight)
 
     def _segments(self) -> tuple[np.ndarray]:
-        return (self.weight.reshape(*self.weight.shape[:-2], -1),)
+        return (self.weight.reshape(-1),)
 
     def _over(self, segments):
         (flat,) = segments
-        return _view(type(self), weight=flat.reshape(*flat.shape[:-1], *self.weight.shape[-2:]))
+        return _view(type(self), weight=flat.reshape(self.weight.shape))
 
 
 @dataclass(frozen=True)
@@ -176,12 +176,12 @@ class Extractor(_Segmented):
         """Makes the layers, views of _flat, when first asked for them."""
         if name != "layers" or "_spans" not in self.__dict__:
             raise AttributeError(name)
-        flat, stack = self._flat, self._flat.shape[:-1]
+        flat = self._flat
         self.layers = [
             _view(
                 AffineLayer,
-                weight=flat[..., start:stop].reshape(*stack, out, inp),
-                bias=None if end is None else flat[..., stop:end].reshape(*stack, 1, out),
+                weight=flat[start:stop].reshape(out, inp),
+                bias=None if end is None else flat[stop:end].reshape(1, out),
                 activation=activation,
             )
             for start, stop, end, out, inp, activation in self._spans

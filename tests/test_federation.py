@@ -522,10 +522,10 @@ def test_assigning_a_model_copies_it_into_the_clients_rows():
     wide = init_model(ModelConfig(dataset.dim, (12,), cfg.d2, dataset.classes), make_rng(1))
     clients[0].local_model = wide
     assert clients[0].local_model.header.weight.tobytes() == wide.header.weight.tobytes()
-    flat = np.concatenate(replacement._segments())
-    stacked = replacement._split(np.stack([flat, flat]))  # the same layout over two clients
-    with pytest.raises(ShapeError):
-        client.global_copy = stacked
+    # The same layout over two clients: its extractor's vector is (2, P).
+    two = replacement.extractor._over((np.stack([replacement.extractor._flat] * 2),))
+    with pytest.raises(ShapeError, match=r"^shapes \[\(2, \d+\), \(\d+,\)\] cannot replace"):
+        client.global_copy = models.Net(two, replacement.header)
     assert (view.header.weight == 3.0).all()
 
 
@@ -630,40 +630,35 @@ def test_evaluation_reuse_matches_evaluating_every_client(
 
 
 def _count_inference(monkeypatch, clients):
-    """A list that gains, at each core._predict call, alone (metrics.evaluate) or
-    stacked (run_rounds on the cohort's plan), the ids of the clients whose test sets
-    it reads."""
+    """A list that gains, at each core._predict call (every evaluation's: a stack on
+    the population's workspace), the ids of the clients whose test sets it reads."""
     calls = []
 
     def counting(plan, x, variant):
-        tests = x if x.ndim == 3 else [x]
-        calls.append([c.client_id for t in tests for c in clients if np.array_equal(c.test_x, t)])
+        calls.append([c.client_id for t in x for c in clients if np.array_equal(c.test_x, t)])
         return core._predict(plan, x, variant)
 
     monkeypatch.setattr(federation, "_predict", counting)
-    monkeypatch.setattr(metrics, "_predict", counting)
     return calls
 
 
 def test_only_clients_whose_models_changed_are_evaluated_again(monkeypatch):
     cfg, dataset, plan = small_setup(n_clients=4, participation=0.25, rounds=1)
     server, clients = build_clients(cfg, dataset, plan)
-    evaluated = []
+    calls = _count_inference(monkeypatch, clients)
 
-    def counting(client, variant):
-        evaluated.append(client.client_id)
-        return evaluate(client, variant)
+    def evaluated():
+        ids = sorted(i for call in calls for i in call)
+        calls.clear()
+        return ids
 
-    monkeypatch.setattr(federation, "evaluate", counting)
     run_rounds(server, clients, cfg)
-    assert len(evaluated) == 4  # nothing memoized yet
-    evaluated.clear()
+    assert len(evaluated()) == 4  # nothing memoized yet
     run_rounds(server, clients, cfg)
-    assert len(evaluated) == 1  # K = 1 participant changed
-    evaluated.clear()
+    assert len(evaluated()) == 1  # K = 1 participant changed
     switched = dataclasses.replace(cfg, inference=InferenceVariant.MIX_SMALL)
     (report,) = run_rounds(server, clients, switched)
-    assert sorted(evaluated) == [0, 1, 2, 3]  # a new variant evaluates everyone
+    assert evaluated() == [0, 1, 2, 3]  # a new variant evaluates everyone
     assert report.per_client_accuracy == tuple(
         evaluate(c, InferenceVariant.MIX_SMALL) for c in clients
     )
@@ -845,9 +840,49 @@ def test_diverging_quickstart_stops_at_the_same_step(monkeypatch, lr):
         assert str(evaluation.value) == message
 
 
-def train_unstacked(client, epochs, batch_size, lrs, mode, weights):
-    """A cohort of one as one 2-D step per batch, no client axis anywhere."""
-    g, f, p = client.global_copy, client.local_model, client.projector
+def train_unstacked(client, *args):
+    """A cohort of one as one 2-D step per batch of the client's models, no client
+    axis anywhere."""
+    models = client.global_copy, client.local_model, client.projector
+    epoch_means, (client.global_copy, client.local_model, client.projector) = _steps(
+        client, models, *args)
+    return epoch_means
+
+
+def padded_models(client):
+    """Clones of the client's (shared copy, private model, projector), the private
+    extractor padded with zeros to the widths of its depth's block in the
+    population's workspace (federation._Workspace)."""
+    population = client.population
+    workspace = population._room()
+    kind, rank = population.place[client.client_id]
+    spans = workspace.spans[workspace.depth[kind]]
+    flat = np.zeros(spans[-1][2] or spans[-1][1])
+    flat[workspace.maps[kind]] = population.blocks[kind][rank]
+    extractor = models._view(models.Extractor, _flat=flat, _spans=spans)
+    local = models.Net(extractor, client.local_model.header.clone())
+    return client.global_copy.clone(), local, client.projector.clone()
+
+
+def train_padded(client, *args):
+    """train_unstacked on the client's padded model (padded_models), whose entries
+    outside the client's own then hold exactly 0.0: the step a cohort takes.  The
+    client's rows are set to the result's."""
+    population = client.population
+    positions = population._room().maps[population.place[client.client_id][0]]
+    epoch_means, (g, f, p) = _steps(client, padded_models(client), *args)
+    pad = np.delete(f.extractor._flat, positions)
+    assert pad.tobytes() == np.zeros_like(pad).tobytes()
+    private = (f.extractor._flat[positions], f.header.weight.reshape(-1))
+    client.global_copy, client.projector = g, p
+    client.local_model = client.local_model._over(private)
+    return epoch_means
+
+
+def _steps(client, models, epochs, batch_size, lrs, mode, weights):
+    """(epoch means, models) of training models on the client's shuffles, one public
+    step per batch."""
+    g, f, p = models
     epoch_means = []
     for _ in range(epochs):
         order = client.rng.permutation(client.n_samples)
@@ -863,8 +898,7 @@ def train_unstacked(client, epochs, batch_size, lrs, mode, weights):
                 loss, _, (g, f, p) = train_step(g, f, p, xb, yb, weights, lrs)
             losses.append(loss)
         epoch_means.append(float(np.mean(losses)))
-    client.global_copy, client.local_model, client.projector = g, f, p
-    return epoch_means
+    return epoch_means, (g, f, p)
 
 
 def _same_arrays(a, b):
@@ -916,7 +950,7 @@ def test_lockstep_cohort_equals_each_client_alone(
     for ident, (upload, epoch_means) in sorted(zip(chosen, results), key=lambda r: r[0]):
         expected_upload, expected_means = cohort_update([alone[ident]], *args)[0]
         assert repr(epoch_means) == repr(expected_means)
-        assert repr(epoch_means) == repr(train_unstacked(unstacked[ident], *args))
+        assert repr(epoch_means) == repr(train_padded(unstacked[ident], *args))
         if mode is Mode.STANDALONE:
             assert upload is None and expected_upload is None
         else:
@@ -930,6 +964,63 @@ def test_lockstep_cohort_equals_each_client_alone(
         assert _same_arrays(_client_arrays(a), _client_arrays(b))
         assert _same_arrays(_client_arrays(a), _client_arrays(c))
         assert a.rng.bit_generator.state == b.rng.bit_generator.state == c.rng.bit_generator.state
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    local_hidden=st.lists(
+        st.lists(st.integers(1, 9), max_size=2).map(tuple), min_size=1, max_size=4
+    ).map(tuple),
+    n_clients=st.integers(1, 6),
+    epochs=st.integers(1, 2),
+    batch_size=st.integers(1, 9),
+    mode=st.sampled_from(list(Mode)),
+    data_seed=st.integers(0, 30),
+    participants=st.data(),
+)
+def test_a_padded_cohort_steps_each_client_as_its_padded_model(
+    local_hidden, n_clients, epochs, batch_size, mode, data_seed, participants
+):
+    # Mixed widths and depths (0-2 hidden layers): after the cohort every pad
+    # entry of the workspace's rows is exactly 0.0 (and of their gradients
+    # 0), each client's rows are bit for bit those of the public step on its
+    # padded model, and the padded model's losses are the configured model's
+    # to 1e-12 relative.
+    dataset = gen_synthetic(4, 5, 25, 0.8, make_rng(data_seed))
+    try:
+        plan = split_train_test(
+            partition_dirichlet(dataset, n_clients, DirichletSpec(alpha=1.0, seed=data_seed))
+        )
+    except PartitionError:
+        assume(False)
+    cfg = RunConfig(
+        n_clients=n_clients, rounds=1, d1=3, d2=6, mode=mode, seed=data_seed,
+        global_hidden=(6,), local_hidden=local_hidden,
+    )
+    chosen = participants.draw(
+        st.lists(st.integers(0, n_clients - 1), min_size=1, unique=True), label="participants"
+    )
+    (_, clients), (_, padded), (_, configured) = (build_clients(cfg, dataset, plan) for _ in "abc")
+    args = (epochs, batch_size, cfg.lrs, mode, cfg.loss_weights)
+    results = cohort_update([clients[i] for i in chosen], *args)
+
+    workspace = clients[0].population._workspace
+    for depth, slots, _ in workspace.depths:
+        block = workspace.buffers[depth][:, : len(slots)]
+        filled = np.zeros(block.shape[1:], dtype=bool)
+        for _, _, rows, at in workspace.copies:
+            if at is not Ellipsis and np.shares_memory(rows, block):
+                filled.reshape(-1)[at] = True  # flat positions in the block's rows
+        pad = block[0][~filled]
+        assert pad.tobytes() == np.zeros_like(pad).tobytes()
+        assert not block[1][~filled].any()
+
+    for ident, (_, epoch_means) in zip(chosen, results):
+        assert repr(epoch_means) == repr(train_padded(padded[ident], *args))
+        alone = train_unstacked(configured[ident], *args)
+        np.testing.assert_allclose(epoch_means, alone, rtol=1e-12, atol=0)
+    for a, b in zip(clients, padded):
+        assert _same_arrays(_client_arrays(a), _client_arrays(b))
 
 
 def _step_of_failure(client, epochs, lrs, steps):
@@ -991,9 +1082,9 @@ def test_a_failed_cohort_leaves_every_rng_where_cohorts_of_one_stop(mode):
     assert [s == s0 for s, s0 in zip(states, start)] == [False, False, True, True]
 
 
-# The slot order of a quickstart cohort: equal shards, sorted by architecture
-# (client i has architecture i mod 5), then by id.
-QUICKSTART_SLOTS = [0, 5, 1, 6, 2, 7, 3, 8, 4, 9]
+# The slot order of a quickstart cohort: equal shards, whose five architectures
+# share one depth, sorted by id.
+QUICKSTART_SLOTS = list(range(10))
 
 
 def _equal_shards(with_server=False):
@@ -1151,13 +1242,16 @@ def test_a_failed_stacked_evaluation_raises_what_the_ascending_loop_raises(
     if empty:
         clients[2].test_x, clients[2].test_y = clients[2].test_x[:0], clients[2].test_y[:0]
     calls = _count_inference(monkeypatch, clients)
-    # Without training, the round only evaluates: the whole cohort in one
-    # stack, which holds the NaN, unless client 2's empty test set makes
-    # the sizes differ; then no stack is tried.
+    # Without training, the round only evaluates: one stack of the equal test
+    # sets, which holds the NaN, then its clients alone in ascending id order
+    # up to the first that fails.  Client 2's empty test set sorts last and
+    # fails unpredicted, and the error of the lowest id is raised.
     with pytest.raises(error) as stacked:
         run_rounds(server, clients, dataclasses.replace(cfg, local_epochs=0))
-    stack = [] if empty else [QUICKSTART_SLOTS]
-    assert calls == [*stack, [0], [1]]
+    if empty:
+        assert calls == [[i for i in QUICKSTART_SLOTS if i != 2], [0], [1], [3], [4], [5]]
+    else:
+        assert calls == [QUICKSTART_SLOTS, [0], [1]]
     assert str(stacked.value) == message
     with pytest.raises(error) as alone:
         for client in clients:
@@ -1288,23 +1382,29 @@ def test_a_reused_workspace_trains_like_fresh_populations(first, middle, modes, 
             c.rng.bit_generator.state for c in fresh]
 
 
-def test_evaluation_predicts_on_each_clients_cached_plan():
-    # The plan a population caches for a client views its rows, so after
-    # each writer (broadcast, a cohort's scatter, assignment to a model
-    # field) it predicts what infer predicts on the client's views.
+def test_evaluation_predicts_what_infer_predicts_after_every_writer(monkeypatch):
+    # Every evaluation gathers the client's rows into the workspace, so after
+    # each writer (broadcast, a cohort's scatter, assignment to a model field)
+    # it predicts what infer predicts on the client's padded models.
     cfg, dataset, plan = small_setup(n_clients=4)
     server, clients = build_clients(cfg, dataset, plan)
-    population = clients[0].population
-    plans = [population._inference_plan(c.client_id) for c in clients]
+    seen = []
+
+    def recording(plan, x, variant):
+        seen.append(core._predict(plan, x, variant))
+        return seen[-1]
+
+    monkeypatch.setattr(federation, "_predict", recording)
 
     def predictions():
         found = []
-        for client, plan in zip(clients, plans):
-            assert population._inference_plan(client.client_id) is plan
-            views = (client.global_copy, client.local_model, client.projector)
+        for client in clients:
             for variant in InferenceVariant:
-                mine = core._predict(plan, client.test_x, variant)
-                assert np.array_equal(mine, infer(*views, client.test_x, variant))
+                seen.clear()
+                accuracy = evaluate(client, variant)
+                (mine,) = seen[0]
+                assert np.array_equal(mine, infer(*padded_models(client), client.test_x, variant))
+                assert accuracy == np.count_nonzero(mine == client.test_y) / client.test_y.size
                 found.append(mine)
         return found
 
@@ -1315,7 +1415,7 @@ def test_evaluation_predicts_on_each_clients_cached_plan():
     broadcast(server, clients[:2])
     after = predictions()
     small = list(InferenceVariant).index(InferenceVariant.SINGLE_SMALL)
-    assert not np.array_equal(before[small], after[small])  # the plan saw the write
+    assert not np.array_equal(before[small], after[small])  # evaluation saw the write
     cohort_update(clients[1:3], 1, 8, cfg.lrs, Mode.FEDMRL, cfg.loss_weights)
     predictions()
     local = clients[3].local_model.clone()
@@ -1323,7 +1423,7 @@ def test_evaluation_predicts_on_each_clients_cached_plan():
     clients[3].local_model = local
     predictions()
     for twin in (copy.deepcopy(clients), pickle.loads(pickle.dumps(clients))):
-        assert twin[0].population._plans == {}
+        assert twin[0].population._workspace is None
         assert evaluate(twin[3], MIX_LARGE) == evaluate(clients[3], MIX_LARGE)
 
 
@@ -1331,10 +1431,12 @@ MANY_DIRICHLET = Path(__file__).parents[1] / "bench" / "workloads" / "many-diric
 
 
 def test_a_many_dirichlet_run_builds_each_plan_and_piece_once():
-    # Counts, no timing: every evaluation plan is a client's cached plan,
-    # made at most once per client, and every plan piece is cut at most once
-    # per key.  A second run of the same cohorts on the same population (the
-    # server and the clients' rngs back at their start) builds neither.
+    # Counts, no timing: training and evaluation run on the workspace's
+    # plans, so no plan of a client's models is made, every plan piece is
+    # cut at most once per key, and the five architectures, of one depth,
+    # are cut from one block.  A second run of the same cohorts on the
+    # same population (the server and the clients' rngs back at their start)
+    # builds neither.
     config = override(load_config(MANY_DIRICHLET), seed=0)
     dataset = load_dataset(config)
     cfg = build_run_config(config)
@@ -1360,10 +1462,9 @@ def test_a_many_dirichlet_run_builds_each_plan_and_piece_once():
         return plans, pieces
 
     plans, pieces = run(server)
-    assert plans and pieces
-    assert {caller for caller, _ in plans} == {"Population._inference_plan"}
-    assert len({ident for _, ident in plans}) == len(plans) <= cfg.n_clients
+    assert plans == [] and pieces
     assert len(set(pieces)) == len(pieces)
+    assert {key[0] for key in pieces if len(key) == 3} == {0}  # one depth, so one private part
     server, rngs = start
     for client, rng in zip(clients, rngs):
         client.rng = rng
@@ -1371,10 +1472,10 @@ def test_a_many_dirichlet_run_builds_each_plan_and_piece_once():
 
 
 @pytest.mark.parametrize("mode", list(Mode))
-def test_a_quickstart_cohort_steps_each_architecture_as_a_slice(mode):
-    # Equal shards sort by architecture, then id, so every private part of
-    # every run plan is a range of slots, held as a slice; and a step writes
-    # its losses into the loss ledger without ndarray.tolist.
+def test_a_quickstart_cohort_steps_every_architecture_in_one_slice(mode):
+    # The five architectures share one depth, so every run plan has one
+    # private part, its slots a range held as a slice; and a step writes its
+    # losses into the loss ledger without ndarray.tolist.
     cfg, clients = _equal_shards()
     step, inside, steps, tolist = federation._Cohort._step.__code__, [0], [], []
 
@@ -1397,7 +1498,7 @@ def test_a_quickstart_cohort_steps_each_architecture_as_a_slice(mode):
     assert plans
     for plan in plans.values():
         parts = plan.private[0]
-        assert len(parts) == 5 and all(isinstance(slots, slice) for slots, _ in parts)
+        assert len(parts) == 1 and isinstance(parts[0][0], slice)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1410,8 +1511,8 @@ def test_a_quickstart_cohort_steps_each_architecture_as_a_slice(mode):
 def test_the_loss_ledger_means_each_clients_losses_bit_for_bit(sizes, batch_size, epochs, mode):
     # Ragged shards give rows of different lengths in one ledger.  Each
     # client's epoch means are float(np.mean(losses)) of the losses the
-    # public step returns when the client steps alone through the same
-    # permutations, drawn from a copy of its rng.
+    # public step returns when the client's padded model steps alone through
+    # the same permutations, drawn from a copy of its rng.
     cfg, dataset, plan = small_setup(n_clients=len(sizes))
     _, clients = build_clients(cfg, dataset, plan)
     for i, (client, size) in enumerate(zip(clients, sizes)):
@@ -1420,7 +1521,7 @@ def test_the_loss_ledger_means_each_clients_losses_bit_for_bit(sizes, batch_size
     alone = copy.deepcopy(clients)
     results = cohort_update(clients, epochs, batch_size, cfg.lrs, mode, cfg.loss_weights)
     for (_, means), twin in zip(results, alone):
-        expected = train_unstacked(twin, epochs, batch_size, cfg.lrs, mode, cfg.loss_weights)
+        expected = train_padded(twin, epochs, batch_size, cfg.lrs, mode, cfg.loss_weights)
         assert len(means) == epochs
         assert repr(means) == repr(expected)
 
