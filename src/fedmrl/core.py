@@ -22,22 +22,21 @@ and checked against finite differences.
 
 Every step runs on a plan (_Plan): plain lists over one stack of
 clients, read from flat parameter vectors with their layouts' spans (see
-models).  A plan holds each extractor part's slots and each layer's
-weight, bias, their gradients and ReLU flag, both headers, the projector,
-and each parameter group's (theta, gradient) vector pairs.  _train walks
-it: the forward, the hand-derived backward, which writes every gradient
-with np.matmul and sum (out=), and SGD in place, theta -= lr * grad, with
-one isfinite per stepped vector.  It builds no model object and checks
-nothing but the learning rates and finiteness.  _predict runs the same
-forward on a plan and reads the logits of an inference variant.  The
-public functions take one client's models and 2-D batches: they check
-their inputs, build a plan over the models they are given (_plan) and
-run that same code; train_step and train_step_single step clones, so
-they are pure.  Plans, not the public functions, run stacks of clients.
-A plan is plain data, so it can also be put together from pieces: the
-cohort workspace (see federation) caches views of row ranges of its
-buffers, one piece per extractor part and one per run of slots, and
-puts each run's plan together from them, for training and evaluation.
+models).  A plan holds each layer's weight, bias, their gradients and
+ReLU flag, both headers, the projector, and each parameter group's
+(theta, gradient) vector pairs.  _train walks it: the forward, the
+hand-derived backward, which writes every gradient with np.matmul and
+sum (out=), and SGD in place, theta -= lr * grad, with one isfinite per
+stepped vector.  It builds no model object and checks nothing but the
+learning rates and finiteness.  _predict runs the same forward on a plan
+and reads the logits of an inference variant.  The public functions take
+one client's models and 2-D batches: they check their inputs, build a
+plan over the models they are given (_plan) and run that same code;
+train_step and train_step_single step clones, so they are pure.  Plans,
+not the public functions, run stacks of clients.  A plan is plain data,
+so it can also be put together from views: the cohort workspace (see
+federation) caches the plan of each run of slots of one depth, views of
+row ranges of its buffers, for training and evaluation.
 The tape, what the backward reads from the forward, never leaves the
 step that made it.
 
@@ -53,11 +52,11 @@ non-finite logits, each raise a TrainingDiverged naming the check and,
 for a group, the group.
 
 A cohort's plan runs its clients as one stack: rows (C, ...) of every
-vector, the private extractor in one part per layout (the workspace pads
-the architectures of one depth to one layout), batches (C, n, in) and
-labels (C, n).  Each product is then one BLAS call per
-client slice and each reduction runs within its slice, so every client's
-numbers are those of training it alone.  Losses come back as arrays of
+vector, one private extractor layout (the workspace pads the
+architectures of one depth to one layout, and a plan covers one depth),
+batches (C, n, in) and labels (C, n).  Each product is then one BLAS
+call per client slice and each reduction runs within its slice, so
+every client's numbers are those of training it alone.  Losses come back as arrays of
 C, and a check fails if it fails for any client.
 """
 
@@ -278,20 +277,14 @@ def _finite_loss(loss: float | np.ndarray) -> float | np.ndarray:
 class _Plan:
     """Plain lists over one stack of clients, which a training step walks.
 
-    private and shared are the two models, each (parts, head).  parts has
-    (slots, layers) per extractor part: slots are the part's clients in
-    the stack, read when there are two or more parts, and layers hold
-    each layer's (weight, bias, weight gradient, bias gradient, relu).
-    slots index the batch, the representation and its gradient: an index
-    array, or a slice for consecutive clients, whose batch and gradient
-    rows are then views and whose representation is written by basic
-    assignment.
-    head and projector are (weight, gradient).  shared and projector are
-    None to train the private model alone.  groups holds the (theta,
-    gradient) pairs of the global, local and projector groups, views of
-    their vectors or of their weights (SGD is elementwise), None for a
-    group that is not trained; the global group's last pair is its
-    header.  Every array is a view of the vectors the plan was built on,
+    private and shared are the two models, each (layers, head): layers
+    hold each extractor layer's (weight, bias, weight gradient, bias
+    gradient, relu), and head and projector are (weight, gradient).
+    shared and projector are None to train the private model alone.
+    groups holds the (theta, gradient) pairs of the global, local and
+    projector groups, views of their vectors or of their weights (SGD is
+    elementwise), None for a group that is not trained; the global
+    group's last pair is its header.  Every array is a view of the vectors the plan was built on,
     and every gradient is None in a plan that only infers.
     """
 
@@ -302,7 +295,7 @@ class _Plan:
 
 
 def _layers(flat, grad, spans) -> list:
-    """The layers of a plan part: views of an extractor's vector flat, laid out by
+    """A plan's extractor layers: views of an extractor's vector flat, laid out by
     spans (see models), and of its gradient grad (None to infer only)."""
     stack, layers = flat.shape[:-1], []
     for start, stop, end, out, inp, activation in spans:
@@ -314,11 +307,11 @@ def _layers(flat, grad, spans) -> list:
 
 
 def _model(model: Net, grads: Net | None) -> tuple:
-    """A Net's (parts, head) for a plan, its extractor the one part, with gradient
-    views of grads (None to infer only)."""
+    """A Net's (layers, head) for a plan, with gradient views of grads (None to
+    infer only)."""
     extractor = model.extractor
     layers = _layers(extractor._flat, grads and grads.extractor._flat, extractor._spans)
-    return [(None, layers)], (model.header.weight, grads and grads.header.weight)
+    return layers, (model.header.weight, grads and grads.header.weight)
 
 
 def _plan(models: tuple, grads: tuple = (None, None, None)) -> _Plan:
@@ -330,53 +323,41 @@ def _plan(models: tuple, grads: tuple = (None, None, None)) -> _Plan:
     return _Plan(_model(f, df), g and _model(g, dg), p and (p.weight, dp and dp.weight), groups)
 
 
-def _extract(parts, x, tapes: list) -> np.ndarray:
-    """The representation of batch x through an extractor's plan parts, the parts
-    of a mixed stack each on its slots' rows.  tapes gains a tape per part: each
-    layer's input and pre-activation."""
-    whole = len(parts) == 1
-    # A mixed stack's representation is as wide as a last layer's weight is tall.
-    rep = None if whole else np.empty((*x.shape[:-1], parts[0][1][-1][0].shape[-2]))
-    for slots, layers in parts:
-        tapes.append([])
-        out = x if whole else x[slots]
-        for weight, bias, _, _, relu in layers:
-            pre = out @ _transposed(weight)
-            if bias is not None:
-                pre += bias
-            tapes[-1] += (out, pre)
-            out = np.maximum(pre, 0.0) if relu else pre
-        if whole:
-            return out
-        rep[slots] = out
-    return rep
+def _extract(layers, x, tape: list) -> np.ndarray:
+    """The representation of batch x through an extractor's plan layers.  tape gains
+    each layer's input and pre-activation."""
+    for weight, bias, _, _, relu in layers:
+        pre = x @ _transposed(weight)
+        if bias is not None:
+            pre += bias
+        tape += (x, pre)
+        x = np.maximum(pre, 0.0) if relu else pre
+    return x
 
 
-def _backward(parts, tapes, d_rep) -> None:
-    """Write the parameter gradients of an extractor's plan parts for an upstream
+def _backward(layers, tape, d_rep) -> None:
+    """Write the parameter gradients of an extractor's plan layers for an upstream
     gradient d_rep, which may sum several consumers' gradients.  A column slice
     of d_rep is copied to C order first."""
-    whole = len(parts) == 1
-    for (slots, layers), tape in zip(parts, tapes):
-        delta = np.ascontiguousarray(d_rep if whole else d_rep[slots])
-        for i, (_, _, d_weight, d_bias, relu) in reversed(list(enumerate(layers))):
-            if i < len(layers) - 1:
-                delta = delta @ layers[i + 1][0]
-            if relu:
-                delta = delta * (tape[2 * i + 1] > 0.0)
-            np.matmul(delta.swapaxes(-1, -2), tape[2 * i], out=d_weight)
-            if d_bias is not None:
-                delta.sum(axis=-2, keepdims=True, out=d_bias)
+    delta = np.ascontiguousarray(d_rep)
+    for i, (_, _, d_weight, d_bias, relu) in reversed(list(enumerate(layers))):
+        if i < len(layers) - 1:
+            delta = delta @ layers[i + 1][0]
+        if relu:
+            delta = delta * (tape[2 * i + 1] > 0.0)
+        np.matmul(delta.swapaxes(-1, -2), tape[2 * i], out=d_weight)
+        if d_bias is not None:
+            delta.sum(axis=-2, keepdims=True, out=d_bias)
 
 
-def _read(plan: _Plan, x, tapes_g: list, tapes_f: list) -> tuple:
+def _read(plan: _Plan, x, tape_g: list, tape_f: list) -> tuple:
     """(spliced, read) of a batch: read is what the private header reads, the fused
     row (the spliced row projected), or without a projector the private
     representation alone, spliced then None."""
-    read = _extract(plan.private[0], x, tapes_f)
+    read = _extract(plan.private[0], x, tape_f)
     if plan.projector is None:
         return None, read
-    spliced = np.concatenate([_extract(plan.shared[0], x, tapes_g), read], axis=-1)
+    spliced = np.concatenate([_extract(plan.shared[0], x, tape_g), read], axis=-1)
     return spliced, spliced @ _transposed(plan.projector[0])
 
 
@@ -384,8 +365,8 @@ def _loss(plan: _Plan, x, y, weights: LossWeights | None):
     """A plan's forward on a batch: forward_loss's (total, (loss_global, loss_local)),
     total checked, and the tape that _backprop reads.  Without a projector it is
     forward_loss_single's, loss_global None and weights unread."""
-    tapes_g, tapes_f, low, dlogits_g, loss_global = [], [], None, None, None
-    spliced, read = _read(plan, x, tapes_g, tapes_f)
+    tape_g, tape_f, low, dlogits_g, loss_global = [], [], None, None, None
+    spliced, read = _read(plan, x, tape_g, tape_f)
     losses, dlogits_f = _cross_entropy(read @ _transposed(plan.private[1][0]), y)
     total = loss_local = _value(_mean(losses))
     if spliced is not None:
@@ -396,7 +377,7 @@ def _loss(plan: _Plan, x, y, weights: LossWeights | None):
             losses, dlogits_g = _cross_entropy(low @ _transposed(head), y)
             loss_global = _value(_mean(losses))
             total = weights.global_head * loss_global + total
-    tape = (spliced, read, low, tapes_g, tapes_f, dlogits_g, dlogits_f)
+    tape = (spliced, read, low, tape_g, tape_f, dlogits_g, dlogits_f)
     return _finite_loss(total), (loss_global, loss_local), tape
 
 
@@ -409,13 +390,13 @@ def _backprop(plan: _Plan, weights: LossWeights | None, tape) -> None:
     projector then routes the fused gradient back to both extractors by
     splitting the spliced gradient at column d1.
     """
-    spliced, read, low, tapes_g, tapes_f, dlogits_g, dlogits_f = tape
+    spliced, read, low, tape_g, tape_f, dlogits_g, dlogits_f = tape
     n, (head, d_head) = read.shape[-2], plan.private[1]
     d_logits = dlogits_f / n if spliced is None else (weights.local_head / n) * dlogits_f
     np.matmul(d_logits.swapaxes(-1, -2), read, out=d_head)
     d_read = d_logits @ head
     if spliced is None:
-        return _backward(plan.private[0], tapes_f, d_read)
+        return _backward(plan.private[0], tape_f, d_read)
     (head, d_head), d1 = plan.shared[1], plan.shared[1][0].shape[-1]
     if dlogits_g is not None:
         d_logits = (weights.global_head / n) * dlogits_g
@@ -424,8 +405,8 @@ def _backprop(plan: _Plan, weights: LossWeights | None, tape) -> None:
     weight, d_weight = plan.projector
     np.matmul(d_read.swapaxes(-1, -2), spliced, out=d_weight)
     d_spliced = d_read @ weight
-    _backward(plan.shared[0], tapes_g, d_spliced[..., :d1])
-    _backward(plan.private[0], tapes_f, d_spliced[..., d1:])
+    _backward(plan.shared[0], tape_g, d_spliced[..., :d1])
+    _backward(plan.private[0], tape_f, d_spliced[..., d1:])
 
 
 def _descend(plan: _Plan, lrs: LearningRates, frozen: bool) -> None:
@@ -576,8 +557,8 @@ def _predict(plan: _Plan, x, variant: InferenceVariant) -> np.ndarray:
     """Predicted class indices of a batch on a plan, unchecked but for the logits'
     finiteness: the training step's forward, read by the variant's header."""
     if variant is InferenceVariant.SINGLE_SMALL or variant is InferenceVariant.SINGLE_LARGE:
-        parts, (head, _) = plan.shared if variant is InferenceVariant.SINGLE_SMALL else plan.private
-        read = _extract(parts, x, [])
+        layers, (head, _) = plan.shared if variant is InferenceVariant.SINGLE_SMALL else plan.private
+        read = _extract(layers, x, [])
     else:
         read, head = _read(plan, x, [], [])[1], plan.private[1][0]
         if variant is InferenceVariant.MIX_SMALL:

@@ -14,41 +14,42 @@ Broadcast is one row assignment; aggregation walks the upload rows.
 
 Lockstep training: the round's participants train as one cohort
 (cohort_update).  The cohort gathers their rows into the population's
-workspace (_Workspace), and each step trains every client that takes a
-batch of the same size as one stacked step of a plan over those rows
-(core._Plan: plain lists of views of the rows and of their gradient
-scratch), the private extractor once per depth.  The workspace holds the
-private extractors in one block per depth (number of hidden layers), in
-which every architecture of that depth is zero-padded to the widest
-width of the population's architectures of the depth at each hidden
-position: the gather zeroes the block and copies each architecture's
-rows into it through an index map built once per population, and the
-scatter copies them back, so the population stores every client's rows
-as configured.  A padded unit has zero weights and bias, so its
-pre-activation is 0, its ReLU is closed and its gradients are ±0: its
-weights stay 0.0, and a padded step is the configured model's step in
-exact arithmetic, only OpenBLAS summing the longer products in another
-order.  A depth with one architecture pads nothing.  A step writes the
-gathered rows in place, and the cohort scatters them back once every
-client has trained.  The workspace serves all the population's cohorts:
-buffers with room for the largest cohort so far, plan pieces cached by
-rows, and each run's plan, put together from pieces and kept while the
-composition stays the same.  Uploads view a copy of the trained shared
-rows.  A step writes its losses into the epoch's loss ledger, one
-(clients, batches) array, and each client's epoch mean is one reduction
-of its row.  Each client draws its epoch permutations from its own rng,
-and the padding depends on the population alone, so the result is
-bit-identical to a cohort of one for each client, and to the public step
-on its padded model, because of three rules:
+workspace (_Workspace), and each step trains every client of one depth
+(number of layers of its private extractor) that takes a batch of the
+same size as one stacked step of a plan over those rows (core._Plan:
+plain lists of views of the rows and of their gradient scratch).  The
+workspace holds the private extractors in one block per depth, in which
+every architecture of that depth is zero-padded to the widest width of
+the population's architectures of the depth at each hidden position:
+the gather zeroes the block and copies each architecture's rows into it
+through an index map built once per population, and the scatter copies
+them back, so the population stores every client's rows as configured.
+A padded unit has zero weights and bias, so its pre-activation is 0,
+its ReLU is closed and its gradients are ±0: its weights stay 0.0, and a
+padded step is the configured model's step in exact arithmetic, only
+OpenBLAS summing the longer products in another order.  A depth with one
+architecture pads nothing.  A population of several depths steps once
+per depth present in a run: on the quickstart shape with three depths a
+fedmrl run takes three times the steps (120 to 360) and about 1.4x to
+1.7x the wall time of a stack that fused every depth.  A step writes the gathered rows in place, and the cohort
+scatters them back once every client has trained.  The workspace serves
+all the population's cohorts: buffers with room for the largest cohort
+so far, and the plan of each run of slots, kept while the buffers are.
+Uploads view a copy of the trained shared rows.  A step writes its
+losses into the epoch's loss ledger, one (clients, batches) array, and
+each client's epoch mean is one reduction of its row.  Each client draws
+its epoch permutations from its own rng, and the padding depends on the
+population alone, so the result is bit-identical to a cohort of one for
+each client, and to the public step on its padded model, because of
+three rules:
 
 * every stacked product is one BLAS call per client slice, on C-order
   matrices, and every reduction runs within a slice (see core);
-* clients are grouped by batch size at each step (ordering the cohort by
-  shard size, largest first, then by depth, makes each group a
-  contiguous run of slots, and the clients of one size and depth a range
-  of it, which a step reads and writes through views), so a short final
-  batch is never zero-padded: padding the rows of a product changes how
-  OpenBLAS rounds it;
+* clients are grouped by batch size and depth at each step (ordering the
+  cohort by shard size, largest first, then by depth, makes each group a
+  contiguous range of slots, which a step reads and writes through
+  views), so a short final batch is never zero-padded: padding the rows
+  of a product changes how OpenBLAS rounds it;
 * a cohort that fails is replayed as cohorts of one in ascending id
   order, from the rng states it started with and on copies of the
   clients, so the error raised, and every client's rng, are those of a
@@ -74,7 +75,6 @@ the round.
 
 from __future__ import annotations
 
-import bisect
 import copy
 import math
 import warnings
@@ -126,6 +126,10 @@ class RunConfig:
     inference: InferenceVariant = InferenceVariant.MIX_LARGE
 
     def __post_init__(self):
+        if not isinstance(self.mode, Mode):
+            raise ValueError(f"mode must be a Mode, got {self.mode!r}")
+        if not isinstance(self.inference, InferenceVariant):
+            raise ValueError(f"inference must be an InferenceVariant, got {self.inference!r}")
         if self.n_clients < 1:
             raise ValueError(f"need at least one client, got {self.n_clients}")
         if self.seed < 0:
@@ -429,29 +433,26 @@ class _Workspace:
     of layers, each layer's bias and activation (as all of init_model's
     do) and the input width; at each hidden position the depth's width is
     the widest of theirs.  spans[depth] lays the padded vector out (see
-    models), depth[kind] is an architecture's depth, maps[kind] the
-    position of each entry of its vector in the padded one, and
-    counts[depth] the population's clients of that depth.
+    models), depth[kind] is an architecture's depth and maps[kind] the
+    position of each entry of its vector in the padded one.
 
     buffers maps each depth to its block, and "headers", "shared" and
-    "projectors" to slot-indexed buffers: each a (2, rows, width) array
-    of rows and their gradient scratch, with room for the largest cohort
-    so far (a block for as many of its clients as such a cohort can
-    hold).  A cohort gathers into the first rows; a larger one regrows
-    every buffer and drops every piece.  pieces caches plan pieces by
-    rows: (depth, lo, hi) for rows lo to hi of a block, (a, b) for slots
-    a to b of the slot-indexed buffers.  plans maps a run of slots (a, b)
-    to its plan (core._Plan), put together from pieces, while the
-    composition (the depth of each slot, and the standalone-ness) stays
-    the same; depths holds each depth's slots in the composition, as a
-    list and as an array.  After a gather, rows is the client id of each
-    slot, copies lists (population buffer, its rows of the gathered
-    clients, the workspace's rows, where in them they sit) per gathered
-    buffer and architecture, and shared views the shared rows (None for
-    standalone training).  Its rows equal the population's
-    from a gather to the first step, and again from a scatter to the next
-    write.  It holds arrays, ids and views only: a client or the
-    population here would make a reference cycle.
+    "projectors" to the other buffers: each a (2, rows, width) array of
+    rows and their gradient scratch, with room for the largest cohort so
+    far.  Every buffer is slot-indexed: slot i's private rows sit at row i
+    of its depth's block.  A cohort gathers into the first rows; a larger
+    one regrows every buffer and drops every plan.  plans maps (a, b,
+    depth, standalone) to the plan (core._Plan) of slots a to b, which
+    share that depth, for training both models or the private one alone.
+    After a gather, rows is the client id of each slot, depths the depth
+    of each slot, standalone whether the private models train alone,
+    copies lists (population buffer, its rows of the gathered clients, the
+    workspace's rows, where in them they sit) per gathered buffer and
+    architecture, and shared views the shared rows (None for standalone
+    training).  Its rows equal the population's from a gather to the
+    first step, and again from a scatter to the next write.  It holds
+    arrays, ids and views only: a client or the population here would
+    make a reference cycle.
     """
 
     def __init__(self, population: Population):
@@ -460,50 +461,45 @@ class _Workspace:
             spans = model.extractor._spans
             key = spans[0][4], tuple((span[2] is None, span[5]) for span in spans)
             layouts.setdefault(key, []).append(kind)
-        self.depth, self.maps, self.spans, self.counts = {}, {}, [], []
+        self.depth, self.maps, self.spans = {}, {}, []
         for kinds in layouts.values():
             own = [population.private_layouts[kind].extractor._spans for kind in kinds]
             spans = _padded(own[0], [max(span[3] for span in layer) for layer in zip(*own)])
             for kind, layout in zip(kinds, own):
                 self.depth[kind], self.maps[kind] = len(self.spans), _positions(layout, spans)
             self.spans.append(spans)
-            self.counts.append(sum(len(population.blocks[kind]) for kind in kinds))
         shared = population.shared_layout
         self.shared_spans, self.cut = shared.extractor._spans, shared.extractor._flat.shape[-1]
         self.shapes = (population.private_layouts[0].header.weight.shape,
                        shared.header.weight.shape, population.projector_layout.weight.shape)
-        self.size, self.composition = 0, None
+        self.size = 0
 
     def gather(self, population: Population, ids: tuple[int, ...], standalone: bool) -> None:
         """Copy the rows of clients ids, in slot order, into the first rows: one copy per
-        slot-indexed buffer, and one per architecture into its depth's block, which is
-        zeroed first."""
+        slot-indexed buffer, and one per architecture into its depth's block, whose
+        first rows are zeroed first."""
         n, place = len(ids), population.place
         if n > self.size:
-            self.buffers = {depth: np.zeros((2, min(n, count), spans[-1][2] or spans[-1][1]))
-                            for depth, (count, spans) in enumerate(zip(self.counts, self.spans))}
+            self.buffers = {depth: np.zeros((2, n, spans[-1][2] or spans[-1][1]))
+                            for depth, spans in enumerate(self.spans)}
             self.buffers.update((key, np.zeros((2, n, getattr(population, key).shape[1])))
                                 for key in ("headers", "shared", "projectors"))
-            self.size, self.pieces, self.composition = n, {}, None
-        composition = (tuple(self.depth[place[i][0]] for i in ids), standalone)
-        if composition != self.composition:
-            slots: dict[int, list[int]] = {}
-            for slot, depth in enumerate(composition[0]):
-                slots.setdefault(depth, []).append(slot)
-            self.depths = [(depth, own, np.array(own)) for depth, own in slots.items()]
-            self.plans, self.composition = {}, composition
-        self.rows, self.copies = np.array(ids), []
-        for depth, slots, _ in self.depths:
-            block = self.buffers[depth][0][: len(slots)]
+            self.size, self.plans = n, {}
+        self.rows, self.standalone = np.array(ids), standalone
+        self.depths = [self.depth[place[i][0]] for i in ids]
+        blocks = {depth: self.buffers[depth][0][:n] for depth in set(self.depths)}
+        for block in blocks.values():
             block[...] = 0.0
-            kinds: dict[int, tuple[list[int], list[int]]] = {}
-            for row, slot in enumerate(slots):
-                kind, rank = place[ids[slot]]
-                kinds.setdefault(kind, ([], []))[0].append(row * block.shape[1])
-                kinds[kind][1].append(rank)
-            self.copies += [  # an architecture's rows sit at flat positions of the block
-                (population.blocks[kind], np.array(ranks), block.reshape(-1),
-                 np.add.outer(starts, self.maps[kind])) for kind, (starts, ranks) in kinds.items()]
+        kinds: dict[int, tuple[list[int], list[int]]] = {}
+        for slot, ident in enumerate(ids):
+            kind, rank = place[ident]
+            kinds.setdefault(kind, ([], []))[0].append(slot)
+            kinds[kind][1].append(rank)
+        self.copies = []
+        for kind, (slots, ranks) in kinds.items():
+            block = blocks[self.depth[kind]]  # an architecture's rows sit at flat positions
+            at = np.add.outer(np.array(slots) * block.shape[1], self.maps[kind])
+            self.copies.append((population.blocks[kind], np.array(ranks), block.reshape(-1), at))
         names = ("headers",) if standalone else ("headers", "shared", "projectors")
         self.copies += [(getattr(population, key), self.rows, self.buffers[key][0][:n], ...)
                         for key in names]
@@ -518,51 +514,23 @@ class _Workspace:
         population.wrote(self.rows)
 
     def plan(self, a: int, b: int) -> _Plan:
-        """The plan of slots a to b, put together from pieces the first time it is asked
-        for under the composition: one private part per depth.  A part's slots are a
-        slice where they are consecutive, so a step reads and writes them through
-        views, and an index array where they are not."""
-        plan = self.plans.get((a, b))
+        """The plan of slots a to b, which share a depth: views of rows a to b of that
+        depth's block and of the other buffers, built the first time it is asked for."""
+        key = a, b, self.depths[a], self.standalone
+        plan = self.plans.get(key)
         if plan is None:
-            parts, local = [], []
-            for depth, slots, array in self.depths:
-                lo, hi = bisect.bisect_left(slots, a), bisect.bisect_left(slots, b)
-                if lo < hi:
-                    layers, pair = self._piece((depth, lo, hi))
-                    first = slots[lo] - a
-                    consecutive = slots[hi - 1] - slots[lo] == hi - lo - 1
-                    parts.append((slice(first, first + hi - lo) if consecutive
-                                  else array[lo:hi] - a, layers))
-                    local.append(pair)
-            head, shared, shared_pairs, projector = self._piece((a, b))
-            groups = (shared_pairs, [*local, head], [projector])
-            if self.composition[1]:  # standalone: the private model alone
+            rows, scratch = self.buffers[key[2]][:, a:b]
+            h, s, p = (self.buffers[name][:, a:b] for name in ("headers", "shared", "projectors"))
+            extractor, top = tuple(s[..., : self.cut]), s[..., self.cut :]
+            head, shared_head, projector = (
+                tuple(v.reshape(2, b - a, *shape)) for v, shape in zip((h, top, p), self.shapes))
+            private = _layers(rows, scratch, self.spans[key[2]]), head
+            shared = _layers(*extractor, self.shared_spans), shared_head
+            groups = ([extractor, shared_head], [(rows, scratch), head], [projector])
+            if self.standalone:  # the private model alone
                 shared, projector, groups = None, None, (None, groups[1], None)
-            plan = self.plans[a, b] = _Plan((parts, head), shared, projector, groups)
+            plan = self.plans[key] = _Plan(private, shared, projector, groups)
         return plan
-
-    def _piece(self, key: tuple) -> tuple:
-        """The plan piece of key, cut the first time it is asked for (_cut)."""
-        if key not in self.pieces:
-            self.pieces[key] = self._cut(key)
-        return self.pieces[key]
-
-    def _cut(self, key: tuple) -> tuple:
-        """Views of rows lo to hi of a depth's block, key (depth, lo, hi): its layers and
-        its (theta, gradient) pair.  Of slots a to b, key (a, b): the private header, the
-        shared model, the shared model's pairs and the projector, a header's or the
-        projector's (weight, gradient) being its pair too."""
-        if len(key) == 3:
-            depth, lo, hi = key
-            rows, scratch = self.buffers[depth][:, lo:hi]
-            return _layers(rows, scratch, self.spans[depth]), (rows, scratch)
-        a, b = key
-        h, s, p = (self.buffers[name][:, a:b] for name in ("headers", "shared", "projectors"))
-        extractor, top = tuple(s[..., : self.cut]), s[..., self.cut :]
-        head, shared_head, projector = (
-            tuple(v.reshape(2, b - a, *shape)) for v, shape in zip((h, top, p), self.shapes))
-        shared = [(None, _layers(*extractor, self.shared_spans))], shared_head
-        return head, shared, [extractor, shared_head], projector
 
     def evaluate(self, clients: list[ClientState], variant: InferenceVariant) -> list[float]:
         """The test accuracies of clients, listed in ascending id order, each a count of
@@ -571,8 +539,8 @@ class _Workspace:
         The clients are gathered in chunks no larger than the room the
         workspace has (one client if it has none yet), a chunk's slots
         ordered by test-set size, largest first, then by
-        depth, then by id, and each run of slots of one test-set size is
-        predicted in one stack (core._predict on its plan).  Raises the
+        depth, then by id, and each run of slots of one test-set size and
+        depth is predicted in one stack (core._predict on its plan).  Raises the
         error of the lowest-id client that fails: a ValueError for an
         empty test set, or a TrainingDiverged naming it for non-finite
         logits, found by predicting a failed stack's clients alone in
@@ -589,7 +557,7 @@ class _Workspace:
             failures = {c.client_id: ValueError(f"client {c.client_id} has an empty test set")
                         for c in chunk if c.test_y.size == 0}
             sizes = [c.test_y.size for c in chunk]
-            for a, b, size in _runs(sizes, 0, sizes[0]):
+            for a, b, size in _runs(sizes, self.depths, 0, sizes[0]):
                 members = chunk[a:b]
                 # np.array of equal shapes is np.stack's result at a third of its cost.
                 tests = np.array([c.test_x for c in members])
@@ -622,12 +590,11 @@ class _Cohort:
     """The clients that train in lockstep, on the population's workspace.
 
     Clients sit in slots ordered by training-set size, largest first,
-    then by depth (see _Workspace), then by id, so the clients that take
-    a batch of the same size at a step fill a contiguous run of slots,
-    and the clients of one size and depth a slice of it.  The cohort
-    gathers into the population's workspace, a run trains on the
-    workspace's plan of it, and cohort_update scatters the rows back once
-    every client has trained.  epoch_means is then a (clients, epochs)
+    then by depth (see _Workspace), then by id, so the clients of one
+    depth that take a batch of the same size at a step fill a contiguous
+    run of slots.  The cohort gathers into the population's workspace, a
+    run trains on the workspace's plan of it, and cohort_update scatters
+    the rows back once every client has trained.  epoch_means is then a (clients, epochs)
     array in slot order.  A failed check raises at once and leaves the
     workspace half-trained; the next gather writes over it.
     """
@@ -657,8 +624,8 @@ class _Cohort:
         sizes = [c.n_samples for c in self.clients]
         shape = (len(sizes), sizes[0])
         width = self.clients[0].train_x.shape[1]
-        counts = [-(-size // batch_size) for size in sizes]
-        groups = _runs(counts, 0, counts[0])  # the runs of slots with equal batch counts
+        batches, depths = [-(-size // batch_size) for size in sizes], self.workspace.depths
+        groups = _runs(batches, depths, 0, batches[0])  # runs of slots with equal batch counts
         self.epoch_means = np.empty((len(sizes), epochs))
         for epoch in range(epochs):
             x, y = np.empty((*shape, width)), np.empty(shape, dtype=np.int64)
@@ -666,10 +633,10 @@ class _Cohort:
                 order = client.rng.permutation(sizes[i])
                 x[i, : sizes[i]] = client.train_x[order]
                 y[i, : sizes[i]] = client.train_y[order]
-            ledger = np.empty((len(sizes), counts[0]))
+            ledger = np.empty((len(sizes), batches[0]))
             for start in range(0, shape[1], batch_size):
                 losses = ledger[:, start // batch_size]
-                for a, b, rows in _runs(sizes, start, batch_size):
+                for a, b, rows in _runs(sizes, depths, start, batch_size):
                     window = slice(start, start + rows)
                     self._step(a, b, x[a:b, window], y[a:b, window], losses)
             for a, b, count in groups:
@@ -681,14 +648,15 @@ class _Cohort:
         losses[a:b], _ = _train(self.workspace.plan(a, b), x, y, self.weights, self.lrs)
 
 
-def _runs(sizes: list[int], start: int, batch_size: int) -> list[list[int]]:
-    """[first, stop, rows] of each run of slots whose batch at this offset has `rows` rows."""
+def _runs(sizes: list[int], depths: list[int], start: int, batch_size: int) -> list[list[int]]:
+    """[first, stop, rows] of each run of slots of one depth whose batch at this offset
+    has `rows` rows."""
     runs: list[list[int]] = []
     for i, size in enumerate(sizes):
         rows = min(size - start, batch_size)
         if rows <= 0:
             continue
-        if runs and runs[-1][1] == i and runs[-1][2] == rows:
+        if runs and runs[-1][1] == i and runs[-1][2] == rows and depths[i] == depths[i - 1]:
             runs[-1][1] = i + 1
         else:
             runs.append([i, i + 1, rows])

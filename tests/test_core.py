@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedmrl import core, federation
+from fedmrl import core, federation, models
 from fedmrl.core import (
     InferenceVariant,
     LearningRates,
@@ -291,10 +291,11 @@ def test_gradcheck_single_model_step():
 
 def mixed_workspace(seed=30):
     """A cohort workspace gathered over three clients whose private
-    architectures interleave, one (7,) hidden layer on slots 0 and 2 and
-    (6, 4) on slot 1.  Returns it and each client's models alone."""
+    architectures share one depth at mixed widths, (7,), (4,) and (6,)
+    hidden units, so the workspace pads the last two to 7.  Returns it and
+    each client's models alone."""
     rng = make_rng(seed)
-    hidden = ((7,), (6, 4), (7,))
+    hidden = ((7,), (4,), (6,))
     g = init_model(ModelConfig(INPUT, (5,), D1, CLASSES), rng)
     f = [init_model(ModelConfig(INPUT, widths, D2, CLASSES), rng) for widths in hidden]
     p = [init_projector(D1, D2, rng) for _ in hidden]
@@ -313,20 +314,27 @@ def write_flat(arrays, vec):
 
 
 def test_gradcheck_mixed_architecture_cohort():
-    # The plan that training runs routes each private part through its own
-    # slots: an index array for slots 0 and 2, a slice for slot 1.  A
+    # The plan that training runs steps the three clients' padded models in
+    # one stack: its private layers are views of the one depth's block.  A
     # cohort's loss is one per client, so the gradient of their sum holds
-    # each client's gradient in that client's workspace rows.
+    # each client's gradient in that client's workspace rows, and the pad
+    # entries get a zero gradient, as finite differences find.
     workspace, alone = mixed_workspace()
     plan = workspace.plan(0, 3)
-    (array, _), (piece, _) = plan.private[0]
-    assert array.tolist() == [0, 2] and piece == slice(1, 2)
+    block = workspace.buffers[0][0]
+    layers, _ = plan.private
+    assert [layer[0].shape for layer in layers] == [(3, 7, INPUT), (3, D2, 7)]
+    assert all(np.shares_memory(layer[0], block) for layer in layers)
     rng = make_rng(31)
     x, y = rng.normal(size=(3, 5, INPUT)), rng.integers(0, CLASSES, size=(3, 5))
     weights = LossWeights(0.6, 1.4)
     totals, _, tape = core._loss(plan, x, y, weights)
-    for i, models in enumerate(alone):  # each client's loss is its own, bit for bit
-        assert totals[i] == forward_loss(*models, x[i], y[i], weights)[0]
+    for i, (g, f, p) in enumerate(alone):
+        # Each client's loss is its padded model's bit for bit, and its own to rounding.
+        extractor = models._view(Extractor, _flat=block[i].copy(), _spans=workspace.spans[0])
+        padded = Net(extractor, f.header)
+        assert totals[i] == forward_loss(g, padded, p, x[i], y[i], weights)[0]
+        assert math.isclose(totals[i], forward_loss(g, f, p, x[i], y[i], weights)[0], rel_tol=1e-12)
     core._backprop(plan, weights, tape)
     rows, scratch = ([buffer[k] for buffer in workspace.buffers.values()] for k in (0, 1))
     theta, analytic = (np.concatenate([a.ravel() for a in arrays]) for arrays in (rows, scratch))

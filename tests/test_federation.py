@@ -96,6 +96,16 @@ def test_run_config_validation():
         RunConfig(n_clients=2, rounds=1, d1=2, d2=4, lr_local=-0.1)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("mode", "standalone"), ("mode", "bogus"),
+    ("inference", "single_large"), ("inference", "nonsense"),
+])
+def test_run_config_rejects_a_mode_or_variant_that_is_not_its_enum(field, value):
+    # A string, even an enum's value, would otherwise train and serve as the defaults.
+    with pytest.raises(ValueError, match=f"^{field} must be an? "):
+        RunConfig(n_clients=2, rounds=1, d1=2, d2=4, **{field: value})
+
+
 def test_participant_count_rounds_and_floors_at_one():
     cfg = RunConfig(n_clients=10, rounds=1, d1=2, d2=4, participation=0.25)
     assert cfg.participants == 2
@@ -915,7 +925,8 @@ def _same_arrays(a, b):
     batch_size=st.integers(1, 12),
     mode=st.sampled_from(list(Mode)),
     local_hidden=st.sampled_from(
-        [((12,), (10,), (9,)), ((8,), (8,), (8,)), ((10,),), ((9, 7), (9,), (9, 7), (6,))]
+        [((12,), (10,), (9,)), ((8,), (8,), (8,)), ((10,),), ((9, 7), (9,), (9, 7), (6,)),
+         ((9, 7), (), (9,), (6,))]
     ),
     widths=st.sampled_from([(3, 6), (5, 5), (1, 4)]),
     data_seed=st.integers(0, 50),
@@ -1005,8 +1016,8 @@ def test_a_padded_cohort_steps_each_client_as_its_padded_model(
     results = cohort_update([clients[i] for i in chosen], *args)
 
     workspace = clients[0].population._workspace
-    for depth, slots, _ in workspace.depths:
-        block = workspace.buffers[depth][:, : len(slots)]
+    for depth in set(workspace.depths):
+        block = workspace.buffers[depth][:, : len(chosen)]
         filled = np.zeros(block.shape[1:], dtype=bool)
         for _, _, rows, at in workspace.copies:
             if at is not Ellipsis and np.shares_memory(rows, block):
@@ -1430,52 +1441,62 @@ def test_evaluation_predicts_what_infer_predicts_after_every_writer(monkeypatch)
 MANY_DIRICHLET = Path(__file__).parents[1] / "bench" / "workloads" / "many-dirichlet.cfg"
 
 
-def test_a_many_dirichlet_run_builds_each_plan_and_piece_once():
+def test_a_many_dirichlet_run_builds_each_plan_once():
     # Counts, no timing: training and evaluation run on the workspace's
-    # plans, so no plan of a client's models is made, every plan piece is
-    # cut at most once per key, and the five architectures, of one depth,
-    # are cut from one block.  A second run of the same cohorts on the
-    # same population (the server and the clients' rngs back at their start)
-    # builds neither.
+    # plans, so no plan of a client's models is made, every workspace plan
+    # is built at most once per key, and the five architectures, of one
+    # depth, all read the one block.  A second run of the same cohorts on
+    # the same population (the server and the clients' rngs back at their
+    # start) builds none.
     config = override(load_config(MANY_DIRICHLET), seed=0)
     dataset = load_dataset(config)
     cfg = build_run_config(config)
     server, clients = build_clients(cfg, dataset, build_partition(config, dataset))
     start = copy.deepcopy((server, [c.rng for c in clients]))
-    plan, cut = core._plan.__code__, federation._Workspace._cut.__code__
+    plan, build = core._plan.__code__, core._Plan.__init__.__code__
 
     def run(server):
-        plans, pieces = [], []
+        plans, builds = [], []
 
         def profile(frame, event, arg):
             if event == "call" and frame.f_code is plan:
                 caller = frame.f_back
                 plans.append((caller.f_code.co_qualname, caller.f_locals.get("ident")))
-            elif event == "call" and frame.f_code is cut:
-                pieces.append(frame.f_locals["key"])
+            elif event == "call" and frame.f_code is build:
+                builds.append(frame.f_back.f_locals["key"])
 
         sys.setprofile(profile)
         try:
             run_rounds(server, clients, cfg)
         finally:
             sys.setprofile(None)
-        return plans, pieces
+        return plans, builds
 
-    plans, pieces = run(server)
-    assert plans == [] and pieces
-    assert len(set(pieces)) == len(pieces)
-    assert {key[0] for key in pieces if len(key) == 3} == {0}  # one depth, so one private part
+    plans, builds = run(server)
+    assert plans == [] and builds
+    assert len(set(builds)) == len(builds)
+    assert {depth for _, _, depth, _ in builds} == {0}  # one depth, so one block
     server, rngs = start
     for client, rng in zip(clients, rngs):
         client.rng = rng
     assert run(server) == ([], [])
 
 
+def _views_rows(plan, block, a, b):
+    """Whether every private layer of plan views rows a to b of block, and no other row."""
+    rows = block[0]
+    return all(
+        array.shape[0] == b - a and np.shares_memory(array, rows[a:b])
+        and not np.shares_memory(array, rows[:a]) and not np.shares_memory(array, rows[b:])
+        for layer in plan.private[0] for array in layer[:2] if array is not None)
+
+
 @pytest.mark.parametrize("mode", list(Mode))
 def test_a_quickstart_cohort_steps_every_architecture_in_one_slice(mode):
-    # The five architectures share one depth, so every run plan has one
-    # private part, its slots a range held as a slice; and a step writes its
-    # losses into the loss ledger without ndarray.tolist.
+    # The five architectures share one depth, so the cohort's one run of
+    # slots steps on one plan, whose private layers view the rows of the
+    # whole cohort in the one block; and a step writes its losses into the
+    # loss ledger without ndarray.tolist.
     cfg, clients = _equal_shards()
     step, inside, steps, tolist = federation._Cohort._step.__code__, [0], [], []
 
@@ -1494,11 +1515,33 @@ def test_a_quickstart_cohort_steps_every_architecture_in_one_slice(mode):
     finally:
         sys.setprofile(None)
     assert steps and tolist == []
-    plans = clients[0].population._workspace.plans
-    assert plans
-    for plan in plans.values():
-        parts = plan.private[0]
-        assert len(parts) == 1 and isinstance(parts[0][0], slice)
+    workspace, n = clients[0].population._workspace, len(clients)
+    assert list(workspace.plans) == [(0, n, 0, mode is Mode.STANDALONE)]
+    assert _views_rows(workspace.plans[0, n, 0, mode is Mode.STANDALONE], workspace.buffers[0], 0, n)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_a_plan_covers_one_depth_so_a_cohort_steps_once_per_depth_per_batch(monkeypatch, mode):
+    # Three depths (2, 0 and 1 hidden layers) cycled over equal shards:
+    # each plan's private layers view rows a to b of exactly one depth's
+    # block, slots a to b all of that depth, and every batch takes one
+    # training step per depth.
+    cfg, dataset, plan = small_setup(n_clients=6, local_hidden=((6, 5), (), (7,)))
+    _, clients = build_clients(cfg, dataset, plan)
+    shards = [slice(16 * i, 16 * i + 16) for i in range(6)]
+    for client, rows in zip(clients, shards):
+        client.train_x, client.train_y = dataset.features[rows], dataset.labels[rows]
+    steps = _count_steps(monkeypatch)
+    cohort_update(clients, 2, 8, cfg.lrs, mode, cfg.loss_weights)
+    assert len(steps) == 2 * 2 * 3  # epochs * batches * depths
+    workspace = clients[0].population._workspace
+    assert sorted(workspace.plans) == [(a, a + 2, a // 2, mode is Mode.STANDALONE) for a in (0, 2, 4)]
+    for (a, b, depth, _), built in workspace.plans.items():
+        assert set(workspace.depths[a:b]) == {depth}
+        assert _views_rows(built, workspace.buffers[depth], a, b)
+        for other in set(workspace.depths) - {depth}:
+            assert not any(np.shares_memory(array, workspace.buffers[other])
+                           for layer in built.private[0] for array in layer[:4] if array is not None)
 
 
 @settings(max_examples=40, deadline=None)
