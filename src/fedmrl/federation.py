@@ -13,32 +13,36 @@ population (Population), and its models are views of its rows.
 Broadcast is one row assignment; aggregation walks the upload rows.
 
 Lockstep training: the round's participants train as one cohort
-(cohort_update).  The cohort gathers their rows into the population's
-workspace (_Workspace), and each step trains every client of one depth
-(number of layers of its private extractor) that takes a batch of the
-same size as one stacked step of a plan over those rows (core._Plan:
-plain lists of views of the rows and of their gradient scratch).  The
-workspace holds the private extractors in one block per depth, in which
-every architecture of that depth is zero-padded to the widest width of
-the population's architectures of the depth at each hidden position:
-the gather zeroes the block and copies each architecture's rows into it
+(cohort_update).  The population's workspace (_Workspace.train) gathers
+their rows, and each step trains every client of one depth (number of
+layers of its private extractor) that takes a batch of the same size as
+one stacked step of a plan over those rows (core._Plan: plain lists of
+views of the rows and of their gradient scratch).  The workspace holds
+the private extractors in one block per depth, in which every
+architecture of that depth is zero-padded to the widest width of the
+population's architectures of the depth at each hidden position: the
+gather zeroes the block and copies each architecture's rows into it
 through an index map built once per population, and the scatter copies
 them back, so the population stores every client's rows as configured.
 A padded unit has zero weights and bias, so its pre-activation is 0,
 its ReLU is closed and its gradients are ±0: its weights stay 0.0, and a
 padded step is the configured model's step in exact arithmetic, only
 OpenBLAS summing the longer products in another order.  A depth with one
-architecture pads nothing.  A population of several depths steps once
-per depth present in a run: on the quickstart shape with three depths a
-fedmrl run takes three times the steps (120 to 360) and about 1.4x to
-1.7x the wall time of a stack that fused every depth.  A step writes the gathered rows in place, and the cohort
-scatters them back once every client has trained.  The workspace serves
-all the population's cohorts: buffers with room for the largest cohort
-so far, and the plan of each run of slots, kept while the buffers are.
-Uploads view a copy of the trained shared rows.  A step writes its
-losses into the epoch's loss ledger, one (clients, batches) array, and
-each client's epoch mean is one reduction of its row.  Each client draws
-its epoch permutations from its own rng, and the padding depends on the
+architecture pads nothing.
+
+A population of several depths steps once per depth present in a run.
+On the quickstart shape with three depths, a fedmrl run takes three
+times the steps (120 to 360) and about 1.4x to 1.7x the wall time of a
+stack that fused every depth.
+
+A step writes the gathered rows in place, and cohort_update scatters
+them back once every client has trained.  The workspace serves all the
+population's cohorts: buffers with room for the largest cohort so far,
+and the plan of each run of slots, kept while the buffers are.  Uploads
+view a copy of the trained shared rows.  A step writes its losses into
+the epoch's loss ledger, one (clients, batches) array, and each client's
+epoch mean is one reduction of its row.  Each client draws its epoch
+permutations from its own rng, and the padding depends on the
 population alone, so the result is bit-identical to a cohort of one for
 each client, and to the public step on its padded model, because of
 three rules:
@@ -50,10 +54,10 @@ three rules:
   contiguous range of slots, which a step reads and writes through
   views), so a short final batch is never zero-padded: padding the rows
   of a product changes how OpenBLAS rounds it;
-* a cohort that fails is replayed as cohorts of one in ascending id
-  order, from the rng states it started with and on copies of the
-  clients, so the error raised, and every client's rng, are those of a
-  sequential pass.
+* a stack that fails is run again client by client in ascending id
+  order (_replayed), in the workspace, from the rng states it started
+  with, and nothing is scattered, so the error raised and every client's
+  rng are those of a sequential pass, and no row changes.
 
 Evaluation reuse: the population memoizes every client's test accuracy
 per inference variant (Population.accuracy, NaN where not known), and
@@ -66,16 +70,15 @@ calls population.wrote(ids), or the memo will not see it.  Every
 evaluation, metrics.evaluate of one client included, takes one path
 (_Workspace.evaluate): the clients are gathered into the workspace in
 chunks no larger than its room, and each run of equal test-set size is
-predicted in one stack with core._predict; the error raised is that of
-the lowest-id client that fails.  Finite checks live in the training
-step and _predict (core), which raise a TrainingDiverged; cohort_update
-and evaluation raise it again naming the client, and run_rounds naming
-the round.
+predicted in one stack with core._predict.  A chunk that fails takes
+training's failure path (_replayed), so the error raised is that of the
+lowest-id client that fails.  Finite checks live in the training step
+and _predict (core), which raise a TrainingDiverged; _replayed raises it
+again naming the client, and run_rounds naming the round.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 import warnings
 from dataclasses import astuple, dataclass, field
@@ -149,6 +152,10 @@ class RunConfig:
         LossWeights(self.m_global, self.m_local)  # for its checks
         if not self.local_hidden:
             raise ValueError("local_hidden needs at least one width stack")
+        if min(self.global_hidden, default=1) < 1:
+            raise ValueError(f"global_hidden widths must be positive, got {self.global_hidden}")
+        if min((width for stack in self.local_hidden for width in stack), default=1) < 1:
+            raise ValueError(f"local_hidden widths must be positive, got {self.local_hidden}")
 
     @property
     def participants(self) -> int:
@@ -383,9 +390,9 @@ def cohort_update(
     Then no client's models change, and every rng ends where that
     sequence leaves it: a client of a lower id has trained to the end, the
     failing client stops at its failure and the clients of higher ids have
-    drawn nothing.  A failed cohort of two or more
-    restores every rng and replays its clients so, on copies that share
-    their rngs.
+    drawn nothing.  The cohort trains in the workspace and scatters its
+    rows back only once every client has trained; a failed cohort is
+    replayed client by client in the workspace (_replayed).
     """
     ids = [c.client_id for c in clients]
     if len(set(ids)) != len(ids):
@@ -393,35 +400,50 @@ def cohort_update(
     if not clients:
         return []
     population = _population(clients)
-    states = [c.rng.bit_generator.state for c in clients]
-    try:
-        cohort = _Cohort(population, clients, mode, lrs, weights)
-        cohort.train(epochs, batch_size)
-    except (TrainingDiverged, ValueError) as exc:
-        if len(clients) == 1:
-            if isinstance(exc, TrainingDiverged):
-                raise TrainingDiverged(f"client {ids[0]}: {exc}", exc.group, ids[0]) from exc
-            raise
-        for client, state in zip(clients, states):
-            client.rng.bit_generator.state = state
-        for client in sorted(clients, key=lambda c: c.client_id):
-            twin = copy.deepcopy(client, {id(client.rng): client.rng})
-            cohort_update([twin], epochs, batch_size, lrs, mode, weights)
-        raise
-    cohort.workspace.scatter(population)
+    workspace = population._room()
+    slots, epoch_means = _replayed(lambda members: workspace.train(
+        population, members, epochs, batch_size, mode, lrs, weights), clients, rngs=True)
+    workspace.scatter(population)
 
     # Uploads view one copy of the trained shared rows: no client's rows,
     # and not the workspace's, which the next cohort gathers into.
-    shared = cohort.workspace.shared
+    shared = workspace.shared
     shared = None if shared is None else shared.copy()
-    means, results = cohort.epoch_means.tolist(), {}
-    for slot, client in enumerate(cohort.clients):
+    means, results = epoch_means.tolist(), {}
+    for slot, client in enumerate(slots):
         upload = None
         if shared is not None:
             model = population.shared_layout._split(shared[slot])
             upload = Upload(client.client_id, client.n_samples, model)
         results[client.client_id] = (upload, means[slot])
     return [results[ident] for ident in ids]
+
+
+def _replayed(run, clients: list[ClientState], rngs: bool):
+    """run(clients), a stack of them in the workspace; if it fails, the error that
+    running each client alone, in ascending id order, raises first.
+
+    A failed stack of several clients (TrainingDiverged or ValueError)
+    restores their rngs (if rngs) and runs each client alone, in the
+    workspace, until one fails.  A failed stack of one is that client's
+    failure: a TrainingDiverged is raised again naming it, a ValueError as
+    it is.  No run scatters, so no population row changes, and every rng
+    ends where a sequential pass leaves it.
+    """
+    states = [c.rng.bit_generator.state for c in clients] if rngs else []
+    try:
+        return run(clients)
+    except (TrainingDiverged, ValueError) as exc:
+        if len(clients) > 1:
+            for client, state in zip(clients, states):
+                client.rng.bit_generator.state = state
+            for client in sorted(clients, key=lambda c: c.client_id):
+                _replayed(run, [client], rngs=False)
+            raise
+        if isinstance(exc, ValueError):
+            raise
+        ident = clients[0].client_id
+        raise TrainingDiverged(f"client {ident}: {exc}", exc.group, ident) from exc
 
 
 class _Workspace:
@@ -450,9 +472,10 @@ class _Workspace:
     workspace's rows, where in them they sit) per gathered buffer and
     architecture, and shared views the shared rows (None for standalone
     training).  Its rows equal the population's from a gather to the
-    first step, and again from a scatter to the next write.  It holds
-    arrays, ids and views only: a client or the population here would
-    make a reference cycle.
+    first step, and again from a scatter to the next write.  A failed
+    check raises at once and leaves the rows half-trained; the next gather
+    writes over them.  It holds arrays, ids and views only: a client or
+    the population here would make a reference cycle.
     """
 
     def __init__(self, population: Population):
@@ -532,120 +555,92 @@ class _Workspace:
             plan = self.plans[key] = _Plan(private, shared, projector, groups)
         return plan
 
-    def evaluate(self, clients: list[ClientState], variant: InferenceVariant) -> list[float]:
-        """The test accuracies of clients, listed in ascending id order, each a count of
-        hits over its test-set size (float(np.mean(hits)) bit for bit).
-
-        The clients are gathered in chunks no larger than the room the
-        workspace has (one client if it has none yet), a chunk's slots
-        ordered by test-set size, largest first, then by
-        depth, then by id, and each run of slots of one test-set size and
-        depth is predicted in one stack (core._predict on its plan).  Raises the
-        error of the lowest-id client that fails: a ValueError for an
-        empty test set, or a TrainingDiverged naming it for non-finite
-        logits, found by predicting a failed stack's clients alone in
-        ascending id order.
-        """
-        population = _population(clients)
+    def stack(self, population: Population, clients: list[ClientState], size,
+              standalone: bool, empty: str) -> list[ClientState]:
+        """clients in slot order, gathered: by size(client), largest first, then by
+        depth, then by id, so the clients of one depth and size fill a contiguous run of
+        slots.  Raises ValueError("client i <empty>") if the smallest size is 0."""
         depth, place = self.depth, population.place
-        standalone = variant is InferenceVariant.SINGLE_LARGE  # the private model alone
-        room, accuracies = max(self.size, 1), {}
-        for start in range(0, len(clients), room):
-            chunk = sorted(clients[start : start + room], key=lambda c: (
-                -c.test_y.size, depth[place[c.client_id][0]], c.client_id))
-            self.gather(population, tuple(c.client_id for c in chunk), standalone)
-            failures = {c.client_id: ValueError(f"client {c.client_id} has an empty test set")
-                        for c in chunk if c.test_y.size == 0}
-            sizes = [c.test_y.size for c in chunk]
-            for a, b, size in _runs(sizes, self.depths, 0, sizes[0]):
-                members = chunk[a:b]
-                # np.array of equal shapes is np.stack's result at a third of its cost.
-                tests = np.array([c.test_x for c in members])
-                try:
-                    preds = _predict(self.plan(a, b), tests, variant)
-                except TrainingDiverged:
-                    failures.update(self._blame(chunk, a, b, variant))
-                    continue
-                hits = np.count_nonzero(preds == np.array([c.test_y for c in members]), axis=-1)
-                accuracies.update(zip((c.client_id for c in members), (hits / size).tolist()))
-            if failures:
-                raise failures[min(failures)]
-        return [accuracies[c.client_id] for c in clients]
+        clients = sorted(clients, key=lambda c: (-size(c), depth[place[c.client_id][0]], c.client_id))
+        if size(clients[-1]) == 0:
+            raise ValueError(f"client {clients[-1].client_id} {empty}")
+        self.gather(population, tuple(c.client_id for c in clients), standalone)
+        return clients
 
-    def _blame(self, chunk, a: int, b: int, variant: InferenceVariant) -> dict:
-        """{id: error} of the first client of slots a to b, in ascending id order, whose
-        prediction alone fails."""
-        for slot in sorted(range(a, b), key=lambda s: chunk[s].client_id):
-            ident = chunk[slot].client_id
-            try:
-                _predict(self.plan(slot, slot + 1), chunk[slot].test_x[None], variant)
-            except TrainingDiverged as exc:
-                error = TrainingDiverged(f"client {ident}: {exc}", exc.group, ident)
-                error.__cause__ = exc
-                return {ident: error}
-        return {}
+    def train(self, population: Population, clients: list[ClientState], epochs: int,
+              batch_size: int, mode: Mode, lrs: LearningRates, weights: LossWeights):
+        """Train clients for epochs in the workspace, each run of slots of one depth that
+        takes a batch of the same size in one step of its plan, in place on the rows.
 
-
-class _Cohort:
-    """The clients that train in lockstep, on the population's workspace.
-
-    Clients sit in slots ordered by training-set size, largest first,
-    then by depth (see _Workspace), then by id, so the clients of one
-    depth that take a batch of the same size at a step fill a contiguous
-    run of slots.  The cohort gathers into the population's workspace, a
-    run trains on the workspace's plan of it, and cohort_update scatters
-    the rows back once every client has trained.  epoch_means is then a (clients, epochs)
-    array in slot order.  A failed check raises at once and leaves the
-    workspace half-trained; the next gather writes over it.
-    """
-
-    def __init__(self, population: Population, clients: list[ClientState], mode: Mode,
-                 lrs: LearningRates, weights: LossWeights):
-        self.workspace = population._room()
-        depth, place = self.workspace.depth, population.place
-        self.clients = sorted(
-            clients, key=lambda c: (-c.n_samples, depth[place[c.client_id][0]], c.client_id))
-        if self.clients[-1].n_samples == 0:
-            raise ValueError(f"client {self.clients[-1].client_id} has no training samples")
-        # Once here, over all the cohort's labels, as the steps read labels unchecked.
-        labels = np.concatenate([c.train_y for c in self.clients], axis=None)
+        Returns the clients in slot order (stack) and their (clients, epochs) epoch
+        mean losses.  An epoch's ledger holds the loss of each slot's batches, so a
+        client's losses are the first `count` entries of its row, and their mean
+        (core._mean: a sum of the row, then one division) is np.mean of the list of
+        them bit for bit.
+        """
+        # Once here, over all the clients' labels, as the steps read labels unchecked.
+        labels = np.concatenate([c.train_y for c in clients], axis=None)
         _labels(labels, labels.size, population.private_layouts[0].classes)
-        self.mode, self.lrs = mode, lrs
-        self.weights = LossWeights(0.0, 1.0) if mode is Mode.NO_MRL else weights  # the ablation
-        ids = tuple(c.client_id for c in self.clients)
-        self.workspace.gather(population, ids, mode is Mode.STANDALONE)
-
-    def train(self, epochs: int, batch_size: int) -> None:
-        """Train every client for epochs, and write each client's epoch mean losses
-        into epoch_means.  An epoch's ledger holds the loss of each slot's batches,
-        so a client's losses are the first `count` entries of its row, and their
-        mean (core._mean: a sum of the row, then one division) is np.mean of the
-        list of them bit for bit."""
-        sizes = [c.n_samples for c in self.clients]
+        clients = self.stack(population, clients, lambda c: c.n_samples,
+                             mode is Mode.STANDALONE, "has no training samples")
+        weights = LossWeights(0.0, 1.0) if mode is Mode.NO_MRL else weights  # the ablation
+        sizes = [c.n_samples for c in clients]
         shape = (len(sizes), sizes[0])
-        width = self.clients[0].train_x.shape[1]
-        batches, depths = [-(-size // batch_size) for size in sizes], self.workspace.depths
-        groups = _runs(batches, depths, 0, batches[0])  # runs of slots with equal batch counts
-        self.epoch_means = np.empty((len(sizes), epochs))
+        width = clients[0].train_x.shape[1]
+        batches = [-(-size // batch_size) for size in sizes]
+        groups = _runs(batches, self.depths, 0, batches[0])  # runs of slots with equal batch counts
+        epoch_means = np.empty((len(sizes), epochs))
         for epoch in range(epochs):
             x, y = np.empty((*shape, width)), np.empty(shape, dtype=np.int64)
-            for i, client in enumerate(self.clients):
+            for i, client in enumerate(clients):
                 order = client.rng.permutation(sizes[i])
                 x[i, : sizes[i]] = client.train_x[order]
                 y[i, : sizes[i]] = client.train_y[order]
             ledger = np.empty((len(sizes), batches[0]))
             for start in range(0, shape[1], batch_size):
                 losses = ledger[:, start // batch_size]
-                for a, b, rows in _runs(sizes, depths, start, batch_size):
+                for a, b, rows in _runs(sizes, self.depths, start, batch_size):
                     window = slice(start, start + rows)
-                    self._step(a, b, x[a:b, window], y[a:b, window], losses)
+                    losses[a:b], _ = _train(self.plan(a, b), x[a:b, window], y[a:b, window],
+                                            weights, lrs)
             for a, b, count in groups:
-                self.epoch_means[a:b, epoch] = _mean(ledger[a:b, :count])
+                epoch_means[a:b, epoch] = _mean(ledger[a:b, :count])
+        return clients, epoch_means
 
-    def _step(self, a, b, x, y, losses) -> None:
-        """Train slots a to b on one batch each: one step of their plan, in place on the
-        rows.  Writes their losses into losses[a:b], the ledger's column of the batch."""
-        losses[a:b], _ = _train(self.workspace.plan(a, b), x, y, self.weights, self.lrs)
+    def evaluate(self, clients: list[ClientState], variant: InferenceVariant) -> list[float]:
+        """The test accuracies of clients, listed in ascending id order, each a count of
+        hits over its test-set size (float(np.mean(hits)) bit for bit).
+
+        The clients are gathered in chunks no larger than the room the
+        workspace has (one client if it has none yet), in slot order by
+        test-set size (stack), and each run of slots of one test-set size
+        and depth is predicted in one stack (core._predict on its plan).
+        A chunk that fails is replayed client by client (_replayed), so the
+        error raised is that of the lowest-id client that fails: a
+        ValueError for an empty test set, or a TrainingDiverged naming it
+        for non-finite logits.
+        """
+        population = _population(clients)
+        room, accuracies = max(self.size, 1), []
+        for start in range(0, len(clients), room):
+            accuracies += _replayed(lambda chunk: self._predicted(population, chunk, variant),
+                                    clients[start : start + room], rngs=False)
+        return accuracies
+
+    def _predicted(self, population: Population, clients: list[ClientState],
+                   variant: InferenceVariant) -> list[float]:
+        """The test accuracies of clients, in the order listed: gathered as one stack
+        (stack), each run of slots of one test-set size and depth predicted at once."""
+        chunk = self.stack(population, clients, lambda c: c.test_y.size,
+                           variant is InferenceVariant.SINGLE_LARGE, "has an empty test set")
+        sizes, accuracies = [c.test_y.size for c in chunk], {}
+        for a, b, size in _runs(sizes, self.depths, 0, sizes[0]):
+            members = chunk[a:b]
+            # np.array of equal shapes is np.stack's result at a third of its cost.
+            preds = _predict(self.plan(a, b), np.array([c.test_x for c in members]), variant)
+            hits = np.count_nonzero(preds == np.array([c.test_y for c in members]), axis=-1)
+            accuracies.update(zip((c.client_id for c in members), (hits / size).tolist()))
+        return [accuracies[c.client_id] for c in clients]
 
 
 def _runs(sizes: list[int], depths: list[int], start: int, batch_size: int) -> list[list[int]]:

@@ -250,6 +250,12 @@ def test_cli_diverging_run_exits_one_without_a_traceback(tmp_path):
          "got 10, 0 and 400"),
         ("demos/quickstart.cfg", None, ["--seed", "-1"], "--seed -1 --out {out}", "got -1"),
         ("demos/quickstart.cfg", ("seed = 0", "seed = -3"), [], "{config}", "got -3"),
+        ("demos/quickstart.cfg", ("local_hidden = 24;22;20;18;16", "local_hidden = 0"), [], "{config}",
+         "local_hidden widths must be positive, got ((0,),)"),
+        ("demos/quickstart.cfg", ("global_hidden = 16", "global_hidden = -3"), [], "{config}",
+         "global_hidden widths must be positive, got (-3,)"),
+        ("demos/quickstart.cfg", None, ["--sweep", "local_hidden=0"], "--sweep local_hidden=0",
+         "local_hidden widths must be positive, got ((0,),)"),
     ],
 )
 def test_cli_rejects_bad_values_with_one_error_line(tmp_path, capsys, config, edit, flags, source, named):

@@ -106,6 +106,17 @@ def test_run_config_rejects_a_mode_or_variant_that_is_not_its_enum(field, value)
         RunConfig(n_clients=2, rounds=1, d1=2, d2=4, **{field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("global_hidden", (0,)), ("global_hidden", (8, -3)),
+    ("local_hidden", ((0,),)), ("local_hidden", ((12,), (), (9, -1))),
+])
+def test_run_config_rejects_a_non_positive_hidden_width(field, value):
+    # Checked here, a config file or --sweep fails with one error line;
+    # otherwise init_model raises it from build_clients, past the CLI's handler.
+    with pytest.raises(ValueError, match=rf"^{field} widths must be positive, got "):
+        RunConfig(n_clients=2, rounds=1, d1=2, d2=4, **{field: value})
+
+
 def test_participant_count_rounds_and_floors_at_one():
     cfg = RunConfig(n_clients=10, rounds=1, d1=2, d2=4, participation=0.25)
     assert cfg.participants == 2
@@ -1255,12 +1266,12 @@ def test_a_failed_stacked_evaluation_raises_what_the_ascending_loop_raises(
     calls = _count_inference(monkeypatch, clients)
     # Without training, the round only evaluates: one stack of the equal test
     # sets, which holds the NaN, then its clients alone in ascending id order
-    # up to the first that fails.  Client 2's empty test set sorts last and
-    # fails unpredicted, and the error of the lowest id is raised.
+    # up to the first that fails.  Client 2's empty test set fails the stack
+    # before any prediction, and the replay stops at client 2, unpredicted.
     with pytest.raises(error) as stacked:
         run_rounds(server, clients, dataclasses.replace(cfg, local_epochs=0))
     if empty:
-        assert calls == [[i for i in QUICKSTART_SLOTS if i != 2], [0], [1], [3], [4], [5]]
+        assert calls == [[0], [1]]
     else:
         assert calls == [QUICKSTART_SLOTS, [0], [1]]
     assert str(stacked.value) == message
@@ -1276,6 +1287,119 @@ def test_empty_test_sets_are_never_evaluated_in_a_stack():
         client.test_x, client.test_y = client.test_x[:0], client.test_y[:0]
     with pytest.raises(ValueError, match=r"^client 0 has an empty test set$"):
         run_rounds(server, clients, dataclasses.replace(cfg, rounds=1))
+
+
+def _break(client, how):
+    """Make client fail: in training (NaN features, no training samples) or in
+    evaluation (a NaN in its private header, an empty test set)."""
+    if how == "nan features":
+        client.train_x = np.full_like(client.train_x, np.nan)
+    elif how == "no training samples":
+        client.train_x, client.train_y = client.train_x[:0], client.train_y[:0]
+    elif how == "nan header":
+        broken = client.local_model.clone()
+        broken.header.weight[0, 0] = np.nan
+        client.local_model = broken
+    else:
+        client.test_x, client.test_y = client.test_x[:0], client.test_y[:0]
+
+
+def _failure(run):
+    """The error run() raises (TrainingDiverged or ValueError), or None."""
+    try:
+        run()
+    except (TrainingDiverged, ValueError) as exc:
+        return exc
+    return None
+
+
+def _one_client_round(server, clients, cfg):
+    """run_rounds' round without training, as one-client calls in ascending id order:
+    sample, broadcast, a cohort of one per participant, aggregate, then evaluate each
+    client the memo does not know.  Returns what the stacked round would raise."""
+    standalone = cfg.mode is Mode.STANDALONE
+    variant = InferenceVariant.SINGLE_LARGE if standalone else cfg.inference
+    ids = range(cfg.n_clients)
+    picked = ids if standalone else sample_clients(server, cfg.n_clients, cfg.participants)
+    if not standalone:
+        broadcast(server, [clients[i] for i in picked])
+    args = (0, cfg.batch_size, cfg.lrs, cfg.mode, cfg.loss_weights)
+    uploads = [cohort_update([clients[i]], *args)[0][0] for i in picked]
+    if not standalone:
+        aggregate(server, uploads)
+    memo = clients[0].population.accuracy[variant]
+    exc = _failure(lambda: [evaluate(clients[i], variant) for i in ids if np.isnan(memo[i])])
+    if isinstance(exc, TrainingDiverged):
+        return TrainingDiverged(f"round {server.round + 1}: {exc}")
+    return exc
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    local_hidden=st.sampled_from([((9,), (7, 5)), ((9,), (6,), (8, 5)), ((), (7,), (6,)), ((8, 4), (6,))]),
+    n_clients=st.integers(2, 6),
+    data_seed=st.integers(0, 30),
+    mode=st.sampled_from(list(Mode)),
+    participation=st.sampled_from([0.5, 1.0]),
+    stage=st.sampled_from(["training", "evaluation"]),
+    epochs=st.integers(1, 2),
+    batch_size=st.sampled_from([3, 8]),
+    data=st.data(),
+)
+def test_a_failed_stacked_run_raises_what_the_ascending_loop_raises(
+    local_hidden, n_clients, data_seed, mode, participation, stage, epochs, batch_size, data
+):
+    # Ragged shards over two or three architectures of two depths, after a
+    # clean round that fills the accuracy memo.  Broken clients fail a
+    # cohort_update of a drawn subset (training) or a round without
+    # training (evaluation).  The stacked call raises the type and message
+    # of one-client calls in ascending id order, every rng ends where theirs
+    # do, and the failure writes no population row and no memo entry.
+    dataset = gen_synthetic(4, 5, 25, 0.8, make_rng(data_seed))
+    try:
+        plan = split_train_test(
+            partition_dirichlet(dataset, n_clients, DirichletSpec(alpha=0.5, seed=data_seed)))
+    except PartitionError:
+        assume(False)
+    cfg = RunConfig(
+        n_clients=n_clients, rounds=1, d1=3, d2=6, participation=participation, mode=mode,
+        seed=data_seed, batch_size=batch_size, global_hidden=(6,), local_hidden=local_hidden,
+    )
+    server, clients = build_clients(cfg, dataset, plan)
+    run_rounds(server, clients, cfg)
+    broken = st.integers(0, n_clients - 1)
+    if stage == "training":
+        subset = data.draw(st.lists(broken, min_size=1, unique=True), label="subset")
+        broken, kinds = st.sampled_from(subset), ["nan features", "no training samples"]
+    else:
+        kinds = ["nan header", "empty test set"]
+    breaks = data.draw(st.lists(st.tuples(broken, st.sampled_from(kinds)), min_size=1), label="breaks")
+    for ident, how in breaks:
+        _break(clients[ident], how)
+    population = clients[0].population
+    rows = [array.copy() for array in _population_arrays(population)]
+    memo = {variant: array.copy() for variant, array in population.accuracy.items()}
+    twin_server, twin = copy.deepcopy((server, clients))
+
+    with np.errstate(all="ignore"):
+        if stage == "training":
+            args = (epochs, batch_size, cfg.lrs, mode, cfg.loss_weights)
+            stacked = _failure(lambda: cohort_update([clients[i] for i in subset], *args))
+            expected = _failure(lambda: [cohort_update([twin[i]], *args) for i in sorted(subset)])
+            assert expected is not None
+        else:
+            stacked = _failure(lambda: run_rounds(server, clients, dataclasses.replace(cfg, local_epochs=0)))
+            expected = _one_client_round(twin_server, twin, dataclasses.replace(cfg, local_epochs=0))
+            # The round's broadcast and cohorts wrote rows, as the one-client calls did.
+            rows = _population_arrays(twin[0].population)
+            memo = twin[0].population.accuracy
+    assert type(stacked) is type(expected) and str(stacked) == str(expected)
+    assert [c.rng.bit_generator.state for c in clients] == [c.rng.bit_generator.state for c in twin]
+    assert server.rng.bit_generator.state == twin_server.rng.bit_generator.state
+    assert _same_arrays(_population_arrays(population), rows)
+    if stacked is not None:  # a round that evaluates without failing fills the memo
+        assert {v: a.tobytes() for v, a in population.accuracy.items()} == {
+            v: a.tobytes() for v, a in memo.items()}
 
 
 @pytest.mark.parametrize(
@@ -1306,7 +1430,7 @@ def test_a_diverging_quickstart_round_names_its_group_client_and_round(lrs, expe
 def test_a_planned_step_builds_no_model_object(mode):
     # Once a run's plan exists, a step walks plain lists: a second identical
     # cohort calls nothing defined in models.py, and never numerics.as_matrix,
-    # from inside _Cohort._step.
+    # from inside a step of a plan (core._train).
     cfg, dataset, plan = small_setup(n_clients=6, local_hidden=((12,), (10,), (9,)))
     _, clients = build_clients(cfg, dataset, plan)
     args = (2, 8, cfg.lrs, mode, cfg.loss_weights)
@@ -1314,7 +1438,7 @@ def test_a_planned_step_builds_no_model_object(mode):
     cohort_update(clients, *args)
     for client, rng in zip(clients, rngs):
         client.rng = rng
-    step, inside, steps, called = federation._Cohort._step.__code__, [0], [], []
+    step, inside, steps, called = core._train.__code__, [0], [], []
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code is step:
@@ -1498,7 +1622,7 @@ def test_a_quickstart_cohort_steps_every_architecture_in_one_slice(mode):
     # whole cohort in the one block; and a step writes its losses into the
     # loss ledger without ndarray.tolist.
     cfg, clients = _equal_shards()
-    step, inside, steps, tolist = federation._Cohort._step.__code__, [0], [], []
+    step, inside, steps, tolist = core._train.__code__, [0], [], []
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code is step:
