@@ -17,20 +17,22 @@ Lockstep training: the round's participants train as one cohort
 their rows, and each step trains every client of one depth (number of
 layers of its private extractor) that takes a batch of the same size as
 one stacked step of a plan over those rows (core._Plan: plain lists of
-views of the rows and of their gradient scratch).  The workspace holds
-the private extractors in one block per depth, in which every
-architecture of that depth is zero-padded to the widest width of the
-population's architectures of the depth at each hidden position: the
-gather zeroes the block and copies each architecture's rows into it
-through an index map built once per population, and the scatter copies
-them back, so the population stores every client's rows as configured.
+views of the rows and of their gradient scratch).  An epoch steps the
+full batches first, offset by offset, then every short final batch, one
+step per depth and row count.  The workspace holds the private
+extractors in one block per depth, in which every architecture of that
+depth is zero-padded to the widest width of the population's
+architectures of the depth at each hidden position: the gather zeroes
+the block and copies each architecture's rows into it through an index
+map built once per population, and the scatter copies them back, so the
+population stores every client's rows as configured.
 A padded unit has zero weights and bias, so its pre-activation is 0,
 its ReLU is closed and its gradients are ±0: its weights stay 0.0, and a
 padded step is the configured model's step in exact arithmetic, only
 OpenBLAS summing the longer products in another order.  A depth with one
 architecture pads nothing.
 
-A population of several depths steps once per depth present in a run.
+A population of several depths steps once per depth at each offset.
 On the quickstart shape with three depths, a fedmrl run takes three
 times the steps (120 to 360) and about 1.4x to 1.7x the wall time of a
 stack that fused every depth.
@@ -49,11 +51,15 @@ three rules:
 
 * every stacked product is one BLAS call per client slice, on C-order
   matrices, and every reduction runs within a slice (see core);
-* clients are grouped by batch size and depth at each step (ordering the
-  cohort by shard size, largest first, then by depth, makes each group a
-  contiguous range of slots, which a step reads and writes through
-  views), so a short final batch is never zero-padded: padding the rows
-  of a product changes how OpenBLAS rounds it;
+* a training batch is never padded, as padding the rows of a product
+  changes how OpenBLAS rounds it: a step groups clients by depth and
+  batch size.  Ordering the cohort by depth, then by shard size, largest
+  first, makes the clients of one depth with a full batch at an offset a
+  contiguous range of slots, which a step reads and writes through views.
+  The short final batches are regrouped by depth and row count, whatever
+  their offsets: the gathered rows are permuted so that each group is a
+  contiguous range, and permuted back before the next epoch or the
+  scatter.  Each client still takes its batches in their order;
 * a stack that fails is run again client by client in ascending id
   order (_replayed), in the workspace, from the rng states it started
   with, and nothing is scattered, so the error raised and every client's
@@ -64,13 +70,18 @@ per inference variant (Population.accuracy, NaN where not known), and
 run_rounds evaluates only the clients whose entry is NaN.
 Population.wrote(ids) is the one place that forgets the accuracies of
 clients whose rows were written; broadcast, the cohort's scatter and
-assignment to a model field call it, and a failed cohort, which writes
-no row, forgets nothing.  Code that writes into a client's rows in place
-calls population.wrote(ids), or the memo will not see it.  Every
+assignment to a model field or to a test set call it, and a failed
+cohort, which writes no row, forgets nothing.  Code that writes into a
+client's rows in place calls population.wrote(ids), or the memo will
+not see it.  Every
 evaluation, metrics.evaluate of one client included, takes one path
 (_Workspace.evaluate): the clients are gathered into the workspace in
-chunks no larger than its room, and each run of equal test-set size is
-predicted in one stack with core._predict.  A chunk that fails takes
+chunks no larger than its room, and each depth of a chunk is predicted
+in one stack with core._predict, its test sets padded to the largest
+with copies of each client's own last row.  Unlike a training batch, a
+test set may be padded: the padding can move a logit in its last place,
+which changes a prediction only where two logits lie that close, and
+the padded rows' labels (-1) count no hit.  A chunk that fails takes
 training's failure path (_replayed), so the error raised is that of the
 lowest-id client that fails.  Finite checks live in the training step
 and _predict (core), which raise a TrainingDiverged; _replayed raises it
@@ -267,6 +278,8 @@ class ClientState:
     on broadcast and trained locally in between.  The models are views of
     the client's rows; assigning one copies its values into the rows, and
     code that writes into them in place calls population.wrote(ids).
+    Assigning a test set forgets the client's memoized accuracies too; the
+    training set reaches them only through training, whose scatter does.
     """
 
     client_id: int
@@ -279,6 +292,11 @@ class ClientState:
     global_copy = _Rows(0)
     local_model = _Rows(1)
     projector = _Rows(2)
+
+    def __setattr__(self, name, value):
+        super().__setattr__(name, value)
+        if name in ("test_x", "test_y") and "population" in self.__dict__:
+            self.population.wrote(self.client_id)
 
     @property
     def n_samples(self) -> int:
@@ -467,11 +485,12 @@ class _Workspace:
     depth, standalone) to the plan (core._Plan) of slots a to b, which
     share that depth, for training both models or the private one alone.
     After a gather, rows is the client id of each slot, depths the depth
-    of each slot, standalone whether the private models train alone,
-    copies lists (population buffer, its rows of the gathered clients, the
-    workspace's rows, where in them they sit) per gathered buffer and
-    architecture, and shared views the shared rows (None for standalone
-    training).  Its rows equal the population's from a gather to the
+    of each slot, which permute moves with the rows, gathered the keys of
+    the buffers it wrote, standalone whether the private models train
+    alone, copies lists (population buffer, its rows of the gathered
+    clients, the workspace's rows, where in them they sit) per gathered
+    buffer and architecture, and shared views the shared rows (None for
+    standalone training).  Its rows equal the population's from a gather to the
     first step, and again from a scatter to the next write.  A failed
     check raises at once and leaves the rows half-trained; the next gather
     writes over them.  It holds arrays, ids and views only: a client or
@@ -526,6 +545,7 @@ class _Workspace:
         names = ("headers",) if standalone else ("headers", "shared", "projectors")
         self.copies += [(getattr(population, key), self.rows, self.buffers[key][0][:n], ...)
                         for key in names]
+        self.gathered = [*blocks, *names]
         for source, index, rows, at in self.copies:
             rows[at] = source[index]
         self.shared = None if standalone else self.buffers["shared"][0][:n]
@@ -535,6 +555,14 @@ class _Workspace:
         for source, index, rows, at in self.copies:
             source[index] = rows[at]
         population.wrote(self.rows)
+
+    def permute(self, order: np.ndarray) -> None:
+        """Move slot order[i]'s rows and gradient scratch to slot i in every gathered
+        buffer, and its depth."""
+        for key in self.gathered:
+            buffer = self.buffers[key]
+            buffer[:, : len(order)] = buffer[:, order]
+        self.depths = [self.depths[i] for i in order]
 
     def plan(self, a: int, b: int) -> _Plan:
         """The plan of slots a to b, which share a depth: views of rows a to b of that
@@ -557,11 +585,17 @@ class _Workspace:
 
     def stack(self, population: Population, clients: list[ClientState], size,
               standalone: bool, empty: str) -> list[ClientState]:
-        """clients in slot order, gathered: by size(client), largest first, then by
-        depth, then by id, so the clients of one depth and size fill a contiguous run of
-        slots.  Raises ValueError("client i <empty>") if the smallest size is 0."""
+        """clients in slot order, gathered: by depth, then by size(client), largest
+        first, then by id, so the clients of one depth fill a contiguous run of slots,
+        and those of them larger than a given size its first slots.  Raises
+        ValueError("client i <empty>") if a size is 0."""
         depth, place = self.depth, population.place
-        clients = sorted(clients, key=lambda c: (-size(c), depth[place[c.client_id][0]], c.client_id))
+
+        def key(c):  # a client of size 0 sorts last, where the check finds it
+            n = size(c)
+            return n == 0, depth[place[c.client_id][0]], -n, c.client_id
+
+        clients = sorted(clients, key=key)
         if size(clients[-1]) == 0:
             raise ValueError(f"client {clients[-1].client_id} {empty}")
         self.gather(population, tuple(c.client_id for c in clients), standalone)
@@ -569,8 +603,14 @@ class _Workspace:
 
     def train(self, population: Population, clients: list[ClientState], epochs: int,
               batch_size: int, mode: Mode, lrs: LearningRates, weights: LossWeights):
-        """Train clients for epochs in the workspace, each run of slots of one depth that
-        takes a batch of the same size in one step of its plan, in place on the rows.
+        """Train clients for epochs in the workspace, in place on the rows.  An epoch
+        runs in two phases: the full batches, at each offset one step of a plan per
+        depth, on the clients of the depth that still have one (the first slots of its
+        run); then the short final batches, one step per depth and row count, each
+        group's slots made contiguous by a permutation of the rows (_finals, permute)
+        that is undone before anything else reads them.  Each client takes its
+        batches in their order, and no batch is padded.  A failed step leaves the rows
+        half-trained, and maybe permuted, for the next gather to write over.
 
         Returns the clients in slot order (stack) and their (clients, epochs) epoch
         mean losses.  An epoch's ledger holds the loss of each slot's batches, so a
@@ -585,10 +625,14 @@ class _Workspace:
                              mode is Mode.STANDALONE, "has no training samples")
         weights = LossWeights(0.0, 1.0) if mode is Mode.NO_MRL else weights  # the ablation
         sizes = [c.n_samples for c in clients]
-        shape = (len(sizes), sizes[0])
+        shape = (len(sizes), max(sizes))
         width = clients[0].train_x.shape[1]
         batches = [-(-size // batch_size) for size in sizes]
-        groups = _runs(batches, self.depths, 0, batches[0])  # runs of slots with equal batch counts
+        most = max(batches)
+        groups = _runs(batches, self.depths, 0, most)  # runs of slots with equal batch counts
+        full = [size - size % batch_size for size in sizes]  # the rows of full batches
+        stop = max(full)
+        slots, finals, index, cells = _finals(sizes, self.depths, batch_size)
         epoch_means = np.empty((len(sizes), epochs))
         for epoch in range(epochs):
             x, y = np.empty((*shape, width)), np.empty(shape, dtype=np.int64)
@@ -596,25 +640,42 @@ class _Workspace:
                 order = client.rng.permutation(sizes[i])
                 x[i, : sizes[i]] = client.train_x[order]
                 y[i, : sizes[i]] = client.train_y[order]
-            ledger = np.empty((len(sizes), batches[0]))
-            for start in range(0, shape[1], batch_size):
-                losses = ledger[:, start // batch_size]
-                for a, b, rows in _runs(sizes, self.depths, start, batch_size):
-                    window = slice(start, start + rows)
+            ledger = np.empty((len(sizes), most))
+            for start in range(0, stop, batch_size):
+                losses, window = ledger[:, start // batch_size], slice(start, start + batch_size)
+                for a, b, _ in _runs(full, self.depths, start, batch_size):
                     losses[a:b], _ = _train(self.plan(a, b), x[a:b, window], y[a:b, window],
                                             weights, lrs)
+            if finals:
+                ledger[cells] = self._short(slots, finals, x.reshape(-1, width)[index],
+                                            y.reshape(-1)[index], weights, lrs)
             for a, b, count in groups:
                 epoch_means[a:b, epoch] = _mean(ledger[a:b, :count])
         return clients, epoch_means
+
+    def _short(self, slots: np.ndarray, finals: list[list[int]], x: np.ndarray, y: np.ndarray,
+               weights: LossWeights, lrs: LearningRates) -> np.ndarray:
+        """The short phase of an epoch (see _finals): the rows permuted by slots, one
+        step per run of finals on its batches, the next of the flat rows x and labels
+        y, and the rows permuted back.  Returns the losses in the order of slots."""
+        self.permute(slots)
+        losses, at, width = np.empty(finals[-1][1]), 0, x.shape[-1]
+        for a, b, rows in finals:
+            stop = at + (b - a) * rows
+            losses[a:b], _ = _train(self.plan(a, b), x[at:stop].reshape(b - a, rows, width),
+                                    y[at:stop].reshape(b - a, rows), weights, lrs)
+            at = stop
+        self.permute(np.argsort(slots))
+        return losses
 
     def evaluate(self, clients: list[ClientState], variant: InferenceVariant) -> list[float]:
         """The test accuracies of clients, listed in ascending id order, each a count of
         hits over its test-set size (float(np.mean(hits)) bit for bit).
 
         The clients are gathered in chunks no larger than the room the
-        workspace has (one client if it has none yet), in slot order by
-        test-set size (stack), and each run of slots of one test-set size
-        and depth is predicted in one stack (core._predict on its plan).
+        workspace has (one client if it has none yet), in slot order
+        (stack), and each depth of a chunk is predicted in one stack
+        (_predicted).
         A chunk that fails is replayed client by client (_replayed), so the
         error raised is that of the lowest-id client that fails: a
         ValueError for an empty test set, or a TrainingDiverged naming it
@@ -630,16 +691,37 @@ class _Workspace:
     def _predicted(self, population: Population, clients: list[ClientState],
                    variant: InferenceVariant) -> list[float]:
         """The test accuracies of clients, in the order listed: gathered as one stack
-        (stack), each run of slots of one test-set size and depth predicted at once."""
+        (stack), each depth's run of slots predicted at once (core._predict on its plan).
+
+        A run's test sets are padded to its largest, the first, with copies of
+        each client's last row, and their labels with -1, which no prediction
+        hits: a client's accuracy is its hits over its own test-set size.  A
+        padded row gives only values a real row gives, so the finite check
+        sees nothing new.  The padding can change how OpenBLAS rounds a
+        real row's logits, in the last place, and an accuracy reads only
+        their argmax.  A run without padding is stacked as it is.
+        """
         chunk = self.stack(population, clients, lambda c: c.test_y.size,
                            variant is InferenceVariant.SINGLE_LARGE, "has an empty test set")
-        sizes, accuracies = [c.test_y.size for c in chunk], {}
-        for a, b, size in _runs(sizes, self.depths, 0, sizes[0]):
+        accuracies, depths = {}, self.depths
+        cuts = [0, *(i for i in range(1, len(chunk)) if depths[i] != depths[i - 1]), len(chunk)]
+        for a, b in zip(cuts, cuts[1:]):
             members = chunk[a:b]
-            # np.array of equal shapes is np.stack's result at a third of its cost.
-            preds = _predict(self.plan(a, b), np.array([c.test_x for c in members]), variant)
-            hits = np.count_nonzero(preds == np.array([c.test_y for c in members]), axis=-1)
-            accuracies.update(zip((c.client_id for c in members), (hits / size).tolist()))
+            sizes = [c.test_y.size for c in members]
+            if sizes[-1] == sizes[0]:  # nothing to pad
+                # np.array of equal shapes is np.stack's result at a third of its cost.
+                x = np.array([c.test_x for c in members])
+                labels = np.array([c.test_y for c in members])
+            else:
+                sizes, steps = np.array(sizes), np.arange(sizes[0])
+                # Row r of a client's padded test set: its row r, or its last row.
+                rows = np.minimum(steps, sizes[:, None] - 1) + (np.cumsum(sizes) - sizes)[:, None]
+                x = np.concatenate([c.test_x for c in members])[rows]
+                labels = np.concatenate([c.test_y for c in members])[rows]
+                labels[steps >= sizes[:, None]] = -1
+            preds = _predict(self.plan(a, b), x, variant)
+            hits = np.count_nonzero(preds == labels, axis=-1)
+            accuracies.update(zip((c.client_id for c in members), (hits / sizes).tolist()))
         return [accuracies[c.client_id] for c in clients]
 
 
@@ -656,6 +738,27 @@ def _runs(sizes: list[int], depths: list[int], start: int, batch_size: int) -> l
         else:
             runs.append([i, i + 1, rows])
     return runs
+
+
+def _finals(sizes: list[int], depths: list[int], batch_size: int) -> tuple:
+    """The short final batches of slots of these sizes and depths, made contiguous:
+    (slots, finals, index, cells), or None, [], None, None if there are none.  slots
+    lists the slots that have one by depth, row count and slot, then the others;
+    finals holds [first, stop, rows] of each run of one depth and row count among
+    the first, once the rows are permuted by slots; index is where their batches'
+    rows sit in an epoch's (slots, max(sizes)) batch, flat, in that order; cells
+    indexes their losses' entries in the epoch's (slots, batches) loss ledger."""
+    tails = sorted((depths[i], size % batch_size, i) for i, size in enumerate(sizes)
+                   if size % batch_size)
+    if not tails:
+        return None, [], None, None
+    short = [i for *_, i in tails]
+    slots = np.array(short + [i for i, size in enumerate(sizes) if not size % batch_size])
+    finals = _runs([rows for _, rows, _ in tails], [depth for depth, *_ in tails], 0, batch_size)
+    length = max(sizes)
+    index = [i * length + sizes[i] - rows + r for _, rows, i in tails for r in range(rows)]
+    cells = short, [sizes[i] // batch_size for i in short]
+    return slots, finals, np.array(index, dtype=np.intp), cells
 
 
 def _padded(spans: tuple, widths: list[int]) -> tuple:

@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import pickle
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -652,11 +653,13 @@ def test_evaluation_reuse_matches_evaluating_every_client(
 
 def _count_inference(monkeypatch, clients):
     """A list that gains, at each core._predict call (every evaluation's: a stack on
-    the population's workspace), the ids of the clients whose test sets it reads."""
+    the population's workspace), the ids of the clients whose test sets it reads: a
+    client's test set is the leading rows of its slice, which padding may lengthen."""
     calls = []
 
     def counting(plan, x, variant):
-        calls.append([c.client_id for t in x for c in clients if np.array_equal(c.test_x, t)])
+        calls.append([c.client_id for t in x for c in clients
+                      if c.test_y.size and np.array_equal(c.test_x, t[: c.test_y.size])])
         return core._predict(plan, x, variant)
 
     monkeypatch.setattr(federation, "_predict", counting)
@@ -761,6 +764,25 @@ def test_broadcast_and_client_update_clear_the_accuracy_memo():
     assert np.isnan(memo).tolist() == [True, False]
     cohort_update([clients[1]], 1, 8, cfg.lrs, Mode.FEDMRL, LossWeights())
     assert np.isnan(memo).all()
+
+
+def test_assigning_a_test_set_forgets_the_clients_accuracy():
+    # Client 9 is not sampled in the second round, so only the assignment can
+    # make that round evaluate it again.
+    config = override(load_config(QUICKSTART), participation=0.1, rounds=1)
+    dataset = load_dataset(config)
+    cfg = build_run_config(config)
+    server, clients = build_clients(cfg, dataset, build_partition(config, dataset))
+    run_rounds(server, clients, cfg)
+    memo = clients[0].population.accuracy[cfg.inference]
+    assert not np.isnan(memo).any()
+    clients[9].test_x = clients[9].test_x[:3]
+    assert np.flatnonzero(np.isnan(memo)).tolist() == [9]
+    memo[9] = 0.0  # known again, so that the next assignment's forgetting shows
+    clients[9].test_y = clients[9].test_y[:3]
+    assert np.flatnonzero(np.isnan(memo)).tolist() == [9]
+    (report,) = run_rounds(server, clients, cfg)
+    assert report.per_client_accuracy[9] == evaluate(clients[9], cfg.inference)
 
 
 def test_a_failed_cohort_leaves_its_clients_accuracies_memoized():
@@ -1242,6 +1264,86 @@ def test_a_cohort_of_equal_shards_is_evaluated_in_one_stacked_infer(monkeypatch,
         (report,) = run_rounds(server, clients, cfg)
         assert calls == [QUICKSTART_SLOTS]
         assert report.per_client_accuracy == tuple(evaluate(c, variant) for c in clients)
+
+
+@pytest.mark.parametrize("local_hidden", [((12,),), ((12,), (10, 6))],
+                         ids=["one depth", "two depths"])
+def test_short_final_batches_step_once_per_depth_and_row_count(monkeypatch, local_hidden):
+    # Shards of 11, 7, 3, 9, 5 and 10 samples in batches of 4 leave remainders
+    # 3, 3, 3, 1, 1 and 2 after 2, 1, 0, 2, 1 and 2 full batches.
+    sizes, batch_size, epochs = [11, 7, 3, 9, 5, 10], 4, 2
+    cfg, dataset, plan = small_setup(n_clients=6, local_hidden=local_hidden)
+    (_, clients), (_, alone) = (build_clients(cfg, dataset, plan) for _ in "ab")
+    for client, twin, size in zip(clients, alone, sizes):
+        client.train_x = twin.train_x = dataset.features[:size]
+        client.train_y = twin.train_y = dataset.labels[:size]
+    depths = [len(local_hidden[i % len(local_hidden)]) + 1 for i in range(len(sizes))]
+    calls, real = [], federation._train
+
+    def counting(plan, x, y, *args):
+        calls.append((len(plan.private[0]), y.shape[-1], y.shape[0]))  # depth, rows, clients
+        return real(plan, x, y, *args)
+
+    monkeypatch.setattr(federation, "_train", counting)
+    args = (epochs, batch_size, cfg.lrs, Mode.FEDMRL, cfg.loss_weights)
+    results = cohort_update(clients, *args)
+    monkeypatch.undo()
+
+    per_epoch = len(calls) // epochs
+    assert calls == calls[:per_epoch] * epochs
+    full = [call for call in calls[:per_epoch] if call[1] == batch_size]
+    assert calls[:len(full)] == full  # the full batches first
+    assert sum(n for *_, n in full) == sum(size // batch_size for size in sizes)
+    groups = Counter((d, size % batch_size) for d, size in zip(depths, sizes) if size % batch_size)
+    assert calls[len(full) : per_epoch] == [(*key, n) for key, n in sorted(groups.items())]
+    most = {}  # each depth's largest full-batch count
+    for d, size in zip(depths, sizes):
+        most[d] = max(most.get(d, 0), size // batch_size)
+    assert per_epoch == sum(most.values()) + len(groups)
+    for twin, (upload, means) in zip(alone, results):  # bit for bit a cohort of one
+        ((twin_upload, twin_means),) = cohort_update([twin], *args)
+        assert repr(means) == repr(twin_means)
+        assert _same_arrays(upload.model._segments(), twin_upload.model._segments())
+
+
+def _ragged_tests(local_hidden):
+    """Six trained clients of small_setup with test sets of six sizes, rows of the
+    dataset no two share, on a workspace with room for all of them."""
+    cfg, dataset, plan = small_setup(n_clients=6, rounds=2, local_hidden=local_hidden)
+    server, clients = build_clients(cfg, dataset, plan)
+    run_rounds(server, clients, cfg)
+    for i, (client, size) in enumerate(zip(clients, [5, 2, 4, 1, 3, 6])):
+        client.test_x = dataset.features[10 * i : 10 * i + size]
+        client.test_y = dataset.labels[10 * i : 10 * i + size]
+    return clients
+
+
+@pytest.mark.parametrize(
+    "local_hidden,stacks",
+    [(((12,),), [[5, 0, 2, 4, 1, 3]]), (((12,), (10, 6)), [[0, 2, 4], [5, 1, 3]])],
+    ids=["one depth", "two depths"],
+)
+def test_a_chunk_of_unequal_test_sizes_is_predicted_in_one_stack_per_depth(
+    monkeypatch, local_hidden, stacks
+):
+    clients = _ragged_tests(local_hidden)
+    calls = _count_inference(monkeypatch, clients)
+    for variant in InferenceVariant:
+        calls.clear()
+        clients[0].population._room().evaluate(clients, variant)
+        assert calls == stacks  # by depth, then test-set size, largest first
+
+
+@pytest.mark.parametrize("variant", list(InferenceVariant))
+def test_a_padded_evaluation_scores_each_client_on_its_own_rows(variant):
+    clients = _ragged_tests(((12,), (10, 6), (9,)))
+    expected = []
+    for client in clients:
+        preds = infer(*padded_models(client), client.test_x, variant)
+        # The last row, which the padding copies, is a hit.
+        client.test_y = np.concatenate([client.test_y[:-1], preds[-1:]])
+        expected.append(np.count_nonzero(preds == client.test_y) / client.test_y.size)
+    assert clients[0].population._room().evaluate(clients, variant) == expected
 
 
 @pytest.mark.parametrize(
