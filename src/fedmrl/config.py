@@ -95,10 +95,7 @@ def _parse_widths(text: str) -> tuple[int, ...]:
 
 def _parse_width_stacks(text: str) -> tuple[tuple[int, ...], ...]:
     """Semicolon-separated width lists, one per heterogeneous model shape."""
-    stacks = tuple(_parse_widths(part) for part in text.split(";"))
-    if not stacks:
-        raise ValueError("need at least one width stack")
-    return stacks
+    return tuple(_parse_widths(part) for part in text.split(";"))
 
 
 def _parse_enum(cls, text: str, message: str):
@@ -172,11 +169,7 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
                 f"(first set on line {seen[key]})"
             )
         seen[key] = lineno
-        parser, _ = _SCHEMA[key]
-        try:
-            values[key] = parser(value)
-        except ValueError as exc:
-            raise ConfigError(f"{source}: line {lineno}: {key}: {exc}") from None
+        values[key] = _build(f"{source}: line {lineno}: {key}", _SCHEMA[key][0], value)
 
     for key, (_, default) in _SCHEMA.items():
         if default is MISSING and key not in values:
@@ -227,10 +220,5 @@ def parse_sweep(text: str) -> tuple[str, list[tuple[str, object]]]:
     tokens = [t.strip() for t in rest.split(",") if t.strip()]
     if not tokens:
         raise ConfigError(f"sweep over {key!r} needs at least one value")
-    pairs = []
-    for token in tokens:
-        try:
-            pairs.append((token, parser(token)))
-        except ValueError as exc:
-            raise ConfigError(f"sweep value {token!r} for {key}: {exc}") from None
-    return key, pairs
+    return key, [(token, _build(f"sweep value {token!r} for {key}", parser, token))
+                 for token in tokens]

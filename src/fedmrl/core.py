@@ -21,15 +21,16 @@ forward and backward without a step: all gradients are derived by hand
 and checked against finite differences.
 
 Every step runs on a plan (_Plan): plain lists over one stack of
-clients, read from flat parameter vectors with their layouts' spans (see
-models).  A plan holds each layer's weight, bias, their gradients and
-ReLU flag, both headers, the projector, and each parameter group's
-(theta, gradient) vector pairs.  _train walks it: the forward, the
-hand-derived backward, which writes every gradient with np.matmul and
-sum (out=), and SGD in place, theta -= lr * grad, with one isfinite per
-stepped vector.  It builds no model object and checks nothing but the
-learning rates and finiteness.  _predict runs the same forward on a plan
-and reads the logits of an inference variant.  The public functions take
+clients.  A plan reads its layers through models' slicer (_sliced), the
+one an extractor's own layers come from: views of flat parameter vectors
+cut by their layouts' spans.  A plan holds each layer's weight, bias,
+their gradients and ReLU flag, both headers, the projector, and each
+parameter group's (theta, gradient) vector pairs.  _train walks it: the
+forward, the hand-derived backward, which writes every gradient with
+np.matmul and sum (out=), and SGD in place, theta -= lr * grad, with one
+isfinite per stepped vector.  It builds no model object and checks
+nothing but the learning rates and finiteness.  _predict runs the same
+forward on a plan and reads the logits of an inference variant.  The public functions take
 one client's models and 2-D batches: they check their inputs, build a
 plan over the models they are given (_plan) and run that same code;
 train_step and train_step_single step clones, so they are pure.  Plans,
@@ -67,7 +68,7 @@ from enum import Enum
 
 import numpy as np
 
-from .models import RELU, Net, _Matrix
+from .models import RELU, Net, _Matrix, _sliced
 from .numerics import NonFiniteError, ShapeError, _check_lr, _cross_entropy, _labels, _transposed
 from .numerics import as_matrix
 
@@ -296,14 +297,11 @@ class _Plan:
 
 def _layers(flat, grad, spans) -> list:
     """A plan's extractor layers: views of an extractor's vector flat, laid out by
-    spans (see models), and of its gradient grad (None to infer only)."""
-    stack, layers = flat.shape[:-1], []
-    for start, stop, end, out, inp, activation in spans:
-        cuts = ((start, stop, (out, inp)), (stop, end, (1, out)))  # weight, then bias
-        views = [None if v is None or b is None else v[..., a:b].reshape(*stack, *shape)
-                 for v in (flat, grad) for a, b, shape in cuts]
-        layers.append((*views, activation == RELU))
-    return layers
+    spans, and of its gradient grad (None to infer only), cut by models._sliced."""
+    layers = _sliced(flat, spans)
+    grads = [(None, None, None)] * len(spans) if grad is None else _sliced(grad, spans)
+    return [(weight, bias, d_weight, d_bias, activation == RELU)
+            for (weight, bias, activation), (d_weight, d_bias, _) in zip(layers, grads)]
 
 
 def _model(model: Net, grads: Net | None) -> tuple:

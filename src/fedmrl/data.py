@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import derive_rng
+from .numerics import _labels, derive_rng
 
 # Substream tags so partitioning and splitting never share a stream.
 _PARTITION_STREAM = 1
@@ -53,8 +53,7 @@ class LabeledDataset:
             )
         if self.classes < 2:
             raise ValueError(f"need at least 2 classes, got {self.classes}")
-        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.classes):
-            raise ValueError(f"labels must lie in [0, {self.classes})")
+        _labels(self.labels, len(self.labels), self.classes)
 
     def __len__(self) -> int:
         return self.labels.shape[0]
@@ -201,18 +200,13 @@ def partition_class_count(
     cursor = 0
     for slot in range(per_client):
         for client in range(n_clients):
-            if len(assigned[client]) > slot:
-                continue
+            # The client holds slot < len(order) labels, so a free one is found.
             for probe in range(len(order)):
                 label = order[(cursor + probe) % len(order)]
                 if label not in assigned[client]:
                     assigned[client].add(label)
                     cursor = cursor + probe + 1
                     break
-            else:
-                raise PartitionError(
-                    f"cannot assign {per_client} distinct classes to client {client}"
-                )
 
     holders: dict[int, list[int]] = {c: [] for c in present}
     for client, labels in enumerate(assigned):
@@ -233,12 +227,9 @@ def partition_class_count(
                 )
             pools[client].append(share)
 
-    clients = []
-    for pool in pools:
-        merged = np.sort(np.concatenate(pool)) if pool else np.empty(0, dtype=np.int64)
-        if merged.size == 0:
-            raise PartitionError("a client received no samples")
-        clients.append(ClientIndices(train=merged, test=np.empty(0, dtype=np.int64)))
+    # Every client holds a non-empty share of each of its classes.
+    clients = [ClientIndices(train=np.sort(np.concatenate(pool)), test=np.empty(0, dtype=np.int64))
+               for pool in pools]
     return PartitionPlan(clients=clients, n_samples=len(dataset), seed=spec.seed)
 
 

@@ -25,7 +25,9 @@ depth is zero-padded to the widest width of the population's
 architectures of the depth at each hidden position: the gather zeroes
 the block and copies each architecture's rows into it through an index
 map built once per population, and the scatter copies them back, so the
-population stores every client's rows as configured.
+population stores every client's rows as configured.  The workspace takes
+each depth's padded layout and the index maps from models (_padded,
+_positions), which owns the extractor layout.
 A padded unit has zero weights and bias, so its pre-activation is 0,
 its ReLU is closed and its gradients are ±0: its weights stay 0.0, and a
 padded step is the configured model's step in exact arithmetic, only
@@ -100,7 +102,7 @@ from .core import InferenceVariant, LearningRates, LossWeights, Mode, Projector,
 from .core import _Plan, _layers, _mean, _predict, _train, init_projector
 from .data import LabeledDataset, PartitionPlan
 from .metrics import RoundReport, comm_cost_round, forward_flops_per_sample
-from .models import ModelConfig, Net, init_model
+from .models import ModelConfig, Net, _length, _padded, _positions, _signature, init_model
 from .numerics import ShapeError, _check_lr, _labels, derive_rng
 
 # Substream tags: every source of randomness in a run is a named stream
@@ -443,7 +445,9 @@ def _replayed(run, clients: list[ClientState], rngs: bool):
 
     A failed stack of several clients (TrainingDiverged or ValueError)
     restores their rngs (if rngs) and runs each client alone, in the
-    workspace, until one fails.  A failed stack of one is that client's
+    workspace, until one fails.  If every client alone succeeds, the
+    stack's own error is raised again as it is, each rng where the
+    client's lone run left it.  A failed stack of one is that client's
     failure: a TrainingDiverged is raised again naming it, a ValueError as
     it is.  No run scatters, so no population row changes, and every rng
     ends where a sequential pass leaves it.
@@ -471,10 +475,12 @@ class _Workspace:
     The private extractors sit in one zero-padded block per depth (see
     the module docstring).  The architectures of a depth share its number
     of layers, each layer's bias and activation (as all of init_model's
-    do) and the input width; at each hidden position the depth's width is
-    the widest of theirs.  spans[depth] lays the padded vector out (see
-    models), depth[kind] is an architecture's depth and maps[kind] the
-    position of each entry of its vector in the padded one.
+    do) and the input width: one models._signature.  The padded layouts
+    come from models: spans[depth] lays the padded vector out
+    (models._padded, the widest of the depth's widths at each hidden
+    position), depth[kind] is an architecture's depth and maps[kind] the
+    position of each entry of its vector in the padded one
+    (models._positions).
 
     buffers maps each depth to its block, and "headers", "shared" and
     "projectors" to the other buffers: each a (2, rows, width) array of
@@ -498,17 +504,15 @@ class _Workspace:
     """
 
     def __init__(self, population: Population):
+        own = [model.extractor._spans for model in population.private_layouts]
         layouts: dict[tuple, list[int]] = {}
-        for kind, model in enumerate(population.private_layouts):
-            spans = model.extractor._spans
-            key = spans[0][4], tuple((span[2] is None, span[5]) for span in spans)
-            layouts.setdefault(key, []).append(kind)
+        for kind, spans in enumerate(own):
+            layouts.setdefault(_signature(spans), []).append(kind)
         self.depth, self.maps, self.spans = {}, {}, []
         for kinds in layouts.values():
-            own = [population.private_layouts[kind].extractor._spans for kind in kinds]
-            spans = _padded(own[0], [max(span[3] for span in layer) for layer in zip(*own)])
-            for kind, layout in zip(kinds, own):
-                self.depth[kind], self.maps[kind] = len(self.spans), _positions(layout, spans)
+            spans = _padded([own[kind] for kind in kinds])
+            for kind in kinds:
+                self.depth[kind], self.maps[kind] = len(self.spans), _positions(own[kind], spans)
             self.spans.append(spans)
         shared = population.shared_layout
         self.shared_spans, self.cut = shared.extractor._spans, shared.extractor._flat.shape[-1]
@@ -522,7 +526,7 @@ class _Workspace:
         first rows are zeroed first."""
         n, place = len(ids), population.place
         if n > self.size:
-            self.buffers = {depth: np.zeros((2, n, spans[-1][2] or spans[-1][1]))
+            self.buffers = {depth: np.zeros((2, n, _length(spans)))
                             for depth, spans in enumerate(self.spans)}
             self.buffers.update((key, np.zeros((2, n, getattr(population, key).shape[1])))
                                 for key in ("headers", "shared", "projectors"))
@@ -759,29 +763,6 @@ def _finals(sizes: list[int], depths: list[int], batch_size: int) -> tuple:
     index = [i * length + sizes[i] - rows + r for _, rows, i in tails for r in range(rows)]
     cells = short, [sizes[i] // batch_size for i in short]
     return slots, finals, np.array(index, dtype=np.intp), cells
-
-
-def _padded(spans: tuple, widths: list[int]) -> tuple:
-    """An extractor layout (see models) with each layer's output width widths[i], and
-    its input width the previous layer's output, laid out afresh."""
-    padded, start, inp = [], 0, spans[0][4]
-    for (_, _, end, _, _, activation), out in zip(spans, widths):
-        stop = start + out * inp
-        bias = None if end is None else stop + out
-        padded.append((start, stop, bias, out, inp, activation))
-        start, inp = bias or stop, out
-    return tuple(padded)
-
-
-def _positions(spans: tuple, padded: tuple) -> np.ndarray:
-    """Where each entry of a vector laid out by spans sits in one laid out by padded:
-    a weight's row r and column c at r times its padded input width plus c."""
-    index = []
-    for (_, _, end, out, inp, _), (start, stop, _, _, width, _) in zip(spans, padded):
-        index.append((start + width * np.arange(out)[:, None] + np.arange(inp)).ravel())
-        if end is not None:
-            index.append(stop + np.arange(out))
-    return np.concatenate(index)
 
 
 def _population(clients: list[ClientState]) -> Population:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import os
 import uuid
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -148,7 +148,8 @@ def export_reports(
     CSV columns: round,avg_acc,mean_loss,uplink,downlink,flops, then one
     client{i}_acc column per client.  An empty report list writes the
     fixed header only.  JSON mirrors the same values row for row under
-    "reports" and carries schema_version plus any meta entries verbatim.
+    "reports", one object of RoundReport's fields per round, and carries
+    schema_version plus any meta entries verbatim.
     """
     path = Path(path)
     if format == "csv":
@@ -170,18 +171,7 @@ def export_reports(
     elif format == "json":
         doc = {"schema_version": REPORT_SCHEMA_VERSION}
         doc.update(meta or {})
-        doc["reports"] = [
-            {
-                "round": r.round,
-                "avg_test_accuracy": r.avg_test_accuracy,
-                "per_client_accuracy": list(r.per_client_accuracy),
-                "mean_train_loss": r.mean_train_loss,
-                "uplink_params": r.uplink_params,
-                "downlink_params": r.downlink_params,
-                "flops": r.flops,
-            }
-            for r in reports
-        ]
+        doc["reports"] = [{f.name: getattr(r, f.name) for f in fields(r)} for r in reports]
         text = json.dumps(doc, indent=2) + "\n"
     else:
         raise ValueError(f"unknown export format {format!r} (use 'csv' or 'json')")
@@ -199,17 +189,10 @@ def load_reports_json(path: str | Path) -> tuple[dict, list[RoundReport]]:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if doc.get("schema_version") != REPORT_SCHEMA_VERSION:
         raise ValueError(f"unsupported report schema {doc.get('schema_version')!r}")
-    reports = [
-        RoundReport(
-            round=entry["round"],
-            avg_test_accuracy=entry["avg_test_accuracy"],
-            per_client_accuracy=tuple(entry["per_client_accuracy"]),
-            mean_train_loss=entry["mean_train_loss"],
-            uplink_params=entry["uplink_params"],
-            downlink_params=entry["downlink_params"],
-            flops=entry["flops"],
-        )
-        for entry in doc["reports"]
-    ]
+    reports = []
+    for entry in doc["reports"]:
+        values = {f.name: entry[f.name] for f in fields(RoundReport)}
+        values["per_client_accuracy"] = tuple(values["per_client_accuracy"])
+        reports.append(RoundReport(**values))
     meta = {k: v for k, v in doc.items() if k != "reports"}
     return meta, reports

@@ -12,11 +12,19 @@ Parameters are walked in one order (Net.parameter_arrays): each layer's
 weight, then its bias, first layer to last, then the header weight.
 Each is a view of a flat vector in that order, one vector for an
 extractor's layers and one for a header (a weight is an (out, in)
-reshape of a column range).  An extractor's _spans lay its vector out,
-and a plan reads its layers from a vector with them.  _segments() lists
-a model's vectors and _over(segments) builds a model of the same layout
-over others, without checks.  Copies (clone, copy.deepcopy) view copied
-vectors.
+reshape of a column range).  _segments() lists a model's vectors and
+_over(segments) builds a model of the same layout over others, without
+checks.  Copies (clone, copy.deepcopy) view copied vectors.
+
+This module owns an extractor's flat layout and every rule that reads
+it.  _layout lays a vector out, an extractor's _spans: per layer (weight
+start, weight stop, bias stop or None, out, in, activation).  _sliced
+cuts a vector, or a stack of them, into each layer's views; an
+extractor's layers and a step plan's (see core) are both its views.  The
+padding of a depth lives here too: extractors of one _signature (the
+same input width and each layer's bias and activation) fit one _padded
+layout, the widest at each layer, and _positions maps each entry of an
+extractor's vector into the padded one (see federation's workspace).
 """
 
 from __future__ import annotations
@@ -140,11 +148,10 @@ class AffineLayer:
 class Extractor(_Segmented):
     """Feed-forward stack mapping raw features to a representation.
 
-    Its layers are views of one vector, _flat, laid out by _spans: (weight
-    start, weight stop, bias stop or None, out, in, activation) per layer.
-    The constructor copies its layers into a fresh vector.  An extractor
-    built by _over makes its layers when first asked; training reads its
-    vector through _spans and never asks.
+    Its layers are views of one vector, _flat, laid out by _spans (see
+    _layout) and cut by _sliced.  The constructor copies its layers into a
+    fresh vector.  An extractor built by _over makes its layers when first
+    asked; training reads its vector through _spans and never asks.
     """
 
     layers: list[AffineLayer]
@@ -155,13 +162,8 @@ class Extractor(_Segmented):
         for a, b in zip(self.layers[:-1], self.layers[1:]):
             if a.out_dim != b.in_dim:
                 raise ShapeError(f"layer widths do not chain: {a.out_dim} -> {b.in_dim}")
-        spans, start = [], 0
-        for layer in self.layers:
-            stop = start + layer.out_dim * layer.in_dim
-            end = None if layer.bias is None else stop + layer.out_dim
-            spans.append((start, stop, end, layer.out_dim, layer.in_dim, layer.activation))
-            start = end or stop
-        self._spans = tuple(spans)
+        self._spans = _layout(self.layers[0].in_dim, [
+            (layer.out_dim, layer.bias is not None, layer.activation) for layer in self.layers])
         self._flat = np.concatenate([array.reshape(-1) for array in self.parameter_arrays()])
         del self.layers  # from now on views of _flat
 
@@ -176,16 +178,8 @@ class Extractor(_Segmented):
         """Makes the layers, views of _flat, when first asked for them."""
         if name != "layers" or "_spans" not in self.__dict__:
             raise AttributeError(name)
-        flat = self._flat
-        self.layers = [
-            _view(
-                AffineLayer,
-                weight=flat[start:stop].reshape(out, inp),
-                bias=None if end is None else flat[stop:end].reshape(1, out),
-                activation=activation,
-            )
-            for start, stop, end, out, inp, activation in self._spans
-        ]
+        self.layers = [_view(AffineLayer, weight=weight, bias=bias, activation=activation)
+                       for weight, bias, activation in _sliced(self._flat, self._spans)]
         return self.layers
 
     @property
@@ -199,6 +193,58 @@ class Extractor(_Segmented):
     def parameter_arrays(self) -> list[np.ndarray]:
         """Each layer's weight, then its bias if it has one, first layer to last."""
         return [a for layer in self.layers for a in (layer.weight, layer.bias) if a is not None]
+
+
+def _layout(inp: int, layers) -> tuple:
+    """The spans of a vector that holds an extractor reading inp columns whose layers
+    are (out, has a bias, activation), first to last: each layer's weight (out x in,
+    row by row), then its bias, its input width the previous layer's output."""
+    spans, start = [], 0
+    for out, bias, activation in layers:
+        stop = start + out * inp
+        end = stop + out if bias else None
+        spans.append((start, stop, end, out, inp, activation))
+        start, inp = end or stop, out
+    return tuple(spans)
+
+
+def _length(spans: tuple) -> int:
+    """The length of a vector laid out by spans."""
+    return spans[-1][2] or spans[-1][1]
+
+
+def _sliced(flat: np.ndarray, spans: tuple) -> list[tuple]:
+    """Each layer's (weight, bias or None, activation): views of flat, laid out by
+    spans in its last axis, over its leading axes (one per client of a stack)."""
+    lead = flat.shape[:-1]
+    return [(flat[..., start:stop].reshape(*lead, out, inp),
+             None if end is None else flat[..., stop:end].reshape(*lead, 1, out), activation)
+            for start, stop, end, out, inp, activation in spans]
+
+
+def _signature(spans: tuple) -> tuple:
+    """What extractors padded into one layout share: the input width and each
+    layer's (has a bias, activation)."""
+    return spans[0][4], tuple((end is not None, act) for _, _, end, _, _, act in spans)
+
+
+def _padded(layouts: list[tuple]) -> tuple:
+    """The layout that holds extractors of one signature: at each layer the widest
+    output of theirs, its input the previous layer's output."""
+    widths = [max(span[3] for span in layer) for layer in zip(*layouts)]
+    inp, layers = _signature(layouts[0])
+    return _layout(inp, ((out, *layer) for out, layer in zip(widths, layers)))
+
+
+def _positions(spans: tuple, padded: tuple) -> np.ndarray:
+    """Where each entry of a vector laid out by spans sits in one laid out by padded:
+    a weight's row r and column c at r times its padded input width plus c."""
+    index = []
+    for (_, _, end, out, inp, _), (start, stop, _, _, width, _) in zip(spans, padded):
+        index.append((start + width * np.arange(out)[:, None] + np.arange(inp)).ravel())
+        if end is not None:
+            index.append(stop + np.arange(out))
+    return np.concatenate(index)
 
 
 @dataclass

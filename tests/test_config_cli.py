@@ -340,3 +340,59 @@ def test_sweep_alpha_filenames_keep_decimal_token(tmp_path):
     lo = json.loads((out / "report_alpha_0.1.json").read_text())
     hi = json.loads((out / "report_alpha_1000.json").read_text())
     assert lo["partition_fingerprint"] != hi["partition_fingerprint"]
+
+
+QUICKSTART_CFG = Path(__file__).parents[1] / "demos" / "quickstart.cfg"
+
+
+@pytest.mark.parametrize(
+    "edit,sweep,message",
+    [
+        (("seed = 0", "seed = 0\ndataset = images"), None,
+         "{config}: dataset must be 'synthetic' or 'csv'"),
+        (("partition = class_count", "partition = shards"), None,
+         "{config}: partition must be 'class_count' or 'dirichlet'"),
+        (("target_accuracy = 0.85", "target_accuracy = 1.5"), None,
+         "{config}: target_accuracy must lie in (0, 1]"),
+        (("seed = 0", "seed = 0\nstandardize = maybe"), None,
+         "{config}: line 17: standardize: expected a boolean, got 'maybe'"),
+        (("seed = 0", "seed = 0\nrounds 5"), None, "{config}: line 17: expected 'key = value'"),
+        (None, "d1=", "sweep over 'd1' needs at least one value"),
+    ],
+)
+def test_a_config_check_raises_a_config_error_and_the_cli_one_error_line(
+    tmp_path, capsys, edit, sweep, message
+):
+    # The parser raises a ConfigError with the message, and the CLI prints
+    # it as its one error line and exits 1 before writing anything.
+    path = QUICKSTART_CFG
+    if edit is not None:
+        path = write_config(tmp_path, path.read_text(encoding="utf-8").replace(*edit), name="bad.cfg")
+    message = message.format(config=path)
+    with pytest.raises(ConfigError) as raised:
+        parse_sweep(sweep) if sweep else load_config(path)
+    assert type(raised.value) is ConfigError and str(raised.value) == message
+    out = tmp_path / "out"
+    flags = ["--sweep", sweep] if sweep else []
+    assert main(["run", "--config", str(path), *flags, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_a_standardized_dataset_runs_end_to_end(tmp_path):
+    # standardize = true trains on the per-column standardized features.
+    from fedmrl.data import standardize_features
+    from fedmrl.experiment import build_partition, load_dataset
+    from fedmrl.federation import run_training
+    from fedmrl.metrics import load_reports_json
+
+    path = write_config(tmp_path, GOOD_CONFIG + "standardize = true\n")
+    out = tmp_path / "out"
+    assert run_experiment(path, out_dir=str(out)) == 0
+    config = load_config(path)
+    dataset = load_dataset(config)
+    raw = load_dataset(override(config, standardize=False))
+    assert np.array_equal(dataset.features, standardize_features(raw).features)
+    assert not np.array_equal(dataset.features, raw.features)
+    expected = run_training(config, dataset, build_partition(config, dataset))
+    assert load_reports_json(out / "report.json")[1] == expected

@@ -399,3 +399,36 @@ def test_dirichlet_plans_are_disjoint_and_cover_the_dataset(classes, per_class, 
     except PartitionError:  # no draw left every client a sample
         assume(False)
     assert np.array_equal(_assert_disjoint(plan, len(ds)), np.arange(len(ds)))
+
+
+@pytest.mark.parametrize(
+    "make,error,message",
+    [
+        (lambda tmp: LabeledDataset(np.zeros(4), np.zeros(4), 2), ValueError,
+         "features must be 2-D, got shape (4,)"),
+        (lambda tmp: LabeledDataset(np.zeros((4, 2)), np.zeros(4), 1), ValueError,
+         "need at least 2 classes, got 1"),
+        (lambda tmp: partition_class_count(
+            LabeledDataset(np.zeros((6, 2)), [0, 1, 0, 1, 0, 1], 4), 2, ClassCountSpec(3, 0)),
+         PartitionError, "only 2 classes have samples, cannot give each client 3"),
+        (lambda tmp: partition_dirichlet(make_dataset(), 0, DirichletSpec(0.5, 0)),
+         PartitionError, "need at least one client, got 0"),
+        (lambda tmp: load_csv(_written(tmp, "label\n1\n")), CsvFormatError,
+         "{path}: line 1: need at least one feature column"),
+        (lambda tmp: load_csv(_written(tmp, "f0,label\n0.5,1\n0.25,-1\n")), CsvFormatError,
+         "{path}: line 3: label must be non-negative"),
+        (lambda tmp: load_csv(_written(tmp, "f0,f1,label\n")), CsvFormatError,
+         "{path}: no data rows"),
+    ],
+)
+def test_a_data_check_raises_its_typed_error(tmp_path, make, error, message):
+    with pytest.raises(error) as raised:
+        make(tmp_path)
+    assert type(raised.value) is error
+    assert str(raised.value) == message.format(path=tmp_path / "data.csv")
+
+
+def _written(tmp_path, text):
+    path = tmp_path / "data.csv"
+    path.write_text(text, encoding="utf-8")
+    return path

@@ -5,6 +5,7 @@ import pickle
 import sys
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1821,3 +1822,91 @@ def test_a_population_counts_the_flops_of_each_architecture_once_per_mode():
             assert [r.flops for r in reports] == [expected, expected]
     kinds = {clients[0].population.place[c.client_id][0] for c in clients}
     assert len(counted) == len(set(counted)) == len(kinds) * len(Mode) == 15
+
+
+def _world():
+    """A small run's cfg, dataset, plan, server and clients, and a second population
+    (other_server, others) of the same shape with a shared model of other widths."""
+    cfg, dataset, plan = small_setup()
+    server, clients = build_clients(cfg, dataset, plan)
+    other_server, others = build_clients(*small_setup(d1=2, d2=4))
+    return SimpleNamespace(cfg=cfg, dataset=dataset, plan=plan, server=server, clients=clients,
+                           other_server=other_server, others=others)
+
+
+@pytest.mark.parametrize(
+    "make,error,message",
+    [
+        (lambda w: RunConfig(n_clients=2, rounds=-1, d1=2, d2=4), ValueError,
+         "rounds must be non-negative, got -1"),
+        (lambda w: RunConfig(n_clients=2, rounds=1, d1=2, d2=4, local_epochs=-1), ValueError,
+         "local_epochs must be non-negative, got -1"),
+        (lambda w: RunConfig(n_clients=2, rounds=1, d1=2, d2=4, batch_size=0), ValueError,
+         "batch_size must be positive, got 0"),
+        (lambda w: RunConfig(n_clients=2, rounds=1, d1=2, d2=4, local_hidden=()), ValueError,
+         "local_hidden needs at least one width stack"),
+        (lambda w: build_clients(dataclasses.replace(w.cfg, n_clients=5), w.dataset, w.plan),
+         ValueError, "plan covers 4 clients, config wants 5"),
+        (lambda w: build_clients(w.cfg, gen_synthetic(4, 5, 31, 0.6, make_rng(0)), w.plan),
+         ValueError, "partition plan was built for a different dataset"),
+        (lambda w: broadcast(w.other_server, w.clients), ShapeError,
+         "the server's model does not fit: [(66,), (8,)]"),
+        (lambda w: cohort_update(w.clients[:1] * 2, 1, 8, w.cfg.lrs, Mode.FEDMRL, LossWeights()),
+         ValueError, "duplicate client ids in a cohort: [0, 0]"),
+        (lambda w: cohort_update([w.clients[0], w.others[1]], 1, 8, w.cfg.lrs, Mode.FEDMRL,
+                                 LossWeights()),
+         ValueError, "the clients belong to different populations"),
+        (lambda w: aggregate(w.server, [Upload(0, 0, w.server.global_model.clone())]), ValueError,
+         "upload from client 0 covers no samples"),
+    ],
+)
+def test_a_federation_check_raises_its_typed_error(make, error, message):
+    world = _world()
+    with pytest.raises(error) as raised:
+        make(world)
+    assert type(raised.value) is error and str(raised.value) == message
+
+
+def test_an_empty_broadcast_or_cohort_does_nothing():
+    w = _world()
+    cfg, server, clients = w.cfg, w.server, w.clients
+    run_rounds(server, clients, dataclasses.replace(cfg, rounds=1))
+    population = clients[0].population
+    rows = [array.copy() for array in _population_arrays(population)]
+    memo = {v: a.tobytes() for v, a in population.accuracy.items()}
+    assert broadcast(server, []) is None
+    assert cohort_update([], 1, 8, cfg.lrs, Mode.FEDMRL, LossWeights()) == []
+    assert _same_arrays(_population_arrays(population), rows)
+    assert {v: a.tobytes() for v, a in population.accuracy.items()} == memo
+
+
+def test_a_stack_that_fails_only_as_a_stack_raises_its_own_error(monkeypatch):
+    # _replayed's last resort: a stack of several clients fails, but every
+    # client run alone, in ascending id order, succeeds.  Then the stack's
+    # own error is raised again, no row is scattered and no memoized
+    # accuracy is forgotten; each rng ends where its lone run left it.
+    cfg, server, clients = _equal_shards(with_server=True)
+    run_rounds(server, clients, dataclasses.replace(cfg, rounds=1))
+    population = clients[0].population
+    rows = [array.copy() for array in _population_arrays(population)]
+    memo = {v: a.tobytes() for v, a in population.accuracy.items()}
+    twin = copy.deepcopy(clients)
+    injected, train, alone = TrainingDiverged("a stacked step failed", "local"), federation._train, []
+
+    def stacks_fail(plan, x, *args):
+        if x.shape[0] > 1:
+            raise injected
+        alone.append(x.shape[0])
+        return train(plan, x, *args)
+
+    monkeypatch.setattr(federation, "_train", stacks_fail)
+    args = (1, 8, cfg.lrs, Mode.FEDMRL, LossWeights())
+    with pytest.raises(TrainingDiverged) as raised:
+        cohort_update(clients[:4], *args)
+    assert raised.value is injected and raised.value.client is None
+    assert len(alone) == 4 * 48 // 8  # every client trained its epoch alone
+    assert _same_arrays(_population_arrays(population), rows)
+    assert {v: a.tobytes() for v, a in population.accuracy.items()} == memo
+    for i in range(4):
+        cohort_update([twin[i]], *args)
+    assert [c.rng.bit_generator.state for c in clients] == [c.rng.bit_generator.state for c in twin]

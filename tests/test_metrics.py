@@ -301,3 +301,13 @@ def test_ledgers_equal_their_formulas_for_random_architectures(
     chain = [input_dim, *global_hidden, d1]
     size = sum(a * b + b for a, b in zip(chain, chain[1:])) + d1 * classes  # weights, biases, header
     assert comm_cost_round(g.param_count(), participants) == (participants * size,) * 2
+
+
+@pytest.mark.parametrize("n_samples,epochs", [(-1, 1), (10, -1)])
+def test_flops_round_rejects_negative_counts(n_samples, epochs):
+    *_, clients = setup_states()
+    c = clients[0]
+    with pytest.raises(ValueError) as raised:
+        flops_round(c.global_copy, c.local_model, c.projector, n_samples, epochs, Mode.FEDMRL)
+    assert type(raised.value) is ValueError
+    assert str(raised.value) == "sample and epoch counts must be non-negative"

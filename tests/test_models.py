@@ -306,3 +306,19 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
     path.write_text('{"format_version": 99, "extractor": [], "header": {"weight": []}}')
     with pytest.raises(ValueError, match="version"):
         load_model(path)
+
+
+@pytest.mark.parametrize(
+    "make,error,message",
+    [
+        (lambda: AffineLayer(np.ones((2, 3)), None, "tanh"), ValueError,
+         "unknown activation 'tanh'"),
+        (lambda: Extractor([]), ValueError, "an extractor needs at least one layer"),
+        (lambda: Extractor([AffineLayer(np.ones((3, 2)), None), AffineLayer(np.ones((2, 4)), None)]),
+         ShapeError, "layer widths do not chain: 3 -> 4"),
+    ],
+)
+def test_a_model_check_raises_its_typed_error(make, error, message):
+    with pytest.raises(error) as raised:
+        make()
+    assert type(raised.value) is error and str(raised.value) == message

@@ -146,3 +146,10 @@ def test_derived_streams_are_distinct_but_reproducible():
     s2 = derive_rng(5, 2).normal(size=10)
     assert np.array_equal(s1, s1_again)
     assert not np.array_equal(s1, s2)
+
+
+def test_relative_error_rejects_mismatched_shapes():
+    with pytest.raises(ShapeError) as raised:
+        relative_error(np.zeros((2, 3)), np.zeros((3, 2)))
+    assert type(raised.value) is ShapeError
+    assert str(raised.value) == "shape mismatch: (2, 3) vs (3, 2)"
