@@ -52,6 +52,8 @@ from fedmrl.metrics import evaluate
 from fedmrl.models import ModelConfig, init_model
 from fedmrl.numerics import NonFiniteError, ShapeError, make_rng
 
+from reference import padded_models
+
 QUICKSTART = Path(__file__).parents[1] / "demos" / "quickstart.cfg"
 
 
@@ -891,21 +893,6 @@ def train_unstacked(client, *args):
     epoch_means, (client.global_copy, client.local_model, client.projector) = _steps(
         client, models, *args)
     return epoch_means
-
-
-def padded_models(client):
-    """Clones of the client's (shared copy, private model, projector), the private
-    extractor padded with zeros to the widths of its depth's block in the
-    population's workspace (federation._Workspace)."""
-    population = client.population
-    workspace = population._room()
-    kind, rank = population.place[client.client_id]
-    spans = workspace.spans[workspace.depth[kind]]
-    flat = np.zeros(spans[-1][2] or spans[-1][1])
-    flat[workspace.maps[kind]] = population.blocks[kind][rank]
-    extractor = models._view(models.Extractor, _flat=flat, _spans=spans)
-    local = models.Net(extractor, client.local_model.header.clone())
-    return client.global_copy.clone(), local, client.projector.clone()
 
 
 def train_padded(client, *args):

@@ -1,0 +1,96 @@
+"""The cohort's local update against the reference oracle (reference.py)."""
+
+import copy
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from fedmrl.core import Mode
+from fedmrl.data import DirichletSpec, PartitionError, gen_synthetic, partition_dirichlet
+from fedmrl.data import split_train_test
+from fedmrl.federation import RunConfig, build_clients, cohort_update
+from fedmrl.numerics import make_rng
+
+from reference import padded_models, train_alone
+
+
+def _rows(client):
+    """The client's rows: each vector of its shared copy, private model and projector."""
+    return [*client.global_copy._segments(), *client.local_model._segments(),
+            *client.projector._segments()]
+
+
+def _same(a, b):
+    return len(a) == len(b) and all(x.shape == y.shape and x.tobytes() == y.tobytes()
+                                    for x, y in zip(a, b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_clients=st.integers(1, 6),
+    alpha=st.sampled_from([0.3, 1.0, 10.0]),
+    data_seed=st.integers(0, 50),
+    batch_size=st.integers(1, 9),
+    epochs=st.integers(1, 2),
+    local_hidden=st.lists(
+        st.lists(st.integers(1, 9), max_size=1).map(tuple), min_size=1, max_size=4
+    ).map(tuple),
+    mode=st.sampled_from(list(Mode)),
+    loss_weights=st.tuples(st.sampled_from([0.0, 0.7, 1.0]), st.sampled_from([0.0, 1.0, 1.3])),
+    lrs=st.tuples(*[st.sampled_from([0.0, 0.01, 0.05, 0.2])] * 3),
+    participants=st.data(),
+)
+def test_a_cohort_trains_each_client_as_the_reference_oracle(
+    n_clients, alpha, data_seed, batch_size, epochs, local_hidden, mode, loss_weights, lrs,
+    participants,
+):
+    # Ragged Dirichlet shards, some smaller than a batch, private extractors of
+    # one or two depths and mixed widths, every mode, loss weights that take a
+    # head out, and a learning rate per group: each client's epoch means,
+    # upload, rows and rng are the oracle's on a copy of it, bit for bit, and
+    # the clients that do not train keep theirs.
+    dataset = gen_synthetic(4, 5, 25, 0.8, make_rng(data_seed))
+    try:
+        plan = split_train_test(
+            partition_dirichlet(dataset, n_clients, DirichletSpec(alpha=alpha, seed=data_seed))
+        )
+    except PartitionError:
+        assume(False)
+    cfg = RunConfig(
+        n_clients=n_clients, rounds=1, d1=3, d2=6, mode=mode, seed=data_seed,
+        lr_global=lrs[0], lr_local=lrs[1], lr_projector=lrs[2],
+        m_global=loss_weights[0], m_local=loss_weights[1],
+        global_hidden=(6,), local_hidden=local_hidden,
+    )
+    chosen = participants.draw(
+        st.lists(st.integers(0, n_clients - 1), min_size=1, unique=True), label="participants"
+    )
+    _, clients = build_clients(cfg, dataset, plan)
+    twins = copy.deepcopy(clients)
+    args = (epochs, batch_size, cfg.lrs, mode, cfg.loss_weights)
+    expected = {}
+    for ident in chosen:
+        twin = twins[ident]
+        trained = padded_models(twin)
+        expected[ident] = train_alone(trained, twin.train_x, twin.train_y, twin.rng, *args), trained
+
+    results = cohort_update([clients[i] for i in chosen], *args)
+    for ident, (upload, means) in zip(chosen, results):
+        want, (g, f, p) = expected[ident]
+        assert repr(means) == repr(want)
+        if mode is Mode.STANDALONE:
+            assert upload is None
+        else:
+            assert (upload.client_id, upload.n_samples) == (ident, clients[ident].n_samples)
+            assert _same(upload.model._segments(), g._segments())
+        population = clients[ident].population
+        positions = population._room().maps[population.place[ident][0]]
+        pad = np.delete(f.extractor._flat, positions)
+        assert pad.tobytes() == np.zeros_like(pad).tobytes()
+        twins[ident].global_copy, twins[ident].projector = g, p
+        twins[ident].local_model = twins[ident].local_model._over(
+            (f.extractor._flat[positions], f.header.weight.reshape(-1)))
+    for client, twin in zip(clients, twins):
+        assert _same(_rows(client), _rows(twin))
+        assert client.rng.bit_generator.state == twin.rng.bit_generator.state

@@ -146,6 +146,31 @@ def test_a_ragged_two_epoch_two_depth_run_is_byte_identical(tmp_path):
         assert hashlib.sha256(report.read_bytes()).hexdigest() == pinned, mode
 
 
+# mode -> sha256 of the CSV report of many-dirichlet, seed 0, in batches of 96,
+# at or above every shard (6 to 89 training samples): each client takes its
+# whole shard as one batch, so no batch is short of another and none is padded.
+FULL_BATCH_DIGESTS = {
+    "fedmrl": "cd861d1e098f5b28ca641f2473fe7f8ea6806efe2c67697f892d3389a8ca72c3",
+    "no_mrl": "56ac5cc0ff17a3bc9b98f35ec25ed062757f0ece8631c394be427ca50470ddcf",
+    "standalone": "350d0c9a42006ac789345d58d598e823d31a33de77971c7166b527adc53ba6b3",
+}
+
+
+def test_a_full_batch_ragged_run_is_byte_identical(tmp_path):
+    path = WORKLOADS / "many-dirichlet.cfg"
+    config = override(
+        parse_config_text(path.read_text(encoding="utf-8"), path.name), seed=0, batch_size=96
+    )
+    dataset = load_dataset(config)
+    plan = build_partition(config, dataset)
+    assert max(len(shard.train) for shard in plan.clients) <= config.batch_size
+    for mode, pinned in FULL_BATCH_DIGESTS.items():
+        run_config = build_run_config(override(config, mode=parse_mode(mode)))
+        report = tmp_path / f"{mode}.csv"
+        export_reports(run_training(run_config, dataset, plan), report, "csv")
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == pinned, mode
+
+
 # mode -> sha256 of the CLI's (CSV, JSON) reports of demos/quickstart.cfg.
 CLI_DIGESTS = {
     "fedmrl": (
