@@ -58,7 +58,9 @@ architectures of one depth to one layout, and a plan covers one depth),
 batches (C, n, in) and labels (C, n).  Each product is then one BLAS
 call per client slice and each reduction runs within its slice, so
 every client's numbers are those of training it alone.  Losses come back as arrays of
-C, and a check fails if it fails for any client.
+C, and a check fails if it fails for any client.  A padded step also
+takes each client's real row count, and masks its other rows out of the
+loss and the gradients (_train).
 """
 
 from __future__ import annotations
@@ -243,9 +245,20 @@ def _check_dims(global_model: Net, local_model: Net, projector: Projector) -> No
         raise ShapeError(f"headers disagree on classes: {classes[0]} != {classes[1]}")
 
 
-def _mean(losses: np.ndarray) -> np.ndarray:
-    """losses.mean(axis=-1) bit for bit (sum, then divide), without its Python wrapper."""
-    return losses.sum(axis=-1) / losses.shape[-1]
+def _mean(losses: np.ndarray, rows=None) -> np.ndarray:
+    """losses.mean(axis=-1) bit for bit (sum, then divide), without its Python wrapper;
+    with rows, each client's real row count in a padded step, whose padded rows'
+    losses are 0, the sum over rows."""
+    return losses.sum(axis=-1) / (losses.shape[-1] if rows is None else rows)
+
+
+def _scaled(dlogits: np.ndarray, weight: float | None, rows, real) -> np.ndarray:
+    """A head's logit gradients for its batch mean: (weight / n) * dlogits over n rows
+    (dlogits / n without a weight).  In a padded step n is each client's real row
+    count, rows, and the padded rows (not real) are then zeroed."""
+    n = dlogits.shape[-2] if rows is None else rows[:, None, None]
+    scaled = dlogits / n if weight is None else (weight / n) * dlogits
+    return scaled if real is None else scaled * real[..., None]
 
 
 def _value(values: np.ndarray) -> float | np.ndarray:
@@ -359,23 +372,30 @@ def _read(plan: _Plan, x, tape_g: list, tape_f: list) -> tuple:
     return spliced, spliced @ _transposed(plan.projector[0])
 
 
-def _loss(plan: _Plan, x, y, weights: LossWeights | None):
+def _loss(plan: _Plan, x, y, weights: LossWeights | None, rows=None):
     """A plan's forward on a batch: forward_loss's (total, (loss_global, loss_local)),
     total checked, and the tape that _backprop reads.  Without a projector it is
-    forward_loss_single's, loss_global None and weights unread."""
+    forward_loss_single's, loss_global None and weights unread.  In a padded step,
+    rows holds each client's real row count, its first rows: the losses of the
+    others are masked to 0, and each client's loss is the sum over rows."""
     tape_g, tape_f, low, dlogits_g, loss_global = [], [], None, None, None
+    real = None if rows is None else np.arange(y.shape[-1]) < rows[:, None]
     spliced, read = _read(plan, x, tape_g, tape_f)
     losses, dlogits_f = _cross_entropy(read @ _transposed(plan.private[1][0]), y)
-    total = loss_local = _value(_mean(losses))
+    if real is not None:
+        losses *= real
+    total = loss_local = _value(_mean(losses, rows))
     if spliced is not None:
         total = weights.local_head * loss_local
         if weights.global_head:
             head = plan.shared[1][0]
             low = np.ascontiguousarray(read[..., : head.shape[-1]])  # the d1 prefix, C order
             losses, dlogits_g = _cross_entropy(low @ _transposed(head), y)
-            loss_global = _value(_mean(losses))
+            if real is not None:
+                losses *= real
+            loss_global = _value(_mean(losses, rows))
             total = weights.global_head * loss_global + total
-    tape = (spliced, read, low, tape_g, tape_f, dlogits_g, dlogits_f)
+    tape = (spliced, read, low, tape_g, tape_f, dlogits_g, dlogits_f, rows, real)
     return _finite_loss(total), (loss_global, loss_local), tape
 
 
@@ -386,18 +406,19 @@ def _backprop(plan: _Plan, weights: LossWeights | None, tape) -> None:
     gradients meet by adding the prefix gradient into the first d1
     columns.  A global header out of the graph gets no gradient.  The
     projector then routes the fused gradient back to both extractors by
-    splitting the spliced gradient at column d1.
+    splitting the spliced gradient at column d1.  In a padded step each head's
+    logit gradients are 0 on the padded rows, so those rows move nothing.
     """
-    spliced, read, low, tape_g, tape_f, dlogits_g, dlogits_f = tape
-    n, (head, d_head) = read.shape[-2], plan.private[1]
-    d_logits = dlogits_f / n if spliced is None else (weights.local_head / n) * dlogits_f
+    spliced, read, low, tape_g, tape_f, dlogits_g, dlogits_f, rows, real = tape
+    head, d_head = plan.private[1]
+    d_logits = _scaled(dlogits_f, None if spliced is None else weights.local_head, rows, real)
     np.matmul(d_logits.swapaxes(-1, -2), read, out=d_head)
     d_read = d_logits @ head
     if spliced is None:
         return _backward(plan.private[0], tape_f, d_read)
     (head, d_head), d1 = plan.shared[1], plan.shared[1][0].shape[-1]
     if dlogits_g is not None:
-        d_logits = (weights.global_head / n) * dlogits_g
+        d_logits = _scaled(dlogits_g, weights.global_head, rows, real)
         np.matmul(d_logits.swapaxes(-1, -2), low, out=d_head)
         d_read[..., :d1] += d_logits @ head
     weight, d_weight = plan.projector
@@ -423,10 +444,16 @@ def _descend(plan: _Plan, lrs: LearningRates, frozen: bool) -> None:
                 raise TrainingDiverged(f"non-finite {group} parameters after the step", group)
 
 
-def _train(plan: _Plan, x, y, weights: LossWeights | None, lrs: LearningRates):
+def _train(plan: _Plan, x, y, weights: LossWeights | None, lrs: LearningRates, rows=None):
     """One checked training step of a plan on a batch, in place on the plan's vectors:
-    forward, backward and SGD.  Returns the (total, parts) of the loss before it."""
-    total, parts, tape = _loss(plan, x, y, weights)
+    forward, backward and SGD.  Returns the (total, parts) of the loss before it.
+
+    A padded step gives rows, each client's real row count (C,): a client's
+    batch is its first rows rows, and the rest are padding, which its loss
+    and every gradient mask out (_loss, _backprop).  What the padded rows
+    hold, finite, changes no bit of a loss, a gradient or a parameter.
+    """
+    total, parts, tape = _loss(plan, x, y, weights, rows)
     _backprop(plan, weights, tape)
     _descend(plan, lrs, parts[0] is None)
     return total, parts

@@ -17,9 +17,11 @@ Lockstep training: the round's participants train as one cohort
 their rows, and each step trains every client of one depth (number of
 layers of its private extractor) that takes a batch of the same size as
 one stacked step of a plan over those rows (core._Plan: plain lists of
-views of the rows and of their gradient scratch).  An epoch steps the
-full batches first, offset by offset, then every short final batch, one
-step per depth and row count.  The workspace holds the private
+views of the rows and of their gradient scratch).  A client's batches
+hold min(batch_size, shard size) rows, a short final batch after a full
+one padded to batch_size, so an epoch takes one step per offset and
+depth, and at offset 0 one more per depth and size of the shards smaller
+than a batch.  The workspace holds the private
 extractors in one block per depth, in which every architecture of that
 depth is zero-padded to the widest width of the population's
 architectures of the depth at each hidden position: the gather zeroes
@@ -46,22 +48,31 @@ and the plan of each run of slots, kept while the buffers are.  Uploads
 view a copy of the trained shared rows.  A step writes its losses into
 the epoch's loss ledger, one (clients, batches) array, and each client's
 epoch mean is one reduction of its row.  Each client draws its epoch
-permutations from its own rng, and the padding depends on the
-population alone, so the result is bit-identical to a cohort of one for
-each client, and to the public step on its padded model, because of
-three rules:
+permutations from its own rng, the width padding depends on the
+population alone and the batch padding on the client and the config
+alone, so the result is bit-identical to a cohort of one for each client
+(and to the plain-numpy oracle of the tests, tests/reference.py), because
+of three rules:
 
 * every stacked product is one BLAS call per client slice, on C-order
   matrices, and every reduction runs within a slice (see core);
-* a training batch is never padded, as padding the rows of a product
-  changes how OpenBLAS rounds it: a step groups clients by depth and
-  batch size.  Ordering the cohort by depth, then by shard size, largest
-  first, makes the clients of one depth with a full batch at an offset a
-  contiguous range of slots, which a step reads and writes through views.
-  The short final batches are regrouped by depth and row count, whatever
-  their offsets: the gathered rows are permuted so that each group is a
-  contiguous range, and permuted back before the next epoch or the
-  scatter.  Each client still takes its batches in their order;
+* a short final batch after a full one is padded with zero rows (label
+  0) to batch_size and masked: a client's loss is the sum of its row
+  losses, the padded rows' masked to 0, over its real rows, and each
+  head's logit gradients are its weight over the real rows on them and 0
+  on the padded rows (core._train).  A shard smaller than a batch is one
+  batch of its own size, never padded, so a config whose batch_size
+  holds every shard trains as it did before batches were padded.
+  Ordering the cohort by depth, then by shard size, largest first, makes
+  the clients of one depth with a batch at an offset a contiguous range
+  of slots, and those of one depth and small-shard size too, which a
+  step reads and writes through views.  Zero-gradient padded rows leave
+  every weight and bias gradient bit for bit the unpadded batch's
+  (numpy 2.4.6, OpenBLAS 0.3.31 Haswell), but a padded product's
+  forward and input gradient can round its real rows differently (a
+  1-row batch runs as gemv unpadded), and a batch of 8 or more rows sums
+  its losses in another order: a padded client equals the public step on
+  its padded model to about 1e-15 relative, not bit for bit;
 * a stack that fails is run again client by client in ascending id
   order (_replayed), in the workspace, from the rng states it started
   with, and nothing is scattered, so the error raised and every client's
@@ -80,10 +91,11 @@ evaluation, metrics.evaluate of one client included, takes one path
 (_Workspace.evaluate): the clients are gathered into the workspace in
 chunks no larger than its room, and each depth of a chunk is predicted
 in one stack with core._predict, its test sets padded to the largest
-with copies of each client's own last row.  Unlike a training batch, a
-test set may be padded: the padding can move a logit in its last place,
-which changes a prediction only where two logits lie that close, and
-the padded rows' labels (-1) count no hit.  A chunk that fails takes
+with copies of each client's own last row.  Unlike a padded training
+batch, a padded test set is not held to its unpadded bits: the padding
+can move a logit in its last place, which changes a prediction only
+where two logits lie that close, and the padded rows' labels (-1) count
+no hit.  A chunk that fails takes
 training's failure path (_replayed), so the error raised is that of the
 lowest-id client that fails.  Finite checks live in the training step
 and _predict (core), which raise a TrainingDiverged; _replayed raises it
@@ -491,16 +503,17 @@ class _Workspace:
     depth, standalone) to the plan (core._Plan) of slots a to b, which
     share that depth, for training both models or the private one alone.
     After a gather, rows is the client id of each slot, depths the depth
-    of each slot, which permute moves with the rows, gathered the keys of
-    the buffers it wrote, standalone whether the private models train
-    alone, copies lists (population buffer, its rows of the gathered
+    of each slot, standalone whether the private models train alone,
+    copies lists (population buffer, its rows of the gathered
     clients, the workspace's rows, where in them they sit) per gathered
     buffer and architecture, and shared views the shared rows (None for
     standalone training).  Its rows equal the population's from a gather to the
     first step, and again from a scatter to the next write.  A failed
     check raises at once and leaves the rows half-trained; the next gather
     writes over them.  It holds arrays, ids and views only: a client or
-    the population here would make a reference cycle.
+    the population here would make a reference cycle.  A cohort's training
+    (train) builds its step schedule, its batch arrays and its loss ledger
+    once, for every epoch.
     """
 
     def __init__(self, population: Population):
@@ -549,7 +562,6 @@ class _Workspace:
         names = ("headers",) if standalone else ("headers", "shared", "projectors")
         self.copies += [(getattr(population, key), self.rows, self.buffers[key][0][:n], ...)
                         for key in names]
-        self.gathered = [*blocks, *names]
         for source, index, rows, at in self.copies:
             rows[at] = source[index]
         self.shared = None if standalone else self.buffers["shared"][0][:n]
@@ -559,14 +571,6 @@ class _Workspace:
         for source, index, rows, at in self.copies:
             source[index] = rows[at]
         population.wrote(self.rows)
-
-    def permute(self, order: np.ndarray) -> None:
-        """Move slot order[i]'s rows and gradient scratch to slot i in every gathered
-        buffer, and its depth."""
-        for key in self.gathered:
-            buffer = self.buffers[key]
-            buffer[:, : len(order)] = buffer[:, order]
-        self.depths = [self.depths[i] for i in order]
 
     def plan(self, a: int, b: int) -> _Plan:
         """The plan of slots a to b, which share a depth: views of rows a to b of that
@@ -607,14 +611,17 @@ class _Workspace:
 
     def train(self, population: Population, clients: list[ClientState], epochs: int,
               batch_size: int, mode: Mode, lrs: LearningRates, weights: LossWeights):
-        """Train clients for epochs in the workspace, in place on the rows.  An epoch
-        runs in two phases: the full batches, at each offset one step of a plan per
-        depth, on the clients of the depth that still have one (the first slots of its
-        run); then the short final batches, one step per depth and row count, each
-        group's slots made contiguous by a permutation of the rows (_finals, permute)
-        that is undone before anything else reads them.  Each client takes its
-        batches in their order, and no batch is padded.  A failed step leaves the rows
-        half-trained, and maybe permuted, for the next gather to write over.
+        """Train clients for epochs in the workspace, in place on the rows.  A client's
+        batches hold min(batch_size, its shard size) rows, and a short final batch
+        after a full one is padded with zero rows to batch_size, which its step masks
+        out of the loss and the gradients (core._train).  An epoch takes at each
+        offset one step of a plan per run of slots of one depth and batch size
+        (_steps): per depth the clients that still have a batch there (the first
+        slots of its run), and at offset 0 each size of shards smaller than a batch.
+        Each client takes its batches in their order.  The schedule, the batch
+        arrays, whose padded rows stay 0, and the ledger are built once for every
+        epoch.  A failed step leaves the rows half-trained for the next gather to
+        write over.
 
         Returns the clients in slot order (stack) and their (clients, epochs) epoch
         mean losses.  An epoch's ledger holds the loss of each slot's batches, so a
@@ -629,48 +636,26 @@ class _Workspace:
                              mode is Mode.STANDALONE, "has no training samples")
         weights = LossWeights(0.0, 1.0) if mode is Mode.NO_MRL else weights  # the ablation
         sizes = [c.n_samples for c in clients]
-        shape = (len(sizes), max(sizes))
-        width = clients[0].train_x.shape[1]
         batches = [-(-size // batch_size) for size in sizes]
-        most = max(batches)
-        groups = _runs(batches, self.depths, 0, most)  # runs of slots with equal batch counts
-        full = [size - size % batch_size for size in sizes]  # the rows of full batches
-        stop = max(full)
-        slots, finals, index, cells = _finals(sizes, self.depths, batch_size)
+        steps = _steps(sizes, self.depths, batch_size)
+        shape = (len(sizes), max(start + rows for _, _, start, rows, _ in steps))
+        x = np.zeros((*shape, clients[0].train_x.shape[1]))
+        y = np.zeros(shape, dtype=np.int64)
+        ledger = np.empty((len(sizes), max(batches)))
+        steps = [(self.plan(a, b), x[a:b, start : start + rows], y[a:b, start : start + rows],
+                  real, ledger[a:b, start // batch_size]) for a, b, start, rows, real in steps]
+        groups = _runs(batches, self.depths)  # runs of slots with equal batch counts
         epoch_means = np.empty((len(sizes), epochs))
         for epoch in range(epochs):
-            x, y = np.empty((*shape, width)), np.empty(shape, dtype=np.int64)
             for i, client in enumerate(clients):
                 order = client.rng.permutation(sizes[i])
                 x[i, : sizes[i]] = client.train_x[order]
                 y[i, : sizes[i]] = client.train_y[order]
-            ledger = np.empty((len(sizes), most))
-            for start in range(0, stop, batch_size):
-                losses, window = ledger[:, start // batch_size], slice(start, start + batch_size)
-                for a, b, _ in _runs(full, self.depths, start, batch_size):
-                    losses[a:b], _ = _train(self.plan(a, b), x[a:b, window], y[a:b, window],
-                                            weights, lrs)
-            if finals:
-                ledger[cells] = self._short(slots, finals, x.reshape(-1, width)[index],
-                                            y.reshape(-1)[index], weights, lrs)
+            for plan, xs, ys, real, losses in steps:
+                losses[...], _ = _train(plan, xs, ys, weights, lrs, real)
             for a, b, count in groups:
                 epoch_means[a:b, epoch] = _mean(ledger[a:b, :count])
         return clients, epoch_means
-
-    def _short(self, slots: np.ndarray, finals: list[list[int]], x: np.ndarray, y: np.ndarray,
-               weights: LossWeights, lrs: LearningRates) -> np.ndarray:
-        """The short phase of an epoch (see _finals): the rows permuted by slots, one
-        step per run of finals on its batches, the next of the flat rows x and labels
-        y, and the rows permuted back.  Returns the losses in the order of slots."""
-        self.permute(slots)
-        losses, at, width = np.empty(finals[-1][1]), 0, x.shape[-1]
-        for a, b, rows in finals:
-            stop = at + (b - a) * rows
-            losses[a:b], _ = _train(self.plan(a, b), x[at:stop].reshape(b - a, rows, width),
-                                    y[at:stop].reshape(b - a, rows), weights, lrs)
-            at = stop
-        self.permute(np.argsort(slots))
-        return losses
 
     def evaluate(self, clients: list[ClientState], variant: InferenceVariant) -> list[float]:
         """The test accuracies of clients, listed in ascending id order, each a count of
@@ -729,40 +714,32 @@ class _Workspace:
         return [accuracies[c.client_id] for c in clients]
 
 
-def _runs(sizes: list[int], depths: list[int], start: int, batch_size: int) -> list[list[int]]:
-    """[first, stop, rows] of each run of slots of one depth whose batch at this offset
-    has `rows` rows."""
+def _runs(widths: list[int], depths: list[int]) -> list[list[int]]:
+    """[first, stop, width] of each run of slots of one depth and one width above 0."""
     runs: list[list[int]] = []
-    for i, size in enumerate(sizes):
-        rows = min(size - start, batch_size)
-        if rows <= 0:
+    for i, width in enumerate(widths):
+        if not width:
             continue
-        if runs and runs[-1][1] == i and runs[-1][2] == rows and depths[i] == depths[i - 1]:
+        if runs and runs[-1][1] == i and runs[-1][2] == width and depths[i] == depths[i - 1]:
             runs[-1][1] = i + 1
         else:
-            runs.append([i, i + 1, rows])
+            runs.append([i, i + 1, width])
     return runs
 
 
-def _finals(sizes: list[int], depths: list[int], batch_size: int) -> tuple:
-    """The short final batches of slots of these sizes and depths, made contiguous:
-    (slots, finals, index, cells), or None, [], None, None if there are none.  slots
-    lists the slots that have one by depth, row count and slot, then the others;
-    finals holds [first, stop, rows] of each run of one depth and row count among
-    the first, once the rows are permuted by slots; index is where their batches'
-    rows sit in an epoch's (slots, max(sizes)) batch, flat, in that order; cells
-    indexes their losses' entries in the epoch's (slots, batches) loss ledger."""
-    tails = sorted((depths[i], size % batch_size, i) for i, size in enumerate(sizes)
-                   if size % batch_size)
-    if not tails:
-        return None, [], None, None
-    short = [i for *_, i in tails]
-    slots = np.array(short + [i for i, size in enumerate(sizes) if not size % batch_size])
-    finals = _runs([rows for _, rows, _ in tails], [depth for depth, *_ in tails], 0, batch_size)
-    length = max(sizes)
-    index = [i * length + sizes[i] - rows + r for _, rows, i in tails for r in range(rows)]
-    cells = short, [sizes[i] // batch_size for i in short]
-    return slots, finals, np.array(index, dtype=np.intp), cells
+def _steps(sizes: list[int], depths: list[int], batch_size: int) -> list[tuple]:
+    """An epoch's steps on slots of these shard sizes and depths, in slot order, which
+    sorts each depth's slots by size, largest first: (first, stop, start, rows, real)
+    steps slots first to stop on the rows from start, a batch of rows rows each, and
+    real is None, or in a step that pads a short final batch each slot's real row
+    count (its batch's first rows)."""
+    steps = []
+    for start in range(0, max(sizes), batch_size):
+        widths = [min(size, batch_size) if size > start else 0 for size in sizes]
+        for a, b, rows in _runs(widths, depths):
+            real = np.minimum(np.array(sizes[a:b]) - start, rows)
+            steps.append((a, b, start, rows, None if real[-1] == rows else real))
+    return steps
 
 
 def _population(clients: list[ClientState]) -> Population:

@@ -21,8 +21,12 @@ the numeric conventions the simulator fixes:
 * the private model is the client's padded model (padded_models): each
   depth's hidden widths zero-padded to the widest of the population's
   architectures of that depth, as the cohort workspace lays them out;
-* a batch holds the next batch_size rows of the shuffle, the short final
-  one included, and no batch is padded.
+* a batch holds min(batch_size, n) of the client's n rows, so a shard
+  smaller than a batch is one batch of its own size; a short final batch
+  after a full one is padded with zero rows (label 0) to batch_size, and
+  its loss is the sum of its row losses, the padded rows' masked to 0,
+  over its real rows, and its logit gradients are each head's weight
+  over its real rows on them and 0 on the padded rows.
 """
 
 from __future__ import annotations
@@ -61,36 +65,50 @@ def train_alone(client_models, train_x, train_y, rng, epochs, batch_size, lrs, m
     if mode is Mode.NO_MRL:
         weights = LossWeights(0.0, 1.0)
     n = len(train_y)
+    width = min(batch_size, n)
+    pad = -n % width
     means = []
     for _ in range(epochs):
         order = rng.permutation(n)
-        x, y = train_x[order], train_y[order]
-        losses = [_step(client_models, x[start : start + batch_size],
-                        y[start : start + batch_size], mode, weights, lrs)
-                  for start in range(0, n, batch_size)]
+        x = np.concatenate([train_x[order], np.zeros((pad, train_x.shape[1]))])
+        y = np.concatenate([train_y[order], np.zeros(pad, dtype=np.int64)])
+        losses = [_step(client_models, x[start : start + width], y[start : start + width],
+                        min(n - start, width), mode, weights, lrs)
+                  for start in range(0, n, width)]
         means.append(float(np.mean(losses)))
     return means
 
 
-def _step(client_models, x, y, mode, weights, lrs):
-    """One SGD step on a batch; returns its loss before the step."""
+def _step(client_models, x, y, real, mode, weights, lrs):
+    """One SGD step on a batch whose first real rows are real; returns its loss
+    before the step."""
     g, f, p = client_models
     g_layers, f_layers = g.extractor.layers, f.extractor.layers
     n, rows = len(y), np.arange(len(y))
+    mask = rows < real
+
+    def mean(losses):
+        return losses.sum() / n if real == n else np.where(mask, losses, 0.0).sum() / real
+
+    def scaled(dlogits, weight):
+        count = n if real == n else real
+        scaled = dlogits / count if weight is None else (weight / count) * dlogits
+        return scaled if real == n else scaled * mask[:, None]
+
     f_tape, g_tape = [], []
     read = _forward(f_layers, x, f_tape)
     if mode is not Mode.STANDALONE:
         spliced = np.concatenate([_forward(g_layers, x, g_tape), read], axis=1)
         read = spliced @ p.weight.T.copy()
     losses, dlogits = _cross_entropy(read @ f.header.weight.T.copy(), y, rows)
-    loss = losses.sum() / n
+    loss = mean(losses)
 
     steps = []  # (parameter, gradient, learning rate)
     if mode is Mode.STANDALONE:
-        d_logits = dlogits / n
+        d_logits = scaled(dlogits, None)
     else:
         loss = weights.local_head * loss
-        d_logits = (weights.local_head / n) * dlogits
+        d_logits = scaled(dlogits, weights.local_head)
     steps.append((f.header.weight, d_logits.T @ read, lrs.local_model))
     d_read = d_logits @ f.header.weight
     if mode is Mode.STANDALONE:
@@ -101,8 +119,8 @@ def _step(client_models, x, y, mode, weights, lrs):
     if weights.global_head:
         low = read[:, :d1].copy()
         losses, dlogits = _cross_entropy(low @ g.header.weight.T.copy(), y, rows)
-        loss = weights.global_head * (losses.sum() / n) + loss
-        d_logits = (weights.global_head / n) * dlogits
+        loss = weights.global_head * mean(losses) + loss
+        d_logits = scaled(dlogits, weights.global_head)
         steps.append((g.header.weight, d_logits.T @ low, lrs.global_model))
         d_read[:, :d1] += d_logits @ g.header.weight
     steps.append((p.weight, d_read.T @ spliced, lrs.projector))

@@ -10,6 +10,7 @@ from fedmrl.core import (
     InferenceVariant,
     LearningRates,
     LossWeights,
+    Mode,
     Projector,
     TheoryConstants,
     forward_loss,
@@ -289,11 +290,12 @@ def test_gradcheck_single_model_step():
     assert relative_error(analytic, numeric).max() <= 1e-4
 
 
-def mixed_workspace(seed=30):
+def mixed_workspace(seed=30, standalone=False):
     """A cohort workspace gathered over three clients whose private
     architectures share one depth at mixed widths, (7,), (4,) and (6,)
-    hidden units, so the workspace pads the last two to 7.  Returns it and
-    each client's models alone."""
+    hidden units, so the workspace pads the last two to 7, for training
+    both models or (standalone) the private one alone.  Returns it and each
+    client's models alone."""
     rng = make_rng(seed)
     hidden = ((7,), (4,), (6,))
     g = init_model(ModelConfig(INPUT, (5,), D1, CLASSES), rng)
@@ -301,7 +303,7 @@ def mixed_workspace(seed=30):
     p = [init_projector(D1, D2, rng) for _ in hidden]
     population = federation.Population(g, f, p)
     workspace = federation._Workspace(population)
-    workspace.gather(population, (0, 1, 2), standalone=False)
+    workspace.gather(population, (0, 1, 2), standalone=standalone)
     return workspace, [(g, f[i], p[i]) for i in range(3)]
 
 
@@ -350,6 +352,32 @@ def test_gradcheck_mixed_architecture_cohort():
     core._train(plan, x, y, weights, LearningRates.uniform(1.0))
     moved = theta - np.concatenate([a.ravel() for a in rows])
     assert relative_error(moved, numeric).max() <= 1e-4
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_the_padded_rows_of_a_step_are_inert(mode):
+    # A padded step on three clients whose batches hold 6, 4 and 2 real rows
+    # of 6: the padded rows filled with zeros, with arbitrary finite values or
+    # with copies of a real row, under random labels, give the same losses,
+    # gradients and stepped parameters, bit for bit.
+    weights = {Mode.FEDMRL: LossWeights(0.6, 1.4), Mode.NO_MRL: LossWeights(0.0, 1.0),
+               Mode.STANDALONE: None}[mode]
+    rng = make_rng(40)
+    x, y = rng.normal(size=(3, 6, INPUT)), rng.integers(0, CLASSES, size=(3, 6))
+    rows = np.array([6, 4, 2])
+    padded = np.arange(6) >= rows[:, None]
+    fills = [np.zeros_like(x), 50.0 * rng.normal(size=x.shape), np.repeat(x[:, :1], 6, axis=1)]
+    results = []
+    for fill in fills:
+        workspace, _ = mixed_workspace(standalone=mode is Mode.STANDALONE)
+        labels = np.where(padded, rng.integers(0, CLASSES, size=y.shape), y)
+        batch = np.where(padded[..., None], fill, x)
+        total, parts = core._train(workspace.plan(0, 3), batch, labels, weights,
+                                   LearningRates(0.1, 0.2, 0.3), rows)
+        buffers = [a.copy() for pair in workspace.buffers.values() for a in pair]
+        results.append([total, *(part for part in parts if part is not None), *buffers])
+    for other in results[1:]:
+        assert [a.tobytes() for a in other] == [a.tobytes() for a in results[0]]
 
 
 def test_one_step_decreases_loss_and_moves_all_groups():
