@@ -245,20 +245,23 @@ def _check_dims(global_model: Net, local_model: Net, projector: Projector) -> No
         raise ShapeError(f"headers disagree on classes: {classes[0]} != {classes[1]}")
 
 
-def _mean(losses: np.ndarray, rows=None) -> np.ndarray:
-    """losses.mean(axis=-1) bit for bit (sum, then divide), without its Python wrapper;
-    with rows, each client's real row count in a padded step, whose padded rows'
-    losses are 0, the sum over rows."""
-    return losses.sum(axis=-1) / (losses.shape[-1] if rows is None else rows)
+def _mean(losses: np.ndarray, pad=None) -> np.ndarray:
+    """losses.mean(axis=-1) bit for bit (sum, then divide), without its Python wrapper.
+    In a padded step, pad = (rows, real), each client's real row count and which of
+    its rows are real: the sum of its losses, the padded rows' masked to 0, over rows."""
+    if pad is None:
+        return losses.sum(axis=-1) / losses.shape[-1]
+    rows, real = pad
+    return (losses * real).sum(axis=-1) / rows
 
 
-def _scaled(dlogits: np.ndarray, weight: float | None, rows, real) -> np.ndarray:
+def _scaled(dlogits: np.ndarray, weight: float | None, pad) -> np.ndarray:
     """A head's logit gradients for its batch mean: (weight / n) * dlogits over n rows
-    (dlogits / n without a weight).  In a padded step n is each client's real row
-    count, rows, and the padded rows (not real) are then zeroed."""
-    n = dlogits.shape[-2] if rows is None else rows[:, None, None]
+    (dlogits / n without a weight).  In a padded step (pad, see _mean) n is each
+    client's real row count, and the padded rows are then zeroed."""
+    n = dlogits.shape[-2] if pad is None else pad[0][:, None, None]
     scaled = dlogits / n if weight is None else (weight / n) * dlogits
-    return scaled if real is None else scaled * real[..., None]
+    return scaled if pad is None else scaled * pad[1][..., None]
 
 
 def _value(values: np.ndarray) -> float | np.ndarray:
@@ -379,23 +382,19 @@ def _loss(plan: _Plan, x, y, weights: LossWeights | None, rows=None):
     rows holds each client's real row count, its first rows: the losses of the
     others are masked to 0, and each client's loss is the sum over rows."""
     tape_g, tape_f, low, dlogits_g, loss_global = [], [], None, None, None
-    real = None if rows is None else np.arange(y.shape[-1]) < rows[:, None]
+    pad = None if rows is None else (rows, np.arange(y.shape[-1]) < rows[:, None])
     spliced, read = _read(plan, x, tape_g, tape_f)
     losses, dlogits_f = _cross_entropy(read @ _transposed(plan.private[1][0]), y)
-    if real is not None:
-        losses *= real
-    total = loss_local = _value(_mean(losses, rows))
+    total = loss_local = _value(_mean(losses, pad))
     if spliced is not None:
         total = weights.local_head * loss_local
         if weights.global_head:
             head = plan.shared[1][0]
             low = np.ascontiguousarray(read[..., : head.shape[-1]])  # the d1 prefix, C order
             losses, dlogits_g = _cross_entropy(low @ _transposed(head), y)
-            if real is not None:
-                losses *= real
-            loss_global = _value(_mean(losses, rows))
+            loss_global = _value(_mean(losses, pad))
             total = weights.global_head * loss_global + total
-    tape = (spliced, read, low, tape_g, tape_f, dlogits_g, dlogits_f, rows, real)
+    tape = (spliced, read, low, tape_g, tape_f, dlogits_g, dlogits_f, pad)
     return _finite_loss(total), (loss_global, loss_local), tape
 
 
@@ -409,16 +408,16 @@ def _backprop(plan: _Plan, weights: LossWeights | None, tape) -> None:
     splitting the spliced gradient at column d1.  In a padded step each head's
     logit gradients are 0 on the padded rows, so those rows move nothing.
     """
-    spliced, read, low, tape_g, tape_f, dlogits_g, dlogits_f, rows, real = tape
+    spliced, read, low, tape_g, tape_f, dlogits_g, dlogits_f, pad = tape
     head, d_head = plan.private[1]
-    d_logits = _scaled(dlogits_f, None if spliced is None else weights.local_head, rows, real)
+    d_logits = _scaled(dlogits_f, None if spliced is None else weights.local_head, pad)
     np.matmul(d_logits.swapaxes(-1, -2), read, out=d_head)
     d_read = d_logits @ head
     if spliced is None:
         return _backward(plan.private[0], tape_f, d_read)
     (head, d_head), d1 = plan.shared[1], plan.shared[1][0].shape[-1]
     if dlogits_g is not None:
-        d_logits = _scaled(dlogits_g, weights.global_head, rows, real)
+        d_logits = _scaled(dlogits_g, weights.global_head, pad)
         np.matmul(d_logits.swapaxes(-1, -2), low, out=d_head)
         d_read[..., :d1] += d_logits @ head
     weight, d_weight = plan.projector

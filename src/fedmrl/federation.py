@@ -511,9 +511,7 @@ class _Workspace:
     first step, and again from a scatter to the next write.  A failed
     check raises at once and leaves the rows half-trained; the next gather
     writes over them.  It holds arrays, ids and views only: a client or
-    the population here would make a reference cycle.  A cohort's training
-    (train) builds its step schedule, its batch arrays and its loss ledger
-    once, for every epoch.
+    the population here would make a reference cycle.
     """
 
     def __init__(self, population: Population):
@@ -619,8 +617,8 @@ class _Workspace:
         (_steps): per depth the clients that still have a batch there (the first
         slots of its run), and at offset 0 each size of shards smaller than a batch.
         Each client takes its batches in their order.  The schedule, the batch
-        arrays, whose padded rows stay 0, and the ledger are built once for every
-        epoch.  A failed step leaves the rows half-trained for the next gather to
+        arrays, whose padded rows stay 0, and the ledger are built once per cohort.
+        A failed step leaves the rows half-trained for the next gather to
         write over.
 
         Returns the clients in slot order (stack) and their (clients, epochs) epoch
@@ -637,13 +635,13 @@ class _Workspace:
         weights = LossWeights(0.0, 1.0) if mode is Mode.NO_MRL else weights  # the ablation
         sizes = [c.n_samples for c in clients]
         batches = [-(-size // batch_size) for size in sizes]
-        steps = _steps(sizes, self.depths, batch_size)
-        shape = (len(sizes), max(start + rows for _, _, start, rows, _ in steps))
+        schedule = _steps(sizes, self.depths, batch_size)
+        shape = (len(sizes), max(start + rows for _, _, start, rows, _ in schedule))
         x = np.zeros((*shape, clients[0].train_x.shape[1]))
         y = np.zeros(shape, dtype=np.int64)
         ledger = np.empty((len(sizes), max(batches)))
         steps = [(self.plan(a, b), x[a:b, start : start + rows], y[a:b, start : start + rows],
-                  real, ledger[a:b, start // batch_size]) for a, b, start, rows, real in steps]
+                  real, ledger[a:b, start // batch_size]) for a, b, start, rows, real in schedule]
         groups = _runs(batches, self.depths)  # runs of slots with equal batch counts
         epoch_means = np.empty((len(sizes), epochs))
         for epoch in range(epochs):
@@ -728,11 +726,11 @@ def _runs(widths: list[int], depths: list[int]) -> list[list[int]]:
 
 
 def _steps(sizes: list[int], depths: list[int], batch_size: int) -> list[tuple]:
-    """An epoch's steps on slots of these shard sizes and depths, in slot order, which
-    sorts each depth's slots by size, largest first: (first, stop, start, rows, real)
-    steps slots first to stop on the rows from start, a batch of rows rows each, and
-    real is None, or in a step that pads a short final batch each slot's real row
-    count (its batch's first rows)."""
+    """The steps of an epoch over slots of these shard sizes and depths, each depth's
+    slots sorted by size, largest first: (first, stop, start, rows, real) trains
+    slots first to stop on batches of rows rows from row start.  real is None if
+    every batch is full, else each slot's real row count, the rest of its batch
+    padding."""
     steps = []
     for start in range(0, max(sizes), batch_size):
         widths = [min(size, batch_size) if size > start else 0 for size in sizes]

@@ -22,7 +22,7 @@ padded product's real rows differently, and the loss of a batch of 8 or
 more rows is summed over the padded rows too.  Against the reports
 before, over seeds 0-9 of both workloads, every mode and inference
 variant (180 runs), every accuracy, FLOP and communication cell was
-identical, and 1,266 of the 3,600 many-dirichlet mean_loss cells moved,
+identical, and 1,257 of the 3,600 many-dirichlet mean_loss cells moved,
 by at most 1.6e-15 relative.  Every quickstart shard holds 48 = 6 x 8
 samples, so nothing is padded and its digests hold, as does a
 many-dirichlet run in batches at or above every shard, pinned before the
