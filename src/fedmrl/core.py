@@ -30,16 +30,20 @@ forward, the hand-derived backward, which writes every gradient with
 np.matmul and sum (out=), and SGD in place, theta -= lr * grad, with one
 isfinite per stepped vector.  It builds no model object and checks
 nothing but the learning rates and finiteness.  _predict runs the same
-forward on a plan and reads the logits of an inference variant.  The public functions take
-one client's models and 2-D batches: they check their inputs, build a
-plan over the models they are given (_plan) and run that same code;
-train_step and train_step_single step clones, so they are pure.  Plans,
-not the public functions, run stacks of clients.  A plan is plain data,
-so it can also be put together from views: the cohort workspace (see
-federation) caches the plan of each run of slots of one depth, views of
-row ranges of its buffers, for training and evaluation.
-The tape, what the backward reads from the forward, never leaves the
-step that made it.
+forward on a plan and reads the logits of an inference variant.
+
+One builder, _plan, makes every plan, for one client and for a stack:
+from (shared, private, projector) models and their gradient models, each
+over one client's vectors or over a stack's rows (models hold leading
+client axes).  It alone decides which (theta, gradient) pairs each group
+steps.  The public functions take one client's models and 2-D batches:
+they check their inputs, build a plan over the models they are given and
+run that same code; train_step and train_step_single step clones, so
+they are pure.  Plans, not the public functions, run stacks of clients:
+the cohort workspace (see federation) builds, with _plan, and caches the
+plan of each run of slots of one depth, over models that view row ranges
+of its buffers, for training and evaluation.  The tape, what the backward
+reads from the forward, never leaves the step that made it.
 
 Each public function checks its inputs once.  The products inside run as
 bare ``@`` on C-order operands, a transposed weight or a column slice of
@@ -299,10 +303,12 @@ class _Plan:
     gradient, relu), and head and projector are (weight, gradient).
     shared and projector are None to train the private model alone.
     groups holds the (theta, gradient) pairs of the global, local and
-    projector groups, views of their vectors or of their weights (SGD is
-    elementwise), None for a group that is not trained; the global
-    group's last pair is its header.  Every array is a view of the vectors the plan was built on,
-    and every gradient is None in a plan that only infers.
+    projector groups, their models' vectors (_segments), None for a group
+    that is not trained; the global group's last pair is its header, which
+    a frozen no-MRL step skips.  Every array is a view of the vectors the
+    plan was built on, and every gradient is None in a plan that only
+    infers.  _plan builds every plan, of one client's models or of a
+    stack's.
     """
 
     private: tuple
@@ -311,27 +317,21 @@ class _Plan:
     groups: tuple
 
 
-def _layers(flat, grad, spans) -> list:
-    """A plan's extractor layers: views of an extractor's vector flat, laid out by
-    spans, and of its gradient grad (None to infer only), cut by models._sliced."""
-    layers = _sliced(flat, spans)
-    grads = [(None, None, None)] * len(spans) if grad is None else _sliced(grad, spans)
-    return [(weight, bias, d_weight, d_bias, activation == RELU)
-            for (weight, bias, activation), (d_weight, d_bias, _) in zip(layers, grads)]
-
-
 def _model(model: Net, grads: Net | None) -> tuple:
     """A Net's (layers, head) for a plan, with gradient views of grads (None to
-    infer only)."""
-    extractor = model.extractor
-    layers = _layers(extractor._flat, grads and grads.extractor._flat, extractor._spans)
+    infer only): each layer's views of the extractor's vector, cut by models._sliced."""
+    spans, d_flat = model.extractor._spans, grads and grads.extractor._flat
+    d_layers = [(None, None, None)] * len(spans) if grads is None else _sliced(d_flat, spans)
+    layers = [(weight, bias, d_weight, d_bias, activation == RELU) for (weight, bias, activation),
+              (d_weight, d_bias, _) in zip(_sliced(model.extractor._flat, spans), d_layers)]
     return layers, (model.header.weight, grads and grads.header.weight)
 
 
 def _plan(models: tuple, grads: tuple = (None, None, None)) -> _Plan:
     """The plan of (shared, private, projector) models, the first and last None
     to train the private model alone, with gradient views of grads, models of
-    the same layouts (None to infer only)."""
+    the same layouts (None to infer only).  The models hold one client, or
+    a stack of clients in leading axes."""
     (g, f, p), (dg, df, dp) = models, grads
     groups = tuple(d and list(zip(m._segments(), d._segments())) for m, d in zip(models, grads))
     return _Plan(_model(f, df), g and _model(g, dg), p and (p.weight, dp and dp.weight), groups)

@@ -16,8 +16,9 @@ Lockstep training: the round's participants train as one cohort
 (cohort_update).  The population's workspace (_Workspace.train) gathers
 their rows, and each step trains every client of one depth (number of
 layers of its private extractor) that takes a batch of the same size as
-one stacked step of a plan over those rows (core._Plan: plain lists of
-views of the rows and of their gradient scratch).  A client's batches
+one stacked step of a plan over those rows: core._plan of models that
+view the rows, and of gradient models that view their scratch, built by
+the one builder that plans a single client's step.  A client's batches
 hold min(batch_size, shard size) rows, a short final batch after a full
 one padded to batch_size, so an epoch takes one step per offset and
 depth, and at offset 0 one more per depth and size of the shards smaller
@@ -29,7 +30,8 @@ the block and copies each architecture's rows into it through an index
 map built once per population, and the scatter copies them back, so the
 population stores every client's rows as configured.  The workspace takes
 each depth's padded layout and the index maps from models (_padded,
-_positions), which owns the extractor layout.
+_positions), which owns the extractor layout, and keeps a layout Net per
+depth, whose models over a block's rows are the plans' private models.
 A padded unit has zero weights and bias, so its pre-activation is 0,
 its ReLU is closed and its gradients are ±0: its weights stay 0.0, and a
 padded step is the configured model's step in exact arithmetic, only
@@ -111,10 +113,11 @@ from dataclasses import astuple, dataclass, field
 import numpy as np
 
 from .core import InferenceVariant, LearningRates, LossWeights, Mode, Projector, TrainingDiverged
-from .core import _Plan, _layers, _mean, _predict, _train, init_projector
+from .core import _mean, _plan, _predict, _train, init_projector
 from .data import LabeledDataset, PartitionPlan
 from .metrics import RoundReport, comm_cost_round, forward_flops_per_sample
-from .models import ModelConfig, Net, _length, _padded, _positions, _signature, init_model
+from .models import Extractor, ModelConfig, Net, _length, _padded, _positions, _signature, _view
+from .models import init_model
 from .numerics import ShapeError, _check_lr, _labels, derive_rng
 
 # Substream tags: every source of randomness in a run is a named stream
@@ -417,7 +420,9 @@ def cohort_update(
 
     If a client fails, raises what cohorts of one in ascending id order
     would raise: the error of the lowest-id client that fails (ValueError
-    for one without training samples or with labels out of range,
+    for one without training samples, with labels out of range, or with
+    training data that is not 2-D features of the models' input width, one
+    row per label of 1-D labels,
     TrainingDiverged naming it, its client set, for a diverging step).
     Then no client's models change, and every rng ends where that
     sequence leaves it: a client of a lower id has trained to the end, the
@@ -434,7 +439,7 @@ def cohort_update(
     population = _population(clients)
     workspace = population._room()
     slots, epoch_means = _replayed(lambda members: workspace.train(
-        population, members, epochs, batch_size, mode, lrs, weights), clients, rngs=True)
+        population, members, epochs, batch_size, mode, lrs, weights), clients)
     workspace.scatter(population)
 
     # Uploads view one copy of the trained shared rows: no client's rows,
@@ -451,20 +456,21 @@ def cohort_update(
     return [results[ident] for ident in ids]
 
 
-def _replayed(run, clients: list[ClientState], rngs: bool):
+def _replayed(run, clients: list[ClientState]):
     """run(clients), a stack of them in the workspace; if it fails, the error that
     running each client alone, in ascending id order, raises first.
 
     A failed stack of several clients (TrainingDiverged or ValueError)
-    restores their rngs (if rngs) and runs each client alone, in the
-    workspace, until one fails.  If every client alone succeeds, the
-    stack's own error is raised again as it is, each rng where the
-    client's lone run left it.  A failed stack of one is that client's
-    failure: a TrainingDiverged is raised again naming it, a ValueError as
-    it is.  No run scatters, so no population row changes, and every rng
-    ends where a sequential pass leaves it.
+    restores the rng states they started with (evaluation draws nothing,
+    so there this changes nothing) and runs each client alone, in the
+    workspace, until one fails; a client's lone run restores nothing.  If
+    every client alone succeeds, the stack's own error is raised again as
+    it is, each rng where the client's lone run left it.  A failed stack of
+    one is that client's failure: a TrainingDiverged is raised again naming
+    it, a ValueError as it is.  No run scatters, so no population row
+    changes, and every rng ends where a sequential pass leaves it.
     """
-    states = [c.rng.bit_generator.state for c in clients] if rngs else []
+    states = [c.rng.bit_generator.state for c in clients]
     try:
         return run(clients)
     except (TrainingDiverged, ValueError) as exc:
@@ -472,7 +478,7 @@ def _replayed(run, clients: list[ClientState], rngs: bool):
             for client, state in zip(clients, states):
                 client.rng.bit_generator.state = state
             for client in sorted(clients, key=lambda c: c.client_id):
-                _replayed(run, [client], rngs=False)
+                _replayed(run, [client])
             raise
         if isinstance(exc, ValueError):
             raise
@@ -487,12 +493,13 @@ class _Workspace:
     The private extractors sit in one zero-padded block per depth (see
     the module docstring).  The architectures of a depth share its number
     of layers, each layer's bias and activation (as all of init_model's
-    do) and the input width: one models._signature.  The padded layouts
-    come from models: spans[depth] lays the padded vector out
-    (models._padded, the widest of the depth's widths at each hidden
+    do) and the input width: one models._signature.  nets[depth] is the
+    depth's padded layout, a Net whose extractor is laid out by
+    models._padded (the widest of the depth's widths at each hidden
     position), depth[kind] is an architecture's depth and maps[kind] the
     position of each entry of its vector in the padded one
-    (models._positions).
+    (models._positions).  layouts holds the population's shared and
+    projector layouts.
 
     buffers maps each depth to its block, and "headers", "shared" and
     "projectors" to the other buffers: each a (2, rows, width) array of
@@ -500,8 +507,10 @@ class _Workspace:
     far.  Every buffer is slot-indexed: slot i's private rows sit at row i
     of its depth's block.  A cohort gathers into the first rows; a larger
     one regrows every buffer and drops every plan.  plans maps (a, b,
-    depth, standalone) to the plan (core._Plan) of slots a to b, which
-    share that depth, for training both models or the private one alone.
+    depth, standalone) to the plan of slots a to b, which share that depth,
+    for training both models or the private one alone: core._plan of the
+    layouts' models over rows a to b and of their gradient models over the
+    rows' scratch.
     After a gather, rows is the client id of each slot, depths the depth
     of each slot, standalone whether the private models train alone,
     copies lists (population buffer, its rows of the gathered
@@ -510,25 +519,23 @@ class _Workspace:
     standalone training).  Its rows equal the population's from a gather to the
     first step, and again from a scatter to the next write.  A failed
     check raises at once and leaves the rows half-trained; the next gather
-    writes over them.  It holds arrays, ids and views only: a client or
-    the population here would make a reference cycle.
+    writes over them.  It holds arrays, ids, views and layout models
+    only: a client or the population here would make a reference cycle.
     """
 
     def __init__(self, population: Population):
         own = [model.extractor._spans for model in population.private_layouts]
-        layouts: dict[tuple, list[int]] = {}
+        signatures: dict[tuple, list[int]] = {}
         for kind, spans in enumerate(own):
-            layouts.setdefault(_signature(spans), []).append(kind)
-        self.depth, self.maps, self.spans = {}, {}, []
-        for kinds in layouts.values():
+            signatures.setdefault(_signature(spans), []).append(kind)
+        self.depth, self.maps, self.nets = {}, {}, []
+        for kinds in signatures.values():
             spans = _padded([own[kind] for kind in kinds])
             for kind in kinds:
-                self.depth[kind], self.maps[kind] = len(self.spans), _positions(own[kind], spans)
-            self.spans.append(spans)
-        shared = population.shared_layout
-        self.shared_spans, self.cut = shared.extractor._spans, shared.extractor._flat.shape[-1]
-        self.shapes = (population.private_layouts[0].header.weight.shape,
-                       shared.header.weight.shape, population.projector_layout.weight.shape)
+                self.depth[kind], self.maps[kind] = len(self.nets), _positions(own[kind], spans)
+            extractor = _view(Extractor, _flat=np.zeros(_length(spans)), _spans=spans)
+            self.nets.append(Net(extractor, population.private_layouts[kinds[0]].header))
+        self.layouts = population.shared_layout, population.projector_layout
         self.size = 0
 
     def gather(self, population: Population, ids: tuple[int, ...], standalone: bool) -> None:
@@ -537,8 +544,8 @@ class _Workspace:
         first rows are zeroed first."""
         n, place = len(ids), population.place
         if n > self.size:
-            self.buffers = {depth: np.zeros((2, n, _length(spans)))
-                            for depth, spans in enumerate(self.spans)}
+            self.buffers = {depth: np.zeros((2, n, net.extractor._flat.size))
+                            for depth, net in enumerate(self.nets)}
             self.buffers.update((key, np.zeros((2, n, getattr(population, key).shape[1])))
                                 for key in ("headers", "shared", "projectors"))
             self.size, self.plans = n, {}
@@ -570,39 +577,43 @@ class _Workspace:
             source[index] = rows[at]
         population.wrote(self.rows)
 
-    def plan(self, a: int, b: int) -> _Plan:
-        """The plan of slots a to b, which share a depth: views of rows a to b of that
-        depth's block and of the other buffers, built the first time it is asked for."""
+    def plan(self, a: int, b: int):
+        """The plan of slots a to b, which share a depth (core._plan): of the models, and
+        their gradients, over rows a to b of that depth's block and of the other buffers,
+        and over their scratch, built the first time it is asked for."""
         key = a, b, self.depths[a], self.standalone
         plan = self.plans.get(key)
         if plan is None:
-            rows, scratch = self.buffers[key[2]][:, a:b]
-            h, s, p = (self.buffers[name][:, a:b] for name in ("headers", "shared", "projectors"))
-            extractor, top = tuple(s[..., : self.cut]), s[..., self.cut :]
-            head, shared_head, projector = (
-                tuple(v.reshape(2, b - a, *shape)) for v, shape in zip((h, top, p), self.shapes))
-            private = _layers(rows, scratch, self.spans[key[2]]), head
-            shared = _layers(*extractor, self.shared_spans), shared_head
-            groups = ([extractor, shared_head], [(rows, scratch), head], [projector])
-            if self.standalone:  # the private model alone
-                shared, projector, groups = None, None, (None, groups[1], None)
-            plan = self.plans[key] = _Plan(private, shared, projector, groups)
+            rows = (self.buffers[n][:, a:b] for n in (key[2], "headers", "shared", "projectors"))
+            # Without the shared model and the projector to train the private model alone.
+            (g, p), net = (None, None) if self.standalone else self.layouts, self.nets[key[2]]
+            models = [(g and g._split(s), net._over((f, h)), p and p._split(q))
+                      for f, h, s, q in zip(*rows)]  # the rows, then their scratch
+            plan = self.plans[key] = _plan(*models)
         return plan
 
-    def stack(self, population: Population, clients: list[ClientState], size,
+    def stack(self, population: Population, clients: list[ClientState], split: str,
               standalone: bool, empty: str) -> list[ClientState]:
-        """clients in slot order, gathered: by depth, then by size(client), largest
-        first, then by id, so the clients of one depth fill a contiguous run of slots,
-        and those of them larger than a given size its first slots.  Raises
-        ValueError("client i <empty>") if a size is 0."""
+        """clients in slot order, gathered: by depth, then by the size of their split
+        ("train" or "test"), largest first, then by id, so the clients of one depth
+        fill a contiguous run of slots, and those of them larger than a given size its
+        first slots.  Raises ValueError("client i ...") if a client's split is not
+        2-D features of its models' input width, one row per label of 1-D labels,
+        and ValueError("client i <empty>") if it is empty."""
         depth, place = self.depth, population.place
+        for c in clients:
+            x, y = getattr(c, split + "_x"), getattr(c, split + "_y")
+            width = self.nets[depth[place[c.client_id][0]]].extractor.input_dim
+            if y.ndim != 1 or x.shape != (len(y), width):
+                raise ValueError(f"client {c.client_id} has {split}_x of shape {x.shape} "
+                                 f"and {split}_y of shape {y.shape}, not (n, {width}) and (n,)")
 
         def key(c):  # a client of size 0 sorts last, where the check finds it
-            n = size(c)
+            n = len(getattr(c, split + "_y"))
             return n == 0, depth[place[c.client_id][0]], -n, c.client_id
 
         clients = sorted(clients, key=key)
-        if size(clients[-1]) == 0:
+        if key(clients[-1])[0]:
             raise ValueError(f"client {clients[-1].client_id} {empty}")
         self.gather(population, tuple(c.client_id for c in clients), standalone)
         return clients
@@ -630,8 +641,8 @@ class _Workspace:
         # Once here, over all the clients' labels, as the steps read labels unchecked.
         labels = np.concatenate([c.train_y for c in clients], axis=None)
         _labels(labels, labels.size, population.private_layouts[0].classes)
-        clients = self.stack(population, clients, lambda c: c.n_samples,
-                             mode is Mode.STANDALONE, "has no training samples")
+        clients = self.stack(population, clients, "train", mode is Mode.STANDALONE,
+                             "has no training samples")
         weights = LossWeights(0.0, 1.0) if mode is Mode.NO_MRL else weights  # the ablation
         sizes = [c.n_samples for c in clients]
         batches = [-(-size // batch_size) for size in sizes]
@@ -665,14 +676,14 @@ class _Workspace:
         (_predicted).
         A chunk that fails is replayed client by client (_replayed), so the
         error raised is that of the lowest-id client that fails: a
-        ValueError for an empty test set, or a TrainingDiverged naming it
-        for non-finite logits.
+        ValueError for an empty test set or test data that does not fit
+        (stack), or a TrainingDiverged naming it for non-finite logits.
         """
         population = _population(clients)
         room, accuracies = max(self.size, 1), []
         for start in range(0, len(clients), room):
             accuracies += _replayed(lambda chunk: self._predicted(population, chunk, variant),
-                                    clients[start : start + room], rngs=False)
+                                    clients[start : start + room])
         return accuracies
 
     def _predicted(self, population: Population, clients: list[ClientState],
@@ -688,11 +699,10 @@ class _Workspace:
         real row's logits, in the last place, and an accuracy reads only
         their argmax.  A run without padding is stacked as it is.
         """
-        chunk = self.stack(population, clients, lambda c: c.test_y.size,
-                           variant is InferenceVariant.SINGLE_LARGE, "has an empty test set")
-        accuracies, depths = {}, self.depths
-        cuts = [0, *(i for i in range(1, len(chunk)) if depths[i] != depths[i - 1]), len(chunk)]
-        for a, b in zip(cuts, cuts[1:]):
+        chunk = self.stack(population, clients, "test", variant is InferenceVariant.SINGLE_LARGE,
+                           "has an empty test set")
+        accuracies = {}
+        for a, b, _ in _runs([1] * len(chunk), self.depths):  # the runs of one depth
             members = chunk[a:b]
             sizes = [c.test_y.size for c in members]
             if sizes[-1] == sizes[0]:  # nothing to pad
@@ -820,8 +830,15 @@ def run_rounds(
     np.errstate slows every ufunc call): a diverging run ends in the
     TrainingDiverged of a finite check, raised again as "round R:
     <message>" with its round set to R, chained from it, where R counts
-    the server's rounds, those of earlier calls included.
+    the server's rounds, those of earlier calls included.  Raises
+    ValueError, before any round, unless clients are all their
+    population's, in id order, and config.n_clients of them.
     """
+    if len(clients) != config.n_clients:
+        raise ValueError(f"the config wants {config.n_clients} clients, got {len(clients)}")
+    ids = [c.client_id for c in clients]
+    if ids != list(range(len(_population(clients).headers))):
+        raise ValueError(f"the clients must be all their population's, in id order: got ids {ids}")
     standalone = config.mode is Mode.STANDALONE
     variant = InferenceVariant.SINGLE_LARGE if standalone else config.inference
     shared_params = server.global_model.param_count()

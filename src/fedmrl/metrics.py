@@ -58,7 +58,8 @@ def evaluate(client: "ClientState", variant: InferenceVariant) -> float:
     evaluation takes (federation._Workspace.evaluate).  The count of hits
     over the size is float(np.mean(hits)) bit for bit: a sum of 0s and 1s
     is exact, then one division.  Raises ValueError for an empty test
-    set, and TrainingDiverged naming the client if its logits are not
+    set or one that is not 2-D features of the models' input width, one
+    row per label of 1-D labels, and TrainingDiverged naming the client if its logits are not
     finite.
     """
     (accuracy,) = client.population._room().evaluate([client], variant)

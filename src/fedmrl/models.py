@@ -16,6 +16,15 @@ reshape of a column range).  _segments() lists a model's vectors and
 _over(segments) builds a model of the same layout over others, without
 checks.  Copies (clone, copy.deepcopy) view copied vectors.
 
+A model can also hold a stack of clients: vectors with leading client
+axes, whose last axis is the layout.  _split cuts the last axis and
+_over and _segments reshape only the last axes, so a layout's _split
+over (C, P) rows, or its _over of (C, P_e) extractor rows and (C, P_h)
+header rows, is C clients' models in one, every array a view of the
+rows (a weight (C, out, in)).  Such a model is what a step plan is
+built from, for one client and for a stack (see core's _plan and
+federation's workspace).
+
 This module owns an extractor's flat layout and every rule that reads
 it.  _layout lays a vector out, an extractor's _spans: per layer (weight
 start, weight stop, bias stop or None, out, in, activation).  _sliced
@@ -59,11 +68,12 @@ class _Segmented:
         return self._over(tuple(np.zeros(s.shape) for s in self._segments()))
 
     def _split(self, flat: np.ndarray):
-        """A model of this layout over consecutive column ranges of flat."""
+        """A model of this layout over consecutive ranges of flat's last axis: one
+        model per row of a (C, P) stack."""
         pieces, start = [], 0
         for segment in self._segments():
-            pieces.append(flat[start : start + segment.size])
-            start += segment.size
+            pieces.append(flat[..., start : start + segment.shape[-1]])
+            start += segment.shape[-1]
         return self._over(tuple(pieces))
 
     def param_count(self) -> int:
@@ -86,11 +96,11 @@ class _Matrix(_Segmented):
         self.weight = as_matrix(self.weight)
 
     def _segments(self) -> tuple[np.ndarray]:
-        return (self.weight.reshape(-1),)
+        return (self.weight.reshape(self.weight.shape[:-2] + (-1,)),)
 
     def _over(self, segments):
         (flat,) = segments
-        return _view(type(self), weight=flat.reshape(self.weight.shape))
+        return _view(type(self), weight=flat.reshape(flat.shape[:-1] + self.weight.shape[-2:]))
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,7 @@ def padded_models(client):
     population = client.population
     workspace = population._room()
     kind, rank = population.place[client.client_id]
-    spans = workspace.spans[workspace.depth[kind]]
+    spans = workspace.nets[workspace.depth[kind]].extractor._spans
     flat = np.zeros(spans[-1][2] or spans[-1][1])
     flat[workspace.maps[kind]] = population.blocks[kind][rank]
     extractor = models._view(models.Extractor, _flat=flat, _spans=spans)

@@ -333,7 +333,8 @@ def test_gradcheck_mixed_architecture_cohort():
     totals, _, tape = core._loss(plan, x, y, weights)
     for i, (g, f, p) in enumerate(alone):
         # Each client's loss is its padded model's bit for bit, and its own to rounding.
-        extractor = models._view(Extractor, _flat=block[i].copy(), _spans=workspace.spans[0])
+        spans = workspace.nets[0].extractor._spans
+        extractor = models._view(Extractor, _flat=block[i].copy(), _spans=spans)
         padded = Net(extractor, f.header)
         assert totals[i] == forward_loss(g, padded, p, x[i], y[i], weights)[0]
         assert math.isclose(totals[i], forward_loss(g, f, p, x[i], y[i], weights)[0], rel_tol=1e-12)

@@ -1180,6 +1180,85 @@ def test_cohort_ranks_a_client_without_training_samples_by_its_id():
             cohort_update(clients, 1, 8, cfg.lrs, Mode.FEDMRL, LossWeights())
 
 
+@pytest.mark.parametrize(
+    "field,edit,shapes",
+    [
+        ("train_x", lambda a: a[:5], "train_x of shape (5, 16) and train_y of shape (48,)"),
+        ("train_x", lambda a: np.concatenate([a, a]),
+         "train_x of shape (96, 16) and train_y of shape (48,)"),
+        ("train_x", lambda a: np.concatenate([a, a], axis=1),
+         "train_x of shape (48, 32) and train_y of shape (48,)"),
+        ("train_x", np.ravel, "train_x of shape (768,) and train_y of shape (48,)"),
+        ("train_y", lambda a: a[:, None], "train_x of shape (48, 16) and train_y of shape (48, 1)"),
+        ("test_x", lambda a: np.concatenate([a, a], axis=1),
+         "test_x of shape (12, 32) and test_y of shape (12,)"),
+        ("test_x", lambda a: a[:2], "test_x of shape (2, 16) and test_y of shape (12,)"),
+        ("test_y", lambda a: a[:, None], "test_x of shape (12, 16) and test_y of shape (12, 1)"),
+    ],
+    ids=["5 train rows", "96 train rows", "32 train columns", "1-D train_x", "2-D train_y",
+         "32 test columns", "2 test rows", "2-D test_y"],
+)
+def test_a_client_whose_data_does_not_fit_raises_what_the_ascending_loop_raises(
+    field, edit, shapes
+):
+    # Clients 3 and 5 hold data that fits neither their labels nor the
+    # models' input width.  The stack fails before it draws or predicts
+    # anything, and its replay raises client 3's error, naming it, with every
+    # rng where cohorts of one in ascending id order leave it and no row
+    # changed.
+    cfg, clients = _equal_shards()
+    for ident in (5, 3):
+        setattr(clients[ident], field, edit(getattr(clients[ident], field)))
+    message = f"client 3 has {shapes}, not (n, 16) and (n,)"
+    sequence = copy.deepcopy(clients)
+    before = [[a.copy() for a in _client_arrays(c)] for c in clients]
+    if field.startswith("train"):
+        args = (1, 8, cfg.lrs, Mode.FEDMRL, LossWeights())
+        with pytest.raises(ValueError) as stacked:
+            cohort_update(clients, *args)
+        with pytest.raises(ValueError) as alone:
+            for client in sequence:
+                cohort_update([client], *args)
+    else:
+        with pytest.raises(ValueError) as stacked:
+            clients[0].population._room().evaluate(clients, MIX_LARGE)
+        with pytest.raises(ValueError) as alone:
+            for client in sequence:
+                evaluate(client, MIX_LARGE)
+    assert type(stacked.value) is ValueError
+    assert str(stacked.value) == str(alone.value) == message
+    assert [c.rng.bit_generator.state for c in clients] == [
+        c.rng.bit_generator.state for c in sequence]
+    for client, arrays in zip(clients, before):
+        assert _same_arrays(_client_arrays(client), arrays)
+
+
+@pytest.mark.parametrize(
+    "pick,n_clients,message",
+    [
+        (lambda clients: clients[::-1], 10,
+         r"^the clients must be all their population's, in id order: got ids \[9, 8, 7, "),
+        (lambda clients: clients[:5], 10, r"^the config wants 10 clients, got 5$"),
+        (lambda clients: clients, 12, r"^the config wants 12 clients, got 10$"),
+        (lambda clients: clients, 5, r"^the config wants 5 clients, got 10$"),
+        (lambda clients: clients[:5], 5,
+         r"^the clients must be all their population's, in id order: got ids \[0, 1, 2, 3, 4\]$"),
+    ],
+    ids=["reversed", "5 of a 10-client config", "10 for a 12-client config",
+         "10 for a 5-client config", "5 of 10 for a 5-client config"],
+)
+def test_run_rounds_takes_only_its_populations_clients_in_id_order(pick, n_clients, message):
+    # A reversed list would train and report the wrong clients, and a list
+    # shorter or longer than the config's population would fail deep inside
+    # a round, or sample and report only part of the population.
+    cfg, server, clients = _equal_shards(with_server=True)
+    start = copy.deepcopy(server)
+    with pytest.raises(ValueError, match=message):
+        run_rounds(server, pick(clients), dataclasses.replace(cfg, n_clients=n_clients, rounds=1))
+    assert server.round == 0
+    assert server.rng.bit_generator.state == start.rng.bit_generator.state
+
+
 def test_client_update_names_the_client_and_group_of_a_diverging_step():
     cfg, dataset, plan = small_setup()
     _, clients = build_clients(cfg, dataset, plan)
@@ -1699,43 +1778,42 @@ MANY_DIRICHLET = Path(__file__).parents[1] / "bench" / "workloads" / "many-diric
 
 def test_a_many_dirichlet_run_builds_each_plan_once():
     # Counts, no timing: training and evaluation run on the workspace's
-    # plans, so no plan of a client's models is made, every workspace plan
-    # is built at most once per key, and the five architectures, of one
-    # depth, all read the one block.  A second run of the same cohorts on
-    # the same population (the server and the clients' rngs back at their
-    # start) builds none.
+    # plans, so every plan (core._plan) is built by the workspace and none
+    # of a client's own models, every workspace plan is built at most once
+    # per key, and the five architectures, of one depth, all read the one
+    # block.  A second run of the same cohorts on the same population (the
+    # server and the clients' rngs back at their start) builds none.
     config = override(load_config(MANY_DIRICHLET), seed=0)
     dataset = load_dataset(config)
     cfg = build_run_config(config)
     server, clients = build_clients(cfg, dataset, build_partition(config, dataset))
     start = copy.deepcopy((server, [c.rng for c in clients]))
-    plan, build = core._plan.__code__, core._Plan.__init__.__code__
+    plan = core._plan.__code__
 
     def run(server):
-        plans, builds = [], []
+        builds = []
 
         def profile(frame, event, arg):
             if event == "call" and frame.f_code is plan:
                 caller = frame.f_back
-                plans.append((caller.f_code.co_qualname, caller.f_locals.get("ident")))
-            elif event == "call" and frame.f_code is build:
-                builds.append(frame.f_back.f_locals["key"])
+                builds.append((caller.f_code.co_qualname, caller.f_locals.get("key")))
 
         sys.setprofile(profile)
         try:
             run_rounds(server, clients, cfg)
         finally:
             sys.setprofile(None)
-        return plans, builds
+        return builds
 
-    plans, builds = run(server)
-    assert plans == [] and builds
-    assert len(set(builds)) == len(builds)
-    assert {depth for _, _, depth, _ in builds} == {0}  # one depth, so one block
+    builds = run(server)
+    assert builds and {caller for caller, _ in builds} == {"_Workspace.plan"}
+    keys = [key for _, key in builds]
+    assert len(set(keys)) == len(keys)
+    assert {depth for _, _, depth, _ in keys} == {0}  # one depth, so one block
     server, rngs = start
     for client, rng in zip(clients, rngs):
         client.rng = rng
-    assert run(server) == ([], [])
+    assert run(server) == []
 
 
 def _views_rows(plan, block, a, b):

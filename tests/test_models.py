@@ -242,6 +242,41 @@ def test_parameters_are_views_of_flat_vectors_that_copies_keep():
         assert 5.0 in twin._segments()[0] and 5.0 not in flat
 
 
+def _arrays(model):
+    """Every array a Net's parameters sit in: its vectors, its layers' views, its header."""
+    return [*model._segments(), *model.extractor.parameter_arrays(), model.header.weight]
+
+
+@pytest.mark.parametrize("way", ["split a stack", "split a column slice", "over a block"])
+def test_a_model_over_a_stack_of_rows_views_each_row(way):
+    # A layout's model over C rows is C clients' models in one: its vectors,
+    # layer views and header weight lead with the client axis.  Every one of
+    # them views the rows it was built over, also over a column slice of a
+    # wider buffer, whose header weight's flat vector must not be a copy, and
+    # row i's model equals the model of row i alone.
+    layout = init_model(ModelConfig(4, (5,), 3, 2), make_rng(3))
+    size, cut = layout.param_count(), layout.extractor.param_count()
+    wide = make_rng(4).normal(size=(3, size + 7))
+    stack = wide[:, 2 : 2 + size].copy()
+    block, headers = stack[:, :cut].copy(), stack[:, cut:].copy()
+    model_of = {
+        "split a stack": lambda rows: layout._split(stack[rows]),
+        "split a column slice": lambda rows: layout._split(wide[rows, 2 : 2 + size]),
+        "over a block": lambda rows: layout._over((block[rows], headers[rows])),
+    }[way]
+    model = model_of(slice(None))
+    assert model.header.weight.shape == (3, 2, 3)
+    assert [layer.weight.shape for layer in model.extractor.layers] == [(3, 5, 4), (3, 3, 5)]
+    for array in _arrays(model):
+        assert any(np.shares_memory(array, rows) for rows in (stack, wide, block, headers))
+    for i in range(3):
+        alone = _arrays(model_of(i))
+        assert [a[i].shape for a in _arrays(model)] == [a.shape for a in alone]
+        assert [a[i].tobytes() for a in _arrays(model)] == [a.tobytes() for a in alone]
+    model.header.weight[1] = 0.0  # a write through the stack's model reaches row 1 alone
+    assert not model_of(1).header.weight.any() and model_of(2).header.weight.all()
+
+
 def test_clone_is_deep():
     model = init_model(ModelConfig(3, (), 2, 2), make_rng(1))
     extractor, header = model.extractor, model.header
