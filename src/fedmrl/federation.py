@@ -46,7 +46,11 @@ stack that fused every depth.
 A step writes the gathered rows in place, and cohort_update scatters
 them back once every client has trained.  The workspace serves all the
 population's cohorts: buffers with room for the largest cohort so far,
-and the plan of each run of slots, kept while the buffers are.  Uploads
+and the plan of each run of slots, kept while the buffers are.  It also
+keeps what it built for the last cohort (memo): the gather's index maps,
+the epoch's schedule of steps, the batch arrays and the loss ledger, so
+a cohort that repeats (every round, at full participation) gathers and
+trains on them again, and only the row copies and the steps run.  Uploads
 view a copy of the trained shared rows.  A step writes its losses into
 the epoch's loss ledger, one (clients, batches) array, and each client's
 epoch mean is one reduction of its row.  Each client draws its epoch
@@ -90,14 +94,21 @@ cohort, which writes no row, forgets nothing.  Code that writes into a
 client's rows in place calls population.wrote(ids), or the memo will
 not see it.  Every
 evaluation, metrics.evaluate of one client included, takes one path
-(_Workspace.evaluate): the clients are gathered into the workspace in
-chunks no larger than its room, and each depth of a chunk is predicted
-in one stack with core._predict, its test sets padded to the largest
-with copies of each client's own last row.  Unlike a padded training
+(_Workspace.evaluate): the clients are predicted in the workspace in
+chunks no larger than its room, and each depth of a chunk in one stack
+with core._predict, its test sets padded to the largest with copies of
+each client's own last row.  A chunk is gathered first unless it is the
+cohort the workspace holds since its scatter (synced, which a gather and
+Population.wrote clear) and that gather holds every row the variant
+reads: then it is predicted in place, in training's slot order, so a
+round of run_rounds gathers once.  A depth's run holds the same clients
+in either order and pads to the same length, so each client's slice is
+the same rows either way.  Unlike a padded training
 batch, a padded test set is not held to its unpadded bits: the padding
 can move a logit in its last place, which changes a prediction only
 where two logits lie that close, and the padded rows' labels (-1) count
-no hit.  A chunk that fails takes
+no hit (tests/reference.py evaluates each client on its own unpadded
+test set, and has found no such flip).  A chunk that fails takes
 training's failure path (_replayed), so the error raised is that of the
 lowest-id client that fails.  Finite checks live in the training step
 and _predict (core), which raise a TrainingDiverged; _replayed raises it
@@ -118,7 +129,7 @@ from .data import LabeledDataset, PartitionPlan
 from .metrics import RoundReport, comm_cost_round, forward_flops_per_sample
 from .models import Extractor, ModelConfig, Net, _length, _padded, _positions, _signature, _view
 from .models import init_model
-from .numerics import ShapeError, _check_lr, _labels, derive_rng
+from .numerics import ShapeError, _check_lr, derive_rng
 
 # Substream tags: every source of randomness in a run is a named stream
 # of the run seed, so replays are bit-identical and mode never shifts
@@ -235,9 +246,12 @@ class Population:
         self._workspace: _Workspace | None = None
 
     def wrote(self, ids) -> None:
-        """Forget the accuracies of clients ids: their rows were written."""
+        """Forget the accuracies of clients ids: their rows were written, so the
+        workspace's may no longer equal them."""
         for memo in self.accuracy.values():
             memo[ids] = np.nan
+        if self._workspace is not None:
+            self._workspace.synced = False
 
     def _models(self, ident: int) -> tuple[Net, Net, Projector]:
         """Client ident's (shared copy, private model, projector): views of its rows."""
@@ -517,10 +531,17 @@ class _Workspace:
     clients, the workspace's rows, where in them they sit) per gathered
     buffer and architecture, and shared views the shared rows (None for
     standalone training).  Its rows equal the population's from a gather to the
-    first step, and again from a scatter to the next write.  A failed
+    first step, and again from a scatter to the next write: synced records
+    the second, set by scatter and cleared by gather and Population.wrote,
+    so that evaluation can predict the cohort in place.  A failed
     check raises at once and leaves the rows half-trained; the next gather
-    writes over them.  It holds arrays, ids, views and layout models
-    only: a client or the population here would make a reference cycle.
+    writes over them, so a gather copies every row even of the cohort it
+    gathered last.  memo holds what was built for that last cohort only:
+    "cohort" its (ids, standalone), "gather" its (rows, depths, copies)
+    and, once trained, "train" its ((sizes, batch_size), batch arrays x
+    and y, ledger, steps, groups); a regrow drops it with the plans.  It
+    holds arrays, ids, views and layout models only: a client or the
+    population here would make a reference cycle.
     """
 
     def __init__(self, population: Population):
@@ -536,46 +557,52 @@ class _Workspace:
             extractor = _view(Extractor, _flat=np.zeros(_length(spans)), _spans=spans)
             self.nets.append(Net(extractor, population.private_layouts[kinds[0]].header))
         self.layouts = population.shared_layout, population.projector_layout
-        self.size = 0
+        self.size, self.synced = 0, False
 
     def gather(self, population: Population, ids: tuple[int, ...], standalone: bool) -> None:
         """Copy the rows of clients ids, in slot order, into the first rows: one copy per
         slot-indexed buffer, and one per architecture into its depth's block, whose
-        first rows are zeroed first."""
+        first rows are zeroed first.  The index maps are built again only for
+        another cohort than the last (memo)."""
         n, place = len(ids), population.place
         if n > self.size:
             self.buffers = {depth: np.zeros((2, n, net.extractor._flat.size))
                             for depth, net in enumerate(self.nets)}
             self.buffers.update((key, np.zeros((2, n, getattr(population, key).shape[1])))
                                 for key in ("headers", "shared", "projectors"))
-            self.size, self.plans = n, {}
-        self.rows, self.standalone = np.array(ids), standalone
-        self.depths = [self.depth[place[i][0]] for i in ids]
-        blocks = {depth: self.buffers[depth][0][:n] for depth in set(self.depths)}
-        for block in blocks.values():
-            block[...] = 0.0
-        kinds: dict[int, tuple[list[int], list[int]]] = {}
-        for slot, ident in enumerate(ids):
-            kind, rank = place[ident]
-            kinds.setdefault(kind, ([], []))[0].append(slot)
-            kinds[kind][1].append(rank)
-        self.copies = []
-        for kind, (slots, ranks) in kinds.items():
-            block = blocks[self.depth[kind]]  # an architecture's rows sit at flat positions
-            at = np.add.outer(np.array(slots) * block.shape[1], self.maps[kind])
-            self.copies.append((population.blocks[kind], np.array(ranks), block.reshape(-1), at))
-        names = ("headers",) if standalone else ("headers", "shared", "projectors")
-        self.copies += [(getattr(population, key), self.rows, self.buffers[key][0][:n], ...)
-                        for key in names]
+            self.size, self.plans, self.memo = n, {}, {}
+        if self.memo.get("cohort") != (ids, standalone):
+            kinds: dict[int, tuple[list[int], list[int]]] = {}
+            for slot, ident in enumerate(ids):
+                kind, rank = place[ident]
+                kinds.setdefault(kind, ([], []))[0].append(slot)
+                kinds[kind][1].append(rank)
+            rows, copies = np.array(ids), []
+            for kind, (slots, ranks) in kinds.items():
+                block = self.buffers[self.depth[kind]][0][:n]
+                # An architecture's rows sit at flat positions of its depth's block.
+                at = np.add.outer(np.array(slots) * block.shape[1], self.maps[kind])
+                copies.append((population.blocks[kind], np.array(ranks), block.reshape(-1), at))
+            names = ("headers",) if standalone else ("headers", "shared", "projectors")
+            copies += [(getattr(population, key), rows, self.buffers[key][0][:n], ...)
+                       for key in names]
+            self.memo = {"cohort": (ids, standalone),
+                         "gather": (rows, [self.depth[place[i][0]] for i in ids], copies)}
+        self.rows, self.depths, self.copies = self.memo["gather"]
+        self.standalone, self.synced = standalone, False
+        for depth in set(self.depths):
+            self.buffers[depth][0][:n] = 0.0
         for source, index, rows, at in self.copies:
             rows[at] = source[index]
         self.shared = None if standalone else self.buffers["shared"][0][:n]
 
     def scatter(self, population: Population) -> None:
-        """Write the rows back into the population: the gather's copies, reversed."""
+        """Write the rows back into the population: the gather's copies, reversed.  The
+        rows then equal the population's (synced) until the next write or gather."""
         for source, index, rows, at in self.copies:
             source[index] = rows[at]
         population.wrote(self.rows)
+        self.synced = True
 
     def plan(self, a: int, b: int):
         """The plan of slots a to b, which share a depth (core._plan): of the models, and
@@ -592,29 +619,30 @@ class _Workspace:
             plan = self.plans[key] = _plan(*models)
         return plan
 
-    def stack(self, population: Population, clients: list[ClientState], split: str,
-              standalone: bool, empty: str) -> list[ClientState]:
-        """clients in slot order, gathered: by depth, then by the size of their split
-        ("train" or "test"), largest first, then by id, so the clients of one depth
-        fill a contiguous run of slots, and those of them larger than a given size its
-        first slots.  Raises ValueError("client i ...") if a client's split is not
-        2-D features of its models' input width, one row per label of 1-D labels,
-        and ValueError("client i <empty>") if it is empty."""
-        depth, place = self.depth, population.place
+    def check(self, population: Population, clients: list[ClientState], split: str,
+              empty: str) -> None:
+        """Raise ValueError("client i ...") if a client's split ("train" or "test") is not
+        2-D features of its models' input width, one row per label of 1-D labels, and
+        ValueError("client i <empty>") if it is empty."""
         for c in clients:
             x, y = getattr(c, split + "_x"), getattr(c, split + "_y")
-            width = self.nets[depth[place[c.client_id][0]]].extractor.input_dim
+            width = self.nets[self.depth[population.place[c.client_id][0]]].extractor.input_dim
             if y.ndim != 1 or x.shape != (len(y), width):
                 raise ValueError(f"client {c.client_id} has {split}_x of shape {x.shape} "
                                  f"and {split}_y of shape {y.shape}, not (n, {width}) and (n,)")
+            if not len(y):
+                raise ValueError(f"client {c.client_id} {empty}")
 
-        def key(c):  # a client of size 0 sorts last, where the check finds it
-            n = len(getattr(c, split + "_y"))
-            return n == 0, depth[place[c.client_id][0]], -n, c.client_id
-
-        clients = sorted(clients, key=key)
-        if key(clients[-1])[0]:
-            raise ValueError(f"client {clients[-1].client_id} {empty}")
+    def stack(self, population: Population, clients: list[ClientState], split: str,
+              standalone: bool, empty: str) -> list[ClientState]:
+        """clients in slot order, checked (check) and gathered: by depth, then by the size
+        of their split ("train" or "test"), largest first, then by id, so the clients
+        of one depth fill a contiguous run of slots, and those of them larger than a
+        given size its first slots."""
+        self.check(population, clients, split, empty)
+        depth, place = self.depth, population.place
+        clients = sorted(clients, key=lambda c: (
+            depth[place[c.client_id][0]], -len(getattr(c, split + "_y")), c.client_id))
         self.gather(population, tuple(c.client_id for c in clients), standalone)
         return clients
 
@@ -628,7 +656,10 @@ class _Workspace:
         (_steps): per depth the clients that still have a batch there (the first
         slots of its run), and at offset 0 each size of shards smaller than a batch.
         Each client takes its batches in their order.  The schedule, the batch
-        arrays, whose padded rows stay 0, and the ledger are built once per cohort.
+        arrays, whose padded rows stay 0, the ledger and the steps are built once
+        per cohort, and kept (memo) while the next ones have the same slots, shard
+        sizes, batch size and standalone.  Labels are checked over the whole cohort
+        at once, and a failure names the first listed client out of range.
         A failed step leaves the rows half-trained for the next gather to
         write over.
 
@@ -638,22 +669,32 @@ class _Workspace:
         (core._mean: a sum of the row, then one division) is np.mean of the list of
         them bit for bit.
         """
+        classes = population.private_layouts[0].classes
+
+        def outside(labels) -> bool:
+            labels = np.asarray(labels, dtype=np.int64)
+            return bool(labels.size) and (labels.min() < 0 or labels.max() >= classes)
+
         # Once here, over all the clients' labels, as the steps read labels unchecked.
-        labels = np.concatenate([c.train_y for c in clients], axis=None)
-        _labels(labels, labels.size, population.private_layouts[0].classes)
+        if outside(np.concatenate([c.train_y for c in clients], axis=None)):
+            bad = next(c for c in clients if outside(c.train_y))
+            raise ValueError(f"client {bad.client_id} has labels outside [0, {classes})")
         clients = self.stack(population, clients, "train", mode is Mode.STANDALONE,
                              "has no training samples")
         weights = LossWeights(0.0, 1.0) if mode is Mode.NO_MRL else weights  # the ablation
         sizes = [c.n_samples for c in clients]
-        batches = [-(-size // batch_size) for size in sizes]
-        schedule = _steps(sizes, self.depths, batch_size)
-        shape = (len(sizes), max(start + rows for _, _, start, rows, _ in schedule))
-        x = np.zeros((*shape, clients[0].train_x.shape[1]))
-        y = np.zeros(shape, dtype=np.int64)
-        ledger = np.empty((len(sizes), max(batches)))
-        steps = [(self.plan(a, b), x[a:b, start : start + rows], y[a:b, start : start + rows],
-                  real, ledger[a:b, start // batch_size]) for a, b, start, rows, real in schedule]
-        groups = _runs(batches, self.depths)  # runs of slots with equal batch counts
+        if self.memo.get("train", (None,))[0] != (sizes, batch_size):
+            batches = [-(-size // batch_size) for size in sizes]
+            schedule = _steps(sizes, self.depths, batch_size)
+            shape = (len(sizes), max(start + rows for _, _, start, rows, _ in schedule))
+            x = np.zeros((*shape, clients[0].train_x.shape[1]))
+            y = np.zeros(shape, dtype=np.int64)
+            ledger = np.empty((len(sizes), max(batches)))
+            steps = [(self.plan(a, b), x[a:b, start : start + rows], y[a:b, start : start + rows],
+                      real, ledger[a:b, start // batch_size]) for a, b, start, rows, real in schedule]
+            groups = _runs(batches, self.depths)  # runs of slots with equal batch counts
+            self.memo["train"] = (sizes, batch_size), x, y, ledger, steps, groups
+        _, x, y, ledger, steps, groups = self.memo["train"]
         epoch_means = np.empty((len(sizes), epochs))
         for epoch in range(epochs):
             for i, client in enumerate(clients):
@@ -670,14 +711,13 @@ class _Workspace:
         """The test accuracies of clients, listed in ascending id order, each a count of
         hits over its test-set size (float(np.mean(hits)) bit for bit).
 
-        The clients are gathered in chunks no larger than the room the
-        workspace has (one client if it has none yet), in slot order
-        (stack), and each depth of a chunk is predicted in one stack
-        (_predicted).
+        The clients are predicted in chunks no larger than the room the
+        workspace has (one client if it has none yet), and each depth of a
+        chunk in one stack (_predicted).
         A chunk that fails is replayed client by client (_replayed), so the
         error raised is that of the lowest-id client that fails: a
         ValueError for an empty test set or test data that does not fit
-        (stack), or a TrainingDiverged naming it for non-finite logits.
+        (check), or a TrainingDiverged naming it for non-finite logits.
         """
         population = _population(clients)
         room, accuracies = max(self.size, 1), []
@@ -688,10 +728,13 @@ class _Workspace:
 
     def _predicted(self, population: Population, clients: list[ClientState],
                    variant: InferenceVariant) -> list[float]:
-        """The test accuracies of clients, in the order listed: gathered as one stack
-        (stack), each depth's run of slots predicted at once (core._predict on its plan).
+        """The test accuracies of clients, in the order listed, each depth's run of slots
+        predicted at once (core._predict on its plan).  The clients are the rows where
+        they sit if they are the synced cohort, in its slot order, and the gather
+        holds the rows the variant reads (a standalone one holds no shared or
+        projector rows); else they are gathered as one stack (stack).
 
-        A run's test sets are padded to its largest, the first, with copies of
+        A run's test sets are padded to its largest with copies of
         each client's last row, and their labels with -1, which no prediction
         hits: a client's accuracy is its hits over its own test-set size.  A
         padded row gives only values a real row gives, so the finite check
@@ -699,18 +742,24 @@ class _Workspace:
         real row's logits, in the last place, and an accuracy reads only
         their argmax.  A run without padding is stacked as it is.
         """
-        chunk = self.stack(population, clients, "test", variant is InferenceVariant.SINGLE_LARGE,
-                           "has an empty test set")
+        single = variant is InferenceVariant.SINGLE_LARGE
+        held = self.synced and (single or not self.standalone) and dict.fromkeys(self.rows.tolist())
+        if held and sorted(held) == [c.client_id for c in clients]:
+            self.check(population, clients, "test", "has an empty test set")
+            held.update((c.client_id, c) for c in clients)
+            chunk = list(held.values())  # in place, in training's slot order
+        else:
+            chunk = self.stack(population, clients, "test", single, "has an empty test set")
         accuracies = {}
         for a, b, _ in _runs([1] * len(chunk), self.depths):  # the runs of one depth
             members = chunk[a:b]
             sizes = [c.test_y.size for c in members]
-            if sizes[-1] == sizes[0]:  # nothing to pad
+            if min(sizes) == max(sizes):  # nothing to pad
                 # np.array of equal shapes is np.stack's result at a third of its cost.
                 x = np.array([c.test_x for c in members])
                 labels = np.array([c.test_y for c in members])
             else:
-                sizes, steps = np.array(sizes), np.arange(sizes[0])
+                sizes, steps = np.array(sizes), np.arange(max(sizes))
                 # Row r of a client's padded test set: its row r, or its last row.
                 rows = np.minimum(steps, sizes[:, None] - 1) + (np.cumsum(sizes) - sizes)[:, None]
                 x = np.concatenate([c.test_x for c in members])[rows]

@@ -1,4 +1,4 @@
-"""A reference oracle for one client's local update, in plain numpy.
+"""A reference oracle for one client's local update and test accuracy, in plain numpy.
 
 train_alone trains one client on its own, as the paper's local update
 reads (FedMRL, arXiv 2406.00488): each epoch one seeded shuffle of the
@@ -27,6 +27,13 @@ the numeric conventions the simulator fixes:
   its loss is the sum of its row losses, the padded rows' masked to 0,
   over its real rows, and its logit gradients are each head's weight
   over its real rows on them and 0 on the padded rows.
+
+accuracy_alone evaluates one client on its own unpadded test set: the
+forward of the models an inference variant reads, then the argmax of its
+header's logits (the lowest class winning a tie).  The simulator pads the
+test sets of a stack of clients with copies of each one's last row, which
+can round a real row's logits differently in the last place, so the two
+agree bit for bit unless an argmax sits on such a near tie.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from __future__ import annotations
 import numpy as np
 
 from fedmrl import models
-from fedmrl.core import LossWeights, Mode
+from fedmrl.core import InferenceVariant, LossWeights, Mode
 from fedmrl.models import RELU
 
 
@@ -77,6 +84,25 @@ def train_alone(client_models, train_x, train_y, rng, epochs, batch_size, lrs, m
                   for start in range(0, n, width)]
         means.append(float(np.mean(losses)))
     return means
+
+
+def accuracy_alone(client_models, test_x, test_y, variant):
+    """The share of a client's test rows that its (shared, private, projector) models
+    classify as labelled under the inference variant, on the unpadded test set."""
+    g, f, p = client_models
+    if variant is InferenceVariant.SINGLE_SMALL:
+        read, head = _forward(g.extractor.layers, test_x, []), g.header.weight
+    elif variant is InferenceVariant.SINGLE_LARGE:
+        read, head = _forward(f.extractor.layers, test_x, []), f.header.weight
+    else:
+        spliced = np.concatenate([_forward(g.extractor.layers, test_x, []),
+                                  _forward(f.extractor.layers, test_x, [])], axis=1)
+        read, head = spliced @ p.weight.T.copy(), f.header.weight
+        if variant is InferenceVariant.MIX_SMALL:
+            head = g.header.weight
+            read = read[:, : head.shape[1]].copy()
+    predictions = np.argmax(read @ head.T.copy(), axis=1)
+    return np.count_nonzero(predictions == test_y) / len(test_y)
 
 
 def _step(client_models, x, y, real, mode, weights, lrs):

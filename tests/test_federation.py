@@ -799,6 +799,91 @@ def test_a_failed_cohort_leaves_its_clients_accuracies_memoized():
     assert memo.tobytes() == before.tobytes() and not np.isnan(memo).any()
 
 
+def _fresh_accuracies(clients, variant):
+    """Every client's accuracy on a deep copy of clients whose memo is cleared: each
+    one evaluated from its population's rows, in a workspace of the copy's own."""
+    twins = copy.deepcopy(clients)
+    twins[0].population.accuracy.clear()
+    return federation._accuracies(twins, variant)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_a_round_gathers_once_and_a_repeated_cohort_is_planned_once(monkeypatch, mode):
+    # Counts: every quickstart round trains all ten clients, so evaluation
+    # predicts them where training left them, without a second gather, and
+    # the cohort's schedule (_steps) is built in the first round only.
+    cfg, server, clients = _equal_shards(with_server=True)
+    cfg = dataclasses.replace(cfg, mode=mode, rounds=3)
+    gathers, schedules = [], []
+    gather, steps = federation._Workspace.gather, federation._steps
+    monkeypatch.setattr(
+        federation._Workspace, "gather", lambda *args: gathers.append(args) or gather(*args))
+    monkeypatch.setattr(federation, "_steps", lambda *args: schedules.append(args) or steps(*args))
+    reports = run_rounds(server, clients, cfg)
+    assert len(gathers) == 3 and len(schedules) == 1
+    variant = InferenceVariant.SINGLE_LARGE if mode is Mode.STANDALONE else cfg.inference
+    assert reports[-1].per_client_accuracy == _fresh_accuracies(clients, variant)
+
+
+@pytest.mark.parametrize("write", ["assignment", "in place"])
+@pytest.mark.parametrize("field", ["global_copy", "local_model", "projector"])
+def test_a_cohort_written_after_its_scatter_is_evaluated_from_the_new_rows(write, field):
+    # After cohort_update the workspace holds the cohort's rows.  A write into
+    # every one of them leaves the stale clients exactly the cohort, so only
+    # the write's forgetting that record keeps evaluation off the old rows.
+    cfg, clients = _equal_shards()
+    cohort_update(clients, 1, 8, cfg.lrs, Mode.FEDMRL, LossWeights())
+    for client in clients:
+        model = getattr(client, field) if write == "in place" else getattr(client, field).clone()
+        for array in model._segments():
+            array *= -1.0
+        if write == "assignment":
+            setattr(client, field, model)
+    if write == "in place":
+        clients[0].population.wrote([c.client_id for c in clients])
+    for variant in InferenceVariant:
+        assert federation._accuracies(clients, variant) == _fresh_accuracies(clients, variant)
+
+
+def test_a_failed_cohort_is_evaluated_from_the_population_rows():
+    # A cohort of one trains, so the workspace holds its rows; the same cohort
+    # then diverges, which leaves non-finite half-trained rows in the
+    # workspace and the client stale.  Its evaluation must gather it again.
+    cfg, dataset, plan = small_setup()
+    _, clients = build_clients(cfg, dataset, plan)
+    for variant in InferenceVariant:
+        federation._accuracies(clients, variant)
+    client = clients[2]
+    cohort_update([client], 1, 8, cfg.lrs, Mode.FEDMRL, LossWeights())
+    client.train_x = 1e3 * client.train_x
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match="^client 2: "):
+        cohort_update([client], 1, 8, LearningRates(0.0, 1e308, 0.0), Mode.FEDMRL, LossWeights())
+    for variant in InferenceVariant:
+        assert federation._accuracies(clients, variant) == _fresh_accuracies(clients, variant)
+
+
+def test_one_client_of_a_trained_cohort_is_evaluated_like_a_fresh_copy():
+    # metrics.evaluate of one client is a subset of the cohort the workspace
+    # holds; it and the whole cohort after it evaluate as a fresh copy does.
+    cfg, clients = _equal_shards()
+    cohort_update(clients, 1, 8, cfg.lrs, Mode.FEDMRL, LossWeights())
+    twins = copy.deepcopy(clients)
+    for variant in InferenceVariant:
+        assert evaluate(clients[3], variant) == evaluate(twins[3], variant)
+        assert federation._accuracies(clients, variant) == _fresh_accuracies(clients, variant)
+
+
+@pytest.mark.parametrize("variant", list(InferenceVariant))
+def test_a_standalone_cohort_is_gathered_again_for_a_variant_that_reads_the_shared_model(
+    variant
+):
+    # A standalone gather holds no shared or projector rows, so only
+    # single_large may predict where standalone training left the cohort.
+    cfg, clients = _equal_shards()
+    cohort_update(clients, 1, 8, cfg.lrs, Mode.STANDALONE, LossWeights())
+    assert federation._accuracies(clients, variant) == _fresh_accuracies(clients, variant)
+
+
 # Recorded before the training step dropped its per-matmul checks, on
 # numpy 2.4.6 with OpenBLAS 0.3.31: a speed-up that changes a single bit of
 # the training arithmetic fails here rather than only in a benchmark.  The
@@ -1675,14 +1760,18 @@ def test_a_planned_step_builds_no_model_object(mode):
 @pytest.mark.parametrize("label", [-1, 4])
 def test_a_cohort_rejects_labels_out_of_range_before_its_steps(label):
     # The steps read labels unchecked (a -1 would silently pick the last
-    # class), so the cohort checks every client's labels once, up front.
+    # class), so the cohort checks every client's labels once, up front, and
+    # names the lowest-id client whose labels are out of range, in a stack
+    # and alone.
     cfg, dataset, plan = small_setup(n_clients=3)
     _, clients = build_clients(cfg, dataset, plan)
     before = [[a.copy() for a in _client_arrays(c)] for c in clients]
-    clients[1].train_y = clients[1].train_y.copy()
-    clients[1].train_y[0] = label
-    with pytest.raises(ValueError, match=r"^labels must lie in \[0, 4\)$"):
-        cohort_update(clients, 1, 8, cfg.lrs, Mode.FEDMRL, LossWeights())
+    for ident in (2, 1):
+        clients[ident].train_y = clients[ident].train_y.copy()
+        clients[ident].train_y[-ident] = label
+    for members, ident in ((clients, 1), (clients[::-1], 1), (clients[2:], 2)):
+        with pytest.raises(ValueError, match=rf"^client {ident} has labels outside \[0, 4\)$"):
+            cohort_update(members, 1, 8, cfg.lrs, Mode.FEDMRL, LossWeights())
     for client, arrays in zip(clients, before):
         assert _same_arrays(_client_arrays(client), arrays)
 
@@ -1806,6 +1895,9 @@ def test_a_many_dirichlet_run_builds_each_plan_once():
         return builds
 
     builds = run(server)
+    # The workspace keeps the last cohort only: ten clients, and what training built on them.
+    memo = clients[0].population._workspace.memo
+    assert sorted(memo) == ["cohort", "gather", "train"] and len(memo["cohort"][0]) == 10
     assert builds and {caller for caller, _ in builds} == {"_Workspace.plan"}
     keys = [key for _, key in builds]
     assert len(set(keys)) == len(keys)

@@ -1,4 +1,5 @@
-"""The cohort's local update against the reference oracle (reference.py)."""
+"""The cohort's local update and every round's accuracies against the reference
+oracle (reference.py)."""
 
 import copy
 
@@ -6,13 +7,13 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fedmrl.core import Mode
+from fedmrl.core import InferenceVariant, Mode
 from fedmrl.data import DirichletSpec, PartitionError, gen_synthetic, partition_dirichlet
 from fedmrl.data import split_train_test
-from fedmrl.federation import RunConfig, build_clients, cohort_update
+from fedmrl.federation import RunConfig, build_clients, cohort_update, run_rounds
 from fedmrl.numerics import make_rng
 
-from reference import padded_models, train_alone
+from reference import accuracy_alone, padded_models, train_alone
 
 
 def _rows(client):
@@ -94,3 +95,51 @@ def test_a_cohort_trains_each_client_as_the_reference_oracle(
     for client, twin in zip(clients, twins):
         assert _same(_rows(client), _rows(twin))
         assert client.rng.bit_generator.state == twin.rng.bit_generator.state
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_clients=st.integers(2, 8),
+    alpha=st.sampled_from([0.3, 1.0, 10.0]),
+    data_seed=st.integers(0, 50),
+    batch_size=st.integers(1, 9),
+    widths=st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9)),
+    more=st.lists(st.lists(st.integers(1, 9), min_size=1, max_size=2).map(tuple), max_size=2),
+    mode=st.sampled_from(list(Mode)),
+    variant=st.sampled_from(list(InferenceVariant)),
+    participation=st.sampled_from([0.3, 0.6, 1.0]),
+    rounds=st.integers(1, 3),
+    cuts=st.lists(st.integers(1, 12), min_size=8, max_size=8),
+)
+def test_every_round_reports_each_clients_accuracy_on_its_own_test_set(
+    n_clients, alpha, data_seed, batch_size, widths, more, mode, variant, participation, rounds,
+    cuts,
+):
+    # Ragged Dirichlet shards with test sets of unequal sizes, cut so that
+    # they do not sort as the training sets do, private extractors of two
+    # depths, every mode and inference variant, and
+    # participation below and at 1, over 1-3 rounds of one run_rounds call
+    # each (the memo and the workspace carry over): after every round, each
+    # client's reported accuracy is the oracle's on its unpadded test set and
+    # its current models, bit for bit, whether the client was evaluated in
+    # the workspace where it trained, gathered again, or not at all.
+    dataset = gen_synthetic(4, 5, 25, 0.8, make_rng(data_seed))
+    try:
+        plan = split_train_test(
+            partition_dirichlet(dataset, n_clients, DirichletSpec(alpha=alpha, seed=data_seed))
+        )
+    except PartitionError:
+        assume(False)
+    cfg = RunConfig(
+        n_clients=n_clients, rounds=1, d1=3, d2=6, mode=mode, seed=data_seed,
+        participation=participation, batch_size=batch_size, inference=variant,
+        global_hidden=(6,), local_hidden=((widths[0],), widths[1:], *more),
+    )
+    served = InferenceVariant.SINGLE_LARGE if mode is Mode.STANDALONE else variant
+    server, clients = build_clients(cfg, dataset, plan)
+    for client, cut in zip(clients, cuts):
+        client.test_x, client.test_y = client.test_x[:cut], client.test_y[:cut]
+    for _ in range(rounds):
+        (report,) = run_rounds(server, clients, cfg)
+        assert report.per_client_accuracy == tuple(
+            accuracy_alone(padded_models(c), c.test_x, c.test_y, served) for c in clients)
