@@ -24,26 +24,37 @@ Every step runs on a plan (_Plan): plain lists over one stack of
 clients.  A plan reads its layers through models' slicer (_sliced), the
 one an extractor's own layers come from: views of flat parameter vectors
 cut by their layouts' spans.  A plan holds each layer's weight, bias,
-their gradients and ReLU flag, both headers, the projector, and each
-parameter group's (theta, gradient) vector pairs.  _train walks it: the
-forward, the hand-derived backward, which writes every gradient with
-np.matmul and sum (out=), and SGD in place, theta -= lr * grad, with one
-isfinite per stepped vector.  It builds no model object and checks
-nothing but the learning rates and finiteness.  _predict runs the same
-forward on a plan and reads the logits of an inference variant.
+their gradients and ReLU flag, both headers, the projector, and the flat
+ranges its step trains.  _train walks it: the forward, the hand-derived
+backward, which writes every gradient with np.matmul and np.add.reduce
+(out=), and SGD in place, theta -= lr * grad, over each range, with one
+isfinite per range.  It builds no model object and checks nothing but
+the learning rates and finiteness.  _predict runs the same forward on a
+plan and reads the logits of an inference variant.
+
+The parameters a step moves lie in one flat (2, total) array, rows then
+their gradient scratch (_carve), in one order: the private extractor (in
+a cohort, one block per depth), the private header, the projector, the
+shared extractor and the shared header.  Each group (local, projector,
+global) is then one range of it, and the trained set is a prefix of the
+order: the private model alone in standalone training, all but the
+shared header when that header is out of the graph, else all.  A plan's
+ranges are the trained buffers' rows a to b, merged where they touch,
+so a step whose slots fill the buffers is one range.
 
 One builder, _plan, makes every plan, for one client and for a stack:
 from (shared, private, projector) models and their gradient models, each
 over one client's vectors or over a stack's rows (models hold leading
-client axes).  It alone decides which (theta, gradient) pairs each group
-steps.  The public functions take one client's models and 2-D batches:
-they check their inputs, build a plan over the models they are given and
-run that same code; train_step and train_step_single step clones, so
-they are pure.  Plans, not the public functions, run stacks of clients:
-the cohort workspace (see federation) builds, with _plan, and caches the
-plan of each run of slots of one depth, over models that view row ranges
-of its buffers, for training and evaluation.  The tape, what the backward
-reads from the forward, never leaves the step that made it.
+client axes), and from the flat ranges a step trains.  The public
+functions take one client's models and 2-D batches: they check their
+inputs, build a plan over the models they are given and run that same
+code; train_step and train_step_single step clones laid out as a cohort
+of one (_laid_out), so they are pure.  Plans, not the public functions,
+run stacks of clients: the cohort workspace (see federation) builds, with
+_plan, and caches the plan of each run of slots of one depth, over models
+that view row ranges of its buffers, for training and evaluation.  The
+tape, what the backward reads from the forward, never leaves the step
+that made it.
 
 Each public function checks its inputs once.  The products inside run as
 bare ``@`` on C-order operands, a transposed weight or a column slice of
@@ -51,10 +62,10 @@ the fused row being copied first: OpenBLAS rounds a product with a
 transposed view differently, and the copy keeps every result
 bit-identical to the product of C-order matrices.  A weight gradient,
 d.T @ x, reads the transposed view of d, which gives the same bits.
-Finiteness is checked once per step: a non-finite loss, a stepped group
-(global, local, projector) holding a NaN or an infinity, or in _predict
-non-finite logits, each raise a TrainingDiverged naming the check and,
-for a group, the group.
+Finiteness is checked once per step: a non-finite loss, a stepped range
+holding a NaN or an infinity, or in _predict non-finite logits, each
+raise a TrainingDiverged naming the check and, for a range, the first of
+the groups global, local and projector that is not finite.
 
 A cohort's plan runs its clients as one stack: rows (C, ...) of every
 vector, one private extractor layout (the workspace pads the
@@ -254,9 +265,9 @@ def _mean(losses: np.ndarray, pad=None) -> np.ndarray:
     In a padded step, pad = (rows, real), each client's real row count and which of
     its rows are real: the sum of its losses, the padded rows' masked to 0, over rows."""
     if pad is None:
-        return losses.sum(axis=-1) / losses.shape[-1]
+        return np.add.reduce(losses, axis=-1) / losses.shape[-1]
     rows, real = pad
-    return (losses * real).sum(axis=-1) / rows
+    return np.add.reduce(losses * real, axis=-1) / rows
 
 
 def _scaled(dlogits: np.ndarray, weight: float | None, pad) -> np.ndarray:
@@ -288,9 +299,9 @@ class TrainingDiverged(NonFiniteError):
 
 
 def _finite_loss(loss: float | np.ndarray) -> float | np.ndarray:
-    bad = np.asarray(loss)[~np.isfinite(loss)]
-    if bad.size:
-        raise TrainingDiverged(f"non-finite loss ({float(bad[0])})")
+    finite = np.isfinite(loss)
+    if not np.logical_and.reduce(finite, axis=None):
+        raise TrainingDiverged(f"non-finite loss ({float(np.asarray(loss)[~finite][0])})")
     return loss
 
 
@@ -302,19 +313,19 @@ class _Plan:
     hold each extractor layer's (weight, bias, weight gradient, bias
     gradient, relu), and head and projector are (weight, gradient).
     shared and projector are None to train the private model alone.
-    groups holds the (theta, gradient) pairs of the global, local and
-    projector groups, their models' vectors (_segments), None for a group
-    that is not trained; the global group's last pair is its header, which
-    a frozen no-MRL step skips.  Every array is a view of the vectors the
-    plan was built on, and every gradient is None in a plan that only
-    infers.  _plan builds every plan, of one client's models or of a
-    stack's.
+    ranges[frozen] lists the flat ranges a step trains, frozen True when
+    the global header is out of the graph: each (theta, gradient, parts),
+    views of one range of the rows and of their gradient scratch, and parts
+    its (group, theta, gradient) views per group: 0 global, 1 local, 2 projector.
+    Every array is a view of the vectors the plan was built on; every
+    gradient is None, and ranges are empty, in a plan that only infers.
+    _plan builds every plan, of one client's models or of a stack's.
     """
 
     private: tuple
     shared: tuple | None
     projector: tuple | None
-    groups: tuple
+    ranges: tuple
 
 
 def _model(model: Net, grads: Net | None) -> tuple:
@@ -327,14 +338,62 @@ def _model(model: Net, grads: Net | None) -> tuple:
     return layers, (model.header.weight, grads and grads.header.weight)
 
 
-def _plan(models: tuple, grads: tuple = (None, None, None)) -> _Plan:
+def _plan(models: tuple, grads: tuple = (None, None, None), flat=None, spans=()) -> _Plan:
     """The plan of (shared, private, projector) models, the first and last None
     to train the private model alone, with gradient views of grads, models of
     the same layouts (None to infer only).  The models hold one client, or
-    a stack of clients in leading axes."""
+    a stack of clients in leading axes.  A plan that steps takes flat, the
+    (2, total) array whose rows 0 and 1 the models and grads view, and spans,
+    the (start, stop, group) of each range of it that a step trains, in flat
+    order, the shared header's last (see _carve)."""
     (g, f, p), (dg, df, dp) = models, grads
-    groups = tuple(d and list(zip(m._segments(), d._segments())) for m, d in zip(models, grads))
-    return _Plan(_model(f, df), g and _model(g, dg), p and (p.weight, dp and dp.weight), groups)
+    ranges = _ranges(flat, spans), _ranges(flat, spans[:-1] if g is not None else spans)
+    return _Plan(_model(f, df), g and _model(g, dg), p and (p.weight, dp and dp.weight), ranges)
+
+
+def _ranges(flat, spans) -> list[tuple]:
+    """The ranges of flat that spans cover, spans that touch merged: each range's
+    (theta, gradient, parts), parts the (group, theta, gradient) of each run of
+    touching spans of one group."""
+    ranges: list[list] = []
+    for start, stop, group in spans:
+        if not ranges or ranges[-1][-1][1] != start:
+            ranges.append([])
+        if ranges[-1] and ranges[-1][-1][2] == group:
+            ranges[-1][-1][1] = stop
+        else:
+            ranges[-1].append([start, stop, group])
+    return [(flat[0, r[0][0] : r[-1][1]], flat[1, r[0][0] : r[-1][1]],
+             [(group, flat[0, a:b], flat[1, a:b]) for a, b, group in r]) for r in ranges]
+
+
+def _carve(widths: list[int], room: int) -> tuple[np.ndarray, list[np.ndarray], list[int]]:
+    """One flat (2, total) array, rows and then their gradient scratch, carved in turn
+    into a (2, room, width) buffer per width, and each buffer's start in it, then
+    the total: rows a to b of a buffer are the flat range start + a * width to
+    start + b * width."""
+    starts = [room * start for start in np.cumsum([0, *widths]).tolist()]
+    flat = np.zeros((2, starts[-1]))
+    return flat, [flat[:, a:b].reshape(2, room, -1) for a, b in zip(starts, starts[1:])], starts
+
+
+def _laid_out(models: tuple) -> tuple[tuple, _Plan]:
+    """Clones of (shared, private, projector) models, the first and last None for the
+    private model alone, and the plan that steps them: laid out as the workspace
+    lays out a cohort of one (see federation), the private extractor, its header,
+    the projector, the shared extractor and its header, so a step trains one range."""
+    g, f, p = models
+    parts = [f.extractor, f.header, *([] if g is None else [p, g.extractor, g.header])]
+    flat, buffers, starts = _carve([m.param_count() for m in parts], 1)
+    for model, buffer in zip(parts, buffers):
+        buffer[0, 0] = model._segments()[0]
+
+    def over(k: int) -> tuple:  # models over the rows (k = 0) or their gradient scratch
+        fe, fh, *rest = (buffer[k, 0] for buffer in buffers)
+        return g and g._over(rest[1:]), f._over((fe, fh)), p and p._over(rest[:1])
+
+    clones = over(0)
+    return clones, _plan(clones, over(1), flat, list(zip(starts, starts[1:], (1, 1, 2, 0, 0))))
 
 
 def _extract(layers, x, tape: list) -> np.ndarray:
@@ -361,7 +420,7 @@ def _backward(layers, tape, d_rep) -> None:
             delta = delta * (tape[2 * i + 1] > 0.0)
         np.matmul(delta.swapaxes(-1, -2), tape[2 * i], out=d_weight)
         if d_bias is not None:
-            delta.sum(axis=-2, keepdims=True, out=d_bias)
+            np.add.reduce(delta, axis=-2, keepdims=True, out=d_bias)
 
 
 def _read(plan: _Plan, x, tape_g: list, tape_f: list) -> tuple:
@@ -383,15 +442,16 @@ def _loss(plan: _Plan, x, y, weights: LossWeights | None, rows=None):
     others are masked to 0, and each client's loss is the sum over rows."""
     tape_g, tape_f, low, dlogits_g, loss_global = [], [], None, None, None
     pad = None if rows is None else (rows, np.arange(y.shape[-1]) < rows[:, None])
+    index = np.arange(y.size) * plan.private[1][0].shape[-2] + y.reshape(-1)  # labels, flat
     spliced, read = _read(plan, x, tape_g, tape_f)
-    losses, dlogits_f = _cross_entropy(read @ _transposed(plan.private[1][0]), y)
+    losses, dlogits_f = _cross_entropy(read @ _transposed(plan.private[1][0]), index)
     total = loss_local = _value(_mean(losses, pad))
     if spliced is not None:
         total = weights.local_head * loss_local
         if weights.global_head:
             head = plan.shared[1][0]
             low = np.ascontiguousarray(read[..., : head.shape[-1]])  # the d1 prefix, C order
-            losses, dlogits_g = _cross_entropy(low @ _transposed(head), y)
+            losses, dlogits_g = _cross_entropy(low @ _transposed(head), index)
             loss_global = _value(_mean(losses, pad))
             total = weights.global_head * loss_global + total
     tape = (spliced, read, low, tape_g, tape_f, dlogits_g, dlogits_f, pad)
@@ -428,19 +488,25 @@ def _backprop(plan: _Plan, weights: LossWeights | None, tape) -> None:
 
 
 def _descend(plan: _Plan, lrs: LearningRates, frozen: bool) -> None:
-    """One SGD step in place on every trained group, theta -= lr * gradient, each
-    vector then checked (a TrainingDiverged names the group).  A frozen global
-    header, out of the graph, is neither stepped nor checked: x - lr * 0 is x."""
-    rates = (lrs.global_model, lrs.local_model, lrs.projector)
-    for group, lr, pairs in zip(("global", "local", "projector"), rates, plan.groups):
-        if pairs is None:
-            continue
-        _check_lr(lr)
-        for theta, grad in pairs[:-1] if frozen and group == "global" else pairs:
-            np.multiply(grad, lr, out=grad)
-            np.subtract(theta, grad, out=theta)
-            if not np.isfinite(theta).all():
-                raise TrainingDiverged(f"non-finite {group} parameters after the step", group)
+    """One SGD step in place on each flat range the plan trains, theta -= lr *
+    gradient: one multiply (one per group in it when the rates differ) and one
+    subtract.  Then each range is checked once, and if one is not finite a
+    TrainingDiverged names the first of global, local and projector that is not.
+    A frozen global header, out of the graph, lies outside the ranges
+    (plan.ranges[True]), so it is neither stepped nor checked: x - lr * 0 is x."""
+    rates = lrs.global_model, lrs.local_model, lrs.projector
+    ranges, same = plan.ranges[frozen], rates[0] == rates[1] == rates[2]
+    for theta, grad, parts in ranges:
+        for group, _, piece in ((0, None, grad),) if same else parts:
+            _check_lr(rates[group])
+            np.multiply(piece, rates[group], out=piece)
+        np.subtract(theta, grad, out=theta)
+    for theta, _, _ in ranges:
+        if not np.logical_and.reduce(np.isfinite(theta)):
+            bad = min(group for _, _, parts in ranges for group, part, _ in parts
+                      if not np.isfinite(part).all())
+            group = ("global", "local", "projector")[bad]
+            raise TrainingDiverged(f"non-finite {group} parameters after the step", group)
 
 
 def _train(plan: _Plan, x, y, weights: LossWeights | None, lrs: LearningRates, rows=None):
@@ -527,8 +593,8 @@ def train_step(
     """
     models = (global_model, local_model, projector)
     x, y = _inputs(models, x, labels)
-    stepped = tuple(m.clone() for m in models)
-    total, parts = _train(_plan(stepped, tuple(m._zeros() for m in models)), x, y, weights, lrs)
+    stepped, plan = _laid_out(models)
+    total, parts = _train(plan, x, y, weights, lrs)
     return total, parts, stepped
 
 
@@ -544,8 +610,7 @@ def train_step_single(model: Net, x: np.ndarray, labels: np.ndarray, lr: float):
     steps only the private model.
     """
     x, y = _inputs((None, model, None), x, labels)
-    stepped = model.clone()
-    plan = _plan((None, stepped, None), (None, model._zeros(), None))
+    (_, stepped, _), plan = _laid_out((None, model, None))
     total, _ = _train(plan, x, y, None, LearningRates.uniform(lr))
     return total, stepped
 
@@ -589,7 +654,7 @@ def _predict(plan: _Plan, x, variant: InferenceVariant) -> np.ndarray:
             head = plan.shared[1][0]
             read = np.ascontiguousarray(read[..., : head.shape[-1]])
     logits = read @ _transposed(head)
-    if not np.isfinite(logits).all():
+    if not np.logical_and.reduce(np.isfinite(logits), axis=None):
         raise TrainingDiverged("non-finite logits")
     return np.argmax(logits, axis=-1)
 

@@ -46,12 +46,18 @@ stack that fused every depth.
 A step writes the gathered rows in place, and cohort_update scatters
 them back once every client has trained.  The workspace serves all the
 population's cohorts: buffers with room for the largest cohort so far,
-and the plan of each run of slots, kept while the buffers are.  It also
-keeps what it built for the last cohort (memo): the gather's index maps,
-the epoch's schedule of steps, the batch arrays and the loss ledger, so
-a cohort that repeats (every round, at full participation) gathers and
-trains on them again, and only the row copies and the steps run.  Uploads
-view a copy of the trained shared rows.  A step writes its losses into
+carved from one flat array (core._carve) in the order each depth's
+block, the private headers, the projectors, the shared extractors and
+the shared headers, and the plan of each run of slots, kept while the
+buffers are.  Each parameter group is one range of the flat array, and
+the rows a step trains are one range per trained buffer, merged where
+they touch: a step whose slots fill the room moves and checks them as
+one range (core._descend).  It also keeps what it built for the last
+cohort (memo): the gather's index maps, the epoch's schedule of steps,
+the batch arrays and the loss ledger, so a cohort that repeats (every
+round, at full participation) gathers and trains on them again, and only
+the row copies and the steps run.  Uploads view one concatenation of the
+trained shared extractor and header rows.  A step writes its losses into
 the epoch's loss ledger, one (clients, batches) array, and each client's
 epoch mean is one reduction of its row.  Each client draws its epoch
 permutations from its own rng, the width padding depends on the
@@ -124,7 +130,7 @@ from dataclasses import astuple, dataclass, field
 import numpy as np
 
 from .core import InferenceVariant, LearningRates, LossWeights, Mode, Projector, TrainingDiverged
-from .core import _mean, _plan, _predict, _train, init_projector
+from .core import _carve, _mean, _plan, _predict, _train, init_projector
 from .data import LabeledDataset, PartitionPlan
 from .metrics import RoundReport, comm_cost_round, forward_flops_per_sample
 from .models import Extractor, ModelConfig, Net, _length, _padded, _positions, _signature, _view
@@ -453,13 +459,14 @@ def cohort_update(
     population = _population(clients)
     workspace = population._room()
     slots, epoch_means = _replayed(lambda members: workspace.train(
-        population, members, epochs, batch_size, mode, lrs, weights), clients)
+        population, members, epochs, batch_size, mode, lrs, weights), clients,
+        [c.rng.bit_generator.state for c in clients])
     workspace.scatter(population)
 
     # Uploads view one copy of the trained shared rows: no client's rows,
     # and not the workspace's, which the next cohort gathers into.
     shared = workspace.shared
-    shared = None if shared is None else shared.copy()
+    shared = None if shared is None else np.concatenate(shared, axis=1)
     means, results = epoch_means.tolist(), {}
     for slot, client in enumerate(slots):
         upload = None
@@ -470,21 +477,20 @@ def cohort_update(
     return [results[ident] for ident in ids]
 
 
-def _replayed(run, clients: list[ClientState]):
+def _replayed(run, clients: list[ClientState], states=()):
     """run(clients), a stack of them in the workspace; if it fails, the error that
     running each client alone, in ascending id order, raises first.
 
     A failed stack of several clients (TrainingDiverged or ValueError)
-    restores the rng states they started with (evaluation draws nothing,
-    so there this changes nothing) and runs each client alone, in the
-    workspace, until one fails; a client's lone run restores nothing.  If
+    restores the rng states they started with, states (training passes
+    them; evaluation draws nothing and passes none), and runs each client
+    alone, in the workspace, until one fails; a lone run restores nothing.  If
     every client alone succeeds, the stack's own error is raised again as
     it is, each rng where the client's lone run left it.  A failed stack of
     one is that client's failure: a TrainingDiverged is raised again naming
     it, a ValueError as it is.  No run scatters, so no population row
     changes, and every rng ends where a sequential pass leaves it.
     """
-    states = [c.rng.bit_generator.state for c in clients]
     try:
         return run(clients)
     except (TrainingDiverged, ValueError) as exc:
@@ -515,28 +521,34 @@ class _Workspace:
     (models._positions).  layouts holds the population's shared and
     projector layouts.
 
-    buffers maps each depth to its block, and "headers", "shared" and
-    "projectors" to the other buffers: each a (2, rows, width) array of
-    rows and their gradient scratch, with room for the largest cohort so
-    far.  Every buffer is slot-indexed: slot i's private rows sit at row i
-    of its depth's block.  A cohort gathers into the first rows; a larger
-    one regrows every buffer and drops every plan.  plans maps (a, b,
-    depth, standalone) to the plan of slots a to b, which share that depth,
-    for training both models or the private one alone: core._plan of the
-    layouts' models over rows a to b and of their gradient models over the
-    rows' scratch.
+    flat is one (2, total) array of rows and their gradient scratch, with
+    room for the largest cohort so far, which core._carve cuts into the
+    buffers in this order: buffers maps each depth to its block, then
+    "headers", "projectors", "shared extractor" and "shared header" to the
+    other buffers, each a (2, room, width) view of one range of flat.
+    starts maps each buffer to its (start in flat, width).  Every buffer is
+    slot-indexed: slot i's private rows sit at row i of its depth's block.
+    A cohort gathers into the first rows; a larger one regrows flat and
+    drops every plan.  plans maps (a, b, depth, standalone) to the plan of
+    slots a to b, which share that depth, for training both models or the
+    private one alone: core._plan of the layouts' models over rows a to b
+    and of their gradient models over the rows' scratch, which steps rows a
+    to b of the buffers it trains, the private block and header, then
+    outside standalone the projector and the shared model, last its header.
     After a gather, rows is the client id of each slot, depths the depth
     of each slot, standalone whether the private models train alone,
     copies lists (population buffer, its rows of the gathered
     clients, the workspace's rows, where in them they sit) per gathered
-    buffer and architecture, and shared views the shared rows (None for
-    standalone training).  Its rows equal the population's from a gather to the
-    first step, and again from a scatter to the next write: synced records
-    the second, set by scatter and cleared by gather and Population.wrote,
-    so that evaluation can predict the cohort in place.  A failed
-    check raises at once and leaves the rows half-trained; the next gather
-    writes over them, so a gather copies every row even of the cohort it
-    gathered last.  memo holds what was built for that last cohort only:
+    buffer and architecture, and shared views the shared extractor and
+    header rows (None for standalone training).  Its rows equal the
+    population's from a gather to the first step, and again from a scatter
+    to the next write: synced records the second, set by scatter and
+    cleared by gather and Population.wrote, so that evaluation can predict
+    the cohort in place.  A failed check raises at once and leaves the rows
+    half-trained; the next gather writes over them, so a gather copies
+    every row even of the cohort it gathered last.  Rows beyond a cohort
+    stay as an earlier one left them: no step touches or checks a row
+    outside its slots.  memo holds what was built for that last cohort only:
     "cohort" its (ids, standalone), "gather" its (rows, depths, copies)
     and, once trained, "train" its ((sizes, batch_size), batch arrays x
     and y, ledger, steps, groups); a regrow drops it with the plans.  It
@@ -561,15 +573,20 @@ class _Workspace:
 
     def gather(self, population: Population, ids: tuple[int, ...], standalone: bool) -> None:
         """Copy the rows of clients ids, in slot order, into the first rows: one copy per
-        slot-indexed buffer, and one per architecture into its depth's block, whose
-        first rows are zeroed first.  The index maps are built again only for
-        another cohort than the last (memo)."""
+        slot-indexed buffer (a shared row goes into the two shared buffers), and one
+        per architecture into its depth's block, every block zeroed first.  The index
+        maps are built again only for another cohort than the last (memo)."""
         n, place = len(ids), population.place
         if n > self.size:
-            self.buffers = {depth: np.zeros((2, n, net.extractor._flat.size))
-                            for depth, net in enumerate(self.nets)}
-            self.buffers.update((key, np.zeros((2, n, getattr(population, key).shape[1])))
-                                for key in ("headers", "shared", "projectors"))
+            shared = population.shared_layout
+            widths = {**{depth: net.extractor._flat.size for depth, net in enumerate(self.nets)},
+                      "headers": population.headers.shape[1],
+                      "projectors": population.projectors.shape[1],
+                      "shared extractor": shared.extractor._flat.size,
+                      "shared header": shared.header.weight.size}
+            self.flat, buffers, starts = _carve(list(widths.values()), n)
+            self.buffers = dict(zip(widths, buffers))
+            self.starts = dict(zip(widths, zip(starts, widths.values())))
             self.size, self.plans, self.memo = n, {}, {}
         if self.memo.get("cohort") != (ids, standalone):
             kinds: dict[int, tuple[list[int], list[int]]] = {}
@@ -583,18 +600,21 @@ class _Workspace:
                 # An architecture's rows sit at flat positions of its depth's block.
                 at = np.add.outer(np.array(slots) * block.shape[1], self.maps[kind])
                 copies.append((population.blocks[kind], np.array(ranks), block.reshape(-1), at))
-            names = ("headers",) if standalone else ("headers", "shared", "projectors")
-            copies += [(getattr(population, key), rows, self.buffers[key][0][:n], ...)
-                       for key in names]
+            cut = self.buffers["shared extractor"].shape[2]
+            sources = {"headers": population.headers, "projectors": population.projectors,
+                       "shared extractor": population.shared[:, :cut],
+                       "shared header": population.shared[:, cut:]}
+            copies += [(sources[key], rows, self.buffers[key][0][:n], ...)
+                       for key in (("headers",) if standalone else sources)]
             self.memo = {"cohort": (ids, standalone),
                          "gather": (rows, [self.depth[place[i][0]] for i in ids], copies)}
         self.rows, self.depths, self.copies = self.memo["gather"]
         self.standalone, self.synced = standalone, False
-        for depth in set(self.depths):
-            self.buffers[depth][0][:n] = 0.0
+        self.flat[0, : self.starts["headers"][0]] = 0.0  # every block, the first buffers
         for source, index, rows, at in self.copies:
             rows[at] = source[index]
-        self.shared = None if standalone else self.buffers["shared"][0][:n]
+        self.shared = None if standalone else tuple(
+            self.buffers[key][0][:n] for key in ("shared extractor", "shared header"))
 
     def scatter(self, population: Population) -> None:
         """Write the rows back into the population: the gather's copies, reversed.  The
@@ -607,16 +627,20 @@ class _Workspace:
     def plan(self, a: int, b: int):
         """The plan of slots a to b, which share a depth (core._plan): of the models, and
         their gradients, over rows a to b of that depth's block and of the other buffers,
-        and over their scratch, built the first time it is asked for."""
+        and over their scratch, and of those rows' ranges of flat, built the first time
+        it is asked for."""
         key = a, b, self.depths[a], self.standalone
         plan = self.plans.get(key)
         if plan is None:
-            rows = (self.buffers[n][:, a:b] for n in (key[2], "headers", "shared", "projectors"))
             # Without the shared model and the projector to train the private model alone.
+            names = [key[2], "headers", "projectors", "shared extractor", "shared header"][
+                : 2 if self.standalone else 5]
             (g, p), net = (None, None) if self.standalone else self.layouts, self.nets[key[2]]
-            models = [(g and g._split(s), net._over((f, h)), p and p._split(q))
-                      for f, h, s, q in zip(*rows)]  # the rows, then their scratch
-            plan = self.plans[key] = _plan(*models)
+            models = [(g and g._over(r[3:]), net._over(r[:2]), p and p._over(r[2:3]))
+                      for r in zip(*(self.buffers[name][:, a:b] for name in names))]  # rows, scratch
+            spans = [(start + a * width, start + b * width, group) for name, group
+                     in zip(names, (1, 1, 2, 0, 0)) for start, width in [self.starts[name]]]
+            plan = self.plans[key] = _plan(*models, self.flat, spans)
         return plan
 
     def check(self, population: Population, clients: list[ClientState], split: str,

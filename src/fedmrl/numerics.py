@@ -76,7 +76,8 @@ def batch_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndar
     gives a tiny positive loss, not log(1) = 0.
     """
     m = as_matrix(logits)
-    return _cross_entropy(m, _labels(labels, m.shape[0], m.shape[1]))
+    y = _labels(labels, m.shape[0], m.shape[1])
+    return _cross_entropy(m, np.arange(y.size) * m.shape[1] + y)
 
 
 def _labels(labels, rows: int, n_classes: int) -> np.ndarray:
@@ -89,23 +90,23 @@ def _labels(labels, rows: int, n_classes: int) -> np.ndarray:
     return y
 
 
-def _cross_entropy(m: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """batch_cross_entropy on already-checked logits and labels.
+def _cross_entropy(m: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """batch_cross_entropy on already-checked logits, the labels given as the flat
+    index of each row's label entry (row * L + label).
 
-    m may be a stack of logit matrices and y the matching stack of label
-    rows: every row is its own sample, so the stack is flattened to rows.
-    The gradient reuses the exponentials of the loss.
+    m may be a stack of logit matrices: every row is its own sample, so the
+    stack is flattened to rows, and the losses come back in m's leading
+    shape.  The gradient is the exponentials of the loss, divided in place.
     """
     flat = m.reshape(-1, m.shape[-1])
-    labels = y.reshape(-1)
-    shifted = flat - flat.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    z = e.sum(axis=1, keepdims=True)
-    rows = np.arange(flat.shape[0])
-    losses = np.log(z[:, 0]) - shifted[rows, labels]
-    grads = e / z
-    grads[rows, labels] -= 1.0
-    return losses.reshape(y.shape), grads.reshape(m.shape)
+    shifted = flat - np.maximum.reduce(flat, axis=1, keepdims=True)
+    picked = shifted.take(index)
+    e = np.exp(shifted, out=shifted)
+    z = np.add.reduce(e, axis=1, keepdims=True)
+    losses = np.log(z[:, 0]) - picked
+    grads = np.divide(e, z, out=e)
+    grads.reshape(-1)[index] -= 1.0
+    return losses.reshape(m.shape[:-1]), grads.reshape(m.shape)
 
 
 def _check_lr(lr: float) -> None:

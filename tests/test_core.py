@@ -431,14 +431,24 @@ def test_step_rejects_a_negative_or_non_finite_learning_rate(lr):
         train_step_single(f, x, y, lr)
 
 
-@pytest.mark.parametrize("group", ["global", "local", "projector"])
+# The groups a step's rates drive to infinity, and the group the error names:
+# the first of global, local and projector that is not finite.
+DIVERGING = {"global": ("global",), "local": ("local",), "projector": ("projector",),
+             "local+projector": ("local", "projector"), "global+projector": ("global", "projector"),
+             "all": ("global", "local", "projector")}
+
+
+@pytest.mark.parametrize("group", DIVERGING)
 def test_step_names_the_group_that_is_not_finite(group):
     g, f, p = tiny_models(seed=3)
     x, y = tiny_batch(seed=3, n=8)
     groups = ("global", "local", "projector")
-    lrs = LearningRates(*(1e308 if name == group else 0.0 for name in groups))
-    with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match=f"non-finite {group} "):
+    named = next(name for name in groups if name in DIVERGING[group])
+    lrs = LearningRates(*(1e308 if name in DIVERGING[group] else 0.0 for name in groups))
+    match = f"non-finite {named} "
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match=match) as error:
         train_step(g, f, p, 1e3 * x, y, LossWeights(), lrs)  # large gradients, finite loss
+    assert error.value.group == named
 
 
 def test_single_model_step_and_infer_reject_non_finite_values():

@@ -1357,18 +1357,35 @@ def test_client_update_names_the_client_and_group_of_a_diverging_step():
 
 
 @pytest.mark.parametrize("mode", list(Mode))
-def test_a_clean_cohort_after_a_failed_one_trains_like_a_fresh_population(mode):
+@pytest.mark.parametrize("cohort", ["the same", "a subset"])
+def test_a_clean_cohort_after_a_failed_one_trains_like_a_fresh_population(cohort, mode):
     # The failed cohort leaves half-trained rows in the population's
     # workspace; the next cohort of the same slots must gather them afresh.
+    # A clean subset of a cohort whose step diverged leaves that step's
+    # non-finite rows in the room beyond its own slots, and its steps must
+    # neither touch nor check them.
     cfg, clients = _equal_shards()
     _, fresh = _equal_shards()
     args = (2, 8, cfg.lrs, mode, LossWeights())
     rngs = [copy.deepcopy(c.rng) for c in clients]
-    clean = clients[6].train_x
-    clients[6].train_x = np.full_like(clean, np.nan)
-    with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match="^client 6: "):
-        cohort_update(clients, *args)
-    clients[6].train_x = clean
+    if cohort == "the same":
+        clean = clients[6].train_x
+        clients[6].train_x = np.full_like(clean, np.nan)
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match="^client 6: "):
+            cohort_update(clients, *args)
+        clients[6].train_x = clean
+    else:
+        clean = [c.train_x for c in clients]
+        for client in clients:
+            client.train_x = 1e3 * client.train_x  # large gradients, finite losses
+        diverging = (2, 8, LearningRates.uniform(1e308), mode, LossWeights())
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match="^client 0: "):
+            cohort_update(clients, *diverging)
+        for client, x in zip(clients, clean):
+            client.train_x = x
+        buffers = clients[0].population._workspace.buffers.values()
+        assert not all(np.isfinite(buffer[0][5:]).all() for buffer in buffers)
+        clients, fresh = clients[:5], fresh[:5]
     for client, rng in zip(clients, rngs):
         client.rng = rng
     results, expected = cohort_update(clients, *args), cohort_update(fresh, *args)
@@ -1391,6 +1408,47 @@ def test_uploads_keep_their_values_after_the_next_cohort_of_the_same_clients():
     for (upload, _), arrays in zip(first, kept):
         assert _same_arrays(upload.model.parameter_arrays(), arrays)
     assert not _same_arrays(first[0][0].model.parameter_arrays(), second[0][0].model.parameter_arrays())
+
+
+@pytest.mark.parametrize("mode,weights", [(Mode.NO_MRL, LossWeights()),
+                                          (Mode.FEDMRL, LossWeights(0.0, 1.0))],
+                         ids=["no_mrl", "m_global=0"])
+def test_a_frozen_global_header_is_neither_stepped_nor_checked(mode, weights):
+    # A global header out of the graph lies outside the trained ranges: a NaN
+    # in client 0's copy of it raises nothing, its bytes stay as they were,
+    # and mix_large, which does not read it, predicts finite logits.  The
+    # dual-head loss reads it and fails.
+    cfg, clients = _equal_shards()
+    header = clients[0].global_copy.header.weight
+    header[0, 0] = np.nan
+    clients[0].population.wrote([0])
+    before = header.copy()
+    cohort_update(clients, 1, 8, cfg.lrs, mode, weights)
+    assert header.tobytes() == before.tobytes()
+    assert 0.0 <= evaluate(clients[0], MIX_LARGE) <= 1.0
+    with np.errstate(all="ignore"), pytest.raises(
+        NonFiniteError, match=r"^client 0: non-finite loss \(nan\)"
+    ):
+        cohort_update(clients, 1, 8, cfg.lrs, Mode.FEDMRL, LossWeights())
+
+
+def test_a_standalone_cohort_leaves_every_shared_and_projector_row_untouched():
+    # A standalone step trains the private rows only: the shared and
+    # projector rows and scratch that a fedmrl cohort left in the workspace
+    # stay as they are, and so do the population's.
+    cfg, clients = _equal_shards()
+    cohort_update(clients, 1, 8, cfg.lrs, Mode.FEDMRL, LossWeights())
+    population = clients[0].population
+    buffers = population._workspace.buffers
+    kept = [key for key in buffers if key != "headers" and not isinstance(key, int)]
+
+    def arrays():
+        return [*(buffers[key] for key in kept), population.shared, population.projectors]
+
+    before, headers = [a.copy() for a in arrays()], population.headers.copy()
+    cohort_update(clients, 2, 8, cfg.lrs, Mode.STANDALONE, LossWeights())
+    assert _same_arrays(arrays(), before)
+    assert not np.array_equal(population.headers, headers)
 
 
 def _workspace_arrays(population):
