@@ -33,7 +33,8 @@ the learning rates and finiteness.  _predict runs the same forward on a
 plan and reads the logits of an inference variant.
 
 The parameters a step moves lie in one flat (2, total) array, rows then
-their gradient scratch (_carve), in one order: the private extractor (in
+their gradient scratch (_carve), in one order (_BUFFERS, which also
+gives each buffer's parameter group): the private extractor (in
 a cohort, one block per depth), the private header, the projector, the
 shared extractor and the shared header.  Each group (local, projector,
 global) is then one range of it, and the trained set is a prefix of the
@@ -367,6 +368,26 @@ def _ranges(flat, spans) -> list[tuple]:
              [(group, flat[0, a:b], flat[1, a:b]) for a, b, group in r]) for r in ranges]
 
 
+# The buffers of a step's flat array, in flat order (_carve), each with its parameter
+# group: 0 global, 1 local, 2 projector.  _parts and _views walk models in this order.
+_BUFFERS = {"extractors": 1, "headers": 1, "projectors": 2,
+            "shared extractor": 0, "shared header": 0}
+
+
+def _parts(models: tuple) -> list[np.ndarray]:
+    """The vectors of (shared, private, projector) models, the first and last None for
+    the private model alone, in _BUFFERS order."""
+    g, f, p = models
+    return [*f._segments(), *(() if g is None else (*p._segments(), *g._segments()))]
+
+
+def _views(models: tuple, parts) -> tuple:
+    """(shared, private, projector) models of models' layouts over parts, vectors in
+    _BUFFERS order (the inverse of _parts)."""
+    g, f, p = models
+    return g and g._over(parts[3:]), f._over(parts[:2]), p and p._over(parts[2:3])
+
+
 def _carve(widths: list[int], room: int) -> tuple[np.ndarray, list[np.ndarray], list[int]]:
     """One flat (2, total) array, rows and then their gradient scratch, carved in turn
     into a (2, room, width) buffer per width, and each buffer's start in it, then
@@ -380,20 +401,14 @@ def _carve(widths: list[int], room: int) -> tuple[np.ndarray, list[np.ndarray], 
 def _laid_out(models: tuple) -> tuple[tuple, _Plan]:
     """Clones of (shared, private, projector) models, the first and last None for the
     private model alone, and the plan that steps them: laid out as the workspace
-    lays out a cohort of one (see federation), the private extractor, its header,
-    the projector, the shared extractor and its header, so a step trains one range."""
-    g, f, p = models
-    parts = [f.extractor, f.header, *([] if g is None else [p, g.extractor, g.header])]
-    flat, buffers, starts = _carve([m.param_count() for m in parts], 1)
-    for model, buffer in zip(parts, buffers):
-        buffer[0, 0] = model._segments()[0]
-
-    def over(k: int) -> tuple:  # models over the rows (k = 0) or their gradient scratch
-        fe, fh, *rest = (buffer[k, 0] for buffer in buffers)
-        return g and g._over(rest[1:]), f._over((fe, fh)), p and p._over(rest[:1])
-
-    clones = over(0)
-    return clones, _plan(clones, over(1), flat, list(zip(starts, starts[1:], (1, 1, 2, 0, 0))))
+    lays out a cohort of one (see federation), in _BUFFERS order, so a step trains
+    one range."""
+    parts = _parts(models)
+    flat, buffers, starts = _carve([part.size for part in parts], 1)
+    for part, buffer in zip(parts, buffers):
+        buffer[0, 0] = part
+    clones, grads = (_views(models, [buffer[k, 0] for buffer in buffers]) for k in (0, 1))
+    return clones, _plan(clones, grads, flat, list(zip(starts, starts[1:], _BUFFERS.values())))
 
 
 def _extract(layers, x, tape: list) -> np.ndarray:

@@ -46,17 +46,20 @@ stack that fused every depth.
 A step writes the gathered rows in place, and cohort_update scatters
 them back once every client has trained.  The workspace serves all the
 population's cohorts: buffers with room for the largest cohort so far,
-carved from one flat array (core._carve) in the order each depth's
-block, the private headers, the projectors, the shared extractors and
-the shared headers, and the plan of each run of slots, kept while the
-buffers are.  Each parameter group is one range of the flat array, and
-the rows a step trains are one range per trained buffer, merged where
-they touch: a step whose slots fill the room moves and checks them as
-one range (core._descend).  It also keeps what it built for the last
+carved from one flat array (core._carve) in core._BUFFERS order: each
+depth's block, the private headers, the projectors, the shared
+extractors and the shared headers, and the plan of each run of slots,
+kept while the buffers are.  Each parameter group is one range of the
+flat array, and the rows a step trains are one range per trained
+buffer, merged where they touch: a step whose slots fill the room moves
+and checks them as one range (core._descend).  It also keeps what it built for the last
 cohort (memo): the gather's index maps, the epoch's schedule of steps,
 the batch arrays and the loss ledger, so a cohort that repeats (every
 round, at full participation) gathers and trains on them again, and only
-the row copies and the steps run.  Uploads view one concatenation of the
+the row copies and the steps run.  A gather copies every buffer in every
+mode, and nothing at all when the rows already hold the cohort as the
+population has them (_Workspace.synced): a standalone run, which nothing
+else writes, copies its rows once.  Uploads view one concatenation of the
 trained shared extractor and header rows.  A step writes its losses into
 the epoch's loss ledger, one (clients, batches) array, and each client's
 epoch mean is one reduction of its row.  Each client draws its epoch
@@ -97,20 +100,19 @@ Population.wrote(ids) is the one place that forgets the accuracies of
 clients whose rows were written; broadcast, the cohort's scatter and
 assignment to a model field or to a test set call it, and a failed
 cohort, which writes no row, forgets nothing.  Code that writes into a
-client's rows in place calls population.wrote(ids), or the memo will
-not see it.  Every
-evaluation, metrics.evaluate of one client included, takes one path
-(_Workspace.evaluate): the clients are predicted in the workspace in
-chunks no larger than its room, and each depth of a chunk in one stack
-with core._predict, its test sets padded to the largest with copies of
-each client's own last row.  A chunk is gathered first unless it is the
-cohort the workspace holds since its scatter (synced, which a gather and
-Population.wrote clear) and that gather holds every row the variant
-reads: then it is predicted in place, in training's slot order, so a
-round of run_rounds gathers once.  A depth's run holds the same clients
-in either order and pads to the same length, so each client's slice is
-the same rows either way.  Unlike a padded training
-batch, a padded test set is not held to its unpadded bits: the padding
+client's rows in place calls population.wrote(ids), or neither the memo
+nor the workspace will see it.  Every evaluation, metrics.evaluate of
+one client included, takes one path (_Workspace.evaluate): the clients
+are predicted in the workspace in chunks no larger than its room, each
+chunk gathered in training's slot order (by depth, then training-set
+size), and each depth of a chunk in one stack with core._predict, its
+test sets padded to the largest with copies of each client's own last
+row.  A depth's run holds the same clients and pads to the same length
+in any order, so each client's logits do not depend on the order.  A
+chunk that is the cohort the workspace holds since its scatter is
+gathered without a copy and predicted where it trained, so a round of
+run_rounds copies rows once.  Unlike a padded training batch, a padded
+test set is not held to its unpadded bits: the padding
 can move a logit in its last place, which changes a prediction only
 where two logits lie that close, and the padded rows' labels (-1) count
 no hit (tests/reference.py evaluates each client on its own unpadded
@@ -130,9 +132,9 @@ from dataclasses import astuple, dataclass, field
 import numpy as np
 
 from .core import InferenceVariant, LearningRates, LossWeights, Mode, Projector, TrainingDiverged
-from .core import _carve, _mean, _plan, _predict, _train, init_projector
+from .core import _BUFFERS, _carve, _mean, _plan, _predict, _train, _views, init_projector
 from .data import LabeledDataset, PartitionPlan
-from .metrics import RoundReport, comm_cost_round, forward_flops_per_sample
+from .metrics import RoundReport, _training_flops, comm_cost_round, forward_flops_per_sample
 from .models import Extractor, ModelConfig, Net, _length, _padded, _positions, _signature, _view
 from .models import init_model
 from .numerics import ShapeError, _check_lr, derive_rng
@@ -465,8 +467,7 @@ def cohort_update(
 
     # Uploads view one copy of the trained shared rows: no client's rows,
     # and not the workspace's, which the next cohort gathers into.
-    shared = workspace.shared
-    shared = None if shared is None else np.concatenate(shared, axis=1)
+    shared = None if mode is Mode.STANDALONE else np.concatenate(workspace.shared, axis=1)
     means, results = epoch_means.tolist(), {}
     for slot, client in enumerate(slots):
         upload = None
@@ -523,35 +524,35 @@ class _Workspace:
 
     flat is one (2, total) array of rows and their gradient scratch, with
     room for the largest cohort so far, which core._carve cuts into the
-    buffers in this order: buffers maps each depth to its block, then
-    "headers", "projectors", "shared extractor" and "shared header" to the
-    other buffers, each a (2, room, width) view of one range of flat.
+    buffers in core._BUFFERS order: buffers maps each depth to its block,
+    then "headers", "projectors", "shared extractor" and "shared header" to
+    the other buffers, each a (2, room, width) view of one range of flat.
     starts maps each buffer to its (start in flat, width).  Every buffer is
     slot-indexed: slot i's private rows sit at row i of its depth's block.
     A cohort gathers into the first rows; a larger one regrows flat and
     drops every plan.  plans maps (a, b, depth, standalone) to the plan of
-    slots a to b, which share that depth, for training both models or the
-    private one alone: core._plan of the layouts' models over rows a to b
-    and of their gradient models over the rows' scratch, which steps rows a
-    to b of the buffers it trains, the private block and header, then
-    outside standalone the projector and the shared model, last its header.
+    slots a to b, which share that depth, for both models or (standalone:
+    standalone training, and single_large evaluation) the private one alone:
+    core._plan of the layouts' models over rows a to b and of their
+    gradient models over the rows' scratch, which steps rows a to b of the
+    buffers it trains, the private block and header, then outside
+    standalone the projector and the shared model, last its header.
     After a gather, rows is the client id of each slot, depths the depth
-    of each slot, standalone whether the private models train alone,
-    copies lists (population buffer, its rows of the gathered
-    clients, the workspace's rows, where in them they sit) per gathered
+    of each slot, copies lists (population buffer, its rows of the
+    gathered clients, the workspace's rows, where in them they sit) per
     buffer and architecture, and shared views the shared extractor and
-    header rows (None for standalone training).  Its rows equal the
+    header rows.  Every gather copies every buffer, so its rows equal the
     population's from a gather to the first step, and again from a scatter
-    to the next write: synced records the second, set by scatter and
-    cleared by gather and Population.wrote, so that evaluation can predict
-    the cohort in place.  A failed check raises at once and leaves the rows
-    half-trained; the next gather writes over them, so a gather copies
-    every row even of the cohort it gathered last.  Rows beyond a cohort
-    stay as an earlier one left them: no step touches or checks a row
-    outside its slots.  memo holds what was built for that last cohort only:
-    "cohort" its (ids, standalone), "gather" its (rows, depths, copies)
-    and, once trained, "train" its ((sizes, batch_size), batch arrays x
-    and y, ledger, steps, groups); a regrow drops it with the plans.  It
+    to the next write: synced records both, set by gather and scatter and
+    cleared by train before its first step and by Population.wrote, and a
+    gather of the cohort it holds then copies nothing.  A failed check
+    raises at once and leaves the rows half-trained, and not synced, for
+    the next gather to write over.  Rows beyond a cohort stay as an
+    earlier one left them: no step touches or checks a row outside its
+    slots.  memo holds what was built for that last cohort only: "cohort"
+    its ids, "gather" its (rows, depths, copies) and, once trained, "train"
+    its ((sizes, batch_size, standalone), batch arrays x and y, ledger,
+    steps, groups); a regrow drops it with the plans.  It
     holds arrays, ids, views and layout models only: a client or the
     population here would make a reference cycle.
     """
@@ -571,24 +572,26 @@ class _Workspace:
         self.layouts = population.shared_layout, population.projector_layout
         self.size, self.synced = 0, False
 
-    def gather(self, population: Population, ids: tuple[int, ...], standalone: bool) -> None:
+    def gather(self, population: Population, ids: tuple[int, ...]) -> None:
         """Copy the rows of clients ids, in slot order, into the first rows: one copy per
         slot-indexed buffer (a shared row goes into the two shared buffers), and one
-        per architecture into its depth's block, every block zeroed first.  The index
-        maps are built again only for another cohort than the last (memo)."""
-        n, place = len(ids), population.place
+        per architecture into its depth's block, every block zeroed first.  Nothing is
+        copied if the rows already hold them (synced, the last cohort's ids).  The
+        index maps are built again only for another cohort than the last (memo)."""
+        if self.synced and self.memo["cohort"] == ids:
+            return
+        n, place, cut = len(ids), population.place, population.shared_layout.extractor._flat.size
+        sources = {"headers": population.headers, "projectors": population.projectors,
+                   "shared extractor": population.shared[:, :cut],
+                   "shared header": population.shared[:, cut:]}
         if n > self.size:
-            shared = population.shared_layout
             widths = {**{depth: net.extractor._flat.size for depth, net in enumerate(self.nets)},
-                      "headers": population.headers.shape[1],
-                      "projectors": population.projectors.shape[1],
-                      "shared extractor": shared.extractor._flat.size,
-                      "shared header": shared.header.weight.size}
+                      **{name: sources[name].shape[1] for name in list(_BUFFERS)[1:]}}
             self.flat, buffers, starts = _carve(list(widths.values()), n)
             self.buffers = dict(zip(widths, buffers))
             self.starts = dict(zip(widths, zip(starts, widths.values())))
             self.size, self.plans, self.memo = n, {}, {}
-        if self.memo.get("cohort") != (ids, standalone):
+        if self.memo.get("cohort") != ids:
             kinds: dict[int, tuple[list[int], list[int]]] = {}
             for slot, ident in enumerate(ids):
                 kind, rank = place[ident]
@@ -600,46 +603,41 @@ class _Workspace:
                 # An architecture's rows sit at flat positions of its depth's block.
                 at = np.add.outer(np.array(slots) * block.shape[1], self.maps[kind])
                 copies.append((population.blocks[kind], np.array(ranks), block.reshape(-1), at))
-            cut = self.buffers["shared extractor"].shape[2]
-            sources = {"headers": population.headers, "projectors": population.projectors,
-                       "shared extractor": population.shared[:, :cut],
-                       "shared header": population.shared[:, cut:]}
-            copies += [(sources[key], rows, self.buffers[key][0][:n], ...)
-                       for key in (("headers",) if standalone else sources)]
-            self.memo = {"cohort": (ids, standalone),
+            copies += [(source, rows, self.buffers[key][0][:n], ...)
+                       for key, source in sources.items()]
+            self.memo = {"cohort": ids,
                          "gather": (rows, [self.depth[place[i][0]] for i in ids], copies)}
         self.rows, self.depths, self.copies = self.memo["gather"]
-        self.standalone, self.synced = standalone, False
         self.flat[0, : self.starts["headers"][0]] = 0.0  # every block, the first buffers
         for source, index, rows, at in self.copies:
             rows[at] = source[index]
-        self.shared = None if standalone else tuple(
-            self.buffers[key][0][:n] for key in ("shared extractor", "shared header"))
+        self.shared = tuple(self.buffers[key][0][:n] for key in list(_BUFFERS)[3:])
+        self.synced = True
 
     def scatter(self, population: Population) -> None:
         """Write the rows back into the population: the gather's copies, reversed.  The
-        rows then equal the population's (synced) until the next write or gather."""
+        rows then equal the population's (synced) until the next write or step."""
         for source, index, rows, at in self.copies:
             source[index] = rows[at]
         population.wrote(self.rows)
         self.synced = True
 
-    def plan(self, a: int, b: int):
-        """The plan of slots a to b, which share a depth (core._plan): of the models, and
-        their gradients, over rows a to b of that depth's block and of the other buffers,
-        and over their scratch, and of those rows' ranges of flat, built the first time
-        it is asked for."""
-        key = a, b, self.depths[a], self.standalone
+    def plan(self, a: int, b: int, standalone: bool):
+        """The plan of slots a to b, which share a depth (core._plan), for both models or
+        (standalone) the private one alone: of the models, and their gradients, over
+        rows a to b of that depth's block and of the other buffers, and over their
+        scratch, and of those rows' ranges of flat, built the first time it is asked
+        for."""
+        key = a, b, self.depths[a], standalone
         plan = self.plans.get(key)
         if plan is None:
             # Without the shared model and the projector to train the private model alone.
-            names = [key[2], "headers", "projectors", "shared extractor", "shared header"][
-                : 2 if self.standalone else 5]
-            (g, p), net = (None, None) if self.standalone else self.layouts, self.nets[key[2]]
-            models = [(g and g._over(r[3:]), net._over(r[:2]), p and p._over(r[2:3]))
+            names = [key[2], *list(_BUFFERS)[1:]][: 2 if standalone else 5]
+            g, p = (None, None) if standalone else self.layouts
+            models = [_views((g, self.nets[key[2]], p), r)
                       for r in zip(*(self.buffers[name][:, a:b] for name in names))]  # rows, scratch
             spans = [(start + a * width, start + b * width, group) for name, group
-                     in zip(names, (1, 1, 2, 0, 0)) for start, width in [self.starts[name]]]
+                     in zip(names, _BUFFERS.values()) for start, width in [self.starts[name]]]
             plan = self.plans[key] = _plan(*models, self.flat, spans)
         return plan
 
@@ -658,16 +656,16 @@ class _Workspace:
                 raise ValueError(f"client {c.client_id} {empty}")
 
     def stack(self, population: Population, clients: list[ClientState], split: str,
-              standalone: bool, empty: str) -> list[ClientState]:
-        """clients in slot order, checked (check) and gathered: by depth, then by the size
-        of their split ("train" or "test"), largest first, then by id, so the clients
-        of one depth fill a contiguous run of slots, and those of them larger than a
-        given size its first slots."""
+              empty: str) -> list[ClientState]:
+        """clients in slot order, their split ("train" or "test") checked (check), and
+        gathered: by depth, then by training-set size, largest first, then by id, so
+        the clients of one depth fill a contiguous run of slots, and those of them
+        with more than a given number of training samples its first slots."""
         self.check(population, clients, split, empty)
         depth, place = self.depth, population.place
         clients = sorted(clients, key=lambda c: (
-            depth[place[c.client_id][0]], -len(getattr(c, split + "_y")), c.client_id))
-        self.gather(population, tuple(c.client_id for c in clients), standalone)
+            depth[place[c.client_id][0]], -c.n_samples, c.client_id))
+        self.gather(population, tuple(c.client_id for c in clients))
         return clients
 
     def train(self, population: Population, clients: list[ClientState], epochs: int,
@@ -684,8 +682,8 @@ class _Workspace:
         per cohort, and kept (memo) while the next ones have the same slots, shard
         sizes, batch size and standalone.  Labels are checked over the whole cohort
         at once, and a failure names the first listed client out of range.
-        A failed step leaves the rows half-trained for the next gather to
-        write over.
+        The rows are not synced from the first step on, so a failed step
+        leaves them half-trained for the next gather to write over.
 
         Returns the clients in slot order (stack) and their (clients, epochs) epoch
         mean losses.  An epoch's ledger holds the loss of each slot's batches, so a
@@ -703,21 +701,23 @@ class _Workspace:
         if outside(np.concatenate([c.train_y for c in clients], axis=None)):
             bad = next(c for c in clients if outside(c.train_y))
             raise ValueError(f"client {bad.client_id} has labels outside [0, {classes})")
-        clients = self.stack(population, clients, "train", mode is Mode.STANDALONE,
-                             "has no training samples")
+        clients = self.stack(population, clients, "train", "has no training samples")
+        self.synced = False  # the steps write the rows
+        standalone = mode is Mode.STANDALONE
         weights = LossWeights(0.0, 1.0) if mode is Mode.NO_MRL else weights  # the ablation
         sizes = [c.n_samples for c in clients]
-        if self.memo.get("train", (None,))[0] != (sizes, batch_size):
+        if self.memo.get("train", (None,))[0] != (sizes, batch_size, standalone):
             batches = [-(-size // batch_size) for size in sizes]
             schedule = _steps(sizes, self.depths, batch_size)
             shape = (len(sizes), max(start + rows for _, _, start, rows, _ in schedule))
             x = np.zeros((*shape, clients[0].train_x.shape[1]))
             y = np.zeros(shape, dtype=np.int64)
             ledger = np.empty((len(sizes), max(batches)))
-            steps = [(self.plan(a, b), x[a:b, start : start + rows], y[a:b, start : start + rows],
-                      real, ledger[a:b, start // batch_size]) for a, b, start, rows, real in schedule]
+            steps = [(self.plan(a, b, standalone), x[a:b, start : start + rows],
+                      y[a:b, start : start + rows], real, ledger[a:b, start // batch_size])
+                     for a, b, start, rows, real in schedule]
             groups = _runs(batches, self.depths)  # runs of slots with equal batch counts
-            self.memo["train"] = (sizes, batch_size), x, y, ledger, steps, groups
+            self.memo["train"] = (sizes, batch_size, standalone), x, y, ledger, steps, groups
         _, x, y, ledger, steps, groups = self.memo["train"]
         epoch_means = np.empty((len(sizes), epochs))
         for epoch in range(epochs):
@@ -753,10 +753,8 @@ class _Workspace:
     def _predicted(self, population: Population, clients: list[ClientState],
                    variant: InferenceVariant) -> list[float]:
         """The test accuracies of clients, in the order listed, each depth's run of slots
-        predicted at once (core._predict on its plan).  The clients are the rows where
-        they sit if they are the synced cohort, in its slot order, and the gather
-        holds the rows the variant reads (a standalone one holds no shared or
-        projector rows); else they are gathered as one stack (stack).
+        predicted at once (core._predict on its plan), in training's slot order (stack),
+        where they sit if they are the synced cohort (gather).
 
         A run's test sets are padded to its largest with copies of
         each client's last row, and their labels with -1, which no prediction
@@ -766,14 +764,7 @@ class _Workspace:
         real row's logits, in the last place, and an accuracy reads only
         their argmax.  A run without padding is stacked as it is.
         """
-        single = variant is InferenceVariant.SINGLE_LARGE
-        held = self.synced and (single or not self.standalone) and dict.fromkeys(self.rows.tolist())
-        if held and sorted(held) == [c.client_id for c in clients]:
-            self.check(population, clients, "test", "has an empty test set")
-            held.update((c.client_id, c) for c in clients)
-            chunk = list(held.values())  # in place, in training's slot order
-        else:
-            chunk = self.stack(population, clients, "test", single, "has an empty test set")
+        chunk = self.stack(population, clients, "test", "has an empty test set")
         accuracies = {}
         for a, b, _ in _runs([1] * len(chunk), self.depths):  # the runs of one depth
             members = chunk[a:b]
@@ -789,7 +780,7 @@ class _Workspace:
                 x = np.concatenate([c.test_x for c in members])[rows]
                 labels = np.concatenate([c.test_y for c in members])[rows]
                 labels[steps >= sizes[:, None]] = -1
-            preds = _predict(self.plan(a, b), x, variant)
+            preds = _predict(self.plan(a, b, variant is InferenceVariant.SINGLE_LARGE), x, variant)
             hits = np.count_nonzero(preds == labels, axis=-1)
             accuracies.update(zip((c.client_id for c in members), (hits / sizes).tolist()))
         return [accuracies[c.client_id] for c in clients]
@@ -936,10 +927,9 @@ def run_rounds(
                 )
                 uploads = [upload for upload, _ in updates if upload is not None]
                 losses = np.array([epoch_means for _, epoch_means in updates])  # (K, epochs)
-                # metrics.flops_round of each participant: 3x forward per sample seen.
-                round_flops = 3 * config.local_epochs * sum(
-                    clients[i].population._flops_per_sample(i, config.mode) * clients[i].n_samples
-                    for i in participants)
+                round_flops = sum(_training_flops(
+                    clients[i].population._flops_per_sample(i, config.mode), clients[i].n_samples,
+                    config.local_epochs) for i in participants)
 
                 if standalone:
                     uplink = downlink = 0

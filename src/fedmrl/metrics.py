@@ -122,7 +122,13 @@ def flops_round(
     """Training FLOPs one client spends in one round: 3x forward per sample seen."""
     if n_samples < 0 or epochs < 0:
         raise ValueError("sample and epoch counts must be non-negative")
-    per_sample = forward_flops_per_sample(global_model, local_model, projector, mode)
+    return _training_flops(forward_flops_per_sample(global_model, local_model, projector, mode),
+                           n_samples, epochs)
+
+
+def _training_flops(per_sample: int, n_samples: int, epochs: int) -> int:
+    """Training FLOPs of one client in one round from its forward FLOPs per sample:
+    3x forward per sample seen (flops_round)."""
     return 3 * per_sample * n_samples * epochs
 
 

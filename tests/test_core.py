@@ -290,12 +290,12 @@ def test_gradcheck_single_model_step():
     assert relative_error(analytic, numeric).max() <= 1e-4
 
 
-def mixed_workspace(seed=30, standalone=False):
+def mixed_workspace(seed=30):
     """A cohort workspace gathered over three clients whose private
     architectures share one depth at mixed widths, (7,), (4,) and (6,)
-    hidden units, so the workspace pads the last two to 7, for training
-    both models or (standalone) the private one alone.  Returns it and each
-    client's models alone."""
+    hidden units, so the workspace pads the last two to 7.  Its plan(0, 3,
+    standalone) trains both models or (standalone) the private one alone.
+    Returns it and each client's models alone."""
     rng = make_rng(seed)
     hidden = ((7,), (4,), (6,))
     g = init_model(ModelConfig(INPUT, (5,), D1, CLASSES), rng)
@@ -303,7 +303,7 @@ def mixed_workspace(seed=30, standalone=False):
     p = [init_projector(D1, D2, rng) for _ in hidden]
     population = federation.Population(g, f, p)
     workspace = federation._Workspace(population)
-    workspace.gather(population, (0, 1, 2), standalone=standalone)
+    workspace.gather(population, (0, 1, 2))
     return workspace, [(g, f[i], p[i]) for i in range(3)]
 
 
@@ -322,7 +322,7 @@ def test_gradcheck_mixed_architecture_cohort():
     # each client's gradient in that client's workspace rows, and the pad
     # entries get a zero gradient, as finite differences find.
     workspace, alone = mixed_workspace()
-    plan = workspace.plan(0, 3)
+    plan = workspace.plan(0, 3, False)
     block = workspace.buffers[0][0]
     layers, _ = plan.private
     assert [layer[0].shape for layer in layers] == [(3, 7, INPUT), (3, D2, 7)]
@@ -370,11 +370,11 @@ def test_the_padded_rows_of_a_step_are_inert(mode):
     fills = [np.zeros_like(x), 50.0 * rng.normal(size=x.shape), np.repeat(x[:, :1], 6, axis=1)]
     results = []
     for fill in fills:
-        workspace, _ = mixed_workspace(standalone=mode is Mode.STANDALONE)
+        workspace, _ = mixed_workspace()
         labels = np.where(padded, rng.integers(0, CLASSES, size=y.shape), y)
         batch = np.where(padded[..., None], fill, x)
-        total, parts = core._train(workspace.plan(0, 3), batch, labels, weights,
-                                   LearningRates(0.1, 0.2, 0.3), rows)
+        plan = workspace.plan(0, 3, mode is Mode.STANDALONE)
+        total, parts = core._train(plan, batch, labels, weights, LearningRates(0.1, 0.2, 0.3), rows)
         buffers = [a.copy() for pair in workspace.buffers.values() for a in pair]
         results.append([total, *(part for part in parts if part is not None), *buffers])
     for other in results[1:]:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from fedmrl import core, federation, metrics, models, numerics
 from fedmrl.config import build_run_config, load_config, override
@@ -807,20 +808,34 @@ def _fresh_accuracies(clients, variant):
     return federation._accuracies(twins, variant)
 
 
+def _copying_gathers(monkeypatch):
+    """A list that gains, at each _Workspace.gather, whether it copies rows: it does
+    unless the workspace holds that cohort's rows as the population has them."""
+    copied, gather = [], federation._Workspace.gather
+
+    def counting(workspace, population, ids):
+        copied.append(not (workspace.synced and workspace.memo["cohort"] == ids))
+        return gather(workspace, population, ids)
+
+    monkeypatch.setattr(federation._Workspace, "gather", counting)
+    return copied
+
+
 @pytest.mark.parametrize("mode", list(Mode))
 def test_a_round_gathers_once_and_a_repeated_cohort_is_planned_once(monkeypatch, mode):
     # Counts: every quickstart round trains all ten clients, so evaluation
-    # predicts them where training left them, without a second gather, and
-    # the cohort's schedule (_steps) is built in the first round only.
+    # predicts them where training left them, without a second copy, and
+    # the cohort's schedule (_steps) is built in the first round only.  A
+    # fedmrl or no_mrl round's broadcast writes the rows, so its cohort is
+    # copied again; a standalone run writes none but its own, so only its
+    # first gather copies.
     cfg, server, clients = _equal_shards(with_server=True)
     cfg = dataclasses.replace(cfg, mode=mode, rounds=3)
-    gathers, schedules = [], []
-    gather, steps = federation._Workspace.gather, federation._steps
-    monkeypatch.setattr(
-        federation._Workspace, "gather", lambda *args: gathers.append(args) or gather(*args))
+    copied, schedules, steps = _copying_gathers(monkeypatch), [], federation._steps
     monkeypatch.setattr(federation, "_steps", lambda *args: schedules.append(args) or steps(*args))
     reports = run_rounds(server, clients, cfg)
-    assert len(gathers) == 3 and len(schedules) == 1
+    assert len(copied) == 6 and len(schedules) == 1
+    assert sum(copied) == (1 if mode is Mode.STANDALONE else 3)
     variant = InferenceVariant.SINGLE_LARGE if mode is Mode.STANDALONE else cfg.inference
     assert reports[-1].per_client_accuracy == _fresh_accuracies(clients, variant)
 
@@ -873,15 +888,68 @@ def test_one_client_of_a_trained_cohort_is_evaluated_like_a_fresh_copy():
         assert federation._accuracies(clients, variant) == _fresh_accuracies(clients, variant)
 
 
+@pytest.mark.parametrize("mode", list(Mode))
 @pytest.mark.parametrize("variant", list(InferenceVariant))
-def test_a_standalone_cohort_is_gathered_again_for_a_variant_that_reads_the_shared_model(
-    variant
-):
-    # A standalone gather holds no shared or projector rows, so only
-    # single_large may predict where standalone training left the cohort.
+def test_a_trained_cohort_is_predicted_in_place_for_every_variant(monkeypatch, variant, mode):
+    # A gather copies every buffer in every mode, so whatever the variant
+    # reads, evaluation predicts the cohort where training left it.
     cfg, clients = _equal_shards()
-    cohort_update(clients, 1, 8, cfg.lrs, Mode.STANDALONE, LossWeights())
-    assert federation._accuracies(clients, variant) == _fresh_accuracies(clients, variant)
+    cohort_update(clients, 1, 8, cfg.lrs, mode, LossWeights())
+    copied = _copying_gathers(monkeypatch)
+    accuracies = federation._accuracies(clients, variant)
+    assert copied == [False]
+    assert accuracies == _fresh_accuracies(clients, variant)
+
+
+def test_two_standalone_cohorts_in_a_row_copy_once_and_train_like_a_fresh_population(
+    monkeypatch
+):
+    # The second cohort finds its rows in the workspace as the first one's
+    # scatter left them, so it trains there without copying; a deep copy
+    # taken in between has no workspace and gathers them afresh.
+    cfg, clients = _equal_shards()
+    args = (2, 8, cfg.lrs, Mode.STANDALONE, LossWeights())
+    copied = _copying_gathers(monkeypatch)
+    cohort_update(clients, *args)
+    twins = copy.deepcopy(clients)
+    results, expected = cohort_update(clients, *args), cohort_update(twins, *args)
+    assert copied == [True, False, True]
+    assert [means for _, means in results] == [means for _, means in expected]
+    assert _same_arrays(_population_arrays(clients[0].population),
+                        _population_arrays(twins[0].population))
+    for a, b in zip(clients, twins):
+        assert a.rng.bit_generator.state == b.rng.bit_generator.state
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("size", [1, 10])
+def test_a_step_that_diverges_after_a_skipped_gather_changes_no_row(monkeypatch, size, mode):
+    # The diverging cohort is the one the workspace holds since its scatter,
+    # so it trains without a copy and leaves non-finite rows behind (a
+    # cohort of one is not replayed, so the room keeps them).  No population
+    # row changes, and the next cohort copies its rows again and trains as a
+    # fresh population does.
+    cfg, clients = _equal_shards()
+    clients = clients[:size]
+    cohort_update(clients, 1, 8, cfg.lrs, mode, LossWeights())
+    twins, copied = copy.deepcopy(clients), _copying_gathers(monkeypatch)
+    population = clients[0].population
+    before, rngs = [a.copy() for a in _population_arrays(population)], [
+        copy.deepcopy(c.rng) for c in clients]
+    for client in clients:
+        client.train_x = 1e3 * client.train_x  # large gradients, finite losses
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match="^client 0: "):
+        cohort_update(clients, 1, 8, LearningRates.uniform(1e308), mode, LossWeights())
+    assert copied[0] is False
+    assert _same_arrays(_population_arrays(population), before)
+    for client, twin, rng in zip(clients, twins, rngs):
+        client.train_x, client.rng = twin.train_x, rng
+    copied.clear()
+    args = (2, 8, cfg.lrs, mode, LossWeights())
+    results, expected = cohort_update(clients, *args), cohort_update(twins, *args)
+    assert copied == [True, True]
+    assert [means for _, means in results] == [means for _, means in expected]
+    assert _same_arrays(_population_arrays(population), _population_arrays(twins[0].population))
 
 
 # Recorded before the training step dropped its per-matmul checks, on
@@ -1572,7 +1640,7 @@ def _ragged_tests(local_hidden):
 
 @pytest.mark.parametrize(
     "local_hidden,stacks",
-    [(((12,),), [[5, 0, 2, 4, 1, 3]]), (((12,), (10, 6)), [[0, 2, 4], [5, 1, 3]])],
+    [(((12,),), [[2, 0, 3, 4, 5, 1]]), (((12,), (10, 6)), [[2, 0, 4], [3, 5, 1]])],
     ids=["one depth", "two depths"],
 )
 def test_a_chunk_of_unequal_test_sizes_is_predicted_in_one_stack_per_depth(
@@ -1583,7 +1651,8 @@ def test_a_chunk_of_unequal_test_sizes_is_predicted_in_one_stack_per_depth(
     for variant in InferenceVariant:
         calls.clear()
         clients[0].population._room().evaluate(clients, variant)
-        assert calls == stacks  # by depth, then test-set size, largest first
+        # As training orders them: by depth, then training-set size, largest first.
+        assert calls == stacks and sum(stacks, []) == clients[0].population._workspace.rows.tolist()
 
 
 @pytest.mark.parametrize("variant", list(InferenceVariant))
@@ -1955,7 +2024,7 @@ def test_a_many_dirichlet_run_builds_each_plan_once():
     builds = run(server)
     # The workspace keeps the last cohort only: ten clients, and what training built on them.
     memo = clients[0].population._workspace.memo
-    assert sorted(memo) == ["cohort", "gather", "train"] and len(memo["cohort"][0]) == 10
+    assert sorted(memo) == ["cohort", "gather", "train"] and len(memo["cohort"]) == 10
     assert builds and {caller for caller, _ in builds} == {"_Workspace.plan"}
     keys = [key for _, key in builds]
     assert len(set(keys)) == len(keys)
@@ -2168,3 +2237,110 @@ def test_a_stack_that_fails_only_as_a_stack_raises_its_own_error(monkeypatch):
     for i in range(4):
         cohort_update([twin[i]], *args)
     assert [c.rng.bit_generator.state for c in clients] == [c.rng.bit_generator.state for c in twin]
+
+
+FIELDS = ("global_copy", "local_model", "projector")
+
+
+class PopulationMemo(RuleBasedStateMachine):
+    """One small population of two depths under every writer of its rows and test
+    sets, in any order.  After each rule every accuracy the memo knows equals a
+    fresh evaluation, a cohort that failed changed no row and no memo entry, and a
+    synced workspace holds its cohort's rows as the population has them.
+
+    The rules reach the workspace's skipped gather: a cohort or an evaluation
+    of exactly the clients it holds since a gather or a scatter, with no write
+    in between, runs on its rows without copying them.  Such a gather is only
+    right while the last invariant holds: every write must clear synced."""
+
+    def __init__(self):
+        super().__init__()
+        self.cfg, self.dataset, plan = small_setup(
+            n_clients=4, rounds=1, participation=0.5, local_hidden=((6,), (5, 4), (4,)))
+        self.server, self.clients = build_clients(self.cfg, self.dataset, plan)
+
+    @property
+    def population(self):
+        return self.clients[0].population
+
+    @rule(mode=st.sampled_from(list(Mode)))
+    def a_round(self, mode):
+        run_rounds(self.server, self.clients, dataclasses.replace(self.cfg, mode=mode))
+
+    @rule(ids=st.just({0, 1, 2, 3}) | st.sets(st.integers(0, 3), min_size=1),
+          mode=st.sampled_from(list(Mode)),
+          send=st.booleans(), fail=st.sampled_from([None, "nan", "diverge"]))
+    def a_cohort(self, ids, mode, send, fail):
+        members = [self.clients[i] for i in sorted(ids)]
+        if send:
+            broadcast(self.server, members)
+        population, lrs, kept = self.population, self.cfg.lrs, [c.train_x for c in members]
+        rows = [array.copy() for array in _population_arrays(population)]
+        memo = {v: a.tobytes() for v, a in population.accuracy.items()}
+        if fail == "nan":
+            members[-1].train_x = np.where(np.arange(len(kept[-1]))[:, None] == 0, np.nan, kept[-1])
+        elif fail == "diverge":
+            lrs = LearningRates.uniform(1e308)
+            for client, x in zip(members, kept):
+                client.train_x = 1e3 * x  # large gradients, finite losses
+        try:
+            with np.errstate(all="ignore"):
+                cohort_update(members, 2, 5, lrs, mode, self.cfg.loss_weights)
+        except NonFiniteError:
+            assert fail is not None
+            assert _same_arrays(_population_arrays(population), rows)
+            assert {v: a.tobytes() for v, a in population.accuracy.items()} == memo
+        for client, x in zip(members, kept):
+            client.train_x = x
+
+    @rule(ident=st.none() | st.integers(0, 3), variant=st.sampled_from(list(InferenceVariant)))
+    def an_evaluation(self, ident, variant):
+        if ident is None:  # the stale clients, as run_rounds evaluates them
+            federation._accuracies(self.clients, variant)
+        else:
+            evaluate(self.clients[ident], variant)
+
+    @rule(ident=st.integers(0, 3), field=st.sampled_from(FIELDS),
+          scale=st.sampled_from([-1.0, 0.5]))
+    def an_assignment(self, ident, field, scale):
+        model = getattr(self.clients[ident], field).clone()
+        for array in model._segments():
+            array *= scale
+        setattr(self.clients[ident], field, model)
+
+    @rule(ident=st.integers(0, 3), field=st.sampled_from(FIELDS))
+    def an_in_place_write(self, ident, field):
+        for array in getattr(self.clients[ident], field)._segments():
+            array *= -1.0
+        self.population.wrote([ident])
+
+    @rule(ident=st.integers(0, 3), split=st.sampled_from(["train", "test"]),
+          start=st.integers(0, 100), size=st.integers(1, 20))
+    def a_new_data_set(self, ident, split, start, size):
+        rows = slice(start, start + size)
+        setattr(self.clients[ident], split + "_x", self.dataset.features[rows])
+        setattr(self.clients[ident], split + "_y", self.dataset.labels[rows])
+
+    @rule(how=st.sampled_from(["deepcopy", "pickle"]))
+    def a_copy(self, how):
+        world = self.server, self.clients
+        self.server, self.clients = (
+            copy.deepcopy(world) if how == "deepcopy" else pickle.loads(pickle.dumps(world)))
+
+    @invariant()
+    def the_memo_holds_fresh_accuracies(self):
+        for variant, memo in self.population.accuracy.items():
+            known = ~np.isnan(memo)
+            fresh = np.array(_fresh_accuracies(self.clients, variant))
+            assert memo[known].tobytes() == fresh[known].tobytes()
+
+    @invariant()
+    def a_synced_workspace_holds_the_population_rows(self):
+        workspace = self.population._workspace
+        if workspace is not None and workspace.synced:
+            for source, index, rows, at in workspace.copies:
+                assert rows[at].tobytes() == source[index].tobytes()
+
+
+PopulationMemo.TestCase.settings = settings(max_examples=50, stateful_step_count=15, deadline=None)
+TestPopulationMemo = PopulationMemo.TestCase
