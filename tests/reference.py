@@ -34,14 +34,32 @@ header's logits (the lowest class winning a tie).  The simulator pads the
 test sets of a stack of clients with copies of each one's last row, which
 can round a real row's logits differently in the last place, so the two
 agree bit for bit unless an argmax sits on such a near tie.
+
+run_alone chains them into whole rounds, as the paper's algorithm reads
+them: the server samples k = round(C * N) clients uniformly without
+replacement (the draw of sample_clients), broadcasts a fresh copy of its
+shared model to each, every participant trains alone (train_alone), and
+the server takes the sample-count weighted mean of the participants'
+shared models, anchored at the lowest id and summed in ascending id
+order, as aggregate documents it.  Every client is then evaluated
+(accuracy_alone).  Standalone rounds train every client, communicate
+nothing and evaluate with the private model alone.  It shares with the
+simulator the initial models and rngs (build_clients, which runs
+init_model, init_projector and derive_rng) and the ledger formulas of
+metrics (flops_round, comm_cost_round), and nothing that trains,
+aggregates or evaluates.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from fedmrl import models
 from fedmrl.core import InferenceVariant, LossWeights, Mode
+from fedmrl.federation import build_clients
+from fedmrl.metrics import RoundReport, comm_cost_round, flops_round
 from fedmrl.models import RELU
 
 
@@ -103,6 +121,51 @@ def accuracy_alone(client_models, test_x, test_y, variant):
             read = read[:, : head.shape[1]].copy()
     predictions = np.argmax(read @ head.T.copy(), axis=1)
     return np.count_nonzero(predictions == test_y) / len(test_y)
+
+
+def run_alone(config, dataset, plan) -> list[RoundReport]:
+    """The round reports of run_training(config, dataset, plan), one client at a time."""
+    server, built = build_clients(config, dataset, plan)
+    states = [padded_models(client) for client in built]  # each client's own models
+    mode, epochs, n = config.mode, config.local_epochs, config.n_clients
+    standalone = mode is Mode.STANDALONE
+    variant = InferenceVariant.SINGLE_LARGE if standalone else config.inference
+    shared = server.global_model.clone()
+    args = (epochs, config.batch_size, config.lrs, mode, config.loss_weights)
+    reports = []
+    for round_index in range(1, config.rounds + 1):
+        if standalone:
+            ids = list(range(n))
+        else:
+            ids = sorted(int(i) for i in server.rng.choice(n, size=config.participants,
+                                                           replace=False))
+            for i in ids:  # the broadcast
+                states[i] = (shared.clone(), *states[i][1:])
+        means = [train_alone(states[i], built[i].train_x, built[i].train_y, built[i].rng, *args)
+                 for i in ids]
+        if standalone:
+            uplink = downlink = 0
+        else:
+            counts = [len(built[i].train_y) for i in ids]
+            vectors = [np.concatenate(states[i][0]._segments()) for i in ids]
+            merged = vectors[0].copy()
+            for count, vector in zip(counts[1:], vectors[1:]):
+                merged += (count / sum(counts)) * (vector - vectors[0])
+            shared = shared._split(merged)
+            uplink, downlink = comm_cost_round(shared.param_count(), len(ids))
+        accuracies = tuple(accuracy_alone(states[i], c.test_x, c.test_y, variant)
+                           for i, c in enumerate(built))
+        reports.append(RoundReport(
+            round=round_index,
+            avg_test_accuracy=float(np.mean(accuracies)),
+            per_client_accuracy=accuracies,
+            mean_train_loss=float(np.mean([np.mean(m) for m in means])) if epochs else math.nan,
+            uplink_params=uplink,
+            downlink_params=downlink,
+            flops=sum(flops_round(built[i].global_copy, built[i].local_model, built[i].projector,
+                                  len(built[i].train_y), epochs, mode) for i in ids),
+        ))
+    return reports
 
 
 def _step(client_models, x, y, real, mode, weights, lrs):

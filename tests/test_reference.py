@@ -1,19 +1,23 @@
-"""The cohort's local update and every round's accuracies against the reference
-oracle (reference.py)."""
+"""The cohort's local update, every round's accuracies and whole runs against the
+reference oracle (reference.py)."""
 
 import copy
+import dataclasses
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fedmrl.core import InferenceVariant, Mode
-from fedmrl.data import DirichletSpec, PartitionError, gen_synthetic, partition_dirichlet
-from fedmrl.data import split_train_test
-from fedmrl.federation import RunConfig, build_clients, cohort_update, run_rounds
+from fedmrl.data import ClassCountSpec, DirichletSpec, PartitionError, gen_synthetic
+from fedmrl.data import partition_class_count, partition_dirichlet, split_train_test
+from fedmrl.federation import RunConfig, build_clients, cohort_update, run_rounds, run_training
+from fedmrl.metrics import export_reports
 from fedmrl.numerics import make_rng
 
-from reference import accuracy_alone, padded_models, train_alone
+from reference import accuracy_alone, padded_models, run_alone, train_alone
 
 
 def _rows(client):
@@ -143,3 +147,58 @@ def test_every_round_reports_each_clients_accuracy_on_its_own_test_set(
         (report,) = run_rounds(server, clients, cfg)
         assert report.per_client_accuracy == tuple(
             accuracy_alone(padded_models(c), c.test_x, c.test_y, served) for c in clients)
+
+
+def _csv(reports) -> bytes:
+    """The bytes export_reports writes for reports as CSV."""
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "reports.csv"
+        export_reports(reports, path, "csv")
+        return path.read_bytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    n_clients=st.integers(1, 8),
+    shards=st.sampled_from([0.3, 1.0, 10.0, 1, 2]),  # a Dirichlet alpha, or classes per client
+    data_seed=st.integers(0, 50),
+    batch_size=st.integers(1, 9),
+    epochs=st.integers(1, 2),
+    widths=st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9)),
+    mode=st.sampled_from(list(Mode)),
+    variant=st.sampled_from(list(InferenceVariant)),
+    participation=st.sampled_from([0.3, 0.6, 1.0]),
+    lrs=st.tuples(*[st.sampled_from([0.01, 0.05, 0.1])] * 3),
+    rounds=st.integers(1, 4),
+)
+def test_a_whole_run_writes_the_reference_oracles_csv_bytes(
+    n_clients, shards, data_seed, batch_size, epochs, widths, mode, variant, participation, lrs,
+    rounds,
+):
+    # Ragged Dirichlet or class-count shards, private extractors of two
+    # depths, every mode and inference variant, participation below and at
+    # 1, and 1-4 rounds: run_training's CSV bytes are the oracle's, and so
+    # are those of the same run taken one run_rounds call per round.
+    dataset = gen_synthetic(4, 5, 25, 0.8, make_rng(data_seed))
+    if isinstance(shards, float):
+        spec = DirichletSpec(alpha=shards, seed=data_seed)
+        partition = partition_dirichlet
+    else:
+        spec, partition = ClassCountSpec(classes_per_client=shards, seed=data_seed), partition_class_count
+    try:
+        plan = split_train_test(partition(dataset, n_clients, spec))
+    except PartitionError:
+        assume(False)
+    cfg = RunConfig(
+        n_clients=n_clients, rounds=rounds, d1=3, d2=6, mode=mode, seed=data_seed,
+        participation=participation, local_epochs=epochs, batch_size=batch_size,
+        lr_global=lrs[0], lr_local=lrs[1], lr_projector=lrs[2], inference=variant,
+        global_hidden=(6,), local_hidden=((widths[0],), widths[1:]),
+    )
+    expected = _csv(run_alone(cfg, dataset, plan))
+    assert _csv(run_training(cfg, dataset, plan)) == expected
+    server, clients = build_clients(cfg, dataset, plan)
+    one = dataclasses.replace(cfg, rounds=1)
+    reports = [dataclasses.replace(run_rounds(server, clients, one)[0], round=r)
+               for r in range(1, rounds + 1)]
+    assert _csv(reports) == expected
