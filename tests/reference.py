@@ -43,7 +43,10 @@ the server takes the sample-count weighted mean of the participants'
 shared models, anchored at the lowest id and summed in ascending id
 order, as aggregate documents it.  Every client is then evaluated
 (accuracy_alone).  Standalone rounds train every client, communicate
-nothing and evaluate with the private model alone.  It shares with the
+nothing and evaluate with the private model alone.  A round in which a
+participant's loss or parameters go non-finite (diverged) raises a
+TrainingDiverged naming the round and the lowest such id, as run_rounds'
+finite checks do.  It shares with the
 simulator the initial models and rngs (build_clients, which runs
 init_model, init_projector and derive_rng) and the ledger formulas of
 metrics (flops_round, comm_cost_round), and nothing that trains,
@@ -57,7 +60,7 @@ import math
 import numpy as np
 
 from fedmrl import models
-from fedmrl.core import InferenceVariant, LossWeights, Mode
+from fedmrl.core import InferenceVariant, LossWeights, Mode, TrainingDiverged
 from fedmrl.federation import build_clients
 from fedmrl.metrics import RoundReport, comm_cost_round, flops_round
 from fedmrl.models import RELU
@@ -123,8 +126,20 @@ def accuracy_alone(client_models, test_x, test_y, variant):
     return np.count_nonzero(predictions == test_y) / len(test_y)
 
 
+def diverged(client_models, means) -> bool:
+    """Whether a client's training went non-finite: one of its epoch mean losses, or a
+    parameter of its (shared, private, projector) models."""
+    arrays = [np.array(means), *(a for m in client_models for a in m._segments())]
+    return not all(np.isfinite(a).all() for a in arrays)
+
+
 def run_alone(config, dataset, plan) -> list[RoundReport]:
     """The round reports of run_training(config, dataset, plan), one client at a time."""
+    with np.errstate(all="ignore"):  # a diverging client runs on to inf or nan
+        return _rounds(config, dataset, plan)
+
+
+def _rounds(config, dataset, plan) -> list[RoundReport]:
     server, built = build_clients(config, dataset, plan)
     states = [padded_models(client) for client in built]  # each client's own models
     mode, epochs, n = config.mode, config.local_epochs, config.n_clients
@@ -143,6 +158,9 @@ def run_alone(config, dataset, plan) -> list[RoundReport]:
                 states[i] = (shared.clone(), *states[i][1:])
         means = [train_alone(states[i], built[i].train_x, built[i].train_y, built[i].rng, *args)
                  for i in ids]
+        for i, client_means in zip(ids, means):
+            if diverged(states[i], client_means):
+                raise TrainingDiverged(f"round {round_index}: client {i}", None, i, round_index)
         if standalone:
             uplink = downlink = 0
         else:

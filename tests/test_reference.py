@@ -7,17 +7,18 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import assume, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fedmrl.core import InferenceVariant, Mode
+from fedmrl.core import InferenceVariant, Mode, TrainingDiverged
 from fedmrl.data import ClassCountSpec, DirichletSpec, PartitionError, gen_synthetic
 from fedmrl.data import partition_class_count, partition_dirichlet, split_train_test
 from fedmrl.federation import RunConfig, build_clients, cohort_update, run_rounds, run_training
 from fedmrl.metrics import export_reports
 from fedmrl.numerics import make_rng
 
-from reference import accuracy_alone, padded_models, run_alone, train_alone
+from reference import accuracy_alone, diverged, padded_models, run_alone, train_alone
 
 
 def _rows(client):
@@ -78,8 +79,18 @@ def test_a_cohort_trains_each_client_as_the_reference_oracle(
     for ident in chosen:
         twin = twins[ident]
         trained = padded_models(twin)
-        expected[ident] = train_alone(trained, twin.train_x, twin.train_y, twin.rng, *args), trained
+        with np.errstate(all="ignore"):  # a diverging client runs on to inf or nan
+            means = train_alone(trained, twin.train_x, twin.train_y, twin.rng, *args)
+        expected[ident] = means, trained
 
+    failed = sorted(i for i in chosen if diverged(expected[i][1], expected[i][0]))
+    if failed:  # the cohort raises the lowest failing id's error and changes no row
+        with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as error:
+            cohort_update([clients[i] for i in chosen], *args)
+        assert error.value.client == failed[0]
+        for client, twin in zip(clients, twins):  # the oracle trained clones of the twins
+            assert _same(_rows(client), _rows(twin))
+        return
     results = cohort_update([clients[i] for i in chosen], *args)
     for ident, (upload, means) in zip(chosen, results):
         want, (g, f, p) = expected[ident]
@@ -171,6 +182,9 @@ def _csv(reports) -> bytes:
     lrs=st.tuples(*[st.sampled_from([0.01, 0.05, 0.1])] * 3),
     rounds=st.integers(1, 4),
 )
+@example(n_clients=4, shards=1.0, data_seed=3, batch_size=2, epochs=2, widths=(4, 3, 2),
+         mode=Mode.FEDMRL, variant=InferenceVariant.MIX_LARGE, participation=0.6,
+         lrs=(1e300,) * 3, rounds=3)  # diverges in round 1, client 0
 def test_a_whole_run_writes_the_reference_oracles_csv_bytes(
     n_clients, shards, data_seed, batch_size, epochs, widths, mode, variant, participation, lrs,
     rounds,
@@ -195,10 +209,21 @@ def test_a_whole_run_writes_the_reference_oracles_csv_bytes(
         lr_global=lrs[0], lr_local=lrs[1], lr_projector=lrs[2], inference=variant,
         global_hidden=(6,), local_hidden=((widths[0],), widths[1:]),
     )
-    expected = _csv(run_alone(cfg, dataset, plan))
-    assert _csv(run_training(cfg, dataset, plan)) == expected
-    server, clients = build_clients(cfg, dataset, plan)
-    one = dataclasses.replace(cfg, rounds=1)
-    reports = [dataclasses.replace(run_rounds(server, clients, one)[0], round=r)
-               for r in range(1, rounds + 1)]
-    assert _csv(reports) == expected
+
+    def one_round_per_call():
+        server, clients = build_clients(cfg, dataset, plan)
+        one = dataclasses.replace(cfg, rounds=1)
+        return [dataclasses.replace(run_rounds(server, clients, one)[0], round=r)
+                for r in range(1, rounds + 1)]
+
+    runs = (lambda: run_training(cfg, dataset, plan), one_round_per_call)
+    try:
+        expected = _csv(run_alone(cfg, dataset, plan))
+    except TrainingDiverged as diverging:  # both paths fail at its round and client
+        for run in runs:
+            with pytest.raises(TrainingDiverged) as error:
+                run()
+            assert (error.value.round, error.value.client) == (diverging.round, diverging.client)
+        return
+    for run in runs:
+        assert _csv(run()) == expected
