@@ -388,13 +388,27 @@ def _views(models: tuple, parts) -> tuple:
     return g and g._over(parts[3:]), f._over(parts[:2]), p and p._over(parts[2:3])
 
 
+# The byte address mod 64, one cache line, at which _carve starts every flat array.
+_FLAT_OFFSET = 16
+
+
 def _carve(widths: list[int], room: int) -> tuple[np.ndarray, list[np.ndarray], list[int]]:
     """One flat (2, total) array, rows and then their gradient scratch, carved in turn
     into a (2, room, width) buffer per width, and each buffer's start in it, then
     the total: rows a to b of a buffer are the flat range start + a * width to
-    start + b * width."""
+    start + b * width.
+
+    flat starts at _FLAT_OFFSET bytes past a cache line, cut from an array one
+    line longer, not where the heap happens to put it: that class changed with
+    the allocations made before it, and it moves a run by several percent.
+    Forcing each 16-byte class in turn, interleaved in one process (fastest of
+    12 runs, numpy 2.4.6, OpenBLAS 0.3.31 Haswell), quickstart-3mode ran
+    5-8% faster at 16 or 48 mod 64 than at 0 or 32, and many-dirichlet
+    (fastest of 8) 3-6%; 16 and 48 tie, within 1%."""
     starts = [room * start for start in np.cumsum([0, *widths]).tolist()]
-    flat = np.zeros((2, starts[-1]))
+    spare = np.zeros(2 * starts[-1] + 8)
+    skip = (_FLAT_OFFSET - spare.ctypes.data) % 64 // 8
+    flat = spare[skip : skip + 2 * starts[-1]].reshape(2, -1)
     return flat, [flat[:, a:b].reshape(2, room, -1) for a, b in zip(starts, starts[1:])], starts
 
 
