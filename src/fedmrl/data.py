@@ -252,29 +252,23 @@ def partition_dirichlet(
             f"{len(dataset)} samples cannot give {n_clients} clients "
             f"{_MIN_SPLIT_SAMPLES} each"
         )
-    by_class = _indices_by_class(dataset)
+    by_class = [samples for samples in _indices_by_class(dataset) if samples.size]
     rng = derive_rng(spec.seed, _PARTITION_STREAM)
 
     for _ in range(_DIRICHLET_MAX_RETRIES):
-        pools: list[list[np.ndarray]] = [[] for _ in range(n_clients)]
+        # Each class's count per client and its samples in a seeded order, which
+        # deals the first counts[0] to client 0, the next counts[1] to client 1, ...
+        counts, shuffled = [], []
         for samples in by_class:
-            if samples.size == 0:
-                continue
             proportions = rng.dirichlet(np.full(n_clients, spec.alpha))
-            counts = _largest_remainder_counts(proportions, samples.size)
-            shuffled = samples[rng.permutation(samples.size)]
-            start = 0
-            for client, count in enumerate(counts):
-                if count:
-                    pools[client].append(shuffled[start : start + count])
-                    start += count
-        if all(sum(map(len, pool)) >= _MIN_SPLIT_SAMPLES for pool in pools):
-            clients = [
-                ClientIndices(
-                    train=np.sort(np.concatenate(pool)), test=np.empty(0, dtype=np.int64)
-                )
-                for pool in pools
-            ]
+            counts.append(_largest_remainder_counts(proportions, samples.size))
+            shuffled.append(samples[rng.permutation(samples.size)])
+        totals = np.sum(counts, axis=0)
+        if (totals >= _MIN_SPLIT_SAMPLES).all():
+            owners = np.concatenate([np.repeat(np.arange(n_clients), c) for c in counts])
+            pools = _sorted_runs(np.concatenate(shuffled), owners, totals)
+            clients = [ClientIndices(train=pool, test=np.empty(0, dtype=np.int64))
+                       for pool in pools]
             return PartitionPlan(clients=clients, n_samples=len(dataset), seed=spec.seed)
     raise PartitionError(
         f"no draw within {_DIRICHLET_MAX_RETRIES} attempts left every client at least "
@@ -294,6 +288,17 @@ def _largest_remainder_counts(proportions: np.ndarray, total: int) -> np.ndarray
     return counts
 
 
+def _sorted_runs(values: np.ndarray, groups: np.ndarray, sizes) -> list[np.ndarray]:
+    """The integer values of each group 0, 1, ... in ascending order, group g holding
+    sizes[g] of them: one np.sort of group * span + value for every group's."""
+    low = values.min(initial=0)
+    span = values.max(initial=0) - low + 1
+    keys = np.sort(groups * span + (values - low))
+    keys -= np.repeat(np.arange(len(sizes)) * span, sizes) - low
+    stops = np.cumsum(sizes).tolist()
+    return [keys[a:b] for a, b in zip([0, *stops], stops)]
+
+
 def split_train_test(plan: PartitionPlan, test_fraction: float = 0.2) -> PartitionPlan:
     """Split each client's pool into train and test along a seeded shuffle.
 
@@ -305,21 +310,25 @@ def split_train_test(plan: PartitionPlan, test_fraction: float = 0.2) -> Partiti
         raise PartitionError("plan is already split into train and test")
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must lie in (0, 1), got {test_fraction}")
-    rng = derive_rng(plan.seed, _SPLIT_STREAM)
-    clients = []
-    for ident, client in enumerate(plan.clients):
-        pool = client.train
-        if pool.size < _MIN_SPLIT_SAMPLES:
+    sizes = np.array([client.train.size for client in plan.clients], dtype=np.int64)
+    for ident, size in enumerate(sizes.tolist()):
+        if size < _MIN_SPLIT_SAMPLES:
             raise PartitionError(
-                f"client {ident} holds {pool.size} samples; need at least {_MIN_SPLIT_SAMPLES} to split"
+                f"client {ident} holds {size} samples; need at least {_MIN_SPLIT_SAMPLES} to split"
             )
-        shuffled = pool[rng.permutation(pool.size)]
-        n_test = max(1, int(np.floor(test_fraction * pool.size)))
-        clients.append(
-            ClientIndices(
-                train=np.sort(shuffled[n_test:]), test=np.sort(shuffled[:n_test])
-            )
-        )
+    rng = derive_rng(plan.seed, _SPLIT_STREAM)
+    none = np.empty(0, dtype=np.int64)
+    # Every pool shuffled by its client's permutation, in one take: a pool's
+    # position p is row first + p of their concatenation.
+    first = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    position = np.concatenate([none, *(rng.permutation(size) for size in sizes.tolist())])
+    shuffled = np.concatenate([none, *(client.train for client in plan.clients)])[position + first]
+    n_test = np.maximum(1, np.floor(test_fraction * sizes).astype(np.int64))
+    # Run 2i of the shuffled pools is client i's test part, its first n_test
+    # samples, and run 2i + 1 the rest, its train part.
+    lengths = np.stack([n_test, sizes - n_test], axis=1).reshape(-1)
+    parts = _sorted_runs(shuffled, np.repeat(np.arange(lengths.size), lengths), lengths)
+    clients = [ClientIndices(train=train, test=test) for test, train in zip(parts[::2], parts[1::2])]
     return PartitionPlan(
         clients=clients, n_samples=plan.n_samples, seed=plan.seed, split=True
     )
