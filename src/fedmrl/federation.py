@@ -10,7 +10,10 @@ standalone baseline never communicates.
 
 Every client's parameters are rows of flat buffers that span the
 population (Population), and its models are views of its rows.
-Broadcast is one row assignment; aggregation walks the upload rows.
+Broadcast is one row assignment.  Aggregation is one kernel over rows
+(_anchored): run_rounds hands it the trained shared rows where the
+workspace holds them, taken in id order, and aggregate its stacked upload
+vectors, so no upload model is built in a round.
 
 Lockstep training: the round's participants train as one cohort
 (cohort_update).  The population's workspace (_Workspace.train) gathers
@@ -57,13 +60,19 @@ cohort (memo): the gather's index maps, the epoch's schedule of steps,
 the batch arrays and the loss ledger, so a cohort that repeats (every
 round, at full participation) gathers and trains on them again, and only
 the row copies and the steps run.  A gather copies every buffer in every
-mode, and nothing at all when the rows already hold the cohort as the
-population has them (_Workspace.synced): a standalone run, which nothing
-else writes, copies its rows once.  Uploads view one concatenation of the
+mode, nothing at all when the rows already hold the cohort as the
+population has them (_Workspace.synced), and only the two shared buffers
+when they hold all of it but the shared rows, which a broadcast writes
+alone (_Workspace.local_synced, shared-stale): a full-participation round
+refreshes its shared rows only, and a standalone run, which nothing else
+writes, copies its rows once.  Uploads view one concatenation of the
 trained shared extractor and header rows.  A step writes its losses into
 the epoch's loss ledger, one (clients, batches) array, and each client's
 epoch mean is one reduction of its row.  Each client draws its epoch
-permutations from its own rng, the width padding depends on the
+permutations from its own rng, in slot order, and an epoch's shuffle is
+one take per array from one concatenation of the cohort's training sets
+(and a zero row for the padding), through a flat index of the batch
+rows that the permutations fill.  The width padding depends on the
 population alone and the batch padding on the client and the config
 alone, so the result is bit-identical to a cohort of one for each client
 (and to the plain-numpy oracle of the tests, tests/reference.py), because
@@ -97,9 +106,10 @@ Evaluation reuse: the population memoizes every client's test accuracy
 per inference variant (Population.accuracy, NaN where not known), and
 run_rounds evaluates only the clients whose entry is NaN.
 Population.wrote(ids) is the one place that forgets the accuracies of
-clients whose rows were written; broadcast, the cohort's scatter and
-assignment to a model field or to a test set call it, and a failed
-cohort, which writes no row, forgets nothing.  Code that writes into a
+clients whose rows were written; broadcast (saying it wrote the shared
+rows only), the cohort's scatter and assignment to a model field or to a
+test set call it, and a failed cohort, which writes no row, forgets
+nothing.  Code that writes into a
 client's rows in place calls population.wrote(ids), or neither the memo
 nor the workspace will see it.  Every evaluation, metrics.evaluate of
 one client included, takes one path (_Workspace.evaluate): the clients
@@ -250,16 +260,18 @@ class Population:
         self.private_layouts = [private[ids[0]] for ids in groups]
         self.accuracy: dict[InferenceVariant, np.ndarray] = {}
         self._views: dict[int, tuple[Net, Net, Projector]] = {}
-        self._flops: dict[tuple[int, Mode], int] = {}
+        self._flops: dict[Mode, list[int]] = {}
         self._workspace: _Workspace | None = None
 
-    def wrote(self, ids) -> None:
+    def wrote(self, ids, shared_only: bool = False) -> None:
         """Forget the accuracies of clients ids: their rows were written, so the
-        workspace's may no longer equal them."""
+        workspace's may no longer equal them.  shared_only says that only their
+        shared rows were (a broadcast), so the workspace's other rows still do."""
         for memo in self.accuracy.values():
             memo[ids] = np.nan
         if self._workspace is not None:
             self._workspace.synced = False
+            self._workspace.local_synced &= shared_only
 
     def _models(self, ident: int) -> tuple[Net, Net, Projector]:
         """Client ident's (shared copy, private model, projector): views of its rows."""
@@ -279,13 +291,16 @@ class Population:
             self._workspace = _Workspace(self)
         return self._workspace
 
-    def _flops_per_sample(self, ident: int, mode: Mode) -> int:
-        """Client ident's forward FLOPs per sample under mode, counted once per (kind, mode)."""
-        key = self.place[ident][0], mode
-        if key not in self._flops:
-            self._flops[key] = forward_flops_per_sample(
-                self.shared_layout, self.private_layouts[key[0]], self.projector_layout, mode)
-        return self._flops[key]
+    def _flops_per_sample(self, mode: Mode) -> list[int]:
+        """Every client's forward FLOPs per sample under mode, by id, counted once per
+        (kind, mode)."""
+        per_client = self._flops.get(mode)
+        if per_client is None:
+            per_kind = [forward_flops_per_sample(self.shared_layout, layout, self.projector_layout,
+                                                 mode) for layout in self.private_layouts]
+            per_client = self._flops[mode] = [
+                per_kind[self.place[i][0]] for i in range(len(self.place))]
+        return per_client
 
     def __getstate__(self):
         return {**self.__dict__, "_views": {}, "_workspace": None}
@@ -413,14 +428,16 @@ def sample_clients(server: ServerState, n_clients: int, k: int) -> list[int]:
 
 def broadcast(server: ServerState, clients: list[ClientState]) -> None:
     """Copy the current shared model into every listed client's row: one row assignment."""
-    if not clients:
-        return
-    population = _population(clients)
+    if clients:
+        _broadcast(_population(clients), server, [c.client_id for c in clients])
+
+
+def _broadcast(population: Population, server: ServerState, ids: list[int]) -> None:
+    """broadcast to clients ids of population: a write of their shared rows only."""
     if _architecture(server.global_model) != _architecture(population.shared_layout):
         raise ShapeError(f"the server's model does not fit: {_shapes(server.global_model)}")
-    ids = [c.client_id for c in clients]
     population.shared[ids] = _vector(server.global_model)
-    population.wrote(ids)
+    population.wrote(ids, shared_only=True)
 
 
 def cohort_update(
@@ -459,15 +476,12 @@ def cohort_update(
     if not clients:
         return []
     population = _population(clients)
-    workspace = population._room()
-    slots, epoch_means = _replayed(lambda members: workspace.train(
-        population, members, epochs, batch_size, mode, lrs, weights), clients,
-        [c.rng.bit_generator.state for c in clients])
-    workspace.scatter(population)
+    slots, epoch_means = _trained(population, clients, epochs, batch_size, lrs, mode, weights)
 
     # Uploads view one copy of the trained shared rows: no client's rows,
     # and not the workspace's, which the next cohort gathers into.
-    shared = None if mode is Mode.STANDALONE else np.concatenate(workspace.shared, axis=1)
+    shared = None if mode is Mode.STANDALONE else np.concatenate(
+        population._workspace.shared, axis=1)
     means, results = epoch_means.tolist(), {}
     for slot, client in enumerate(slots):
         upload = None
@@ -476,6 +490,19 @@ def cohort_update(
             upload = Upload(client.client_id, client.n_samples, model)
         results[client.client_id] = (upload, means[slot])
     return [results[ident] for ident in ids]
+
+
+def _trained(population: Population, clients: list[ClientState], epochs: int, batch_size: int,
+             lrs: LearningRates, mode: Mode, weights: LossWeights):
+    """cohort_update's training of clients, distinct clients of population: the clients
+    in slot order and their (clients, epochs) epoch means.  Their trained rows are
+    scattered, and stay in the workspace's first rows (_Workspace.shared)."""
+    workspace = population._room()
+    slots, epoch_means = _replayed(lambda members: workspace.train(
+        population, members, epochs, batch_size, mode, lrs, weights), clients,
+        [c.rng.bit_generator.state for c in clients])
+    workspace.scatter(population)
+    return slots, epoch_means
 
 
 def _replayed(run, clients: list[ClientState], states=()):
@@ -520,7 +547,8 @@ class _Workspace:
     position), depth[kind] is an architecture's depth and maps[kind] the
     position of each entry of its vector in the padded one
     (models._positions).  layouts holds the population's shared and
-    projector layouts.
+    projector layouts, depth_of and inputs each client's depth and input
+    width, by id.
 
     flat is one (2, total) array of rows and their gradient scratch, with
     room for the largest cohort so far, which core._carve cuts into the
@@ -540,19 +568,26 @@ class _Workspace:
     After a gather, rows is the client id of each slot, depths the depth
     of each slot, copies lists (population buffer, its rows of the
     gathered clients, the workspace's rows, where in them they sit) per
-    buffer and architecture, and shared views the shared extractor and
-    header rows.  Every gather copies every buffer, so its rows equal the
-    population's from a gather to the first step, and again from a scatter
-    to the next write: synced records both, set by gather and scatter and
-    cleared by train before its first step and by Population.wrote, and a
-    gather of the cohort it holds then copies nothing.  A failed check
+    buffer and architecture, the two shared buffers last, order the slots
+    in ascending id order, runs the (first, stop, 1) of each run of slots
+    of one depth, and shared views the shared extractor and header rows.
+    Every gather copies every buffer, so its rows equal the population's
+    from a gather to the first step, and again from a scatter to the next
+    write: synced records both, set by gather and scatter and cleared by
+    train before its first step and by Population.wrote, and a gather of
+    the cohort it holds then copies nothing.  local_synced records that
+    every row but the shared ones does: it is set and cleared with synced,
+    except that a write of shared rows only (broadcast) leaves it, and a
+    gather of the cohort it holds then copies the two shared buffers alone
+    (shared-stale).  A failed check
     raises at once and leaves the rows half-trained, and not synced, for
     the next gather to write over.  Rows beyond a cohort stay as an
     earlier one left them: no step touches or checks a row outside its
     slots.  memo holds what was built for that last cohort only: "cohort"
-    its ids, "gather" its (rows, depths, copies) and, once trained, "train"
-    its ((sizes, batch_size, standalone), batch arrays x and y, ledger,
-    steps, groups); a regrow drops it with the plans.  It
+    its ids, "gather" its (rows, depths, copies, order, runs) and, once
+    trained, "train" its ((sizes, batch_size, standalone), batch arrays x
+    and y, ledger, steps, groups, source, into, first), the last three the
+    shuffle's index (train); a regrow drops it with the plans.  It
     holds arrays, ids, views and layout models only: a client or the
     population here would make a reference cycle.
     """
@@ -570,15 +605,23 @@ class _Workspace:
             extractor = _view(Extractor, _flat=np.zeros(_length(spans)), _spans=spans)
             self.nets.append(Net(extractor, population.private_layouts[kinds[0]].header))
         self.layouts = population.shared_layout, population.projector_layout
-        self.size, self.synced = 0, False
+        # Each client's depth and input width, by id.
+        self.depth_of = [self.depth[population.place[i][0]] for i in range(len(population.place))]
+        self.inputs = [self.nets[depth].extractor.input_dim for depth in self.depth_of]
+        self.size, self.synced, self.local_synced = 0, False, False
 
     def gather(self, population: Population, ids: tuple[int, ...]) -> None:
         """Copy the rows of clients ids, in slot order, into the first rows: one copy per
         slot-indexed buffer (a shared row goes into the two shared buffers), and one
-        per architecture into its depth's block, every block zeroed first.  Nothing is
-        copied if the rows already hold them (synced, the last cohort's ids).  The
-        index maps are built again only for another cohort than the last (memo)."""
-        if self.synced and self.memo["cohort"] == ids:
+        per architecture into its depth's block, every block zeroed first.  If the rows
+        are the last cohort's (ids) and hold all but their shared rows as the population
+        has them (local_synced), only the two shared buffers are copied, and nothing if
+        they hold those too (synced).  The index maps are built again only for another
+        cohort than the last (memo)."""
+        if self.local_synced and self.memo["cohort"] == ids:
+            for source, index, rows, at in [] if self.synced else self.copies[-2:]:
+                rows[at] = source[index]
+            self.synced = True
             return
         n, place, cut = len(ids), population.place, population.shared_layout.extractor._flat.size
         sources = {"headers": population.headers, "projectors": population.projectors,
@@ -597,7 +640,7 @@ class _Workspace:
                 kind, rank = place[ident]
                 kinds.setdefault(kind, ([], []))[0].append(slot)
                 kinds[kind][1].append(rank)
-            rows, copies = np.array(ids), []
+            rows, copies = np.array(ids), []  # copies in sources' order, the shared ones last
             for kind, (slots, ranks) in kinds.items():
                 block = self.buffers[self.depth[kind]][0][:n]
                 # An architecture's rows sit at flat positions of its depth's block.
@@ -605,14 +648,15 @@ class _Workspace:
                 copies.append((population.blocks[kind], np.array(ranks), block.reshape(-1), at))
             copies += [(source, rows, self.buffers[key][0][:n], ...)
                        for key, source in sources.items()]
-            self.memo = {"cohort": ids,
-                         "gather": (rows, [self.depth[place[i][0]] for i in ids], copies)}
-        self.rows, self.depths, self.copies = self.memo["gather"]
+            depths = [self.depth_of[i] for i in ids]
+            self.memo = {"cohort": ids, "gather": (
+                rows, depths, copies, np.argsort(rows), _runs([1] * n, depths))}
+        self.rows, self.depths, self.copies, self.order, self.runs = self.memo["gather"]
         self.flat[0, : self.starts["headers"][0]] = 0.0  # every block, the first buffers
         for source, index, rows, at in self.copies:
             rows[at] = source[index]
         self.shared = tuple(self.buffers[key][0][:n] for key in list(_BUFFERS)[3:])
-        self.synced = True
+        self.synced = self.local_synced = True
 
     def scatter(self, population: Population) -> None:
         """Write the rows back into the population: the gather's copies, reversed.  The
@@ -620,7 +664,7 @@ class _Workspace:
         for source, index, rows, at in self.copies:
             source[index] = rows[at]
         population.wrote(self.rows)
-        self.synced = True
+        self.synced = self.local_synced = True
 
     def plan(self, a: int, b: int, standalone: bool):
         """The plan of slots a to b, which share a depth (core._plan), for both models or
@@ -641,14 +685,13 @@ class _Workspace:
             plan = self.plans[key] = _plan(*models, self.flat, spans)
         return plan
 
-    def check(self, population: Population, clients: list[ClientState], split: str,
-              empty: str) -> None:
+    def check(self, clients: list[ClientState], split: str, empty: str) -> None:
         """Raise ValueError("client i ...") if a client's split ("train" or "test") is not
         2-D features of its models' input width, one row per label of 1-D labels, and
         ValueError("client i <empty>") if it is empty."""
         for c in clients:
             x, y = getattr(c, split + "_x"), getattr(c, split + "_y")
-            width = self.nets[self.depth[population.place[c.client_id][0]]].extractor.input_dim
+            width = self.inputs[c.client_id]
             if y.ndim != 1 or x.shape != (len(y), width):
                 raise ValueError(f"client {c.client_id} has {split}_x of shape {x.shape} "
                                  f"and {split}_y of shape {y.shape}, not (n, {width}) and (n,)")
@@ -661,10 +704,9 @@ class _Workspace:
         gathered: by depth, then by training-set size, largest first, then by id, so
         the clients of one depth fill a contiguous run of slots, and those of them
         with more than a given number of training samples its first slots."""
-        self.check(population, clients, split, empty)
-        depth, place = self.depth, population.place
-        clients = sorted(clients, key=lambda c: (
-            depth[place[c.client_id][0]], -c.n_samples, c.client_id))
+        self.check(clients, split, empty)
+        depth = self.depth_of
+        clients = sorted(clients, key=lambda c: (depth[c.client_id], -c.n_samples, c.client_id))
         self.gather(population, tuple(c.client_id for c in clients))
         return clients
 
@@ -680,8 +722,15 @@ class _Workspace:
         Each client takes its batches in their order.  The schedule, the batch
         arrays, whose padded rows stay 0, the ledger and the steps are built once
         per cohort, and kept (memo) while the next ones have the same slots, shard
-        sizes, batch size and standalone.  Labels are checked over the whole cohort
-        at once, and a failure names the first listed client out of range.
+        sizes, batch size and standalone.  Once stack has checked their shapes, the
+        clients' training sets are concatenated in slot order, once per call,
+        and an epoch's shuffle is one take per batch array from them: source
+        holds the row of the concatenation that fills each batch row, the
+        padding's a zero row, and each epoch writes the clients' permutations,
+        drawn in slot order and shifted by where each client's rows start
+        (first), into its real rows (into).  Labels are checked over the same
+        concatenation at once, and a failure names the first client, in slot
+        order, out of range.
         The rows are not synced from the first step on, so a failed step
         leaves them half-trained for the next gather to write over.
 
@@ -697,43 +746,56 @@ class _Workspace:
             labels = np.asarray(labels, dtype=np.int64)
             return bool(labels.size) and (labels.min() < 0 or labels.max() >= classes)
 
+        clients = self.stack(population, clients, "train", "has no training samples")
+        sizes, width = [c.n_samples for c in clients], clients[0].train_x.shape[1]
+        # The cohort's training sets, in slot order, and a zero row (label 0) for padding.
+        features = np.concatenate([*(c.train_x for c in clients), np.zeros((1, width))])
+        labels = np.asarray(np.concatenate([*(c.train_y for c in clients), [0]]), dtype=np.int64)
         # Once here, over all the clients' labels, as the steps read labels unchecked.
-        if outside(np.concatenate([c.train_y for c in clients], axis=None)):
+        if outside(labels):
             bad = next(c for c in clients if outside(c.train_y))
             raise ValueError(f"client {bad.client_id} has labels outside [0, {classes})")
-        clients = self.stack(population, clients, "train", "has no training samples")
-        self.synced = False  # the steps write the rows
+        self.synced = self.local_synced = False  # the steps write the rows
         standalone = mode is Mode.STANDALONE
         weights = LossWeights(0.0, 1.0) if mode is Mode.NO_MRL else weights  # the ablation
-        sizes = [c.n_samples for c in clients]
         if self.memo.get("train", (None,))[0] != (sizes, batch_size, standalone):
             batches = [-(-size // batch_size) for size in sizes]
             schedule = _steps(sizes, self.depths, batch_size)
             shape = (len(sizes), max(start + rows for _, _, start, rows, _ in schedule))
-            x = np.zeros((*shape, clients[0].train_x.shape[1]))
-            y = np.zeros(shape, dtype=np.int64)
+            x, y = np.zeros((*shape, width)), np.zeros(shape, dtype=np.int64)
             ledger = np.empty((len(sizes), max(batches)))
             steps = [(self.plan(a, b, standalone), x[a:b, start : start + rows],
                       y[a:b, start : start + rows], real, ledger[a:b, start // batch_size])
                      for a, b, start, rows, real in schedule]
             groups = _runs(batches, self.depths)  # runs of slots with equal batch counts
-            self.memo["train"] = (sizes, batch_size, standalone), x, y, ledger, steps, groups
-        _, x, y, ledger, steps, groups = self.memo["train"]
+            # The row of features that fills each row of x: the padding row, and through
+            # `into` (each client's rows of x, in slot order) a client's permuted rows,
+            # which sit `first` rows into features.
+            source = np.full(x.shape[:2], sum(sizes)).reshape(-1)
+            counts = np.array(sizes)
+            starts = np.cumsum(counts) - counts
+            first = np.repeat(starts, counts)
+            into = np.arange(len(first)) + np.repeat(
+                np.arange(0, len(counts) * shape[1], shape[1]) - starts, counts)
+            self.memo["train"] = ((sizes, batch_size, standalone), x, y, ledger, steps, groups,
+                                  source, into, first)
+        _, x, y, ledger, steps, groups, source, into, first = self.memo["train"]
         epoch_means = np.empty((len(sizes), epochs))
         for epoch in range(epochs):
-            for i, client in enumerate(clients):
-                order = client.rng.permutation(sizes[i])
-                x[i, : sizes[i]] = client.train_x[order]
-                y[i, : sizes[i]] = client.train_y[order]
+            source[into] = np.concatenate(
+                [c.rng.permutation(n) for c, n in zip(clients, sizes)]) + first
+            features.take(source, axis=0, out=x.reshape(-1, width), mode="clip")
+            labels.take(source, out=y.reshape(-1), mode="clip")
             for plan, xs, ys, real, losses in steps:
                 losses[...], _ = _train(plan, xs, ys, weights, lrs, real)
             for a, b, count in groups:
                 epoch_means[a:b, epoch] = _mean(ledger[a:b, :count])
         return clients, epoch_means
 
-    def evaluate(self, clients: list[ClientState], variant: InferenceVariant) -> list[float]:
-        """The test accuracies of clients, listed in ascending id order, each a count of
-        hits over its test-set size (float(np.mean(hits)) bit for bit).
+    def evaluate(self, population: Population, clients: list[ClientState],
+                 variant: InferenceVariant) -> list[float]:
+        """The test accuracies of clients of population, listed in ascending id order,
+        each a count of hits over its test-set size (float(np.mean(hits)) bit for bit).
 
         The clients are predicted in chunks no larger than the room the
         workspace has (one client if it has none yet), and each depth of a
@@ -743,7 +805,6 @@ class _Workspace:
         ValueError for an empty test set or test data that does not fit
         (check), or a TrainingDiverged naming it for non-finite logits.
         """
-        population = _population(clients)
         room, accuracies = max(self.size, 1), []
         for start in range(0, len(clients), room):
             accuracies += _replayed(lambda chunk: self._predicted(population, chunk, variant),
@@ -766,7 +827,7 @@ class _Workspace:
         """
         chunk = self.stack(population, clients, "test", "has an empty test set")
         accuracies = {}
-        for a, b, _ in _runs([1] * len(chunk), self.depths):  # the runs of one depth
+        for a, b, _ in self.runs:  # the runs of one depth
             members = chunk[a:b]
             sizes = [c.test_y.size for c in members]
             if min(sizes) == max(sizes):  # nothing to pad
@@ -781,7 +842,7 @@ class _Workspace:
                 labels = np.concatenate([c.test_y for c in members])[rows]
                 labels[steps >= sizes[:, None]] = -1
             preds = _predict(self.plan(a, b, variant is InferenceVariant.SINGLE_LARGE), x, variant)
-            hits = np.count_nonzero(preds == labels, axis=-1)
+            hits = np.add.reduce(preds == labels, axis=-1)
             accuracies.update(zip((c.client_id for c in members), (hits / sizes).tolist()))
         return [accuracies[c.client_id] for c in clients]
 
@@ -863,12 +924,23 @@ def aggregate(server: ServerState, uploads: list[Upload]) -> None:
                 f"upload from client {upload.client_id} has shapes {_shapes(upload.model)}, "
                 f"server expects {_shapes(server.global_model)}"
             )
-    total = sum(u.n_samples for u in ordered)
-    base = _vector(ordered[0].model)
-    merged = base.copy()
-    for upload in ordered[1:]:
-        merged += (upload.n_samples / total) * (_vector(upload.model) - base)
-    server.global_model = server.global_model._split(merged)
+    rows = np.stack([_vector(upload.model) for upload in ordered])
+    server.global_model = server.global_model._split(
+        _anchored(rows, [upload.n_samples for upload in ordered]))
+
+
+def _anchored(rows: np.ndarray, counts: list[int]) -> np.ndarray:
+    """aggregate's mean of rows (K, P), weighted by counts and anchored at the first
+    row: rows[0] + sum over k of (counts[k] / sum(counts)) * (rows[k] - rows[0]),
+    the terms added one row after another in row order (np.add.reduce over the rows
+    would sum them pairwise), so a single row comes back bit for bit."""
+    counts = np.array(counts)
+    terms = rows - rows[0]
+    terms *= (counts / counts.sum())[:, None]
+    merged = rows[0].copy()
+    for term in terms[1:]:
+        merged += term
+    return merged
 
 
 def run_training(
@@ -901,53 +973,52 @@ def run_rounds(
     if len(clients) != config.n_clients:
         raise ValueError(f"the config wants {config.n_clients} clients, got {len(clients)}")
     ids = [c.client_id for c in clients]
-    if ids != list(range(len(_population(clients).headers))):
+    population = _population(clients)
+    if ids != list(range(len(population.headers))):
         raise ValueError(f"the clients must be all their population's, in id order: got ids {ids}")
     standalone = config.mode is Mode.STANDALONE
     variant = InferenceVariant.SINGLE_LARGE if standalone else config.inference
     shared_params = server.global_model.param_count()
+    flops = population._flops_per_sample(config.mode)
+    train = (config.local_epochs, config.batch_size, config.lrs, config.mode, config.loss_weights)
     reports = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         for round_index in range(1, config.rounds + 1):
             try:
                 if standalone:
-                    participants = list(range(config.n_clients))
+                    participants = ids
                 else:
                     participants = sample_clients(server, config.n_clients, config.participants)
-                    broadcast(server, [clients[i] for i in participants])
+                    _broadcast(population, server, participants)
 
-                updates = cohort_update(
-                    [clients[i] for i in participants],
-                    config.local_epochs,
-                    config.batch_size,
-                    config.lrs,
-                    config.mode,
-                    config.loss_weights,
-                )
-                uploads = [upload for upload, _ in updates if upload is not None]
-                losses = np.array([epoch_means for _, epoch_means in updates])  # (K, epochs)
-                round_flops = sum(_training_flops(
-                    clients[i].population._flops_per_sample(i, config.mode), clients[i].n_samples,
-                    config.local_epochs) for i in participants)
+                members = [clients[i] for i in participants]
+                _, epoch_means = _trained(population, members, *train)
+                workspace = population._workspace  # its rows are the trained cohort's
+                losses = epoch_means[workspace.order]  # (K, epochs), in id order
+                counts = [c.n_samples for c in members]
+                round_flops = sum(_training_flops(flops[i], count, config.local_epochs)
+                                  for i, count in zip(participants, counts))
 
                 if standalone:
                     uplink = downlink = 0
                 else:
-                    aggregate(server, uploads)
+                    # The uploads: the trained shared rows, in id order.
+                    rows = np.concatenate(workspace.shared, axis=1)[workspace.order]
+                    server.global_model = server.global_model._split(_anchored(rows, counts))
                     uplink, downlink = comm_cost_round(shared_params, len(participants))
 
-                accuracies = _accuracies(clients, variant)
+                accuracies = _accuracies(population, clients, variant)
             except TrainingDiverged as exc:
                 where = f"round {server.round + 1}: {exc}"
                 raise TrainingDiverged(where, exc.group, exc.client, server.round + 1) from exc
             reports.append(
                 RoundReport(
                     round=round_index,
-                    avg_test_accuracy=float(np.mean(accuracies)),
+                    avg_test_accuracy=float(_mean(np.array(accuracies))),  # np.mean's bits
                     per_client_accuracy=accuracies,
                     # _mean of a row is np.mean of the client's epoch means, bit for bit.
-                    mean_train_loss=float(np.mean(_mean(losses))) if losses.size else math.nan,
+                    mean_train_loss=float(_mean(_mean(losses))) if losses.size else math.nan,
                     uplink_params=uplink,
                     downlink_params=downlink,
                     flops=round_flops,
@@ -957,13 +1028,16 @@ def run_rounds(
     return reports
 
 
-def _accuracies(clients: list[ClientState], variant: InferenceVariant) -> tuple[float, ...]:
-    """Every client's test accuracy, from the population's memo: the stale ones are
-    evaluated on the population's workspace (_Workspace.evaluate), which raises the
-    error of the lowest-id client that fails."""
-    population = _population(clients)
-    memo = population.accuracy.setdefault(variant, np.full(len(population.headers), np.nan))
-    stale = np.flatnonzero(np.isnan(memo)).tolist()
+def _accuracies(population: Population, clients: list[ClientState],
+                variant: InferenceVariant) -> tuple[float, ...]:
+    """Every client's test accuracy, clients all population's in id order, from its
+    memo: the stale ones are evaluated on the population's workspace
+    (_Workspace.evaluate), which raises the error of the lowest-id client that fails."""
+    memo = population.accuracy.get(variant)
+    if memo is None:
+        memo = population.accuracy[variant] = np.full(len(population.headers), np.nan)
+    stale = np.isnan(memo).nonzero()[0].tolist()
     if stale:
-        memo[stale] = population._room().evaluate([clients[i] for i in stale], variant)
+        memo[stale] = population._room().evaluate(
+            population, [clients[i] for i in stale], variant)
     return tuple(memo.tolist())

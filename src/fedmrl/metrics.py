@@ -62,7 +62,8 @@ def evaluate(client: "ClientState", variant: InferenceVariant) -> float:
     row per label of 1-D labels, and TrainingDiverged naming the client if its logits are not
     finite.
     """
-    (accuracy,) = client.population._room().evaluate([client], variant)
+    population = client.population
+    (accuracy,) = population._room().evaluate(population, [client], variant)
     return accuracy
 
 

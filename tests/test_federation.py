@@ -608,6 +608,37 @@ def test_aggregation_is_the_anchored_weighted_mean_of_the_upload_rows(
         assert (array <= stack.max(axis=0) + slack).all()
 
 
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 16), p=st.integers(1, 6), data=st.data())
+@example(k=12, p=1, data=None)
+@example(k=1, p=1, data=None)
+def test_the_row_kernel_is_aggregate_bit_for_bit(k, p, data):
+    # run_rounds aggregates the trained shared rows with _anchored, and
+    # aggregate stacks its upload vectors for the same kernel: both are the
+    # anchored weighted mean summed one row after another, bit for bit (a
+    # pairwise sum over the rows, as np.add.reduce takes it for one column,
+    # is not).  Single-column and 1-upload rows included.
+    if data is None:  # the explicit examples: rows of many scales
+        rng = make_rng(k * 7 + p)
+        rows = rng.normal(size=(k, p)) * 10.0 ** rng.integers(-8, 8, size=(k, 1))
+        counts = rng.integers(1, 500, size=k).tolist()
+    else:
+        scales = data.draw(st.lists(st.integers(-8, 8), min_size=k, max_size=k), label="scales")
+        rows = np.array([[v * 10.0**e for v in data.draw(
+            st.lists(st.floats(-1, 1), min_size=p, max_size=p), label="row")] for e in scales])
+        counts = data.draw(st.lists(st.integers(1, 500), min_size=k, max_size=k), label="counts")
+    merged = federation._anchored(rows, counts)
+    expected = rows[0].copy()  # the anchored mean, one row at a time
+    for row, count in zip(rows[1:], counts[1:]):
+        expected += (count / sum(counts)) * (row - rows[0])
+    assert merged.tobytes() == expected.tobytes()
+    uploads = [Upload(i, n, core.Projector(row[None].copy())) for i, (row, n)
+               in enumerate(zip(rows, counts))]
+    server = ServerState(global_model=core.Projector(np.zeros((1, p))), rng=make_rng(0))
+    aggregate(server, uploads[::-1])
+    assert server.global_model.weight.tobytes() == merged.tobytes()
+
+
 def _client_arrays(client):
     return [
         *client.global_copy.parameter_arrays(),
@@ -805,16 +836,18 @@ def _fresh_accuracies(clients, variant):
     one evaluated from its population's rows, in a workspace of the copy's own."""
     twins = copy.deepcopy(clients)
     twins[0].population.accuracy.clear()
-    return federation._accuracies(twins, variant)
+    return federation._accuracies(twins[0].population, twins, variant)
 
 
 def _copying_gathers(monkeypatch):
-    """A list that gains, at each _Workspace.gather, whether it copies rows: it does
-    unless the workspace holds that cohort's rows as the population has them."""
+    """A list that gains, at each _Workspace.gather, what it copies: "all" rows, only
+    the "shared" rows, when the workspace holds the rest of that cohort's rows as the
+    population has them (local_synced), or "none", when it holds all of them."""
     copied, gather = [], federation._Workspace.gather
 
     def counting(workspace, population, ids):
-        copied.append(not (workspace.synced and workspace.memo["cohort"] == ids))
+        held = workspace.local_synced and workspace.memo["cohort"] == ids
+        copied.append("none" if held and workspace.synced else "shared" if held else "all")
         return gather(workspace, population, ids)
 
     monkeypatch.setattr(federation._Workspace, "gather", counting)
@@ -826,16 +859,17 @@ def test_a_round_gathers_once_and_a_repeated_cohort_is_planned_once(monkeypatch,
     # Counts: every quickstart round trains all ten clients, so evaluation
     # predicts them where training left them, without a second copy, and
     # the cohort's schedule (_steps) is built in the first round only.  A
-    # fedmrl or no_mrl round's broadcast writes the rows, so its cohort is
-    # copied again; a standalone run writes none but its own, so only its
-    # first gather copies.
+    # fedmrl or no_mrl round's broadcast writes the shared rows alone, so
+    # its cohort copies only those again; a standalone run writes none but
+    # its own, so only its first gather copies.
     cfg, server, clients = _equal_shards(with_server=True)
     cfg = dataclasses.replace(cfg, mode=mode, rounds=3)
     copied, schedules, steps = _copying_gathers(monkeypatch), [], federation._steps
     monkeypatch.setattr(federation, "_steps", lambda *args: schedules.append(args) or steps(*args))
     reports = run_rounds(server, clients, cfg)
-    assert len(copied) == 6 and len(schedules) == 1
-    assert sum(copied) == (1 if mode is Mode.STANDALONE else 3)
+    assert len(schedules) == 1
+    refresh = "none" if mode is Mode.STANDALONE else "shared"
+    assert copied == ["all", "none", refresh, "none", refresh, "none"]
     variant = InferenceVariant.SINGLE_LARGE if mode is Mode.STANDALONE else cfg.inference
     assert reports[-1].per_client_accuracy == _fresh_accuracies(clients, variant)
 
@@ -857,7 +891,36 @@ def test_a_cohort_written_after_its_scatter_is_evaluated_from_the_new_rows(write
     if write == "in place":
         clients[0].population.wrote([c.client_id for c in clients])
     for variant in InferenceVariant:
-        assert federation._accuracies(clients, variant) == _fresh_accuracies(clients, variant)
+        assert (federation._accuracies(clients[0].population, clients, variant)
+                == _fresh_accuracies(clients, variant))
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("sent", ["outside the held cohort", "to the held cohort"])
+def test_a_broadcast_then_a_gather_of_the_held_cohort_trains_like_a_fresh_population(
+    monkeypatch, sent, mode
+):
+    # The workspace holds the first five clients since their scatter.  A
+    # broadcast to the other five, or to those five, writes shared rows
+    # only, and the next cohort of the first five refreshes the shared rows
+    # alone: it trains, uploads and leaves every row as a deep copy taken
+    # before it does, which gathers everything afresh.
+    cfg, server, clients = _equal_shards(with_server=True)
+    args = (1, 8, cfg.lrs, mode, LossWeights())
+    held = clients[:5]
+    cohort_update(held, *args)
+    broadcast(server, clients[5:] if sent == "outside the held cohort" else held)
+    copied = _copying_gathers(monkeypatch)
+    twins = copy.deepcopy(clients)
+    results, expected = cohort_update(held, *args), cohort_update(twins[:5], *args)
+    assert copied == ["shared", "all"]
+    assert [means for _, means in results] == [means for _, means in expected]
+    for (upload, _), (twin, _) in zip(results, expected):
+        assert (upload is None) == (twin is None)
+        if upload is not None:
+            assert _same_arrays(upload.model._segments(), twin.model._segments())
+    assert _same_arrays(_population_arrays(clients[0].population),
+                        _population_arrays(twins[0].population))
 
 
 def test_a_failed_cohort_is_evaluated_from_the_population_rows():
@@ -867,14 +930,15 @@ def test_a_failed_cohort_is_evaluated_from_the_population_rows():
     cfg, dataset, plan = small_setup()
     _, clients = build_clients(cfg, dataset, plan)
     for variant in InferenceVariant:
-        federation._accuracies(clients, variant)
+        federation._accuracies(clients[0].population, clients, variant)
     client = clients[2]
     cohort_update([client], 1, 8, cfg.lrs, Mode.FEDMRL, LossWeights())
     client.train_x = 1e3 * client.train_x
     with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match="^client 2: "):
         cohort_update([client], 1, 8, LearningRates(0.0, 1e308, 0.0), Mode.FEDMRL, LossWeights())
     for variant in InferenceVariant:
-        assert federation._accuracies(clients, variant) == _fresh_accuracies(clients, variant)
+        assert (federation._accuracies(clients[0].population, clients, variant)
+                == _fresh_accuracies(clients, variant))
 
 
 def test_one_client_of_a_trained_cohort_is_evaluated_like_a_fresh_copy():
@@ -885,7 +949,8 @@ def test_one_client_of_a_trained_cohort_is_evaluated_like_a_fresh_copy():
     twins = copy.deepcopy(clients)
     for variant in InferenceVariant:
         assert evaluate(clients[3], variant) == evaluate(twins[3], variant)
-        assert federation._accuracies(clients, variant) == _fresh_accuracies(clients, variant)
+        assert (federation._accuracies(clients[0].population, clients, variant)
+                == _fresh_accuracies(clients, variant))
 
 
 @pytest.mark.parametrize("mode", list(Mode))
@@ -896,8 +961,8 @@ def test_a_trained_cohort_is_predicted_in_place_for_every_variant(monkeypatch, v
     cfg, clients = _equal_shards()
     cohort_update(clients, 1, 8, cfg.lrs, mode, LossWeights())
     copied = _copying_gathers(monkeypatch)
-    accuracies = federation._accuracies(clients, variant)
-    assert copied == [False]
+    accuracies = federation._accuracies(clients[0].population, clients, variant)
+    assert copied == ["none"]
     assert accuracies == _fresh_accuracies(clients, variant)
 
 
@@ -913,7 +978,7 @@ def test_two_standalone_cohorts_in_a_row_copy_once_and_train_like_a_fresh_popula
     cohort_update(clients, *args)
     twins = copy.deepcopy(clients)
     results, expected = cohort_update(clients, *args), cohort_update(twins, *args)
-    assert copied == [True, False, True]
+    assert copied == ["all", "none", "all"]
     assert [means for _, means in results] == [means for _, means in expected]
     assert _same_arrays(_population_arrays(clients[0].population),
                         _population_arrays(twins[0].population))
@@ -940,14 +1005,14 @@ def test_a_step_that_diverges_after_a_skipped_gather_changes_no_row(monkeypatch,
         client.train_x = 1e3 * client.train_x  # large gradients, finite losses
     with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match="^client 0: "):
         cohort_update(clients, 1, 8, LearningRates.uniform(1e308), mode, LossWeights())
-    assert copied[0] is False
+    assert copied[0] == "none"
     assert _same_arrays(_population_arrays(population), before)
     for client, twin, rng in zip(clients, twins, rngs):
         client.train_x, client.rng = twin.train_x, rng
     copied.clear()
     args = (2, 8, cfg.lrs, mode, LossWeights())
     results, expected = cohort_update(clients, *args), cohort_update(twins, *args)
-    assert copied == [True, True]
+    assert copied == ["all", "all"]
     assert [means for _, means in results] == [means for _, means in expected]
     assert _same_arrays(_population_arrays(population), _population_arrays(twins[0].population))
 
@@ -1374,7 +1439,7 @@ def test_a_client_whose_data_does_not_fit_raises_what_the_ascending_loop_raises(
                 cohort_update([client], *args)
     else:
         with pytest.raises(ValueError) as stacked:
-            clients[0].population._room().evaluate(clients, MIX_LARGE)
+            clients[0].population._room().evaluate(clients[0].population, clients, MIX_LARGE)
         with pytest.raises(ValueError) as alone:
             for client in sequence:
                 evaluate(client, MIX_LARGE)
@@ -1650,7 +1715,7 @@ def test_a_chunk_of_unequal_test_sizes_is_predicted_in_one_stack_per_depth(
     calls = _count_inference(monkeypatch, clients)
     for variant in InferenceVariant:
         calls.clear()
-        clients[0].population._room().evaluate(clients, variant)
+        clients[0].population._room().evaluate(clients[0].population, clients, variant)
         # As training orders them: by depth, then training-set size, largest first.
         assert calls == stacks and sum(stacks, []) == clients[0].population._workspace.rows.tolist()
 
@@ -1664,7 +1729,7 @@ def test_a_padded_evaluation_scores_each_client_on_its_own_rows(variant):
         # The last row, which the padding copies, is a hit.
         client.test_y = np.concatenate([client.test_y[:-1], preds[-1:]])
         expected.append(np.count_nonzero(preds == client.test_y) / client.test_y.size)
-    assert clients[0].population._room().evaluate(clients, variant) == expected
+    assert clients[0].population._room().evaluate(clients[0].population, clients, variant) == expected
 
 
 @pytest.mark.parametrize(
@@ -2246,12 +2311,15 @@ class PopulationMemo(RuleBasedStateMachine):
     """One small population of two depths under every writer of its rows and test
     sets, in any order.  After each rule every accuracy the memo knows equals a
     fresh evaluation, a cohort that failed changed no row and no memo entry, and a
-    synced workspace holds its cohort's rows as the population has them.
+    synced workspace holds its cohort's rows as the population has them, a
+    local_synced one all of them but the shared rows.
 
-    The rules reach the workspace's skipped gather: a cohort or an evaluation
-    of exactly the clients it holds since a gather or a scatter, with no write
-    in between, runs on its rows without copying them.  Such a gather is only
-    right while the last invariant holds: every write must clear synced."""
+    The rules reach the workspace's skipped and shared-only gathers: a cohort or
+    an evaluation of exactly the clients it holds since a gather or a scatter
+    runs on its rows without copying them if nothing was written in between,
+    and copies only their shared rows if a broadcast was.  Such a gather is only
+    right while the last invariant holds: every write must clear synced, and
+    every write but a broadcast local_synced too."""
 
     def __init__(self):
         super().__init__()
@@ -2283,20 +2351,28 @@ class PopulationMemo(RuleBasedStateMachine):
             lrs = LearningRates.uniform(1e308)
             for client, x in zip(members, kept):
                 client.train_x = 1e3 * x  # large gradients, finite losses
+        # A deep copy has no workspace: it gathers everything afresh.
+        twins = copy.deepcopy(self.clients)
         try:
             with np.errstate(all="ignore"):
-                cohort_update(members, 2, 5, lrs, mode, self.cfg.loss_weights)
+                results = cohort_update(members, 2, 5, lrs, mode, self.cfg.loss_weights)
         except NonFiniteError:
             assert fail is not None
             assert _same_arrays(_population_arrays(population), rows)
             assert {v: a.tobytes() for v, a in population.accuracy.items()} == memo
+        else:
+            expected = cohort_update([twins[c.client_id] for c in members], 2, 5, lrs, mode,
+                                     self.cfg.loss_weights)
+            assert [m for _, m in results] == [m for _, m in expected]
+            assert _same_arrays(_population_arrays(population),
+                                _population_arrays(twins[0].population))
         for client, x in zip(members, kept):
             client.train_x = x
 
     @rule(ident=st.none() | st.integers(0, 3), variant=st.sampled_from(list(InferenceVariant)))
     def an_evaluation(self, ident, variant):
         if ident is None:  # the stale clients, as run_rounds evaluates them
-            federation._accuracies(self.clients, variant)
+            federation._accuracies(self.population, self.clients, variant)
         else:
             evaluate(self.clients[ident], variant)
 
@@ -2334,12 +2410,20 @@ class PopulationMemo(RuleBasedStateMachine):
             fresh = np.array(_fresh_accuracies(self.clients, variant))
             assert memo[known].tobytes() == fresh[known].tobytes()
 
+    @rule(ids=st.sets(st.integers(0, 3), min_size=1))
+    def a_broadcast(self, ids):
+        broadcast(self.server, [self.clients[i] for i in sorted(ids)])
+
     @invariant()
     def a_synced_workspace_holds_the_population_rows(self):
+        # synced: every row of its cohort as the population has it; local_synced
+        # alone (after a broadcast): every row but the two shared buffers' ones.
         workspace = self.population._workspace
-        if workspace is not None and workspace.synced:
-            for source, index, rows, at in workspace.copies:
+        if workspace is not None and workspace.local_synced:
+            copies = workspace.copies if workspace.synced else workspace.copies[:-2]
+            for source, index, rows, at in copies:
                 assert rows[at].tobytes() == source[index].tobytes()
+        assert workspace is None or workspace.local_synced or not workspace.synced
 
 
 PopulationMemo.TestCase.settings = settings(max_examples=50, stateful_step_count=15, deadline=None)

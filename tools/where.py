@@ -43,9 +43,10 @@ MAX_SEED_REDRAWS = 10
 STEPS = "core._train"
 NAMES = (
     "federation.build_clients", STEPS, "core._predict", "federation.sample_clients",
-    "federation.broadcast", "federation.cohort_update", "federation._Workspace.train",
-    "federation._Workspace.stack", "federation._Workspace.gather", "federation._Workspace.scatter",
-    "federation.aggregate", "federation._accuracies", "federation._Workspace.evaluate",
+    "federation.broadcast", "federation._broadcast", "federation.cohort_update",
+    "federation._trained", "federation._Workspace.train", "federation._Workspace.stack",
+    "federation._Workspace.gather", "federation._Workspace.scatter", "federation.aggregate",
+    "federation._anchored", "federation._accuracies", "federation._Workspace.evaluate",
 )
 
 
