@@ -326,7 +326,8 @@ def split_train_test(plan: PartitionPlan, test_fraction: float = 0.2) -> Partiti
     n_test = np.maximum(1, np.floor(test_fraction * sizes).astype(np.int64))
     # Run 2i of the shuffled pools is client i's test part, its first n_test
     # samples, and run 2i + 1 the rest, its train part.
-    lengths = np.stack([n_test, sizes - n_test], axis=1).reshape(-1)
+    lengths = np.empty(2 * sizes.size, dtype=np.int64)
+    lengths[::2], lengths[1::2] = n_test, sizes - n_test
     parts = _sorted_runs(shuffled, np.repeat(np.arange(lengths.size), lengths), lengths)
     clients = [ClientIndices(train=train, test=test) for test, train in zip(parts[::2], parts[1::2])]
     return PartitionPlan(
