@@ -605,7 +605,6 @@ class _Workspace:
             extractor = _view(Extractor, _flat=np.zeros(_length(spans)), _spans=spans)
             self.nets.append(Net(extractor, population.private_layouts[kinds[0]].header))
         self.layouts = population.shared_layout, population.projector_layout
-        # Each client's depth and input width, by id.
         self.depth_of = [self.depth[population.place[i][0]] for i in range(len(population.place))]
         self.inputs = [self.nets[depth].extractor.input_dim for depth in self.depth_of]
         self.size, self.synced, self.local_synced = 0, False, False
