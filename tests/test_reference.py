@@ -170,29 +170,34 @@ def _csv(reports) -> bytes:
 
 @settings(max_examples=50, deadline=None)
 @given(
-    n_clients=st.integers(1, 8),
+    n_clients=st.integers(1, 12),
     shards=st.sampled_from([0.3, 1.0, 10.0, 1, 2]),  # a Dirichlet alpha, or classes per client
     data_seed=st.integers(0, 50),
     batch_size=st.integers(1, 9),
-    epochs=st.integers(1, 2),
-    widths=st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9)),
+    epochs=st.integers(0, 3),
+    local_hidden=st.lists(
+        st.lists(st.integers(1, 9), max_size=2).map(tuple), min_size=1, max_size=5
+    ).map(tuple),
     mode=st.sampled_from(list(Mode)),
     variant=st.sampled_from(list(InferenceVariant)),
     participation=st.sampled_from([0.3, 0.6, 1.0]),
+    loss_weights=st.tuples(st.sampled_from([0.0, 0.7, 1.0]), st.sampled_from([0.0, 1.0, 1.3])),
     lrs=st.tuples(*[st.sampled_from([0.01, 0.05, 0.1])] * 3),
     rounds=st.integers(1, 4),
 )
-@example(n_clients=4, shards=1.0, data_seed=3, batch_size=2, epochs=2, widths=(4, 3, 2),
-         mode=Mode.FEDMRL, variant=InferenceVariant.MIX_LARGE, participation=0.6,
-         lrs=(1e300,) * 3, rounds=3)  # diverges in round 1, client 0
+@example(n_clients=4, shards=1.0, data_seed=3, batch_size=2, epochs=2,
+         local_hidden=((4,), (3, 2)), mode=Mode.FEDMRL, variant=InferenceVariant.MIX_LARGE,
+         participation=0.6, loss_weights=(1.0, 1.0), lrs=(1e300,) * 3,
+         rounds=3)  # diverges in round 1, client 0
 def test_a_whole_run_writes_the_reference_oracles_csv_bytes(
-    n_clients, shards, data_seed, batch_size, epochs, widths, mode, variant, participation, lrs,
-    rounds,
+    n_clients, shards, data_seed, batch_size, epochs, local_hidden, mode, variant, participation,
+    loss_weights, lrs, rounds,
 ):
-    # Ragged Dirichlet or class-count shards, private extractors of two
-    # depths, every mode and inference variant, participation below and at
-    # 1, and 1-4 rounds: run_training's CSV bytes are the oracle's, and so
-    # are those of the same run taken one run_rounds call per round.
+    # Ragged Dirichlet or class-count shards, 1-12 clients, 1-5 private
+    # stacks of 0-2 hidden layers, every mode and inference variant,
+    # participation below and at 1, 0-3 epochs, loss weights that take a
+    # head out, and 1-4 rounds: run_training's CSV bytes are the oracle's,
+    # and so are those of the same run taken one run_rounds call per round.
     dataset = gen_synthetic(4, 5, 25, 0.8, make_rng(data_seed))
     if isinstance(shards, float):
         spec = DirichletSpec(alpha=shards, seed=data_seed)
@@ -207,7 +212,8 @@ def test_a_whole_run_writes_the_reference_oracles_csv_bytes(
         n_clients=n_clients, rounds=rounds, d1=3, d2=6, mode=mode, seed=data_seed,
         participation=participation, local_epochs=epochs, batch_size=batch_size,
         lr_global=lrs[0], lr_local=lrs[1], lr_projector=lrs[2], inference=variant,
-        global_hidden=(6,), local_hidden=((widths[0],), widths[1:]),
+        m_global=loss_weights[0], m_local=loss_weights[1],
+        global_hidden=(6,), local_hidden=local_hidden,
     )
 
     def one_round_per_call():
