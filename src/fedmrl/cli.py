@@ -38,13 +38,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     run.add_argument("--out", metavar="DIR", help="override the output directory")
 
-    args = parser.parse_args(argv)
-    if args.command == "run":
-        return run_experiment(
-            args.config, mode=args.mode, seed=args.seed, sweep=args.sweep, out_dir=args.out
-        )
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    args = parser.parse_args(argv)  # "run" is the one command, and a command is required
+    return run_experiment(
+        args.config, mode=args.mode, seed=args.seed, sweep=args.sweep, out_dir=args.out
+    )
 
 
 if __name__ == "__main__":

@@ -29,8 +29,9 @@ ranges its step trains.  _train walks it: the forward, the hand-derived
 backward, which writes every gradient with np.matmul and np.add.reduce
 (out=), and SGD in place, theta -= lr * grad, over each range, with one
 isfinite per range.  It builds no model object and checks nothing but
-the learning rates and finiteness.  _predict runs the same forward on a
-plan and reads the logits of an inference variant.
+finiteness (LearningRates checks its rates when it is built).  _predict
+runs the same forward on a plan and reads the logits of an inference
+variant.
 
 The parameters a step moves lie in one flat (2, total) array, rows then
 their gradient scratch (_carve), in one order (_BUFFERS, which also
@@ -87,7 +88,7 @@ from enum import Enum
 import numpy as np
 
 from .models import RELU, Net, _Matrix, _sliced
-from .numerics import NonFiniteError, ShapeError, _check_lr, _cross_entropy, _labels, _transposed
+from .numerics import NonFiniteError, ShapeError, _cross_entropy, _labels, _transposed
 from .numerics import as_matrix
 
 __all__ = [
@@ -177,6 +178,11 @@ class LearningRates:
     global_model: float
     local_model: float
     projector: float
+
+    def __post_init__(self):
+        for lr in (self.global_model, self.local_model, self.projector):
+            if not 0.0 <= lr < np.inf:
+                raise ValueError(f"learning rate must be finite and non-negative, got {lr}")
 
     @classmethod
     def uniform(cls, lr: float) -> "LearningRates":
@@ -527,7 +533,6 @@ def _descend(plan: _Plan, lrs: LearningRates, frozen: bool) -> None:
     ranges, same = plan.ranges[frozen], rates[0] == rates[1] == rates[2]
     for theta, grad, parts in ranges:
         for group, _, piece in ((0, None, grad),) if same else parts:
-            _check_lr(rates[group])
             np.multiply(piece, rates[group], out=piece)
         np.subtract(theta, grad, out=theta)
     for theta, _, _ in ranges:

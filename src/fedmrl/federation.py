@@ -11,9 +11,9 @@ standalone baseline never communicates.
 Every client's parameters are rows of flat buffers that span the
 population (Population), and its models are views of its rows.
 Broadcast is one row assignment.  Aggregation is one kernel over rows
-(_anchored): run_rounds hands it the trained shared rows where the
-workspace holds them, taken in id order, and aggregate its stacked upload
-vectors, so no upload model is built in a round.
+(_anchored): run_rounds hands it the participants' shared rows, which the
+cohort's scatter wrote, and aggregate its stacked upload vectors, so no
+upload model is built in a round.
 
 Lockstep training: the round's participants train as one cohort
 (cohort_update).  The population's workspace (_Workspace.train) gathers
@@ -65,8 +65,10 @@ population has them (_Workspace.synced), and only the two shared buffers
 when they hold all of it but the shared rows, which a broadcast writes
 alone (_Workspace.local_synced, shared-stale): a full-participation round
 refreshes its shared rows only, and a standalone run, which nothing else
-writes, copies its rows once.  Uploads view one concatenation of the
-trained shared extractor and header rows.  A step writes its losses into
+writes, copies its rows once.  The workspace keeps slot order to itself:
+training and evaluation return their results in the order the caller
+listed the clients, and uploads view one copy of the trained clients'
+shared rows in the population.  A step writes its losses into
 the epoch's loss ledger, one (clients, batches) array, and each client's
 epoch mean is one reduction of its row.  Each client draws its epoch
 permutations from its own rng, in slot order, and an epoch's shuffle is
@@ -137,7 +139,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -147,7 +149,7 @@ from .data import LabeledDataset, PartitionPlan
 from .metrics import RoundReport, _training_flops, comm_cost_round, forward_flops_per_sample
 from .models import Extractor, ModelConfig, Net, _length, _padded, _positions, _signature, _view
 from .models import init_model
-from .numerics import ShapeError, _check_lr, derive_rng
+from .numerics import ShapeError, derive_rng
 
 # Substream tags: every source of randomness in a run is a named stream
 # of the run seed, so replays are bit-identical and mode never shifts
@@ -204,9 +206,7 @@ class RunConfig:
             raise ValueError(f"local_epochs must be non-negative, got {self.local_epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
-        for lr in astuple(self.lrs):
-            _check_lr(lr)
-        LossWeights(self.m_global, self.m_local)  # for its checks
+        self.lrs, self.loss_weights  # built for their checks
         if not self.local_hidden:
             raise ValueError("local_hidden needs at least one width stack")
         if min(self.global_hidden, default=1) < 1:
@@ -476,33 +476,27 @@ def cohort_update(
     if not clients:
         return []
     population = _population(clients)
-    slots, epoch_means = _trained(population, clients, epochs, batch_size, lrs, mode, weights)
-
-    # Uploads view one copy of the trained shared rows: no client's rows,
-    # and not the workspace's, which the next cohort gathers into.
-    shared = None if mode is Mode.STANDALONE else np.concatenate(
-        population._workspace.shared, axis=1)
-    means, results = epoch_means.tolist(), {}
-    for slot, client in enumerate(slots):
-        upload = None
-        if shared is not None:
-            model = population.shared_layout._split(shared[slot])
-            upload = Upload(client.client_id, client.n_samples, model)
-        results[client.client_id] = (upload, means[slot])
-    return [results[ident] for ident in ids]
+    means = _trained(population, clients, epochs, batch_size, lrs, mode, weights).tolist()
+    if mode is Mode.STANDALONE:
+        return [(None, client_means) for client_means in means]
+    # Uploads view one copy of the trained shared rows, not the population's,
+    # which a later broadcast or cohort writes.
+    split = population.shared_layout._split
+    return [(Upload(c.client_id, c.n_samples, split(row)), client_means)
+            for c, row, client_means in zip(clients, population.shared[ids], means)]
 
 
 def _trained(population: Population, clients: list[ClientState], epochs: int, batch_size: int,
              lrs: LearningRates, mode: Mode, weights: LossWeights):
-    """cohort_update's training of clients, distinct clients of population: the clients
-    in slot order and their (clients, epochs) epoch means.  Their trained rows are
-    scattered, and stay in the workspace's first rows (_Workspace.shared)."""
+    """cohort_update's training of clients, distinct clients of population: their
+    (clients, epochs) epoch means, in the order listed.  Their trained rows are
+    scattered into the population's."""
     workspace = population._room()
-    slots, epoch_means = _replayed(lambda members: workspace.train(
+    epoch_means = _replayed(lambda members: workspace.train(
         population, members, epochs, batch_size, mode, lrs, weights), clients,
         [c.rng.bit_generator.state for c in clients])
     workspace.scatter(population)
-    return slots, epoch_means
+    return epoch_means
 
 
 def _replayed(run, clients: list[ClientState], states=()):
@@ -568,9 +562,10 @@ class _Workspace:
     After a gather, rows is the client id of each slot, depths the depth
     of each slot, copies lists (population buffer, its rows of the
     gathered clients, the workspace's rows, where in them they sit) per
-    buffer and architecture, the two shared buffers last, order the slots
-    in ascending id order, runs the (first, stop, 1) of each run of slots
-    of one depth, and shared views the shared extractor and header rows.
+    buffer and architecture, the two shared buffers last, slot_of maps
+    each client id to its slot, which train and _predicted read to return
+    their results in the order the caller listed the clients, and runs is
+    the (first, stop, 1) of each run of slots of one depth.
     Every gather copies every buffer, so its rows equal the population's
     from a gather to the first step, and again from a scatter to the next
     write: synced records both, set by gather and scatter and cleared by
@@ -584,7 +579,7 @@ class _Workspace:
     the next gather to write over.  Rows beyond a cohort stay as an
     earlier one left them: no step touches or checks a row outside its
     slots.  memo holds what was built for that last cohort only: "cohort"
-    its ids, "gather" its (rows, depths, copies, order, runs) and, once
+    its ids, "gather" its (rows, depths, copies, slot_of, runs) and, once
     trained, "train" its ((sizes, batch_size, standalone), batch arrays x
     and y, ledger, steps, groups, source, into, first), the last three the
     shuffle's index (train); a regrow drops it with the plans.  It
@@ -649,12 +644,11 @@ class _Workspace:
                        for key, source in sources.items()]
             depths = [self.depth_of[i] for i in ids]
             self.memo = {"cohort": ids, "gather": (
-                rows, depths, copies, np.argsort(rows), _runs([1] * n, depths))}
-        self.rows, self.depths, self.copies, self.order, self.runs = self.memo["gather"]
+                rows, depths, copies, dict(zip(ids, range(n))), _runs([1] * n, depths))}
+        self.rows, self.depths, self.copies, self.slot_of, self.runs = self.memo["gather"]
         self.flat[0, : self.starts["headers"][0]] = 0.0  # every block, the first buffers
         for source, index, rows, at in self.copies:
             rows[at] = source[index]
-        self.shared = tuple(self.buffers[key][0][:n] for key in list(_BUFFERS)[3:])
         self.synced = self.local_synced = True
 
     def scatter(self, population: Population) -> None:
@@ -733,8 +727,8 @@ class _Workspace:
         The rows are not synced from the first step on, so a failed step
         leaves them half-trained for the next gather to write over.
 
-        Returns the clients in slot order (stack) and their (clients, epochs) epoch
-        mean losses.  An epoch's ledger holds the loss of each slot's batches, so a
+        Returns the clients' (clients, epochs) epoch mean losses, in the order
+        listed.  An epoch's ledger holds the loss of each slot's batches, so a
         client's losses are the first `count` entries of its row, and their mean
         (core._mean: a sum of the row, then one division) is np.mean of the list of
         them bit for bit.
@@ -745,6 +739,7 @@ class _Workspace:
             labels = np.asarray(labels, dtype=np.int64)
             return bool(labels.size) and (labels.min() < 0 or labels.max() >= classes)
 
+        listed = clients
         clients = self.stack(population, clients, "train", "has no training samples")
         sizes, width = [c.n_samples for c in clients], clients[0].train_x.shape[1]
         # The cohort's training sets, in slot order, and a zero row (label 0) for padding.
@@ -772,10 +767,8 @@ class _Workspace:
             # which sit `first` rows into features.
             source = np.full(x.shape[:2], sum(sizes)).reshape(-1)
             counts = np.array(sizes)
-            starts = np.cumsum(counts) - counts
-            first = np.repeat(starts, counts)
-            into = np.arange(len(first)) + np.repeat(
-                np.arange(0, len(counts) * shape[1], shape[1]) - starts, counts)
+            first = np.repeat(np.cumsum(counts) - counts, counts)
+            into = np.flatnonzero(np.arange(shape[1]) < counts[:, None])
             self.memo["train"] = ((sizes, batch_size, standalone), x, y, ledger, steps, groups,
                                   source, into, first)
         _, x, y, ledger, steps, groups, source, into, first = self.memo["train"]
@@ -789,7 +782,7 @@ class _Workspace:
                 losses[...], _ = _train(plan, xs, ys, weights, lrs, real)
             for a, b, count in groups:
                 epoch_means[a:b, epoch] = _mean(ledger[a:b, :count])
-        return clients, epoch_means
+        return epoch_means[[self.slot_of[c.client_id] for c in listed]]
 
     def evaluate(self, population: Population, clients: list[ClientState],
                  variant: InferenceVariant) -> list[float]:
@@ -825,7 +818,7 @@ class _Workspace:
         their argmax.  A run without padding is stacked as it is.
         """
         chunk = self.stack(population, clients, "test", "has an empty test set")
-        accuracies = {}
+        accuracies = np.empty(len(chunk))
         for a, b, _ in self.runs:  # the runs of one depth
             members = chunk[a:b]
             sizes = [c.test_y.size for c in members]
@@ -842,8 +835,8 @@ class _Workspace:
                 labels[steps >= sizes[:, None]] = -1
             preds = _predict(self.plan(a, b, variant is InferenceVariant.SINGLE_LARGE), x, variant)
             hits = np.add.reduce(preds == labels, axis=-1)
-            accuracies.update(zip((c.client_id for c in members), (hits / sizes).tolist()))
-        return [accuracies[c.client_id] for c in clients]
+            accuracies[a:b] = hits / sizes
+        return accuracies[[self.slot_of[c.client_id] for c in clients]].tolist()
 
 
 def _runs(widths: list[int], depths: list[int]) -> list[list[int]]:
@@ -992,9 +985,7 @@ def run_rounds(
                     _broadcast(population, server, participants)
 
                 members = [clients[i] for i in participants]
-                _, epoch_means = _trained(population, members, *train)
-                workspace = population._workspace  # its rows are the trained cohort's
-                losses = epoch_means[workspace.order]  # (K, epochs), in id order
+                losses = _trained(population, members, *train)  # (K, epochs), in id order
                 counts = [c.n_samples for c in members]
                 round_flops = sum(_training_flops(flops[i], count, config.local_epochs)
                                   for i, count in zip(participants, counts))
@@ -1002,8 +993,8 @@ def run_rounds(
                 if standalone:
                     uplink = downlink = 0
                 else:
-                    # The uploads: the trained shared rows, in id order.
-                    rows = np.concatenate(workspace.shared, axis=1)[workspace.order]
+                    # The uploads: the participants' trained shared rows, in id order.
+                    rows = population.shared[participants]
                     server.global_model = server.global_model._split(_anchored(rows, counts))
                     uplink, downlink = comm_cost_round(shared_params, len(participants))
 

@@ -11,7 +11,6 @@ values on any machine with the same numpy version.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 
 import numpy as np
@@ -107,11 +106,6 @@ def _cross_entropy(m: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.nda
     grads = np.divide(e, z, out=e)
     grads.reshape(-1)[index] -= 1.0
     return losses.reshape(m.shape[:-1]), grads.reshape(m.shape)
-
-
-def _check_lr(lr: float) -> None:
-    if not math.isfinite(lr) or lr < 0.0:
-        raise ValueError(f"learning rate must be finite and non-negative, got {lr}")
 
 
 def finite_diff_gradient(

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -429,6 +430,16 @@ def test_step_rejects_a_negative_or_non_finite_learning_rate(lr):
         train_step(g, f, p, x, y, LossWeights(), LearningRates(0.1, 0.1, lr))
     with pytest.raises(ValueError, match="learning rate"):
         train_step_single(f, x, y, lr)
+
+
+@pytest.mark.parametrize("lr", [-0.1, math.nan, math.inf])
+@pytest.mark.parametrize("group", range(3))
+def test_learning_rates_reject_a_negative_or_non_finite_rate_when_built(group, lr):
+    rates = [0.1] * 3
+    rates[group] = lr
+    message = f"learning rate must be finite and non-negative, got {lr}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        LearningRates(*rates)
 
 
 # The groups a step's rates drive to infinity, and the group the error names:

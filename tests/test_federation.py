@@ -5,13 +5,13 @@ import pickle
 import sys
 from collections import Counter
 from pathlib import Path
-from types import SimpleNamespace
+from types import BuiltinFunctionType, FunctionType, ModuleType, SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from fedmrl import core, federation, metrics, models, numerics
 from fedmrl.config import build_run_config, load_config, override
@@ -2360,6 +2360,16 @@ class PopulationMemo(RuleBasedStateMachine):
             assert fail is not None
             assert _same_arrays(_population_arrays(population), rows)
             assert {v: a.tobytes() for v, a in population.accuracy.items()} == memo
+            # Every rng ends where cohorts of one, in id order, leave it.
+            for client in members:
+                try:
+                    with np.errstate(all="ignore"):
+                        cohort_update([twins[client.client_id]], 2, 5, lrs, mode,
+                                      self.cfg.loss_weights)
+                except NonFiniteError:
+                    break
+            assert [c.rng.bit_generator.state for c in self.clients] == [
+                t.rng.bit_generator.state for t in twins]
         else:
             expected = cohort_update([twins[c.client_id] for c in members], 2, 5, lrs, mode,
                                      self.cfg.loss_weights)
@@ -2368,6 +2378,14 @@ class PopulationMemo(RuleBasedStateMachine):
                                 _population_arrays(twins[0].population))
         for client, x in zip(members, kept):
             client.train_x = x
+
+    @precondition(lambda self: "cohort" in getattr(self.population._workspace, "memo", {}))
+    @rule(mode=st.sampled_from(list(Mode)))
+    def a_broadcast_to_the_held_cohort_then_its_training(self, mode):
+        # The shared-only gather: the cohort the workspace holds, its shared rows
+        # written by the broadcast alone.
+        held = self.population._workspace.memo["cohort"]
+        self.a_cohort(set(held), mode, send=True, fail=None)
 
     @rule(ident=st.none() | st.integers(0, 3), variant=st.sampled_from(list(InferenceVariant)))
     def an_evaluation(self, ident, variant):
@@ -2424,6 +2442,20 @@ class PopulationMemo(RuleBasedStateMachine):
             for source, index, rows, at in copies:
                 assert rows[at].tobytes() == source[index].tobytes()
         assert workspace is None or workspace.local_synced or not workspace.synced
+
+    @invariant()
+    def the_workspace_references_no_client_or_population(self):
+        # Types, modules and functions are skipped: what they reach is not the
+        # workspace's.
+        skipped = (type, ModuleType, FunctionType, BuiltinFunctionType)
+        seen, stack = set(), [self.population._workspace]
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(obj, skipped):
+                continue
+            seen.add(id(obj))
+            assert not isinstance(obj, (ClientState, federation.Population)), type(obj)
+            stack += gc.get_referents(obj)
 
 
 PopulationMemo.TestCase.settings = settings(max_examples=50, stateful_step_count=15, deadline=None)
