@@ -15,7 +15,6 @@ import numpy as np
 from fedmrl.core import (
     LossWeights,
     forward_loss,
-    gradient_vector,
     init_projector,
     loss_gradients,
     parameter_vector,
@@ -37,7 +36,7 @@ def miniature(seed):
 def worst_error(seed, ablated=False):
     g, f, p, x, y = miniature(seed)
     weights = LossWeights(0.0, 1.0) if ablated else LossWeights()
-    analytic = gradient_vector(loss_gradients(g, f, p, x, y, weights))
+    analytic = parameter_vector(*loss_gradients(g, f, p, x, y, weights))
 
     def objective(vec):
         g2, f2, p2 = with_parameter_vector(g, f, p, vec)

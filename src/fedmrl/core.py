@@ -99,7 +99,6 @@ __all__ = [
     "InferenceVariant",
     "TheoryConstants",
     "TrainingDiverged",
-    "GradientSet",
     "init_projector",
     "forward_loss",
     "forward_loss_single",
@@ -108,7 +107,6 @@ __all__ = [
     "train_step_single",
     "parameter_vector",
     "with_parameter_vector",
-    "gradient_vector",
     "infer",
     "lr_bound",
 ]
@@ -241,15 +239,6 @@ def init_projector(d1: int, d2: int, rng: np.random.Generator) -> Projector:
         raise ValueError(f"need 0 < d1 <= d2, got d1={d1}, d2={d2}")
     bound = np.sqrt(6.0 / (d1 + d2 + d2))
     return Projector(rng.uniform(-bound, bound, size=(d2, d1 + d2)))
-
-
-@dataclass
-class GradientSet:
-    """Loss gradients for all three parameter groups: models of the groups' layouts."""
-
-    global_model: Net
-    local_model: Net
-    projector: Projector
 
 
 def _check_dims(global_model: Net, local_model: Net, projector: Projector) -> None:
@@ -598,13 +587,14 @@ def loss_gradients(
     x: np.ndarray,
     labels: np.ndarray,
     weights: LossWeights = LossWeights(),
-) -> GradientSet:
-    """Hand-derived gradients of forward_loss for all parameter groups, in fresh models."""
+) -> tuple[Net, Net, Projector]:
+    """Hand-derived gradients of forward_loss for all parameter groups: (global, local,
+    projector) gradient models of the groups' layouts, fresh models."""
     models = (global_model, local_model, projector)
     grads = tuple(m._zeros() for m in models)
     plan = _plan(models, grads)
     _backprop(plan, weights, _loss(plan, *_inputs(models, x, labels), weights)[2])
-    return GradientSet(*grads)
+    return grads
 
 
 def train_step(
@@ -669,11 +659,6 @@ def with_parameter_vector(
     if vec.size != cuts[-1]:
         raise ShapeError(f"vector length {vec.size} does not match the models ({cuts[-1]})")
     return tuple(m._split(vec[a:b]) for m, a, b in zip(models, cuts, cuts[1:]))
-
-
-def gradient_vector(grads: GradientSet) -> np.ndarray:
-    """A GradientSet in one vector, in the parameter_vector order."""
-    return parameter_vector(grads.global_model, grads.local_model, grads.projector)
 
 
 def _predict(plan: _Plan, x, variant: InferenceVariant) -> np.ndarray:

@@ -24,6 +24,8 @@ _SPLIT_STREAM = 2
 _DIRICHLET_MAX_RETRIES = 100
 # The fewest samples a client's pool may hold to be split into train and test.
 _MIN_SPLIT_SAMPLES = 5
+# The share of a client's pool that split_train_test holds out for testing.
+_TEST_FRACTION = 0.2
 
 
 class PartitionError(ValueError):
@@ -299,17 +301,15 @@ def _sorted_runs(values: np.ndarray, groups: np.ndarray, sizes) -> list[np.ndarr
     return [keys[a:b] for a, b in zip([0, *stops], stops)]
 
 
-def split_train_test(plan: PartitionPlan, test_fraction: float = 0.2) -> PartitionPlan:
+def split_train_test(plan: PartitionPlan) -> PartitionPlan:
     """Split each client's pool into train and test along a seeded shuffle.
 
-    Test size is max(1, floor(test_fraction * pool)), so 10 samples split
+    Test size is max(1, floor(_TEST_FRACTION * pool)), so 10 samples split
     8/2 and 5 samples split 4/1.  Requires every client to hold at least
     _MIN_SPLIT_SAMPLES samples and refuses to split twice.
     """
     if plan.split:
         raise PartitionError("plan is already split into train and test")
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must lie in (0, 1), got {test_fraction}")
     sizes = np.array([client.train.size for client in plan.clients], dtype=np.int64)
     for ident, size in enumerate(sizes.tolist()):
         if size < _MIN_SPLIT_SAMPLES:
@@ -323,7 +323,7 @@ def split_train_test(plan: PartitionPlan, test_fraction: float = 0.2) -> Partiti
     first = np.repeat(np.cumsum(sizes) - sizes, sizes)
     position = np.concatenate([none, *(rng.permutation(size) for size in sizes.tolist())])
     shuffled = np.concatenate([none, *(client.train for client in plan.clients)])[position + first]
-    n_test = np.maximum(1, np.floor(test_fraction * sizes).astype(np.int64))
+    n_test = np.maximum(1, np.floor(_TEST_FRACTION * sizes).astype(np.int64))
     # Run 2i of the shuffled pools is client i's test part, its first n_test
     # samples, and run 2i + 1 the rest, its train part.
     lengths = np.empty(2 * sizes.size, dtype=np.int64)

@@ -427,15 +427,14 @@ def sample_clients(server: ServerState, n_clients: int, k: int) -> list[int]:
 
 
 def broadcast(server: ServerState, clients: list[ClientState]) -> None:
-    """Copy the current shared model into every listed client's row: one row assignment."""
-    if clients:
-        _broadcast(_population(clients), server, [c.client_id for c in clients])
-
-
-def _broadcast(population: Population, server: ServerState, ids: list[int]) -> None:
-    """broadcast to clients ids of population: a write of their shared rows only."""
+    """Copy the current shared model into every listed client's row: one row
+    assignment, a write of their shared rows only."""
+    if not clients:
+        return
+    population = _population(clients)
     if _architecture(server.global_model) != _architecture(population.shared_layout):
         raise ShapeError(f"the server's model does not fit: {_shapes(server.global_model)}")
+    ids = [c.client_id for c in clients]
     population.shared[ids] = _vector(server.global_model)
     population.wrote(ids, shared_only=True)
 
@@ -979,12 +978,11 @@ def run_rounds(
         for round_index in range(1, config.rounds + 1):
             try:
                 if standalone:
-                    participants = ids
+                    participants, members = ids, clients
                 else:
                     participants = sample_clients(server, config.n_clients, config.participants)
-                    _broadcast(population, server, participants)
-
-                members = [clients[i] for i in participants]
+                    members = [clients[i] for i in participants]
+                    broadcast(server, members)
                 losses = _trained(population, members, *train)  # (K, epochs), in id order
                 counts = [c.n_samples for c in members]
                 round_flops = sum(_training_flops(flops[i], count, config.local_epochs)

@@ -78,11 +78,11 @@ def comm_cost_round(shared_params: int, participants: int) -> tuple[int, int]:
     return participants * shared_params, participants * shared_params
 
 
-def affine_forward_flops(in_dim: int, out_dim: int, samples: int = 1) -> int:
+def affine_forward_flops(in_dim: int, out_dim: int) -> int:
     """2 * in * out multiply-adds per sample."""
-    if in_dim < 1 or out_dim < 1 or samples < 0:
-        raise ValueError("dimensions must be positive and samples non-negative")
-    return 2 * in_dim * out_dim * samples
+    if in_dim < 1 or out_dim < 1:
+        raise ValueError("dimensions must be positive")
+    return 2 * in_dim * out_dim
 
 
 def _extractor_forward_flops(extractor) -> int:

@@ -15,7 +15,6 @@ import numpy as np
 from fedmrl.core import (
     TheoryConstants,
     forward_loss,
-    gradient_vector,
     init_projector,
     loss_gradients,
     lr_bound,
@@ -117,7 +116,7 @@ def test_gradient_check_matches_finite_differences(capsys):
         x = data_rng.normal(size=(5, 6))
         y = data_rng.integers(0, 3, size=5)
 
-        analytic = gradient_vector(loss_gradients(g, f, p, x, y))
+        analytic = parameter_vector(*loss_gradients(g, f, p, x, y))
 
         def objective(vec, g=g, f=f, p=p, x=x, y=y):
             return forward_loss(*with_parameter_vector(g, f, p, vec), x, y)[0]

@@ -16,7 +16,6 @@ from fedmrl.core import (
     TheoryConstants,
     forward_loss,
     forward_loss_single,
-    gradient_vector,
     infer,
     init_projector,
     loss_gradients,
@@ -144,6 +143,13 @@ def test_dimension_chain_is_validated():
             infer(g, f, p, np.ones((2, INPUT + 1)), variant)
 
 
+@pytest.mark.parametrize("d1", [0, D2 + 1])
+def test_init_projector_needs_0_below_d1_at_most_d2(d1):
+    # RunConfig checks the widths first, so no run reaches this check.
+    with pytest.raises(ValueError, match=re.escape("need 0 < d1 <= d2")):
+        init_projector(d1, D2, make_rng(0))
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -196,7 +202,7 @@ def test_loss_weights_reject_negative():
 def test_gradcheck_full_graph_miniature(seed):
     g, f, p = tiny_models(seed=seed)
     x, y = tiny_batch(seed=seed)
-    analytic = gradient_vector(loss_gradients(g, f, p, x, y))
+    analytic = parameter_vector(*loss_gradients(g, f, p, x, y))
 
     def objective(vec):
         g2, f2, p2 = with_parameter_vector(g, f, p, vec)
@@ -210,7 +216,7 @@ def test_gradcheck_weighted_loss():
     g, f, p = tiny_models(seed=7)
     x, y = tiny_batch(seed=7)
     weights = LossWeights(0.25, 2.0)
-    analytic = gradient_vector(loss_gradients(g, f, p, x, y, weights))
+    analytic = parameter_vector(*loss_gradients(g, f, p, x, y, weights))
 
     def objective(vec):
         g2, f2, p2 = with_parameter_vector(g, f, p, vec)
@@ -226,7 +232,7 @@ NO_MRL = LossWeights(0.0, 1.0)
 def test_gradcheck_no_mrl_ablation():
     g, f, p = tiny_models(seed=5)
     x, y = tiny_batch(seed=5)
-    analytic = gradient_vector(loss_gradients(g, f, p, x, y, NO_MRL))
+    analytic = parameter_vector(*loss_gradients(g, f, p, x, y, NO_MRL))
 
     def objective(vec):
         g2, f2, p2 = with_parameter_vector(g, f, p, vec)
@@ -409,8 +415,7 @@ def test_train_step_moves_each_group_by_its_checked_gradient():
     assert (total, parts) == forward_loss(g, f, p, x, y)
     grads = loss_gradients(g, f, p, x, y)
     rates = (lrs.global_model, lrs.local_model, lrs.projector)
-    grad_models = (grads.global_model, grads.local_model, grads.projector)
-    for model, grad, new, lr in zip((g, f, p), grad_models, stepped, rates):
+    for model, grad, new, lr in zip((g, f, p), grads, stepped, rates):
         for theta, d, moved in zip(model._segments(), grad._segments(), new._segments()):
             assert np.array_equal(moved, theta - lr * d)
 

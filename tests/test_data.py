@@ -240,8 +240,6 @@ def test_split_preserves_each_pool_exactly():
 def test_split_guards():
     ds = make_dataset(classes=2, per_class=10)
     plan = partition_class_count(ds, 2, ClassCountSpec(classes_per_client=1, seed=0))
-    with pytest.raises(ValueError):
-        split_train_test(plan, test_fraction=1.0)
     split = split_train_test(plan)
     with pytest.raises(PartitionError):
         split_train_test(split)

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from fedmrl.core import (
     LossWeights,
     forward_loss_single,
-    gradient_vector,
     init_projector,
     loss_gradients,
+    parameter_vector,
     train_step_single,
 )
 from fedmrl.models import (
@@ -203,7 +203,7 @@ def test_backward_is_linear_in_upstream_gradient():
     p = init_projector(3, 5, rng)
     x, y = rng.normal(size=(6, 4)), rng.integers(0, 2, size=6)
     joint, ga, gb = (
-        gradient_vector(loss_gradients(g, f, p, x, y, LossWeights(*w)))
+        parameter_vector(*loss_gradients(g, f, p, x, y, LossWeights(*w)))
         for w in ((0.7, 1.3), (0.7, 0.0), (0.0, 1.3))
     )
     assert np.allclose(joint, ga + gb, atol=1e-12)

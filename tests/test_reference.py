@@ -184,20 +184,23 @@ def _csv(reports) -> bytes:
     loss_weights=st.tuples(st.sampled_from([0.0, 0.7, 1.0]), st.sampled_from([0.0, 1.0, 1.3])),
     lrs=st.tuples(*[st.sampled_from([0.01, 0.05, 0.1])] * 3),
     rounds=st.integers(1, 4),
+    dims=st.integers(1, 8).flatmap(lambda d2: st.tuples(st.integers(1, d2), st.just(d2))),
+    global_hidden=st.lists(st.integers(1, 9), max_size=2).map(tuple),
 )
 @example(n_clients=4, shards=1.0, data_seed=3, batch_size=2, epochs=2,
          local_hidden=((4,), (3, 2)), mode=Mode.FEDMRL, variant=InferenceVariant.MIX_LARGE,
          participation=0.6, loss_weights=(1.0, 1.0), lrs=(1e300,) * 3,
-         rounds=3)  # diverges in round 1, client 0
+         rounds=3, dims=(3, 6), global_hidden=(6,))  # diverges in round 1, client 0
 def test_a_whole_run_writes_the_reference_oracles_csv_bytes(
     n_clients, shards, data_seed, batch_size, epochs, local_hidden, mode, variant, participation,
-    loss_weights, lrs, rounds,
+    loss_weights, lrs, rounds, dims, global_hidden,
 ):
-    # Ragged Dirichlet or class-count shards, 1-12 clients, 1-5 private
-    # stacks of 0-2 hidden layers, every mode and inference variant,
-    # participation below and at 1, 0-3 epochs, loss weights that take a
-    # head out, and 1-4 rounds: run_training's CSV bytes are the oracle's,
-    # and so are those of the same run taken one run_rounds call per round.
+    # Ragged Dirichlet or class-count shards, 1-12 clients, d1 <= d2 of
+    # 1-8, a shared extractor and 1-5 private stacks of 0-2 hidden layers,
+    # every mode and inference variant, participation below and at 1, 0-3
+    # epochs, loss weights that take a head out, and 1-4 rounds:
+    # run_training's CSV bytes are the oracle's, and so are those of the
+    # same run taken one run_rounds call per round.
     dataset = gen_synthetic(4, 5, 25, 0.8, make_rng(data_seed))
     if isinstance(shards, float):
         spec = DirichletSpec(alpha=shards, seed=data_seed)
@@ -209,11 +212,11 @@ def test_a_whole_run_writes_the_reference_oracles_csv_bytes(
     except PartitionError:
         assume(False)
     cfg = RunConfig(
-        n_clients=n_clients, rounds=rounds, d1=3, d2=6, mode=mode, seed=data_seed,
+        n_clients=n_clients, rounds=rounds, d1=dims[0], d2=dims[1], mode=mode, seed=data_seed,
         participation=participation, local_epochs=epochs, batch_size=batch_size,
         lr_global=lrs[0], lr_local=lrs[1], lr_projector=lrs[2], inference=variant,
         m_global=loss_weights[0], m_local=loss_weights[1],
-        global_hidden=(6,), local_hidden=local_hidden,
+        global_hidden=global_hidden, local_hidden=local_hidden,
     )
 
     def one_round_per_call():

@@ -2,16 +2,18 @@
 
 Each named function is wrapped in an inclusive timer: a timed function
 called inside another counts in both, and every timer's own overhead is
-included.  The workload runs as bench/run.py times it, build_clients and
-then one run_rounds call per round, in each of its modes, first once
-untimed and then --runs times.  For each function the tool prints its time
-in the fastest of the runs (the smallest per-run total over the runs),
-its calls per run and its share of the fastest whole run; then the
-fastest whole run, and the fastest run's time outside core._train (the
-training steps), which is the round's bookkeeping.  A name that this
-checkout does not define is listed as absent, so one command reads two
-trees.  The workload is read from bench/workloads/ and never written; the
-package is imported from this checkout's src/.  Run from the repository
+included.  Both the workload and its runs are the bench's: bench/run.py's
+load_workload sets it up on the seed, and its Runner trains it as the
+bench times it, build_clients and then one run_rounds call per round, in
+each of its modes, first once untimed and then --runs times.  For each
+function the tool prints its time in the fastest of the runs (the
+smallest per-run total over the runs), its calls per run and its share of
+the fastest whole run; then the fastest whole run, and the fastest run's
+time outside core._train (the training steps), which is the round's
+bookkeeping.  A name that this checkout does not define is listed as
+absent, so one command reads two trees.  The workload is read from
+bench/workloads/ and never written; the package is imported from this
+checkout's src/, as bench/run.py imports it.  Run from the repository
 root:
 
     python tools/where.py                                      # quickstart-3mode, seed 3, 15 runs
@@ -22,60 +24,35 @@ root:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 import time
 from collections import defaultdict
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
-from fedmrl.config import build_run_config, override, parse_config_text, parse_mode  # noqa: E402
-from fedmrl.data import PartitionError  # noqa: E402
-from fedmrl.experiment import build_partition, load_dataset  # noqa: E402
-from fedmrl import federation  # noqa: E402
+import run as bench  # noqa: E402  (imports fedmrl from this checkout's src/)
 
-# The modes of each workload's run, as bench/run.py's WORKLOADS lists them.
-MODES = {"quickstart-3mode": ("fedmrl", "no_mrl", "standalone"), "many-dirichlet": ("fedmrl",)}
-SEED_REDRAW_STRIDE = 1000
-MAX_SEED_REDRAWS = 10
 STEPS = "core._train"
 NAMES = (
     "federation.build_clients", STEPS, "core._predict", "federation.sample_clients",
-    "federation.broadcast", "federation._broadcast", "federation.cohort_update",
-    "federation._trained", "federation._Workspace.train", "federation._Workspace.stack",
-    "federation._Workspace.gather", "federation._Workspace.scatter", "federation.aggregate",
+    "federation.broadcast", "federation._trained", "federation._Workspace.train",
+    "federation._Workspace.stack", "federation._Workspace.gather", "federation._Workspace.scatter",
     "federation._anchored", "federation._accuracies", "federation._Workspace.evaluate",
 )
 
 
-def set_up(name: str, seed: int):
-    """The workload's run configs, dataset and split plan on seed, redrawn as the bench does."""
-    path = ROOT / "bench" / "workloads" / f"{name}.cfg"
-    text = path.read_text(encoding="utf-8")
-    for draw in range(MAX_SEED_REDRAWS):
-        config = override(parse_config_text(text, path.name), seed=seed + draw * SEED_REDRAW_STRIDE)
-        dataset = load_dataset(config)
-        try:
-            plan = build_partition(config, dataset)
-        except PartitionError:
-            continue
-        runs = [build_run_config(override(config, mode=parse_mode(mode))) for mode in MODES[name]]
-        return runs, dataset, plan
-    raise SystemExit(f"where: {name}: no seed of {MAX_SEED_REDRAWS} draws from {seed}")
-
-
-def wrap(name: str, totals: dict, calls: dict) -> bool:
+def wrap(name: str, totals: dict, calls: dict) -> list[tuple[object, str, object]]:
     """Wrap the function called name ("module.function" or "module.Class.method" of
-    fedmrl) wherever the package holds it; False if this checkout has none."""
+    fedmrl) wherever the package holds it.  Returns the (holder, attribute,
+    function) bindings it replaced, none if this checkout has no such function."""
     module, *path = name.split(".")
     owner = sys.modules[f"fedmrl.{module}"]
     for part in path[:-1]:
         owner = getattr(owner, part, None)
     original = getattr(owner, path[-1], None)
     if original is None:
-        return False
+        return []
 
     def timed(*args, **kwargs):
         start = time.perf_counter()
@@ -86,43 +63,35 @@ def wrap(name: str, totals: dict, calls: dict) -> bool:
             calls[name] += 1
 
     if len(path) > 1:  # a method: its class is the one place it is looked up
-        setattr(owner, path[-1], timed)
-        return True
-    for held in [m for key, m in sys.modules.items() if key.split(".")[0] == "fedmrl"]:
-        for attribute, value in list(vars(held).items()):
-            if value is original:  # the module itself, or a `from .module import`
-                setattr(held, attribute, timed)
-    return True
-
-
-def run(configs, dataset, plan) -> None:
-    """One run of the workload, as the bench times it."""
-    for config in configs:
-        server, clients = federation.build_clients(config, dataset, plan)
-        one_round = dataclasses.replace(config, rounds=1)
-        for _ in range(config.rounds):
-            federation.run_rounds(server, clients, one_round)
+        bindings = [(owner, path[-1], original)]
+    else:  # the module itself, and every `from .module import` of it
+        bindings = [(held, attribute, value)
+                    for key, held in list(sys.modules.items()) if key.split(".")[0] == "fedmrl"
+                    for attribute, value in vars(held).items() if value is original]
+    for holder, attribute, _ in bindings:
+        setattr(holder, attribute, timed)
+    return bindings
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("names", nargs="*", default=NAMES,
                         help="functions to time, as module.function or module.Class.method")
-    parser.add_argument("--workload", default="quickstart-3mode", choices=sorted(MODES))
+    parser.add_argument("--workload", default="quickstart-3mode", choices=sorted(bench.WORKLOADS))
     parser.add_argument("--seed", type=int, default=3)
     parser.add_argument("--runs", type=int, default=15)
     args = parser.parse_args(argv)
-    configs, dataset, plan = set_up(args.workload, args.seed)
+    runner = bench.Runner(bench.load_workload(args.workload, args.seed))
     names = list(dict.fromkeys([*args.names, STEPS]))
     totals, calls = defaultdict(float), defaultdict(int)
     present = [name for name in names if wrap(name, totals, calls)]
-    run(configs, dataset, plan)  # untimed warm-up: the first run of a process is slower
+    runner.train([], whole=False)  # untimed warm-up: the first run of a process is slower
     per_run = []  # (whole run, {name: (seconds, calls)}) of each timed run
     for _ in range(args.runs):
         totals.clear()
         calls.clear()
         start = time.perf_counter()
-        run(configs, dataset, plan)
+        runner.train([], whole=False)
         per_run.append((time.perf_counter() - start, {n: (totals[n], calls[n]) for n in present}))
     whole = min(total for total, _ in per_run)
     print(f"{args.workload}, seed {args.seed}, fastest of {args.runs} runs; ms per run, "
