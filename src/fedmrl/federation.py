@@ -47,38 +47,45 @@ times the steps (120 to 360) and about 1.4x to 1.7x the wall time of a
 stack that fused every depth.
 
 A step writes the gathered rows in place, and cohort_update scatters
-them back once every client has trained.  The workspace serves all the
-population's cohorts: buffers with room for the largest cohort so far,
-carved from one flat array (core._carve) in core._BUFFERS order: each
-depth's block, the private headers, the projectors, the shared
-extractors and the shared headers, and the plan of each run of slots,
-kept while the buffers are.  Each parameter group is one range of the
-flat array, and the rows a step trains are one range per trained
-buffer, merged where they touch: a step whose slots fill the room moves
-and checks them as one range (core._descend).  It also keeps what it built for the last
-cohort (memo): the gather's index maps, the epoch's schedule of steps,
-the batch arrays and the loss ledger, so a cohort that repeats (every
-round, at full participation) gathers and trains on them again, and only
-the row copies and the steps run.  A gather copies every buffer in every
-mode, nothing at all when the rows already hold the cohort as the
-population has them (_Workspace.synced), and only the two shared buffers
-when they hold all of it but the shared rows, which a broadcast writes
-alone (_Workspace.local_synced, shared-stale): a full-participation round
-refreshes its shared rows only, and a standalone run, which nothing else
-writes, copies its rows once.  The workspace keeps slot order to itself:
-training and evaluation return their results in the order the caller
-listed the clients, and uploads view one copy of the trained clients'
-shared rows in the population.  A step writes its losses into
-the epoch's loss ledger, one (clients, batches) array, and each client's
-epoch mean is one reduction of its row.  Each client draws its epoch
-permutations from its own rng, in slot order, and an epoch's shuffle is
-one take per array from one concatenation of the cohort's training sets
-(and a zero row for the padding), through a flat index of the batch
-rows that the permutations fill.  The width padding depends on the
-population alone and the batch padding on the client and the config
-alone, so the result is bit-identical to a cohort of one for each client
-(and to the plain-numpy oracle of the tests, tests/reference.py), because
-of three rules:
+back the buffers the steps trained once every client has trained: a
+standalone cohort's private blocks and headers alone, and all but the
+shared header when the global head weighs 0 (no_mrl, or m_global = 0).
+The workspace serves all the population's cohorts: buffers with room for
+the largest cohort so far, carved from one flat array (core._carve) in
+core._BUFFERS order: each depth's block, the private headers, the
+projectors, the shared extractors and the shared headers, and the plan
+of each run of slots, kept while the buffers are.  Each parameter group
+is one range of the flat array, and the rows a step trains are one range
+per trained buffer, merged where they touch: a step whose slots fill the
+room moves and checks them as one range (core._descend).  It also keeps
+what it built for the last cohort (memo): the gather's index maps, the
+epoch's schedule of steps, the batch arrays and the loss ledger, and for
+each split the slot order of the clients as listed and what was built
+from their data sets (the training sets' concatenation, its labels
+checked, and the stacked test sets), the last two while the same clients
+are listed in the same order and no data set was assigned
+(Population.data_version).  So a cohort that repeats (every round, at
+full participation) is not checked, sorted or stacked again, and only
+the row copies, the steps and the predictions run.  A gather copies
+every buffer in every mode, nothing at all when the rows already hold
+the cohort as the population has them (_Workspace.synced), and only the
+two shared buffers when they hold all of it but the shared rows, which a
+broadcast writes alone (_Workspace.local_synced, shared-stale): a
+full-participation round refreshes its shared rows only, and a
+standalone run, which nothing else writes, copies its rows once.  The
+workspace keeps slot order to itself: training and evaluation return
+their results in the order the caller listed the clients, and uploads
+view one copy of the trained clients' shared rows in the population.  A
+step writes its losses into the epoch's loss ledger, one (clients,
+batches) array, and each client's epoch mean is one reduction of its
+row.  Each client draws its epoch permutations from its own rng, in slot
+order, and an epoch's shuffle is one take per array from one
+concatenation of the cohort's training sets (and a zero row for the
+padding), through a flat index of the batch rows that the permutations
+fill.  The width padding depends on the population alone and the batch
+padding on the client and the config alone, so the result is
+bit-identical to a cohort of one for each client (and to the plain-numpy
+oracle of the tests, tests/reference.py), because of three rules:
 
 * every stacked product is one BLAS call per client slice, on C-order
   matrices, and every reduction runs within a slice (see core);
@@ -111,20 +118,23 @@ Population.wrote(ids) is the one place that forgets the accuracies of
 clients whose rows were written; broadcast (saying it wrote the shared
 rows only), the cohort's scatter and assignment to a model field or to a
 test set call it, and a failed cohort, which writes no row, forgets
-nothing.  Code that writes into a
-client's rows in place calls population.wrote(ids), or neither the memo
-nor the workspace will see it.  Every evaluation, metrics.evaluate of
-one client included, takes one path (_Workspace.evaluate): the clients
-are predicted in the workspace in chunks no larger than its room, each
-chunk gathered in training's slot order (by depth, then training-set
-size), and each depth of a chunk in one stack with core._predict, its
-test sets padded to the largest with copies of each client's own last
-row.  A depth's run holds the same clients and pads to the same length
-in any order, so each client's logits do not depend on the order.  A
-chunk that is the cohort the workspace holds since its scatter is
-gathered without a copy and predicted where it trained, so a round of
-run_rounds copies rows once.  Unlike a padded training batch, a padded
-test set is not held to its unpadded bits: the padding
+nothing.  Code that writes into a client's rows in place calls
+population.wrote(ids), or neither the memo nor the workspace will see
+it.  A data set changes by assignment only (ClientState), which adds one
+to Population.data_version; an in-place write into a data array is seen
+by neither.  Every evaluation, metrics.evaluate of one client included,
+takes one path (_Workspace.evaluate): the clients are predicted in the
+workspace in chunks no larger than its room, each chunk gathered in
+training's slot order (by depth, then training-set size), and each depth
+of a chunk in one stack with core._predict, its test sets padded to the
+largest with copies of each client's own last row.  A depth's run holds
+the same clients and pads to the same length in any order, so each
+client's logits do not depend on the order.  A chunk that is the cohort
+the workspace holds since its scatter is gathered without a copy and
+predicted where it trained, so a round of run_rounds copies rows once,
+and a chunk listed as the last one was, with no data set assigned since,
+predicts on the test sets it stacked then.  Unlike a padded training
+batch, a padded test set is not held to its unpadded bits: the padding
 can move a logit in its last place, which changes a prediction only
 where two logits lie that close, and the padded rows' labels (-1) count
 no hit (tests/reference.py evaluates each client on its own unpadded
@@ -158,6 +168,10 @@ _SERVER_STREAM = 10
 _GLOBAL_INIT_STREAM = 20
 _CLIENT_INIT_STREAM = 30
 _CLIENT_TRAIN_STREAM = 40
+
+# The ClientState fields whose assignment changes the data sets a population holds:
+# the four sets, and population, which a new client is built on.
+_DATA = ("train_x", "train_y", "test_x", "test_y", "population")
 
 
 @dataclass(frozen=True)
@@ -237,7 +251,9 @@ class Population:
     in the flat layout of models.  Rows are written in place, so views
     stay valid.  accuracy maps an inference variant to every client's
     memoized test accuracy (N,), NaN where it is not known; wrote is the
-    one way to record a write into the rows.  _views caches each client's
+    one way to record a write into the rows.  data_version counts the
+    assignments of its clients' data sets (ClientState), which the
+    workspace keys what it keeps of them on.  _views caches each client's
     models, views of its rows, _flops the per-sample training FLOPs of
     each (kind, mode), and _workspace is the room every cohort trains and
     every evaluation predicts in (_Workspace, made by _room).  A deep or
@@ -262,6 +278,7 @@ class Population:
         self._views: dict[int, tuple[Net, Net, Projector]] = {}
         self._flops: dict[Mode, list[int]] = {}
         self._workspace: _Workspace | None = None
+        self.data_version = 0
 
     def wrote(self, ids, shared_only: bool = False) -> None:
         """Forget the accuracies of clients ids: their rows were written, so the
@@ -334,6 +351,10 @@ class ClientState:
     code that writes into them in place calls population.wrote(ids).
     Assigning a test set forgets the client's memoized accuracies too; the
     training set reaches them only through training, whose scatter does.
+    The data sets (train_x, train_y, test_x, test_y) change by assignment
+    only: each assignment, and building a client on a population, adds one
+    to population.data_version, so the workspace builds again what it kept
+    of them.  An in-place write into a data array is not seen.
     """
 
     client_id: int
@@ -349,8 +370,10 @@ class ClientState:
 
     def __setattr__(self, name, value):
         super().__setattr__(name, value)
-        if name in ("test_x", "test_y") and "population" in self.__dict__:
-            self.population.wrote(self.client_id)
+        if name in _DATA and "population" in self.__dict__:
+            self.population.data_version += 1
+            if name in ("test_x", "test_y"):
+                self.population.wrote(self.client_id)
 
     @property
     def n_samples(self) -> int:
@@ -562,9 +585,10 @@ class _Workspace:
     of each slot, copies lists (population buffer, its rows of the
     gathered clients, the workspace's rows, where in them they sit) per
     buffer and architecture, the two shared buffers last, slot_of maps
-    each client id to its slot, which train and _predicted read to return
-    their results in the order the caller listed the clients, and runs is
-    the (first, stop, 1) of each run of slots of one depth.
+    each client id to its slot, and runs is the (first, stop, 1) of each
+    run of slots of one depth.  After train, stepped is the number of
+    copies scatter writes back: those of the buffers the steps trained,
+    which come first.
     Every gather copies every buffer, so its rows equal the population's
     from a gather to the first step, and again from a scatter to the next
     write: synced records both, set by gather and scatter and cleared by
@@ -581,7 +605,12 @@ class _Workspace:
     its ids, "gather" its (rows, depths, copies, slot_of, runs) and, once
     trained, "train" its ((sizes, batch_size, standalone), batch arrays x
     and y, ledger, steps, groups, source, into, first), the last three the
-    shuffle's index (train); a regrow drops it with the plans.  It
+    shuffle's index (train), and "train sets" and "test sets" the stack of
+    each split, (key, back, kept): key the listed client ids and
+    population.data_version, back each listed client's slot (stack), and
+    kept what train ("sets": the concatenated features and labels) and
+    _predicted (each run's first slot: its stacked test sets) built from
+    the data sets; a regrow drops it with the plans.  It
     holds arrays, ids, views and layout models only: a client or the
     population here would make a reference cycle.
     """
@@ -601,7 +630,7 @@ class _Workspace:
         self.layouts = population.shared_layout, population.projector_layout
         self.depth_of = [self.depth[population.place[i][0]] for i in range(len(population.place))]
         self.inputs = [self.nets[depth].extractor.input_dim for depth in self.depth_of]
-        self.size, self.synced, self.local_synced = 0, False, False
+        self.size, self.synced, self.local_synced, self.memo = 0, False, False, {}
 
     def gather(self, population: Population, ids: tuple[int, ...]) -> None:
         """Copy the rows of clients ids, in slot order, into the first rows: one copy per
@@ -653,7 +682,7 @@ class _Workspace:
     def scatter(self, population: Population) -> None:
         """Write the rows back into the population: the gather's copies, reversed.  The
         rows then equal the population's (synced) until the next write or step."""
-        for source, index, rows, at in self.copies:
+        for source, index, rows, at in self.copies[: self.stepped]:
             source[index] = rows[at]
         population.wrote(self.rows)
         self.synced = self.local_synced = True
@@ -691,16 +720,28 @@ class _Workspace:
                 raise ValueError(f"client {c.client_id} {empty}")
 
     def stack(self, population: Population, clients: list[ClientState], split: str,
-              empty: str) -> list[ClientState]:
+              empty: str) -> tuple[list[ClientState], tuple]:
         """clients in slot order, their split ("train" or "test") checked (check), and
         gathered: by depth, then by training-set size, largest first, then by id, so
         the clients of one depth fill a contiguous run of slots, and those of them
-        with more than a given number of training samples its first slots."""
+        with more than a given number of training samples its first slots.  Also
+        returns the split's memo entry (key, back, kept): back holds each listed
+        client's slot, and kept what the caller builds from the split's data sets.
+        While the same clients are listed in the same order and no data set was
+        assigned (key: their ids and population.data_version), the entry is kept,
+        and the check and the clients' sort are skipped."""
+        key = [c.client_id for c in clients], population.data_version
+        held = self.memo.get(split + " sets", (None,))
+        if held[0] == key:
+            self.gather(population, self.memo["cohort"])
+            back = held[1]
+            return [clients[k] for k in sorted(range(len(back)), key=back.__getitem__)], held
         self.check(clients, split, empty)
         depth = self.depth_of
-        clients = sorted(clients, key=lambda c: (depth[c.client_id], -c.n_samples, c.client_id))
-        self.gather(population, tuple(c.client_id for c in clients))
-        return clients
+        ordered = sorted(clients, key=lambda c: (depth[c.client_id], -c.n_samples, c.client_id))
+        self.gather(population, tuple(c.client_id for c in ordered))
+        held = self.memo[split + " sets"] = key, [self.slot_of[i] for i in key[0]], {}
+        return ordered, held
 
     def train(self, population: Population, clients: list[ClientState], epochs: int,
               batch_size: int, mode: Mode, lrs: LearningRates, weights: LossWeights):
@@ -715,14 +756,15 @@ class _Workspace:
         arrays, whose padded rows stay 0, the ledger and the steps are built once
         per cohort, and kept (memo) while the next ones have the same slots, shard
         sizes, batch size and standalone.  Once stack has checked their shapes, the
-        clients' training sets are concatenated in slot order, once per call,
-        and an epoch's shuffle is one take per batch array from them: source
-        holds the row of the concatenation that fills each batch row, the
-        padding's a zero row, and each epoch writes the clients' permutations,
-        drawn in slot order and shifted by where each client's rows start
-        (first), into its real rows (into).  Labels are checked over the same
-        concatenation at once, and a failure names the first client, in slot
-        order, out of range.
+        clients' training sets are concatenated in slot order, once while stack
+        keeps the split's entry (kept), and an epoch's shuffle is one take per
+        batch array from them: source holds the row of the concatenation that
+        fills each batch row, the padding's a zero row, and each epoch writes
+        the clients' permutations, drawn in slot order and shifted by where
+        each client's rows start (first), into its real rows (into).  Labels
+        are checked over the same concatenation once, before it is kept, and a
+        failure names the first client, in slot order, out of range.  The
+        buffers the steps write are recorded for scatter (stepped).
         The rows are not synced from the first step on, so a failed step
         leaves them half-trained for the next gather to write over.
 
@@ -738,19 +780,25 @@ class _Workspace:
             labels = np.asarray(labels, dtype=np.int64)
             return bool(labels.size) and (labels.min() < 0 or labels.max() >= classes)
 
-        listed = clients
-        clients = self.stack(population, clients, "train", "has no training samples")
+        clients, (_, back, kept) = self.stack(population, clients, "train",
+                                              "has no training samples")
         sizes, width = [c.n_samples for c in clients], clients[0].train_x.shape[1]
-        # The cohort's training sets, in slot order, and a zero row (label 0) for padding.
-        features = np.concatenate([*(c.train_x for c in clients), np.zeros((1, width))])
-        labels = np.asarray(np.concatenate([*(c.train_y for c in clients), [0]]), dtype=np.int64)
-        # Once here, over all the clients' labels, as the steps read labels unchecked.
-        if outside(labels):
-            bad = next(c for c in clients if outside(c.train_y))
-            raise ValueError(f"client {bad.client_id} has labels outside [0, {classes})")
+        if not kept:
+            # The cohort's training sets, in slot order, and a zero row (label 0) for padding.
+            features = np.concatenate([*(c.train_x for c in clients), np.zeros((1, width))])
+            labels = np.asarray(np.concatenate([*(c.train_y for c in clients), [0]]), np.int64)
+            # Once here, over all the clients' labels, as the steps read labels unchecked.
+            if outside(labels):
+                bad = next(c for c in clients if outside(c.train_y))
+                raise ValueError(f"client {bad.client_id} has labels outside [0, {classes})")
+            kept["sets"] = features, labels
+        features, labels = kept["sets"]
         self.synced = self.local_synced = False  # the steps write the rows
         standalone = mode is Mode.STANDALONE
         weights = LossWeights(0.0, 1.0) if mode is Mode.NO_MRL else weights  # the ablation
+        # The buffers the steps write, which scatter copies back: no shared or projector
+        # row in standalone, and no shared header when the global head weighs 0.
+        self.stepped = len(self.copies) - (3 if standalone else 0 if weights.global_head else 1)
         if self.memo.get("train", (None,))[0] != (sizes, batch_size, standalone):
             batches = [-(-size // batch_size) for size in sizes]
             schedule = _steps(sizes, self.depths, batch_size)
@@ -781,7 +829,7 @@ class _Workspace:
                 losses[...], _ = _train(plan, xs, ys, weights, lrs, real)
             for a, b, count in groups:
                 epoch_means[a:b, epoch] = _mean(ledger[a:b, :count])
-        return epoch_means[[self.slot_of[c.client_id] for c in listed]]
+        return epoch_means[back]
 
     def evaluate(self, population: Population, clients: list[ClientState],
                  variant: InferenceVariant) -> list[float]:
@@ -814,28 +862,19 @@ class _Workspace:
         padded row gives only values a real row gives, so the finite check
         sees nothing new.  The padding can change how OpenBLAS rounds a
         real row's logits, in the last place, and an accuracy reads only
-        their argmax.  A run without padding is stacked as it is.
+        their argmax.  A run without padding is stacked as it is.  Each run's
+        stack (_stacked) is built once while stack keeps the split's entry (kept).
         """
-        chunk = self.stack(population, clients, "test", "has an empty test set")
+        chunk, (_, back, kept) = self.stack(population, clients, "test", "has an empty test set")
         accuracies = np.empty(len(chunk))
         for a, b, _ in self.runs:  # the runs of one depth
-            members = chunk[a:b]
-            sizes = [c.test_y.size for c in members]
-            if min(sizes) == max(sizes):  # nothing to pad
-                # np.array of equal shapes is np.stack's result at a third of its cost.
-                x = np.array([c.test_x for c in members])
-                labels = np.array([c.test_y for c in members])
-            else:
-                sizes, steps = np.array(sizes), np.arange(max(sizes))
-                # Row r of a client's padded test set: its row r, or its last row.
-                rows = np.minimum(steps, sizes[:, None] - 1) + (np.cumsum(sizes) - sizes)[:, None]
-                x = np.concatenate([c.test_x for c in members])[rows]
-                labels = np.concatenate([c.test_y for c in members])[rows]
-                labels[steps >= sizes[:, None]] = -1
+            if a not in kept:
+                kept[a] = _stacked(chunk[a:b])
+            x, labels, sizes = kept[a]
             preds = _predict(self.plan(a, b, variant is InferenceVariant.SINGLE_LARGE), x, variant)
             hits = np.add.reduce(preds == labels, axis=-1)
             accuracies[a:b] = hits / sizes
-        return accuracies[[self.slot_of[c.client_id] for c in clients]].tolist()
+        return accuracies[back].tolist()
 
 
 def _runs(widths: list[int], depths: list[int]) -> list[list[int]]:
@@ -864,6 +903,22 @@ def _steps(sizes: list[int], depths: list[int], batch_size: int) -> list[tuple]:
             real = np.minimum(np.array(sizes[a:b]) - start, rows)
             steps.append((a, b, start, rows, None if real[-1] == rows else real))
     return steps
+
+
+def _stacked(clients: list[ClientState]) -> tuple:
+    """The (x, labels, sizes) of the test sets of clients, one depth's run of slots
+    (_Workspace._predicted): each test set padded to the largest with copies of its
+    last row and its labels with -1, and the test-set sizes."""
+    sizes = [c.test_y.size for c in clients]
+    if min(sizes) == max(sizes):  # nothing to pad
+        # np.array of equal shapes is np.stack's result at a third of its cost.
+        return np.array([c.test_x for c in clients]), np.array([c.test_y for c in clients]), sizes
+    sizes, steps = np.array(sizes), np.arange(max(sizes))
+    # Row r of a client's padded test set: its row r, or its last row.
+    rows = np.minimum(steps, sizes[:, None] - 1) + (np.cumsum(sizes) - sizes)[:, None]
+    labels = np.concatenate([c.test_y for c in clients])[rows]
+    labels[steps >= sizes[:, None]] = -1
+    return np.concatenate([c.test_x for c in clients])[rows], labels, sizes
 
 
 def _population(clients: list[ClientState]) -> Population:

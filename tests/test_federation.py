@@ -953,6 +953,32 @@ def test_one_client_of_a_trained_cohort_is_evaluated_like_a_fresh_copy():
                 == _fresh_accuracies(clients, variant))
 
 
+def test_a_held_client_given_labels_out_of_range_fails_the_next_round():
+    # Every round trains the ten clients the workspace holds, from training sets
+    # it keeps while none is assigned: an assignment must bring back the check.
+    cfg, server, clients = _equal_shards(with_server=True)
+    cfg = dataclasses.replace(cfg, rounds=1)
+    run_rounds(server, clients, cfg)
+    clients[3].train_y = clients[3].train_y + 10
+    with pytest.raises(ValueError, match=r"^client 3 has labels outside \[0, 10\)$"):
+        run_rounds(server, clients, cfg)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_a_held_client_given_a_new_test_set_reports_its_accuracy(mode):
+    # The workspace keeps the held cohort's stacked test sets while none is
+    # assigned.  A shorter set with other labels changes both the accuracy and
+    # the padding, and the next round must evaluate it as a fresh copy does.
+    cfg, server, clients = _equal_shards(with_server=True)
+    cfg = dataclasses.replace(cfg, mode=mode, rounds=1)
+    run_rounds(server, clients, cfg)
+    client = clients[3]
+    client.test_x, client.test_y = client.test_x[:-3], (client.test_y[:-3] + 1) % 10
+    (report,) = run_rounds(server, clients, cfg)
+    variant = InferenceVariant.SINGLE_LARGE if mode is Mode.STANDALONE else cfg.inference
+    assert report.per_client_accuracy == _fresh_accuracies(clients, variant)
+
+
 @pytest.mark.parametrize("mode", list(Mode))
 @pytest.mark.parametrize("variant", list(InferenceVariant))
 def test_a_trained_cohort_is_predicted_in_place_for_every_variant(monkeypatch, variant, mode):
@@ -984,6 +1010,19 @@ def test_two_standalone_cohorts_in_a_row_copy_once_and_train_like_a_fresh_popula
                         _population_arrays(twins[0].population))
     for a, b in zip(clients, twins):
         assert a.rng.bit_generator.state == b.rng.bit_generator.state
+
+
+def test_a_standalone_cohort_writes_no_shared_or_projector_row():
+    # A standalone step trains the private model alone, so the scatter writes
+    # back the private blocks and headers only: read-only shared and projector
+    # rows are gathered, never written.
+    cfg, clients = _equal_shards()
+    population = clients[0].population
+    shared, projectors = population.shared.copy(), population.projectors.copy()
+    population.shared.flags.writeable = population.projectors.flags.writeable = False
+    cohort_update(clients, 1, 8, cfg.lrs, Mode.STANDALONE, LossWeights())
+    assert population.shared.tobytes() == shared.tobytes()
+    assert population.projectors.tobytes() == projectors.tobytes()
 
 
 @pytest.mark.parametrize("mode", list(Mode))
@@ -2087,9 +2126,11 @@ def test_a_many_dirichlet_run_builds_each_plan_once():
         return builds
 
     builds = run(server)
-    # The workspace keeps the last cohort only: ten clients, and what training built on them.
+    # The workspace keeps the last cohort only: ten clients, what training built on
+    # them, and their slot order and data sets for each split.
     memo = clients[0].population._workspace.memo
-    assert sorted(memo) == ["cohort", "gather", "train"] and len(memo["cohort"]) == 10
+    assert sorted(memo) == ["cohort", "gather", "test sets", "train", "train sets"]
+    assert len(memo["cohort"]) == 10
     assert builds and {caller for caller, _ in builds} == {"_Workspace.plan"}
     keys = [key for _, key in builds]
     assert len(set(keys)) == len(keys)
@@ -2098,6 +2139,48 @@ def test_a_many_dirichlet_run_builds_each_plan_once():
     for client, rng in zip(clients, rngs):
         client.rng = rng
     assert run(server) == []
+
+
+def _checks(monkeypatch):
+    """A list that gains the (split, listed client ids) of each _Workspace.check."""
+    checks, check = [], federation._Workspace.check
+
+    def counting(workspace, clients, split, empty):
+        checks.append((split, [c.client_id for c in clients]))
+        return check(workspace, clients, split, empty)
+
+    monkeypatch.setattr(federation._Workspace, "check", counting)
+    return checks
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_a_full_participation_run_checks_each_split_once(monkeypatch, mode):
+    # Counts, no timing: every round trains and evaluates the ten clients the
+    # workspace holds, and no data set is assigned, so their data sets are
+    # checked, sorted and stacked in the first round only.
+    cfg, server, clients = _equal_shards(with_server=True)
+    checks = _checks(monkeypatch)
+    run_rounds(server, clients, dataclasses.replace(cfg, mode=mode, rounds=20))
+    assert checks == [("train", list(range(10))), ("test", list(range(10)))]
+
+
+def test_a_partial_participation_run_checks_every_new_cohort(monkeypatch):
+    # Ten of 100 clients train per round, a new cohort each round, which is
+    # checked for training and then, as the only stale clients, for evaluation;
+    # the first round evaluates all 100, in chunks of ten.
+    config = override(load_config(MANY_DIRICHLET), seed=0, rounds=20)
+    dataset = load_dataset(config)
+    cfg = build_run_config(config)
+    server, clients = build_clients(cfg, dataset, build_partition(config, dataset))
+    sampled, sample = [], federation.sample_clients
+    monkeypatch.setattr(federation, "sample_clients",
+                        lambda *args: sampled.append(sample(*args)) or sampled[-1])
+    checks = _checks(monkeypatch)
+    run_rounds(server, clients, cfg)
+    assert len(sampled) == 20 and all(a != b for a, b in zip(sampled, sampled[1:]))
+    assert [ids for split, ids in checks if split == "train"] == sampled
+    chunks = [list(range(first, first + 10)) for first in range(0, 100, 10)]
+    assert [ids for split, ids in checks if split == "test"] == chunks + sampled[1:]
 
 
 def _views_rows(plan, block, a, b):
@@ -2376,7 +2459,7 @@ class PopulationMemo(RuleBasedStateMachine):
             assert [m for _, m in results] == [m for _, m in expected]
             assert _same_arrays(_population_arrays(population),
                                 _population_arrays(twins[0].population))
-        for client, x in zip(members, kept):
+        for client, x in zip(members, kept if fail else ()):  # what a failure replaced
             client.train_x = x
 
     @precondition(lambda self: "cohort" in getattr(self.population._workspace, "memo", {}))
@@ -2415,6 +2498,15 @@ class PopulationMemo(RuleBasedStateMachine):
         setattr(self.clients[ident], split + "_x", self.dataset.features[rows])
         setattr(self.clients[ident], split + "_y", self.dataset.labels[rows])
 
+    @rule(pick=st.integers(0, 3), split=st.sampled_from(["train", "test"]),
+          shift=st.integers(1, 2))
+    def new_labels(self, pick, split, shift):
+        # Labels alone, one assignment, of a client of the held cohort if there is one.
+        held = getattr(self.population._workspace, "memo", {}).get("cohort") or range(4)
+        client = self.clients[held[pick % len(held)]]
+        labels = getattr(client, split + "_y")
+        setattr(client, split + "_y", (labels + shift) % self.dataset.classes)
+
     @rule(how=st.sampled_from(["deepcopy", "pickle"]))
     def a_copy(self, how):
         world = self.server, self.clients
@@ -2442,6 +2534,34 @@ class PopulationMemo(RuleBasedStateMachine):
             for source, index, rows, at in copies:
                 assert rows[at].tobytes() == source[index].tobytes()
         assert workspace is None or workspace.local_synced or not workspace.synced
+
+    @invariant()
+    def the_kept_data_sets_are_the_held_cohorts(self):
+        # A kept concatenation of training sets or stack of test sets whose key
+        # carries the current data version is what the held cohort's data sets
+        # give now, in slot order; a padded test row repeats the client's last
+        # row, with label -1.
+        workspace = self.population._workspace
+        memo = {} if workspace is None else workspace.memo
+        held = [self.clients[i] for i in memo.get("cohort", ())]
+        for split in ("train", "test"):
+            key, _, kept = memo.get(split + " sets", ((None, None), None, {}))
+            if key[1] != self.population.data_version:
+                continue
+            if "sets" in kept:
+                features, labels = kept["sets"]
+                zero = np.zeros((1, features.shape[1]))
+                assert features.tobytes() == np.concatenate(
+                    [*(c.train_x for c in held), zero]).tobytes()
+                assert labels.tolist() == [*np.concatenate([c.train_y for c in held]), 0]
+            for a, (x, labels, sizes) in kept.items() if split == "test" else ():
+                assert list(sizes) == [c.test_y.size for c in held[a : a + len(x)]]
+                for row, client in enumerate(held[a : a + len(x)]):
+                    n = client.test_y.size
+                    assert x[row, :n].tobytes() == client.test_x.tobytes()
+                    assert (x[row, n:] == client.test_x[-1]).all()
+                    assert labels[row, :n].tolist() == client.test_y.tolist()
+                    assert (labels[row, n:] == -1).all()
 
     @invariant()
     def the_workspace_references_no_client_or_population(self):
