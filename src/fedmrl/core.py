@@ -87,7 +87,7 @@ from enum import Enum
 
 import numpy as np
 
-from .models import RELU, Net, _Matrix, _sliced
+from .models import RELU, Net, _Matrix, _sliced, _uniform
 from .numerics import NonFiniteError, ShapeError, _cross_entropy, _labels, _transposed
 from .numerics import as_matrix
 
@@ -234,11 +234,19 @@ def lr_bound(constants: TheoryConstants) -> float:
 
 
 def init_projector(d1: int, d2: int, rng: np.random.Generator) -> Projector:
-    """Xavier-uniform weights over the (d2, d1 + d2) mixing matrix."""
+    """Xavier-uniform weights over the (d2, d1 + d2) mixing matrix, drawn row by row as
+    rng.uniform(-bound, bound, size=(d2, d1 + d2)) draws them (_projector_drawn)."""
+    layout, bounds = _projector_drawn(d1, d2)
+    return layout._split(_uniform(bounds, rng.random(bounds.size)))
+
+
+def _projector_drawn(d1: int, d2: int) -> tuple[Projector, np.ndarray]:
+    """init_projector's draw order: a projector of d1 and d2 over zeros, and the bound
+    of each entry it draws, in draw order, sqrt(6 / (d1 + d2 + d2))."""
     if not 0 < d1 <= d2:
         raise ValueError(f"need 0 < d1 <= d2, got d1={d1}, d2={d2}")
     bound = np.sqrt(6.0 / (d1 + d2 + d2))
-    return Projector(rng.uniform(-bound, bound, size=(d2, d1 + d2)))
+    return Projector(np.zeros((d2, d1 + d2))), np.full(d2 * (d1 + d2), bound)
 
 
 def _check_dims(global_model: Net, local_model: Net, projector: Projector) -> None:

@@ -9,11 +9,14 @@ their client.  The mode picks the training graph (see core.Mode); the
 standalone baseline never communicates.
 
 Every client's parameters are rows of flat buffers that span the
-population (Population), and its models are views of its rows.
-Broadcast is one row assignment.  Aggregation is one kernel over rows
-(_anchored): run_rounds hands it the participants' shared rows, which the
-cohort's scatter wrote, and aggregate its stacked upload vectors, so no
-upload model is built in a round.
+population (Population), and its models are views of its rows.  The
+population draws each client's private model and projector straight into
+its rows, in init_model's and init_projector's draw order, so set-up
+builds no model object per client.  Broadcast is one row assignment.
+Aggregation is one kernel over rows (_anchored): run_rounds hands it the
+participants' shared rows, which the cohort's scatter wrote, and
+aggregate its stacked upload vectors, so no upload model is built in a
+round.
 
 Lockstep training: the round's participants train as one cohort
 (cohort_update).  The population's workspace (_Workspace.train) gathers
@@ -29,9 +32,10 @@ than a batch.  The workspace holds the private
 extractors in one block per depth, in which every architecture of that
 depth is zero-padded to the widest width of the population's
 architectures of the depth at each hidden position: the gather zeroes
-the block and copies each architecture's rows into it through an index
-map built once per population, and the scatter copies them back, so the
-population stores every client's rows as configured.  The workspace takes
+the block and copies each slot's private row into its row of the block
+through its architecture's index map, built once per population, and the
+scatter reverses those per-slot copies, so the population stores every
+client's rows as configured.  The workspace takes
 each depth's padded layout and the index maps from models (_padded,
 _positions), which owns the extractor layout, and keeps a layout Net per
 depth, whose models over a block's rows are the plans' private models.
@@ -58,15 +62,19 @@ of each run of slots, kept while the buffers are.  Each parameter group
 is one range of the flat array, and the rows a step trains are one range
 per trained buffer, merged where they touch: a step whose slots fill the
 room moves and checks them as one range (core._descend).  It also keeps
-what it built for the last cohort (memo): the gather's index maps, the
-epoch's schedule of steps, the batch arrays and the loss ledger, and for
+what it built for the last cohort (memo): the gather's copies, the
+epoch's schedule of steps (_steps, one pass per depth's run of slots),
+the batch arrays and the loss ledger, and for
 each split the slot order of the clients as listed and what was built
 from their data sets (the training sets' concatenation, its labels
 checked, and the stacked test sets), the last two while the same clients
 are listed in the same order and no data set was assigned
 (Population.data_version).  So a cohort that repeats (every round, at
 full participation) is not checked, sorted or stacked again, and only
-the row copies, the steps and the predictions run.  A gather copies
+the row copies, the steps and the predictions run.  A new cohort checks
+only the clients not yet checked for that split at the current data
+version (_Workspace.checked), so each client's data sets are checked
+once per split while no data set is assigned.  A gather copies
 every buffer in every mode, nothing at all when the rows already hold
 the cohort as the population has them (_Workspace.synced), and only the
 two shared buffers when they hold all of it but the shared rows, which a
@@ -149,16 +157,17 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import InferenceVariant, LearningRates, LossWeights, Mode, Projector, TrainingDiverged
-from .core import _BUFFERS, _carve, _mean, _plan, _predict, _train, _views, init_projector
+from .core import _BUFFERS, _carve, _mean, _plan, _predict, _projector_drawn, _train, _views
 from .data import LabeledDataset, PartitionPlan
 from .metrics import RoundReport, _training_flops, comm_cost_round, forward_flops_per_sample
-from .models import Extractor, ModelConfig, Net, _length, _padded, _positions, _signature, _view
-from .models import init_model
+from .models import Extractor, ModelConfig, Net, _drawn, _length, _padded, _positions, _signature
+from .models import _uniform, _view, init_model
 from .numerics import ShapeError, derive_rng
 
 # Substream tags: every source of randomness in a run is a named stream
@@ -259,21 +268,43 @@ class Population:
     every evaluation predicts in (_Workspace, made by _room).  A deep or
     pickled copy views its own buffers and memo and starts without cached
     views or workspace.
+
+    It is made from the shared model, each client's private ModelConfig
+    (equal configs are one architecture, numbered in order of first
+    appearance) and each client's init rng: client i's private rows and
+    projector row are init_model(private[i], rngs[i])'s and then
+    init_projector's, of widths shared.rep_dim and private[i].rep_dim, on
+    the same rng, bit for bit.  Each client draws its units with one
+    rng.random call, and each architecture's rows are one transform of
+    them (models._drawn, models._uniform): no model is built per client.
     """
 
-    def __init__(self, shared: Net, private: list[Net], projectors: list[Projector]):
-        kinds: dict[tuple, list[int]] = {}
-        for ident, model in enumerate(private):
-            kinds.setdefault(_architecture(model), []).append(ident)
-        groups = list(kinds.values())
-        self.place = {i: (kind, rank) for kind, ids in enumerate(groups) for rank, i in enumerate(ids)}
-        self.shared = np.repeat(_vector(shared)[None], len(private), axis=0)
-        self.projectors = np.stack([_vector(p) for p in projectors])
-        self.headers = np.stack([_vector(m.header) for m in private])
-        self.blocks = [np.stack([private[i].extractor._flat for i in ids]) for ids in groups]
+    def __init__(self, shared: Net, private: list[ModelConfig], rngs: list[np.random.Generator]):
+        kinds: dict[ModelConfig, list[int]] = {}
+        for ident, shape in enumerate(private):
+            kinds.setdefault(shape, []).append(ident)
+        self.place = {i: (kind, rank) for kind, ids in enumerate(kinds.values())
+                      for rank, i in enumerate(ids)}
+        n, d2 = len(private), private[0].rep_dim
         # Models of each layout, to build views of the rows with.
-        self.shared_layout, self.projector_layout = shared, projectors[0]
-        self.private_layouts = [private[ids[0]] for ids in groups]
+        self.shared_layout, self.private_layouts, self.blocks = shared, [], []
+        self.projector_layout, projector_bounds = _projector_drawn(shared.rep_dim, d2)
+        self.shared = np.repeat(_vector(shared)[None], n, axis=0)
+        self.projectors = np.empty((n, projector_bounds.size))
+        self.headers = np.empty((n, private[0].classes * d2))
+        for shape, ids in kinds.items():
+            layout, at, bounds = _drawn(shape)
+            # Each client's draws in init_model's order, then in init_projector's.
+            units = np.empty((len(ids), at.size + projector_bounds.size))
+            for row, ident in zip(units, ids):
+                rngs[ident].random(out=row)
+            vectors = np.repeat(_vector(layout)[None], len(ids), axis=0)
+            vectors[:, at] = _uniform(bounds, units[:, : at.size])
+            cut = layout.extractor._flat.size
+            self.blocks.append(vectors[:, :cut].copy())
+            self.headers[ids] = vectors[:, cut:]
+            self.projectors[ids] = _uniform(projector_bounds, units[:, at.size :])
+            self.private_layouts.append(layout)
         self.accuracy: dict[InferenceVariant, np.ndarray] = {}
         self._views: dict[int, tuple[Net, Net, Projector]] = {}
         self._flops: dict[Mode, list[int]] = {}
@@ -402,7 +433,14 @@ class Upload:
 def build_clients(
     config: RunConfig, dataset: LabeledDataset, plan: PartitionPlan
 ) -> tuple[ServerState, list[ClientState]]:
-    """Materialize the server and all clients (one Population) from a split partition plan."""
+    """Materialize the server and all clients (one Population) from a split partition plan.
+
+    The server's model is init_model's on the global init stream.  Client
+    i's private model (local_hidden entry i mod len) and projector are
+    init_model's and then init_projector's on its own init stream, drawn
+    by the population straight into its rows (Population), one model
+    layout per distinct stack and no model object per client.
+    """
     if len(plan.clients) != config.n_clients:
         raise ValueError(
             f"plan covers {len(plan.clients)} clients, config wants {config.n_clients}"
@@ -419,14 +457,11 @@ def build_clients(
         ),
         rng=derive_rng(config.seed, _SERVER_STREAM),
     )
-    private, projectors = [], []
-    for ident in range(config.n_clients):
-        init_rng = derive_rng(config.seed, _CLIENT_INIT_STREAM, ident)
-        hidden = config.local_hidden[ident % len(config.local_hidden)]
-        shape = ModelConfig(dataset.dim, hidden, config.d2, dataset.classes)
-        private.append(init_model(shape, init_rng))
-        projectors.append(init_projector(config.d1, config.d2, init_rng))
-    population = Population(server.global_model, private, projectors)
+    shapes = [ModelConfig(dataset.dim, tuple(hidden), config.d2, dataset.classes)
+              for hidden in config.local_hidden]
+    ids = range(config.n_clients)
+    population = Population(server.global_model, [shapes[i % len(shapes)] for i in ids],
+                            [derive_rng(config.seed, _CLIENT_INIT_STREAM, i) for i in ids])
     return server, [
         ClientState(
             client_id=ident,
@@ -583,8 +618,10 @@ class _Workspace:
     standalone the projector and the shared model, last its header.
     After a gather, rows is the client id of each slot, depths the depth
     of each slot, copies lists (population buffer, its rows of the
-    gathered clients, the workspace's rows, where in them they sit) per
-    buffer and architecture, the two shared buffers last, slot_of maps
+    gathered clients, the workspace's rows, where in them they sit): first
+    one per slot, the client's row of its architecture's block into the
+    slot's row of its depth's block at maps[kind], in slot order, then one
+    per other buffer, the two shared buffers last, slot_of maps
     each client id to its slot, and runs is the (first, stop, 1) of each
     run of slots of one depth.  After train, stepped is the number of
     copies scatter writes back: those of the buffers the steps trained,
@@ -597,11 +634,13 @@ class _Workspace:
     every row but the shared ones does: it is set and cleared with synced,
     except that a write of shared rows only (broadcast) leaves it, and a
     gather of the cohort it holds then copies the two shared buffers alone
-    (shared-stale).  A failed check
-    raises at once and leaves the rows half-trained, and not synced, for
-    the next gather to write over.  Rows beyond a cohort stay as an
-    earlier one left them: no step touches or checks a row outside its
-    slots.  memo holds what was built for that last cohort only: "cohort"
+    (shared-stale).  checked maps (split, client id) to the
+    population.data_version at which the client's data sets of that split
+    last passed check, which skips the client while the version holds.
+    A failed check raises at once and leaves the rows half-trained, and
+    not synced, for the next gather to write over.  Rows beyond a cohort
+    stay as an earlier one left them: no step touches or checks a row
+    outside its slots.  memo holds what was built for that last cohort only: "cohort"
     its ids, "gather" its (rows, depths, copies, slot_of, runs) and, once
     trained, "train" its ((sizes, batch_size, standalone), batch arrays x
     and y, ledger, steps, groups, source, into, first), the last three the
@@ -630,16 +669,16 @@ class _Workspace:
         self.layouts = population.shared_layout, population.projector_layout
         self.depth_of = [self.depth[population.place[i][0]] for i in range(len(population.place))]
         self.inputs = [self.nets[depth].extractor.input_dim for depth in self.depth_of]
-        self.size, self.synced, self.local_synced, self.memo = 0, False, False, {}
+        self.size, self.synced, self.local_synced, self.memo, self.checked = 0, False, False, {}, {}
 
     def gather(self, population: Population, ids: tuple[int, ...]) -> None:
         """Copy the rows of clients ids, in slot order, into the first rows: one copy per
-        slot-indexed buffer (a shared row goes into the two shared buffers), and one
-        per architecture into its depth's block, every block zeroed first.  If the rows
-        are the last cohort's (ids) and hold all but their shared rows as the population
-        has them (local_synced), only the two shared buffers are copied, and nothing if
-        they hold those too (synced).  The index maps are built again only for another
-        cohort than the last (memo)."""
+        slot into its depth's block, through its architecture's index map (maps), every
+        block zeroed first, and one per other slot-indexed buffer (a shared row goes
+        into the two shared buffers).  If the rows are the last cohort's (ids) and hold
+        all but their shared rows as the population has them (local_synced), only the
+        two shared buffers are copied, and nothing if they hold those too (synced).
+        The copies are listed again only for another cohort than the last (memo)."""
         if self.local_synced and self.memo["cohort"] == ids:
             for source, index, rows, at in [] if self.synced else self.copies[-2:]:
                 rows[at] = source[index]
@@ -657,17 +696,11 @@ class _Workspace:
             self.starts = dict(zip(widths, zip(starts, widths.values())))
             self.size, self.plans, self.memo = n, {}, {}
         if self.memo.get("cohort") != ids:
-            kinds: dict[int, tuple[list[int], list[int]]] = {}
-            for slot, ident in enumerate(ids):
-                kind, rank = place[ident]
-                kinds.setdefault(kind, ([], []))[0].append(slot)
-                kinds[kind][1].append(rank)
-            rows, copies = np.array(ids), []  # copies in sources' order, the shared ones last
-            for kind, (slots, ranks) in kinds.items():
-                block = self.buffers[self.depth[kind]][0][:n]
-                # An architecture's rows sit at flat positions of its depth's block.
-                at = np.add.outer(np.array(slots) * block.shape[1], self.maps[kind])
-                copies.append((population.blocks[kind], np.array(ranks), block.reshape(-1), at))
+            # Each slot's private row sits at its architecture's positions in its depth's
+            # block; the other copies follow in sources' order, the shared ones last.
+            rows = np.array(ids)
+            copies = [(population.blocks[kind], rank, self.buffers[self.depth[kind]][0, slot],
+                       self.maps[kind]) for slot, (kind, rank) in enumerate(map(place.get, ids))]
             copies += [(source, rows, self.buffers[key][0][:n], ...)
                        for key, source in sources.items()]
             depths = [self.depth_of[i] for i in ids]
@@ -706,11 +739,16 @@ class _Workspace:
             plan = self.plans[key] = _plan(*models, self.flat, spans)
         return plan
 
-    def check(self, clients: list[ClientState], split: str, empty: str) -> None:
+    def check(self, population: Population, clients: list[ClientState], split: str,
+              empty: str) -> None:
         """Raise ValueError("client i ...") if a client's split ("train" or "test") is not
         2-D features of its models' input width, one row per label of 1-D labels, and
-        ValueError("client i <empty>") if it is empty."""
+        ValueError("client i <empty>") if it is empty.  A client that passed for split
+        at population.data_version is skipped (checked)."""
+        version = population.data_version
         for c in clients:
+            if self.checked.get((split, c.client_id)) == version:
+                continue
             x, y = getattr(c, split + "_x"), getattr(c, split + "_y")
             width = self.inputs[c.client_id]
             if y.ndim != 1 or x.shape != (len(y), width):
@@ -718,6 +756,7 @@ class _Workspace:
                                  f"and {split}_y of shape {y.shape}, not (n, {width}) and (n,)")
             if not len(y):
                 raise ValueError(f"client {c.client_id} {empty}")
+            self.checked[split, c.client_id] = version
 
     def stack(self, population: Population, clients: list[ClientState], split: str,
               empty: str) -> tuple[list[ClientState], tuple]:
@@ -736,7 +775,7 @@ class _Workspace:
             self.gather(population, self.memo["cohort"])
             back = held[1]
             return [clients[k] for k in sorted(range(len(back)), key=back.__getitem__)], held
-        self.check(clients, split, empty)
+        self.check(population, clients, split, empty)
         depth = self.depth_of
         ordered = sorted(clients, key=lambda c: (depth[c.client_id], -c.n_samples, c.client_id))
         self.gather(population, tuple(c.client_id for c in ordered))
@@ -893,15 +932,27 @@ def _runs(widths: list[int], depths: list[int]) -> list[list[int]]:
 def _steps(sizes: list[int], depths: list[int], batch_size: int) -> list[tuple]:
     """The steps of an epoch over slots of these shard sizes and depths, each depth's
     slots sorted by size, largest first: (first, stop, start, rows, real) trains
-    slots first to stop on batches of rows rows from row start.  real is None if
-    every batch is full, else each slot's real row count, the rest of its batch
-    padding."""
+    slots first to stop on batches of rows rows from row start, offset by offset
+    and, at an offset, in slot order.  real is None if every batch is full, else
+    each slot's real row count, the rest of its batch padding.
+
+    One pass per depth's run of slots: at each offset the slots whose shards
+    reach past it (at offset 0, those that fill a batch) are a prefix of the
+    run, found by bisection, and at offset 0 each size of the shards smaller
+    than a batch steps on its own."""
     steps = []
-    for start in range(0, max(sizes), batch_size):
-        widths = [min(size, batch_size) if size > start else 0 for size in sizes]
-        for a, b, rows in _runs(widths, depths):
-            real = np.minimum(np.array(sizes[a:b]) - start, rows)
-            steps.append((a, b, start, rows, None if real[-1] == rows else real))
+    for a, b, _ in _runs([1] * len(sizes), depths):
+        below = [-size for size in sizes[a:b]]  # ascending
+        for start in range(0, sizes[a], batch_size):
+            stop = a + bisect_left(below, -max(start, batch_size - 1))
+            if stop > a:
+                real = None if sizes[stop - 1] - start >= batch_size else \
+                    np.minimum(np.array(sizes[a:stop]) - start, batch_size)
+                steps.append((a, stop, start, batch_size, real))
+            while not start and stop < b:  # the shards of one size smaller than a batch
+                first, stop = stop, a + bisect_right(below, -sizes[stop])
+                steps.append((first, stop, 0, sizes[first], None))
+    steps.sort(key=lambda step: step[2])  # offset by offset, each depth's in slot order
     return steps
 
 

@@ -313,16 +313,40 @@ def init_model(config: ModelConfig, rng: np.random.Generator) -> Net:
     and biases at a small positive constant (0.01) so no unit starts dead;
     the header uses Xavier-uniform weights (bound sqrt(6/(fan_in+fan_out)))
     and no bias.  Draw order is fixed: layer weights first to last, then
-    the header weight.
+    the header weight, each as rng.uniform(-bound, bound, size=(out, in))
+    draws it.  The draw order lives in _drawn, which the population's rows
+    are drawn by too (federation.Population), so a client's private model
+    is this function's on its rng bit for bit.
     """
-    layers = []
-    for fan_in, fan_out in config.layer_dims:
-        bound = np.sqrt(6.0 / fan_in)
-        weight = rng.uniform(-bound, bound, size=(fan_out, fan_in))
-        layers.append(AffineLayer(weight, np.full((1, fan_out), 0.01), RELU))
-    bound = np.sqrt(6.0 / (config.rep_dim + config.classes))
-    head_weight = rng.uniform(-bound, bound, size=(config.classes, config.rep_dim))
-    return Net(Extractor(layers), Header(head_weight))
+    layout, at, bounds = _drawn(config)
+    vector = np.concatenate(layout._segments())
+    vector[at] = _uniform(bounds, rng.random(at.size))
+    return layout._split(vector)
+
+
+def _drawn(config: ModelConfig) -> tuple[Net, np.ndarray, np.ndarray]:
+    """init_model's draw order for config: a Net of its layout over its constants (each
+    bias 0.01, each weight 0), the entries of that Net's vector (its _segments,
+    concatenated) that init_model draws, in draw order (each layer's weight, first to
+    last, row by row, then the header weight), and the bound of each."""
+    spans = _layout(config.input_dim, [(out, True, RELU) for _, out in config.layer_dims])
+    length, head = _length(spans), config.classes * config.rep_dim
+    vector, at, bounds = np.zeros(length + head), [], []
+    for start, stop, end, _, fan_in, _ in spans:
+        vector[stop:end] = 0.01
+        at.append(np.arange(start, stop))
+        bounds.append(np.full(stop - start, np.sqrt(6.0 / fan_in)))
+    at.append(np.arange(length, length + head))
+    bounds.append(np.full(head, np.sqrt(6.0 / (config.rep_dim + config.classes))))
+    layout = _view(Net, extractor=_view(Extractor, _flat=vector[:length], _spans=spans),
+                   header=_view(Header, weight=vector[length:].reshape(config.classes, -1)))
+    return layout, np.concatenate(at), np.concatenate(bounds)
+
+
+def _uniform(bounds: np.ndarray, units: np.ndarray) -> np.ndarray:
+    """rng.uniform(-bound, bound) for each of bounds (over units' last axis), bit for
+    bit, from units that rng.random drew: numpy's low + (high - low) * unit."""
+    return -bounds + (bounds + bounds) * units
 
 
 def save_model(path: str | Path, model: Net) -> None:

@@ -303,15 +303,13 @@ def mixed_workspace(seed=30):
     hidden units, so the workspace pads the last two to 7.  Its plan(0, 3,
     standalone) trains both models or (standalone) the private one alone.
     Returns it and each client's models alone."""
-    rng = make_rng(seed)
     hidden = ((7,), (4,), (6,))
-    g = init_model(ModelConfig(INPUT, (5,), D1, CLASSES), rng)
-    f = [init_model(ModelConfig(INPUT, widths, D2, CLASSES), rng) for widths in hidden]
-    p = [init_projector(D1, D2, rng) for _ in hidden]
-    population = federation.Population(g, f, p)
+    g = init_model(ModelConfig(INPUT, (5,), D1, CLASSES), make_rng(seed))
+    shapes = [ModelConfig(INPUT, widths, D2, CLASSES) for widths in hidden]
+    population = federation.Population(g, shapes, [make_rng(seed + 1 + i) for i in range(3)])
     workspace = federation._Workspace(population)
     workspace.gather(population, (0, 1, 2))
-    return workspace, [(g, f[i], p[i]) for i in range(3)]
+    return workspace, [(g, *population._models(i)[1:]) for i in range(3)]
 
 
 def write_flat(arrays, vec):

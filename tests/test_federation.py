@@ -138,6 +138,38 @@ def test_build_clients_requires_split_plan():
         build_clients(cfg, dataset, unsplit)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    local_hidden=st.lists(st.sampled_from([(), (4,), (9, 7), (3, 5), (6,)]), min_size=1,
+                          max_size=4).map(tuple),
+    n_clients=st.integers(1, 6),
+    seed=st.integers(0, 10_000),
+)
+def test_the_population_draws_each_client_as_init_model_then_init_projector(
+    local_hidden, n_clients, seed
+):
+    # Repeated stacks share one block, a config may have fewer clients than
+    # stacks, and stacks hold 0-2 hidden layers: each client's rows are
+    # init_model's and then init_projector's on its own init stream bit for bit,
+    # and the server's model init_model's on the global one.
+    cfg, dataset, plan = small_setup(n_clients=n_clients, local_hidden=local_hidden)
+    cfg = dataclasses.replace(cfg, seed=seed)
+    server, clients = build_clients(cfg, dataset, plan)
+    shape = ModelConfig(dataset.dim, cfg.global_hidden, cfg.d1, dataset.classes)
+    shared = init_model(shape, numerics.derive_rng(seed, 20))
+    assert server.global_model.extractor._spans == shared.extractor._spans
+    assert _same_arrays(server.global_model._segments(), shared._segments())
+    for ident, client in enumerate(clients):
+        rng = numerics.derive_rng(seed, 30, ident)
+        hidden = local_hidden[ident % len(local_hidden)]
+        private = init_model(ModelConfig(dataset.dim, hidden, cfg.d2, dataset.classes), rng)
+        assert client.local_model.extractor._spans == private.extractor._spans
+        assert _same_arrays(client.local_model._segments(), private._segments())
+        projector = core.init_projector(cfg.d1, cfg.d2, rng)
+        assert client.projector.weight.tobytes() == projector.weight.tobytes()
+        assert _same_arrays(client.global_copy._segments(), shared._segments())
+
+
 def test_build_clients_cycles_heterogeneous_widths():
     cfg, dataset, plan = small_setup(n_clients=4)
     _, clients = build_clients(cfg, dataset, plan)
@@ -1311,9 +1343,11 @@ def test_a_padded_cohort_steps_each_client_as_its_padded_model(
     for depth in set(workspace.depths):
         block = workspace.buffers[depth][:, : len(chosen)]
         filled = np.zeros(block.shape[1:], dtype=bool)
-        for _, _, rows, at in workspace.copies:
-            if at is not Ellipsis and np.shares_memory(rows, block):
-                filled.reshape(-1)[at] = True  # flat positions in the block's rows
+        # The first copies are the slots' own, in slot order: each slot's private row
+        # through its architecture's positions in its depth's block.
+        for slot, (_, _, rows, at) in enumerate(workspace.copies[: len(chosen)]):
+            if np.shares_memory(rows, block):
+                filled[slot, at] = True
         pad = block[0][~filled]
         assert pad.tobytes() == np.zeros_like(pad).tobytes()
         assert not block[1][~filled].any()
@@ -1710,6 +1744,39 @@ def test_an_epoch_steps_once_per_offset_and_depth_and_once_per_small_shard_size(
         ((twin_upload, twin_means),) = cohort_update([twin], *args)
         assert repr(means) == repr(twin_means)
         assert _same_arrays(upload.model._segments(), twin_upload.model._segments())
+
+
+def _steps_per_offset(sizes, depths, batch_size):
+    """The per-offset schedule that _steps replaced, kept as its reference: at each
+    offset every slot's batch width, cut into runs of one depth and width."""
+    steps = []
+    for start in range(0, max(sizes), batch_size):
+        widths = [min(size, batch_size) if size > start else 0 for size in sizes]
+        for a, b, rows in federation._runs(widths, depths):
+            real = np.minimum(np.array(sizes[a:b]) - start, rows)
+            steps.append((a, b, start, rows, None if real[-1] == rows else real))
+    return steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    runs=st.lists(st.lists(st.integers(1, 9) | st.integers(1, 40), min_size=1, max_size=8),
+                  min_size=1, max_size=3),
+    batch_size=st.integers(1, 9),
+)
+@example(runs=[[40, 17, 17, 8, 3, 3, 1], [5, 5, 2], [9, 9]], batch_size=8)
+@example(runs=[[3, 3, 2], [1]], batch_size=9)
+def test_the_one_pass_schedule_is_the_per_offset_one(runs, batch_size):
+    # Each depth's slots sorted by shard size, largest first, as the workspace
+    # orders them; sizes repeat and fall below a batch.
+    sizes = [size for run in runs for size in sorted(run, reverse=True)]
+    depths = [depth for depth, run in enumerate(runs) for _ in run]
+    steps, expected = (schedule(sizes, depths, batch_size)
+                       for schedule in (federation._steps, _steps_per_offset))
+    assert [step[:4] for step in steps] == [step[:4] for step in expected]
+    for (*_, real), (*_, want) in zip(steps, expected):
+        assert (real is None) == (want is None)
+        assert want is None or (real.dtype == want.dtype and real.tolist() == want.tolist())
 
 
 @pytest.mark.parametrize("workload,seed,calls", [
@@ -2145,9 +2212,9 @@ def _checks(monkeypatch):
     """A list that gains the (split, listed client ids) of each _Workspace.check."""
     checks, check = [], federation._Workspace.check
 
-    def counting(workspace, clients, split, empty):
+    def counting(workspace, population, clients, split, empty):
         checks.append((split, [c.client_id for c in clients]))
-        return check(workspace, clients, split, empty)
+        return check(workspace, population, clients, split, empty)
 
     monkeypatch.setattr(federation._Workspace, "check", counting)
     return checks
@@ -2181,6 +2248,77 @@ def test_a_partial_participation_run_checks_every_new_cohort(monkeypatch):
     assert [ids for split, ids in checks if split == "train"] == sampled
     chunks = [list(range(first, first + 10)) for first in range(0, 100, 10)]
     assert [ids for split, ids in checks if split == "test"] == chunks + sampled[1:]
+
+
+class _Logged(dict):
+    """A dict that logs every (key, value) it is given."""
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+    def __setitem__(self, key, value):
+        self.log.append((key, value))
+        super().__setitem__(key, value)
+
+
+def test_a_many_dirichlet_run_checks_each_client_once_per_split_and_data_version(monkeypatch):
+    # Counts, no timing: ten of 100 clients train per round, a new cohort each
+    # round, and a client is evaluated in the first round and after it trains.
+    # While no data set is assigned, each client's sets are checked once per
+    # split, when a cohort or chunk first holds it; an assignment (a new data
+    # version) checks each client once more when it is next held.
+    config = override(load_config(MANY_DIRICHLET), seed=0, rounds=10)
+    dataset = load_dataset(config)
+    cfg = build_run_config(config)
+    server, clients = build_clients(cfg, dataset, build_partition(config, dataset))
+    sampled, sample = [], federation.sample_clients
+    monkeypatch.setattr(federation, "sample_clients",
+                        lambda *args: sampled.append(sample(*args)) or sampled[-1])
+    population = clients[0].population
+    checked = population._room().checked = _Logged()
+    run_rounds(server, clients, cfg)
+    first = population.data_version
+    clients[7].test_y = clients[7].test_y.copy()
+    run_rounds(server, clients, cfg)
+    assert population.data_version == first + 1
+    assert max(Counter(checked.log).values()) == 1
+    for version, rounds in ((first, sampled[:10]), (first + 1, sampled[10:])):
+        held = {(split, i) for (split, i), at in checked.log if at == version}
+        trained = {i for cohort in rounds for i in cohort}
+        assert {i for split, i in held if split == "train"} == trained
+        tested = range(100) if version == first else trained | {7}  # 7's new test set
+        assert {i for split, i in held if split == "test"} == set(tested)
+
+
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_a_client_checked_in_an_earlier_cohort_is_checked_again_after_an_assignment(split):
+    # Client 3 passes the check of its split in a cohort (or an evaluation
+    # chunk) of clients 2-5.  Then its train_x grows a column, or its test set
+    # is emptied, and the next cohort (or chunk), of clients 0-3, must raise the
+    # check's error, not skip a client it checked before.
+    cfg, clients = _equal_shards()
+    population, args = clients[0].population, (1, 8, cfg.lrs, Mode.FEDMRL, LossWeights())
+    workspace = population._room()
+
+    def held(members):
+        if split == "train":
+            return cohort_update(members, *args)
+        return workspace.evaluate(population, members, MIX_LARGE)
+
+    held(clients[2:6])
+    assert workspace.checked[split, 3] == population.data_version
+    client = clients[3]
+    if split == "train":
+        client.train_x = np.concatenate([client.train_x, client.train_x[:, :1]], axis=1)
+        message = ("client 3 has train_x of shape (48, 17) and train_y of shape (48,), "
+                   "not (n, 16) and (n,)")
+    else:
+        client.test_x, client.test_y = client.test_x[:0], client.test_y[:0]
+        message = "client 3 has an empty test set"
+    with pytest.raises(ValueError) as raised:
+        held(clients[:4])
+    assert str(raised.value) == message
 
 
 def _views_rows(plan, block, a, b):
@@ -2506,6 +2644,30 @@ class PopulationMemo(RuleBasedStateMachine):
         client = self.clients[held[pick % len(held)]]
         labels = getattr(client, split + "_y")
         setattr(client, split + "_y", (labels + shift) % self.dataset.classes)
+
+    @rule(ids=st.sets(st.integers(0, 3), min_size=1), mode=st.sampled_from(list(Mode)),
+          pick=st.integers(0, 3), wider=st.booleans())
+    def a_data_set_assigned_between_two_cohorts(self, ids, mode, pick, wider):
+        # The cohort trains, so its clients pass the check and the workspace keeps
+        # their training sets.  Then one of them gets new labels, and the same
+        # cohort trains as a fresh copy does, or a train_x one column too wide,
+        # and the same cohort fails the check at the new data version.
+        self.a_cohort(ids, mode, send=False, fail=None)
+        members = [self.clients[i] for i in sorted(ids)]
+        client = members[pick % len(members)]
+        if not wider:
+            client.train_y = (client.train_y + 1) % self.dataset.classes
+            self.a_cohort(ids, mode, send=False, fail=None)
+            return
+        x, rows = client.train_x, [a.copy() for a in _population_arrays(self.population)]
+        client.train_x = np.concatenate([x, x[:, :1]], axis=1)
+        with pytest.raises(ValueError) as raised:
+            cohort_update(members, 2, 5, self.cfg.lrs, mode, self.cfg.loss_weights)
+        (n, width), ident = x.shape, client.client_id
+        assert str(raised.value) == (f"client {ident} has train_x of shape ({n}, {width + 1}) "
+                                     f"and train_y of shape ({n},), not (n, {width}) and (n,)")
+        assert _same_arrays(_population_arrays(self.population), rows)
+        client.train_x = x
 
     @rule(how=st.sampled_from(["deepcopy", "pickle"]))
     def a_copy(self, how):

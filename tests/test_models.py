@@ -148,6 +148,25 @@ def test_init_is_deterministic_and_bounded():
     assert all(np.array_equal(l.bias, np.full((1, l.out_dim), 0.01)) for l in ex1.layers)
 
 
+@pytest.mark.parametrize("hidden", [(), (5,), (8, 6), (1, 2, 3)])
+@pytest.mark.parametrize("seed", [0, 42])
+def test_init_draws_each_weight_as_rng_uniform_in_the_documented_order(hidden, seed):
+    # init_model and init_projector draw through rng.random and one shared
+    # transform (the population draws its rows the same way): each weight must be
+    # rng.uniform(-bound, bound, size=(out, in)) bit for bit, layer by layer, then
+    # the header, then a projector drawn from the same rng.
+    config = ModelConfig(6, hidden, 4, 3)
+    drawn, rng = init_model(config, make_rng(seed)), make_rng(seed)
+    for layer, (fan_in, fan_out) in zip(drawn.extractor.layers, config.layer_dims):
+        bound = np.sqrt(6.0 / fan_in)
+        assert layer.weight.tobytes() == rng.uniform(-bound, bound, (fan_out, fan_in)).tobytes()
+        assert layer.bias.tobytes() == np.full((1, fan_out), 0.01).tobytes()
+    bound = np.sqrt(6.0 / (4 + 3))
+    assert drawn.header.weight.tobytes() == rng.uniform(-bound, bound, (3, 4)).tobytes()
+    projector, bound = init_projector(2, 4, make_rng(seed + 1)), np.sqrt(6.0 / (2 + 4 + 4))
+    assert projector.weight.tobytes() == make_rng(seed + 1).uniform(-bound, bound, (4, 6)).tobytes()
+
+
 @pytest.mark.parametrize(
     "config",
     [
