@@ -62,23 +62,23 @@ of each run of slots, kept while the buffers are.  Each parameter group
 is one range of the flat array, and the rows a step trains are one range
 per trained buffer, merged where they touch: a step whose slots fill the
 room moves and checks them as one range (core._descend).  It also keeps
-what it built for the last cohort (memo): the gather's copies, the
-epoch's schedule of steps (_steps, one pass per depth's run of slots),
-the batch arrays and the loss ledger, and for
-each split the slot order of the clients as listed and what was built
-from their data sets (the training sets' concatenation, its labels
-checked, and the stacked test sets), the last two while the same clients
-are listed in the same order and no data set was assigned
-(Population.data_version).  So a cohort that repeats (every round, at
-full participation) is not checked, sorted or stacked again, and only
-the row copies, the steps and the predictions run.  A new cohort checks
-only the clients not yet checked for that split at the current data
-version (_Workspace.checked), so each client's data sets are checked
-once per split while no data set is assigned.  A gather copies
-every buffer in every mode, nothing at all when the rows already hold
-the cohort as the population has them (_Workspace.synced), and only the
-two shared buffers when they hold all of it but the shared rows, which a
-broadcast writes alone (_Workspace.local_synced, shared-stale): a
+one record of the clients it was last listed (_Workspace.cohort): their
+slot order, the gather's copies, and what was built from their data
+sets: the training sets' concatenation, the epoch's schedule of steps
+(_steps, one pass per depth's run of slots), the batch arrays and the
+loss ledger, and the stacked test sets.  What the workspace built for a
+cohort is kept while the same clients are listed in the same order at
+the same data version (Population.data_version), so a cohort that
+repeats (every round, at full participation) is not sorted, checked or
+built from again, and only the row copies, the steps and the predictions
+run; a new record whose slots are the same keeps the copies.  A new
+cohort checks only the clients not yet checked for that split at the
+current data version (_Workspace.checked), so each client's data sets,
+training labels included, are checked once per split while no data set
+is assigned.  A gather copies every buffer in every mode, nothing at all
+when the rows already hold the cohort as the population has them
+(_Workspace.synced), and only the two shared buffers when they hold all
+of it but the shared rows, which a broadcast writes alone (_Workspace.local_synced, shared-stale): a
 full-participation round refreshes its shared rows only, and a
 standalone run, which nothing else writes, copies its rows once.  The
 workspace keeps slot order to itself: training and evaluation return
@@ -140,8 +140,8 @@ the same clients and pads to the same length in any order, so each
 client's logits do not depend on the order.  A chunk that is the cohort
 the workspace holds since its scatter is gathered without a copy and
 predicted where it trained, so a round of run_rounds copies rows once,
-and a chunk listed as the last one was, with no data set assigned since,
-predicts on the test sets it stacked then.  Unlike a padded training
+and a chunk listed as the workspace's record was, at the same data
+version, predicts on the test sets it stacked then.  Unlike a padded training
 batch, a padded test set is not held to its unpadded bits: the padding
 can move a logit in its last place, which changes a prediction only
 where two logits lie that close, and the padded rows' labels (-1) count
@@ -158,6 +158,7 @@ from __future__ import annotations
 import math
 import warnings
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -585,6 +586,21 @@ def _replayed(run, clients: list[ClientState], states=()):
         raise TrainingDiverged(f"client {ident}: {exc}", exc.group, ident) from exc
 
 
+# What the workspace keeps of the clients it was last listed (_Workspace.hold): key
+# is their ids as listed and population.data_version; order[s] is the listed index
+# of the client in slot s; rows and depths are each slot's client id and depth.
+# copies lists the gather's (population buffer, its rows of the gathered clients,
+# the workspace's rows, where in them they sit): first one per slot, the client's
+# row of its architecture's block into the slot's row of its depth's block at
+# maps[kind], in slot order, then one per other buffer, the two shared buffers
+# last.  kept maps each split whose data sets passed check to what was built from
+# them: for "train" the concatenated training sets ("sets"), then per (batch_size,
+# standalone) the epoch's batch arrays x and y, ledger, steps, groups and the
+# shuffle's index (source, into, first); for "test" each run's stacked test sets,
+# by its first slot (_stacked).
+_Cohort = namedtuple("_Cohort", "key order rows depths copies kept")
+
+
 class _Workspace:
     """The population's room for a cohort: its rows, gathered in slot order, their
     gradient scratch, and the plans on them, for training and for evaluation.
@@ -616,40 +632,29 @@ class _Workspace:
     gradient models over the rows' scratch, which steps rows a to b of the
     buffers it trains, the private block and header, then outside
     standalone the projector and the shared model, last its header.
-    After a gather, rows is the client id of each slot, depths the depth
-    of each slot, copies lists (population buffer, its rows of the
-    gathered clients, the workspace's rows, where in them they sit): first
-    one per slot, the client's row of its architecture's block into the
-    slot's row of its depth's block at maps[kind], in slot order, then one
-    per other buffer, the two shared buffers last, slot_of maps
-    each client id to its slot, and runs is the (first, stop, 1) of each
-    run of slots of one depth.  After train, stepped is the number of
+    cohort is the record of the clients last listed (_Cohort, made by
+    hold): their slot order, the gather's copies and what was built from
+    their data sets.  What the workspace built for a cohort is kept while
+    the same clients are listed in the same order at the same data version
+    (stack); a record of other clients, or of another version, whose slots
+    are the same keeps the copies.  After train, stepped is the number of
     copies scatter writes back: those of the buffers the steps trained,
     which come first.
-    Every gather copies every buffer, so its rows equal the population's
-    from a gather to the first step, and again from a scatter to the next
-    write: synced records both, set by gather and scatter and cleared by
-    train before its first step and by Population.wrote, and a gather of
-    the cohort it holds then copies nothing.  local_synced records that
-    every row but the shared ones does: it is set and cleared with synced,
-    except that a write of shared rows only (broadcast) leaves it, and a
-    gather of the cohort it holds then copies the two shared buffers alone
+
+    A gather that copies every buffer leaves the rows equal to the
+    population's from then to the first step, and a scatter from then to
+    the next write: synced records that, set by gather and scatter and
+    cleared by train before its first step, by Population.wrote and by a
+    record of other slots; then a gather copies nothing.  local_synced
+    records that every row but the shared ones does: it is set and cleared
+    with synced, except that a write of shared rows only (broadcast) leaves
+    it, and a gather then copies the two shared buffers alone
     (shared-stale).  checked maps (split, client id) to the
     population.data_version at which the client's data sets of that split
-    last passed check, which skips the client while the version holds.
-    A failed check raises at once and leaves the rows half-trained, and
-    not synced, for the next gather to write over.  Rows beyond a cohort
-    stay as an earlier one left them: no step touches or checks a row
-    outside its slots.  memo holds what was built for that last cohort only: "cohort"
-    its ids, "gather" its (rows, depths, copies, slot_of, runs) and, once
-    trained, "train" its ((sizes, batch_size, standalone), batch arrays x
-    and y, ledger, steps, groups, source, into, first), the last three the
-    shuffle's index (train), and "train sets" and "test sets" the stack of
-    each split, (key, back, kept): key the listed client ids and
-    population.data_version, back each listed client's slot (stack), and
-    kept what train ("sets": the concatenated features and labels) and
-    _predicted (each run's first slot: its stacked test sets) built from
-    the data sets; a regrow drops it with the plans.  It
+    last passed check, which skips the client while the version holds.  A
+    failed step leaves the rows half-trained, and not synced, for the next
+    gather to write over.  Rows beyond a cohort stay as an earlier one left
+    them: no step touches or checks a row outside its slots.  The workspace
     holds arrays, ids, views and layout models only: a client or the
     population here would make a reference cycle.
     """
@@ -669,22 +674,22 @@ class _Workspace:
         self.layouts = population.shared_layout, population.projector_layout
         self.depth_of = [self.depth[population.place[i][0]] for i in range(len(population.place))]
         self.inputs = [self.nets[depth].extractor.input_dim for depth in self.depth_of]
-        self.size, self.synced, self.local_synced, self.memo, self.checked = 0, False, False, {}, {}
+        self.size, self.synced, self.local_synced, self.cohort, self.checked = 0, False, False, None, {}
 
-    def gather(self, population: Population, ids: tuple[int, ...]) -> None:
-        """Copy the rows of clients ids, in slot order, into the first rows: one copy per
-        slot into its depth's block, through its architecture's index map (maps), every
-        block zeroed first, and one per other slot-indexed buffer (a shared row goes
-        into the two shared buffers).  If the rows are the last cohort's (ids) and hold
-        all but their shared rows as the population has them (local_synced), only the
-        two shared buffers are copied, and nothing if they hold those too (synced).
-        The copies are listed again only for another cohort than the last (memo)."""
-        if self.local_synced and self.memo["cohort"] == ids:
-            for source, index, rows, at in [] if self.synced else self.copies[-2:]:
-                rows[at] = source[index]
-            self.synced = True
+    def hold(self, population: Population, key: tuple[list[int], int], sizes: list[int]) -> None:
+        """Make the record (cohort) of clients key[0], listed at data version key[1] with
+        training sets of sizes: their slots go by depth, then by size, largest first,
+        then by id.  A record of the same slots as the last keeps its copies and the
+        sync state; for other slots the copies are listed again (_Cohort), and the
+        rows hold nothing of them (not synced).  A cohort larger than the room
+        regrows flat first, and drops every plan."""
+        ids = key[0]
+        order = sorted(range(len(ids)), key=lambda k: (self.depth_of[ids[k]], -sizes[k], ids[k]))
+        rows = [ids[k] for k in order]
+        if self.cohort is not None and self.cohort.rows == rows:
+            self.cohort = self.cohort._replace(key=key, order=order, kept={})
             return
-        n, place, cut = len(ids), population.place, population.shared_layout.extractor._flat.size
+        n, place, cut = len(rows), population.place, population.shared_layout.extractor._flat.size
         sources = {"headers": population.headers, "projectors": population.projectors,
                    "shared extractor": population.shared[:, :cut],
                    "shared header": population.shared[:, cut:]}
@@ -694,30 +699,34 @@ class _Workspace:
             self.flat, buffers, starts = _carve(list(widths.values()), n)
             self.buffers = dict(zip(widths, buffers))
             self.starts = dict(zip(widths, zip(starts, widths.values())))
-            self.size, self.plans, self.memo = n, {}, {}
-        if self.memo.get("cohort") != ids:
-            # Each slot's private row sits at its architecture's positions in its depth's
-            # block; the other copies follow in sources' order, the shared ones last.
-            rows = np.array(ids)
-            copies = [(population.blocks[kind], rank, self.buffers[self.depth[kind]][0, slot],
-                       self.maps[kind]) for slot, (kind, rank) in enumerate(map(place.get, ids))]
-            copies += [(source, rows, self.buffers[key][0][:n], ...)
-                       for key, source in sources.items()]
-            depths = [self.depth_of[i] for i in ids]
-            self.memo = {"cohort": ids, "gather": (
-                rows, depths, copies, dict(zip(ids, range(n))), _runs([1] * n, depths))}
-        self.rows, self.depths, self.copies, self.slot_of, self.runs = self.memo["gather"]
-        self.flat[0, : self.starts["headers"][0]] = 0.0  # every block, the first buffers
-        for source, index, rows, at in self.copies:
+            self.size, self.plans = n, {}
+        # Each slot's private row sits at its architecture's positions in its depth's
+        # block; the other copies follow in sources' order, the shared ones last.
+        copies = [(population.blocks[kind], rank, self.buffers[self.depth[kind]][0, slot],
+                   self.maps[kind]) for slot, (kind, rank) in enumerate(map(place.get, rows))]
+        copies += [(source, np.array(rows), self.buffers[name][0][:n], ...)
+                   for name, source in sources.items()]
+        self.cohort = _Cohort(key, order, rows, [self.depth_of[i] for i in rows], copies, {})
+        self.synced = self.local_synced = False
+
+    def gather(self) -> None:
+        """Make the first rows hold the cohort's as the population has them: every
+        buffer, the blocks zeroed first, unless the rows hold all but the shared ones
+        (local_synced); then only the two shared buffers, unless they hold those too
+        (synced), and then nothing."""
+        if not self.local_synced:
+            self.flat[0, : self.starts["headers"][0]] = 0.0  # every block, the first buffers
+        copies = self.cohort.copies[-2:] if self.local_synced else self.cohort.copies
+        for source, index, rows, at in [] if self.synced else copies:
             rows[at] = source[index]
         self.synced = self.local_synced = True
 
     def scatter(self, population: Population) -> None:
         """Write the rows back into the population: the gather's copies, reversed.  The
         rows then equal the population's (synced) until the next write or step."""
-        for source, index, rows, at in self.copies[: self.stepped]:
+        for source, index, rows, at in self.cohort.copies[: self.stepped]:
             source[index] = rows[at]
-        population.wrote(self.rows)
+        population.wrote(self.cohort.rows)
         self.synced = self.local_synced = True
 
     def plan(self, a: int, b: int, standalone: bool):
@@ -726,7 +735,7 @@ class _Workspace:
         rows a to b of that depth's block and of the other buffers, and over their
         scratch, and of those rows' ranges of flat, built the first time it is asked
         for."""
-        key = a, b, self.depths[a], standalone
+        key = a, b, self.cohort.depths[a], standalone
         plan = self.plans.get(key)
         if plan is None:
             # Without the shared model and the projector to train the private model alone.
@@ -742,10 +751,11 @@ class _Workspace:
     def check(self, population: Population, clients: list[ClientState], split: str,
               empty: str) -> None:
         """Raise ValueError("client i ...") if a client's split ("train" or "test") is not
-        2-D features of its models' input width, one row per label of 1-D labels, and
-        ValueError("client i <empty>") if it is empty.  A client that passed for split
-        at population.data_version is skipped (checked)."""
-        version = population.data_version
+        2-D features of its models' input width, one row per label of 1-D labels,
+        ValueError("client i <empty>") if it is empty, and for "train" if a label lies
+        outside [0, classes), as the steps read labels unchecked.  A client that passed
+        for split at population.data_version is skipped (checked)."""
+        version, classes = population.data_version, population.private_layouts[0].classes
         for c in clients:
             if self.checked.get((split, c.client_id)) == version:
                 continue
@@ -756,31 +766,34 @@ class _Workspace:
                                  f"and {split}_y of shape {y.shape}, not (n, {width}) and (n,)")
             if not len(y):
                 raise ValueError(f"client {c.client_id} {empty}")
+            labels = np.asarray(y, np.int64) if split == "train" else None
+            if labels is not None and (labels.min() < 0 or labels.max() >= classes):
+                raise ValueError(f"client {c.client_id} has labels outside [0, {classes})")
             self.checked[split, c.client_id] = version
 
     def stack(self, population: Population, clients: list[ClientState], split: str,
-              empty: str) -> tuple[list[ClientState], tuple]:
+              empty: str) -> tuple[list[ClientState], np.ndarray, dict]:
         """clients in slot order, their split ("train" or "test") checked (check), and
-        gathered: by depth, then by training-set size, largest first, then by id, so
-        the clients of one depth fill a contiguous run of slots, and those of them
-        with more than a given number of training samples its first slots.  Also
-        returns the split's memo entry (key, back, kept): back holds each listed
-        client's slot, and kept what the caller builds from the split's data sets.
-        While the same clients are listed in the same order and no data set was
-        assigned (key: their ids and population.data_version), the entry is kept,
-        and the check and the clients' sort are skipped."""
+        gathered (gather), with each listed client's slot (back) and what the caller
+        builds from the split's data sets (kept).  Slots go by depth, then by
+        training-set size, largest first, then by id, so the clients of one depth fill
+        a contiguous run of slots, and those of them with more than a given number of
+        training samples its first slots.
+
+        What the workspace builds for a cohort is kept while the same clients are
+        listed in the same order at the same data version: the record (cohort, made
+        by hold) is keyed on their ids as listed and population.data_version, and
+        its kept dict of a split exists once the split has passed check.  So a held
+        cohort is not sorted, checked or built from again, and only gathered."""
         key = [c.client_id for c in clients], population.data_version
-        held = self.memo.get(split + " sets", (None,))
-        if held[0] == key:
-            self.gather(population, self.memo["cohort"])
-            back = held[1]
-            return [clients[k] for k in sorted(range(len(back)), key=back.__getitem__)], held
-        self.check(population, clients, split, empty)
-        depth = self.depth_of
-        ordered = sorted(clients, key=lambda c: (depth[c.client_id], -c.n_samples, c.client_id))
-        self.gather(population, tuple(c.client_id for c in ordered))
-        held = self.memo[split + " sets"] = key, [self.slot_of[i] for i in key[0]], {}
-        return ordered, held
+        if self.cohort is None or self.cohort.key != key:
+            self.hold(population, key, [c.n_samples for c in clients])
+        order, kept = self.cohort.order, self.cohort.kept
+        if split not in kept:
+            self.check(population, clients, split, empty)
+            kept[split] = {}
+        self.gather()
+        return [clients[k] for k in order], np.argsort(order), kept[split]
 
     def train(self, population: Population, clients: list[ClientState], epochs: int,
               batch_size: int, mode: Mode, lrs: LearningRates, weights: LossWeights):
@@ -791,19 +804,16 @@ class _Workspace:
         offset one step of a plan per run of slots of one depth and batch size
         (_steps): per depth the clients that still have a batch there (the first
         slots of its run), and at offset 0 each size of shards smaller than a batch.
-        Each client takes its batches in their order.  The schedule, the batch
-        arrays, whose padded rows stay 0, the ledger and the steps are built once
-        per cohort, and kept (memo) while the next ones have the same slots, shard
-        sizes, batch size and standalone.  Once stack has checked their shapes, the
-        clients' training sets are concatenated in slot order, once while stack
-        keeps the split's entry (kept), and an epoch's shuffle is one take per
-        batch array from them: source holds the row of the concatenation that
-        fills each batch row, the padding's a zero row, and each epoch writes
-        the clients' permutations, drawn in slot order and shifted by where
-        each client's rows start (first), into its real rows (into).  Labels
-        are checked over the same concatenation once, before it is kept, and a
-        failure names the first client, in slot order, out of range.  The
-        buffers the steps write are recorded for scatter (stepped).
+        Each client takes its batches in their order.  Once stack has checked the
+        clients' training sets, they are concatenated in slot order, and the
+        schedule, the batch arrays, whose padded rows stay 0, the ledger and the
+        steps are built for each batch size and standalone, all kept in the
+        cohort's record (kept) while stack keeps it.  An epoch's shuffle is one
+        take per batch array from the concatenation: source holds the row of it
+        that fills each batch row, the padding's a zero row, and each epoch writes
+        the clients' permutations, drawn in slot order and shifted by where each
+        client's rows start (first), into its real rows (into).  The buffers the
+        steps write are recorded for scatter (stepped).
         The rows are not synced from the first step on, so a failed step
         leaves them half-trained for the next gather to write over.
 
@@ -813,41 +823,29 @@ class _Workspace:
         (core._mean: a sum of the row, then one division) is np.mean of the list of
         them bit for bit.
         """
-        classes = population.private_layouts[0].classes
-
-        def outside(labels) -> bool:
-            labels = np.asarray(labels, dtype=np.int64)
-            return bool(labels.size) and (labels.min() < 0 or labels.max() >= classes)
-
-        clients, (_, back, kept) = self.stack(population, clients, "train",
-                                              "has no training samples")
+        clients, back, kept = self.stack(population, clients, "train", "has no training samples")
         sizes, width = [c.n_samples for c in clients], clients[0].train_x.shape[1]
-        if not kept:
+        if not kept:  # the sets come first
             # The cohort's training sets, in slot order, and a zero row (label 0) for padding.
-            features = np.concatenate([*(c.train_x for c in clients), np.zeros((1, width))])
-            labels = np.asarray(np.concatenate([*(c.train_y for c in clients), [0]]), np.int64)
-            # Once here, over all the clients' labels, as the steps read labels unchecked.
-            if outside(labels):
-                bad = next(c for c in clients if outside(c.train_y))
-                raise ValueError(f"client {bad.client_id} has labels outside [0, {classes})")
-            kept["sets"] = features, labels
+            kept["sets"] = (np.concatenate([*(c.train_x for c in clients), np.zeros((1, width))]),
+                            np.asarray(np.concatenate([*(c.train_y for c in clients), [0]]), np.int64))
         features, labels = kept["sets"]
         self.synced = self.local_synced = False  # the steps write the rows
-        standalone = mode is Mode.STANDALONE
+        standalone, depths = mode is Mode.STANDALONE, self.cohort.depths
         weights = LossWeights(0.0, 1.0) if mode is Mode.NO_MRL else weights  # the ablation
         # The buffers the steps write, which scatter copies back: no shared or projector
         # row in standalone, and no shared header when the global head weighs 0.
-        self.stepped = len(self.copies) - (3 if standalone else 0 if weights.global_head else 1)
-        if self.memo.get("train", (None,))[0] != (sizes, batch_size, standalone):
+        self.stepped = len(self.cohort.copies) - (3 if standalone else 0 if weights.global_head else 1)
+        if (batch_size, standalone) not in kept:
             batches = [-(-size // batch_size) for size in sizes]
-            schedule = _steps(sizes, self.depths, batch_size)
+            schedule = _steps(sizes, depths, batch_size)
             shape = (len(sizes), max(start + rows for _, _, start, rows, _ in schedule))
             x, y = np.zeros((*shape, width)), np.zeros(shape, dtype=np.int64)
             ledger = np.empty((len(sizes), max(batches)))
             steps = [(self.plan(a, b, standalone), x[a:b, start : start + rows],
                       y[a:b, start : start + rows], real, ledger[a:b, start // batch_size])
                      for a, b, start, rows, real in schedule]
-            groups = _runs(batches, self.depths)  # runs of slots with equal batch counts
+            groups = _runs(batches, depths)  # runs of slots with equal batch counts
             # The row of features that fills each row of x: the padding row, and through
             # `into` (each client's rows of x, in slot order) a client's permuted rows,
             # which sit `first` rows into features.
@@ -855,9 +853,8 @@ class _Workspace:
             counts = np.array(sizes)
             first = np.repeat(np.cumsum(counts) - counts, counts)
             into = np.flatnonzero(np.arange(shape[1]) < counts[:, None])
-            self.memo["train"] = ((sizes, batch_size, standalone), x, y, ledger, steps, groups,
-                                  source, into, first)
-        _, x, y, ledger, steps, groups, source, into, first = self.memo["train"]
+            kept[batch_size, standalone] = x, y, ledger, steps, groups, source, into, first
+        x, y, ledger, steps, groups, source, into, first = kept[batch_size, standalone]
         epoch_means = np.empty((len(sizes), epochs))
         for epoch in range(epochs):
             source[into] = np.concatenate(
@@ -901,18 +898,17 @@ class _Workspace:
         padded row gives only values a real row gives, so the finite check
         sees nothing new.  The padding can change how OpenBLAS rounds a
         real row's logits, in the last place, and an accuracy reads only
-        their argmax.  A run without padding is stacked as it is.  Each run's
-        stack (_stacked) is built once while stack keeps the split's entry (kept).
+        their argmax.  Each run's stack (_stacked) is built once and kept in the
+        cohort's record (kept) while stack keeps it.
         """
-        chunk, (_, back, kept) = self.stack(population, clients, "test", "has an empty test set")
+        chunk, back, kept = self.stack(population, clients, "test", "has an empty test set")
         accuracies = np.empty(len(chunk))
-        for a, b, _ in self.runs:  # the runs of one depth
+        for a, b, _ in _runs([1] * len(chunk), self.cohort.depths):  # the runs of one depth
             if a not in kept:
                 kept[a] = _stacked(chunk[a:b])
             x, labels, sizes = kept[a]
             preds = _predict(self.plan(a, b, variant is InferenceVariant.SINGLE_LARGE), x, variant)
-            hits = np.add.reduce(preds == labels, axis=-1)
-            accuracies[a:b] = hits / sizes
+            accuracies[a:b] = np.add.reduce(preds == labels, axis=-1) / sizes
         return accuracies[back].tolist()
 
 
@@ -960,11 +956,8 @@ def _stacked(clients: list[ClientState]) -> tuple:
     """The (x, labels, sizes) of the test sets of clients, one depth's run of slots
     (_Workspace._predicted): each test set padded to the largest with copies of its
     last row and its labels with -1, and the test-set sizes."""
-    sizes = [c.test_y.size for c in clients]
-    if min(sizes) == max(sizes):  # nothing to pad
-        # np.array of equal shapes is np.stack's result at a third of its cost.
-        return np.array([c.test_x for c in clients]), np.array([c.test_y for c in clients]), sizes
-    sizes, steps = np.array(sizes), np.arange(max(sizes))
+    sizes = np.array([c.test_y.size for c in clients])
+    steps = np.arange(sizes.max())
     # Row r of a client's padded test set: its row r, or its last row.
     rows = np.minimum(steps, sizes[:, None] - 1) + (np.cumsum(sizes) - sizes)[:, None]
     labels = np.concatenate([c.test_y for c in clients])[rows]

@@ -308,7 +308,8 @@ def mixed_workspace(seed=30):
     shapes = [ModelConfig(INPUT, widths, D2, CLASSES) for widths in hidden]
     population = federation.Population(g, shapes, [make_rng(seed + 1 + i) for i in range(3)])
     workspace = federation._Workspace(population)
-    workspace.gather(population, (0, 1, 2))
+    workspace.hold(population, ([0, 1, 2], population.data_version), [1, 1, 1])
+    workspace.gather()
     return workspace, [(g, *population._models(i)[1:]) for i in range(3)]
 
 

@@ -873,14 +873,14 @@ def _fresh_accuracies(clients, variant):
 
 def _copying_gathers(monkeypatch):
     """A list that gains, at each _Workspace.gather, what it copies: "all" rows, only
-    the "shared" rows, when the workspace holds the rest of that cohort's rows as the
-    population has them (local_synced), or "none", when it holds all of them."""
+    the "shared" rows, when the workspace holds the rest of its cohort's rows as the
+    population has them (local_synced), or "none", when it holds all of them (synced)."""
     copied, gather = [], federation._Workspace.gather
 
-    def counting(workspace, population, ids):
-        held = workspace.local_synced and workspace.memo["cohort"] == ids
+    def counting(workspace):
+        held = workspace.local_synced
         copied.append("none" if held and workspace.synced else "shared" if held else "all")
-        return gather(workspace, population, ids)
+        return gather(workspace)
 
     monkeypatch.setattr(federation._Workspace, "gather", counting)
     return copied
@@ -1042,6 +1042,36 @@ def test_two_standalone_cohorts_in_a_row_copy_once_and_train_like_a_fresh_popula
                         _population_arrays(twins[0].population))
     for a, b in zip(clients, twins):
         assert a.rng.bit_generator.state == b.rng.bit_generator.state
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_the_held_cohort_listed_in_another_order_returns_its_results_in_that_order(
+    monkeypatch, mode
+):
+    # A listing in another order is another record of the same slots: it keeps
+    # the copies and the sync state, so neither its training nor its evaluation
+    # copies a row, and each returns its results in the order listed, bit for bit
+    # those of a fresh copy that lists the clients in id order.
+    cfg, clients = _equal_shards()
+    args = (1, 8, cfg.lrs, mode, LossWeights())
+    cohort_update(clients, *args)
+    twins, copied = copy.deepcopy(clients), _copying_gathers(monkeypatch)
+    listed = [clients[i] for i in (3, 0, 9, 5, 1, 8, 2, 7, 4, 6)]
+    results = cohort_update(listed, *args)
+    workspace, variant = clients[0].population._workspace, InferenceVariant.MIX_LARGE
+    accuracies = workspace._predicted(clients[0].population, listed, variant)
+    assert copied == ["none", "none"]
+    expected = cohort_update(twins, *args)
+    assert [repr(means) for _, means in results] == [
+        repr(expected[c.client_id][1]) for c in listed]
+    for (upload, _), c in zip(results, listed):
+        assert (upload is None) == (mode is Mode.STANDALONE)
+        if upload is not None:
+            twin = expected[c.client_id][0]
+            assert upload.client_id == twin.client_id
+            assert _same_arrays(upload.model._segments(), twin.model._segments())
+    fresh = twins[0].population._room()._predicted(twins[0].population, twins, variant)
+    assert accuracies == [fresh[c.client_id] for c in listed]
 
 
 def test_a_standalone_cohort_writes_no_shared_or_projector_row():
@@ -1231,11 +1261,14 @@ def _same_arrays(a, b):
 
 
 def _close_arrays(a, b):
-    """a equals b to 1e-12 relative: a cohort, which pads a short final batch after a
-    full one, against the public step on the unpadded batch."""
+    """a equals b to 1e-12 of each array's scale: a cohort, which pads a short final
+    batch after a full one, against the public step on the unpadded batch.  An entry
+    is held to 1e-12 relative, or to 1e-12 of the largest entry of its expected array
+    if that is looser: an entry that cancels to near 0 keeps the rounding of the
+    larger terms it came from."""
     assert len(a) == len(b)
     for x, y in zip(a, b):
-        np.testing.assert_allclose(x, y, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(x, y, rtol=1e-12, atol=1e-12 * np.abs(y).max(initial=0.0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -1320,7 +1353,24 @@ def test_a_padded_cohort_steps_each_client_as_its_padded_model(
     # entry of the workspace's rows is exactly 0.0 (and of their gradients
     # 0), and each client's losses and rows are those of the public step on
     # its padded model, and its losses the configured model's, to 1e-12
-    # relative (the public step takes a short final batch unpadded).
+    # relative (the public step takes a short final batch unpadded), its rows
+    # to 1e-12 of each array's scale (_close_arrays).
+    chosen = participants.draw(
+        st.lists(st.integers(0, n_clients - 1), min_size=1, unique=True), label="participants"
+    )
+    _padded_cohort_steps(local_hidden, n_clients, epochs, batch_size, mode, data_seed, chosen)
+
+
+def test_a_padded_cohort_holds_an_entry_that_cancels_near_0_to_its_array_scale():
+    # --hypothesis-seed=19 drew this case: after two epochs one entry of client
+    # 0's rows cancels to about -3.66e-6, 6.1e-18 (1.66e-12 relative) off the
+    # public step's, in an array whose largest entry is about 0.8.
+    _padded_cohort_steps(((5,),), 2, 2, 8, Mode.FEDMRL, 23, [0])
+
+
+def _padded_cohort_steps(local_hidden, n_clients, epochs, batch_size, mode, data_seed, chosen):
+    """The checks of test_a_padded_cohort_steps_each_client_as_its_padded_model on
+    participants chosen of a Dirichlet partition drawn on data_seed."""
     dataset = gen_synthetic(4, 5, 25, 0.8, make_rng(data_seed))
     try:
         plan = split_train_test(
@@ -1332,20 +1382,17 @@ def test_a_padded_cohort_steps_each_client_as_its_padded_model(
         n_clients=n_clients, rounds=1, d1=3, d2=6, mode=mode, seed=data_seed,
         global_hidden=(6,), local_hidden=local_hidden,
     )
-    chosen = participants.draw(
-        st.lists(st.integers(0, n_clients - 1), min_size=1, unique=True), label="participants"
-    )
     (_, clients), (_, padded), (_, configured) = (build_clients(cfg, dataset, plan) for _ in "abc")
     args = (epochs, batch_size, cfg.lrs, mode, cfg.loss_weights)
     results = cohort_update([clients[i] for i in chosen], *args)
 
     workspace = clients[0].population._workspace
-    for depth in set(workspace.depths):
+    for depth in set(workspace.cohort.depths):
         block = workspace.buffers[depth][:, : len(chosen)]
         filled = np.zeros(block.shape[1:], dtype=bool)
         # The first copies are the slots' own, in slot order: each slot's private row
         # through its architecture's positions in its depth's block.
-        for slot, (_, _, rows, at) in enumerate(workspace.copies[: len(chosen)]):
+        for slot, (_, _, rows, at) in enumerate(workspace.cohort.copies[: len(chosen)]):
             if np.shares_memory(rows, block):
                 filled[slot, at] = True
         pad = block[0][~filled]
@@ -1823,7 +1870,7 @@ def test_a_chunk_of_unequal_test_sizes_is_predicted_in_one_stack_per_depth(
         calls.clear()
         clients[0].population._room().evaluate(clients[0].population, clients, variant)
         # As training orders them: by depth, then training-set size, largest first.
-        assert calls == stacks and sum(stacks, []) == clients[0].population._workspace.rows.tolist()
+        assert calls == stacks and sum(stacks, []) == clients[0].population._workspace.cohort.rows
 
 
 @pytest.mark.parametrize("variant", list(InferenceVariant))
@@ -2193,11 +2240,11 @@ def test_a_many_dirichlet_run_builds_each_plan_once():
         return builds
 
     builds = run(server)
-    # The workspace keeps the last cohort only: ten clients, what training built on
-    # them, and their slot order and data sets for each split.
-    memo = clients[0].population._workspace.memo
-    assert sorted(memo) == ["cohort", "gather", "test sets", "train", "train sets"]
-    assert len(memo["cohort"]) == 10
+    # The workspace keeps the last cohort only, in one record: ten clients, listed
+    # for training and then, as the only stale clients, for evaluation, so the
+    # record holds what was built from both splits' data sets.
+    cohort = clients[0].population._workspace.cohort
+    assert len(cohort.rows) == 10 and sorted(cohort.kept) == ["test", "train"]
     assert builds and {caller for caller, _ in builds} == {"_Workspace.plan"}
     keys = [key for _, key in builds]
     assert len(set(keys)) == len(keys)
@@ -2376,9 +2423,9 @@ def test_a_plan_covers_one_depth_so_a_cohort_steps_once_per_depth_per_batch(monk
     workspace = clients[0].population._workspace
     assert sorted(workspace.plans) == [(a, a + 2, a // 2, mode is Mode.STANDALONE) for a in (0, 2, 4)]
     for (a, b, depth, _), built in workspace.plans.items():
-        assert set(workspace.depths[a:b]) == {depth}
+        assert set(workspace.cohort.depths[a:b]) == {depth}
         assert _views_rows(built, workspace.buffers[depth], a, b)
-        for other in set(workspace.depths) - {depth}:
+        for other in set(workspace.cohort.depths) - {depth}:
             assert not any(np.shares_memory(array, workspace.buffers[other])
                            for layer in built.private[0] for array in layer[:4] if array is not None)
 
@@ -2552,6 +2599,11 @@ class PopulationMemo(RuleBasedStateMachine):
     def population(self):
         return self.clients[0].population
 
+    @property
+    def held(self):
+        """The workspace's record of the clients it was last listed (_Cohort), or None."""
+        return getattr(self.population._workspace, "cohort", None)
+
     @rule(mode=st.sampled_from(list(Mode)))
     def a_round(self, mode):
         run_rounds(self.server, self.clients, dataclasses.replace(self.cfg, mode=mode))
@@ -2600,13 +2652,12 @@ class PopulationMemo(RuleBasedStateMachine):
         for client, x in zip(members, kept if fail else ()):  # what a failure replaced
             client.train_x = x
 
-    @precondition(lambda self: "cohort" in getattr(self.population._workspace, "memo", {}))
+    @precondition(lambda self: self.held is not None)
     @rule(mode=st.sampled_from(list(Mode)))
     def a_broadcast_to_the_held_cohort_then_its_training(self, mode):
         # The shared-only gather: the cohort the workspace holds, its shared rows
         # written by the broadcast alone.
-        held = self.population._workspace.memo["cohort"]
-        self.a_cohort(set(held), mode, send=True, fail=None)
+        self.a_cohort(set(self.held.rows), mode, send=True, fail=None)
 
     @rule(ident=st.none() | st.integers(0, 3), variant=st.sampled_from(list(InferenceVariant)))
     def an_evaluation(self, ident, variant):
@@ -2640,7 +2691,7 @@ class PopulationMemo(RuleBasedStateMachine):
           shift=st.integers(1, 2))
     def new_labels(self, pick, split, shift):
         # Labels alone, one assignment, of a client of the held cohort if there is one.
-        held = getattr(self.population._workspace, "memo", {}).get("cohort") or range(4)
+        held = range(4) if self.held is None else self.held.rows
         client = self.clients[held[pick % len(held)]]
         labels = getattr(client, split + "_y")
         setattr(client, split + "_y", (labels + shift) % self.dataset.classes)
@@ -2692,38 +2743,40 @@ class PopulationMemo(RuleBasedStateMachine):
         # alone (after a broadcast): every row but the two shared buffers' ones.
         workspace = self.population._workspace
         if workspace is not None and workspace.local_synced:
-            copies = workspace.copies if workspace.synced else workspace.copies[:-2]
+            copies = workspace.cohort.copies[: None if workspace.synced else -2]
             for source, index, rows, at in copies:
                 assert rows[at].tobytes() == source[index].tobytes()
         assert workspace is None or workspace.local_synced or not workspace.synced
 
+    # The client data sets that the_kept_data_sets_are_the_held_cohorts compared,
+    # summed over a test run: a run that compares none checks nothing.
+    inspected = 0
+
     @invariant()
     def the_kept_data_sets_are_the_held_cohorts(self):
-        # A kept concatenation of training sets or stack of test sets whose key
-        # carries the current data version is what the held cohort's data sets
-        # give now, in slot order; a padded test row repeats the client's last
-        # row, with label -1.
-        workspace = self.population._workspace
-        memo = {} if workspace is None else workspace.memo
-        held = [self.clients[i] for i in memo.get("cohort", ())]
-        for split in ("train", "test"):
-            key, _, kept = memo.get(split + " sets", ((None, None), None, {}))
-            if key[1] != self.population.data_version:
-                continue
-            if "sets" in kept:
-                features, labels = kept["sets"]
-                zero = np.zeros((1, features.shape[1]))
-                assert features.tobytes() == np.concatenate(
-                    [*(c.train_x for c in held), zero]).tobytes()
-                assert labels.tolist() == [*np.concatenate([c.train_y for c in held]), 0]
-            for a, (x, labels, sizes) in kept.items() if split == "test" else ():
-                assert list(sizes) == [c.test_y.size for c in held[a : a + len(x)]]
-                for row, client in enumerate(held[a : a + len(x)]):
-                    n = client.test_y.size
-                    assert x[row, :n].tobytes() == client.test_x.tobytes()
-                    assert (x[row, n:] == client.test_x[-1]).all()
-                    assert labels[row, :n].tolist() == client.test_y.tolist()
-                    assert (labels[row, n:] == -1).all()
+        # What the record keeps of a split, while its key carries the current data
+        # version, is what the held cohort's data sets give now, in slot order: the
+        # concatenated training sets and a zero row, and each run's stacked test
+        # sets, a padded test row repeating the client's last row, with label -1.
+        cohort = self.held
+        if cohort is None or cohort.key[1] != self.population.data_version:
+            return
+        held = [self.clients[i] for i in cohort.rows]
+        if "sets" in cohort.kept.get("train", {}):
+            features, labels = cohort.kept["train"]["sets"]
+            zero = np.zeros((1, features.shape[1]))
+            assert features.tobytes() == np.concatenate([*(c.train_x for c in held), zero]).tobytes()
+            assert labels.tolist() == [*np.concatenate([c.train_y for c in held]), 0]
+            PopulationMemo.inspected += len(held)
+        for a, (x, labels, sizes) in cohort.kept.get("test", {}).items():
+            assert list(sizes) == [c.test_y.size for c in held[a : a + len(x)]]
+            for row, client in enumerate(held[a : a + len(x)]):
+                n = client.test_y.size
+                assert x[row, :n].tobytes() == client.test_x.tobytes()
+                assert (x[row, n:] == client.test_x[-1]).all()
+                assert labels[row, :n].tolist() == client.test_y.tolist()
+                assert (labels[row, n:] == -1).all()
+                PopulationMemo.inspected += 1
 
     @invariant()
     def the_workspace_references_no_client_or_population(self):
@@ -2741,4 +2794,12 @@ class PopulationMemo(RuleBasedStateMachine):
 
 
 PopulationMemo.TestCase.settings = settings(max_examples=50, stateful_step_count=15, deadline=None)
-TestPopulationMemo = PopulationMemo.TestCase
+
+
+class TestPopulationMemo(PopulationMemo.TestCase):
+    def runTest(self):
+        # The kept-data-sets invariant compares something over the examples, so a
+        # record key that stops carrying the data version cannot pass it vacuously.
+        PopulationMemo.inspected = 0
+        super().runTest()
+        assert PopulationMemo.inspected > 0

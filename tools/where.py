@@ -37,8 +37,8 @@ STEPS = "core._train"
 NAMES = (
     "federation.build_clients", STEPS, "core._predict", "federation.sample_clients",
     "federation.broadcast", "federation._trained", "federation._Workspace.train",
-    "federation._Workspace.stack", "federation._Workspace.check", "federation._Workspace.gather",
-    "federation._Workspace.scatter", "federation._steps",
+    "federation._Workspace.stack", "federation._Workspace.hold", "federation._Workspace.check",
+    "federation._Workspace.gather", "federation._Workspace.scatter", "federation._steps",
     "federation._anchored", "federation._accuracies", "federation._Workspace.evaluate",
 )
 
