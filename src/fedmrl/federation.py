@@ -78,9 +78,10 @@ training labels included, are checked once per split while no data set
 is assigned.  A gather copies every buffer in every mode, nothing at all
 when the rows already hold the cohort as the population has them
 (_Workspace.synced), and only the two shared buffers when they hold all
-of it but the shared rows, which a broadcast writes alone (_Workspace.local_synced, shared-stale): a
-full-participation round refreshes its shared rows only, and a
-standalone run, which nothing else writes, copies its rows once.  The
+of it but the shared rows, which a broadcast writes alone
+(_Workspace.local_synced, shared-stale): a full-participation round
+refreshes its shared rows only, and a standalone run, which nothing else
+writes, copies its rows once.  The
 workspace keeps slot order to itself: training and evaluation return
 their results in the order the caller listed the clients, and uploads
 view one copy of the trained clients' shared rows in the population.  A
@@ -141,11 +142,11 @@ client's logits do not depend on the order.  A chunk that is the cohort
 the workspace holds since its scatter is gathered without a copy and
 predicted where it trained, so a round of run_rounds copies rows once,
 and a chunk listed as the workspace's record was, at the same data
-version, predicts on the test sets it stacked then.  Unlike a padded training
-batch, a padded test set is not held to its unpadded bits: the padding
-can move a logit in its last place, which changes a prediction only
-where two logits lie that close, and the padded rows' labels (-1) count
-no hit (tests/reference.py evaluates each client on its own unpadded
+version, predicts on the test sets it stacked then.  Unlike a padded
+training batch, a padded test set is not held to its unpadded bits: the
+padding can move a logit in its last place, which changes a prediction
+only where two logits lie that close, and the padded rows' labels (-1)
+count no hit (tests/reference.py evaluates each client on its own unpadded
 test set, and has found no such flip).  A chunk that fails takes
 training's failure path (_replayed), so the error raised is that of the
 lowest-id client that fails.  Finite checks live in the training step

@@ -52,13 +52,20 @@ def extract(rev: str, into: Path) -> None:
 
 
 def apply(tree: Path, entry: dict) -> None:
-    """Replace the entry's old text with its new text in its file of tree."""
+    """Replace the entry's old text with its new text in its file of tree.  Raises
+    ValueError unless the old text occurs once and the result compiles: a mutant
+    that tier-1 cannot import would be killed by nothing it tests."""
     path = tree / entry["file"]
     source = path.read_text(encoding="utf-8")
     count = source.count(entry["old"])
     if count != 1:
         raise ValueError(f"{entry['name']}: the old text occurs {count} times in {entry['file']}")
-    path.write_text(source.replace(entry["old"], entry["new"]), encoding="utf-8")
+    source = source.replace(entry["old"], entry["new"])
+    try:
+        compile(source, str(path), "exec")
+    except SyntaxError as exc:
+        raise ValueError(f"{entry['name']}: the mutated {entry['file']} does not compile") from exc
+    path.write_text(source, encoding="utf-8")
 
 
 def tier1(tree: Path, seed: int) -> tuple[bool, str]:
