@@ -589,7 +589,9 @@ def _replayed(run, clients: list[ClientState], states=()):
 
 # What the workspace keeps of the clients it was last listed (_Workspace.hold): key
 # is their ids as listed and population.data_version; order[s] is the listed index
-# of the client in slot s; rows and depths are each slot's client id and depth.
+# of the client in slot s and back[k] the slot of listed client k; rows and depths
+# are each slot's client id and depth, and runs the (first, stop, 1) of each run of
+# slots of one depth.
 # copies lists the gather's (population buffer, its rows of the gathered clients,
 # the workspace's rows, where in them they sit): first one per slot, the client's
 # row of its architecture's block into the slot's row of its depth's block at
@@ -599,7 +601,7 @@ def _replayed(run, clients: list[ClientState], states=()):
 # standalone) the epoch's batch arrays x and y, ledger, steps, groups and the
 # shuffle's index (source, into, first); for "test" each run's stacked test sets,
 # by its first slot (_stacked).
-_Cohort = namedtuple("_Cohort", "key order rows depths copies kept")
+_Cohort = namedtuple("_Cohort", "key order back rows depths runs copies kept")
 
 
 class _Workspace:
@@ -686,9 +688,9 @@ class _Workspace:
         regrows flat first, and drops every plan."""
         ids = key[0]
         order = sorted(range(len(ids)), key=lambda k: (self.depth_of[ids[k]], -sizes[k], ids[k]))
-        rows = [ids[k] for k in order]
+        rows, back = [ids[k] for k in order], np.argsort(order)
         if self.cohort is not None and self.cohort.rows == rows:
-            self.cohort = self.cohort._replace(key=key, order=order, kept={})
+            self.cohort = self.cohort._replace(key=key, order=order, back=back, kept={})
             return
         n, place, cut = len(rows), population.place, population.shared_layout.extractor._flat.size
         sources = {"headers": population.headers, "projectors": population.projectors,
@@ -707,7 +709,8 @@ class _Workspace:
                    self.maps[kind]) for slot, (kind, rank) in enumerate(map(place.get, rows))]
         copies += [(source, np.array(rows), self.buffers[name][0][:n], ...)
                    for name, source in sources.items()]
-        self.cohort = _Cohort(key, order, rows, [self.depth_of[i] for i in rows], copies, {})
+        depths = [self.depth_of[i] for i in rows]
+        self.cohort = _Cohort(key, order, back, rows, depths, _runs([1] * n, depths), copies, {})
         self.synced = self.local_synced = False
 
     def gather(self) -> None:
@@ -789,12 +792,12 @@ class _Workspace:
         key = [c.client_id for c in clients], population.data_version
         if self.cohort is None or self.cohort.key != key:
             self.hold(population, key, [c.n_samples for c in clients])
-        order, kept = self.cohort.order, self.cohort.kept
-        if split not in kept:
+        cohort = self.cohort
+        if split not in cohort.kept:
             self.check(population, clients, split, empty)
-            kept[split] = {}
+            cohort.kept[split] = {}
         self.gather()
-        return [clients[k] for k in order], np.argsort(order), kept[split]
+        return [clients[k] for k in cohort.order], cohort.back, cohort.kept[split]
 
     def train(self, population: Population, clients: list[ClientState], epochs: int,
               batch_size: int, mode: Mode, lrs: LearningRates, weights: LossWeights):
@@ -904,7 +907,7 @@ class _Workspace:
         """
         chunk, back, kept = self.stack(population, clients, "test", "has an empty test set")
         accuracies = np.empty(len(chunk))
-        for a, b, _ in _runs([1] * len(chunk), self.cohort.depths):  # the runs of one depth
+        for a, b, _ in self.cohort.runs:  # the runs of one depth
             if a not in kept:
                 kept[a] = _stacked(chunk[a:b])
             x, labels, sizes = kept[a]
