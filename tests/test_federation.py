@@ -6,6 +6,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 from types import BuiltinFunctionType, FunctionType, ModuleType, SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -2749,8 +2750,9 @@ class PopulationMemo(RuleBasedStateMachine):
         assert workspace is None or workspace.local_synced or not workspace.synced
 
     # The client data sets that the_kept_data_sets_are_the_held_cohorts compared,
-    # summed over a test run: a run that compares none checks nothing.
-    inspected = 0
+    # summed over a test run: a run that compares none checks nothing.  listed maps
+    # id(workspace) to the data version of its last _Workspace.stack (TestPopulationMemo).
+    inspected, listed = 0, {}
 
     @invariant()
     def the_kept_data_sets_are_the_held_cohorts(self):
@@ -2758,8 +2760,12 @@ class PopulationMemo(RuleBasedStateMachine):
         # version, is what the held cohort's data sets give now, in slot order: the
         # concatenated training sets and a zero row, and each run's stacked test
         # sets, a padded test row repeating the client's last row, with label -1.
-        cohort = self.held
-        if cohort is None or cohort.key[1] != self.population.data_version:
+        # A record of an older version is stale, so no listing since may have kept it.
+        cohort, version = self.held, self.population.data_version
+        if cohort is None:
+            return
+        if cohort.key[1] != version:
+            assert PopulationMemo.listed.get(id(self.population._workspace)) != version
             return
         held = [self.clients[i] for i in cohort.rows]
         if "sets" in cohort.kept.get("train", {}):
@@ -2798,8 +2804,14 @@ PopulationMemo.TestCase.settings = settings(max_examples=50, stateful_step_count
 
 class TestPopulationMemo(PopulationMemo.TestCase):
     def runTest(self):
-        # The kept-data-sets invariant compares something over the examples, so a
-        # record key that stops carrying the data version cannot pass it vacuously.
-        PopulationMemo.inspected = 0
-        super().runTest()
+        # The kept-data-sets invariant must compare something over the examples, and
+        # it learns the data version of each workspace's last listing from stack.
+        PopulationMemo.inspected, stack = 0, federation._Workspace.stack
+
+        def listing(workspace, population, *args):
+            PopulationMemo.listed[id(workspace)] = population.data_version
+            return stack(workspace, population, *args)
+
+        with mock.patch.object(federation._Workspace, "stack", listing):
+            super().runTest()
         assert PopulationMemo.inspected > 0
