@@ -2806,7 +2806,8 @@ class TestPopulationMemo(PopulationMemo.TestCase):
     def runTest(self):
         # The kept-data-sets invariant must compare something over the examples, and
         # it learns the data version of each workspace's last listing from stack.
-        PopulationMemo.inspected, stack = 0, federation._Workspace.stack
+        PopulationMemo.inspected, PopulationMemo.listed = 0, {}
+        stack = federation._Workspace.stack
 
         def listing(workspace, population, *args):
             PopulationMemo.listed[id(workspace)] = population.data_version
