@@ -703,13 +703,13 @@ class _Workspace:
             self.buffers = dict(zip(widths, buffers))
             self.starts = dict(zip(widths, zip(starts, widths.values())))
             self.size, self.plans = n, {}
+        depths, index = [self.depth_of[i] for i in rows], np.array(rows)
         # Each slot's private row sits at its architecture's positions in its depth's
         # block; the other copies follow in sources' order, the shared ones last.
         copies = [(population.blocks[kind], rank, self.buffers[self.depth[kind]][0, slot],
                    self.maps[kind]) for slot, (kind, rank) in enumerate(map(place.get, rows))]
-        copies += [(source, np.array(rows), self.buffers[name][0][:n], ...)
+        copies += [(source, index, self.buffers[name][0][:n], ...)
                    for name, source in sources.items()]
-        depths = [self.depth_of[i] for i in rows]
         self.cohort = _Cohort(key, order, back, rows, depths, _runs([1] * n, depths), copies, {})
         self.synced = self.local_synced = False
 
@@ -829,7 +829,7 @@ class _Workspace:
         """
         clients, back, kept = self.stack(population, clients, "train", "has no training samples")
         sizes, width = [c.n_samples for c in clients], clients[0].train_x.shape[1]
-        if not kept:  # the sets come first
+        if "sets" not in kept:
             # The cohort's training sets, in slot order, and a zero row (label 0) for padding.
             kept["sets"] = (np.concatenate([*(c.train_x for c in clients), np.zeros((1, width))]),
                             np.asarray(np.concatenate([*(c.train_y for c in clients), [0]]), np.int64))
