@@ -2,19 +2,21 @@
 
 Each entry of tools/mutants.json names a file, the exact old text (it must
 occur once in that file), the new text that replaces it, the reason the
-change is a bug, and the test expected to kill it.  For each entry the tool
-extracts a revision with `git archive` (reading local objects only) into a
-temporary directory, applies the entry there and runs tier-1 on that copy
-with -x and a fixed --hypothesis-seed.  It prints "killed" with the first
-failing test, or "survived".  The unmutated copy runs first: if it fails,
-no verdict means anything, and the tool stops.  The working tree is never
-written.  Run from the repository root:
+change is a bug, and the test expected to kill it.  The tool extracts the
+commit at HEAD with `git archive` (reading local objects only) into a
+temporary directory and reads the list from that copy, so the list and the
+code always come from one commit; uncommitted edits are not tested.  For
+each entry it extracts a fresh copy, applies the entry there and runs
+tier-1 on it with -x and --hypothesis-seed=0.  It prints "killed" with the
+first failing test, "survived", or "error" for an entry that does not
+apply.  The unmutated copy runs first: if it fails, no verdict means
+anything, and the tool stops.  The working tree is never written.  Run
+from the repository root:
 
-    python tools/mutants.py                        # every entry, at HEAD
-    python tools/mutants.py --rev HEAD~1 --jobs 2  # another revision, two at once
-    python tools/mutants.py --only scatter-forgets-no-accuracy ledger-mean-full-row
+    python tools/mutants.py            # every entry, one at a time
+    python tools/mutants.py --jobs 2   # two at once
 
-It exits 0 if every entry was killed, 1 otherwise.
+It exits 0 if every entry was killed by its listed test, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 LIST = Path(__file__).with_name("mutants.json")
 FIELDS = ("name", "file", "old", "new", "reason", "test")
+SEED = 0
 
 
 def load(path: Path = LIST) -> list[dict]:
@@ -44,11 +47,14 @@ def load(path: Path = LIST) -> list[dict]:
     return entries
 
 
-def extract(rev: str, into: Path) -> None:
-    """Write the files of revision rev under into, as `git archive rev | tar -x` does."""
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev], check=True,
-                             capture_output=True).stdout
-    subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
+def git(*args: str) -> bytes:
+    return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
+                          capture_output=True).stdout
+
+
+def extract(commit: str, into: Path) -> None:
+    """Write the files of commit under into, as `git archive commit | tar -x` does."""
+    subprocess.run(["tar", "-x", "-C", str(into)], input=git("archive", commit), check=True)
 
 
 def apply(tree: Path, entry: dict) -> None:
@@ -59,70 +65,74 @@ def apply(tree: Path, entry: dict) -> None:
     source = path.read_text(encoding="utf-8")
     count = source.count(entry["old"])
     if count != 1:
-        raise ValueError(f"{entry['name']}: the old text occurs {count} times in {entry['file']}")
+        raise ValueError(f"the old text occurs {count} times in {entry['file']}")
     source = source.replace(entry["old"], entry["new"])
     try:
         compile(source, str(path), "exec")
     except SyntaxError as exc:
-        raise ValueError(f"{entry['name']}: the mutated {entry['file']} does not compile") from exc
+        raise ValueError(f"the mutated {entry['file']} does not compile") from exc
     path.write_text(source, encoding="utf-8")
 
 
-def tier1(tree: Path, seed: int) -> tuple[bool, str]:
-    """Run tier-1 on tree with -x: (passed, the first failing test or '')."""
+def tier1(tree: Path) -> tuple[bool, str]:
+    """Run tier-1 on tree with -x: (passed, the first failing test or 'exit N')."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     run = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         f"--hypothesis-seed={seed}", "--continue-on-collection-errors"],
+         f"--hypothesis-seed={SEED}", "--continue-on-collection-errors"],
         cwd=tree, env=env, capture_output=True, text=True)
     failed = re.search(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", run.stdout, re.MULTILINE)
     return run.returncode == 0, failed.group(1) if failed else f"exit {run.returncode}"
 
 
-def verdict(rev: str, entry: dict | None, seed: int) -> tuple[bool, str, float]:
-    """Tier-1 on a fresh copy of rev with entry applied (none: the copy as it is)."""
+def verdict(commit: str, entry: dict) -> tuple[bool, str, float]:
+    """(killed by the entry's listed test, the outcome line, seconds) of tier-1 on a
+    fresh copy of commit with the entry applied."""
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="fedmrl-mutant-") as scratch:
         tree = Path(scratch)
-        extract(rev, tree)
-        if entry is not None:
+        extract(commit, tree)
+        try:
             apply(tree, entry)
-        passed, first = tier1(tree, seed)
-    return passed, first, time.perf_counter() - start
+        except ValueError as exc:
+            return False, f"error: {exc}", time.perf_counter() - start
+        passed, first = tier1(tree)
+    seconds = time.perf_counter() - start
+    if passed:
+        return False, "survived", seconds
+    if first.split("[")[0] != entry["test"]:
+        return False, f"killed by {first}, not by its listed {entry['test']}", seconds
+    return True, f"killed by {first}", seconds
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--rev", default="HEAD", help="the revision to mutate (default HEAD)")
     parser.add_argument("--jobs", type=int, default=1, choices=(1, 2),
                         help="mutants run at once (default 1)")
-    parser.add_argument("--seed", type=int, default=0, help="the --hypothesis-seed (default 0)")
-    parser.add_argument("--only", nargs="+", metavar="NAME", help="run only these entries")
     args = parser.parse_args(argv)
-    entries = load()
-    if args.only:
-        unknown = set(args.only) - {entry["name"] for entry in entries}
-        if unknown:
-            parser.error(f"no such entries: {sorted(unknown)}")
-        entries = [entry for entry in entries if entry["name"] in args.only]
+    commit = git("rev-parse", "HEAD").decode().strip()
+    if git("status", "--porcelain", "--untracked-files=no"):
+        print("note: the working tree has uncommitted edits; they are not tested")
 
-    passed, first, seconds = verdict(args.rev, None, args.seed)
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="fedmrl-mutant-") as scratch:
+        tree = Path(scratch)
+        extract(commit, tree)
+        entries = load(tree / "tools" / LIST.name)
+        passed, first = tier1(tree)
     if not passed:
-        print(f"{args.rev} fails tier-1 unmutated ({first}); no verdict is meaningful")
+        print(f"HEAD {commit[:12]} fails tier-1 unmutated ({first}); no verdict is meaningful")
         return 1
-    print(f"{args.rev} passes tier-1 unmutated in {seconds:.0f} s; {len(entries)} entries, "
-          f"--hypothesis-seed={args.seed}")
-    survivors = 0
+    print(f"HEAD {commit[:12]} passes tier-1 unmutated in {time.perf_counter() - start:.0f} s; "
+          f"{len(entries)} entries, --hypothesis-seed={SEED}")
+    killed = 0
     with ThreadPoolExecutor(args.jobs) as pool:
-        runs = pool.map(lambda entry: verdict(args.rev, entry, args.seed), entries)
-        for entry, (passed, first, seconds) in zip(entries, runs):
-            survivors += passed
-            outcome = "survived" if passed else f"killed by {first}"
-            listed = passed or first.split("[")[0] == entry["test"]
-            note = "" if listed else f" (listed: {entry['test']})"
-            print(f"{seconds:5.0f} s  {entry['name']}: {outcome}{note}", flush=True)
-    print(f"{len(entries) - survivors} of {len(entries)} killed")
-    return 1 if survivors else 0
+        runs = pool.map(lambda entry: verdict(commit, entry), entries)
+        for entry, (listed, outcome, seconds) in zip(entries, runs):
+            killed += listed
+            print(f"{seconds:5.0f} s  {entry['name']}: {outcome}", flush=True)
+    print(f"{killed} of {len(entries)} killed by their listed tests")
+    return 0 if killed == len(entries) else 1
 
 
 if __name__ == "__main__":
